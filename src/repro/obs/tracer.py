@@ -117,8 +117,11 @@ class Tracer:
         self._stack: list[Span] = []
 
     # -- recording -----------------------------------------------------------
-    def span(self, name: str, kind: str = "", **attrs) -> _SpanCtx:
-        """Open a child span of the current span (or a new root)."""
+    def span(self, name: str, /, kind: str = "", **attrs) -> _SpanCtx:
+        """Open a child span of the current span (or a new root).
+
+        The span name is positional-only: ``name`` is also a legitimate
+        attribute (a ``scalar_assign`` op carries ``attrs["name"]``)."""
         return _SpanCtx(self, Span(name=name, kind=kind, attrs=attrs))
 
     @property
@@ -294,7 +297,7 @@ class NullTracer(Tracer):
     def __init__(self) -> None:
         super().__init__()
 
-    def span(self, name: str, kind: str = "", **attrs) -> _NullSpan:  # type: ignore[override]
+    def span(self, name: str, /, kind: str = "", **attrs) -> _NullSpan:  # type: ignore[override]
         return _NULL_SPAN
 
     def count(self, name: str, value: float = 1.0) -> None:

@@ -32,6 +32,7 @@ sources also persist on disk next to the plan cache.
 from __future__ import annotations
 
 import warnings
+from time import perf_counter
 
 from repro.codegen import cache as kcache
 from repro.codegen import jit as _jit
@@ -130,7 +131,6 @@ class CompiledExec(VectorizedExec):
             # kernel="slab" under this backend's label
             return super()._exec_nest_box(op, box, pe)
         if self._nest_wall is not None:
-            from time import perf_counter
             t0 = perf_counter()
         args: list = []
         for name in entry.arrays:

@@ -9,7 +9,8 @@ nest's global iteration box with its owned block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from time import perf_counter
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.passes.memopt import scaled_to_points
 from repro.runtime.cshift import full_cshift, full_eoshift
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import cached_layout
+from repro.runtime.nest_tape import NestTape
 from repro.runtime.overlap import overlap_shift
 
 if TYPE_CHECKING:
@@ -91,6 +93,9 @@ class _Exec:
         self.plan = plan
         self.machine = machine
         self.darrays: dict[str, DArray] = {}
+        #: id(nest op | reduction) -> (that node, its compiled tape); the
+        #: node is held so a recycled id can never hit another's tape
+        self._tapes: dict[int, tuple[object, NestTape]] = {}
         self.scalars: dict[str, float] = {n: 0.0 for n in plan.scalar_names}
         for k, v in (scalars or {}).items():
             self.scalars[k.upper()] = float(v)
@@ -230,6 +235,7 @@ class _Exec:
         fold = {"SUM": np.add, "MAXVAL": np.maximum,
                 "MINVAL": np.minimum}[expr.op]
         computed = set(self.compute_ranks())
+        tape = self._tape(expr, [(None, expr.arg, None)], first.rank)
         partials: dict[int, float] = {}
         npes = self.machine.npes
         network = self.machine.network
@@ -241,7 +247,7 @@ class _Exec:
         for pe in self.machine.topology.ranks():
             box = [(lo, hi) for lo, hi in first.owned_box(pe)]
             if pe in computed:
-                local = self._eval(expr.arg, pe, box)
+                local = tape.run(*self._bind(tape, pe, box))[tape.result]
                 partials[pe] = float(combine(local))
             points = 1
             for lo, hi in box:
@@ -472,28 +478,39 @@ class _Exec:
             return 0
         return self._exec_nest_box(op, box, pe)
 
+    def _tape(self, node, statements, rank: int) -> NestTape:
+        entry = self._tapes.get(id(node))
+        if entry is None or entry[0] is not node:
+            entry = self._tapes[id(node)] = (
+                node, NestTape(statements, rank))
+        return entry[1]
+
+    def _nest_tape(self, op: LoopNestOp) -> NestTape:
+        """The nest's tape, compiled on first use."""
+        return self._tape(
+            op, [(s.lhs, s.rhs, s.mask) for s in op.statements],
+            len(op.space))
+
+    def _bind(self, tape: NestTape, pe: int, box) -> tuple[list, list]:
+        """The tape's array references as views of ``box`` on ``pe``
+        (bounds-checked against the overlap areas) and its scalars."""
+        views = []
+        for name, offsets in tape.refs:
+            da = self.darray(name)
+            views.append(da.padded(pe)[
+                self._local_slices(da, pe, box, offsets)])
+        return views, [self.scalar(ref) for ref in tape.scalars]
+
     def _exec_nest_box(self, op: LoopNestOp,
                        box: list[tuple[int, int]], pe: int) -> int:
         if self._nest_wall is not None:
-            from time import perf_counter
             t0 = perf_counter()
         points = 1
         for lo, hi in box:
             points *= hi - lo + 1
-        for stmt in op.statements:
-            dst = self.darray(stmt.lhs)
-            dst_slices = self._local_slices(dst, pe, box,
-                                            (0,) * len(box))
-            value = self._eval(stmt.rhs, pe, box)
-            if stmt.mask is None:
-                dst.padded(pe)[dst_slices] = value
-            else:
-                mask = self._eval(stmt.mask, pe, box)
-                target = dst.padded(pe)[dst_slices]
-                dst.padded(pe)[dst_slices] = np.where(
-                    np.asarray(mask, dtype=bool), value, target)
+        tape = self._nest_tape(op)
+        tape.run(*self._bind(tape, pe, box))
         if self._nest_wall is not None:
-            from time import perf_counter
             self._nest_wall.observe(perf_counter() - t0,
                                     backend=self.backend_label,
                                     kernel=self.nest_kind)
@@ -515,42 +532,6 @@ class _Exec:
                     f"the overlap area (halo={da.halo[d]})")
             slices.append(slice(start, stop))
         return tuple(slices)
-
-    def _eval(self, expr: Expr, pe: int,
-              box: list[tuple[int, int]]) -> np.ndarray | float:
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, ScalarRef):
-            return self.scalar(expr)
-        if isinstance(expr, OffsetRef):
-            da = self.darray(expr.name)
-            return da.padded(pe)[
-                self._local_slices(da, pe, box, expr.offsets)]
-        if isinstance(expr, BinOp):
-            lv = self._eval(expr.left, pe, box)
-            rv = self._eval(expr.right, pe, box)
-            if expr.op == "+":
-                return lv + rv
-            if expr.op == "-":
-                return lv - rv
-            if expr.op == "*":
-                return lv * rv
-            if expr.op == "**":
-                return lv ** rv
-            return lv / rv
-        if isinstance(expr, UnaryOp):
-            return -self._eval(expr.operand, pe, box)
-        if isinstance(expr, Compare):
-            lv = self._eval(expr.left, pe, box)
-            rv = self._eval(expr.right, pe, box)
-            return {"<": lv < rv, ">": lv > rv, "<=": lv <= rv,
-                    ">=": lv >= rv, "==": lv == rv,
-                    "/=": lv != rv}[expr.op]
-        if isinstance(expr, Intrinsic):
-            args = [self._eval(a, pe, box) for a in expr.args]
-            return apply_intrinsic(expr.name, args)
-        raise ExecutionError(
-            f"cannot evaluate {type(expr).__name__} in a nest")
 
 
 def executor_class(backend: str) -> type[_Exec]:
@@ -592,7 +573,6 @@ def execute(plan: Plan, machine: Machine,
     """
     from repro.obs import metrics as _metrics
     from repro.obs.tracer import coalesce
-    from time import perf_counter
     tracer = coalesce(tracer)
     registry = _metrics.get_registry()
     t_wall = perf_counter() if registry.enabled else 0.0

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.errors import ExecutionError, MachineError
 from repro.plan import FullShiftOp, LoopNestOp, OverlapShiftOp
-from repro.ir.nodes import OffsetRef
 from repro.ir.rsd import RSD
 from repro.machine.machine import Machine
 from repro.machine.network import comm_tag
@@ -116,6 +115,11 @@ class VArray:
         self.interior[...] = global_array
 
     def gather(self) -> np.ndarray:
+        """The global array.  Without halo planes this hands over the
+        buffer itself instead of a copy: gathering is the executor's last
+        read before :meth:`free`, which only drops the reference."""
+        if not any(lo or hi for lo, hi in self.halo):
+            return self.data
         return self.interior.copy()
 
     def owned_box(self, pe: int) -> tuple[tuple[int, int], ...]:
@@ -287,10 +291,6 @@ class VectorizedExec(_Exec):
     backend_label = "vectorized"
     nest_kind = "slab"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._checked_nests: set[int] = set()
-
     # -- array lifecycle -----------------------------------------------------
     def materialize(self, name: str,
                     initial: np.ndarray | None = None) -> None:
@@ -336,32 +336,23 @@ class VectorizedExec(_Exec):
             slices.append(slice(start, stop))
         return tuple(slices)
 
-    def _check_nest(self, op: LoopNestOp) -> None:
+    def _nest_tape(self, op: LoopNestOp):
         """Whole-box execution requires that no statement read, at a
         nonzero offset, an array assigned earlier in the same nest — the
         per-PE executor would see stale overlap data there while the
         global array sees fresh values.  The compiler's fusion legality
         and the coverage verifier guarantee this for pipeline output;
         hand-built plans that violate it are rejected."""
-        if id(op) in self._checked_nests:
-            return
-        assigned: set[str] = set()
-        for stmt in op.statements:
-            exprs = [stmt.rhs] + ([stmt.mask]
-                                  if stmt.mask is not None else [])
-            for expr in exprs:
-                for node in expr.walk():
-                    if isinstance(node, OffsetRef) and \
-                            node.name in assigned and any(node.offsets):
-                        raise ExecutionError(
-                            f"vectorized backend: nest reads {node} "
-                            f"after assigning {node.name} in the same "
-                            f"nest; run with backend='perpe'")
-            assigned.add(stmt.lhs)
-        self._checked_nests.add(id(op))
+        tape = super()._nest_tape(op)
+        if tape.stale_read is not None:
+            raise ExecutionError(
+                f"vectorized backend: nest reads {tape.stale_read} "
+                f"after assigning {tape.stale_read.name} in the same "
+                f"nest; run with backend='perpe'")
+        return tape
 
     def run_nest(self, op: LoopNestOp) -> None:
-        self._check_nest(op)
+        self._nest_tape(op)  # legality, also when a native kernel runs it
         space = tuple((self.bound(lo), self.bound(hi))
                       for lo, hi in op.space)
         if all(lo <= hi for lo, hi in space):
@@ -385,7 +376,7 @@ class VectorizedExec(_Exec):
         comm_delta = [t1 - t0 for t0, t1 in zip(before, report.pe_times)]
 
         nest = op.nest
-        self._check_nest(nest)
+        self._nest_tape(nest)
         space = tuple((self.bound(lo), self.bound(hi))
                       for lo, hi in nest.space)
         if all(lo <= hi for lo, hi in space):

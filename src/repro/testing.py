@@ -18,6 +18,7 @@ dependences, and optional DO-loop wrapping.
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,11 +242,28 @@ def preferred_test_jit() -> str:
 
 def _backend_run_context(backend: str):
     """Context under which an equivalence sweep runs ``backend``."""
-    from contextlib import nullcontext
     if backend != "compiled":
         return nullcontext()
     from repro.codegen import codegen_options
     return codegen_options(jit=preferred_test_jit())
+
+
+@contextmanager
+def one_row_strips():
+    """Cut every strip-legal nest into one-row strips for the duration.
+
+    At the default budget a test-sized box is a single strip, so the
+    sweeps would never leave :mod:`repro.runtime.nest_tape`'s one-strip
+    path.  The budget is a module constant, not an option: this patches
+    it (forked parallel workers inherit the patch).
+    """
+    from repro.runtime import nest_tape
+    saved = nest_tape.STRIP_BYTES
+    nest_tape.STRIP_BYTES = 1
+    try:
+        yield
+    finally:
+        nest_tape.STRIP_BYTES = saved
 
 
 def equivalence_backends(
@@ -286,7 +304,10 @@ def backend_equivalence_check(program: GeneratedProgram,
     executor — down to the
     ``(src, dst, nbytes, tag)`` tuple of every logged message, which is
     what makes the communication profiler backend-agnostic.  The
-    ``perpe`` baseline is always compared first.
+    ``perpe`` baseline is always compared first.  Every backend runs
+    twice — at the default strip budget and under
+    :func:`one_row_strips` — so the contract covers the strip-mined
+    path of the shared nest evaluator, not only whole-box strips.
 
     Each backend run also executes under a fresh live
     :class:`~repro.obs.metrics.MetricsRegistry`, and the
@@ -311,24 +332,30 @@ def backend_equivalence_check(program: GeneratedProgram,
             results = {}
             logs = {}
             inv_snaps = {}
-            for backend, extra in backends:
+            # labelled by backend AND kwargs: a sweep may name one
+            # backend several times (parallel at 1, 2, 3 workers)
+            runs = [(f"{backend}{extra or ''}{note}", backend, extra, strips)
+                    for note, strips in (("", nullcontext),
+                                         (", one-row strips", one_row_strips))
+                    for backend, extra in backends]
+            for label, backend, extra, strips in runs:
                 machine = Machine(grid=grid, keep_message_log=True)
                 registry = _metrics.MetricsRegistry()
-                with _backend_run_context(backend), \
+                with _backend_run_context(backend), strips(), \
                         _metrics.use_registry(registry):
-                    results[backend] = compiled.run(
+                    results[label] = compiled.run(
                         machine, inputs=inputs, scalars=program.scalars,
                         iterations=iterations, backend=backend,
                         profile=True, **extra)
-                logs[backend] = [(m.src, m.dst, m.nbytes, m.tag)
-                                 for m in machine.network.log]
-                inv_snaps[backend] = registry.invariant_snapshot()
-            base = backends[0][0]
+                logs[label] = [(m.src, m.dst, m.nbytes, m.tag)
+                               for m in machine.network.log]
+                inv_snaps[label] = registry.invariant_snapshot()
+            base = runs[0][0]
             a = results[base]
-            for backend, _ in backends[1:]:
-                b = results[backend]
+            for label, _, _, _ in runs[1:]:
+                b = results[label]
                 ctx = (f"level {level}, grid {grid}, "
-                       f"{base} vs {backend}\n"
+                       f"{base} vs {label}\n"
                        f"program:\n{program.source}")
                 for name in a.arrays:
                     np.testing.assert_array_equal(
@@ -338,21 +365,21 @@ def backend_equivalence_check(program: GeneratedProgram,
                 assert a.report.summary() == b.report.summary(), (
                     f"cost accounting diverged: {ctx}\n"
                     f"{base}: {a.report.summary()}\n"
-                    f"{backend}: {b.report.summary()}")
+                    f"{label}: {b.report.summary()}")
                 assert a.report.pe_times == b.report.pe_times, ctx
                 assert a.report.pe_comm_times == \
                     b.report.pe_comm_times, ctx
                 assert a.report.pe_copy_times == \
                     b.report.pe_copy_times, ctx
                 assert a.peak_memory_per_pe == b.peak_memory_per_pe, ctx
-                assert logs[base] == logs[backend], (
+                assert logs[base] == logs[label], (
                     f"message log diverged: {ctx}")
                 assert a.profile is not None and b.profile is not None
                 assert a.profile.matrix == b.profile.matrix, (
                     f"communication matrices diverged: {ctx}")
                 assert a.profile.totals["messages_by_class"] == \
                     b.profile.totals["messages_by_class"], ctx
-                assert inv_snaps[base] == inv_snaps[backend], (
+                assert inv_snaps[base] == inv_snaps[label], (
                     f"backend-invariant metric series diverged: {ctx}\n"
                     f"{base}: {inv_snaps[base]}\n"
-                    f"{backend}: {inv_snaps[backend]}")
+                    f"{label}: {inv_snaps[label]}")

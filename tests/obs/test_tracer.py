@@ -310,3 +310,29 @@ class TestSpanHelpers:
     def test_duration_never_negative(self):
         sp = Span(name="x", t_start=5.0, t_end=1.0)
         assert sp.duration == 0.0
+
+
+class TestSpanNameIsPositionalOnly:
+    """``name`` is also an attribute key: a ``scalar_assign`` op's span
+    carries ``attrs["name"]`` (the scalar assigned)."""
+
+    def test_name_attribute_does_not_collide_with_span_name(self):
+        tr = Tracer()
+        with tr.span("scalar_assign", kind="op", name="ALPHA") as span:
+            pass
+        assert span.name == "scalar_assign"
+        assert span.attrs == {"name": "ALPHA"}
+        with NullTracer().span("scalar_assign", kind="op", name="ALPHA"):
+            pass
+
+    @pytest.mark.parametrize("backend",
+                             ["perpe", "vectorized", "compiled"])
+    def test_traced_run_of_a_plan_with_scalar_assigns(self, backend):
+        # the parallel backend's workers run untraced: no per-op spans
+        from repro.kernels import run_kernel
+        tr = Tracer()
+        run_kernel("cg", bindings={"N": 16, "NITER": 2}, backend=backend,
+                   tracer=tr)
+        assigned = {s.attrs["name"] for s in tr.spans()
+                    if s.name == "scalar_assign"}
+        assert "ALPHA" in assigned

@@ -147,7 +147,7 @@ class TestGuards:
             space=(), stats=LoopStats(points=1))
         with pytest.raises(ExecutionError, match="reads .* after "
                                                  "assigning"):
-            ex._check_nest(bad)
+            ex._nest_tape(bad)
 
     def test_in_nest_zero_offset_read_allowed(self):
         spec = KERNELS["five_point"]
@@ -161,4 +161,4 @@ class TestGuards:
                 NestStmt("C", OffsetRef("A", (0, 0))),
             ],
             space=(), stats=LoopStats(points=1))
-        ex._check_nest(ok)  # must not raise
+        ex._nest_tape(ok)  # must not raise
