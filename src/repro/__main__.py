@@ -2,42 +2,22 @@
 
 Commands
 --------
-``compile``   compile an HPF file and print the compilation report, the
-              pass-by-pass IR trace (``--trace``), and the generated
-              SPMD program (``--plan``).
-``run``       compile and execute on the simulated machine with seeded
-              random inputs, printing result digests and the cost
-              summary.
-``trace``     compile and execute a named kernel (or file) with the
-              structured tracer enabled, printing a span tree and
-              optionally writing the JSONL trace (``-o``).
-``profile``   compile and execute with the communication profiler:
-              per-PE comm matrices split by message class, per-PE phase
-              timelines, and the cost-model validation table; exports
-              profile.json (``-o``) and Chrome/Perfetto traces
-              (``--chrome``).
-``plan``      compile a named kernel (or file) and print its plan IR —
-              the textual SPMD program by default, the versioned JSON
-              document with ``--json``; ``-o`` writes to a file.
-``metrics``   compile and execute a named kernel (or file) with the
-              metrics registry live, printing a readable dump of every
-              series; ``--json`` emits the versioned JSON document,
-              ``--prom`` the Prometheus text exposition, ``-o`` writes
-              a file (``.prom`` suffix selects the exposition format),
-              and ``--ledger PATH`` appends the run to a JSONL ledger.
-``serve``     start the compile-and-run HTTP service: POST /compile
-              and /run job documents, GET /plan/<key>, /metrics
-              (Prometheus), /healthz, POST /cache/warm and
-              /cache/evict.  See README "Compile-and-run service".
-``experiments``  regenerate the paper's evaluation exhibits.
+``compile``      compile and print the compilation report
+``run``          compile and execute on the simulated machine with
+                 seeded random inputs; result digests + cost summary
+``trace``        the same run under the structured tracer (span tree)
+``profile``      the same run under the communication profiler
+``metrics``      the same run with the metrics registry live
+``plan``         compile and print the plan IR (text or JSON)
+``serve``        start the compile-and-run HTTP service
+``experiments``  regenerate the paper's evaluation exhibits
 
-``run`` and ``profile`` accept ``--metrics FILE`` to capture the same
-registry during a normal run, and ``run`` accepts ``--ledger PATH``.
-
-Every compiling command takes ``--cache-dir PATH`` to memoize plans in
-an on-disk :class:`~repro.compiler.cache.PersistentPlanCache` that
-survives across processes, and ``--plan-passes`` to enable the
-post-codegen plan optimizations of :mod:`repro.plan.passes`.
+Every compiling command takes a registry kernel name (``purdue9``,
+``jacobi``, ...) or a path to an HPF source file; ``<command> --help``
+lists its flags.  This module only turns argv into a
+:mod:`repro.job` description and formats what comes back: compiling
+and running is the job's, shared with :func:`repro.kernels.run_kernel`
+and the service.
 
 Examples
 --------
@@ -56,15 +36,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-
-import numpy as np
+from contextlib import nullcontext
 
 from repro.analysis.report import describe_plan, describe_result
-from repro.compiler import compile_hpf
 from repro.errors import ReproError
-from repro.machine import Machine
+from repro.job import CompileJob, MachineSpec, RunJob, plan_document, \
+    report_doc
 
+
+# -- text -> value ----------------------------------------------------------
 
 def _parse_bindings(pairs: list[str]) -> dict[str, int]:
     out = {}
@@ -94,30 +76,6 @@ def _workers_arg(text: str) -> int:
     return value
 
 
-def _codegen_context(args: argparse.Namespace):
-    """Scoped codegen options for ``--backend compiled`` runs.
-
-    Maps ``--tile``/``--unroll``/``--jit`` onto a
-    :func:`repro.codegen.codegen_options` override, and points the
-    kernel disk cache at ``<--cache-dir>/kernels`` so generated sources
-    persist next to the plan cache.
-    """
-    import os
-    from contextlib import nullcontext
-
-    overrides = {}
-    for field in ("tile", "unroll", "jit"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "cache_dir", None):
-        overrides["cache_dir"] = os.path.join(args.cache_dir, "kernels")
-    if not overrides:
-        return nullcontext()
-    from repro.codegen import codegen_options
-    return codegen_options(**overrides)
-
-
 def _parse_grid(text: str) -> tuple[int, ...]:
     try:
         grid = tuple(int(p) for p in text.lower().split("x"))
@@ -130,157 +88,87 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def _resolve_cache(args: argparse.Namespace):
+def _job(args: argparse.Namespace, profile: bool = False):
+    """The job the parsed flags describe: a :class:`RunJob` for the
+    executing commands, just its :class:`CompileJob` for ``compile``
+    and ``plan`` (which have no machine/run flags)."""
+    compile_job = CompileJob.from_argument(
+        args.kernel, bindings=_parse_bindings(args.bind),
+        outputs=args.output,
+        level=getattr(args, "opt", None) or args.level,
+        cse=getattr(args, "cse", False), plan_passes=args.plan_passes)
+    if not hasattr(args, "grid"):
+        return compile_job
+    return RunJob(
+        compile=compile_job,
+        machine=MachineSpec(grid=_parse_grid(args.grid),
+                            preset=args.machine,
+                            memory_mb=getattr(args, "memory_mb", None)),
+        backend=args.backend, iterations=args.iters, seed=args.seed,
+        workers=args.workers, tile=args.tile, unroll=args.unroll,
+        jit=args.jit, profile=profile)
+
+
+def _plan_cache(args: argparse.Namespace):
     """``--cache-dir`` wins (persistent, cross-process); ``--cache``
     selects the process-wide in-memory default; otherwise no cache."""
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         from repro.compiler import PersistentPlanCache
         return PersistentPlanCache(args.cache_dir)
-    return getattr(args, "cache", False)
+    return args.cache
 
 
-def _resolve_source(name_or_file: str, args: argparse.Namespace):
-    """A kernel name from the registry, or a path to HPF source.
+# -- the one run behind run/trace/profile/metrics ---------------------------
 
-    Returns ``(source, bindings, outputs)`` with the registry defaults
-    merged under any explicit ``--bind``/``--output`` flags.
-    """
-    import os
+def _execute(args: argparse.Namespace, registry=None, tracer=None,
+             trace_run: bool = False, profile: bool = False):
+    """Compile and run the job ``args`` describes; write the
+    ``--metrics`` file and the ``--ledger`` record where the command
+    has those flags (either makes the run's registry live; without
+    them it stays the null default, zero overhead).  ``tracer`` follows
+    the compilation, and the run too when ``trace_run``.  Returns the
+    execution result."""
+    from repro.obs import MetricsRegistry, use_registry
 
-    from repro import kernels
-
-    bindings = _parse_bindings(args.bind)
-    outputs = set(args.output) or None
-    if os.path.exists(name_or_file):
-        return open(name_or_file).read(), bindings, outputs
-    spec = kernels.resolve_kernel(name_or_file)  # KeyError -> ReproError?
-    return (spec.source, {**spec.default_bindings, **bindings},
-            outputs or set(spec.outputs))
-
-
-def _metrics_scope(args: argparse.Namespace):
-    """A live registry scope when any metrics output was requested,
-    else the null default (zero overhead)."""
-    from contextlib import nullcontext
-
-    from repro.obs import metrics as obs_metrics
-    if getattr(args, "metrics", None) or getattr(args, "ledger", None):
-        return obs_metrics.use_registry(obs_metrics.MetricsRegistry())
-    return nullcontext()
-
-
-def _write_metrics(registry, path: str) -> None:
-    """Write ``registry`` to ``path``: Prometheus text exposition for a
-    ``.prom``/``.txt`` suffix, the versioned JSON document otherwise."""
-    from repro.obs import write_metrics, write_prometheus
-    if path.endswith((".prom", ".txt")):
-        write_prometheus(registry, path)
-    else:
-        write_metrics(registry, path)
-    print(f"wrote metrics to {path}", file=sys.stderr)
-
-
-def _plan_key(compiled) -> str:
-    """Machine-independent identity of the executed plan: the sha256 of
-    its canonical JSON serialization."""
-    import hashlib
-
-    from repro.plan import plan_to_json
-    return hashlib.sha256(
-        plan_to_json(compiled.plan).encode()).hexdigest()
+    job = _job(args, profile=profile)
+    metrics_path = getattr(args, "metrics", None)
+    ledger_path = getattr(args, "ledger", None)
+    if registry is None and (metrics_path or ledger_path):
+        registry = MetricsRegistry()
+    with use_registry(registry) if registry is not None \
+            else nullcontext():
+        compiled = job.compile.compile(cache=_plan_cache(args),
+                                       tracer=tracer)
+        machine = job.machine.build()
+        # generated kernel sources persist next to the plan cache
+        result = job.execute(
+            compiled, machine, tracer=tracer if trace_run else None,
+            kernel_cache_dir=os.path.join(args.cache_dir, "kernels")
+            if args.cache_dir else None)
+    if metrics_path:
+        # .prom/.txt: Prometheus text exposition; else versioned JSON
+        from repro.obs import write_metrics, write_prometheus
+        write = write_prometheus \
+            if metrics_path.endswith((".prom", ".txt")) else write_metrics
+        write(registry, metrics_path)
+        print(f"wrote metrics to {metrics_path}", file=sys.stderr)
+    if ledger_path:
+        from repro.obs import RunLedger
+        job.ledger_append(RunLedger(ledger_path), machine,
+                          plan_document(compiled)[1], registry.to_dict())
+        print(f"appended run to ledger {ledger_path}", file=sys.stderr)
+    return result
 
 
-def _ledger_append(args: argparse.Namespace, registry, compiled,
-                   machine: Machine, backend: str) -> None:
-    from repro.codegen.options import current_options
-    from repro.obs import RunLedger
-    metrics_doc = registry.to_dict() if registry is not None else None
-    # re-enter the codegen override scope so recorded factors match
-    # what the run actually executed under (--tile/--unroll/--jit)
-    with _codegen_context(args):
-        opts = current_options()
-    ledger = RunLedger(args.ledger)
-    ledger.append(
-        machine=machine,
-        plan_key=_plan_key(compiled),
-        backend=backend,
-        factors={"level": args.level, "tile": opts.tile,
-                 "unroll": opts.unroll, "jit": opts.jit,
-                 "codegen": opts.factor_fingerprint()},
-        metrics=metrics_doc,
-        extra={"grid": "x".join(map(str, machine.grid)),
-               "iterations": getattr(args, "iters", 1)})
-    print(f"appended run to ledger {args.ledger}", file=sys.stderr)
-
-
-def _add_cache_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache", action="store_true",
-                   help="memoize compilation in the process-wide plan "
-                        "cache (repeat compiles of identical "
-                        "source/options hit in microseconds)")
-    p.add_argument("--cache-dir", default=None, metavar="PATH",
-                   help="memoize compiled plans on disk under PATH "
-                        "(survives across processes; overrides --cache)")
-    p.add_argument("--plan-passes", action="store_true",
-                   help="run the post-codegen plan optimizations: op "
-                        "scheduling, redundant-shift coalescing, dead "
-                        "alloc elimination")
-
-
-def _add_codegen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tile", type=int, default=None, metavar="T",
-                   help="loop-tiling factor for --backend compiled "
-                        "(0 disables; default from REPRO_COMPILED_TILE)")
-    p.add_argument("--unroll", type=int, default=None, metavar="U",
-                   help="unroll-and-jam factor for --backend compiled "
-                        "(0 uses each nest's modelled factor; default "
-                        "from REPRO_COMPILED_UNROLL)")
-    p.add_argument("--jit", default=None,
-                   choices=("auto", "numba", "python", "off"),
-                   help="JIT mode for --backend compiled: auto "
-                        "(numba when importable, else slab fallback "
-                        "with a warning), numba (required), python "
-                        "(generated source un-jitted), off")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="HPF source file")
-    p.add_argument("--bind", action="append", default=[],
-                   metavar="NAME=VALUE",
-                   help="bind a size parameter (repeatable)")
-    p.add_argument("--level", default="O4",
-                   help="optimization level O0..O4 (default O4)")
-    p.add_argument("--output", action="append", default=[],
-                   help="array live out of the routine (repeatable)")
-    p.add_argument("--cse", action="store_true",
-                   help="eliminate duplicate shifts during normalization")
-    _add_cache_flags(p)
-    p.add_argument("--json", action="store_true",
-                   help="emit a machine-readable JSON report instead of "
-                        "prose")
-
+# -- commands ---------------------------------------------------------------
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    source = open(args.file).read()
-    compiled = compile_hpf(source, bindings=_parse_bindings(args.bind),
-                           level=args.level,
-                           outputs=set(args.output) or None,
-                           cse=args.cse, keep_trace=args.trace,
-                           plan_passes=args.plan_passes,
-                           cache=_resolve_cache(args))
-    r = compiled.report
+    compiled = _job(args).compile(cache=_plan_cache(args),
+                                  keep_trace=args.trace)
     if args.json:
-        print(json.dumps({
-            "level": r.level,
-            "overlap_shifts": r.overlap_shifts,
-            "full_shifts": r.full_shifts,
-            "loop_nests": r.loop_nests,
-            "fused_statements": r.fused_statements,
-            "temporaries": r.temporaries,
-            "temp_bytes_global": r.temp_bytes_global,
-            "copies_inserted": r.copies_inserted,
-        }, indent=2))
+        print(json.dumps(report_doc(compiled), indent=2))
         return 0
+    r = compiled.report
     print(f"level {r.level}: {r.overlap_shifts} overlap shifts, "
           f"{r.full_shifts} full shifts, {r.loop_nests} loop nests "
           f"({r.fused_statements} statements fused), "
@@ -299,45 +187,16 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    source = open(args.file).read()
-    with _metrics_scope(args) as registry:
-        compiled = compile_hpf(source,
-                               bindings=_parse_bindings(args.bind),
-                               level=args.level,
-                               outputs=set(args.output) or None,
-                               cse=args.cse,
-                               plan_passes=args.plan_passes,
-                               cache=_resolve_cache(args))
-        from repro.machine.presets import by_name
-        machine = Machine(grid=_parse_grid(args.grid),
-                          cost_model=by_name(args.machine),
-                          memory_per_pe=args.memory_mb * 1024 * 1024
-                          if args.memory_mb else None)
-        rng = np.random.default_rng(args.seed)
-        inputs = {}
-        for name, decl in compiled.plan.arrays.items():
-            if name in compiled.plan.entry_arrays:
-                inputs[name] = rng.standard_normal(decl.shape).astype(
-                    decl.dtype)
-        with _codegen_context(args):
-            result = compiled.run(machine, inputs=inputs,
-                                  iterations=args.iters,
-                                  backend=args.backend,
-                                  workers=args.workers)
-    if args.metrics:
-        _write_metrics(registry, args.metrics)
-    if args.ledger:
-        _ledger_append(args, registry, compiled, machine, args.backend)
+    result = _execute(args)
+    checksums = {name: float(abs(arr).sum())
+                 for name, arr in sorted(result.arrays.items())}
     if args.json:
-        out = result.summary()
-        out["checksums"] = {
-            name: float(np.abs(arr).sum())
-            for name, arr in sorted(result.arrays.items())}
-        print(json.dumps(out, indent=2))
+        print(json.dumps({**result.summary(), "checksums": checksums},
+                         indent=2))
         return 0
     for name, arr in sorted(result.arrays.items()):
         print(f"{name}: shape={arr.shape} mean={arr.mean():.6g} "
-              f"checksum={float(np.abs(arr).sum()):.6g}")
+              f"checksum={checksums[name]:.6g}")
     print()
     print(describe_result(result))
     return 0
@@ -347,30 +206,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.analysis.report import describe_trace
     from repro.obs import Tracer
 
-    try:
-        source, bindings, outputs = _resolve_source(args.kernel, args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-
     tracer = Tracer()
-    compiled = compile_hpf(source, bindings=bindings, level=args.level,
-                           outputs=outputs, tracer=tracer,
-                           plan_passes=args.plan_passes,
-                           cache=_resolve_cache(args))
-    from repro.machine.presets import by_name
-    machine = Machine(grid=_parse_grid(args.grid),
-                      cost_model=by_name(args.machine))
-    rng = np.random.default_rng(args.seed)
-    inputs = {}
-    for name, decl in compiled.plan.arrays.items():
-        if name in compiled.plan.entry_arrays:
-            inputs[name] = rng.standard_normal(decl.shape).astype(
-                decl.dtype)
-    with _codegen_context(args):
-        compiled.run(machine, inputs=inputs, iterations=args.iters,
-                     tracer=tracer, backend=args.backend,
-                     workers=args.workers)
+    _execute(args, tracer=tracer, trace_run=True)
     if args.out:
         tracer.write_jsonl(args.out)
         print(f"wrote {sum(1 for _ in tracer.spans())} spans to "
@@ -386,42 +223,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.analysis.report import describe_profile
     from repro.obs import Tracer, write_chrome_trace, write_profile
 
-    level = args.opt or args.level
-    kernel_name = args.kernel
-    try:
-        source, bindings, outputs = _resolve_source(args.kernel, args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-
     # tracer feeds the Chrome trace's compile-passes track
     tracer = Tracer() if args.chrome else None
-    with _metrics_scope(args) as registry:
-        compiled = compile_hpf(source, bindings=bindings, level=level,
-                               outputs=outputs, tracer=tracer,
-                               plan_passes=args.plan_passes,
-                               cache=_resolve_cache(args))
-        from repro.machine.presets import by_name
-        machine = Machine(grid=_parse_grid(args.grid),
-                          cost_model=by_name(args.machine),
-                          keep_message_log=True)
-        rng = np.random.default_rng(args.seed)
-        inputs = {}
-        for name, decl in compiled.plan.arrays.items():
-            if name in compiled.plan.entry_arrays:
-                inputs[name] = rng.standard_normal(decl.shape).astype(
-                    decl.dtype)
-        with _codegen_context(args):
-            result = compiled.run(machine, inputs=inputs,
-                                  iterations=args.iters,
-                                  backend=args.backend, profile=True,
-                                  workers=args.workers)
-    if args.metrics:
-        _write_metrics(registry, args.metrics)
-    profile = result.profile
-    assert profile is not None
-    profile.kernel = kernel_name
-    profile.level = level
+    profile = _execute(args, tracer=tracer, profile=True).profile
     if args.out:
         write_profile(profile, args.out)
         print(f"wrote profile to {args.out}", file=sys.stderr)
@@ -438,58 +242,24 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.analysis.report import describe_metrics
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import metrics_to_json, prometheus_text
+    from repro.obs import MetricsRegistry, metrics_to_json, \
+        prometheus_text
 
-    try:
-        source, bindings, outputs = _resolve_source(args.kernel, args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-    with obs_metrics.use_registry() as registry:
-        compiled = compile_hpf(source, bindings=bindings,
-                               level=args.level, outputs=outputs,
-                               plan_passes=args.plan_passes,
-                               cache=_resolve_cache(args))
-        from repro.machine.presets import by_name
-        machine = Machine(grid=_parse_grid(args.grid),
-                          cost_model=by_name(args.machine))
-        rng = np.random.default_rng(args.seed)
-        inputs = {}
-        for name, decl in compiled.plan.arrays.items():
-            if name in compiled.plan.entry_arrays:
-                inputs[name] = rng.standard_normal(decl.shape).astype(
-                    decl.dtype)
-        with _codegen_context(args):
-            compiled.run(machine, inputs=inputs,
-                         iterations=args.iters, backend=args.backend,
-                         workers=args.workers)
-    if args.out:
-        _write_metrics(registry, args.out)
-    if args.ledger:
-        _ledger_append(args, registry, compiled, machine, args.backend)
+    registry = MetricsRegistry()
+    _execute(args, registry=registry)
     if args.json:
         sys.stdout.write(metrics_to_json(registry))
     elif args.prom:
         sys.stdout.write(prometheus_text(registry))
-    elif not args.out:
+    elif not args.metrics:
         print(describe_metrics(registry))
     return 0
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        source, bindings, outputs = _resolve_source(args.kernel, args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
-    compiled = compile_hpf(source, bindings=bindings, level=args.level,
-                           outputs=outputs,
-                           plan_passes=args.plan_passes,
-                           cache=_resolve_cache(args))
+    compiled = _job(args).compile(cache=_plan_cache(args))
     if args.json:
-        from repro.plan import plan_to_json
-        text = plan_to_json(compiled.plan)
+        text = plan_document(compiled)[0]
     else:
         from repro.plan import plan_to_text
         text = plan_to_text(compiled.plan)
@@ -512,47 +282,59 @@ def cmd_serve(args: argparse.Namespace) -> int:
                  max_pending=args.max_pending)
 
 
+#: one module of :mod:`repro.experiments` per exhibit, in ``all`` order
+EXPERIMENTS = ("fig11", "fig17", "fig18", "messages", "storage",
+               "ablations", "scaling", "sensitivity", "robustness")
+
+
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments import (ablations, fig11, fig17, fig18,
-                                   messages, robustness, scaling,
-                                   sensitivity, storage)
-    mains = {
-        "fig11": fig11.main, "fig17": fig17.main, "fig18": fig18.main,
-        "messages": messages.main, "storage": storage.main,
-        "ablations": ablations.main, "scaling": scaling.main,
-        "sensitivity": sensitivity.main, "robustness": robustness.main,
-    }
-    names = list(mains) if args.name == "all" else [args.name]
-    for name in names:
+    from importlib import import_module
+    for name in EXPERIMENTS if args.name == "all" else [args.name]:
         print(f"##### {name} #####")
-        mains[name]()
+        import_module(f"repro.experiments.{name}").main()
         print()
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="HPF stencil compiler reproduction (Roth et al., "
-                    "SC'97)")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- argparse ---------------------------------------------------------------
 
-    p = sub.add_parser("compile", help="compile and report")
-    _add_common(p)
-    p.add_argument("--trace", action="store_true",
-                   help="print the IR after every pass (Figures 12-15)")
-    p.add_argument("--plan", action="store_true",
-                   help="print the generated SPMD program (Figure 16)")
-    p.add_argument("--fortran", action="store_true",
-                   help="emit the Fortran77+MPI node program")
-    p.set_defaults(fn=cmd_compile)
+def _source_flags() -> argparse.ArgumentParser:
+    """Parent parser: what to compile and how (every compiling
+    command)."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("kernel",
+                   help="kernel name (e.g. purdue9, five_point, "
+                        "box27_3d) or an HPF source file")
+    p.add_argument("--bind", action="append", default=[],
+                   metavar="NAME=VALUE",
+                   help="bind a size parameter (repeatable; named "
+                        "kernels default to N=64)")
+    p.add_argument("--level", default="O4",
+                   help="optimization level O0..O4 (default O4)")
+    p.add_argument("--output", action="append", default=[],
+                   help="array live out of the routine (repeatable)")
+    p.add_argument("--cache", action="store_true",
+                   help="memoize compilation in the process-wide plan "
+                        "cache (repeat compiles of identical "
+                        "source/options hit in microseconds)")
+    p.add_argument("--cache-dir", default=None, metavar="PATH",
+                   help="memoize compiled plans on disk under PATH "
+                        "(survives across processes; overrides --cache)")
+    p.add_argument("--plan-passes", action="store_true",
+                   help="run the post-codegen plan optimizations: op "
+                        "scheduling, redundant-shift coalescing, dead "
+                        "alloc elimination")
+    return p
 
+
+def _run_flags() -> argparse.ArgumentParser:
+    """Parent parser: the machine and the run (every executing
+    command)."""
     from repro.runtime.backends import available_backends
-    backends = available_backends()
 
-    p = sub.add_parser("run", help="compile and execute")
-    _add_common(p)
-    p.add_argument("--backend", default="perpe", choices=backends,
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--backend", default="perpe",
+                   choices=available_backends(),
                    help="execution backend: per-PE interpretation "
                         "(default), whole-array vectorized slabs, "
                         "parallel worker processes over shared memory, "
@@ -561,61 +343,82 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workers", type=_workers_arg, default=None,
                    help="worker-process count for --backend parallel "
                         "(default: cpu count, capped at the PE count)")
-    _add_codegen_flags(p)
+    p.add_argument("--tile", type=int, default=None, metavar="T",
+                   help="loop-tiling factor for --backend compiled "
+                        "(0 disables; default from REPRO_COMPILED_TILE)")
+    p.add_argument("--unroll", type=int, default=None, metavar="U",
+                   help="unroll-and-jam factor for --backend compiled "
+                        "(0 uses each nest's modelled factor; default "
+                        "from REPRO_COMPILED_UNROLL)")
+    p.add_argument("--jit", default=None,
+                   choices=("auto", "numba", "python", "off"),
+                   help="JIT mode for --backend compiled: auto "
+                        "(numba when importable, else slab fallback "
+                        "with a warning), numba (required), python "
+                        "(generated source un-jitted), off")
     p.add_argument("--grid", default="2x2",
                    help="processor grid, e.g. 2x2 (default)")
     p.add_argument("--iters", type=int, default=1,
                    help="repeat the program this many times")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed for input arrays")
-    p.add_argument("--memory-mb", type=int, default=None,
-                   help="per-PE memory capacity in MB")
     p.add_argument("--machine", default="sp2",
                    help="cost-model preset: sp2 (default), ethernet, "
                         "t3e, modern-node, modern-cluster")
-    p.add_argument("--metrics", default=None, metavar="FILE",
-                   help="run with the metrics registry live and write "
-                        "it to FILE (.prom/.txt: Prometheus text "
-                        "exposition; otherwise versioned JSON)")
-    p.add_argument("--ledger", default=None, metavar="PATH",
-                   help="append this run (machine fingerprint, plan "
-                        "key, backend, factors, metrics) to the JSONL "
-                        "run ledger at PATH")
+    return p
+
+
+_METRICS_FLAG = dict(
+    default=None, metavar="FILE",
+    help="run with the metrics registry live and write it to FILE "
+         "(.prom/.txt: Prometheus text exposition; otherwise versioned "
+         "JSON)")
+_LEDGER_FLAG = dict(
+    default=None, metavar="PATH",
+    help="append this run (machine fingerprint, plan key, backend, "
+         "factors, metrics) to the JSONL run ledger at PATH")
+_CSE_FLAG = dict(
+    action="store_true",
+    help="eliminate duplicate shifts during normalization")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="HPF stencil compiler reproduction (Roth et al., "
+                    "SC'97)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    source, run = _source_flags(), _run_flags()
+
+    p = sub.add_parser("compile", parents=[source],
+                       help="compile and report")
+    p.add_argument("--cse", **_CSE_FLAG)
+    p.add_argument("--json", action="store_true",
+                   help="emit a machine-readable JSON report instead of "
+                        "prose")
+    p.add_argument("--trace", action="store_true",
+                   help="print the IR after every pass (Figures 12-15)")
+    p.add_argument("--plan", action="store_true",
+                   help="print the generated SPMD program (Figure 16)")
+    p.add_argument("--fortran", action="store_true",
+                   help="emit the Fortran77+MPI node program")
+    p.set_defaults(fn=cmd_compile)
+
+    p = sub.add_parser("run", parents=[source, run],
+                       help="compile and execute")
+    p.add_argument("--cse", **_CSE_FLAG)
+    p.add_argument("--json", action="store_true",
+                   help="emit a machine-readable JSON report instead of "
+                        "prose")
+    p.add_argument("--memory-mb", type=int, default=None,
+                   help="per-PE memory capacity in MB")
+    p.add_argument("--metrics", **_METRICS_FLAG)
+    p.add_argument("--ledger", **_LEDGER_FLAG)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser(
-        "trace",
+        "trace", parents=[source, run],
         help="compile+run a kernel with structured tracing enabled")
-    p.add_argument("kernel",
-                   help="kernel name (e.g. purdue9, five_point, "
-                        "box27_3d) or an HPF source file")
-    p.add_argument("--bind", action="append", default=[],
-                   metavar="NAME=VALUE",
-                   help="bind a size parameter (default N=64 for named "
-                        "kernels)")
-    p.add_argument("--level", default="O4",
-                   help="optimization level O0..O4 (default O4)")
-    p.add_argument("--output", action="append", default=[],
-                   help="array live out of the routine (repeatable)")
-    p.add_argument("--backend", default="perpe", choices=backends,
-                   help="execution backend: per-PE interpretation "
-                        "(default), whole-array vectorized slabs, "
-                        "parallel worker processes, or compiled "
-                        "native loop nests")
-    p.add_argument("--workers", type=_workers_arg, default=None,
-                   help="worker-process count for --backend parallel "
-                        "(default: cpu count, capped at the PE count)")
-    _add_codegen_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--grid", default="2x2",
-                   help="processor grid, e.g. 2x2 (default)")
-    p.add_argument("--iters", type=int, default=1,
-                   help="repeat the program this many times")
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed for input arrays")
-    p.add_argument("--machine", default="sp2",
-                   help="cost-model preset: sp2 (default), ethernet, "
-                        "t3e, modern-node, modern-cluster")
     p.add_argument("-o", "--out", default=None, metavar="FILE",
                    help="write the trace as JSONL to FILE")
     p.add_argument("--json", action="store_true",
@@ -624,39 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser(
-        "profile",
+        "profile", parents=[source, run],
         help="compile+run a kernel with the communication profiler")
-    p.add_argument("kernel",
-                   help="kernel name (e.g. purdue9, five_point, "
-                        "box27_3d) or an HPF source file")
-    p.add_argument("--bind", action="append", default=[],
-                   metavar="NAME=VALUE",
-                   help="bind a size parameter (default N=64 for named "
-                        "kernels)")
-    p.add_argument("--level", default="O4",
-                   help="optimization level O0..O4 (default O4)")
-    p.add_argument("--opt", default=None,
-                   help="alias for --level")
-    p.add_argument("--output", action="append", default=[],
-                   help="array live out of the routine (repeatable)")
-    p.add_argument("--backend", default="perpe", choices=backends,
-                   help="execution backend; all produce identical "
-                        "communication profiles (parallel adds "
-                        "measured per-worker wall-clock tracks)")
-    p.add_argument("--workers", type=_workers_arg, default=None,
-                   help="worker-process count for --backend parallel "
-                        "(default: cpu count, capped at the PE count)")
-    _add_codegen_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--grid", default="2x2",
-                   help="processor grid, e.g. 2x2 (default)")
-    p.add_argument("--iters", type=int, default=1,
-                   help="repeat the program this many times")
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed for input arrays")
-    p.add_argument("--machine", default="sp2",
-                   help="cost-model preset: sp2 (default), ethernet, "
-                        "t3e, modern-node, modern-cluster")
+    p.add_argument("--opt", default=None, help="alias for --level")
     p.add_argument("-o", "--out", default=None, metavar="FILE",
                    help="write the versioned profile.json to FILE")
     p.add_argument("--chrome", default=None, metavar="FILE",
@@ -665,70 +438,26 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--json", action="store_true",
                    help="print profile.json to stdout instead of the "
                         "text report")
-    p.add_argument("--metrics", default=None, metavar="FILE",
-                   help="run with the metrics registry live and write "
-                        "it to FILE (.prom/.txt: Prometheus text "
-                        "exposition; otherwise versioned JSON)")
+    p.add_argument("--metrics", **_METRICS_FLAG)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser(
-        "metrics",
+        "metrics", parents=[source, run],
         help="compile+run a kernel with the metrics registry live")
-    p.add_argument("kernel",
-                   help="kernel name (e.g. purdue9, five_point, "
-                        "box27_3d) or an HPF source file")
-    p.add_argument("--bind", action="append", default=[],
-                   metavar="NAME=VALUE",
-                   help="bind a size parameter (default N=64 for named "
-                        "kernels)")
-    p.add_argument("--level", default="O4",
-                   help="optimization level O0..O4 (default O4)")
-    p.add_argument("--output", action="append", default=[],
-                   help="array live out of the routine (repeatable)")
-    p.add_argument("--backend", default="perpe", choices=backends,
-                   help="execution backend to instrument")
-    p.add_argument("--workers", type=_workers_arg, default=None,
-                   help="worker-process count for --backend parallel "
-                        "(default: cpu count, capped at the PE count)")
-    _add_codegen_flags(p)
-    _add_cache_flags(p)
-    p.add_argument("--grid", default="2x2",
-                   help="processor grid, e.g. 2x2 (default)")
-    p.add_argument("--iters", type=int, default=1,
-                   help="repeat the program this many times")
-    p.add_argument("--seed", type=int, default=0,
-                   help="random seed for input arrays")
-    p.add_argument("--machine", default="sp2",
-                   help="cost-model preset: sp2 (default), ethernet, "
-                        "t3e, modern-node, modern-cluster")
     p.add_argument("--json", action="store_true",
                    help="print the versioned metrics JSON document")
     p.add_argument("--prom", action="store_true",
                    help="print the Prometheus text exposition")
-    p.add_argument("-o", "--out", default=None, metavar="FILE",
+    p.add_argument("-o", "--out", dest="metrics", default=None,
+                   metavar="FILE",
                    help="write metrics to FILE (.prom/.txt: Prometheus "
                         "text; otherwise JSON)")
-    p.add_argument("--ledger", default=None, metavar="PATH",
-                   help="append this run (machine fingerprint, plan "
-                        "key, backend, factors, metrics) to the JSONL "
-                        "run ledger at PATH")
+    p.add_argument("--ledger", **_LEDGER_FLAG)
     p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser(
-        "plan",
+        "plan", parents=[source],
         help="compile a kernel and print its plan IR (text or JSON)")
-    p.add_argument("kernel",
-                   help="kernel name (e.g. purdue9, five_point, "
-                        "box27_3d) or an HPF source file")
-    p.add_argument("--bind", action="append", default=[],
-                   metavar="NAME=VALUE",
-                   help="bind a size parameter (default N=64 for named "
-                        "kernels)")
-    p.add_argument("--level", default="O4",
-                   help="optimization level O0..O4 (default O4)")
-    p.add_argument("--output", action="append", default=[],
-                   help="array live out of the routine (repeatable)")
-    _add_cache_flags(p)
     p.add_argument("--json", action="store_true",
                    help="print the versioned JSON plan document "
                         "(repro.plan.serialize schema) instead of the "
@@ -765,9 +494,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("experiments",
                        help="regenerate the paper's exhibits")
-    p.add_argument("name", choices=["fig11", "fig17", "fig18", "messages",
-                                    "storage", "ablations", "scaling",
-                                    "sensitivity", "robustness", "all"])
+    p.add_argument("name", choices=[*EXPERIMENTS, "all"])
     p.set_defaults(fn=cmd_experiments)
 
     args = parser.parse_args(argv)

@@ -330,13 +330,9 @@ def compile_kernel(name: str, bindings: dict[str, int] | None = None,
     ``True`` (process default) or a ``PlanCache`` to memoize sweeps that
     recompile the same kernel.
     """
-    from repro.compiler import compile_hpf
-    spec = resolve_kernel(name)
-    return compile_hpf(spec.source,
-                       bindings={**spec.default_bindings,
-                                 **(bindings or {})},
-                       level=level, outputs=set(spec.outputs),
-                       cache=cache, tracer=tracer, **options)
+    from repro.job import CompileJob
+    job = CompileJob.resolve(kernel=name, bindings=bindings, level=level)
+    return job.compile(cache=cache, tracer=tracer, **options)
 
 
 def run_kernel(name: str, grid: tuple[int, ...] = (2, 2),
@@ -349,33 +345,21 @@ def run_kernel(name: str, grid: tuple[int, ...] = (2, 2),
     """Compile and execute a registry kernel with seeded random inputs.
 
     ``backend`` selects the execution strategy (``"perpe"``,
-    ``"vectorized"``, or ``"parallel"``); all produce bitwise-identical
-    results and cost reports.  ``profile`` attaches a communication
-    profile (see :mod:`repro.obs.profile`) to the result; its
-    kernel/level fields are filled in here.  ``workers`` caps the
-    ``parallel`` backend's worker-process count.  Returns the
-    :class:`~repro.runtime.executor.ExecutionResult`.
+    ``"vectorized"``, ``"parallel"`` or ``"compiled"``); all produce
+    bitwise-identical results and cost reports.  ``profile`` attaches a
+    communication profile (see :mod:`repro.obs.profile`) to the result.
+    ``workers`` caps the ``parallel`` backend's worker-process count.
+    The library door of :mod:`repro.job`, like the CLI and the service.
+    Returns the :class:`~repro.runtime.executor.ExecutionResult`.
     """
-    import numpy as np
-
-    from repro.machine.machine import Machine
-
-    spec = resolve_kernel(name)
-    compiled = compile_kernel(name, bindings=bindings, level=level,
-                              cache=cache, tracer=tracer, **options)
+    from repro.job import CompileJob, MachineSpec, RunJob
+    job = RunJob(
+        compile=CompileJob.resolve(kernel=name, bindings=bindings,
+                                   level=level),
+        machine=MachineSpec(grid=grid), backend=backend,
+        iterations=iterations, seed=seed, workers=workers,
+        scalars=dict(scalars or {}), profile=profile)
+    compiled = job.compile.compile(cache=cache, tracer=tracer, **options)
     if machine is None:
-        machine = Machine(grid=grid)
-    rng = np.random.default_rng(seed)
-    inputs = {
-        arr: rng.standard_normal(decl.shape).astype(decl.dtype)
-        for arr, decl in compiled.plan.arrays.items()
-        if arr in compiled.plan.entry_arrays}
-    run_scalars = {**spec.default_scalars, **(scalars or {})}
-    result = compiled.run(machine, inputs=inputs, iterations=iterations,
-                          scalars=run_scalars, tracer=tracer,
-                          backend=backend, profile=profile,
-                          workers=workers)
-    if result.profile is not None:
-        result.profile.kernel = name
-        result.profile.level = level
-    return result
+        machine = job.machine.build()
+    return job.execute(compiled, machine, tracer=tracer)

@@ -12,9 +12,6 @@ program.  This package gives it the infrastructure of a real IR:
 - :mod:`repro.plan.printer` — the stable textual format
 - :mod:`repro.plan.serialize` — versioned JSON for golden tests and
   the persistent plan cache
-
-``repro.compiler.plan`` re-exports the op types for backwards
-compatibility.
 """
 
 from repro.plan.ops import (

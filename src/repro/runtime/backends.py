@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import importlib
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, UsageError
 
 #: built-in backends resolved on first use: name -> (module, attribute)
 _BUILTIN: dict[str, tuple[str, str]] = {
@@ -54,3 +54,20 @@ def get_backend(name: str) -> type:
 def available_backends() -> list[str]:
     """Sorted names of every registered or built-in backend."""
     return sorted(set(_REGISTRY) | set(_BUILTIN))
+
+
+def check_workers(workers: "int | None") -> None:
+    """Reject a bad ``workers=`` count (``None`` means "default") with
+    a named error: at job construction, and again at the parallel
+    backend's entry for callers that reach it directly.  A count <= 0
+    would otherwise reach the round-robin ownership math (``pe % W``)
+    and fail as an opaque ZeroDivisionError or hang at a barrier."""
+    if workers is None:
+        return
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise UsageError(
+            f"parallel backend worker count must be an int, got "
+            f"{workers!r}")
+    if workers < 1:
+        raise UsageError(
+            f"parallel backend needs >= 1 worker, got {workers}")

@@ -30,6 +30,7 @@ from repro.machine.cost_model import CostReport
 from repro.machine.machine import Machine
 from repro.passes.memopt import scaled_to_points
 from repro.runtime.cshift import full_cshift, full_eoshift
+from repro.runtime.backends import get_backend, register_backend
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import cached_layout
 from repro.runtime.nest_tape import NestTape
@@ -54,11 +55,6 @@ class ExecutionResult:
         out = self.report.summary()
         out["peak_memory_per_pe"] = float(self.peak_memory_per_pe)
         return out
-
-
-#: tracer/profiler span naming now lives with the IR (op_label); kept
-#: as a module alias for callers of the historic private name
-_op_label = op_label
 
 
 class _Exec:
@@ -534,15 +530,6 @@ class _Exec:
         return tuple(slices)
 
 
-def executor_class(backend: str) -> type[_Exec]:
-    """Resolve a backend name to its executor class (registry lookup).
-
-    Compatibility alias for :func:`repro.runtime.backends.get_backend`.
-    """
-    from repro.runtime.backends import get_backend
-    return get_backend(backend)
-
-
 def execute(plan: Plan, machine: Machine,
             inputs: Mapping[str, np.ndarray] | None = None,
             scalars: Mapping[str, float] | None = None,
@@ -583,8 +570,8 @@ def execute(plan: Plan, machine: Machine,
         raise ExecutionError(
             f"program declares !HPF$ PROCESSORS {plan.processors} but "
             f"the machine grid is {tuple(machine.grid)}")
-    ex = executor_class(backend)(plan, machine, scalars, hpf_overhead,
-                                 tracer=tracer, workers=workers)
+    ex = get_backend(backend)(plan, machine, scalars, hpf_overhead,
+                              tracer=tracer, workers=workers)
     collector = None
     if profile:
         from repro.obs.profile import CommProfile, ProfileCollector
@@ -677,6 +664,4 @@ def execute(plan: Plan, machine: Machine,
 
 
 # the reference backend registers itself; see repro.runtime.backends
-from repro.runtime.backends import register_backend  # noqa: E402
-
 register_backend("perpe", _Exec)

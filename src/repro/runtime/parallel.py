@@ -94,10 +94,11 @@ from typing import Mapping
 import numpy as np
 from multiprocessing import resource_tracker, shared_memory
 
-from repro.errors import ExecutionError, MachineError, UsageError
+from repro.errors import ExecutionError, MachineError
 from repro.machine.cost_model import CostReport
 from repro.machine.machine import Machine
 from repro.plan import FullShiftOp, OverlapShiftOp, Plan
+from repro.runtime.backends import check_workers, register_backend
 from repro.runtime.cshift import full_cshift, full_eoshift
 from repro.runtime.darray import DArray, Halo
 from repro.runtime.distribution import Layout, cached_layout
@@ -826,18 +827,8 @@ class ParallelExec(_Exec):
                  scalars: Mapping[str, float] | None,
                  hpf_overhead: bool, tracer=None,
                  workers: int | None = None) -> None:
-        # Validate before any machine or shared-memory state is touched:
-        # workers <= 0 would otherwise reach the round-robin ownership
-        # math (``range(wid, npes, nworkers)``, ``pe % W``) and fail as
-        # an opaque ValueError / ZeroDivisionError or hang at a barrier.
-        if workers is not None:
-            if not isinstance(workers, int) or isinstance(workers, bool):
-                raise UsageError(
-                    f"parallel backend worker count must be an int, got "
-                    f"{workers!r}")
-            if workers < 1:
-                raise UsageError(
-                    f"parallel backend needs >= 1 worker, got {workers}")
+        # before any machine or shared-memory state is touched
+        check_workers(workers)
         super().__init__(plan, machine, scalars, hpf_overhead,
                          tracer=tracer, workers=workers)
         requested = workers or (os.cpu_count() or 1)
@@ -1227,6 +1218,4 @@ class ParallelExec(_Exec):
 
 
 # self-registration, mirroring the other backends
-from repro.runtime.backends import register_backend  # noqa: E402
-
 register_backend("parallel", ParallelExec)

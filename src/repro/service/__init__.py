@@ -18,6 +18,6 @@ from repro.service.coalescer import Coalescer  # noqa: F401
 from repro.service.handlers import Response, ServiceState  # noqa: F401
 from repro.service.pool import PoolBusy, WorkerPool  # noqa: F401
 from repro.service.schemas import (  # noqa: F401
-    ARRAY_MODES, CompileJob, JobError, MachineSpec, RUN_BACKENDS,
-    RunJob, SERVICE_SCHEMA, parse_compile_job, parse_run_job,
+    ARRAY_MODES, JobError, SERVICE_SCHEMA, parse_compile_job,
+    parse_run_job,
 )

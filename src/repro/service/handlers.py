@@ -31,11 +31,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.job import CompileJob, RunJob, plan_document, report_doc
 from repro.service.coalescer import Coalescer
 from repro.service.pool import WorkerPool
 from repro.service.schemas import (
-    CompileJob, JobError, RunJob, SERVICE_SCHEMA, parse_compile_job,
-    parse_run_job,
+    JobError, SERVICE_SCHEMA, parse_compile_job, parse_run_job,
 )
 
 #: Fingerprint ledger records carry for machine-less (compile-only)
@@ -155,26 +155,13 @@ class ServiceState:
 
 # -- shared compile path ----------------------------------------------------
 
-def _compile_key(state: ServiceState, job: CompileJob) -> str:
-    from repro.compiler import CompilerOptions
-    options = CompilerOptions.make(job.level, job.outputs, cse=job.cse,
-                                   plan_passes=job.plan_passes)
-    return state.plan_cache.key_for(job.source, "MAIN", job.bindings,
-                                    options)
-
-
 def _compile_sync(state: ServiceState, job: CompileJob):
     """Pool-thread compilation under a private metrics context."""
-    from repro.compiler import compile_hpf
     from repro.obs import metrics as obs_metrics
-    from repro.plan import plan_to_json
 
     with obs_metrics.use_registry():
-        compiled = compile_hpf(job.source, cache=state.plan_cache,
-                               **job.compiler_kwargs())
-    text = plan_to_json(compiled.plan)
-    plan_key = hashlib.sha256(text.encode()).hexdigest()
-    return compiled, text, plan_key
+        compiled = job.compile(cache=state.plan_cache)
+    return (compiled, *plan_document(compiled))
 
 
 async def _compile_shared(state: ServiceState, job: CompileJob):
@@ -185,7 +172,7 @@ async def _compile_shared(state: ServiceState, job: CompileJob):
     share the same leader.  Returns
     ``(key, compiled, plan_key, coalesced)``.
     """
-    key = _compile_key(state, job)
+    key = job.cache_key(state.plan_cache)
 
     async def factory():
         return await state.pool.submit(
@@ -199,20 +186,6 @@ async def _compile_shared(state: ServiceState, job: CompileJob):
     return key, compiled, plan_key, coalesced
 
 
-def _report_doc(compiled) -> dict:
-    r = compiled.report
-    return {
-        "level": r.level,
-        "overlap_shifts": r.overlap_shifts,
-        "full_shifts": r.full_shifts,
-        "loop_nests": r.loop_nests,
-        "fused_statements": r.fused_statements,
-        "temporaries": r.temporaries,
-        "temp_bytes_global": r.temp_bytes_global,
-        "copies_inserted": r.copies_inserted,
-    }
-
-
 # -- handlers ---------------------------------------------------------------
 
 async def handle_compile(state: ServiceState, doc: object) -> Response:
@@ -222,7 +195,7 @@ async def handle_compile(state: ServiceState, doc: object) -> Response:
     out = {
         "kind": "compile", "key": key, "plan_key": plan_key,
         "coalesced": coalesced, "kernel": job.kernel,
-        "report": _report_doc(compiled), "plan_url": f"/plan/{key}",
+        "report": report_doc(compiled), "plan_url": f"/plan/{key}",
     }
     if job.include_plan:
         out["plan"] = json.loads(state.plan_docs[key])
@@ -237,61 +210,20 @@ async def handle_compile(state: ServiceState, doc: object) -> Response:
 
 def _run_sync(state: ServiceState, job: RunJob, compiled,
               plan_key: str):
-    """Pool-thread execution: seeded inputs, scoped codegen options,
-    a private metrics registry, and the ledger append.
-
-    Input generation replicates :func:`repro.kernels.run_kernel`
-    line-for-line (one ``default_rng(seed)`` drawing
-    ``standard_normal`` per entry array in plan order), so a service
-    run is bitwise-identical to the same run made directly.
-    """
-    import numpy as np
-
+    """Pool-thread execution: the job's own
+    :meth:`~repro.job.RunJob.execute` under a private metrics registry,
+    then the ledger append."""
     from repro.obs import metrics as obs_metrics
 
     machine = job.machine.build()
     with obs_metrics.use_registry() as registry:
-        rng = np.random.default_rng(job.seed)
-        inputs = {
-            arr: rng.standard_normal(decl.shape).astype(decl.dtype)
-            for arr, decl in compiled.plan.arrays.items()
-            if arr in compiled.plan.entry_arrays}
-        with _codegen_scope(state, job):
-            result = compiled.run(
-                machine, inputs=inputs, iterations=job.iterations,
-                scalars=job.scalars, backend=job.backend,
-                workers=job.workers, profile=job.profile)
+        result = job.execute(compiled, machine,
+                             kernel_cache_dir=state.kernel_cache_dir)
     if state.ledger is not None:
-        from repro.codegen.options import current_options
-        with _codegen_scope(state, job):
-            opts = current_options()
-        state.ledger.append(
-            machine=machine, plan_key=plan_key, backend=job.backend,
-            factors={"level": job.compile.level, "tile": opts.tile,
-                     "unroll": opts.unroll, "jit": opts.jit,
-                     "codegen": opts.factor_fingerprint()},
-            metrics=registry.to_dict(),
-            extra={"route": "/run",
-                   "grid": "x".join(map(str, machine.grid)),
-                   "iterations": job.iterations,
-                   "kernel": job.compile.kernel or ""})
+        job.ledger_append(state.ledger, machine, plan_key,
+                          registry.to_dict(), route="/run",
+                          kernel=job.compile.kernel or "")
     return result, registry
-
-
-def _codegen_scope(state: ServiceState, job: RunJob):
-    from contextlib import nullcontext
-
-    overrides = {}
-    for name in ("tile", "unroll", "jit"):
-        value = getattr(job, name)
-        if value is not None:
-            overrides[name] = value
-    if state.kernel_cache_dir is not None:
-        overrides["cache_dir"] = str(state.kernel_cache_dir)
-    if not overrides:
-        return nullcontext()
-    from repro.codegen import codegen_options
-    return codegen_options(**overrides)
 
 
 def _array_doc(arr, mode: str) -> dict:
@@ -316,7 +248,7 @@ async def handle_run(state: ServiceState, doc: object) -> Response:
         "kind": "run", "key": key, "plan_key": plan_key,
         "coalesced": coalesced, "kernel": job.compile.kernel,
         "backend": job.backend, "iterations": job.iterations,
-        "seed": job.seed, "report": _report_doc(compiled),
+        "seed": job.seed, "report": report_doc(compiled),
         "summary": result.summary(),
         "scalars": {k: float(v)
                     for k, v in sorted(result.scalars.items())},
@@ -327,8 +259,6 @@ async def handle_run(state: ServiceState, doc: object) -> Response:
                          for name, arr in sorted(result.arrays.items())}
     if job.profile and result.profile is not None:
         from repro.obs import profile_to_json
-        result.profile.kernel = job.compile.kernel or "source"
-        result.profile.level = job.compile.level
         out["profile"] = json.loads(profile_to_json(result.profile))
     return Response.json(out)
 

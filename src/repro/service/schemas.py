@@ -1,32 +1,27 @@
 """Job documents: the wire format of the compile-and-run service.
 
 A *job* is one JSON document describing a compilation (``/compile``)
-or a compile-and-execute (``/run``).  Parsing here is strict — unknown
-fields, wrong types, and contradictory combinations (both ``kernel``
-and ``source``) are rejected with a :class:`JobError` naming the field
-— so a malformed client request surfaces as a 400 with a diagnostic,
-never as a 500 from deep inside the compiler.
-
-Registry kernels resolve exactly as :func:`repro.kernels.run_kernel`
-does: the spec's default bindings and scalars merge *under* the job's
-explicit ones and the spec's outputs apply, so a service run of a named
-kernel is bitwise-identical to the same run made directly through the
-library.  Responses embed the existing versioned documents unchanged —
-the plan JSON of :mod:`repro.plan.serialize`, the metrics document of
-:mod:`repro.obs.metrics`, the profile document of
+or a compile-and-execute (``/run``).  This module checks the JSON
+*shape* — unknown fields, wrong types, the wire-only rules — and builds
+the library's own :mod:`repro.job` objects, which validate the values;
+either way a malformed client request surfaces as a :class:`JobError`
+naming the field (a 400 with a diagnostic), never as a 500 from deep
+inside the compiler.  Responses embed the existing versioned documents
+unchanged — the plan JSON of :mod:`repro.plan.serialize`, the metrics
+document of :mod:`repro.obs.metrics`, the profile document of
 :mod:`repro.obs.export` — under a thin ``SERVICE_SCHEMA`` envelope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+
+from repro.errors import UsageError
+from repro.job import CompileJob, MachineSpec, RunJob
 
 #: Version stamp of the service's response envelope.  The embedded
 #: plan/metrics/profile documents carry their own schema versions.
 SERVICE_SCHEMA = {"type": "service", "version": 1}
-
-#: Execution backends a run job may name.
-RUN_BACKENDS = ("perpe", "vectorized", "parallel", "compiled")
 
 #: Array payload modes for run responses: per-array sha256 digests
 #: (default), full base64 data, or nothing.
@@ -37,16 +32,24 @@ class JobError(ValueError):
     """A malformed job document; maps to HTTP 400."""
 
 
-def _require(doc: dict, allowed: dict[str, type | tuple]) -> None:
+@contextmanager
+def _job_errors():
+    """Re-raise the job's own value errors as :class:`JobError`."""
+    try:
+        yield
+    except UsageError as exc:
+        raise JobError(str(exc)) from None
+
+
+def _require(doc: dict, allowed: dict[str, type]) -> None:
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise JobError(
             f"unknown field(s) {', '.join(unknown)}; allowed: "
             f"{', '.join(sorted(allowed))}")
-    for name, types in allowed.items():
+    for name, want in allowed.items():
         if name in doc and doc[name] is not None \
-                and not isinstance(doc[name], types):
-            want = types[0] if isinstance(types, tuple) else types
+                and not isinstance(doc[name], want):
             raise JobError(
                 f"field {name!r} must be {want.__name__}, got "
                 f"{type(doc[name]).__name__}")
@@ -72,71 +75,12 @@ def _float_map(doc: dict, name: str) -> dict[str, float]:
     return out
 
 
-@dataclass
-class CompileJob:
-    """One compilation: source + bindings + compiler knobs.
-
-    ``kernel`` is the registry name when the job named one (responses
-    and ledger records carry it as a label); ``outputs`` is ``None``
-    for "keep every array live".
-    """
-
-    source: str
-    bindings: dict[str, int]
-    outputs: "set[str] | None"
-    level: str = "O4"
-    cse: bool = False
-    plan_passes: bool = False
-    kernel: "str | None" = None
-    include_plan: bool = False
-
-    def compiler_kwargs(self) -> dict:
-        return dict(bindings=self.bindings, level=self.level,
-                    outputs=self.outputs, cse=self.cse,
-                    plan_passes=self.plan_passes)
-
-
-@dataclass
-class MachineSpec:
-    """The simulated machine a run job asks for."""
-
-    grid: tuple[int, ...] = (2, 2)
-    preset: str = "sp2"
-    memory_mb: "int | None" = None
-
-    def build(self):
-        from repro.machine import Machine
-        from repro.machine.presets import by_name
-        return Machine(
-            grid=self.grid, cost_model=by_name(self.preset),
-            memory_per_pe=self.memory_mb * 1024 * 1024
-            if self.memory_mb else None)
-
-
-@dataclass
-class RunJob:
-    """One execution: a :class:`CompileJob` plus runtime factors."""
-
-    compile: CompileJob
-    machine: MachineSpec
-    backend: str = "perpe"
-    iterations: int = 1
-    seed: int = 0
-    workers: "int | None" = None
-    scalars: dict[str, float] = field(default_factory=dict)
-    tile: "int | None" = None
-    unroll: "int | None" = None
-    jit: "str | None" = None
-    arrays: str = "digest"
-    profile: bool = False
-
-
-_COMPILE_FIELDS: dict[str, "type | tuple"] = {
+_COMPILE_FIELDS: dict[str, type] = {
     "kernel": str, "source": str, "bindings": dict, "outputs": list,
     "level": str, "cse": bool, "plan_passes": bool, "include_plan": bool,
 }
 
-_RUN_ONLY_FIELDS: dict[str, "type | tuple"] = {
+_RUN_ONLY_FIELDS: dict[str, type] = {
     "scalars": dict, "machine": dict, "backend": str,
     "iterations": int, "seed": int, "workers": int,
     "tile": int, "unroll": int, "jit": str,
@@ -144,86 +88,50 @@ _RUN_ONLY_FIELDS: dict[str, "type | tuple"] = {
 }
 
 
-def parse_compile_job(doc: object) -> CompileJob:
+def _object(doc: object, allowed: dict[str, type]) -> dict:
     if not isinstance(doc, dict):
         raise JobError(f"job must be a JSON object, got "
                        f"{type(doc).__name__}")
-    _require(doc, _COMPILE_FIELDS)
-    return _compile_job(doc)
+    _require(doc, allowed)
+    return doc
+
+
+def parse_compile_job(doc: object) -> CompileJob:
+    return _compile_job(_object(doc, _COMPILE_FIELDS))
 
 
 def _compile_job(doc: dict) -> CompileJob:
-    from repro.kernels import resolve_kernel
-
-    kernel = doc.get("kernel")
-    source = doc.get("source")
-    if (kernel is None) == (source is None):
-        raise JobError(
-            "job needs exactly one of 'kernel' (a registry name) or "
-            "'source' (HPF text)")
-    bindings = _int_map(doc, "bindings")
-    outputs = set(doc["outputs"]) if doc.get("outputs") else None
-    if kernel is not None:
-        try:
-            spec = resolve_kernel(kernel)
-        except KeyError as exc:
-            raise JobError(str(exc.args[0])) from None
-        source = spec.source
-        bindings = {**spec.default_bindings, **bindings}
-        outputs = outputs or set(spec.outputs)
-    return CompileJob(
-        source=source, bindings=bindings, outputs=outputs,
-        level=doc.get("level", "O4"), cse=bool(doc.get("cse", False)),
-        plan_passes=bool(doc.get("plan_passes", False)), kernel=kernel,
-        include_plan=bool(doc.get("include_plan", False)))
+    with _job_errors():
+        return CompileJob.resolve(
+            kernel=doc.get("kernel"), source=doc.get("source"),
+            bindings=_int_map(doc, "bindings"),
+            outputs=doc.get("outputs"), level=doc.get("level", "O4"),
+            cse=bool(doc.get("cse", False)),
+            plan_passes=bool(doc.get("plan_passes", False)),
+            include_plan=bool(doc.get("include_plan", False)))
 
 
 def parse_run_job(doc: object) -> RunJob:
-    if not isinstance(doc, dict):
-        raise JobError(f"job must be a JSON object, got "
-                       f"{type(doc).__name__}")
-    _require(doc, {**_COMPILE_FIELDS, **_RUN_ONLY_FIELDS})
-    compile_job = _compile_job(
-        {k: v for k, v in doc.items() if k in _COMPILE_FIELDS})
-    scalars = _float_map(doc, "scalars")
-    if compile_job.kernel is not None:
-        from repro.kernels import resolve_kernel
-        spec = resolve_kernel(compile_job.kernel)
-        scalars = {**spec.default_scalars, **scalars}
-    backend = doc.get("backend", "perpe")
-    if backend not in RUN_BACKENDS:
-        raise JobError(f"backend must be one of {RUN_BACKENDS}, got "
-                       f"{backend!r}")
+    doc = _object(doc, {**_COMPILE_FIELDS, **_RUN_ONLY_FIELDS})
     arrays = doc.get("arrays", "digest")
     if arrays not in ARRAY_MODES:
         raise JobError(f"arrays must be one of {ARRAY_MODES}, got "
                        f"{arrays!r}")
+    # wire-only rule: the library legitimately runs iterations=0
     iterations = doc.get("iterations", 1)
-    if isinstance(iterations, bool) or iterations < 1:
+    if not isinstance(iterations, int) or isinstance(iterations, bool) \
+            or iterations < 1:
         raise JobError(f"iterations must be >= 1, got {iterations!r}")
-    workers = doc.get("workers")
-    if workers is not None and (isinstance(workers, bool) or workers < 1):
-        raise JobError(f"workers must be >= 1, got {workers!r}")
-    jit = doc.get("jit")
-    if jit is not None and jit not in ("auto", "numba", "python", "off"):
-        raise JobError(f"jit must be auto/numba/python/off, got {jit!r}")
-    return RunJob(
-        compile=compile_job, machine=_machine_spec(doc.get("machine")),
-        backend=backend, iterations=iterations,
-        seed=int(doc.get("seed", 0)), workers=workers, scalars=scalars,
-        tile=doc.get("tile"), unroll=doc.get("unroll"), jit=jit,
-        arrays=arrays, profile=bool(doc.get("profile", False)))
-
-
-def _machine_spec(doc: "dict | None") -> MachineSpec:
-    if doc is None:
-        return MachineSpec()
-    _require(doc, {"grid": list, "preset": str, "memory_mb": int})
-    grid = doc.get("grid") or [2, 2]
-    if not all(isinstance(g, int) and not isinstance(g, bool) and g >= 1
-               for g in grid):
-        raise JobError(f"machine.grid extents must be positive "
-                       f"integers, got {grid!r}")
-    return MachineSpec(grid=tuple(grid),
-                       preset=doc.get("preset", "sp2"),
-                       memory_mb=doc.get("memory_mb"))
+    machine = doc.get("machine") or {}
+    _require(machine, {"grid": list, "preset": str, "memory_mb": int})
+    with _job_errors():
+        return RunJob(
+            compile=_compile_job(doc),
+            machine=MachineSpec(grid=machine.get("grid") or (2, 2),
+                                preset=machine.get("preset", "sp2"),
+                                memory_mb=machine.get("memory_mb")),
+            backend=doc.get("backend", "perpe"), iterations=iterations,
+            seed=doc.get("seed", 0), workers=doc.get("workers"),
+            scalars=_float_map(doc, "scalars"), tile=doc.get("tile"),
+            unroll=doc.get("unroll"), jit=doc.get("jit"), arrays=arrays,
+            profile=bool(doc.get("profile", False)))

@@ -5,7 +5,7 @@ import pytest
 
 from repro import kernels
 from repro.compiler import compile_hpf
-from repro.compiler.plan import (
+from repro.plan import (
     AllocOp, FreeOp, FullShiftOp, LoopNestOp, OverlapShiftOp,
 )
 

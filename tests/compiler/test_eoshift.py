@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_hpf
-from repro.compiler.plan import FullShiftOp, OverlapShiftOp
+from repro.plan import FullShiftOp, OverlapShiftOp
 from repro.frontend import parse_program
 from repro.machine import Machine
 from repro.passes.normalize import NormalizePass

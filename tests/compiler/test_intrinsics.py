@@ -102,7 +102,7 @@ class TestPipeline:
 
     def test_flops_weighted(self):
         from repro.passes.memopt import analyze_nest, profile_nest
-        from repro.compiler.plan import NestStmt
+        from repro.plan import NestStmt
         from repro.ir.nodes import OffsetRef
         cheap = [NestStmt("T", Intrinsic("ABS",
                                          (OffsetRef("U", (0, 0)),)))]

@@ -11,7 +11,7 @@ import pytest
 
 from repro import kernels
 from repro.compiler import compile_hpf
-from repro.compiler.plan import OverlappedOp
+from repro.plan import OverlappedOp
 from repro.frontend import parse_program
 from repro.machine import Machine
 from repro.runtime.reference import evaluate

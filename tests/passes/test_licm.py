@@ -36,7 +36,7 @@ class TestHoisting:
 
     def test_variant_shifts_stay(self):
         cp = compiled(hoist=True)
-        from repro.compiler.plan import OverlapShiftOp, SeqLoopOp
+        from repro.plan import OverlapShiftOp, SeqLoopOp
         loop = next(op for op in cp.plan.ops
                     if isinstance(op, SeqLoopOp))
         inside = [op for op in loop.body
@@ -110,7 +110,7 @@ class TestSafety:
         """
         cp = compile_hpf(src, bindings={"N": 16}, level="O4",
                          outputs={"U"}, hoist_comm=True)
-        from repro.compiler.plan import OverlapShiftOp, SeqLoopOp
+        from repro.plan import OverlapShiftOp, SeqLoopOp
         top_level_shifts = [op for op in cp.plan.ops
                             if isinstance(op, OverlapShiftOp)]
         assert len(top_level_shifts) == 1  # hoisted through both loops

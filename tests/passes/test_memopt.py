@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler.plan import NestStmt
+from repro.plan import NestStmt
 from repro.ir.nodes import BinOp, Const, OffsetRef, ScalarRef
 from repro.passes.memopt import analyze_nest, profile_nest, scaled_to_points
 

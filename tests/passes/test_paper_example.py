@@ -117,7 +117,7 @@ class TestFigure16Scalarization:
 
     def test_plan_shape(self):
         from repro.compiler import compile_hpf
-        from repro.compiler.plan import LoopNestOp, OverlapShiftOp
+        from repro.plan import LoopNestOp, OverlapShiftOp
         compiled = compile_hpf(kernels.PURDUE_PROBLEM9,
                                bindings={"N": 16},
                                level="O4", outputs={"T"})

@@ -31,13 +31,6 @@ def test_unknown_backend_is_actionable():
         get_backend("simd")
 
 
-def test_executor_class_delegates_to_registry():
-    from repro.runtime.executor import executor_class
-    assert executor_class("perpe") is get_backend("perpe")
-    with pytest.raises(ExecutionError):
-        executor_class("simd")
-
-
 def test_registered_backend_reaches_run_kernel(monkeypatch):
     from repro.runtime.executor import _Exec
 

@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_hpf
-from repro.compiler.plan import LoopNestOp, NestStmt
+from repro.plan import LoopNestOp, NestStmt
 from repro.errors import ExecutionError
 from repro.ir.nodes import OffsetRef
 from repro.kernels import KERNELS, run_kernel
 from repro.machine import Machine
 from repro.machine.cost_model import LoopStats
-from repro.runtime.executor import executor_class
+from repro.runtime.backends import get_backend
 from repro.testing import (
     GeneratorConfig, backend_equivalence_check, random_inputs,
     random_program,
@@ -126,7 +126,7 @@ class TestGuards:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExecutionError, match="unknown execution "
                                                  "backend"):
-            executor_class("simd")
+            get_backend("simd")
 
     def test_in_nest_offset_read_after_assign_rejected(self):
         """The vectorized backend refuses nests that read an array at a
@@ -137,7 +137,7 @@ class TestGuards:
         spec = KERNELS["five_point"]
         compiled = compile_hpf(spec.source, bindings={"N": 8},
                                level="O0", outputs=set(spec.outputs))
-        ex = executor_class("vectorized")(
+        ex = get_backend("vectorized")(
             compiled.plan, Machine(grid=(2, 2)), None, False)
         bad = LoopNestOp(
             statements=[
@@ -153,7 +153,7 @@ class TestGuards:
         spec = KERNELS["five_point"]
         compiled = compile_hpf(spec.source, bindings={"N": 8},
                                level="O0", outputs=set(spec.outputs))
-        ex = executor_class("vectorized")(
+        ex = get_backend("vectorized")(
             compiled.plan, Machine(grid=(2, 2)), None, False)
         ok = LoopNestOp(
             statements=[

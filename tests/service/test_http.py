@@ -158,6 +158,38 @@ class TestCompile:
         conn.close()
 
 
+class TestBadValuesAre400:
+    """Well-shaped documents carrying bad values: the job's own
+    validation answers 400 naming the field — on the parent commit
+    every one of these was a 500."""
+
+    @pytest.mark.parametrize("field,extra", [
+        ("level", {"level": "O9"}),
+        ("level", {"level": None}),
+        ("preset", {"machine": {"preset": "cray"}}),
+        ("seed", {"seed": -1}),
+        ("seed", {"seed": None}),
+        ("iterations", {"iterations": None}),
+        ("outputs", {"outputs": [1, 2]}),
+    ], ids=repr)
+    def test_run(self, harness, field, extra):
+        status, _, payload = harness.request(
+            "POST", "/run", {**FIVE_O2, **extra})
+        assert status == 400, payload
+        assert field in json.loads(payload)["error"]
+
+    @pytest.mark.parametrize("field,extra", [
+        ("level", {"level": "O9"}),
+        ("level", {"level": None}),
+        ("outputs", {"outputs": [1, 2]}),
+    ], ids=repr)
+    def test_compile(self, harness, field, extra):
+        status, _, payload = harness.request(
+            "POST", "/compile", {**FIVE_O2, **extra})
+        assert status == 400, payload
+        assert field in json.loads(payload)["error"]
+
+
 class TestCoalescing:
     def test_burst_of_32_costs_one_cold_compilation(self, harness):
         """The acceptance gate: 32 concurrent identical /compile

@@ -119,3 +119,40 @@ class TestRunJob:
     def test_non_numeric_scalar_rejected(self):
         with pytest.raises(JobError, match="scalars"):
             parse_run_job({**FIVE, "scalars": {"eps": "tiny"}})
+
+
+#: Bad *values* in well-shaped documents: each used to escape the
+#: parser and surface as a 500 from deep inside the compiler, numpy or
+#: the preset table.  (field named in the diagnostic, document)
+BAD_VALUES = [
+    ("level", {"level": "O9"}),
+    ("level", {"level": None}),
+    ("preset", {"machine": {"preset": "cray"}}),
+    ("preset", {"machine": {"preset": None}}),
+    ("seed", {"seed": -1}),
+    ("seed", {"seed": None}),
+    ("seed", {"seed": True}),
+    ("iterations", {"iterations": None}),
+    ("outputs", {"outputs": [1, 2]}),
+    ("outputs", {"outputs": [["DST"]]}),
+    ("worker", {"workers": 0}),
+]
+
+
+@pytest.mark.parametrize("field,extra", BAD_VALUES,
+                         ids=[repr(e) for _, e in BAD_VALUES])
+def test_bad_value_is_a_job_error_naming_the_field(field, extra):
+    with pytest.raises(JobError, match=field):
+        parse_run_job({**FIVE, **extra})
+    if set(extra) <= {"level", "outputs"}:  # also /compile fields
+        with pytest.raises(JobError, match=field):
+            parse_compile_job({**FIVE, **extra})
+
+
+def test_parsed_jobs_are_the_librarys_own_objects():
+    from repro.job import CompileJob, MachineSpec, RunJob
+    job = parse_run_job(dict(FIVE))
+    assert type(job) is RunJob
+    assert type(job.compile) is CompileJob is type(
+        parse_compile_job(dict(FIVE)))
+    assert type(job.machine) is MachineSpec

@@ -82,6 +82,56 @@ class TestErrorPaths:
             main(["decompile", "x.f90"])
 
 
+class TestBadValues:
+    """Bad flag values die in the job's validation: exit code 1 and an
+    ``error:`` line naming the flag's field, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "trace", "profile",
+                                         "metrics", "plan"])
+    def test_bad_level(self, command, capsys):
+        assert main([command, "purdue9", "--level", "O9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "level" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "trace", "profile",
+                                         "metrics"])
+    @pytest.mark.parametrize("flags,field", [
+        (["--machine", "cray"], "preset"),
+        (["--seed", "-1"], "seed"),
+    ])
+    def test_bad_run_flag(self, command, flags, field, capsys):
+        assert main([command, "purdue9", "--bind", "N=16", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
+
+class TestKernelNameOrFile:
+    """Every compiling command resolves its positional the same way."""
+
+    @pytest.mark.parametrize("command", ["compile", "run", "trace",
+                                         "profile", "metrics", "plan"])
+    def test_name_and_file_both_work(self, command, p9_file, capsys):
+        assert main([command, "purdue9", "--bind", "N=16"]) == 0
+        assert main([command, p9_file, "--bind", "N=16",
+                     "--output", "T"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["compile", "run", "trace",
+                                         "profile", "metrics", "plan"])
+    def test_neither_is_one_error(self, command, capsys):
+        assert main([command, "no_such_kernel"]) == 1
+        assert "known kernels" in capsys.readouterr().err
+
+    def test_named_kernel_run_matches_its_file(self, p9_file, capsys):
+        assert main(["run", "purdue9", "--bind", "N=16", "--json"]) == 0
+        by_name = capsys.readouterr().out
+        assert main(["run", p9_file, "--bind", "N=16", "--output", "T",
+                     "--json"]) == 0
+        assert capsys.readouterr().out == by_name
+
+
 class TestTrace:
     def test_named_kernel_writes_jsonl(self, tmp_path, capsys):
         import json
