@@ -9,8 +9,8 @@ Public surface:
 * :class:`~repro.codegen.options.CodegenOptions` /
   :func:`~repro.codegen.options.codegen_options` — factor and jit-mode
   configuration.
-* :mod:`~repro.codegen.cache` — keyed in-process + on-disk kernel
-  caches.
+* :mod:`~repro.codegen.cache` — ``kernel_key`` and the two kernel
+  tiers (:mod:`repro.store` instances).
 
 The consumer is :class:`repro.runtime.compiled.CompiledExec`
 (``backend="compiled"``).
@@ -26,6 +26,4 @@ from repro.codegen.jit import (  # noqa: F401
 from repro.codegen.options import (  # noqa: F401
     CodegenOptions, JIT_MODES, codegen_options, current_options,
 )
-from repro.codegen.cache import (  # noqa: F401
-    KernelDiskCache, kernel_key,
-)
+from repro.codegen.cache import kernel_key  # noqa: F401

@@ -2,46 +2,28 @@
 
 The key is ``sha256(plan serialization, Machine.fingerprint(),
 tile/unroll factors, codegen version)`` — everything that can change the
-generated source or the data layout it indexes.  Two layers:
+generated source or the data layout it indexes.  Two tiers, both plain
+:mod:`repro.store` instances:
 
-* an in-process LRU of materialized :class:`~repro.codegen.jit.
-  KernelModule` objects (keyed additionally by jit mode, since the same
-  source materializes differently under numba vs python), so repeated
-  runs of one plan skip both lowering and JIT compilation;
-* an optional on-disk *source* cache (one ``<key>.py`` per module,
-  atomic tempfile + ``os.replace`` writes like the
-  :class:`~repro.compiler.cache.PersistentPlanCache` it lives next to),
-  so lowering survives the interpreter.  Sources are mode-independent;
-  a disk hit still JITs in-process.
-
-Both layers share the :class:`~repro.obs.metrics.CacheStats`
-counters (the unified snapshot schema every cache in the system
-exposes), publishing hit/miss/eviction events to the metrics registry
-when one is installed.
+* :data:`MODULES` (``kernel-memory``) — materialized
+  :class:`~repro.codegen.jit.KernelModule` objects under ``(key, jit
+  mode)``: the same source materializes differently under numba vs
+  python.  Repeated runs of one plan skip both lowering and JIT
+  compilation.
+* :func:`source_store` (``kernel-disk``) — one ``<key>.py`` of generated
+  source per module under a cache directory, so lowering survives the
+  interpreter.  Sources are mode-independent; a disk hit still JITs
+  in-process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import threading
-from collections import OrderedDict
-from pathlib import Path
 
-from repro.codegen.jit import KernelModule
-from repro.codegen.lower import CODEGEN_VERSION
-from repro.obs.metrics import CacheStats
-
-#: in-process cap: modules are small (a few functions), but numba
-#: dispatchers hold compiled machine code worth bounding
-_MAX_MODULES = 64
-
-_LOCK = threading.Lock()
-_MODULES: "OrderedDict[tuple[str, str], KernelModule]" = OrderedDict()
-
-#: process-wide counters of the in-process kernel-module cache
-MEMORY_STATS = CacheStats(label="kernel-memory")
+from repro.codegen.lower import CODEGEN_VERSION, LoweredPlan, manifest_nests
+from repro.store import Codec, DiskStore, MemoryStore
 
 
 def kernel_key(plan, machine, options) -> str:
@@ -55,67 +37,36 @@ def kernel_key(plan, machine, options) -> str:
     return h.hexdigest()
 
 
-def get_module(key: str, mode: str) -> KernelModule | None:
-    with _LOCK:
-        module = _MODULES.get((key, mode))
-        if module is None:
-            MEMORY_STATS.record("miss")
-            return None
-        _MODULES.move_to_end((key, mode))
-        MEMORY_STATS.record("hit")
-        return module
+#: Modules are small (a few functions), but numba dispatchers hold
+#: compiled machine code worth bounding.
+MODULES = MemoryStore(64, label="kernel-memory")
 
 
-def put_module(key: str, mode: str, module: KernelModule) -> None:
-    with _LOCK:
-        _MODULES[(key, mode)] = module
-        _MODULES.move_to_end((key, mode))
-        while len(_MODULES) > _MAX_MODULES:
-            _MODULES.popitem(last=False)
-            MEMORY_STATS.record("eviction")
+def _decode_source(text: str) -> LoweredPlan:
+    """A source file back as what :func:`~repro.codegen.lower.lower_plan`
+    returned.  Raises — a miss, see :class:`~repro.store.DiskStore` — on
+    text that does not compile, does not run or carries no ``MANIFEST``,
+    so a damaged file is re-lowered instead of failing the run that
+    would materialize it.  (Runs the module rather than parsing it:
+    ``ast.parse`` is not thread-safe on CPython 3.11.)"""
+    namespace: dict = {}
+    exec(compile(text, "<repro-codegen>", "exec"), namespace)
+    return LoweredPlan(text, manifest_nests(namespace["MANIFEST"]))
 
 
-def clear_modules() -> int:
-    """Drop every in-process module (tests); returns the count."""
-    with _LOCK:
-        n = len(_MODULES)
-        _MODULES.clear()
-        MEMORY_STATS.record("invalidation", n)
-        return n
+SOURCE_CODEC = Codec(".py", lambda lowered: lowered.source, _decode_source)
+
+_SOURCES: dict[str, DiskStore] = {}
+_SOURCES_LOCK = threading.Lock()
 
 
-class KernelDiskCache:
-    """On-disk generated-source store, one ``<key>.py`` per module."""
-
-    def __init__(self, path: "str | os.PathLike[str]") -> None:
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats(label="kernel-disk")
-
-    def _file(self, key: str) -> Path:
-        return self.path / f"{key}.py"
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.path.glob("*.py"))
-
-    def get_source(self, key: str) -> str | None:
-        try:
-            text = self._file(key).read_text()
-        except OSError:
-            self.stats.record("miss")
-            return None
-        self.stats.record("hit")
-        return text
-
-    def put_source(self, key: str, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-            os.replace(tmp, self._file(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+def source_store(path: "str | os.PathLike[str]") -> DiskStore:
+    """The kernel-source store of one directory — one object per
+    directory per process, so its counters accumulate across runs."""
+    path = os.path.abspath(path)
+    with _SOURCES_LOCK:
+        store = _SOURCES.get(path)
+        if store is None:
+            store = _SOURCES[path] = DiskStore(path, SOURCE_CODEC,
+                                               label="kernel-disk")
+        return store

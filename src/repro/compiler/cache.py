@@ -3,12 +3,13 @@
 Compilation of a stencil kernel is pure — the plan depends only on the
 source text, the size bindings, and the :class:`CompilerOptions` — and
 experiment drivers recompile the same kernel for every machine shape and
-iteration count they sweep.  :class:`PlanCache` memoizes
-:class:`~repro.plan.CompiledProgram` objects under a content
-hash of exactly those inputs (plus an optional machine fingerprint for
-callers that specialise plans per machine), with LRU eviction, explicit
-invalidation, and hit/miss/invalidation counters surfaced through the
-structured tracer.
+iteration count they sweep.  The plan caches file
+:class:`~repro.plan.CompiledProgram` objects under :func:`cache_key`, a
+content hash of exactly those inputs (plus an optional machine
+fingerprint for callers that specialise plans per machine).  The
+mechanism — LRU, atomic bounded directory, tiering, counters — is
+:mod:`repro.store`; the classes here add only the key derivation and
+the ``program_to_json`` codec.
 
 Cached programs are shared, not copied: a hit returns the same
 :class:`CompiledProgram` instance the miss produced.  Plans are treated
@@ -21,18 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
-import threading
-from collections import OrderedDict
-from pathlib import Path
 
 from repro.compiler.options import CompilerOptions
-# CacheStats moved to the obs layer (PR 8) so every cache — plan
-# memory/disk, kernel memory/disk — shares one snapshot schema and
-# publishes events to the metrics registry; re-exported here for the
-# historic import path.
+# re-exported: ``repro.compiler.CacheStats`` is a public import path
 from repro.obs.metrics import CacheStats  # noqa: F401
-from repro.plan.ops import CompiledProgram
+from repro.plan.serialize import program_from_json, program_to_json
+from repro.store import Codec, DiskStore, MemoryStore, TieredStore
 
 
 def canonical_bindings(bindings: "dict[str, int] | None") -> dict[str, int]:
@@ -94,171 +89,18 @@ def cache_key(source: str, name: str,
     return h.hexdigest()
 
 
-class PlanCache:
-    """LRU cache of compiled programs keyed by :func:`cache_key`.
-
-    Thread-safe: ``get``/``put``/``invalidate`` and the stats counters
-    run under one re-entrant lock.  Both the LRU bookkeeping
-    (``move_to_end``, eviction) and the counter read-modify-writes are
-    multi-step mutations, so without the lock concurrent callers — e.g.
-    threads sharing :data:`DEFAULT_CACHE`, or a threaded experiment
-    driver compiling while the parallel backend runs — could lose
-    entries or drop counter increments.
-    """
-
-    def __init__(self, maxsize: int = 128) -> None:
-        if maxsize < 1:
-            raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self.stats = CacheStats(label="plan-memory")
-        self._entries: "OrderedDict[str, CompiledProgram]" = OrderedDict()
-        self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def key_for(self, source: str, name: str,
-                bindings: "dict[str, int] | None",
-                options: CompilerOptions) -> str:
-        """The key this cache files one compilation under.
-
-        The in-memory cache is machine-agnostic (plans are symbolic over
-        the processor grid), so no machine fingerprint participates.
-        """
-        return cache_key(source, name, bindings, options)
-
-    def get(self, key: str) -> CompiledProgram | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.record("miss")
-                return None
-            self._entries.move_to_end(key)
-            self.stats.record("hit")
-            return entry
-
-    def put(self, key: str, program: CompiledProgram) -> None:
-        with self._lock:
-            self._entries[key] = program
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.stats.record("eviction")
-
-    def invalidate(self, key: str | None = None) -> int:
-        """Drop one entry (or all, when ``key`` is ``None``).
-
-        Returns the number of entries dropped; each counts as one
-        invalidation.
-        """
-        with self._lock:
-            if key is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                dropped = 1 if self._entries.pop(key, None) is not None \
-                    else 0
-            self.stats.record("invalidation", dropped)
-            return dropped
+#: ``<key>.json`` holding the versioned document of
+#: :mod:`repro.plan.serialize`; a schema-version mismatch from an older
+#: build fails to decode, i.e. is a miss.
+PLAN_CODEC = Codec(".json", program_to_json, program_from_json)
 
 
-class PersistentPlanCache:
-    """On-disk plan cache: compiled programs survive the interpreter.
+class _PlanKeyed:
+    """The key a plan cache files one compilation under.  Plans are
+    symbolic over the processor grid, so by default no machine
+    fingerprint participates."""
 
-    Entries are the versioned JSON documents of
-    :mod:`repro.plan.serialize`, one file per key under ``path``.
-    Writes are atomic (temp file + ``os.replace``) so a crashed or
-    concurrent writer can never leave a half-written entry; reads treat
-    *any* failure — missing file, truncated JSON, a schema-version
-    mismatch from an older build — as a miss, so corruption degrades to
-    recompilation, never to an error or a stale plan.
-
-    Unlike the in-memory :class:`PlanCache`, lookups key on
-    ``Machine.fingerprint()`` (grid shape, memory capacity, cost-model
-    constants): a persistent entry may outlive the machine configuration
-    that produced it, and replaying a plan tuned for one machine on
-    another must miss, not silently reuse.  Pass the :class:`Machine`
-    the plan will run on (or its fingerprint string); compile-only
-    callers may leave it empty.
-
-    The store is bounded: ``max_entries`` caps the number of on-disk
-    entries, with least-recently-used pruning (by file mtime — ``get``
-    refreshes it) applied on ``put``.  Initialisation also sweeps
-    ``*.tmp`` litter left behind by writers that died between
-    ``mkstemp`` and ``os.replace``; only stale files (older than
-    :data:`TMP_SWEEP_AGE` seconds) are removed so a concurrent live
-    writer is never raced.  Prune and sweep counts surface in
-    :attr:`stats`.
-    """
-
-    #: Seconds a ``*.tmp`` file must be untouched before the init sweep
-    #: treats it as orphaned rather than a concurrent writer's scratch.
-    TMP_SWEEP_AGE = 60.0
-
-    def __init__(self, path: "str | os.PathLike[str]",
-                 machine=None, machine_fingerprint: str = "",
-                 max_entries: int = 512) -> None:
-        if max_entries < 1:
-            raise ValueError(
-                f"cache max_entries must be >= 1, got {max_entries}")
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        if machine is not None:
-            machine_fingerprint = machine.fingerprint()
-        self.machine_fingerprint = machine_fingerprint
-        self.max_entries = max_entries
-        self.stats = CacheStats(label="plan-disk")
-        self._sweep_tmp()
-
-    def _sweep_tmp(self) -> int:
-        """Delete orphaned ``*.tmp`` files; returns the number removed."""
-        import time
-        cutoff = time.time() - self.TMP_SWEEP_AGE
-        swept = 0
-        for tmp in self.path.glob("*.tmp"):
-            try:
-                if tmp.stat().st_mtime <= cutoff:
-                    tmp.unlink()
-                    swept += 1
-            except OSError:
-                pass  # raced with the owner or another sweeper
-        self.stats.record("tmp_swept", swept)
-        return swept
-
-    def _prune(self) -> int:
-        """Evict oldest-mtime entries beyond ``max_entries``.
-
-        Eviction order is ``(st_mtime, name)``: on coarse-mtime
-        filesystems many entries share one timestamp, and ordering by
-        raw mtime alone left ties in directory-listing order — an
-        arbitrary, filesystem-dependent choice that could evict the
-        entry a concurrent ``get`` had just touched.  The name
-        tie-break makes the victim set a pure function of the directory
-        contents, so concurrent pruners also agree on it.
-
-        Tolerates concurrent writers and sweepers: a file vanishing
-        between the listing and the unlink is someone else's prune, not
-        an error.
-        """
-        entries = []
-        for f in self.path.glob("*.json"):
-            try:
-                entries.append((f.stat().st_mtime, f.name, f))
-            except OSError:
-                pass
-        excess = len(entries) - self.max_entries
-        pruned = 0
-        if excess > 0:
-            entries.sort(key=lambda item: item[:2])
-            for _, _, f in entries[:excess]:
-                try:
-                    f.unlink()
-                    pruned += 1
-                except OSError:
-                    pass
-        self.stats.record("pruned", pruned)
-        return pruned
+    machine_fingerprint = ""
 
     def key_for(self, source: str, name: str,
                 bindings: "dict[str, int] | None",
@@ -266,88 +108,39 @@ class PersistentPlanCache:
         return cache_key(source, name, bindings, options,
                          self.machine_fingerprint)
 
-    def _file(self, key: str) -> Path:
-        return self.path / f"{key}.json"
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.path.glob("*.json"))
+class PlanCache(_PlanKeyed, MemoryStore):
+    """In-process LRU of compiled programs (``plan-memory``)."""
 
-    def get(self, key: str) -> CompiledProgram | None:
-        from repro.plan.serialize import program_from_json
-        path = self._file(key)
-        for attempt in (0, 1):
-            try:
-                text = path.read_text()
-                program = program_from_json(text)
-            except FileNotFoundError:
-                break  # genuinely absent: recompile
-            except Exception:
-                # The file exists but did not parse.  A concurrent
-                # writer's ``os.replace`` may have presented a partial
-                # view (the name can briefly resolve oddly on some
-                # filesystems, or an older build left junk); re-read
-                # once — the rename is atomic, so the second read sees
-                # either the complete new entry or the complete old one.
-                if attempt == 0:
-                    continue
-                break  # still corrupt: degrade to recompilation
-            try:
-                # Refresh mtime so LRU pruning sees recency of *use*,
-                # not just of writing.
-                os.utime(path)
-            except OSError:
-                pass
-            self.stats.record("hit")
-            return program
-        self.stats.record("miss")
-        return None
-
-    def put(self, key: str, program: CompiledProgram) -> None:
-        from repro.plan.serialize import program_to_json
-        text = program_to_json(program)
-        fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-            os.replace(tmp, self._file(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._prune()
-
-    def invalidate(self, key: str | None = None) -> int:
-        """Remove one entry file (or every entry when ``key`` is
-        ``None``); returns the number removed."""
-        files = [self._file(key)] if key is not None \
-            else list(self.path.glob("*.json"))
-        dropped = 0
-        for f in files:
-            try:
-                f.unlink()
-                dropped += 1
-            except OSError:
-                pass
-        self.stats.record("invalidation", dropped)
-        return dropped
+    def __init__(self, maxsize: int = 128) -> None:
+        super().__init__(maxsize, label="plan-memory")
 
 
-class TieredPlanCache:
-    """Memory-over-disk plan cache: :class:`PlanCache` in front of a
-    :class:`PersistentPlanCache`, with promotion on disk hits.
+class PersistentPlanCache(_PlanKeyed, DiskStore):
+    """On-disk plan cache (``plan-disk``): compiled programs survive the
+    interpreter, one :data:`PLAN_CODEC` file per key under ``path``.
 
-    Both tiers must derive the same key, so the disk tier is required
-    to be machine-agnostic (``machine_fingerprint=""`` — the service
-    caches symbolic plans, which are machine-independent; executors
-    bind the processor grid at run time).  ``get`` checks memory first,
-    falls back to disk, and promotes disk hits into memory so repeat
-    lookups stay in-process; ``put`` writes through to both tiers.
-
-    Duck-compatible with the ``cache=`` argument of
-    :func:`compile_hpf` (``key_for``/``get``/``put``/``invalidate``).
+    A persistent entry may outlive the machine configuration that
+    produced it.  Callers that specialise plans per machine pass the
+    :class:`Machine` the plan will run on (or its fingerprint string):
+    ``Machine.fingerprint()`` — grid shape, memory capacity, cost-model
+    constants — then joins the key, so replaying such a plan on another
+    machine misses instead of silently reusing it.  Left empty (the CLI
+    and the service), keys equal the in-memory cache's.
     """
+
+    def __init__(self, path: "str | os.PathLike[str]",
+                 machine=None, machine_fingerprint: str = "",
+                 max_entries: int = 512) -> None:
+        super().__init__(path, PLAN_CODEC, max_entries, label="plan-disk")
+        if machine is not None:
+            machine_fingerprint = machine.fingerprint()
+        self.machine_fingerprint = machine_fingerprint
+
+
+class TieredPlanCache(_PlanKeyed, TieredStore):
+    """:class:`PlanCache` in front of a machine-agnostic
+    :class:`PersistentPlanCache`: both tiers must derive one key."""
 
     def __init__(self, memory: PlanCache,
                  disk: "PersistentPlanCache | None" = None) -> None:
@@ -356,38 +149,7 @@ class TieredPlanCache:
                 "TieredPlanCache needs a machine-agnostic disk tier "
                 "(machine_fingerprint=''), else the tiers derive "
                 "different keys for one compilation")
-        self.memory = memory
-        self.disk = disk
-        # driver tracer spans read ``cache.stats``; the memory tier's
-        # counters are the service-relevant ones (disk keeps its own)
-        self.stats = memory.stats
-
-    def key_for(self, source: str, name: str,
-                bindings: "dict[str, int] | None",
-                options: CompilerOptions) -> str:
-        return self.memory.key_for(source, name, bindings, options)
-
-    def get(self, key: str) -> CompiledProgram | None:
-        program = self.memory.get(key)
-        if program is not None:
-            return program
-        if self.disk is None:
-            return None
-        program = self.disk.get(key)
-        if program is not None:
-            self.memory.put(key, program)
-        return program
-
-    def put(self, key: str, program: CompiledProgram) -> None:
-        self.memory.put(key, program)
-        if self.disk is not None:
-            self.disk.put(key, program)
-
-    def invalidate(self, key: str | None = None) -> int:
-        dropped = self.memory.invalidate(key)
-        if self.disk is not None:
-            dropped += self.disk.invalidate(key)
-        return dropped
+        super().__init__(memory, disk)
 
 
 #: Process-wide cache used when callers pass ``cache=True``.

@@ -81,13 +81,9 @@ class HpfCompiler:
         cache = _resolve_cache(cache)
         key = None
         if cache is not None and isinstance(source, str):
-            from repro.compiler.cache import cache_key
-            # caches that specialise per machine (PersistentPlanCache)
-            # supply their own key derivation
-            key_for = getattr(cache, "key_for", None)
-            key = key_for(source, name, bindings, self.options) \
-                if key_for is not None \
-                else cache_key(source, name, bindings, self.options)
+            # the cache derives the key: PersistentPlanCache may
+            # specialise it per machine
+            key = cache.key_for(source, name, bindings, self.options)
             hit = cache.get(key)
             if tracer is not None:
                 from repro.obs.tracer import coalesce

@@ -21,8 +21,7 @@ from repro.obs.ledger import LEDGER_SCHEMA, RunLedger  # noqa: F401
 from repro.obs.metrics import (  # noqa: F401
     CacheStats, Counter, Gauge, Histogram, METRICS_SCHEMA,
     MetricsRegistry, NULL_REGISTRY, NullRegistry, TIME_BUCKETS,
-    get_registry, registry_from_dict, set_process_default,
-    set_registry, use_registry,
+    get_registry, registry_from_dict, use_registry,
 )
 from repro.obs.profile import (  # noqa: F401
     CommProfile, MATRIX_CLASSES, OpSample, PHASES, ProfileCollector,

@@ -25,15 +25,12 @@ Design contract (mirrors :class:`~repro.obs.tracer.NullTracer`):
   its exact inverse.  The Prometheus text exposition lives in
   :mod:`repro.obs.export`.
 
-* **Context-scoped installs.**  :func:`use_registry` and
-  :func:`set_registry` scope the active registry through a
+* **Context-scoped installs.**  :func:`use_registry` — the one way to
+  install a registry — scopes it through a
   :class:`contextvars.ContextVar`, so concurrent asyncio tasks and
   threads (the service's request handlers) each see their own
   registry and can never cross-publish series.  Contexts without an
-  install fall back to the process default
-  (:func:`set_process_default`; :data:`NULL_REGISTRY` unless changed).
-
-Use :func:`use_registry` to install a live registry for a scope::
+  install see :data:`NULL_REGISTRY`::
 
     from repro.obs import metrics
     with metrics.use_registry() as reg:
@@ -394,67 +391,19 @@ class NullRegistry:
         return {}
 
 
-#: The process-default registry: metrics are opt-in.
+#: What contexts without an install see: metrics are opt-in.
 NULL_REGISTRY = NullRegistry()
 
-#: Process-wide fallback used when no context-local registry is
-#: installed: the zero-overhead null default, replaceable for CLI-style
-#: single-tenant processes via :func:`set_process_default`.
-_PROCESS_DEFAULT: "MetricsRegistry | NullRegistry" = NULL_REGISTRY
-
-#: Context-local registry scope.  A plain module global here was the
-#: concurrency bug the service flushed out: ``use_registry()`` in one
-#: asyncio task (or thread) swapped the registry for *every* other
-#: in-flight task, cross-publishing concurrent requests' series.  A
-#: ``ContextVar`` scopes the install to the current task/thread context
-#: — each request's registry is invisible to its neighbours — while
-#: ``None`` (the var's default) falls through to the process default,
-#: so single-context CLI paths behave exactly as before.
-_ACTIVE_VAR: "ContextVar[MetricsRegistry | NullRegistry | None]" = \
-    ContextVar("repro_metrics_registry", default=None)
+#: Context-local registry scope: a ``ContextVar`` confines an install to
+#: the current asyncio task or thread, so concurrent requests' registries
+#: are invisible to each other (a module global would cross-publish).
+_ACTIVE_VAR: "ContextVar[MetricsRegistry | NullRegistry]" = \
+    ContextVar("repro_metrics_registry", default=NULL_REGISTRY)
 
 
 def get_registry() -> "MetricsRegistry | NullRegistry":
-    """The currently installed registry (never ``None``): the
-    context-local one if a scope is active, else the process default."""
-    registry = _ACTIVE_VAR.get()
-    return registry if registry is not None else _PROCESS_DEFAULT
-
-
-def set_registry(registry) -> "MetricsRegistry | NullRegistry":
-    """Install ``registry`` in the *current context* (``None`` restores
-    the null default); returns the previously effective one.
-
-    The install is context-local: concurrent asyncio tasks and threads
-    keep their own registries.  Use :func:`set_process_default` to
-    change the fallback every context without an install sees.
-    Installing ``None`` (or :data:`NULL_REGISTRY`) clears the
-    context-local slot entirely, so the process default shows through
-    again rather than being shadowed by a sticky null.
-    """
-    previous = get_registry()
-    if registry is None or registry is NULL_REGISTRY:
-        _ACTIVE_VAR.set(None)
-    else:
-        _ACTIVE_VAR.set(registry)
-    return previous
-
-
-def set_process_default(registry) -> "MetricsRegistry | NullRegistry":
-    """Install ``registry`` as the process-wide fallback (``None``
-    restores :data:`NULL_REGISTRY`); returns the previous default.
-
-    The fallback is what :func:`get_registry` returns in contexts with
-    no :func:`use_registry`/:func:`set_registry` install — fresh
-    threads, new asyncio tasks.  Single-tenant CLI processes may point
-    it at a live registry so helper threads publish too; the service
-    never does (each request runs under its own context-local scope).
-    """
-    global _PROCESS_DEFAULT
-    previous = _PROCESS_DEFAULT
-    _PROCESS_DEFAULT = registry if registry is not None \
-        else NULL_REGISTRY
-    return previous
+    """The registry installed in the current context (never ``None``)."""
+    return _ACTIVE_VAR.get()
 
 
 @contextmanager
@@ -530,17 +479,12 @@ class CacheStats:
             ).inc(n, cache=self.label or "unlabeled", event=event)
 
     def as_dict(self) -> dict[str, float]:
-        return {"hits": float(self.hits), "misses": float(self.misses),
-                "invalidations": float(self.invalidations),
-                "evictions": float(self.evictions),
-                "pruned": float(self.pruned),
-                "tmp_swept": float(self.tmp_swept),
+        return {**{name: float(getattr(self, name))
+                   for name in CACHE_EVENT_FIELDS.values()},
                 "hit_rate": self.hit_rate}
 
     def snapshot(self) -> dict[str, object]:
         """The unified cache-stats snapshot: ``{"cache": label}`` plus
         the :meth:`as_dict` counters — same keys for every cache
         layer."""
-        out: dict[str, object] = {"cache": self.label or "unlabeled"}
-        out.update(self.as_dict())
-        return out
+        return {"cache": self.label or "unlabeled", **self.as_dict()}

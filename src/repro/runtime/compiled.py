@@ -23,15 +23,14 @@ Degradation ladder (per :mod:`repro.codegen.options`):
   ``EXP``/``LOG``/``**``, exotic expressions) fall back to slabs
   *per nest* while the rest of the plan stays native.
 
-Kernels are keyed by ``(plan serialization sha256,
-Machine.fingerprint(), tile/unroll factors)`` and cached in-process;
-with a configured cache directory (CLI ``--cache-dir``) the generated
-sources also persist on disk next to the plan cache.
+Kernels are cached per plan, machine and factors in the two tiers of
+:mod:`repro.codegen.cache`.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from time import perf_counter
 
 from repro.codegen import cache as kcache
@@ -61,20 +60,22 @@ def _warn_no_numba() -> None:
 
 
 def _obtain_module(plan, machine, opts, mode: str) -> KernelModule:
+    """Get-or-produce down the kernel tiers: the materialized module,
+    else the source on disk (when a cache directory is configured),
+    else a fresh lowering."""
     key = kcache.kernel_key(plan, machine, opts)
-    module = kcache.get_module(key, mode)
-    if module is not None:
-        return module
-    disk = kcache.KernelDiskCache(opts.cache_dir) \
-        if opts.cache_dir else None
-    source = disk.get_source(key) if disk is not None else None
-    if source is None:
-        source = lower_plan(plan, opts).source
-        if disk is not None:
-            disk.put_source(key, source)
-    module = _jit.materialize(source, mode)
-    kcache.put_module(key, mode, module)
-    return module
+
+    def lowered():
+        lower = partial(lower_plan, plan, opts)
+        if not opts.cache_dir:
+            return lower()
+        nests = len(plan_nests(plan))
+        # a well-formed file of some other plan is not this key's entry
+        return kcache.source_store(opts.cache_dir).get_or_produce(
+            key, lower, accept=lambda found: len(found.nests) == nests)
+
+    return kcache.MODULES.get_or_produce(
+        (key, mode), lambda: _jit.materialize(lowered().source, mode))
 
 
 class CompiledExec(VectorizedExec):
@@ -103,12 +104,9 @@ class CompiledExec(VectorizedExec):
         if mode == "off":
             return
         module = _obtain_module(plan, machine, opts, mode)
-        nest_ops = plan_nests(plan)
-        if len(module.entries) != len(nest_ops):
-            raise ExecutionError(
-                f"kernel module has {len(module.entries)} nests but the "
-                f"plan has {len(nest_ops)}; kernel cache corrupted?")
-        for op, entry in zip(nest_ops, module.entries):
+        # strict: a module from the tiers describes exactly these nests
+        for op, entry in zip(plan_nests(plan), module.entries,
+                             strict=True):
             if entry.fn is not None:
                 self._kernels[id(op)] = entry
 

@@ -1,9 +1,10 @@
 """Request handlers and shared service state.
 
 One :class:`ServiceState` per server holds the pieces every request
-shares: the tiered plan cache (:class:`~repro.compiler.cache.
-TieredPlanCache` — in-memory LRU over an optional machine-agnostic
-disk tier), the :class:`~repro.service.coalescer.Coalescer` that folds
+shares: its :mod:`repro.store` tiers (the tiered plan cache — in-memory
+LRU over an optional machine-agnostic disk tier — the kernel tiers of
+:mod:`repro.codegen.cache`, and the plan documents ``GET /plan/<key>``
+serves), the :class:`~repro.service.coalescer.Coalescer` that folds
 identical in-flight compilations onto one future, the bounded
 :class:`~repro.service.pool.WorkerPool`, the service-wide
 :class:`~repro.obs.metrics.MetricsRegistry` that ``GET /metrics``
@@ -27,7 +28,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,14 +77,19 @@ class ServiceState:
                  ledger_path: "str | None" = None,
                  pool: "WorkerPool | None" = None,
                  plan_cache_size: int = 128) -> None:
+        from repro.codegen import cache as kcache
         from repro.compiler import (
             PersistentPlanCache, PlanCache, TieredPlanCache,
         )
         from repro.obs import RunLedger
         from repro.obs.metrics import MetricsRegistry
+        from repro.store import MemoryStore
 
         self.kernel_cache_dir: "Path | None" = None
-        disk = None
+        memory, disk = PlanCache(plan_cache_size), None
+        #: every cache tier this server reads or fills, by what it
+        #: holds; /healthz, /metrics and /cache/evict walk this one list
+        self.stores = {"plans": [memory], "kernels": [kcache.MODULES]}
         if cache_dir:
             base = Path(cache_dir)
             # machine-agnostic on purpose: the service caches symbolic
@@ -92,12 +97,15 @@ class ServiceState:
             disk = PersistentPlanCache(base / "plans",
                                        machine_fingerprint="")
             self.kernel_cache_dir = base / "kernels"
-        self.plan_cache = TieredPlanCache(PlanCache(plan_cache_size),
-                                          disk)
+            self.stores["plans"].append(disk)
+            self.stores["kernels"].append(
+                kcache.source_store(self.kernel_cache_dir))
+        self.plan_cache = TieredPlanCache(memory, disk)
         self.ledger = RunLedger(ledger_path) if ledger_path else None
         self.coalescer = Coalescer()
         self.pool = pool or WorkerPool()
-        self.plan_docs: "OrderedDict[str, str]" = OrderedDict()
+        #: dropped with the plans, but not a reported tier
+        self.plan_docs = MemoryStore(MAX_PLAN_DOCS, label="plan-docs")
 
         self.registry = MetricsRegistry()
         self.requests_total = self.registry.counter(
@@ -131,23 +139,13 @@ class ServiceState:
     # -- cache stats --------------------------------------------------------
     def cache_stats(self) -> dict[str, dict[str, float]]:
         """Counter snapshots of every cache tier, by label."""
-        stats = [self.plan_cache.memory.stats]
-        if self.plan_cache.disk is not None:
-            stats.append(self.plan_cache.disk.stats)
-        return {s.label: s.as_dict() for s in stats}
+        return {s.stats.label: s.stats.as_dict()
+                for tiers in self.stores.values() for s in tiers}
 
     def refresh_cache_gauges(self) -> None:
         for label, snapshot in self.cache_stats().items():
             for event, value in snapshot.items():
                 self.cache_events.set(value, cache=label, event=event)
-
-    def _remember_plan(self, key: str, plan_key: str,
-                       text: str) -> None:
-        for alias in (key, plan_key):
-            self.plan_docs[alias] = text
-            self.plan_docs.move_to_end(alias)
-        while len(self.plan_docs) > MAX_PLAN_DOCS:
-            self.plan_docs.popitem(last=False)
 
     def close(self) -> None:
         self.pool.shutdown()
@@ -182,7 +180,8 @@ async def _compile_shared(state: ServiceState, job: CompileJob):
         await state.coalescer.run(key, factory)
     state.coalesced_total.inc(
         role="follower" if coalesced else "leader")
-    state._remember_plan(key, plan_key, text)
+    for alias in (key, plan_key):
+        state.plan_docs.put(alias, text)
     return key, compiled, plan_key, coalesced
 
 
@@ -198,7 +197,7 @@ async def handle_compile(state: ServiceState, doc: object) -> Response:
         "report": report_doc(compiled), "plan_url": f"/plan/{key}",
     }
     if job.include_plan:
-        out["plan"] = json.loads(state.plan_docs[key])
+        out["plan"] = json.loads(state.plan_docs.get(key))
     if state.ledger is not None:
         state.ledger.append(
             fingerprint=COMPILE_FINGERPRINT, plan_key=plan_key,
@@ -321,25 +320,12 @@ async def handle_cache_evict(state: ServiceState,
         raise JobError(
             "evict body must be {'key': <cache key>} or {'all': true}")
     key = doc.get("key")
-    dropped = {"plans": state.plan_cache.invalidate(key)}
-    if key is None:
-        state.plan_docs.clear()
-        dropped["kernels"] = _evict_kernels(state)
-    else:
-        state.plan_docs.pop(key, None)
+    state.plan_docs.invalidate(key)
+    dropped = {"tiers": {}}
+    # a single key names a plan; kernels are filed under their own keys
+    for family in ("plans", "kernels") if key is None else ("plans",):
+        counts = {s.stats.label: s.invalidate(key)
+                  for s in state.stores[family]}
+        dropped[family] = sum(counts.values())
+        dropped["tiers"].update(counts)
     return Response.json({"kind": "cache-evict", "dropped": dropped})
-
-
-def _evict_kernels(state: ServiceState) -> int:
-    """Drop every cached generated-kernel source file."""
-    if state.kernel_cache_dir is None \
-            or not state.kernel_cache_dir.is_dir():
-        return 0
-    dropped = 0
-    for f in state.kernel_cache_dir.glob("*.py"):
-        try:
-            f.unlink()
-            dropped += 1
-        except OSError:
-            pass
-    return dropped

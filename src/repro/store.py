@@ -1,0 +1,264 @@
+"""One content-addressed store behind every cache in the system.
+
+Everything the compile pipeline produces — the plan, the kernel source
+lowered from it — is a pure function of its inputs, so it is filed
+under a hash of them.  The mechanism lives here exactly once; each cache
+(plan memory/disk/tiered in :mod:`repro.compiler.cache`, kernel modules
+and kernel sources in :mod:`repro.codegen.cache`, the service's plan
+documents) is a configuration of these three classes:
+
+* :class:`MemoryStore` — a bounded LRU of live objects.  ``get``, ``put``,
+  ``invalidate`` and the counters run under one lock: LRU bookkeeping and
+  counter bumps are read-modify-writes that concurrent callers would
+  otherwise lose.  Entries are shared, not copied.
+* :class:`DiskStore` — one file per key under a directory, the value's
+  text form given by a :class:`Codec`.  Safe across processes without a
+  lock file: a write is a temp file plus ``os.replace``, so no reader ever
+  sees half an entry; a read that fails to decode for *any* reason
+  (truncated, hand-edited, written by an older schema) is a miss after
+  one re-read, so corruption costs a recomputation, never an error.  The
+  directory is bounded: ``put`` prunes to ``max_entries`` by recency of
+  *use* (``get`` refreshes mtime); opening it sweeps ``*.tmp`` files that
+  writers killed mid-write left behind.
+* :class:`TieredStore` — memory over disk: disk hits are promoted, writes
+  go through to both.
+
+Every tier counts into one :class:`~repro.obs.metrics.CacheStats` under
+its label, which also publishes ``repro_cache_events_total`` to the
+installed metrics registry.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+import threading
+import time
+from collections import OrderedDict
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+from repro.obs.metrics import CacheStats
+
+
+class Codec(NamedTuple):
+    """How a :class:`DiskStore` files a value: ``<key><suffix>`` holding
+    ``encode(value)``; ``decode`` raises on text it does not accept."""
+
+    suffix: str
+    encode: Callable[[object], str]
+    decode: Callable[[str], object]
+
+
+class _Store:
+    """What every tier offers on top of ``get``/``put``/``invalidate``."""
+
+    def get_or_produce(self, key, produce, accept=None):
+        """The entry under ``key``; on a miss ``produce()`` is stored and
+        returned.  An entry that reads cleanly but fails ``accept`` (it
+        is some other key's content) is invalidated and replaced."""
+        value = self.get(key)
+        if value is not None and accept is not None and not accept(value):
+            self.invalidate(key)
+            value = None
+        if value is None:
+            value = produce()
+            self.put(key, value)
+        return value
+
+
+class MemoryStore(_Store):
+    """Thread-safe LRU of at most ``maxsize`` entries."""
+
+    def __init__(self, maxsize: int = 128, label: str = "") -> None:
+        if maxsize < 1:
+            raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
+        self.maxsize = maxsize
+        self.stats = CacheStats(label=label)
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.stats.record("miss")
+                return None
+            self._entries.move_to_end(key)
+            self.stats.record("hit")
+            return entry
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+                self.stats.record("eviction")
+
+    def invalidate(self, key=None) -> int:
+        """Drop one entry (or all, when ``key`` is ``None``); returns the
+        number dropped, each counted as one invalidation."""
+        with self._lock:
+            if key is None:
+                dropped = len(self._entries)
+                self._entries.clear()
+            else:
+                dropped = int(self._entries.pop(key, None) is not None)
+            self.stats.record("invalidation", dropped)
+            return dropped
+
+
+class DiskStore(_Store):
+    """Bounded directory of ``codec``-encoded entries, one file per key."""
+
+    #: Seconds a ``*.tmp`` file must be untouched before the opening
+    #: sweep treats it as orphaned rather than a live writer's scratch.
+    TMP_SWEEP_AGE = 60.0
+
+    def __init__(self, path: "str | os.PathLike[str]", codec: Codec,
+                 max_entries: int = 512, label: str = "") -> None:
+        if max_entries < 1:
+            raise ValueError(
+                f"cache max_entries must be >= 1, got {max_entries}")
+        self.path = Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.codec = codec
+        self.max_entries = max_entries
+        self.stats = CacheStats(label=label)
+        # threads of one process share the counters; files need no lock
+        self._lock = threading.Lock()
+        self._sweep_tmp()
+
+    def _count(self, event: str, n: int = 1) -> int:
+        with self._lock:
+            self.stats.record(event, n)
+        return n
+
+    def _file(self, key: str) -> Path:
+        return self.path / f"{key}{self.codec.suffix}"
+
+    def _entries(self):
+        return self.path.glob(f"*{self.codec.suffix}")
+
+    @staticmethod
+    def _stat(files) -> list:
+        """``(st_mtime, name, path)`` of each file that still exists."""
+        found = []
+        for f in files:
+            try:
+                found.append((f.stat().st_mtime, f.name, f))
+            except OSError:
+                pass  # raced with its owner, a pruner or a sweeper
+        return found
+
+    def _unlink(self, files) -> int:
+        """Remove ``files``; one that is already gone is a concurrent
+        pruner's or sweeper's work, not an error."""
+        removed = 0
+        for f in files:
+            try:
+                f.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
+
+    def _sweep_tmp(self) -> int:
+        """Delete orphaned ``*.tmp`` files; returns the number removed."""
+        cutoff = time.time() - self.TMP_SWEEP_AGE
+        return self._count("tmp_swept", self._unlink(
+            f for mtime, _, f in self._stat(self.path.glob("*.tmp"))
+            if mtime <= cutoff))
+
+    def _prune(self) -> int:
+        """Evict the oldest entries beyond ``max_entries``, in
+        ``(st_mtime, name)`` order.  On coarse-mtime filesystems many
+        entries share one timestamp; the name tie-break makes the victim
+        set a pure function of the directory contents, so concurrent
+        pruners agree on it instead of following directory order."""
+        entries = self._stat(self._entries())
+        excess = len(entries) - self.max_entries
+        if excess <= 0:
+            return 0
+        entries.sort(key=lambda item: item[:2])
+        return self._count(
+            "pruned", self._unlink(f for _, _, f in entries[:excess]))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._entries())
+
+    def get(self, key: str):
+        path = self._file(key)
+        # An entry that exists but does not decode gets one re-read (a
+        # racing writer's ``os.replace`` is atomic, so the second read
+        # sees a complete old or new entry); junk is junk both times.
+        for _ in range(2):
+            try:
+                value = self.codec.decode(path.read_text())
+            except FileNotFoundError:
+                break
+            except Exception:
+                continue
+            try:
+                os.utime(path)  # pruning follows recency of use
+            except OSError:
+                pass
+            self._count("hit")
+            return value
+        self._count("miss")
+        return None
+
+    def put(self, key: str, value) -> None:
+        text = self.codec.encode(value)
+        fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(text)
+            os.replace(tmp, self._file(key))
+        except BaseException:
+            self._unlink([Path(tmp)])
+            raise
+        self._prune()
+
+    def invalidate(self, key: "str | None" = None) -> int:
+        """Remove one entry file (or every entry when ``key`` is
+        ``None``); returns the number removed."""
+        files = list(self._entries()) if key is None \
+            else [self._file(key)]
+        return self._count("invalidation", self._unlink(files))
+
+
+class TieredStore(_Store):
+    """:class:`MemoryStore` in front of an optional :class:`DiskStore`
+    holding the same values under the same keys."""
+
+    def __init__(self, memory: MemoryStore,
+                 disk: "DiskStore | None" = None) -> None:
+        self.memory = memory
+        self.disk = disk
+        # tracer spans read ``cache.stats``: the front tier's counters
+        self.stats = memory.stats
+
+    def get(self, key):
+        value = self.memory.get(key)
+        if value is None and self.disk is not None:
+            value = self.disk.get(key)
+            if value is not None:
+                self.memory.put(key, value)
+        return value
+
+    def put(self, key, value) -> None:
+        self.memory.put(key, value)
+        if self.disk is not None:
+            self.disk.put(key, value)
+
+    def invalidate(self, key=None) -> int:
+        dropped = self.memory.invalidate(key)
+        if self.disk is not None:
+            dropped += self.disk.invalidate(key)
+        return dropped

@@ -1,14 +1,14 @@
-"""Kernel caches: key sensitivity, the in-process module LRU, and the
-on-disk source store (atomic writes, cross-object persistence)."""
-
-import threading
+"""Kernel caches: key sensitivity, and how the two kernel tiers are
+configured — ``(key, jit mode)`` module keys, the source codec.  What
+every :mod:`repro.store` tier guarantees is in ``tests/test_store.py``."""
 
 import pytest
 
 from repro.codegen import (
-    CodegenOptions, KernelDiskCache, kernel_key, lower_plan, materialize,
+    CodegenOptions, kernel_key, lower_plan, materialize,
 )
 from repro.codegen import cache as kcache
+from repro.store import DiskStore
 from repro.compiler import compile_hpf
 from repro.kernels import KERNELS
 from repro.machine import Machine
@@ -23,9 +23,9 @@ def _plan(name="five_point", level="O2", n=12):
 
 @pytest.fixture(autouse=True)
 def _fresh_module_cache():
-    kcache.clear_modules()
+    kcache.MODULES.invalidate()
     yield
-    kcache.clear_modules()
+    kcache.MODULES.invalidate()
 
 
 class TestKernelKey:
@@ -63,78 +63,68 @@ class TestModuleLRU:
         return materialize(lp.source, "python")
 
     def test_hit_and_miss_accounting(self):
-        module = self._module()
-        h0, m0 = kcache.MEMORY_STATS.hits, kcache.MEMORY_STATS.misses
-        assert kcache.get_module("k1", "python") is None
-        kcache.put_module("k1", "python", module)
-        assert kcache.get_module("k1", "python") is module
-        assert kcache.MEMORY_STATS.hits == h0 + 1
-        assert kcache.MEMORY_STATS.misses == m0 + 1
+        module, stats = self._module(), kcache.MODULES.stats
+        assert stats.label == "kernel-memory"
+        h0, m0 = stats.hits, stats.misses
+        assert kcache.MODULES.get(("k1", "python")) is None
+        kcache.MODULES.put(("k1", "python"), module)
+        assert kcache.MODULES.get(("k1", "python")) is module
+        assert (stats.hits, stats.misses) == (h0 + 1, m0 + 1)
 
     def test_mode_is_part_of_the_key(self):
-        module = self._module()
-        kcache.put_module("k1", "python", module)
-        assert kcache.get_module("k1", "numba") is None
+        kcache.MODULES.put(("k1", "python"), self._module())
+        assert kcache.MODULES.get(("k1", "numba")) is None
 
-    def test_lru_evicts_oldest(self, monkeypatch):
-        monkeypatch.setattr(kcache, "_MAX_MODULES", 2)
-        module = self._module()
-        for key in ("a", "b", "c"):
-            kcache.put_module(key, "python", module)
-        assert kcache.get_module("a", "python") is None
-        assert kcache.get_module("c", "python") is module
-
-    def test_concurrent_access_is_safe(self):
-        module = self._module()
-        errors = []
-
-        def worker(tag):
-            try:
-                for i in range(50):
-                    kcache.put_module(f"{tag}-{i}", "python", module)
-                    kcache.get_module(f"{tag}-{i}", "python")
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(t,))
-                   for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
+    def test_lru_evicts_oldest(self):
+        module, bound = self._module(), kcache.MODULES.maxsize
+        assert bound == 64
+        for i in range(bound + 1):
+            kcache.MODULES.put((f"k{i}", "python"), module)
+        assert len(kcache.MODULES) == bound
+        assert kcache.MODULES.get(("k0", "python")) is None
+        assert kcache.MODULES.get((f"k{bound}", "python")) is module
 
 
 class TestDiskCache:
     def test_put_get_roundtrip(self, tmp_path):
-        cache = KernelDiskCache(tmp_path)
-        cache.put_source("deadbeef", "# kernel source\n")
-        assert cache.get_source("deadbeef") == "# kernel source\n"
-        assert cache.stats.hits == 1
+        """The codec files exactly what ``lower_plan`` returned."""
+        cache, lowered = kcache.source_store(tmp_path), \
+            lower_plan(_plan(), CodegenOptions(tile=4))
+        cache.put("deadbeef", lowered)
+        assert (tmp_path / "deadbeef.py").read_text() == lowered.source
+        assert cache.get("deadbeef") == lowered
         assert len(cache) == 1
 
     def test_miss_counts(self, tmp_path):
-        cache = KernelDiskCache(tmp_path)
-        assert cache.get_source("nope") is None
+        cache = kcache.source_store(tmp_path)
+        assert cache.stats.label == "kernel-disk"
+        assert cache.max_entries == 512       # the store's default bound
+        assert cache.get("nope") is None
         assert cache.stats.misses == 1
 
     def test_survives_cache_object(self, tmp_path):
-        KernelDiskCache(tmp_path).put_source("k", "src\n")
-        assert KernelDiskCache(tmp_path).get_source("k") == "src\n"
+        """One store object per directory per process (its counters
+        accumulate); another process's object reads the same files."""
+        lowered = lower_plan(_plan(), CodegenOptions())
+        assert kcache.source_store(tmp_path) is \
+            kcache.source_store(str(tmp_path))
+        kcache.source_store(tmp_path).put("k", lowered)
+        other = DiskStore(tmp_path, kcache.SOURCE_CODEC)
+        assert other.get("k") == lowered
 
-    def test_no_tmp_files_left_behind(self, tmp_path):
-        cache = KernelDiskCache(tmp_path)
-        for i in range(5):
-            cache.put_source(f"k{i}", f"# {i}\n")
-        assert not list(tmp_path.glob("*.tmp"))
-        assert len(cache) == 5
+    @pytest.mark.parametrize("text", [
+        "def broken(:", "", "x = 1\n", "MANIFEST = {}\n",
+        "return 1\nMANIFEST = {'nests': []}\n"])
+    def test_decode_rejects_what_it_could_not_run(self, text):
+        with pytest.raises(Exception):
+            kcache.SOURCE_CODEC.decode(text)
 
     def test_materialized_from_disk_matches(self, tmp_path):
         plan = _plan()
         lp = lower_plan(plan, CodegenOptions(tile=4))
-        cache = KernelDiskCache(tmp_path)
+        cache = kcache.source_store(tmp_path)
         key = kernel_key(plan, Machine(grid=(2, 2)),
                          CodegenOptions(tile=4))
-        cache.put_source(key, lp.source)
-        revived = materialize(cache.get_source(key), "python")
+        cache.put(key, lp)
+        revived = materialize(cache.get(key).source, "python")
         assert tuple(e.nest for e in revived.entries) == lp.nests

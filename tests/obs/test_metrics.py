@@ -172,14 +172,6 @@ class TestUseRegistry:
         with use_registry(mine) as reg:
             assert reg is mine
 
-    def test_set_registry_none_restores_null(self):
-        prev = m.set_registry(MetricsRegistry())
-        try:
-            m.set_registry(None)
-            assert m.get_registry() is NULL_REGISTRY
-        finally:
-            m.set_registry(prev)
-
 
 class TestContextScoping:
     """Regression suite for the module-global ``_ACTIVE`` bug: one
@@ -270,18 +262,6 @@ class TestContextScoping:
             t.start()
             t.join()
         assert seen["registry"] is NULL_REGISTRY
-
-    def test_set_process_default(self):
-        mine = MetricsRegistry()
-        prev = m.set_process_default(mine)
-        try:
-            assert m.get_registry() is mine
-            with use_registry() as reg:
-                assert m.get_registry() is reg
-            assert m.get_registry() is mine
-        finally:
-            m.set_process_default(prev)
-        assert m.get_registry() is NULL_REGISTRY
 
     def test_cache_stats_publish_context_local(self):
         """CacheStats.record publishes into the context-local registry,
@@ -425,14 +405,14 @@ class TestCacheStats:
         assert c.value(cache="k", event="hit") == 2.0
 
     def test_all_cache_layers_share_schema(self):
-        from repro.codegen.cache import MEMORY_STATS, KernelDiskCache
+        from repro.codegen.cache import MODULES, source_store
         from repro.compiler.cache import PersistentPlanCache, PlanCache
         import tempfile
         with tempfile.TemporaryDirectory() as d:
             layers = [PlanCache().stats,
                       PersistentPlanCache(d).stats,
-                      MEMORY_STATS,
-                      KernelDiskCache(d).stats]
+                      MODULES.stats,
+                      source_store(d).stats]
         keysets = {tuple(sorted(s.snapshot())) for s in layers}
         assert len(keysets) == 1
         assert {s.snapshot()["cache"] for s in layers} == {

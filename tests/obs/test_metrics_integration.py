@@ -74,7 +74,7 @@ class TestLayerCoverage:
     def test_compiled_jit_and_nest_series(self):
         from repro.codegen import cache as kcache
         from repro.codegen import codegen_options
-        kcache.clear_modules()
+        kcache.MODULES.invalidate()
         with codegen_options(jit=preferred_test_jit()):
             reg, _ = instrumented_run("compiled")
         jit = reg.get("repro_jit_materialize_seconds")

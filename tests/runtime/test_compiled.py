@@ -199,14 +199,14 @@ class TestPerNestFallback:
 
 class TestKernelReuse:
     def test_in_process_cache_hits_on_second_run(self):
-        kcache.clear_modules()
-        h0 = kcache.MEMORY_STATS.hits
+        kcache.MODULES.invalidate()
+        h0 = kcache.MODULES.stats.hits
         _run("five_point", "compiled", level="O2", iterations=1)
         _run("five_point", "compiled", level="O2", iterations=1)
-        assert kcache.MEMORY_STATS.hits > h0
+        assert kcache.MODULES.stats.hits > h0
 
     def test_disk_cache_round_trip(self, tmp_path):
-        kcache.clear_modules()
+        kcache.MODULES.invalidate()
         machine = Machine(grid=(2, 2))
         with codegen_options(jit=JIT, cache_dir=str(tmp_path)):
             a = run_kernel("five_point", bindings={"N": 12}, level="O2",
@@ -215,7 +215,7 @@ class TestKernelReuse:
         assert len(files) == 1, "kernel source not persisted"
         # a fresh process (modules cleared) must revive from disk and
         # produce identical results without re-lowering
-        kcache.clear_modules()
+        kcache.MODULES.invalidate()
         with codegen_options(jit=JIT, cache_dir=str(tmp_path)):
             b = run_kernel("five_point", bindings={"N": 12}, level="O2",
                            backend="compiled",
@@ -224,8 +224,37 @@ class TestKernelReuse:
         assert len(list(tmp_path.glob("*.py"))) == 1
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("damage", [
+        "def broken(:", "", "# another plan's kernels\nMANIFEST = "
+        "{'version': 1, 'factors': {}, 'nests': []}\n"],
+        ids=["syntax-error", "empty", "other-nest-count"])
+    def test_damaged_source_file_is_relowered(self, tmp_path, damage):
+        """A kernel file that does not compile, carries no MANIFEST or
+        describes another plan's nests costs a re-lowering: the run
+        succeeds and leaves a valid file behind."""
+        def run():
+            kcache.MODULES.invalidate()
+            with codegen_options(jit="python", cache_dir=str(tmp_path)):
+                return run_kernel(
+                    "five_point", bindings={"N": 12}, level="O2",
+                    backend="compiled", machine=Machine(grid=(2, 2)),
+                    seed=1)
+
+        good = run()
+        file, = tmp_path.glob("*.py")
+        text = file.read_text()
+        file.write_text(damage)
+        stats = kcache.source_store(tmp_path).stats
+        before = stats.misses + stats.invalidations
+        again = run()
+        np.testing.assert_array_equal(good.arrays["DST"],
+                                      again.arrays["DST"])
+        assert stats.misses + stats.invalidations == before + 1
+        assert file.read_text() == text
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_factor_change_is_a_different_kernel(self, tmp_path):
-        kcache.clear_modules()
+        kcache.MODULES.invalidate()
         for unroll in (1, 2):
             with codegen_options(jit=JIT, unroll=unroll,
                                  cache_dir=str(tmp_path)):

@@ -414,6 +414,61 @@ class TestCacheEndpoints:
         assert not list(plans.glob("*.json"))
         harness.json("GET", f"/plan/{keys[1]}", expect=404)
 
+    def _compiled_run(self, harness, grid):
+        return harness.json("POST", "/run", {
+            **FIVE_O2, "backend": "compiled", "jit": "python",
+            "machine": {"grid": grid}})
+
+    def test_evict_all_empties_every_tier(self, harness):
+        """Regression: evicting everything unlinked the kernel files
+        but left the in-process kernel-module LRU populated."""
+        from repro.codegen.cache import MODULES
+
+        self._compiled_run(harness, [2, 2])
+        kernels = harness.tmp_path / "cache" / "kernels"
+        assert len(list(kernels.glob("*.py"))) == 1 and len(MODULES) >= 1
+        held = len(MODULES)
+        dropped = harness.json("POST", "/cache/evict",
+                               {"all": True})["dropped"]
+        assert dropped["tiers"] == {
+            "plan-memory": 1, "plan-disk": 1,
+            "kernel-memory": held, "kernel-disk": 1}
+        assert dropped["plans"] == 2 and dropped["kernels"] == held + 1
+        assert len(MODULES) == 0 and not list(kernels.glob("*.py"))
+        # one key names a plan: kernels are not filed under it
+        key = self._compiled_run(harness, [2, 2])["key"]
+        dropped = harness.json("POST", "/cache/evict",
+                               {"key": key})["dropped"]
+        assert dropped == {"plans": 2, "tiers": {"plan-memory": 1,
+                                                 "plan-disk": 1}}
+        assert len(list(kernels.glob("*.py"))) == 1
+
+    def test_all_four_tiers_reported_and_accumulating(self, harness):
+        """Regression: /healthz and the cache gauges knew the two plan
+        tiers only, and each executor counted kernel-disk events into a
+        throwaway object."""
+        from repro.codegen.cache import MODULES
+
+        MODULES.invalidate()      # process-wide: other tests fill it
+        before = harness.json("GET", "/healthz")["caches"]
+        assert set(before) == {"plan-memory", "plan-disk",
+                               "kernel-memory", "kernel-disk"}
+        for grid in ([2, 2], [4, 1]):     # one kernel key per machine
+            self._compiled_run(harness, grid)
+        MODULES.invalidate()
+        self._compiled_run(harness, [2, 2])
+        after = harness.json("GET", "/healthz")["caches"]
+        assert after["kernel-disk"]["misses"] == 2.0
+        assert after["kernel-disk"]["hits"] == 1.0
+        assert after["kernel-memory"]["misses"] == \
+            before["kernel-memory"]["misses"] + 3
+        scrape = harness.request("GET", "/metrics")[2].decode()
+        for cache in before:
+            assert 'repro_service_cache_events{cache="%s",' \
+                'event="misses"}' % cache in scrape
+        assert 'repro_service_cache_events{cache="kernel-disk",' \
+            'event="misses"} 2' in scrape
+
     def test_single_job_warm_body(self, harness):
         warmed = harness.json("POST", "/cache/warm", dict(FIVE_O2))
         assert len(warmed["warmed"]) == 1

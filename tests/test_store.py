@@ -1,0 +1,339 @@
+"""Contract of :mod:`repro.store`, the one mechanism behind every cache.
+
+Each guarantee is checked once, for every tier that makes it and — on
+the directory tier — for both codecs in use (plan JSON, kernel source),
+so the plan caches and the kernel caches cannot drift apart again.
+"""
+
+from __future__ import annotations
+
+import functools
+import multiprocessing
+import os
+import shutil
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.codegen import CodegenOptions, lower_plan
+from repro.codegen.cache import SOURCE_CODEC, kernel_key, source_store
+from repro.compiler import CompilerOptions, PersistentPlanCache, compile_hpf
+from repro.compiler.cache import PLAN_CODEC
+from repro.kernels import KERNELS
+from repro.machine import Machine
+from repro.store import Codec, DiskStore, MemoryStore, TieredStore
+
+SPEC = KERNELS["five_point"]
+CODECS = {"plan": PLAN_CODEC, "source": SOURCE_CODEC}
+FIXTURE = Path(__file__).parent / "fixtures" / "parent_cache"
+
+
+def _compile(n):
+    return compile_hpf(SPEC.source, bindings={"N": n}, level="O2",
+                       outputs=set(SPEC.outputs))
+
+
+@functools.lru_cache(maxsize=None)
+def values(kind: str) -> tuple:
+    """Six distinct values the ``kind`` codec files."""
+    programs = tuple(_compile(8 + 4 * i) for i in range(6))
+    if kind == "plan":
+        return programs
+    # generated source takes its extents as arguments: vary the factors
+    return tuple(lower_plan(programs[0].plan, CodegenOptions(tile=4 * i))
+                 for i in range(6))
+
+
+def make(tier: str, kind: str, path, bound: int = 64):
+    memory = MemoryStore(bound, label="t-memory")
+    if tier == "memory":
+        return memory
+    disk = DiskStore(path, CODECS[kind], max_entries=bound, label="t-disk")
+    return disk if tier == "disk" else TieredStore(memory, disk)
+
+
+def same(kind: str, a, b) -> bool:
+    """Equal as stored: the disk tier hands back a decoded copy."""
+    return CODECS[kind].encode(a) == CODECS[kind].encode(b)
+
+
+def backdate(path: Path, seconds: float) -> float:
+    stamp = time.time() - seconds
+    os.utime(path, (stamp, stamp))
+    return stamp
+
+
+@pytest.mark.parametrize("kind", ["plan", "source"])
+@pytest.mark.parametrize("tier", ["memory", "disk", "tiered"])
+class TestEveryTier:
+    def test_miss_then_hit_is_counted(self, tier, kind, tmp_path):
+        store, value = make(tier, kind, tmp_path), values(kind)[0]
+        assert store.get("k") is None
+        store.put("k", value)
+        assert same(kind, store.get("k"), value)
+        assert (store.stats.hits, store.stats.misses) == (1, 1)
+
+    def test_invalidate_one_then_all(self, tier, kind, tmp_path):
+        store = make(tier, kind, tmp_path)
+        tiers = 2 if tier == "tiered" else 1
+        for key, value in zip("abc", values(kind)):
+            store.put(key, value)
+        assert store.invalidate("a") == tiers
+        assert store.invalidate("a") == 0
+        assert store.get("a") is None
+        assert store.get("b") is not None
+        assert store.invalidate() == 2 * tiers
+        assert store.get("b") is None and store.get("c") is None
+        assert store.stats.invalidations == 3
+
+    def test_get_or_produce(self, tier, kind, tmp_path):
+        store = make(tier, kind, tmp_path)
+        first, other = values(kind)[:2]
+        calls = []
+
+        def produce():
+            calls.append(1)
+            return first
+
+        assert store.get_or_produce("k", produce) is first
+        assert same(kind, store.get_or_produce("k", produce), first)
+        assert len(calls) == 1
+        # a readable entry that is not this key's content is replaced
+        store.put("k", other)
+        got = store.get_or_produce(
+            "k", produce, accept=lambda v: same(kind, v, first))
+        assert got is first and len(calls) == 2
+        assert same(kind, store.get("k"), first)
+        assert store.stats.invalidations == 1
+
+    def test_eight_threads_lose_nothing(self, tier, kind, tmp_path):
+        """More threads than cores over disjoint keys, well inside the
+        bound: an entry can only vanish, or a counter fall short,
+        through a lost update."""
+        store, pool = make(tier, kind, tmp_path), values(kind)
+        threads, nkeys, ops = 8, 4, 40
+        errors = []
+        start = threading.Barrier(threads)
+
+        def hammer(tid):
+            try:
+                start.wait(30)
+                for op in range(ops):
+                    key = f"k{tid}-{op % nkeys}"
+                    if store.get(key) is None:
+                        store.put(key, pool[op % nkeys])
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        workers = [threading.Thread(target=hammer, args=(tid,))
+                   for tid in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in workers)
+        for tid in range(threads):
+            for i in range(nkeys):
+                assert same(kind, store.get(f"k{tid}-{i}"), pool[i])
+        counted = [store.memory, store.disk] if tier == "tiered" \
+            else [store]
+        # every key missed exactly once, in every tier it passed through
+        assert all(s.stats.misses == threads * nkeys for s in counted)
+        assert counted[0].stats.hits + counted[0].stats.misses == \
+            threads * (ops + nkeys)
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("kind", ["plan", "source"])
+@pytest.mark.parametrize("tier", ["memory", "disk"])
+def test_bound_evicts_least_recently_used(tier, kind, tmp_path):
+    store, pool = make(tier, kind, tmp_path, bound=3), values(kind)
+    for age, key in enumerate("abc"):
+        store.put(key, pool[age])
+        if tier == "disk":  # spread mtimes beyond filesystem resolution
+            backdate(store._file(key), 100 - age)
+    assert store.get("a") is not None        # "b" is now the oldest
+    store.put("d", pool[3])
+    store.put("e", pool[4])
+    assert len(store) == 3
+    assert store.get("b") is None and store.get("c") is None
+    assert store.get("a") is not None
+    evicted = store.stats.pruned if tier == "disk" \
+        else store.stats.evictions
+    assert evicted == 2
+
+
+def test_bounds_are_validated(tmp_path):
+    with pytest.raises(ValueError, match="maxsize"):
+        MemoryStore(0)
+    with pytest.raises(ValueError, match="max_entries"):
+        DiskStore(tmp_path, PLAN_CODEC, max_entries=0)
+
+
+def _racer(path: str, kind: str, rank: int) -> None:
+    """Child of the multi-process race: overwrite two shared keys with
+    alternating values and read them back.  The keys exist before the
+    race starts, so a miss means a torn or half-written entry."""
+    store, pool = DiskStore(path, CODECS[kind], max_entries=16), values(kind)
+    valid = {CODECS[kind].encode(v) for v in pool[:2]}
+    for i in range(30):
+        key = f"shared{(rank + i) % 2}"
+        store.put(key, pool[(rank + i) % 2])
+        got = store.get(key)
+        if got is None or CODECS[kind].encode(got) not in valid:
+            raise SystemExit(3)
+        store.put(f"own{rank}-{i}", pool[2])    # keeps every pruner busy
+
+
+@pytest.mark.parametrize("kind", ["plan", "source"])
+class TestDirectoryTier:
+    def test_processes_racing_one_directory(self, kind, tmp_path):
+        store = make("disk", kind, tmp_path, bound=16)
+        for key in ("shared0", "shared1"):
+            store.put(key, values(kind)[0])
+        ctx = multiprocessing.get_context("spawn")
+        procs = [ctx.Process(target=_racer,
+                             args=(str(tmp_path), kind, rank))
+                 for rank in range(4)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(180)
+            assert p.exitcode == 0
+        assert not list(tmp_path.glob("*.tmp"))
+        survivors = list(tmp_path.glob(f"*{CODECS[kind].suffix}"))
+        assert 0 < len(survivors) <= 16
+        for f in survivors:
+            CODECS[kind].decode(f.read_text())    # no torn entry
+
+    @pytest.mark.parametrize("damage", ["junk", "truncated", "empty"])
+    def test_unreadable_entry_is_a_miss_after_one_reread(
+            self, kind, damage, tmp_path):
+        codec, reads = CODECS[kind], []
+
+        def decode(text):
+            reads.append(text)
+            return codec.decode(text)
+
+        store = DiskStore(tmp_path, Codec(codec.suffix, codec.encode,
+                                          decode))
+        value = values(kind)[0]
+        store.put("k", value)
+        text = store._file("k").read_text()
+        store._file("k").write_text(
+            {"junk": "def broken(:", "empty": "",
+             "truncated": text[:len(text) // 2]}[damage])
+        assert store.get("k") is None
+        assert len(reads) == 2 and store.stats.misses == 1
+        store.put("k", value)                    # the owner recomputes
+        assert same(kind, store.get("k"), value)
+
+    def test_reread_sees_a_racing_writers_entry(self, kind, tmp_path):
+        codec, value = CODECS[kind], values(kind)[0]
+        failures = [ValueError("caught mid-replace")]
+
+        def decode(text):
+            if failures:
+                raise failures.pop()
+            return codec.decode(text)
+
+        store = DiskStore(tmp_path, Codec(codec.suffix, codec.encode,
+                                          decode))
+        store.put("k", value)
+        assert same(kind, store.get("k"), value)
+        assert (store.stats.hits, store.stats.misses) == (1, 0)
+
+    def test_hit_refreshes_mtime(self, kind, tmp_path):
+        store = make("disk", kind, tmp_path)
+        store.put("k", values(kind)[0])
+        old = backdate(store._file("k"), 500)
+        store.get("k")
+        assert store._file("k").stat().st_mtime > old + 400
+
+    def test_prune_order_is_mtime_then_name(self, kind, tmp_path):
+        """Entries sharing one (coarse) mtime are pruned in name order,
+        not directory order; pruning never decodes, so filler will do."""
+        suffix = CODECS[kind].suffix
+        names = [f"{i:02d}{'ab'[i % 2]}{suffix}" for i in range(20)]
+        stamp = time.time() - 50
+        for name in sorted(names, key=lambda n: n[::-1]):
+            (tmp_path / name).write_text("filler")
+            os.utime(tmp_path / name, (stamp, stamp))
+        backdate(tmp_path / names[0], 40)        # newer despite its name
+        store = make("disk", kind, tmp_path, bound=5)
+        store.put("new", values(kind)[0])
+        assert sorted(f.name for f in tmp_path.glob(f"*{suffix}")) == \
+            sorted([names[0], *names[-3:], f"new{suffix}"])
+        assert store.stats.pruned == 16
+
+    def test_open_sweeps_only_stale_tmp_litter(self, kind, tmp_path):
+        age = DiskStore.TMP_SWEEP_AGE
+        for name, seconds in (("dead", age + 30), ("live", age - 30),
+                              ("now", 0)):
+            (tmp_path / f"{name}.tmp").write_text("partial")
+            backdate(tmp_path / f"{name}.tmp", seconds)
+        store = make("disk", kind, tmp_path)
+        assert sorted(f.name for f in tmp_path.glob("*.tmp")) == \
+            ["live.tmp", "now.tmp"]
+        assert store.stats.tmp_swept == 1
+
+    def test_directory_written_by_the_parent_commit_is_warm(
+            self, kind, tmp_path):
+        """``tests/fixtures/parent_cache`` was written by the commit
+        before :mod:`repro.store` existed (``PersistentPlanCache`` and
+        ``KernelDiskCache`` of 6b6a7aa, five_point N=12 O2 on a 2x2
+        machine): key derivation, file names and file contents are the
+        compatibility surface.  A deliberate ``PLAN_SCHEMA_VERSION`` /
+        ``CODEGEN_VERSION`` / options-fingerprint change regenerates it
+        by running that compile and one ``backend="compiled",
+        jit="python"`` run against an empty directory."""
+        shutil.copytree(FIXTURE, tmp_path / "cache")
+        compiled = _compile(12)
+        if kind == "plan":
+            store = PersistentPlanCache(tmp_path / "cache")
+            key = store.key_for(
+                SPEC.source, "MAIN", {"N": 12},
+                CompilerOptions.make("O2", set(SPEC.outputs)))
+        else:
+            store = source_store(tmp_path / "cache" / "kernels")
+            key = kernel_key(compiled.plan, Machine(grid=(2, 2)),
+                             CodegenOptions())
+        assert [f.stem for f in store._entries()] == [key]
+        found = store.get(key)
+        assert store.stats.hits == 1
+        fresh = compiled if kind == "plan" \
+            else lower_plan(compiled.plan, CodegenOptions())
+        assert CODECS[kind].encode(found) == CODECS[kind].encode(fresh) \
+            == store._file(key).read_text()
+
+
+@pytest.mark.parametrize("kind", ["plan", "source"])
+class TestTiering:
+    def test_disk_hit_is_promoted(self, kind, tmp_path):
+        store, value = make("tiered", kind, tmp_path), values(kind)[0]
+        store.disk.put("k", value)
+        assert same(kind, store.get("k"), value)
+        assert len(store.memory) == 1
+        assert store.get("k") is store.get("k")    # served from memory
+        assert store.disk.stats.hits == 1
+
+    def test_put_writes_through(self, kind, tmp_path):
+        store, value = make("tiered", kind, tmp_path), values(kind)[0]
+        store.put("k", value)
+        assert store.memory.get("k") is value
+        assert same(kind, store.disk.get("k"), value)
+
+    def test_memory_only(self, kind):
+        store, value = TieredStore(MemoryStore()), values(kind)[0]
+        assert store.get("k") is None
+        store.put("k", value)
+        assert store.get("k") is value
+        assert store.invalidate() == 1
