@@ -95,8 +95,7 @@ def _job(args: argparse.Namespace, profile: bool = False):
     compile_job = CompileJob.from_argument(
         args.kernel, bindings=_parse_bindings(args.bind),
         outputs=args.output,
-        level=getattr(args, "opt", None) or args.level,
-        cse=getattr(args, "cse", False), plan_passes=args.plan_passes)
+        level=getattr(args, "opt", None) or args.level)
     if not hasattr(args, "grid"):
         return compile_job
     return RunJob(
@@ -309,8 +308,9 @@ def _source_flags() -> argparse.ArgumentParser:
                    metavar="NAME=VALUE",
                    help="bind a size parameter (repeatable; named "
                         "kernels default to N=64)")
-    p.add_argument("--level", default="O4",
-                   help="optimization level O0..O4 (default O4)")
+    p.add_argument("--level", default=None,
+                   help="optimization level: O0..O4 are the paper's "
+                        "ladder; default: the rung above, the full pipeline")
     p.add_argument("--output", action="append", default=[],
                    help="array live out of the routine (repeatable)")
     p.add_argument("--cache", action="store_true",
@@ -320,10 +320,6 @@ def _source_flags() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, metavar="PATH",
                    help="memoize compiled plans on disk under PATH "
                         "(survives across processes; overrides --cache)")
-    p.add_argument("--plan-passes", action="store_true",
-                   help="run the post-codegen plan optimizations: op "
-                        "scheduling, redundant-shift coalescing, dead "
-                        "alloc elimination")
     return p
 
 
@@ -377,12 +373,9 @@ _LEDGER_FLAG = dict(
     default=None, metavar="PATH",
     help="append this run (machine fingerprint, plan key, backend, "
          "factors, metrics) to the JSONL run ledger at PATH")
-_CSE_FLAG = dict(
-    action="store_true",
-    help="eliminate duplicate shifts during normalization")
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="HPF stencil compiler reproduction (Roth et al., "
@@ -392,7 +385,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("compile", parents=[source],
                        help="compile and report")
-    p.add_argument("--cse", **_CSE_FLAG)
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable JSON report instead of "
                         "prose")
@@ -406,7 +398,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("run", parents=[source, run],
                        help="compile and execute")
-    p.add_argument("--cse", **_CSE_FLAG)
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable JSON report instead of "
                         "prose")
@@ -496,8 +487,11 @@ def main(argv: list[str] | None = None) -> int:
                        help="regenerate the paper's exhibits")
     p.add_argument("name", choices=[*EXPERIMENTS, "all"])
     p.set_defaults(fn=cmd_experiments)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ReproError, OSError) as exc:

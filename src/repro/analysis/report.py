@@ -7,19 +7,8 @@ fused subgrid loop nests with their statements and memory profile.
 
 from __future__ import annotations
 
-from repro.plan.ops import Plan
-from repro.plan.printer import format_op, plan_to_text  # noqa: F401
+from repro.plan.printer import plan_to_text as describe_plan  # noqa: F401
 from repro.runtime.executor import ExecutionResult
-
-
-def describe_plan(plan: Plan) -> str:
-    """The generated SPMD program, annotated (Figure 16 style).
-
-    Thin alias of :func:`repro.plan.printer.plan_to_text`, kept for the
-    historic import path; ``format_op`` is re-exported the same way for
-    callers that render single ops.
-    """
-    return plan_to_text(plan)
 
 
 def describe_trace(tracer) -> str:

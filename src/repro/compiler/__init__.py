@@ -1,7 +1,8 @@
 """Compiler driver: pipeline levels, code generation, executable plans.
 
-The optimization levels map onto the paper's cumulative strategy
-(section 5, Figure 17):
+The optimization levels are one cumulative ladder: ``O0``..``O4`` map
+onto the paper's strategy (section 5, Figure 17), ``O5`` — the default
+of every entry point, :attr:`OptLevel.DEFAULT` — adds this repo's own:
 
 ========  =====================================================
 ``O0``    normalized naive translation (full CSHIFTs, one loop
@@ -10,6 +11,8 @@ The optimization levels map onto the paper's cumulative strategy
 ``O2``    + context partitioning and loop fusion (section 3.2)
 ``O3``    + communication unioning (section 3.3)
 ``O4``    + memory optimizations (section 3.4)
+``O5``    + shift CSE in the normalizer and the plan passes
+          (:mod:`repro.plan.passes`) — not in the paper
 ========  =====================================================
 """
 

@@ -79,7 +79,7 @@ def cache_key(source: str, name: str,
     identically and non-integral values raise instead of silently
     producing a unique key.  Every :class:`CompilerOptions` field
     participates via :meth:`CompilerOptions.fingerprint`, so toggling any
-    knob (level, outputs, cse, ...) misses rather than aliasing.
+    knob (level, outputs, unroll_jam, ...) misses rather than aliasing.
     """
     h = hashlib.sha256()
     for part in (source, "\x00", name, "\x00",

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import copy
+import math
 from contextlib import contextmanager
 from time import perf_counter
 
 from repro.compiler.codegen import CodeGenerator
 from repro.compiler.options import CompilerOptions, OptLevel
 from repro.plan import CompiledProgram, CompileReport, FullShiftOp, \
-    LoopNestOp, OverlapShiftOp
+    LoopNestOp, OverlapShiftOp, PlanPassManager, assert_plan_valid
 from repro.frontend.parser import parse_program
 from repro.ir.program import Program
 from repro.passes.comm_union import CommUnionPass
@@ -43,7 +44,8 @@ class HpfCompiler:
     def build_passes(self) -> list[Pass]:
         opts = self.options
         passes: list[Pass] = [
-            NormalizePass(pooled_temps=opts.pooled_temps, cse=opts.cse)]
+            NormalizePass(pooled_temps=opts.pooled_temps,
+                          cse=opts.level.cse)]
         if opts.level.offset_arrays:
             passes.append(OffsetArrayPass(
                 max_offset=opts.max_offset,
@@ -52,9 +54,6 @@ class HpfCompiler:
             passes.append(ContextPartitionPass())
         if opts.level.comm_union:
             passes.append(CommUnionPass())
-        if opts.hoist_comm:
-            from repro.passes.licm import CommMotionPass
-            passes.append(CommMotionPass())
         return passes
 
     # -- compilation --------------------------------------------------------
@@ -85,16 +84,14 @@ class HpfCompiler:
             # specialise it per machine
             key = cache.key_for(source, name, bindings, self.options)
             hit = cache.get(key)
-            if tracer is not None:
-                from repro.obs.tracer import coalesce
-                tr = coalesce(tracer)
-                if tr.enabled:
-                    with tr.span("plan-cache", kind="compile",
-                                 result="hit" if hit is not None
-                                 else "miss") as sp:
-                        for stat, value in \
-                                cache.stats.as_dict().items():
-                            sp.gauge(f"cache_{stat}", value)
+            from repro.obs.tracer import coalesce
+            tr = coalesce(tracer)
+            if tr.enabled:
+                with tr.span("plan-cache", kind="compile",
+                             result="hit" if hit is not None
+                             else "miss") as sp:
+                    for stat, value in cache.stats.as_dict().items():
+                        sp.gauge(f"cache_{stat}", value)
             if hit is not None:
                 return hit
         compiled = self._compile_uncached(source, bindings, name, tracer)
@@ -126,9 +123,10 @@ class HpfCompiler:
                     program = parse_program(source, bindings=bindings,
                                             name=name)
             trace = PassTrace() if self.options.keep_trace else None
-            passes = self.build_passes()
+            ast_passes = PassManager(self.build_passes(), trace,
+                                     tracer=tracer)
             with _timed(phase_hist, "passes"):
-                PassManager(passes, trace, tracer=tracer).run(program)
+                ast_passes.run(program)
             with tracer.span("verify-coverage", kind="analysis"), \
                     _timed(phase_hist, "verify-coverage"):
                 self._verify_coverage(program)
@@ -137,21 +135,17 @@ class HpfCompiler:
                 gen = CodeGenerator(program, self.options)
                 plan = gen.generate()
                 cg_span.gauge("statements_fused", gen.fused_statements)
-            if self.options.verify_plan:
-                from repro.plan import assert_plan_valid
-                with tracer.span("verify-plan", kind="analysis"), \
-                        _timed(phase_hist, "verify-plan"):
-                    assert_plan_valid(plan, phase="codegen")
-            plan_pass_stats = None
-            if self.options.plan_passes:
-                from repro.plan import PlanPassManager
-                manager = PlanPassManager(
-                    verify=self.options.verify_plan, tracer=tracer)
+            # the safety net that makes a miscompiling pass fail at
+            # compile time: here, and after every plan pass
+            with tracer.span("verify-plan", kind="analysis"), \
+                    _timed(phase_hist, "verify-plan"):
+                assert_plan_valid(plan, phase="codegen")
+            pass_stats = dict(ast_passes.stats)
+            if self.options.level.plan_passes:
                 with _timed(phase_hist, "plan-passes"):
-                    plan, plan_pass_stats = manager.run(plan)
-            report = self._build_report(program, plan, passes, gen)
-            if plan_pass_stats is not None:
-                report.pass_stats["plan-passes"] = plan_pass_stats
+                    plan, pass_stats["plan-passes"] = \
+                        PlanPassManager(tracer=tracer).run(plan)
+            report = self._build_report(plan, pass_stats, gen)
             if tracer.enabled:
                 span.attrs["source"] = program.name
                 span.gauge("overlap_shifts", report.overlap_shifts)
@@ -186,27 +180,22 @@ class HpfCompiler:
                 f"offset-array coverage verification failed "
                 f"({len(problems)} problem(s)):\n{detail}")
 
-    def _build_report(self, program: Program, plan, passes: list[Pass],
+    def _build_report(self, plan, pass_stats: dict[str, object],
                       gen: CodeGenerator) -> CompileReport:
-        report = CompileReport(level=self.options.level.name)
-        report.overlap_shifts = plan.count_ops(OverlapShiftOp)
-        report.full_shifts = plan.count_ops(FullShiftOp)
-        report.loop_nests = plan.count_ops(LoopNestOp)
-        report.fused_statements = gen.fused_statements
         temps = [d for d in plan.arrays.values() if d.is_temporary]
-        report.temporaries = len(temps)
-        report.temp_bytes_global = sum(
-            int(d.dtype.itemsize) * _prod(d.shape) for d in temps)
-        for p in passes:
-            stats = getattr(p, "stats", None)
-            if stats is not None:
-                report.pass_stats[p.name] = stats
+        offsets = pass_stats.get(OffsetArrayPass.name)
         if self.options.hpf_overhead:
-            report.pass_stats["hpf_overhead"] = True
-        for p in passes:
-            if isinstance(p, OffsetArrayPass):
-                report.copies_inserted = p.stats.copies_inserted
-        return report
+            pass_stats["hpf_overhead"] = True
+        return CompileReport(
+            level=self.options.level.name, pass_stats=pass_stats,
+            overlap_shifts=plan.count_ops(OverlapShiftOp),
+            full_shifts=plan.count_ops(FullShiftOp),
+            loop_nests=plan.count_ops(LoopNestOp),
+            fused_statements=gen.fused_statements,
+            copies_inserted=offsets.copies_inserted if offsets else 0,
+            temporaries=len(temps),
+            temp_bytes_global=sum(
+                int(d.dtype.itemsize) * math.prod(d.shape) for d in temps))
 
 
 @contextmanager
@@ -222,13 +211,6 @@ def _timed(hist, phase: str):
         hist.observe(perf_counter() - t0, phase=phase)
 
 
-def _prod(shape: tuple[int, ...]) -> int:
-    n = 1
-    for e in shape:
-        n *= e
-    return n
-
-
 def _resolve_cache(cache):
     """``None``/``False`` -> no caching; ``True`` -> process default;
     anything else is used as a :class:`PlanCache` directly."""
@@ -242,7 +224,7 @@ def _resolve_cache(cache):
 
 def compile_hpf(source: "str | Program",
                 bindings: dict[str, int] | None = None,
-                level: "OptLevel | int | str" = OptLevel.O4,
+                level: "OptLevel | int | str" = OptLevel.DEFAULT,
                 outputs: set[str] | None = None,
                 tracer=None,
                 cache=None,
@@ -256,7 +238,9 @@ def compile_hpf(source: "str | Program",
     bindings:
         Size parameters, e.g. ``{"N": 512}``.
     level:
-        ``"O0"`` .. ``"O4"`` (see :class:`~repro.compiler.OptLevel`).
+        ``"O0"`` .. ``"O4"`` are the paper's ladder, ``"O5"`` (the
+        default) adds shift CSE and the plan passes; see
+        :class:`~repro.compiler.OptLevel`.
     outputs:
         Names of arrays live out of the routine; lets the offset-array
         optimization drop dead temporaries (paper section 4.2).

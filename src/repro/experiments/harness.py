@@ -17,13 +17,6 @@ PAPER_GRID: tuple[int, ...] = (2, 2)
 DEFAULT_SIZES: tuple[int, ...] = (128, 256, 512, 1024)
 
 
-def seeded_grid(n: int, seed: int = 7, ndim: int = 2,
-                dtype=np.float32) -> np.ndarray:
-    """Deterministic input field for experiments."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n,) * ndim).astype(dtype)
-
-
 def run_on_machine(compiled: CompiledProgram,
                    grid: tuple[int, ...] = PAPER_GRID,
                    inputs: dict[str, np.ndarray] | None = None,

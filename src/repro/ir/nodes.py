@@ -19,7 +19,7 @@ subscripts are 1-based inclusive ranges.  Offset vectors in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.errors import SemanticError

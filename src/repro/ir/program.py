@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import PipelineError, SemanticError
+from repro.errors import PipelineError
 from repro.ir.nodes import (
     Allocate, ArrayAssign, ArrayRef, Deallocate, DoLoop, DoWhile, Expr,
     If, OffsetRef, OverlapShift, ScalarAssign, Stmt, array_names,

@@ -37,22 +37,22 @@ class CompileJob:
 
     ``kernel`` is the registry name when the job named one (responses
     and ledger records carry it as a label); ``outputs`` is ``None``
-    for "keep every array live".
+    for "keep every array live"; ``level`` is ``None`` for the
+    compiler's default level and holds that level's name afterwards.
     """
 
     source: str
     bindings: dict[str, int]
     outputs: "set[str] | None"
-    level: str = "O4"
-    cse: bool = False
-    plan_passes: bool = False
+    level: "str | None" = None
     kernel: "str | None" = None
     include_plan: bool = False
 
     def __post_init__(self) -> None:
         from repro.compiler import OptLevel
         try:
-            OptLevel.parse(self.level)
+            self.level = OptLevel.parse(
+                OptLevel.DEFAULT if self.level is None else self.level).name
         except (KeyError, ValueError, AttributeError):
             raise UsageError(
                 f"level must be one of "
@@ -106,9 +106,7 @@ class CompileJob:
         """The :class:`~repro.compiler.CompilerOptions` of this job;
         ``extra`` sets the remaining fields (``keep_trace``, ...)."""
         from repro.compiler import CompilerOptions
-        return CompilerOptions.make(
-            self.level, self.outputs,
-            **{"cse": self.cse, "plan_passes": self.plan_passes, **extra})
+        return CompilerOptions.make(self.level, self.outputs, **extra)
 
     def cache_key(self, cache) -> str:
         """The key ``cache`` files this compilation under."""

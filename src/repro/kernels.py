@@ -289,7 +289,7 @@ def _spec(name: str, source: str, *outputs: str,
 #: Kernels addressable by name from the CLI.  The ``jacobi``,
 #: ``red_black`` and ``cg`` entries are whole solvers whose DO loop is
 #: part of the compiled plan — the coverage targets of the loop-aware
-#: plan passes (``plan_passes=True``).
+#: plan passes of the default level.
 KERNELS: dict[str, KernelSpec] = {
     spec.name: spec for spec in [
         _spec("five_point", FIVE_POINT_ARRAY_SYNTAX, "DST"),
@@ -322,10 +322,12 @@ def resolve_kernel(name: str) -> KernelSpec:
 
 
 def compile_kernel(name: str, bindings: dict[str, int] | None = None,
-                   level: str = "O4", cache=None, tracer=None,
+                   level: "str | None" = None, cache=None, tracer=None,
                    **options):
     """Compile a registry kernel by name (with its declared outputs).
 
+    ``level=None`` (here and in :func:`run_kernel`) is the compiler's
+    default, :attr:`repro.compiler.OptLevel.DEFAULT`.
     ``cache`` is forwarded to :func:`repro.compiler.compile_hpf` — pass
     ``True`` (process default) or a ``PlanCache`` to memoize sweeps that
     recompile the same kernel.
@@ -337,7 +339,7 @@ def compile_kernel(name: str, bindings: dict[str, int] | None = None,
 
 def run_kernel(name: str, grid: tuple[int, ...] = (2, 2),
                bindings: dict[str, int] | None = None,
-               level: str = "O4", backend: str = "perpe",
+               level: "str | None" = None, backend: str = "perpe",
                iterations: int = 1, seed: int = 0, machine=None,
                cache=None, tracer=None, profile: bool = False,
                workers: int | None = None,

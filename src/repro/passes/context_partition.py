@@ -68,12 +68,6 @@ class TypedFusionResult:
     group_class: list[Hashable]
     edges: list[DepEdge] = field(default_factory=list)
 
-    def group_of(self, stmt_index: int) -> int:
-        for g, members in enumerate(self.groups):
-            if stmt_index in members:
-                return g
-        raise KeyError(stmt_index)
-
 
 def typed_fusion(statements: list[Stmt], program: Program,
                  edges: list[DepEdge] | None = None) -> TypedFusionResult:

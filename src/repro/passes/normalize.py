@@ -65,21 +65,21 @@ class NormalizePass(Pass):
     name = "normalize"
 
     def __init__(self, pooled_temps: bool = True,
-                 emit_alloc: bool = True, cse: bool = False) -> None:
+                 cse: bool = False) -> None:
         """``cse`` enables common-subexpression elimination of identical
         shifts within one statement — the hand transformation the paper
         credits Problem 9's author with ("removing four duplicate CSHIFTs
         from the original specification", section 4): the 12 shifts of
-        the single-statement 9-point stencil drop to 8.  Off by default
-        so the naive baseline models CSE-less compilers faithfully."""
+        the single-statement 9-point stencil drop to 8.  On from ``O5``;
+        the paper's levels and the naive baseline model CSE-less
+        compilers faithfully."""
         self.pooled_temps = pooled_temps
-        self.emit_alloc = emit_alloc
         self.cse = cse
 
     def run(self, program: Program) -> None:
         pool = _TempPool(program.symbols, pooled=self.pooled_temps)
         program.body = self._normalize_block(program, program.body, pool)
-        if self.emit_alloc and pool.all_names:
+        if pool.all_names:
             program.body.insert(0, Allocate(pool.all_names))
             program.body.append(Deallocate(pool.all_names))
 

@@ -1,5 +1,7 @@
 """Pass framework: ordered pipeline with validation, IR traces, and
-per-pass observability (timings + IR-delta stats)."""
+per-pass observability (timings + IR-delta stats).  One
+:class:`PassManager` drives both IR levels — the AST passes of this
+package and the plan passes of :mod:`repro.plan.passes`."""
 
 from __future__ import annotations
 
@@ -7,6 +9,7 @@ import abc
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import PipelineError
 from repro.ir.nodes import (
@@ -17,13 +20,15 @@ from repro.ir.program import Program
 
 
 class Pass(abc.ABC):
-    """One program transformation.  Subclasses set :attr:`name` and
-    implement :meth:`run`, mutating the program in place."""
+    """One IR transformation.  Subclasses set :attr:`name` and implement
+    :meth:`run`, which either rewrites its IR in place and returns
+    ``None`` (the AST passes; counters on ``self.stats``) or returns
+    ``(new_ir, {stat: int})`` (the plan passes: plans are immutable)."""
 
     name: str = "pass"
 
     @abc.abstractmethod
-    def run(self, program: Program) -> None:
+    def run(self, ir):
         ...
 
 
@@ -112,61 +117,78 @@ class PassTrace:
 
 
 def _public_stats(stats: object) -> dict[str, float]:
-    """Numeric fields of a pass's stats dataclass, for span counters."""
-    out: dict[str, float] = {}
+    """Numeric entries of a pass's stats (a dataclass or a plain
+    ``{name: int}`` dict), for span counters."""
     if stats is None:
-        return out
+        return {}
     if dataclasses.is_dataclass(stats):
-        for f in dataclasses.fields(stats):
-            value = getattr(stats, f.name)
-            if isinstance(value, bool):
-                out[f.name] = float(value)
-            elif isinstance(value, (int, float)):
-                out[f.name] = float(value)
-            elif isinstance(value, (list, tuple, set)):
-                out[f.name] = float(len(value))
+        stats = {f.name: getattr(stats, f.name)
+                 for f in dataclasses.fields(stats)}
+    out: dict[str, float] = {}
+    for name, value in stats.items():
+        if isinstance(value, (bool, int, float)):
+            out[name] = float(value)
+        elif isinstance(value, (list, tuple, set)):
+            out[name] = float(len(value))
     return out
 
 
 @dataclass
 class PassManager:
-    """Runs a pass list in order, validating the IR after every step.
+    """Runs a pass list in order over one IR, validating after every
+    step — the one pass loop of the compiler, at both IR levels.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`) gets one ``pass:<name>``
-    span per pass, carrying wall-clock time, the pass's own stats
-    counters, and the IR-shape delta the pass caused.
+    ``validate(ir)`` raises a :class:`~repro.errors.PipelineError` when
+    a pass broke the IR (re-raised naming the pass) and ``shape(ir)`` is
+    the coarse ``{name: count}`` profile whose per-pass delta is
+    reported; the defaults are the AST's,
+    :class:`repro.plan.PlanPassManager` configures the plan's.
+    ``tracer`` (a :class:`repro.obs.Tracer`) gets one ``<kind>:<name>``
+    span per pass with wall-clock time, the pass's own stats counters
+    and that delta.  After :meth:`run`, ``stats`` maps the name of each
+    pass that keeps stats to them.
     """
 
-    passes: list[Pass]
+    passes: list
     trace: PassTrace | None = None
     tracer: object | None = None
+    validate: Callable[[object], None] = Program.validate
+    shape: Callable[[object], dict[str, int]] = ir_stats
+    kind: str = "pass"
+    stats: dict[str, object] = field(default_factory=dict, init=False)
 
-    def run(self, program: Program) -> Program:
+    def run(self, ir):
         from repro.obs.tracer import coalesce
         tracer = coalesce(self.tracer)
         if self.trace is not None:
-            self.trace.record("input", program)
-        before = ir_stats(program) if tracer.enabled else None
+            self.trace.record("input", ir)
+        before = self.shape(ir) if tracer.enabled else None
         for p in self.passes:
-            with tracer.span(f"pass:{p.name}", kind="pass") as span:
+            with tracer.span(f"{self.kind}:{p.name}",
+                             kind=self.kind) as span:
                 t0 = time.perf_counter()
                 try:
-                    p.run(program)
-                    program.validate()
+                    result = p.run(ir)
+                    if result is None:
+                        stats = getattr(p, "stats", None)
+                    else:
+                        ir, stats = result
+                    self.validate(ir)
                 except PipelineError as exc:
-                    raise PipelineError(
-                        f"after pass {p.name}: {exc}") from exc
+                    raise type(exc)(
+                        f"after {self.kind} {p.name}: {exc}") from exc
                 elapsed = time.perf_counter() - t0
-                stats = getattr(p, "stats", None)
                 if tracer.enabled:
-                    after = ir_stats(program)
+                    after = self.shape(ir)
                     for key, value in after.items():
                         span.gauge(f"ir.{key}", value)
                         span.gauge(f"ir.{key}_delta", value - before[key])
                     before = after
                     for key, value in _public_stats(stats).items():
                         span.gauge(key, value)
+            if stats is not None:
+                self.stats[p.name] = stats
             if self.trace is not None:
-                self.trace.record(p.name, program, elapsed_s=elapsed,
+                self.trace.record(p.name, ir, elapsed_s=elapsed,
                                   stats=stats)
-        return program
+        return ir

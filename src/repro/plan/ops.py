@@ -398,7 +398,7 @@ class Plan:
 class CompileReport:
     """Static facts about the compiled plan, for experiments/tests."""
 
-    level: str = "O4"
+    level: str
     shift_statements: int = 0
     overlap_shifts: int = 0
     full_shifts: int = 0

@@ -59,7 +59,8 @@ Five passes ship, run in this order by :func:`default_plan_passes`:
     because temporaries are only named during codegen.
 
 Every pass is verified by :mod:`repro.plan.verify` after it runs (the
-:class:`PlanPassManager` enforces this), so a miscompiling pass fails
+:class:`PlanPassManager` — the shared pass manager, configured for
+plans — enforces this unconditionally), so a miscompiling pass fails
 loudly at compile time instead of corrupting results.  The loop-aware
 passes never change observable arrays (``plan.outputs``), scalars, or
 the cross-backend equivalence contract — they only reduce modelled
@@ -69,8 +70,8 @@ communication and copying (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
-from repro.errors import PlanVerificationError
 from repro.ir.nodes import OffsetRef, ScalarRef
 from repro.ir.rsd import RSD
 from repro.plan.ops import (
@@ -78,16 +79,8 @@ from repro.plan.ops import (
     OverlappedOp, OverlapShiftOp, Plan, PlanOp, Region, ScalarAssignOp,
     SeqLoopOp, SwapOp, WhileOp, map_regions, walk,
 )
-from repro.plan.verify import verify_plan
-
-
-class PlanPass:
-    """Base class: a plan-to-plan rewrite with integer stats."""
-
-    name = "plan-pass"
-
-    def run(self, plan: Plan) -> tuple[Plan, dict[str, int]]:
-        raise NotImplementedError
+from repro.passes.pass_manager import Pass as PlanPass, PassManager
+from repro.plan.verify import assert_plan_valid
 
 
 # ---------------------------------------------------------------------------
@@ -685,32 +678,25 @@ def default_plan_passes() -> list[PlanPass]:
             DeadAllocElimPass()]
 
 
-class PlanPassManager:
-    """Runs plan passes in order, verifying the plan after each one."""
+def plan_shape(plan: Plan) -> dict[str, int]:
+    """Coarse shape of a plan — the plan-level analogue of
+    :func:`repro.passes.pass_manager.ir_stats`."""
+    return {"ops": sum(1 for _ in plan.walk_ops()),
+            "overlap_shifts": plan.count_ops(OverlapShiftOp),
+            "arrays": len(plan.arrays)}
+
+
+class PlanPassManager(PassManager):
+    """The compiler's one :class:`~repro.passes.PassManager` configured
+    for plans: the default pass list, the plan verifier after every
+    pass, ``plan-pass:<name>`` spans with :func:`plan_shape` deltas."""
 
     def __init__(self, passes: list[PlanPass] | None = None,
-                 verify: bool = True, tracer=None) -> None:
-        self.passes = default_plan_passes() if passes is None else passes
-        self.verify = verify
-        self.tracer = tracer
+                 tracer=None) -> None:
+        super().__init__(
+            default_plan_passes() if passes is None else passes,
+            tracer=tracer, shape=plan_shape, kind="plan-pass",
+            validate=partial(assert_plan_valid, phase="the pass"))
 
     def run(self, plan: Plan) -> tuple[Plan, dict[str, dict[str, int]]]:
-        from repro.obs.tracer import coalesce
-        tracer = coalesce(self.tracer)
-        stats: dict[str, dict[str, int]] = {}
-        for p in self.passes:
-            with tracer.span(f"plan-pass:{p.name}", kind="plan-pass") \
-                    as span:
-                plan, pstats = p.run(plan)
-                stats[p.name] = pstats
-                if tracer.enabled:
-                    for k, v in pstats.items():
-                        span.count(k, v)
-            if self.verify:
-                problems = verify_plan(plan)
-                if problems:
-                    shown = "\n  ".join(str(pr) for pr in problems[:8])
-                    raise PlanVerificationError(
-                        f"plan pass {p.name!r} broke the plan: "
-                        f"{len(problems)} problem(s)\n  {shown}")
-        return plan, stats
+        return super().run(plan), self.stats

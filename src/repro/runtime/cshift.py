@@ -38,7 +38,6 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.machine.machine import Machine
 from repro.runtime.darray import DArray
-from repro.runtime.distribution import Layout
 from repro.runtime.overlap import overlap_shift
 
 

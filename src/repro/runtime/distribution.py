@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from repro.errors import MachineError
-from repro.ir.types import DistKind, Distribution
+from repro.ir.types import Distribution
 from repro.machine.topology import ProcessorGrid
 
 

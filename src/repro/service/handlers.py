@@ -320,6 +320,12 @@ async def handle_cache_evict(state: ServiceState,
         raise JobError(
             "evict body must be {'key': <cache key>} or {'all': true}")
     key = doc.get("key")
+    if "key" in doc:
+        from repro.store import check_key
+        try:
+            check_key(key)
+        except ValueError as exc:
+            raise JobError(f"field 'key': {exc}") from None
     state.plan_docs.invalidate(key)
     dropped = {"tiers": {}}
     # a single key names a plan; kernels are filed under their own keys

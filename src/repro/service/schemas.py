@@ -77,7 +77,7 @@ def _float_map(doc: dict, name: str) -> dict[str, float]:
 
 _COMPILE_FIELDS: dict[str, type] = {
     "kernel": str, "source": str, "bindings": dict, "outputs": list,
-    "level": str, "cse": bool, "plan_passes": bool, "include_plan": bool,
+    "level": str, "include_plan": bool,
 }
 
 _RUN_ONLY_FIELDS: dict[str, type] = {
@@ -101,13 +101,14 @@ def parse_compile_job(doc: object) -> CompileJob:
 
 
 def _compile_job(doc: dict) -> CompileJob:
+    # an absent level is the compiler's default; a null one is not a level
+    if "level" in doc and doc["level"] is None:
+        raise JobError("field 'level' must be str, got NoneType")
     with _job_errors():
         return CompileJob.resolve(
             kernel=doc.get("kernel"), source=doc.get("source"),
             bindings=_int_map(doc, "bindings"),
-            outputs=doc.get("outputs"), level=doc.get("level", "O4"),
-            cse=bool(doc.get("cse", False)),
-            plan_passes=bool(doc.get("plan_passes", False)),
+            outputs=doc.get("outputs"), level=doc.get("level"),
             include_plan=bool(doc.get("include_plan", False)))
 
 

@@ -113,8 +113,23 @@ class MemoryStore(_Store):
             return dropped
 
 
+def check_key(key: object) -> str:
+    """``key`` when it can name an entry file: one path component (the
+    stores' own keys are sha256 hex digests).  Keys arrive from outside
+    the program (``POST /cache/evict``), and anything else — a
+    separator, ``""``, a NUL, a non-string — would resolve outside the
+    store directory or fail inside an ``os`` call."""
+    if not isinstance(key, str) or not key or "\0" in key \
+            or Path(key).name != key:
+        raise ValueError(
+            f"store key must be a single path component, got {key!r}")
+    return key
+
+
 class DiskStore(_Store):
-    """Bounded directory of ``codec``-encoded entries, one file per key."""
+    """Bounded directory of ``codec``-encoded entries, one file per key
+    (every key is checked by :func:`check_key` before the filesystem is
+    touched)."""
 
     #: Seconds a ``*.tmp`` file must be untouched before the opening
     #: sweep treats it as orphaned rather than a live writer's scratch.
@@ -140,7 +155,7 @@ class DiskStore(_Store):
         return n
 
     def _file(self, key: str) -> Path:
-        return self.path / f"{key}{self.codec.suffix}"
+        return self.path / f"{check_key(key)}{self.codec.suffix}"
 
     def _entries(self):
         return self.path.glob(f"*{self.codec.suffix}")
@@ -214,12 +229,12 @@ class DiskStore(_Store):
         return None
 
     def put(self, key: str, value) -> None:
-        text = self.codec.encode(value)
+        target, text = self._file(key), self.codec.encode(value)
         fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
                 f.write(text)
-            os.replace(tmp, self._file(key))
+            os.replace(tmp, target)
         except BaseException:
             self._unlink([Path(tmp)])
             raise

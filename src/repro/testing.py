@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.compiler.driver import compile_hpf
+from repro.compiler.options import OptLevel
 from repro.frontend.parser import parse_program
 from repro.machine.machine import Machine
 from repro.runtime.reference import evaluate
@@ -144,8 +145,8 @@ def random_inputs(seed: int, program: GeneratedProgram,
 
 def differential_check(program: GeneratedProgram,
                        inputs: dict[str, np.ndarray],
-                       levels: tuple[str, ...] = ("O0", "O1", "O2", "O3",
-                                                  "O4"),
+                       levels: tuple[str, ...] = tuple(
+                           lv.name for lv in OptLevel),
                        grids: tuple[tuple[int, ...], ...] = ((2, 2),),
                        rtol: float = 1e-6) -> None:
     """Run the program at every level/grid; raise on any divergence
@@ -214,19 +215,6 @@ def plan_roundtrip_check(compiled, inputs: dict[str, np.ndarray],
             assert a.report.pe_times == b.report.pe_times, ctx
 
 
-#: Backends every equivalence sweep covers, with the extra run kwargs
-#: each needs (the parallel backend runs 2 worker processes so the
-#: round-robin PE ownership split, the collective channel, and the
-#: barrier schedule are actually exercised; the compiled backend runs
-#: its generated kernels — see :func:`preferred_test_jit`).
-EQUIVALENCE_BACKENDS: tuple[tuple[str, dict], ...] = (
-    ("perpe", {}),
-    ("vectorized", {}),
-    ("parallel", {"workers": 2}),
-    ("compiled", {}),
-)
-
-
 def preferred_test_jit() -> str:
     """The jit mode equivalence sweeps run the compiled backend under.
 
@@ -285,14 +273,23 @@ def equivalence_backends(
     return tuple(sweep)
 
 
+#: Backends every equivalence sweep covers, with the extra run kwargs
+#: each needs (the parallel backend runs 2 worker processes so the
+#: round-robin PE ownership split, the collective channel, and the
+#: barrier schedule are actually exercised; the compiled backend runs
+#: its generated kernels — see :func:`preferred_test_jit`).
+EQUIVALENCE_BACKENDS = equivalence_backends()
+
+
 def backend_equivalence_check(program: GeneratedProgram,
                               inputs: dict[str, np.ndarray],
-                              levels: tuple[str, ...] = ("O0", "O2", "O4"),
+                              levels: tuple[str, ...] = (
+                                  "O0", "O2", OptLevel.DEFAULT.name),
                               grids: tuple[tuple[int, ...], ...] = ((2, 2),),
                               iterations: int = 1,
                               backends: tuple[tuple[str, dict], ...] =
                               EQUIVALENCE_BACKENDS,
-                              compile_options: dict | None = None) -> None:
+                              outputs: "set[str] | None" = None) -> None:
     """Run under every execution backend at every level/grid; demand
     bitwise-identical arrays and scalars AND identical cost accounting
     (message/byte/copy counts, per-PE times, peak memory) AND an
@@ -317,17 +314,15 @@ def backend_equivalence_check(program: GeneratedProgram,
     identical across backends; wall-clock and backend-local series are
     excluded by construction via the invariant tag.
 
-    ``compile_options`` forwards extra keyword options (e.g.
-    ``plan_passes=True``) to every ``compile_hpf`` call; an ``outputs``
-    key overrides the default (every program array observable) so loop
-    passes that require a dead scratch array can fire.
+    ``outputs`` overrides the default (every program array
+    observable) so loop passes that require a dead scratch array can
+    fire.
     """
     from repro.obs import metrics as _metrics
-    opts = dict(compile_options or {})
-    outs = opts.pop("outputs", set(program.arrays))
     for level in levels:
         compiled = compile_hpf(program.source, bindings=program.bindings,
-                               level=level, outputs=outs, **opts)
+                               level=level,
+                               outputs=outputs or set(program.arrays))
         for grid in grids:
             results = {}
             logs = {}

@@ -27,6 +27,14 @@ class TestOptLevel:
         assert not OptLevel.O2.comm_union
         assert OptLevel.O3.comm_union and not OptLevel.O3.memopt
         assert OptLevel.O4.memopt
+        # the paper's ladder never runs this repo's own extensions
+        assert not OptLevel.O4.cse and not OptLevel.O4.plan_passes
+        assert OptLevel.O5.cse and OptLevel.O5.plan_passes
+
+    def test_the_default_is_the_top_rung(self):
+        assert OptLevel.DEFAULT is OptLevel.O5 is max(OptLevel)
+        assert CompilerOptions().level is OptLevel.DEFAULT
+        assert CompilerOptions.make().level is OptLevel.DEFAULT
 
     def test_bad_level(self):
         with pytest.raises(KeyError):
@@ -37,6 +45,21 @@ class TestOptions:
     def test_outputs_uppercased(self):
         opts = CompilerOptions.make("O4", outputs={"t"})
         assert opts.outputs == frozenset({"T"})
+
+    @pytest.mark.parametrize("retired", [
+        {"hoist_comm": True}, {"cse": True}, {"verify_plan": False}])
+    def test_retired_switches_are_type_errors(self, retired):
+        with pytest.raises(TypeError, match=next(iter(retired))):
+            CompilerOptions.make("O4", **retired)
+
+    def test_legacy_plan_passes_keyword_means_at_least_the_default(self):
+        """Kept for the frozen benchmark harness only."""
+        opts = CompilerOptions.make("O4", plan_passes=True)
+        assert opts.level is OptLevel.DEFAULT and opts.plan_passes
+        assert opts == CompilerOptions.make()
+        paper = CompilerOptions.make("O4", plan_passes=False)
+        assert paper.level is OptLevel.O4 and not paper.plan_passes
+        assert "plan_passes" not in paper.fingerprint()
 
     def test_pipeline_composition(self):
         assert len(HpfCompiler.at_level("O0").build_passes()) == 1

@@ -4,7 +4,7 @@ and the disabled path stays a no-op."""
 
 import pytest
 
-from repro.compiler import PlanCache, compile_hpf
+from repro.compiler import OptLevel, PlanCache, compile_hpf
 from repro.kernels import KERNELS, run_kernel
 from repro.machine import Machine
 from repro.obs import metrics as m
@@ -33,7 +33,8 @@ class TestLayerCoverage:
         phases = {k[0][1] for k, _ in hist.samples()}
         assert {"parse", "passes", "codegen", "total"} <= phases
         assert not hist.deterministic
-        assert reg.get("repro_compiles_total").value(level="O4") == 1.0
+        assert reg.get("repro_compiles_total").value(
+            level=OptLevel.DEFAULT.name) == 1.0
         ops = reg.get("repro_compile_plan_ops_total")
         assert ops.value(kind="loop_nest") >= 1.0
 

@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
 from benchmarks import golden_plans  # noqa: E402
 
+from repro.compiler import OptLevel  # noqa: E402
 from repro.kernels import KERNELS  # noqa: E402
 from repro.plan import PLAN_SCHEMA_VERSION  # noqa: E402
 
@@ -27,11 +28,17 @@ def test_checked_in_goldens_match_compiler():
 
 
 def test_manifest_covers_every_named_kernel():
+    """Every kernel at the paper's O4, the loop-carrying solvers at the
+    default level too, and a file for exactly those documents."""
     manifest = json.loads(golden_plans.MANIFEST.read_text())
-    expected = sorted(set(KERNELS) | {
-        f"{name}+passes" for name in golden_plans.LOOP_KERNELS})
-    assert manifest["kernels"] == expected
+    default = OptLevel.DEFAULT.name
+    expected = sorted(
+        [f"{name}.O4" for name in KERNELS]
+        + [f"{name}.{default}" for name in ("cg", "jacobi", "red_black")])
+    assert manifest["documents"] == expected
     assert manifest["schema"] == PLAN_SCHEMA_VERSION
+    assert sorted(p.stem for p in golden_plans.GOLDEN_DIR.glob("*.json")
+                  if p != golden_plans.MANIFEST) == expected
 
 
 def test_check_fails_on_drifted_golden(tmp_path, monkeypatch):

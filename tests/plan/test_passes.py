@@ -1,27 +1,33 @@
 """Plan passes: scheduling, shift coalescing, dead-alloc elimination.
 
-The safety contract under test: with ``plan_passes=True``, no named
-kernel at any optimization level sends more messages or bytes than the
-unoptimized plan (checked against the executed cost accounting, not
-static op counts), results stay bitwise identical, and the passes remove
-redundancy the AST-level pipeline cannot see.
+The safety contract under test: run over the plan of any named kernel
+at any paper level (the default level runs them itself), the passes
+never send more messages or bytes than the unoptimized plan (checked
+against the executed cost accounting, not static op counts), results
+stay bitwise identical, and the passes remove redundancy the AST-level
+pipeline cannot see.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.compiler import compile_hpf
 from repro.errors import PlanVerificationError
-from repro.kernels import KERNELS, compile_kernel, run_kernel
+from repro.job import CompileJob, MachineSpec, RunJob
+from repro.kernels import KERNELS, compile_kernel
 from repro.machine import Machine
 from repro.plan import (
     AllocOp, CoalesceShiftsPass, CondOp, DeadAllocElimPass, FreeOp,
     HoistInvariantShiftsPass, OverlappedOp, OverlapShiftOp,
     PingPongElimPass, PlanPass, PlanPassManager, SchedulePass, SeqLoopOp,
-    SwapOp, WhileOp, verify_plan,
+    SwapOp, WhileOp, verify_plan, walk,
 )
 
+from tests.passes.test_licm import VARCOEFF
 from tests.plan.helpers import (
     OffsetRef, copy_nest, decl, nest, scalar_true, simple_plan,
 )
@@ -29,6 +35,13 @@ from tests.plan.helpers import (
 
 def shift(array: str = "U", s: int = 1, dim: int = 1, **kw):
     return OverlapShiftOp(array=array, shift=s, dim=dim, **kw)
+
+
+def with_plan_passes(compiled):
+    """``compiled`` (a paper-level compilation) with the default plan
+    passes run over its plan."""
+    plan, _ = PlanPassManager().run(compiled.plan)
+    return dataclasses.replace(compiled, plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +183,28 @@ def test_manager_verifies_after_each_pass():
 
 
 def test_manager_reports_stats_into_compile_report():
-    compiled = compile_kernel("purdue9", bindings={"N": 16},
-                              plan_passes=True)
+    compiled = compile_kernel("purdue9", bindings={"N": 16})
     stats = compiled.report.pass_stats["plan-passes"]
     assert set(stats) == {"schedule", "hoist-invariant-shifts",
                           "pingpong-elim", "coalesce-shifts",
                           "dead-alloc"}
+    paper = compile_kernel("purdue9", bindings={"N": 16}, level="O4")
+    assert "plan-passes" not in paper.report.pass_stats
+
+
+def test_manager_spans_carry_stats_and_plan_shape_delta():
+    """The plan passes run under the same manager as the AST passes:
+    one span per pass with the pass's stats and the IR-shape delta."""
+    from repro.obs import Tracer
+    tracer = Tracer()
+    compile_kernel("jacobi", bindings={"N": 16, "NITER": 4},
+                   tracer=tracer)
+    span = tracer.find("plan-pass:hoist-invariant-shifts")
+    assert span.kind == "plan-pass"
+    assert span.counters["hoisted_shifts"] == 4
+    assert span.counters["ir.overlap_shifts_delta"] == 0  # moved, kept
+    assert tracer.find("plan-pass:pingpong-elim") \
+        .counters["ir.ops_delta"] == 1  # the preheader seed copy
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +214,18 @@ def test_manager_reports_stats_into_compile_report():
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 @pytest.mark.parametrize("level", ["O0", "O2", "O4"])
 def test_passes_never_increase_messages_or_bytes(kernel, level):
-    n = {"N": 12}
-    base = run_kernel(kernel, bindings=n, level=level)
-    opt = run_kernel(kernel, bindings=n, level=level, plan_passes=True)
+    job = RunJob(CompileJob.resolve(kernel=kernel, bindings={"N": 12},
+                                    level=level), MachineSpec())
+    compiled = job.compile.compile()
+    optimized = with_plan_passes(compiled)
+    base = job.execute(compiled, job.machine.build())
+    opt = job.execute(optimized, job.machine.build())
     b, o = base.report.summary(), opt.report.summary()
     assert o["messages"] <= b["messages"], (kernel, level, b, o)
     assert o["message_bytes"] <= b["message_bytes"], (kernel, level)
     # a dead scratch consumed by a ping-pong swap holds unspecified
     # values afterwards; everything else must stay bitwise identical
-    plan = compile_kernel(kernel, bindings=n, level=level,
-                          plan_passes=True).plan
+    plan = optimized.plan
     swapped = {name for op in plan.walk_ops() if isinstance(op, SwapOp)
                for name in (op.a, op.b)} - set(plan.outputs or ())
     for name in set(base.arrays) - swapped:
@@ -204,9 +235,12 @@ def test_passes_never_increase_messages_or_bytes(kernel, level):
 
 @pytest.mark.parametrize("backend", ["perpe", "vectorized"])
 def test_passes_preserve_results_on_both_backends(backend):
-    base = run_kernel("purdue9", bindings={"N": 16}, backend=backend)
-    opt = run_kernel("purdue9", bindings={"N": 16}, backend=backend,
-                     plan_passes=True)
+    job = RunJob(CompileJob.resolve(kernel="purdue9", bindings={"N": 16},
+                                    level="O4"),
+                 MachineSpec(), backend=backend)
+    compiled = job.compile.compile()
+    base = job.execute(compiled, job.machine.build())
+    opt = job.execute(with_plan_passes(compiled), job.machine.build())
     for name in base.arrays:
         np.testing.assert_array_equal(base.arrays[name],
                                       opt.arrays[name])
@@ -220,10 +254,9 @@ def test_coalescing_removes_redundancy_comm_union_cannot_see():
     SRC six times at O2; plan-level coalescing removes every one
     without touching results, and the executed message count drops."""
     base = compile_kernel("nine_point", bindings={"N": 16}, level="O2")
-    opt = compile_kernel("nine_point", bindings={"N": 16}, level="O2",
-                         plan_passes=True)
-    stats = opt.report.pass_stats["plan-passes"]["coalesce-shifts"]
-    assert stats["coalesced_shifts"] >= 1
+    plan, stats = PlanPassManager().run(base.plan)
+    opt = dataclasses.replace(base, plan=plan)
+    assert stats["coalesce-shifts"]["coalesced_shifts"] >= 1
     assert opt.plan.count_ops(OverlapShiftOp) < \
         base.plan.count_ops(OverlapShiftOp)
     # and the optimized plan actually communicates less
@@ -420,6 +453,47 @@ def test_hoist_cascades_out_of_nested_loops_in_one_run():
     new, stats = HoistInvariantShiftsPass().run(plan)
     assert stats["hoisted_shifts"] == 2
     assert isinstance(new.ops[1], OverlapShiftOp)
+    assert verify_plan(new) == []
+
+
+#: Compiled inputs for the hoist pass — the cases of the retired AST
+#: ``comm-motion`` pass whose behaviour the plan pass reproduces
+#: (``tests/passes/test_licm.py`` holds them end to end): (source,
+#: bindings, arrays shifted above the loops, arrays shifted inside them).
+COMPILED_LOOPS = {
+    "invariant-coefficient": (VARCOEFF, {"N": 16, "NSTEPS": 4},
+                              {"K1"}, {"U"}),
+    "nested-loops": ("""
+        REAL U(16,16), T(16,16), K1(16,16)
+        DO A = 1, 2
+          DO B = 1, 2
+            T = CSHIFT(K1,1,1) + U
+            U = T
+          ENDDO
+        ENDDO
+        """, {"N": 16}, {"K1"}, set()),
+    "killed-array": ("""
+        REAL U(16,16), T(16,16)
+        DO STEP = 1, 3
+          T = CSHIFT(U,1,1) + U
+          U = T
+        ENDDO
+        """, {"N": 16}, set(), {"U"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPILED_LOOPS))
+def test_hoist_on_compiled_loops(case):
+    source, bindings, above, inside = COMPILED_LOOPS[case]
+    paper = compile_hpf(source, bindings=bindings, level="O4",
+                        outputs={"U"})
+    new, stats = HoistInvariantShiftsPass().run(paper.plan)
+    assert {op.array for op in new.ops
+            if isinstance(op, OverlapShiftOp)} == above
+    loop = next(op for op in new.ops if isinstance(op, SeqLoopOp))
+    assert {op.array for op in walk([loop])
+            if isinstance(op, OverlapShiftOp)} == inside
+    assert (stats["hoisted_shifts"] > 0) == bool(above)
     assert verify_plan(new) == []
 
 

@@ -68,8 +68,7 @@ def test_schema_version_is_stamped_and_checked():
 
 
 def test_program_document_carries_report_and_name():
-    compiled = compile_kernel("purdue9", bindings={"N": 8},
-                              plan_passes=True)
+    compiled = compile_kernel("purdue9", bindings={"N": 8})
     doc = program_to_json(compiled)
     revived = program_from_json(doc)
     assert revived.source_name == compiled.source_name

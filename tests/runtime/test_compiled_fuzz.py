@@ -20,10 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.codegen import codegen_options
+from repro.compiler import OptLevel
 from repro.testing import (
     GeneratorConfig, backend_equivalence_check, preferred_test_jit,
     random_inputs, random_program,
 )
+
+DEFAULT = OptLevel.DEFAULT.name
 
 pytestmark = pytest.mark.compiled
 
@@ -43,7 +46,7 @@ def test_random_programs_any_factors(seed, tile, unroll):
     with codegen_options(jit=preferred_test_jit(), tile=tile,
                          unroll=unroll):
         backend_equivalence_check(prog, random_inputs(seed, prog),
-                                  levels=("O0", "O4"),
+                                  levels=("O0", DEFAULT),
                                   backends=COMPILED_SWEEP)
 
 
@@ -56,7 +59,7 @@ def test_collapsed_dim_3d(seed, tile):
     with codegen_options(jit=preferred_test_jit(), tile=tile,
                          unroll=2):
         backend_equivalence_check(prog, random_inputs(seed, prog, cfg),
-                                  levels=("O4",),
+                                  levels=(DEFAULT,),
                                   backends=COMPILED_SWEEP)
 
 
@@ -78,5 +81,5 @@ def test_multi_iteration_runs(seed):
     prog = random_program(seed)
     with codegen_options(jit=preferred_test_jit(), tile=5, unroll=3):
         backend_equivalence_check(prog, random_inputs(seed, prog),
-                                  levels=("O4",), iterations=3,
+                                  levels=(DEFAULT,), iterations=3,
                                   backends=COMPILED_SWEEP)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import compile_hpf
+from repro.compiler import OptLevel, compile_hpf
 from repro.errors import ExecutionError
 from repro.kernels import KERNELS, run_kernel
 from repro.machine import Machine
@@ -27,6 +27,8 @@ from repro.testing import (
     GeneratedProgram, backend_equivalence_check, random_inputs,
     random_program,
 )
+
+DEFAULT = OptLevel.DEFAULT.name
 
 pytestmark = pytest.mark.parallel
 
@@ -70,17 +72,17 @@ class TestNamedKernels:
     def test_equivalence_all_levels(self, name):
         prog, inputs = _kernel_program(name)
         backend_equivalence_check(
-            prog, inputs, levels=("O0", "O1", "O2", "O3", "O4"))
+            prog, inputs, levels=("O0", "O1", "O2", "O3", DEFAULT))
 
     @pytest.mark.parametrize("grid", [(4, 1), (1, 4), (3, 2)])
     def test_asymmetric_grids(self, grid):
         prog, inputs = _kernel_program("nine_point")
-        backend_equivalence_check(prog, inputs, levels=("O4",),
+        backend_equivalence_check(prog, inputs, levels=(DEFAULT,),
                                   grids=(grid,))
 
     def test_multi_iteration(self):
         prog, inputs = _kernel_program("purdue9")
-        backend_equivalence_check(prog, inputs, levels=("O4",),
+        backend_equivalence_check(prog, inputs, levels=(DEFAULT,),
                                   iterations=3)
 
 
@@ -90,7 +92,7 @@ class TestRandomPrograms:
     def test_default_generator(self, seed):
         prog = random_program(seed)
         backend_equivalence_check(prog, random_inputs(seed, prog),
-                                  levels=("O0", "O4"))
+                                  levels=("O0", DEFAULT))
 
 
 class TestWorkerMapping:
@@ -245,7 +247,7 @@ class TestLifecycle:
     def test_scalars_and_reductions_agree(self):
         prog = random_program(4242)  # generator mixes in reductions
         backend_equivalence_check(prog, random_inputs(4242, prog),
-                                  levels=("O4",))
+                                  levels=(DEFAULT,))
 
 
 class TestStaleSegmentReclamation:
@@ -439,4 +441,4 @@ class TestScalarCommunication:
         inputs = {"A": rng_.uniform(0.1, 1.0, (12, 12)),
                   "B": rng_.uniform(0.1, 1.0, (12, 12))}
         backend_equivalence_check(prog, inputs,
-                                  levels=("O0", "O2", "O4"))
+                                  levels=("O0", "O2", DEFAULT))

@@ -19,10 +19,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.compiler import OptLevel
 from repro.testing import (
     GeneratedProgram, GeneratorConfig, backend_equivalence_check,
     equivalence_backends, random_inputs, random_program,
 )
+
+DEFAULT = OptLevel.DEFAULT.name
 
 pytestmark = pytest.mark.parallel
 
@@ -42,7 +45,7 @@ workers_st = st.sampled_from(WORKER_COUNTS)
 def test_random_programs_any_worker_count(seed, workers):
     prog = random_program(seed)
     backend_equivalence_check(prog, random_inputs(seed, prog),
-                              levels=("O0", "O4"),
+                              levels=("O0", DEFAULT),
                               backends=equivalence_backends((workers,)))
 
 
@@ -71,7 +74,7 @@ def test_reduction_heavy_programs(seed, workers):
                           allow_do_loop=False)
     prog = random_program(seed, cfg)
     backend_equivalence_check(prog, random_inputs(seed, prog, cfg),
-                              levels=("O0", "O4"),
+                              levels=("O0", DEFAULT),
                               backends=equivalence_backends((workers,)))
 
 
@@ -122,5 +125,5 @@ def test_do_while_bounds(seed, decay, threshold, shift, workers):
     rng = np.random.default_rng(seed)
     inputs = {name: rng.uniform(0.1, 1.0, (12, 12))
               for name in prog.arrays}
-    backend_equivalence_check(prog, inputs, levels=("O0", "O4"),
+    backend_equivalence_check(prog, inputs, levels=("O0", DEFAULT),
                               backends=equivalence_backends((workers,)))

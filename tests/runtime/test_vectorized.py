@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import compile_hpf
+from repro.compiler import OptLevel, compile_hpf
 from repro.plan import LoopNestOp, NestStmt
 from repro.errors import ExecutionError
 from repro.ir.nodes import OffsetRef
@@ -26,6 +26,8 @@ from repro.testing import (
     GeneratorConfig, backend_equivalence_check, random_inputs,
     random_program,
 )
+
+DEFAULT = OptLevel.DEFAULT.name
 
 SMALL_N = {"five_point": 12, "nine_point_cshift": 12, "nine_point": 12,
            "purdue9": 12, "twentyfive_point": 16, "seven_point_3d": 8,
@@ -79,7 +81,7 @@ class TestRandomPrograms:
                               allow_where=False)
         prog = random_program(seed, cfg)
         backend_equivalence_check(prog, random_inputs(seed, prog, cfg),
-                                  levels=("O0", "O4"))
+                                  levels=("O0", DEFAULT))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -96,7 +98,7 @@ class TestRandomPrograms:
     def test_multi_iteration_runs(self, seed):
         prog = random_program(seed)
         backend_equivalence_check(prog, random_inputs(seed, prog),
-                                  levels=("O4",), iterations=3)
+                                  levels=(DEFAULT,), iterations=3)
 
 
 class TestReferenceAgreement:

@@ -171,6 +171,8 @@ class TestBadValuesAre400:
         ("seed", {"seed": None}),
         ("iterations", {"iterations": None}),
         ("outputs", {"outputs": [1, 2]}),
+        ("cse", {"cse": True}),                  # retired switches are
+        ("plan_passes", {"plan_passes": True}),  # unknown fields now
     ], ids=repr)
     def test_run(self, harness, field, extra):
         status, _, payload = harness.request(
@@ -182,6 +184,8 @@ class TestBadValuesAre400:
         ("level", {"level": "O9"}),
         ("level", {"level": None}),
         ("outputs", {"outputs": [1, 2]}),
+        ("cse", {"cse": False}),
+        ("plan_passes", {"plan_passes": False}),
     ], ids=repr)
     def test_compile(self, harness, field, extra):
         status, _, payload = harness.request(
@@ -472,6 +476,22 @@ class TestCacheEndpoints:
     def test_single_job_warm_body(self, harness):
         warmed = harness.json("POST", "/cache/warm", dict(FIVE_O2))
         assert len(warmed["warmed"]) == 1
+
+    @pytest.mark.parametrize("key", ["../x", "a/b", "", 5, None],
+                             ids=repr)
+    def test_evict_key_must_be_one_path_component(self, harness, key):
+        """Regression: ``{"key": "../x"}`` unlinked
+        ``<cache-dir>/plans/../x.json``; a non-string key was not
+        rejected either."""
+        harness.json("POST", "/cache/warm", dict(FIVE_O2))
+        plans = harness.tmp_path / "cache" / "plans"
+        sentinel = harness.tmp_path / "cache" / "x.json"
+        sentinel.write_text("outside the store")
+        doc = harness.json("POST", "/cache/evict", {"key": key},
+                           expect=400)
+        assert "'key'" in doc["error"]
+        assert sentinel.exists()
+        assert len(list(plans.glob("*.json"))) == 1
 
     def test_bad_evict_body_rejected(self, harness):
         doc = harness.json("POST", "/cache/evict", {}, expect=400)

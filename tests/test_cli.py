@@ -4,6 +4,9 @@ import pytest
 
 from repro import kernels
 from repro.__main__ import main
+from repro.compiler import OptLevel
+
+DEFAULT = OptLevel.DEFAULT.name
 
 
 @pytest.fixture
@@ -236,7 +239,7 @@ class TestProfile:
                      "--grid", "2x2", "-o", str(out)]) == 0
         profile = read_profile(str(out))
         assert profile.kernel == "nine_point"
-        assert profile.level == "O4"
+        assert profile.level == DEFAULT
         assert profile.npes == 4
 
     def test_writes_chrome_trace_with_pe_tracks(self, tmp_path, capsys):
@@ -340,7 +343,7 @@ class TestJsonOutput:
                      "--output", "T", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["overlap_shifts"] == 4
-        assert data["level"] == "O4"
+        assert data["level"] == DEFAULT
 
     def test_run_json(self, p9_file, capsys):
         import json
@@ -389,14 +392,25 @@ class TestPlanCommand:
         assert main(["plan", "no_such_kernel"]) == 1
         assert "known kernels" in capsys.readouterr().err
 
-    def test_plan_passes_flag(self, capsys):
-        assert main(["plan", "nine_point", "--bind", "N=16",
-                     "--level", "O2", "--plan-passes"]) == 0
-        base = capsys.readouterr().out
-        assert main(["plan", "nine_point", "--bind", "N=16",
-                     "--level", "O2"]) == 0
-        unopt = capsys.readouterr().out
-        assert base.count("overlap_shift") < unopt.count("overlap_shift")
+    def test_default_level_runs_the_plan_passes(self, capsys):
+        """No flag asks for them: the default level is the full
+        pipeline, ``--level O4`` is the paper's."""
+        argv = ["plan", "jacobi", "--bind", "N=16", "--bind", "NITER=4"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--level", "O4"]) == 0
+        paper = capsys.readouterr().out
+        assert "swap UNEW <-> U" in default and "swap" not in paper
+        # the coefficient array's halo exchange is hoisted above the loop
+        assert default.index("overlap_shift A") < default.index("do K")
+        assert paper.index("do K") < paper.index("overlap_shift A")
+
+    @pytest.mark.parametrize("flag", ["--plan-passes", "--cse"])
+    def test_retired_flags_are_argparse_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "jacobi", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestCacheDir:
@@ -477,7 +491,7 @@ class TestMetricsCommand:
         assert rec["backend"] == "perpe"
         assert len(rec["plan_key"]) == 64  # sha256 of the plan JSON
         assert rec["plan_key"] == records[1]["plan_key"]
-        assert rec["factors"]["level"] == "O4"
+        assert rec["factors"]["level"] == DEFAULT
         assert rec["factors"]["tile"] == 16
         assert rec["metrics"]["type"] == "metrics"
         assert len(ledger.fingerprints()) == 1

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler import OptLevel
 from repro.testing import (
     GeneratorConfig, differential_check, random_inputs, random_program,
 )
+
+DEFAULT = OptLevel.DEFAULT.name
 
 
 class TestGenerator:
@@ -35,7 +38,7 @@ class TestGenerator:
 def test_differential_default(seed):
     prog = random_program(seed)
     differential_check(prog, random_inputs(seed, prog),
-                       levels=("O0", "O2", "O4"))
+                       levels=("O0", "O2", DEFAULT))
 
 
 @settings(max_examples=10, deadline=None)
@@ -54,7 +57,7 @@ def test_differential_3d(seed):
                           allow_where=False)
     prog = random_program(seed, cfg)
     differential_check(prog, random_inputs(seed, prog, cfg),
-                       levels=("O0", "O4"))
+                       levels=("O0", DEFAULT))
 
 
 @settings(max_examples=15, deadline=None)
@@ -76,8 +79,9 @@ def test_known_hard_seeds():
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_differential_extension_options(seed):
-    """The extension optimizations must also preserve semantics on
-    random programs (cse, comm/comp overlap, invariant hoisting)."""
+    """The comm/comp-overlap ablation field must also preserve
+    semantics on random programs, over the paper's top level and over
+    the default one."""
     import numpy as np
     from repro.compiler import compile_hpf
     from repro.frontend import parse_program
@@ -88,12 +92,10 @@ def test_differential_extension_options(seed):
     inputs = random_inputs(seed, prog)
     parsed = parse_program(prog.source, bindings=prog.bindings)
     ref = evaluate(parsed, inputs=inputs)
-    for opts in ({"cse": True}, {"overlap_comm": True},
-                 {"hoist_comm": True},
-                 {"cse": True, "overlap_comm": True, "hoist_comm": True}):
+    for opts in ({"level": "O4", "overlap_comm": True},
+                 {"level": DEFAULT, "overlap_comm": True}):
         compiled = compile_hpf(prog.source, bindings=prog.bindings,
-                               level="O4", outputs=set(prog.arrays),
-                               **opts)
+                               outputs=set(prog.arrays), **opts)
         res = compiled.run(Machine(grid=(2, 2), keep_message_log=False),
                            inputs=inputs)
         for name in prog.arrays:

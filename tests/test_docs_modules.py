@@ -6,6 +6,7 @@ attribute, from one — so a module that is renamed or deleted takes its
 documentation with it.
 """
 
+import functools
 import importlib
 import re
 from pathlib import Path
@@ -48,3 +49,41 @@ def test_documented_name_resolves(doc, name):
         resolve(name)
     except (ImportError, AttributeError) as exc:
         pytest.fail(f"{doc} names `{name}`, which does not exist: {exc}")
+
+
+# -- the docs name flags that exist -----------------------------------------
+
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: Flags the docs quote from other tools' command lines.
+OTHER_TOOLS = {
+    "--benchmark-only": "pytest-benchmark",
+    "--check": "benchmarks/golden_plans.py",
+    "--workload": "benchmarks/e2e/run.py",
+    "--seconds": "benchmarks/e2e/run.py",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def cli_flags() -> frozenset[str]:
+    """Every ``--flag`` of every ``python -m repro`` subcommand."""
+    import argparse
+
+    from repro.__main__ import build_parser
+    subcommands, = (a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return frozenset(
+        flag for sub in subcommands.choices.values()
+        for action in sub._actions for flag in action.option_strings)
+
+
+def documented_flags() -> list[tuple[str, str]]:
+    return sorted({(doc, flag)
+                   for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+                   for flag in FLAG.findall((ROOT / doc).read_text())
+                   if flag not in OTHER_TOOLS})
+
+
+@pytest.mark.parametrize("doc,flag", documented_flags())
+def test_documented_flag_exists(doc, flag):
+    assert flag in cli_flags(), \
+        f"{doc} mentions `{flag}`, which `python -m repro` does not have"

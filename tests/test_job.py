@@ -13,9 +13,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _job, build_parser, main
+from repro.compiler import (
+    CompilerOptions, HpfCompiler, OptLevel, compile_hpf,
+)
 from repro.job import CompileJob, MachineSpec, RunJob
-from repro.kernels import compile_kernel, run_kernel
+from repro.kernels import KERNELS, compile_kernel, run_kernel
+from repro.plan import plan_to_json
+from repro.service import parse_compile_job
 from tests.service.test_http import ServiceHarness
 
 
@@ -59,6 +64,51 @@ def test_three_doors_one_run(backend, workers, tmp_path, capsys):
         assert doc["arrays"][name]["checksum"] == checksums[name]
         assert doc["arrays"][name]["sha256"] == \
             hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+def test_three_doors_run_jacobi_at_the_default_level(tmp_path, capsys):
+    """Naming nothing but the kernel gets the hoisted, swapped plan:
+    4 PEs x 4 faces x (10 iterations of U + A once) messages, where the
+    paper's O4 sends 4 x 8 x 10."""
+    direct = run_kernel("jacobi")
+    assert direct.report.messages == 176
+    assert run_kernel("jacobi", level="O4").report.messages == 320
+    assert main(["run", "jacobi", "--json"]) == 0
+    cli = json.loads(capsys.readouterr().out)
+    harness = ServiceHarness(tmp_path)
+    try:
+        doc = harness.json("POST", "/run", {"kernel": "jacobi"})
+    finally:
+        harness.close()
+    assert cli.pop("checksums") is not None
+    assert cli == doc["summary"] == direct.summary()
+    assert doc["arrays"]["U"]["sha256"] == hashlib.sha256(
+        direct.arrays["U"].tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_every_door_compiles_at_the_default_level(kernel):
+    """No entry point names a level of its own: asked for none, the
+    library calls, the job, the CLI parser and the service's job parser
+    all produce the byte-identical default-level plan."""
+    spec = KERNELS[kernel]
+    args = dict(bindings=dict(spec.default_bindings),
+                outputs=set(spec.outputs))
+    doors = {
+        "compile_hpf": compile_hpf(spec.source, **args),
+        "HpfCompiler": HpfCompiler(CompilerOptions(
+            outputs=spec.outputs)).compile(
+                spec.source, bindings=args["bindings"]),
+        "CompileJob": CompileJob.resolve(kernel=kernel).compile(),
+        "cli": _job(build_parser().parse_args(
+            ["compile", kernel])).compile(),
+        "service": parse_compile_job({"kernel": kernel}).compile(),
+    }
+    plans = {door: plan_to_json(c.plan) for door, c in doors.items()}
+    assert len(set(plans.values())) == 1, sorted(plans)
+    assert {c.report.level for c in doors.values()} == \
+        {OptLevel.DEFAULT.name}
+    assert "plan-passes" in doors["cli"].report.pass_stats
 
 
 @pytest.mark.parametrize("kernel", ["cg", "purdue9"])

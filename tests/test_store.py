@@ -285,13 +285,35 @@ class TestDirectoryTier:
             ["live.tmp", "now.tmp"]
         assert store.stats.tmp_swept == 1
 
+    @pytest.mark.parametrize("key", ["../x", "a/b", "/abs", "", "x\0",
+                                     5, None], ids=repr)
+    def test_key_is_a_single_path_component(self, kind, key, tmp_path):
+        """Regression: ``invalidate("../x")`` unlinked
+        ``<dir>/../x<suffix>``; a bad key raises before any file is
+        touched, on every operation."""
+        store = make("disk", kind, tmp_path / "store")
+        sentinel = tmp_path / f"x{CODECS[kind].suffix}"
+        sentinel.write_text("outside the store")
+        with pytest.raises(ValueError, match="key"):
+            store.get(key)
+        with pytest.raises(ValueError, match="key"):
+            store.put(key, values(kind)[0])
+        if key is not None:                     # None means "every entry"
+            with pytest.raises(ValueError, match="key"):
+                store.invalidate(key)
+        assert sentinel.read_text() == "outside the store"
+        assert set(tmp_path.rglob("*")) == {tmp_path / "store", sentinel}
+
     def test_directory_written_by_the_parent_commit_is_warm(
             self, kind, tmp_path):
         """``tests/fixtures/parent_cache`` was written by the commit
         before :mod:`repro.store` existed (``PersistentPlanCache`` and
         ``KernelDiskCache`` of 6b6a7aa, five_point N=12 O2 on a 2x2
         machine): key derivation, file names and file contents are the
-        compatibility surface.  A deliberate ``PLAN_SCHEMA_VERSION`` /
+        compatibility surface.  (The plan entry was re-keyed, contents
+        unchanged, when the options fingerprint lost ``cse`` /
+        ``hoist_comm`` / ``plan_passes`` / ``verify_plan``.)  A
+        deliberate ``PLAN_SCHEMA_VERSION`` /
         ``CODEGEN_VERSION`` / options-fingerprint change regenerates it
         by running that compile and one ``backend="compiled",
         jit="python"`` run against an empty directory."""
