@@ -1,17 +1,17 @@
 """Message-passing network of the simulated machine.
 
-Every interprocessor transfer goes through :meth:`Network.send`, which
-records a :class:`MessageRecord` and charges the cost model.  The data
-itself is a NumPy array handed to the receiver immediately (the simulator
-is sequentially consistent; modelled time lives in the cost report, not
-in wall-clock ordering).
+Every interprocessor transfer is accounted for here: the shift runtimes
+charge a whole exchange through :meth:`Network.record_batch`, reduction
+collectives one message at a time through :meth:`Network.record`; each
+records a :class:`MessageRecord` and charges the cost model.  The
+network never sees payload bytes — arrays move their own data (the
+simulator is sequentially consistent; modelled time lives in the cost
+report, not in wall-clock ordering).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import MachineError
 from repro.machine.cost_model import CostModel, CostReport
@@ -43,10 +43,9 @@ def comm_tag(array: str, dim: int, shift: int, *,
     """The canonical message tag for a slab exchange.
 
     Both executors MUST build tags through this function — the tag
-    taxonomy is part of the backend-equivalence contract (metadata-only
-    :meth:`Network.record` logs must be indistinguishable from
-    :meth:`Network.send` logs), and the communication profiler's
-    per-class matrix split keys on the class prefix.
+    taxonomy is part of the backend-equivalence contract, and the
+    communication profiler's per-class matrix split keys on the class
+    prefix.
     """
     if array.startswith(SHIFT_BUFFER_PREFIX):
         kind = "bufshift"
@@ -128,42 +127,16 @@ class Network:
     def _owns(self, pe: int) -> bool:
         return self.owned is None or self.owned(pe)
 
-    def send(self, src: int, dst: int, payload: np.ndarray,
-             tag: str = "") -> np.ndarray:
-        """Transfer ``payload`` from PE ``src`` to PE ``dst``.
+    def record(self, src: int, dst: int, nelems: int, itemsize: int,
+               tag: str = "") -> None:
+        """Charge and log one transfer of ``nelems`` elements from PE
+        ``src`` to PE ``dst``.
 
-        Returns the received array (a copy, as a real message would be).
         Self-sends are legal — on a 1-wide grid dimension a circular shift
         wraps onto the same PE — and are priced as local copies, not
         messages (no NIC involvement, matching what MPI implementations
-        do for self-communication via memcpy).
-        """
-        if payload.size == 0:
-            raise MachineError("zero-size message; caller should elide it")
-        data = np.ascontiguousarray(payload).copy()
-        if src == dst:
-            if self._owns(src):
-                self.report.add_copy(src, data.size, data.itemsize,
-                                     self.cost_model)
-            return data
-        seq = self._seq
-        self._seq = seq + 1
-        if self._owns(src):
-            if self.keep_log:
-                self.log.append(
-                    MessageRecord(src, dst, int(data.nbytes), tag,
-                                  seq=seq))
-            self.report.add_message(src, int(data.nbytes),
-                                    self.cost_model)
-        return data
-
-    def record(self, src: int, dst: int, nelems: int, itemsize: int,
-               tag: str = "") -> None:
-        """Charge and log a transfer without moving payload bytes.
-
-        Metadata-only twin of :meth:`send` for executors that move data
-        out of band (the vectorized backend): identical message/copy
-        accounting, identical zero-size rejection, no array copy.
+        do for self-communication via memcpy).  Zero-size transfers are
+        rejected: the caller elides them.
         """
         if nelems == 0:
             raise MachineError("zero-size message; caller should elide it")

@@ -15,13 +15,20 @@ Durability model:
   POSIX guarantees the append offset is resolved atomically per write,
   so concurrent writers (worker processes, parallel experiment
   drivers) interleave whole lines, never splice partial ones.
+* **Appends and reads exclude each other.**  The write is atomic in
+  *offset*, not in *visibility*: under load another process can see a
+  record's bytes before its trailing newline.  So an appender holds an
+  exclusive ``flock`` over its torn-tail probe and its write, and a
+  reader a shared one over its read: neither ever observes a live
+  writer's half-landed record.
 * **Corrupt-line tolerance.**  A reader skips any line that does not
   parse as a versioned record (a writer killed mid-``write`` can leave
   at most one truncated trailing line); the skip count is surfaced on
   :attr:`RunLedger.corrupt_lines`.  An appender that finds the file
-  ending without a newline (a torn tail) prepends one, so its record
-  starts on a fresh line and only the torn line stays unreadable —
-  the ledger self-heals on the next append.
+  ending without a newline (a torn tail — under the lock, so its
+  writer is dead) prepends one, so its record starts on a fresh line
+  and only the torn line stays unreadable — the ledger self-heals on
+  the next append.
 * **Schema-versioned.**  Records carry ``{"type": "run", "version"}``;
   unknown versions are skipped (counted in
   :attr:`RunLedger.skipped_versions`), not errors, so old readers
@@ -42,17 +49,20 @@ LEDGER_SCHEMA = {"type": "run", "version": 1}
 _READABLE_LEDGER_VERSIONS = (1,)
 
 
-def _torn_tail(path: Path) -> bool:
-    """Whether ``path`` ends without a newline (a torn last line)."""
-    try:
-        with open(path, "rb") as f:
-            f.seek(0, os.SEEK_END)
-            if f.tell() == 0:
-                return False
-            f.seek(-1, os.SEEK_END)
-            return f.read(1) != b"\n"
-    except (FileNotFoundError, OSError):
-        return False
+try:  # POSIX; elsewhere appends and reads go unlocked, as before
+    from fcntl import LOCK_EX, LOCK_SH, flock
+except ImportError:  # pragma: no cover
+    LOCK_EX = LOCK_SH = 0
+
+    def flock(fd: int, how: int) -> None:
+        return None
+
+
+def _torn_tail(fd: int) -> bool:
+    """Whether the file behind ``fd`` ends without a newline (a torn
+    last line)."""
+    size = os.fstat(fd).st_size
+    return size > 0 and os.pread(fd, 1, size - 1) != b"\n"
 
 
 class RunLedger:
@@ -99,17 +109,17 @@ class RunLedger:
             record["extra"] = dict(extra)
         line = json.dumps(record, sort_keys=True)
         data = (line + "\n").encode()
-        if _torn_tail(self.path):
-            # a writer died mid-write: start this record on a fresh
-            # line (a racing healer only adds a blank line, which
-            # readers skip)
-            data = b"\n" + data
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # One O_APPEND write per record: concurrent appenders from any
         # number of processes interleave whole lines.
         fd = os.open(self.path,
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+                     os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
+            flock(fd, LOCK_EX)  # released by close
+            if _torn_tail(fd):
+                # a writer died mid-write: start this record on a
+                # fresh line
+                data = b"\n" + data
             os.write(fd, data)
         finally:
             os.close(fd)
@@ -123,7 +133,9 @@ class RunLedger:
         self.corrupt_lines = 0
         self.skipped_versions = 0
         try:
-            text = self.path.read_text()
+            with open(self.path) as f:
+                flock(f.fileno(), LOCK_SH)  # no appender is mid-record
+                text = f.read()
         except (FileNotFoundError, OSError):
             return []
         out = []

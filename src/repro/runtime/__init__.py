@@ -1,12 +1,19 @@
 """Runtime for compiled stencil programs on the simulated machine.
 
 * :mod:`repro.runtime.distribution` — HPF BLOCK layouts and index math.
-* :mod:`repro.runtime.darray` — distributed arrays with overlap areas.
+* :mod:`repro.runtime.darray` — distributed arrays with overlap areas;
+  the one allocation charge.
 * :mod:`repro.runtime.overlap` — ``OVERLAP_SHIFT`` (interprocessor
-  component only, with RSD support).
+  component only, with RSD support) and its charge walk.
 * :mod:`repro.runtime.cshift` — full ``CSHIFT``/``EOSHIFT`` (both
   components), as a naive backend would call.
-* :mod:`repro.runtime.executor` — runs compiled plans.
+* :mod:`repro.runtime.executor` — runs compiled plans: the one
+  execution skeleton, and the ``perpe`` backend as is.
+* :mod:`repro.runtime.nest_tape` — the strip-mined nest evaluator.
+* :mod:`repro.runtime.backends` — the backend registry.
+* :mod:`repro.runtime.vectorized`, :mod:`repro.runtime.parallel`,
+  :mod:`repro.runtime.compiled` — the skeleton over other placements
+  (global slab / shared-memory blocks) and nest evaluators.
 * :mod:`repro.runtime.reference` — serial NumPy semantics of IR programs.
 """
 

@@ -10,7 +10,8 @@ overlapped-communication credit — is inherited unchanged, so every
 observable (arrays, scalars, cost report, tagged message log, comm
 profile) is bitwise-identical to the perpe/vectorized/parallel backends
 by construction: this class overrides exactly one method, the per-box
-nest evaluator.
+nest evaluator (in the placement x evaluator table of DESIGN.md it is
+*slab x kernel*).
 
 Degradation ladder (per :mod:`repro.codegen.options`):
 
@@ -122,7 +123,7 @@ class CompiledExec(VectorizedExec):
             return float(self.plan.params[name])
         raise ExecutionError(f"unbound scalar {name}")
 
-    def _exec_nest_box(self, op: LoopNestOp, box, pe: int) -> int:
+    def _exec_nest_box(self, op: LoopNestOp, box, pe: int) -> None:
         entry = self._kernels.get(id(op))
         if entry is None:
             # slab fallback: the inherited evaluator times itself with
@@ -133,22 +134,19 @@ class CompiledExec(VectorizedExec):
         args: list = []
         for name in entry.arrays:
             va = self.darray(name)
-            args.append(va.data)
-            for d in range(va.rank):
-                args.append(va.halo[d][0] - 1)
+            args.append(va.padded(pe))
+            for (halo_lo, _), origin in zip(va.halo, va.origin(pe)):
+                args.append(halo_lo - origin)
         for sname in entry.scalars:
             args.append(self._scalar_value(sname))
-        points = 1
         for lo, hi in box:
             args.append(int(lo))
             args.append(int(hi))
-            points *= hi - lo + 1
         entry.fn(*args)
         if self._nest_wall is not None:
             self._nest_wall.observe(perf_counter() - t0,
                                     backend=self.backend_label,
                                     kernel="native")
-        return points
 
 
 # registers under its public name; see repro.runtime.backends

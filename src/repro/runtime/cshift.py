@@ -14,9 +14,11 @@ references elsewhere still read (and the naive path's source arrays
 need no overlap areas at all).  The buffer's extra copy is charged to
 the cost model — it is part of what made library CSHIFTs expensive.
 
-Like :mod:`repro.runtime.overlap`, the copy loops separate charging
-from moving so the process-parallel backend can run the shared code
-unchanged while each worker moves only its own PEs' blocks:
+One ``_full_shift`` serves every placement: the scratch buffer is an
+array of the source's own type, the two whole-subgrid copies go through
+the arrays' ``assign_interior``, and their charges are walked once here.
+The process-parallel backend runs it unchanged while each worker moves
+only its own PEs' blocks:
 
 * ``scratch_factory`` substitutes the scratch buffer's allocator (the
   parallel backend allocates it in shared memory);
@@ -33,61 +35,19 @@ from __future__ import annotations
 
 from math import prod
 
-import numpy as np
-
 from repro.errors import ExecutionError
 from repro.machine.machine import Machine
 from repro.runtime.darray import DArray
 from repro.runtime.overlap import overlap_shift
 
 
-def _noop_sync() -> None:
-    return None
-
-
-def _scratch_like(machine: Machine, src: DArray, shift: int,
-                  dim0: int, *, scratch_factory=None,
-                  move=None) -> DArray:
-    """A transient padded copy of ``src`` with just enough overlap for
-    the shift; models the runtime's communication buffer."""
-    s = abs(shift)
-    halo = tuple((0, 0) if k != dim0 else
-                 ((0, s) if shift > 0 else (s, 0))
-                 for k in range(src.rank))
-    create = scratch_factory or DArray.create
-    scratch = create(machine, f"__shiftbuf_{src.name}__",
-                     src.layout, src.dtype, halo)
-    itemsize = np.dtype(src.dtype).itemsize
-    for pe in src.layout.grid.ranks():
-        nelems = prod(src.layout.local_shape(pe))
-        if nelems == 0:
-            continue
-        if move is None or move(pe):
-            scratch.interior(pe)[...] = src.interior(pe)
-        machine.charge_copy(pe, nelems, itemsize)
-    return scratch
-
-
-def _shifted_interior(buf: DArray, pe: int, shift: int,
-                      dim0: int) -> np.ndarray:
-    """View of ``buf``'s padded block displaced by ``shift`` along
-    ``dim0`` — the source values of ``dst(i) = src(i + shift)``."""
-    padded = buf.padded(pe)
-    idx = []
-    for k in range(buf.rank):
-        lo, hi = buf.halo[k]
-        n_local = padded.shape[k] - lo - hi
-        if k == dim0:
-            start = lo + shift
-            stop = lo + n_local + shift
-            if start < 0 or stop > padded.shape[k]:
-                raise ExecutionError(
-                    f"{buf.name}: buffer too small for shift {shift:+d} "
-                    f"along dim {dim0 + 1}")
-            idx.append(slice(start, stop))
-        else:
-            idx.append(slice(lo, lo + n_local))
-    return padded[tuple(idx)]
+def _charge_subgrid_copies(machine: Machine, arr: DArray) -> None:
+    """One whole-subgrid intraprocessor copy on every PE, rank order."""
+    itemsize = arr.dtype.itemsize
+    for pe in arr.layout.grid.ranks():
+        nelems = prod(arr.layout.local_shape(pe))
+        if nelems:
+            machine.charge_copy(pe, nelems, itemsize)
 
 
 def _full_shift(machine: Machine, dst: DArray, src: DArray, shift: int,
@@ -97,23 +57,24 @@ def _full_shift(machine: Machine, dst: DArray, src: DArray, shift: int,
         raise ExecutionError(
             f"shift shape mismatch: {dst.name} vs {src.name}")
     d = dim - 1
-    sync = sync or _noop_sync
-    scratch = _scratch_like(machine, src, shift, d,
-                            scratch_factory=scratch_factory, move=move)
+    s = abs(shift)
+    sync = sync or (lambda: None)
+    # the runtime's communication buffer: a transient padded copy of
+    # ``src`` with just enough overlap for the shift
+    halo = tuple((0, 0) if k != d else ((0, s) if shift > 0 else (s, 0))
+                 for k in range(src.rank))
+    create = scratch_factory or type(src).create
+    scratch = create(machine, f"__shiftbuf_{src.name}__", src.layout,
+                     src.dtype, halo)
     try:
+        scratch.assign_interior(src, 0, d, move)
+        _charge_subgrid_copies(machine, src)
         sync()  # copy-in done everywhere before neighbors read the buffer
         overlap_shift(machine, scratch, shift, dim, boundary=boundary,
                       move=move)
         sync()  # exchange done; copy-out reads only this PE's buffer
-        itemsize = np.dtype(src.dtype).itemsize
-        for pe in src.layout.grid.ranks():
-            nelems = prod(src.layout.local_shape(pe))
-            if nelems == 0:
-                continue
-            if move is None or move(pe):
-                block = _shifted_interior(scratch, pe, shift, d)
-                dst.interior(pe)[...] = block
-            machine.charge_copy(pe, nelems, itemsize)
+        dst.assign_interior(scratch, shift, d, move)
+        _charge_subgrid_copies(machine, src)
     finally:
         sync()  # nobody may still be reading the buffer when it dies
         scratch.free(machine)

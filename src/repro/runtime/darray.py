@@ -27,9 +27,42 @@ from repro.runtime.distribution import Layout
 Halo = tuple[tuple[int, int], ...]
 
 
+def allocate_distributed(machine: Machine, name: str, layout: Layout,
+                         dtype, halo: Halo | None, *, charge: bool = True
+                         ) -> tuple[np.dtype, Halo, list[tuple[int, ...]]]:
+    """What allocating a distributed array costs, for every placement:
+    validate ``halo`` against the layout, compute the per-PE padded
+    shapes and charge them to the memory manager (so a too-big
+    allocation raises :class:`SimulatedOutOfMemoryError` exactly as a
+    real node would fail).  Returns ``(dtype, halo, shapes)``; the
+    caller only adds storage.  ``charge=False`` is the parallel
+    coordinator's spelling: its memory accounting comes from the merged
+    worker peaks."""
+    rank = len(layout.shape)
+    halo = halo or tuple((0, 0) for _ in range(rank))
+    if len(halo) != rank:
+        raise MachineError(f"halo rank mismatch for {name}")
+    for d, (lo, hi) in enumerate(halo):
+        limit = layout.max_shift(d)
+        if max(lo, hi) > limit:
+            raise MachineError(
+                f"{name}: halo {max(lo, hi)} along dim {d + 1} "
+                f"exceeds the minimum local extent {limit}; "
+                f"use a smaller shift or fewer processors")
+    dtype = np.dtype(dtype)
+    shapes = [tuple(n + lo + hi
+                    for n, (lo, hi) in zip(layout.local_shape(pe), halo))
+              for pe in machine.topology.ranks()]
+    if charge:
+        machine.memory.allocate_all(
+            name, [prod(s) * dtype.itemsize for s in shapes])
+    return dtype, halo, shapes
+
+
 @dataclass
 class DArray:
-    """A BLOCK-distributed array materialised on a machine."""
+    """A BLOCK-distributed array materialised on a machine: one padded
+    block per PE."""
 
     name: str
     layout: Layout
@@ -41,30 +74,10 @@ class DArray:
     @staticmethod
     def create(machine: Machine, name: str, layout: Layout,
                dtype: np.dtype, halo: Halo | None = None) -> "DArray":
-        """Allocate on every PE, charging the memory manager (so a too-big
-        allocation raises :class:`SimulatedOutOfMemoryError` exactly as a
-        real node would fail)."""
-        rank = len(layout.shape)
-        halo = halo or tuple((0, 0) for _ in range(rank))
-        if len(halo) != rank:
-            raise MachineError(f"halo rank mismatch for {name}")
-        for d, (lo, hi) in enumerate(halo):
-            limit = layout.max_shift(d)
-            if max(lo, hi) > limit:
-                raise MachineError(
-                    f"{name}: halo {max(lo, hi)} along dim {d + 1} exceeds "
-                    f"the minimum local extent {limit}; use a smaller shift "
-                    f"or fewer processors")
-        dtype = np.dtype(dtype)
-        shapes = []
-        for pe in machine.topology.ranks():
-            local = layout.local_shape(pe)
-            shapes.append(tuple(n + lo + hi
-                                for n, (lo, hi) in zip(local, halo)))
-        nbytes = [prod(s) * dtype.itemsize for s in shapes]
-        machine.memory.allocate_all(name, nbytes)
-        locals_ = [np.zeros(s, dtype=dtype) for s in shapes]
-        return DArray(name, layout, dtype, halo, locals_)
+        dtype, halo, shapes = allocate_distributed(
+            machine, name, layout, dtype, halo)
+        return DArray(name, layout, dtype, halo,
+                      [np.zeros(s, dtype=dtype) for s in shapes])
 
     def free(self, machine: Machine) -> None:
         machine.memory.free_all(self.name)
@@ -80,11 +93,7 @@ class DArray:
 
     def interior(self, pe: int) -> np.ndarray:
         """View of the owned subgrid (no overlap area)."""
-        padded = self.padded(pe)
-        slices = tuple(
-            slice(lo, padded.shape[d] - hi)
-            for d, (lo, hi) in enumerate(self.halo))
-        return padded[slices]
+        return self.padded(pe)[self.interior_slices(pe)]
 
     def interior_slices(self, pe: int) -> tuple[slice, ...]:
         padded = self.padded(pe)
@@ -112,9 +121,69 @@ class DArray:
             out[dst] = self.interior(pe)
         return out
 
+    # -- data motion: what a placement adds to the shared charge walks ------
+    def fill_overlap(self, d: int, s: int, sign: int,
+                     ext: tuple[tuple[int, int], ...],
+                     boundary: float | None = None, move=None) -> None:
+        """The data half of ``OVERLAP_SHIFT``: on every PE ``move``
+        admits, fill the ``sign``-side overlap slab of dim ``d`` (depth
+        ``s``, widened by ``ext[k]`` overlap cells in the other dims)
+        from the neighboring block — block to block, no network — or
+        with ``boundary`` past the global edge.  Slab extents come from
+        the layout, never from the blocks."""
+        layout = self.layout
+        halo_lo = self.halo[d][0]
+        distributed = layout.is_distributed(d)
+        n_global = layout.shape[d]
+
+        def slab(pe: int, along_d: slice) -> tuple[slice, ...]:
+            local = layout.local_shape(pe)
+            return tuple(
+                along_d if k == d else
+                slice(self.halo[k][0] - ext[k][0],
+                      self.halo[k][0] + local[k] + ext[k][1])
+                for k in range(len(local)))
+
+        for pe in layout.grid.ranks():
+            if move is not None and not move(pe):
+                continue
+            n_local = layout.local_shape(pe)[d]
+            dst = slab(pe, slice(halo_lo + n_local, halo_lo + n_local + s)
+                       if sign > 0 else slice(halo_lo - s, halo_lo))
+            # a collapsed dimension is whole on every PE: each one is at
+            # both global edges and wraps onto itself
+            box_lo, box_hi = layout.owned_box(pe)[d]
+            at_edge = (box_hi == n_global) if sign > 0 else (box_lo == 1)
+            if boundary is not None and at_edge:
+                self.padded(pe)[dst] = boundary
+                continue
+            sender = layout.neighbor(pe, d, sign) if distributed else pe
+            sender_n = layout.local_shape(sender)[d]
+            src = slab(sender, slice(halo_lo, halo_lo + s) if sign > 0
+                       else slice(halo_lo + sender_n - s,
+                                  halo_lo + sender_n))
+            self.padded(pe)[dst] = self.padded(sender)[src]
+
+    def assign_interior(self, other: "DArray", shift: int, d: int,
+                        move=None) -> None:
+        """``self(i) = other(i + shift)`` along dim ``d`` over the owned
+        subgrid of every PE ``move`` admits (a nonzero shift reads into
+        ``other``'s overlap area); PEs whose block is empty are
+        skipped."""
+        for pe in self.layout.grid.ranks():
+            if (move is None or move(pe)) \
+                    and prod(self.layout.local_shape(pe)):
+                src = list(other.interior_slices(pe))
+                src[d] = slice(src[d].start + shift, src[d].stop + shift)
+                self.interior(pe)[...] = other.padded(pe)[tuple(src)]
+
     # -- geometry helpers ----------------------------------------------------
     def owned_box(self, pe: int) -> tuple[tuple[int, int], ...]:
         return self.layout.owned_box(pe)
+
+    def origin(self, pe: int) -> tuple[int, ...]:
+        """Global index of the first interior cell of ``padded(pe)``."""
+        return tuple(lo for lo, _ in self.layout.owned_box(pe))
 
     def local_index_of(self, pe: int, gidx: tuple[int, ...]) -> tuple[int, ...]:
         """Padded-array index of a *globally owned* element on this PE."""

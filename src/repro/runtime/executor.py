@@ -25,10 +25,11 @@ from repro.ir.nodes import (
     BinOp, Compare, Const, Expr, Intrinsic, OffsetRef, Reduction,
     ScalarRef, UnaryOp,
 )
-from repro.runtime.reference import apply_intrinsic
+from repro.runtime.reference import apply_intrinsic, real_pow
 from repro.machine.cost_model import CostReport
 from repro.machine.machine import Machine
-from repro.passes.memopt import scaled_to_points
+from repro.machine.network import allreduce_tag
+from repro.passes.memopt import analyze_reduction, scaled_to_points
 from repro.runtime.cshift import full_cshift, full_eoshift
 from repro.runtime.backends import get_backend, register_backend
 from repro.runtime.darray import DArray
@@ -62,6 +63,11 @@ class _Exec:
     #: every registered backend class
     backend_label = "perpe"
     nest_kind = "interp"
+    #: the placement: how a distributed array is stored and how its data
+    #: moves (``fill_overlap`` / ``assign_interior`` / ``origin``).  What
+    #: every op costs is the skeleton's and the shift routines' business
+    #: and is the same for every placement.
+    array_type = DArray
 
     def __init__(self, plan: Plan, machine: Machine,
                  scalars: Mapping[str, float] | None,
@@ -104,8 +110,8 @@ class _Exec:
         decl = self.plan.arrays[name]
         layout = cached_layout(decl.shape, decl.distribution,
                                self.machine.topology)
-        da = DArray.create(self.machine, name, layout, decl.dtype,
-                           decl.halo)
+        da = self.array_type.create(self.machine, name, layout,
+                                    decl.dtype, decl.halo)
         if initial is not None:
             da.scatter(np.asarray(initial))
         self.darrays[name] = da
@@ -192,7 +198,7 @@ class _Exec:
                 return lv * rv
             if expr.op == "/":
                 return lv / rv
-            return lv ** rv
+            return real_pow(lv, rv)
         if isinstance(expr, Intrinsic):
             return float(apply_intrinsic(
                 expr.name, [self.scalar(a) for a in expr.args]))
@@ -216,15 +222,12 @@ class _Exec:
         butterfly allreduce messages (tagged ``allreduce:<op>`` in the
         message log); parallel workers compute only their owned PEs'
         partials and combine them through the collective channel."""
-        from repro.machine.network import allreduce_tag
         refs = [n for n in expr.arg.walk() if isinstance(n, OffsetRef)]
         if not refs:
             raise ExecutionError(
                 f"reduction {expr} references no arrays")
         first = self.darray(refs[0].name)
         rank_of = lambda name: self.darray(name).rank
-        from repro.passes.memopt import analyze_reduction, \
-            scaled_to_points
         per_point = analyze_reduction(expr.arg, rank_of)
         combine = {"SUM": np.sum, "MAXVAL": np.max,
                    "MINVAL": np.min}[expr.op]
@@ -367,14 +370,40 @@ class _Exec:
                 f"unknown plan op {type(op).__name__}")
 
     # -- loop nests ----------------------------------------------------------
-    def run_nest(self, op: LoopNestOp) -> None:
-        space = tuple((self.bound(lo), self.bound(hi))
-                      for lo, hi in op.space)
+    def _space(self, op: LoopNestOp) -> tuple[tuple[int, int], ...]:
+        return tuple((self.bound(lo), self.bound(hi))
+                     for lo, hi in op.space)
+
+    def _boxes(self, op: LoopNestOp, space) -> list[tuple[int, list]]:
+        """SPMD loop-bounds reduction: ``(pe, box)`` for every computed
+        PE whose owned block meets the nest's iteration space."""
+        boxes = []
         for pe in self.compute_ranks():
-            points = self._run_nest_on_pe(op, space, pe)
-            if points:
-                self.machine.charge_loop(
-                    pe, scaled_to_points(op.stats, points), self.overhead)
+            box = self._nest_box(op, space, pe)
+            if box is not None:
+                boxes.append((pe, box))
+        return boxes
+
+    def _eval_nest(self, op: LoopNestOp, space, regions) -> None:
+        """Compute the nest: box by box here; a placement that holds the
+        whole array evaluates ``space`` in one go instead."""
+        for pe, region in regions:
+            self._exec_nest_box(op, region, pe)
+
+    def run_nest(self, op: LoopNestOp) -> None:
+        space = self._space(op)
+        boxes = self._boxes(op, space)
+        self._eval_nest(op, space, boxes)
+        charge_loop = self.machine.charge_loop
+        scaled: dict[int, object] = {}
+        for pe, box in boxes:
+            points = 1
+            for lo, hi in box:
+                points *= hi - lo + 1
+            stats = scaled.get(points)
+            if stats is None:
+                stats = scaled[points] = scaled_to_points(op.stats, points)
+            charge_loop(pe, stats, self.overhead)
 
     def run_overlapped(self, op) -> None:
         """Communication overlapped with interior computation: execute
@@ -387,29 +416,32 @@ class _Exec:
         comm_delta = [t1 - t0 for t0, t1 in zip(before, report.pe_times)]
 
         nest = op.nest
-        space = tuple((self.bound(lo), self.bound(hi))
-                      for lo, hi in nest.space)
+        space = self._space(nest)
         shrink = self._nest_reach(nest)
-        for pe in self.compute_ranks():
-            box = self._nest_box(nest, space, pe)
-            if box is None:
-                continue
+        splits = []
+        for pe, box in self._boxes(nest, space):
             interior, strips = self._split_interior(box, pe, nest, shrink)
+            splits.append(
+                (pe, interior, ([interior] if interior else []) + strips))
+        self._eval_nest(nest, space, [(pe, region)
+                                      for pe, _, regions in splits
+                                      for region in regions])
+        loop_time = self.machine.cost_model.loop_time
+        scaled: dict[int, object] = {}
+        for pe, interior, regions in splits:
             t_interior = 0.0
-            for region in ([interior] if interior else []):
-                pts = self._exec_nest_box(nest, region, pe)
-                stats = scaled_to_points(nest.stats, pts)
-                t_interior = self.machine.cost_model.loop_time(
-                    stats, self.overhead)
+            for region in regions:
+                points = 1
+                for lo, hi in region:
+                    points *= hi - lo + 1
+                stats = scaled.get(points)
+                if stats is None:
+                    stats = scaled[points] = scaled_to_points(
+                        nest.stats, points)
+                if region is interior:
+                    t_interior = loop_time(stats, self.overhead)
                 self.machine.charge_loop(pe, stats, self.overhead)
-            for region in strips:
-                pts = self._exec_nest_box(nest, region, pe)
-                if pts:
-                    self.machine.charge_loop(
-                        pe, scaled_to_points(nest.stats, pts),
-                        self.overhead)
-            hidden = min(comm_delta[pe], t_interior)
-            report.pe_times[pe] -= hidden
+            report.pe_times[pe] -= min(comm_delta[pe], t_interior)
 
     def _nest_reach(self, nest: LoopNestOp) -> list[tuple[int, int]]:
         """Per-dimension (lo, hi) stencil reach of a nest's references."""
@@ -467,13 +499,6 @@ class _Exec:
             current[d] = interior[d]
         return interior, strips
 
-    def _run_nest_on_pe(self, op: LoopNestOp,
-                        space: tuple[tuple[int, int], ...], pe: int) -> int:
-        box = self._nest_box(op, space, pe)
-        if box is None:
-            return 0
-        return self._exec_nest_box(op, box, pe)
-
     def _tape(self, node, statements, rank: int) -> NestTape:
         entry = self._tapes.get(id(node))
         if entry is None or entry[0] is not node:
@@ -498,31 +523,27 @@ class _Exec:
         return views, [self.scalar(ref) for ref in tape.scalars]
 
     def _exec_nest_box(self, op: LoopNestOp,
-                       box: list[tuple[int, int]], pe: int) -> int:
+                       box: list[tuple[int, int]], pe: int) -> None:
         if self._nest_wall is not None:
             t0 = perf_counter()
-        points = 1
-        for lo, hi in box:
-            points *= hi - lo + 1
         tape = self._nest_tape(op)
         tape.run(*self._bind(tape, pe, box))
         if self._nest_wall is not None:
             self._nest_wall.observe(perf_counter() - t0,
                                     backend=self.backend_label,
                                     kernel=self.nest_kind)
-        return points
 
     def _local_slices(self, da: DArray, pe: int,
                       box: list[tuple[int, int]] | tuple,
                       offsets: tuple[int, ...]) -> tuple[slice, ...]:
-        owned = da.owned_box(pe)
+        shape = da.padded(pe).shape
         slices = []
-        for d, ((lo, hi), (olo, _), off) in enumerate(
-                zip(box, owned, offsets)):
+        for d, ((lo, hi), olo, off) in enumerate(
+                zip(box, da.origin(pe), offsets)):
             halo_lo = da.halo[d][0]
             start = halo_lo + (lo - olo) + off
             stop = start + (hi - lo + 1)
-            if start < 0 or stop > da.padded(pe).shape[d]:
+            if start < 0 or stop > shape[d]:
                 raise ExecutionError(
                     f"{da.name}: offset {off} along dim {d + 1} escapes "
                     f"the overlap area (halo={da.halo[d]})")

@@ -51,7 +51,7 @@ from repro.errors import ExecutionError
 from repro.ir.nodes import (
     BinOp, Compare, Const, Expr, Intrinsic, OffsetRef, ScalarRef, UnaryOp,
 )
-from repro.runtime.reference import apply_intrinsic
+from repro.runtime.reference import apply_intrinsic, real_pow
 
 #: Bytes one register may hold; a strip is as many dim-1 rows of the box
 #: as fit.  Fixed: a few registers plus the rows they are computed from
@@ -204,7 +204,7 @@ class NestTape:
             fn, reuse = (np.negative, True) if array \
                 else (operator.neg, False)
         elif e.op == "**":
-            fn = operator.pow
+            fn = real_pow
         else:
             fn, reuse = (_UFUNC[e.op], True) if array \
                 else (_SCALAR_OP[e.op], False)

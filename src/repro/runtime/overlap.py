@@ -13,65 +13,33 @@ shift's *source* is itself an offset array (``OVERLAP_CSHIFT(U<+1,0>,
 SHIFT=-1, DIM=2)`` in Figure 13), the equivalent slab widening is derived
 from the base offsets.
 
-The per-receiver loop separates *charging* (cost-model accounting,
-message logging) from *moving* (the NumPy slab writes): slab extents
-come from the layout, never from the data, so a caller can replay the
-exact charge sequence while moving data for only a subset of PEs.  The
-process-parallel backend uses this through the ``move`` predicate —
-each worker writes only the blocks it owns — while charge *gating*
-happens inside the machine (:meth:`Machine.set_ownership`): the walk
-here still visits every PE in rank order, the machine skips charges
-for non-owned PEs, and the network's sequence counter keeps ticking so
-worker message logs splice back into the serial order.
+The op is *validate once, move, charge*: the array's ``fill_overlap``
+moves the data however its placement stores it (per-PE blocks copy slab
+to slab, the global slab wraps one edge plane), and one count-only walk
+here prices it — slab extents come from the layout, never from the data,
+so every placement charges the identical rank-order sequence.  The
+process-parallel backend's workers pass a ``move`` predicate so each
+writes only the blocks it owns, while charge *gating* happens inside the
+machine (:meth:`Machine.set_ownership`): the walk still visits every PE
+in rank order, the machine skips charges for non-owned PEs, and the
+network's sequence counter keeps ticking so worker message logs splice
+back into the serial order.
 
 Degenerate zero-width slabs (possible only through hand-built layouts
 today — BLOCK layouts reject empty blocks at construction — but
-legitimately producible by future distribution kinds) are elided here
-at the call site: :meth:`Network.send`/:meth:`Network.record` reject
-zero-size messages by contract.
+legitimately producible by future distribution kinds) are elided by the
+walk: :meth:`Network.record` rejects zero-size messages by contract.
 """
 
 from __future__ import annotations
 
 from math import prod
 
-import numpy as np
-
 from repro.errors import ExecutionError
 from repro.ir.rsd import RSD
 from repro.machine.machine import Machine
 from repro.machine.network import comm_tag
 from repro.runtime.darray import DArray
-
-
-def _effective_rsd(da: DArray, dim0: int, rsd: RSD | None,
-                   base_offsets: tuple[int, ...] | None) -> RSD:
-    if rsd is not None:
-        return rsd
-    if base_offsets is not None:
-        return RSD.from_offsets(base_offsets, dim0)
-    return RSD.trivial(da.rank, dim0)
-
-
-def _ortho_slice(da: DArray, pe: int, k: int, ext_lo: int,
-                 ext_hi: int) -> slice:
-    """Padded-coordinate slice of dim ``k``: interior extended by
-    ``ext_lo``/``ext_hi`` overlap cells.
-
-    Extents come from the layout (not the padded block) so the slice can
-    be computed without touching — or even holding — PE data.
-    """
-    halo_lo, halo_hi = da.halo[k]
-    if ext_lo > halo_lo or ext_hi > halo_hi:
-        raise ExecutionError(
-            f"{da.name}: RSD extension ({ext_lo},{ext_hi}) exceeds halo "
-            f"({halo_lo},{halo_hi}) in dim {k + 1}")
-    n_local = da.layout.local_shape(pe)[k]
-    return slice(halo_lo - ext_lo, halo_lo + n_local + ext_hi)
-
-
-def _slab_elems(idx: list[slice]) -> int:
-    return prod(sl.stop - sl.start for sl in idx)
 
 
 def overlap_shift(machine: Machine, da: DArray, shift: int, dim: int,
@@ -88,11 +56,11 @@ def overlap_shift(machine: Machine, da: DArray, shift: int, dim: int,
 
     A positive ``shift`` serves reads ``U(i + shift)`` and therefore fills
     the *high*-side overlap area; negative fills the low side.  One
-    message per PE is sent (self-messages on 1-wide grid dimensions are
+    message per PE is charged (self-messages on 1-wide grid dimensions are
     priced as local copies by the network).
 
     ``move`` (``pe -> bool``, default: always) gates the data movement
-    per receiving PE while the walk itself covers every PE — the hook
+    per receiving PE while the charge walk covers every PE — the hook
     the process-parallel backend's workers use to split data movement;
     cost charging on non-owned PEs is skipped by the machine's
     ownership gate, not here.
@@ -110,91 +78,58 @@ def overlap_shift(machine: Machine, da: DArray, shift: int, dim: int,
         raise ExecutionError(
             f"{da.name}: overlap area too small for shift {shift:+d} along "
             f"dim {dim} (halo={da.halo[d]})")
-    eff = _effective_rsd(da, d, rsd, base_offsets)
+    eff = rsd
+    if eff is None:
+        eff = RSD.from_offsets(base_offsets, d) if base_offsets is not None \
+            else RSD.trivial(da.rank, d)
     if eff.rank != da.rank or eff.shift_dim != d:
         raise ExecutionError(
             f"{da.name}: RSD {eff} incompatible with shift dim {dim}")
+    ext = tuple((eff.dims[k].lo, eff.dims[k].hi) if k != d else (0, 0)
+                for k in range(da.rank))
+    for k, (ext_lo, ext_hi) in enumerate(ext):
+        if ext_lo > da.halo[k][0] or ext_hi > da.halo[k][1]:
+            raise ExecutionError(
+                f"{da.name}: RSD extension ({ext_lo},{ext_hi}) exceeds "
+                f"halo {da.halo[k]} in dim {k + 1}")
 
+    da.fill_overlap(d, s, sign, ext, boundary, move)
+
+    # -- the charge walk: counts only, in rank order -------------------------
     layout = da.layout
+    itemsize = da.dtype.itemsize
+    elems_of: dict[tuple[int, ...], int] = {}
+
+    def slab_elems(pe: int) -> int:
+        local = layout.local_shape(pe)
+        elems = elems_of.get(local)
+        if elems is None:
+            elems = elems_of[local] = s * prod(
+                local[k] + ext[k][0] + ext[k][1]
+                for k in range(da.rank) if k != d)
+        return elems
+
+    if not layout.is_distributed(d):
+        # collapsed dimension: the "interprocessor" component is a purely
+        # local circular wrap of the slab
+        for pe in layout.grid.ranks():
+            nelems = slab_elems(pe)
+            if nelems:  # degenerate empty slabs are elided, not charged
+                machine.charge_copy(pe, nelems, itemsize)
+        return
     n_global = layout.shape[d]
-    tag = comm_tag(da.name, dim, shift, widened=not eff.is_trivial)
-    itemsize = np.dtype(da.dtype).itemsize
-    if move is None:
-        move = _move_always
-
+    transfers: list[tuple[int, int, int]] = []
     for pe in layout.grid.ranks():
-        n_local = layout.local_shape(pe)[d]
-        # destination: the halo slab on the sign side
-        dst_idx: list[slice] = []
-        for k in range(da.rank):
-            if k == d:
-                if sign > 0:
-                    dst_idx.append(slice(halo_lo + n_local,
-                                         halo_lo + n_local + s))
-                else:
-                    dst_idx.append(slice(halo_lo - s, halo_lo))
-            else:
-                rd = eff.dims[k]
-                assert rd is not None
-                dst_idx.append(_ortho_slice(da, pe, k, rd.lo, rd.hi))
-
-        if not layout.is_distributed(d):
-            # collapsed dimension: the "interprocessor" component is a
-            # purely local circular wrap of the slab
-            nelems = _slab_elems(dst_idx)
-            if nelems == 0:
-                continue  # degenerate empty slab: nothing moves
-            if move(pe):
-                padded = da.padded(pe)
-                src_idx = list(dst_idx)
-                if sign > 0:
-                    src_idx[d] = slice(halo_lo, halo_lo + s)
-                else:
-                    src_idx[d] = slice(halo_lo + n_local - s,
-                                       halo_lo + n_local)
-                slab = padded[tuple(src_idx)]
-                if boundary is not None:
-                    slab = np.full_like(slab, boundary)
-                padded[tuple(dst_idx)] = slab
-            machine.charge_copy(pe, nelems, itemsize)
-            continue
-
-        # boundary (EOSHIFT) handling: a PE at the global edge fills its
-        # slab with the boundary value, no message needed
+        # EOSHIFT: a PE at the global edge fills its slab with the
+        # boundary value, no message needed
         box_lo, box_hi = layout.owned_box(pe)[d]
         at_edge = (box_hi == n_global) if sign > 0 else (box_lo == 1)
         if boundary is not None and at_edge:
-            if move(pe):
-                padded = da.padded(pe)
-                shape = tuple(sl.stop - sl.start for sl in dst_idx)
-                padded[tuple(dst_idx)] = np.full(shape, boundary,
-                                                 dtype=padded.dtype)
             continue
-
         sender = layout.neighbor(pe, d, sign)
-        sender_n = layout.local_shape(sender)[d]
-        src_idx = []
-        for k in range(da.rank):
-            if k == d:
-                if sign > 0:
-                    src_idx.append(slice(halo_lo, halo_lo + s))
-                else:
-                    src_idx.append(slice(halo_lo + sender_n - s,
-                                         halo_lo + sender_n))
-            else:
-                rd = eff.dims[k]
-                assert rd is not None
-                src_idx.append(_ortho_slice(da, sender, k, rd.lo, rd.hi))
-        nelems = _slab_elems(src_idx)
-        if nelems == 0:
-            continue  # empty slab: the network rejects zero-size sends
-        if move(pe):
-            payload = da.padded(sender)[tuple(src_idx)]
-            received = machine.network.send(sender, pe, payload, tag=tag)
-            da.padded(pe)[tuple(dst_idx)] = received
-        else:
-            machine.network.record(sender, pe, nelems, itemsize, tag=tag)
-
-
-def _move_always(pe: int) -> bool:
-    return True
+        nelems = slab_elems(sender)
+        if nelems:  # empty slab: the network rejects zero-size messages
+            transfers.append((sender, pe, nelems))
+    machine.network.record_batch(
+        transfers, itemsize,
+        tag=comm_tag(da.name, dim, shift, widened=not eff.is_trivial))

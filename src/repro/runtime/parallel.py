@@ -94,13 +94,13 @@ from typing import Mapping
 import numpy as np
 from multiprocessing import resource_tracker, shared_memory
 
-from repro.errors import ExecutionError, MachineError
+from repro.errors import ExecutionError
 from repro.machine.cost_model import CostReport
 from repro.machine.machine import Machine
 from repro.plan import FullShiftOp, OverlapShiftOp, Plan
 from repro.runtime.backends import check_workers, register_backend
 from repro.runtime.cshift import full_cshift, full_eoshift
-from repro.runtime.darray import DArray, Halo
+from repro.runtime.darray import DArray, Halo, allocate_distributed
 from repro.runtime.distribution import Layout, cached_layout
 from repro.runtime.executor import _Exec
 from repro.runtime.overlap import overlap_shift
@@ -291,33 +291,15 @@ class ShmDArray(DArray):
               dtype: np.dtype, halo: Halo | None, *, run_id: str,
               gen: int, create_pes, owned_pes,
               charge: bool) -> "ShmDArray":
-        """Validate + (optionally) charge exactly like
-        :meth:`DArray.create`, then create segments for ``create_pes``.
+        """:func:`allocate_distributed`, then create segments for
+        ``create_pes``.
 
         Workers pass ``charge=True`` (they replicate the reference
         allocation charges); the parent passes ``charge=False`` (its
         memory accounting comes from the merged worker peaks).
         """
-        rank = len(layout.shape)
-        halo = halo or tuple((0, 0) for _ in range(rank))
-        if len(halo) != rank:
-            raise MachineError(f"halo rank mismatch for {name}")
-        for d, (lo, hi) in enumerate(halo):
-            limit = layout.max_shift(d)
-            if max(lo, hi) > limit:
-                raise MachineError(
-                    f"{name}: halo {max(lo, hi)} along dim {d + 1} exceeds "
-                    f"the minimum local extent {limit}; use a smaller shift "
-                    f"or fewer processors")
-        dtype = np.dtype(dtype)
-        shapes = []
-        for pe in layout.grid.ranks():
-            local = layout.local_shape(pe)
-            shapes.append(tuple(n + lo + hi
-                                for n, (lo, hi) in zip(local, halo)))
-        if charge:
-            nbytes = [prod(s) * dtype.itemsize for s in shapes]
-            machine.memory.allocate_all(name, nbytes)
+        dtype, halo, shapes = allocate_distributed(
+            machine, name, layout, dtype, halo, charge=charge)
         da = ShmDArray(name, layout, dtype, halo, run_id=run_id, gen=gen,
                        shapes=shapes, owned_pes=frozenset(owned_pes))
         for pe in create_pes:

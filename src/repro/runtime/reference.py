@@ -90,6 +90,16 @@ def _roll(a: np.ndarray, shift: int, dim: int) -> np.ndarray:
     return np.roll(a, -shift, axis=dim - 1)
 
 
+def real_pow(base, exponent):
+    """``base ** exponent`` in real arithmetic, for the reference and
+    every backend.  Python's ``float.__pow__`` answers a negative base
+    to a fractional exponent with a ``complex``; real arithmetic must
+    stay real, so that case is NaN, as NumPy's real ``power`` gives for
+    arrays.  Every other value is the operator's own."""
+    result = base ** exponent
+    return float("nan") if isinstance(result, complex) else result
+
+
 def apply_intrinsic(name: str, args: list) -> "np.ndarray | float":
     """Evaluate an elementwise intrinsic on NumPy values."""
     if name == "ABS":
@@ -176,7 +186,7 @@ def eval_expr(expr: Expr, env: ReferenceEnv) -> np.ndarray | float:
         if expr.op == "/":
             return lv / rv  # type: ignore[operator]
         if expr.op == "**":
-            return lv ** rv  # type: ignore[operator]
+            return real_pow(lv, rv)
     if isinstance(expr, Intrinsic):
         args = [eval_expr(a, env) for a in expr.args]
         return apply_intrinsic(expr.name, args)

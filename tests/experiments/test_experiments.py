@@ -121,6 +121,21 @@ class TestMessagesShape:
         row = result.row("27-pt 3-D")
         assert (row.shifts_before, row.shifts_after) == (54, 6)
 
+    def test_25_point_40_to_4(self, result):
+        row = result.row("25-pt 2-D")
+        assert (row.shifts_before, row.shifts_after) == (40, 4)
+
+    def test_unioned_communication_is_cheaper_in_the_model(self):
+        from repro.compiler import compile_hpf
+        from repro.experiments.harness import run_on_machine
+        for case, source, out, n in messages.CASES:
+            comm = {
+                level: run_on_machine(compile_hpf(
+                    source, bindings={"N": n}, level=level,
+                    outputs={out})).report.pe_comm_times[0]
+                for level in ("O2", "O3")}
+            assert comm["O3"] <= comm["O2"] + 1e-12, case
+
     def test_star_already_minimal(self, result):
         row = result.row("5-pt 2-D")
         assert row.shifts_before == row.shifts_after == 4

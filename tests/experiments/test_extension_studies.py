@@ -14,6 +14,12 @@ class TestScaling:
         speedups = [r.speedup for r in result.rows]
         assert speedups == sorted(speedups)
 
+    def test_four_pes_buy_well_over_2x(self, result):
+        # at N=256 the fixed message latency already costs some
+        # efficiency; 4 PEs still must buy well over 2x
+        four = next(r for r in result.rows if r.npes == 4)
+        assert four.speedup > 2.0
+
     def test_efficiency_declines(self, result):
         effs = [r.efficiency for r in result.rows]
         assert effs == sorted(effs, reverse=True)

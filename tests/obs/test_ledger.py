@@ -189,6 +189,50 @@ class TestReaderWriterRace:
             assert reader.corrupt_lines == 1
 
 
+    @pytest.mark.parametrize("cut", [-1, 40])
+    def test_append_and_read_between_a_payload_and_its_newline(
+            self, path, monkeypatch, cut):
+        """The race, made deterministic: a writer whose record reaches
+        the file in two pieces — payload then newline (``cut=-1``), or
+        split mid-payload — which is what a contended kernel write looks
+        like from outside, with a second appender and a reader acting in
+        between.  Unlocked, the appender "healed" the in-flight record
+        with a newline and the reader counted it corrupt; now
+        check-and-append and read exclude each other."""
+        import threading
+        mid_write, interposed = threading.Event(), threading.Event()
+        real_write = os.write
+
+        def split_write(fd, data):
+            if threading.current_thread() is not writer:
+                return real_write(fd, data)
+            real_write(fd, data[:cut])
+            mid_write.set()
+            interposed.wait(timeout=0.5)  # a lock holds the others off
+            real_write(fd, data[cut:])
+            return len(data)
+
+        ledger = RunLedger(path)
+        ledger.append(fingerprint="fp", plan_key="first")
+        writer = threading.Thread(
+            target=lambda: RunLedger(path).append(
+                fingerprint="fp", plan_key="in-flight"))
+        monkeypatch.setattr(os, "write", split_write)
+        writer.start()
+        assert mid_write.wait(timeout=10)
+        reader = RunLedger(path)
+        seen = [r["plan_key"] for r in reader.records()]
+        assert reader.corrupt_lines == 0
+        assert seen in (["first"], ["first", "in-flight"])
+        ledger.append(fingerprint="fp", plan_key="second")
+        interposed.set()
+        writer.join(timeout=10)
+        assert [r["plan_key"] for r in reader.records()] == \
+            ["first", "in-flight", "second"]
+        assert reader.corrupt_lines == 0
+        assert b"\n\n" not in path.read_bytes()  # no "healing" blank
+
+
 def _append_worker(path_str: str, wid: int, n: int) -> None:
     ledger = RunLedger(path_str)
     for i in range(n):

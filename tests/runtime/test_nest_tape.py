@@ -49,10 +49,17 @@ def evaluate(e, arrays, box):
     lv, rv = evaluate(e.left, arrays, box), evaluate(e.right, arrays, box)
     return {"+": lambda: lv + rv, "-": lambda: lv - rv,
             "*": lambda: lv * rv, "/": lambda: lv / rv,
-            "**": lambda: lv ** rv, "<": lambda: lv < rv,
+            "**": lambda: real(lv ** rv), "<": lambda: lv < rv,
             ">": lambda: lv > rv, "<=": lambda: lv <= rv,
             ">=": lambda: lv >= rv, "==": lambda: lv == rv,
             "/=": lambda: lv != rv}[e.op]()
+
+
+def real(power):
+    """Real ``**`` stays real: Python's ``float.__pow__`` answers a
+    negative base to a fractional exponent with a complex; NumPy's real
+    ``power`` — and every backend — answers NaN."""
+    return float("nan") if isinstance(power, complex) else power
 
 
 def oracle(statements, arrays, box):
@@ -380,3 +387,18 @@ def test_value_based_promotion_rebinds_on_a_new_scalar(monkeypatch):
     first = program_after(2.0)
     assert program_after(2.0) is first
     assert program_after(3.0) is not first
+
+
+def test_negative_scalar_base_to_a_fractional_power_is_nan(monkeypatch):
+    """``A + S**T`` with ``S=-2.0, T=0.5``: the scalar-only subtree used
+    to go through Python's ``float.__pow__``, which answers with a
+    complex — stored with a ``ComplexWarning`` and a wrong real part."""
+    monkeypatch.setitem(SCALARS, "S", -2.0)
+    monkeypatch.setitem(SCALARS, "T", 0.5)
+    statements = [("C", add(ref("A", 0, 0),
+                            BinOp("**", ScalarRef("S"), ScalarRef("T"))),
+                   None)]
+    arrays = make_arrays((7, 5), 0)
+    tape = check(statements, (7, 5), BOX7, 2, monkeypatch)
+    run_tape(tape, arrays, BOX7, 2, monkeypatch)
+    assert np.isnan(view(arrays, "C", BOX7, (0, 0))).all()

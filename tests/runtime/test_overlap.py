@@ -12,6 +12,7 @@ from repro.machine import Machine
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import Layout
 from repro.runtime.overlap import overlap_shift
+from repro.runtime.vectorized import VArray
 
 from tests.conftest import random_grid
 
@@ -217,22 +218,52 @@ class TestEOShiftBoundary:
         assert machine2x2.report.messages == 2  # only interior receivers
 
 
+def global_edge_slab(padded, n, halo, dim0, sign, depth):
+    """The global-edge halo planes (interior-extent orthogonally) of an
+    ``(n + 2 halo)``-square padded global array: the only overlap cells
+    the slab placement stores."""
+    idx = [slice(halo, halo + n)] * 2
+    idx[dim0] = slice(halo + n, halo + n + depth) if sign > 0 \
+        else slice(halo - depth, halo)
+    return padded[tuple(idx)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.sampled_from([8, 12, 16]),
        shift=st.sampled_from([-2, -1, 1, 2]),
        dim=st.sampled_from([1, 2]),
+       boundary=st.sampled_from([None, 7.25]),
        seed=st.integers(0, 10))
-def test_overlap_fill_property(n, shift, dim, seed):
-    """Any legal shift fills its slab with wrapped neighbor values."""
-    m = Machine(grid=(2, 2))
-    lay = Layout((n, n), Distribution.block(2), m.topology)
-    da = DArray.create(m, "U", lay, np.dtype(np.float64),
-                       ((2, 2), (2, 2)))
+def test_overlap_fill_property(n, shift, dim, boundary, seed):
+    """Any legal shift fills its slab with wrapped neighbor values (or
+    the boundary past the global edge) — in both placements, at the same
+    cost."""
     g = np.random.default_rng(seed).standard_normal((n, n))
-    da.scatter(g)
-    overlap_shift(m, da, shift, dim)
     sign = 1 if shift > 0 else -1
-    for pe in range(4):
-        np.testing.assert_array_equal(
-            halo_slab(da, pe, dim - 1, sign, abs(shift)),
-            expected_slab(g, da, pe, dim - 1, sign, abs(shift)))
+    depth = abs(shift)
+    wrapped = np.pad(g, 2, mode="wrap") if boundary is None else \
+        np.pad(g, 2, mode="constant", constant_values=boundary)
+    seen = {}
+    for array_type in (DArray, VArray):
+        m = Machine(grid=(2, 2), keep_message_log=True)
+        lay = Layout((n, n), Distribution.block(2), m.topology)
+        arr = array_type.create(m, "U", lay, np.dtype(np.float64),
+                                ((2, 2), (2, 2)))
+        arr.scatter(g)
+        overlap_shift(m, arr, shift, dim, boundary=boundary)
+        seen[array_type] = (arr.gather().tobytes(), m.report,
+                            m.network.log)
+        if array_type is VArray:
+            np.testing.assert_array_equal(
+                global_edge_slab(arr.data, n, 2, dim - 1, sign, depth),
+                global_edge_slab(wrapped, n, 2, dim - 1, sign, depth))
+            continue
+        for pe in range(4):
+            box_lo, box_hi = arr.owned_box(pe)[dim - 1]
+            at_edge = box_hi == n if sign > 0 else box_lo == 1
+            expect = expected_slab(g, arr, pe, dim - 1, sign, depth)
+            if boundary is not None and at_edge:
+                expect = np.full_like(expect, boundary)
+            np.testing.assert_array_equal(
+                halo_slab(arr, pe, dim - 1, sign, depth), expect)
+    assert seen[VArray] == seen[DArray]

@@ -101,6 +101,43 @@ class TestEvaluate:
         """)
         assert (evaluate(p)["A"] == 6.0).all()
 
+    def test_negative_scalar_base_to_a_fractional_power_is_nan(self):
+        """Real arithmetic stays real: Python's ``float.__pow__`` would
+        make ``(-2.0) ** 0.5`` a complex; NumPy's real ``power`` (and
+        every backend) gives NaN."""
+        p = parse_program("REAL A(4,4)\nA = A + S**T")
+        out = evaluate(p, inputs={"A": np.ones((4, 4))},
+                       scalars={"S": -2.0, "T": 0.5})
+        assert out["A"].dtype == np.float32
+        assert np.isnan(out["A"]).all()
+        # every other value is what it was
+        out = evaluate(p, inputs={"A": np.ones((4, 4))},
+                       scalars={"S": 2.0, "T": 0.5})
+        assert (out["A"] == np.float32(1.0 + 2.0 ** 0.5)).all()
+
+    def test_that_power_agrees_on_every_backend(self):
+        """The same case through the reference at every level and the
+        four-backend bitwise contract; a scalar assignment of it goes
+        through ``_Exec.scalar``."""
+        import math
+        from repro.compiler import compile_hpf
+        from repro.machine import Machine
+        from repro.testing import (
+            GeneratedProgram, backend_equivalence_check,
+            differential_check)
+        src = ("      REAL, DIMENSION(8,8) :: A\n"
+               "!HPF$ DISTRIBUTE A(BLOCK,BLOCK)\n"
+               "      A = A + S**T\n")
+        prog = GeneratedProgram(src, ["A"], scalars={"S": -2.0, "T": 0.5})
+        inputs = {"A": np.ones((8, 8), dtype=np.float32)}
+        differential_check(prog, inputs, levels=("O0", "O4"))
+        backend_equivalence_check(prog, inputs, levels=("O4",))
+        compiled = compile_hpf(src + "      X = S**T\n", outputs={"A"})
+        for backend in ("perpe", "vectorized"):
+            result = compiled.run(Machine(grid=(2, 2)), inputs=inputs,
+                                  scalars=prog.scalars, backend=backend)
+            assert math.isnan(result.scalars["X"])
+
     def test_param_in_expression(self):
         p = parse_program("PARAMETER (N = 4)\nREAL A(N,N)\nA = A + N")
         assert (evaluate(p)["A"] == 4).all()

@@ -56,7 +56,6 @@ def test_documented_name_resolves(doc, name):
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 #: Flags the docs quote from other tools' command lines.
 OTHER_TOOLS = {
-    "--benchmark-only": "pytest-benchmark",
     "--check": "benchmarks/golden_plans.py",
     "--workload": "benchmarks/e2e/run.py",
     "--seconds": "benchmarks/e2e/run.py",
