@@ -347,11 +347,9 @@ def _run_flags() -> argparse.ArgumentParser:
                         "(0 uses each nest's modelled factor; default "
                         "from REPRO_COMPILED_UNROLL)")
     p.add_argument("--jit", default=None,
-                   choices=("auto", "numba", "python", "off"),
-                   help="JIT mode for --backend compiled: auto "
-                        "(numba when importable, else slab fallback "
-                        "with a warning), numba (required), python "
-                        "(generated source un-jitted), off")
+                   choices=("auto", "python", "off"),
+                   help="kernel mode for --backend compiled: python "
+                        "(generated source un-jitted), auto/off (slabs)")
     p.add_argument("--grid", default="2x2",
                    help="processor grid, e.g. 2x2 (default)")
     p.add_argument("--iters", type=int, default=1,

@@ -4,8 +4,8 @@ Public surface:
 
 * :func:`~repro.codegen.lower.lower_plan` — Plan IR -> generated module
   source (fused/tiled/unroll-and-jammed scalar loops + manifest).
-* :func:`~repro.codegen.jit.materialize` — source -> callables, under
-  Numba or plain Python.
+* :func:`~repro.codegen.jit.materialize` — source -> callables (plain
+  Python).
 * :class:`~repro.codegen.options.CodegenOptions` /
   :func:`~repro.codegen.options.codegen_options` — factor and jit-mode
   configuration.
@@ -21,7 +21,7 @@ from repro.codegen.lower import (  # noqa: F401
     plan_nests,
 )
 from repro.codegen.jit import (  # noqa: F401
-    KernelEntry, KernelModule, materialize, numba_available,
+    KernelEntry, KernelModule, materialize,
 )
 from repro.codegen.options import (  # noqa: F401
     CodegenOptions, JIT_MODES, codegen_options, current_options,

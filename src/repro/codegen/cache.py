@@ -7,23 +7,20 @@ generated source or the data layout it indexes.  Two tiers, both plain
 
 * :data:`MODULES` (``kernel-memory``) — materialized
   :class:`~repro.codegen.jit.KernelModule` objects under ``(key, jit
-  mode)``: the same source materializes differently under numba vs
-  python.  Repeated runs of one plan skip both lowering and JIT
-  compilation.
+  mode)``.  Repeated runs of one plan skip both lowering and
+  materialization.
 * :func:`source_store` (``kernel-disk``) — one ``<key>.py`` of generated
   source per module under a cache directory, so lowering survives the
-  interpreter.  Sources are mode-independent; a disk hit still JITs
-  in-process.
+  interpreter; a disk hit still materializes in-process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import threading
 
 from repro.codegen.lower import CODEGEN_VERSION, LoweredPlan, manifest_nests
-from repro.store import Codec, DiskStore, MemoryStore
+from repro.store import Codec, DiskStore, MemoryStore, shared_disk_store
 
 
 def kernel_key(plan, machine, options) -> str:
@@ -37,8 +34,7 @@ def kernel_key(plan, machine, options) -> str:
     return h.hexdigest()
 
 
-#: Modules are small (a few functions), but numba dispatchers hold
-#: compiled machine code worth bounding.
+#: Modules are small (a few functions each); bounded like every tier.
 MODULES = MemoryStore(64, label="kernel-memory")
 
 
@@ -56,17 +52,7 @@ def _decode_source(text: str) -> LoweredPlan:
 
 SOURCE_CODEC = Codec(".py", lambda lowered: lowered.source, _decode_source)
 
-_SOURCES: dict[str, DiskStore] = {}
-_SOURCES_LOCK = threading.Lock()
-
 
 def source_store(path: "str | os.PathLike[str]") -> DiskStore:
-    """The kernel-source store of one directory — one object per
-    directory per process, so its counters accumulate across runs."""
-    path = os.path.abspath(path)
-    with _SOURCES_LOCK:
-        store = _SOURCES.get(path)
-        if store is None:
-            store = _SOURCES[path] = DiskStore(path, SOURCE_CODEC,
-                                               label="kernel-disk")
-        return store
+    """The kernel-source store of one directory."""
+    return shared_disk_store(path, SOURCE_CODEC, label="kernel-disk")

@@ -1,20 +1,10 @@
 """Materialize generated kernel source into callable functions.
 
-Three execution flavors of the same generated module text:
-
-* ``numba`` — each nest function is wrapped in ``numba.njit`` with
-  ``fastmath=False`` (fastmath would license reassociation and FMA
-  contraction, breaking the bitwise-identity contract).  Compilation is
-  lazy per call signature; the in-process kernel cache keeps the
-  dispatcher warm.
-* ``python`` — the generated source runs as plain Python.  Slow, but it
-  executes the *identical* statements Numba would compile, so the
-  equivalence suite can exercise real codegen in environments without
-  Numba (this is the test-suite default there).
-
-Numba availability is probed lazily and cached; tests monkeypatch
-:func:`numba_available` through this module, so callers must invoke it
-as ``jit.numba_available()``, never ``from ... import``.
+One execution flavor: ``python`` — the generated source runs as plain
+Python.  Slow, but it executes the fused/tiled/unroll-and-jammed loops
+statement for statement, so the equivalence suite exercises the real
+codegen.  (Native code is the tape's business:
+:mod:`repro.runtime.native` compiles nests with the system ``cc``.)
 """
 
 from __future__ import annotations
@@ -24,20 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.codegen.lower import LoweredNest, manifest_nests
-
-_NUMBA_OK: bool | None = None
-
-
-def numba_available() -> bool:
-    """Whether ``import numba`` succeeds (probed once per process)."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
-            _NUMBA_OK = True
-        except ImportError:
-            _NUMBA_OK = False
-    return _NUMBA_OK
 
 
 @dataclass(frozen=True)
@@ -62,14 +38,14 @@ class KernelModule:
 
     entries: tuple[KernelEntry, ...]
     source: str
-    jit: str  # "numba" | "python"
+    jit: str  # "python"
 
 
 def materialize(source: str, mode: str) -> KernelModule:
     """Exec one generated module and wrap its nest functions.
 
-    ``mode`` is ``"numba"`` or ``"python"``; the caller resolves
-    ``"auto"``/``"off"`` before getting here.
+    ``mode`` is ``"python"``; the caller resolves ``"auto"``/``"off"``
+    before getting here.
 
     When a live metrics registry is installed, records the
     materialization wall time (``repro_jit_materialize_seconds``, by
@@ -85,24 +61,13 @@ def materialize(source: str, mode: str) -> KernelModule:
     namespace: dict = {"np": np}
     exec(compile(source, "<repro-codegen>", "exec"), namespace)
     nests = manifest_nests(namespace["MANIFEST"])
-    decorate = None
-    if mode == "numba":
-        import numba
-        decorate = numba.njit(cache=False, fastmath=False)
-    entries = []
-    for nest in nests:
-        fn = None
-        if nest.fn_name is not None:
-            fn = namespace[nest.fn_name]
-            if decorate is not None:
-                fn = decorate(fn)
-        entries.append(KernelEntry(nest=nest, fn=fn))
+    entries = [KernelEntry(nest=nest, fn=namespace.get(nest.fn_name))
+               for nest in nests]
     if registry.enabled:
         registry.histogram(
             "repro_jit_materialize_seconds",
             help="Wall-clock seconds materializing one generated "
-                 "kernel module (exec + decoration; numba compiles "
-                 "lazily per call signature).",
+                 "kernel module (exec of the generated source).",
             deterministic=False,
         ).observe(perf_counter() - t0, mode=mode)
         counts = registry.counter(

@@ -12,15 +12,13 @@ defaults (handy for CI sweeps without threading flags everywhere).
 
 JIT modes
 ---------
-``auto``    use Numba's ``njit`` when importable; otherwise warn once and
-            fall back to the vectorized slab path (the graceful-degrade
-            contract: results and cost reports are identical either way).
-``numba``   require Numba; raise :class:`~repro.errors.UsageError` if it
-            is not importable.
+``auto``    the default, and the same as ``off``: the slab path, whose
+            nests the shared tape runs as ``cc``-compiled kernels when
+            eligible (:mod:`repro.runtime.native`).
 ``python``  execute the *generated* loop-nest source un-jitted.  Orders
-            of magnitude slower than slabs, but it drives the exact code
-            Numba would compile, so equivalence tests exercise real
-            codegen even where Numba is not installed.
+            of magnitude slower than slabs, but it drives the fused,
+            tiled, unroll-and-jammed loops statement for statement, so
+            equivalence tests exercise the real codegen.
 ``off``     never generate kernels; pure vectorized slab execution.
 """
 
@@ -33,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import UsageError
 
-JIT_MODES = ("auto", "numba", "python", "off")
+JIT_MODES = ("auto", "python", "off")
 
 
 @dataclass(frozen=True)

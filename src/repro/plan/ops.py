@@ -386,6 +386,12 @@ class Plan:
     #: conservatively observable; loop passes that sacrifice a scratch
     #: array (ping-pong elimination) only fire on named non-outputs.
     outputs: tuple[str, ...] | None = None
+    #: what the runtime prepared from this plan (its nests' tapes and
+    #: loaded kernels), kept here so it is built once and dies with the
+    #: plan; not part of the plan's value: never compared, serialized
+    #: or carried over by ``dataclasses.replace``
+    tapes: object | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def walk_ops(self) -> Iterator[PlanOp]:
         yield from walk(self.ops)

@@ -9,11 +9,15 @@
   components), as a naive backend would call.
 * :mod:`repro.runtime.executor` — runs compiled plans: the one
   execution skeleton, and the ``perpe`` backend as is.
-* :mod:`repro.runtime.nest_tape` — the strip-mined nest evaluator.
+* :mod:`repro.runtime.nest_tape` — the strip-mined nest evaluator; a
+  plan's tapes are built once and kept with it.
+* :mod:`repro.runtime.native` — its native form: a nest as one
+  ``cc``-compiled fused C loop, when provably bitwise.
 * :mod:`repro.runtime.backends` — the backend registry.
 * :mod:`repro.runtime.vectorized`, :mod:`repro.runtime.parallel`,
   :mod:`repro.runtime.compiled` — the skeleton over other placements
-  (global slab / shared-memory blocks) and nest evaluators.
+  (global slab / shared-memory blocks); ``compiled`` adds generated
+  Python kernels.
 * :mod:`repro.runtime.reference` — serial NumPy semantics of IR programs.
 """
 

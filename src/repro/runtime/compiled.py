@@ -1,9 +1,9 @@
-"""Compiled execution backend: generated native loop nests over slabs.
+"""Compiled execution backend: generated loop nests over slabs.
 
 ``backend="compiled"`` extends the vectorized backend by replacing its
-NumPy-slab evaluation of each compute nest with a generated fused,
-tiled, unroll-and-jammed scalar loop nest (:mod:`repro.codegen`),
-JIT-compiled with Numba when available.  Everything else — array
+tape evaluation of each compute nest with a generated fused, tiled,
+unroll-and-jammed scalar loop nest (:mod:`repro.codegen`), run as
+plain Python under ``jit="python"``.  Everything else — array
 storage (one globally padded ndarray per distributed array), halo
 exchange, per-PE rank-order cost charging, message logging, reductions,
 overlapped-communication credit — is inherited unchanged, so every
@@ -13,16 +13,14 @@ by construction: this class overrides exactly one method, the per-box
 nest evaluator (in the placement x evaluator table of DESIGN.md it is
 *slab x kernel*).
 
-Degradation ladder (per :mod:`repro.codegen.options`):
+Modes (per :mod:`repro.codegen.options`):
 
-* Numba importable -> native kernels (the fast path; this is where the
-  integer-factor speedup over the vectorized backend comes from).
-* Numba missing under ``jit="auto"`` -> one warning, then pure slab
-  execution (identical results, vectorized speed).
+* ``jit="auto"`` / ``"off"`` -> pure slab execution: the vectorized
+  backend under this backend's label, native ``cc`` kernels included.
 * ``jit="python"`` -> generated source runs un-jitted (slow; test mode).
 * Individual nests the lowerer cannot prove bitwise-safe (mixed dtypes,
   ``EXP``/``LOG``/``**``, exotic expressions) fall back to slabs
-  *per nest* while the rest of the plan stays native.
+  *per nest* while the rest of the plan runs generated code.
 
 Kernels are cached per plan, machine and factors in the two tiers of
 :mod:`repro.codegen.cache`.
@@ -30,7 +28,6 @@ Kernels are cached per plan, machine and factors in the two tiers of
 
 from __future__ import annotations
 
-import warnings
 from functools import partial
 from time import perf_counter
 
@@ -39,25 +36,9 @@ from repro.codegen import jit as _jit
 from repro.codegen.jit import KernelEntry, KernelModule
 from repro.codegen.lower import lower_plan, plan_nests
 from repro.codegen.options import current_options
-from repro.errors import ExecutionError, UsageError
+from repro.errors import ExecutionError
 from repro.plan import LoopNestOp
 from repro.runtime.vectorized import VectorizedExec
-
-#: process flag so the missing-numba degradation warns once, not per run
-_warned_no_numba = False
-
-
-def _warn_no_numba() -> None:
-    global _warned_no_numba
-    if _warned_no_numba:
-        return
-    _warned_no_numba = True
-    warnings.warn(
-        "backend='compiled': numba is not installed; falling back to "
-        "vectorized slab execution (results and cost reports are "
-        "identical, but no native speedup). Install numba, or set "
-        "jit='python' to run generated kernels un-jitted.",
-        RuntimeWarning, stacklevel=3)
 
 
 def _obtain_module(plan, machine, opts, mode: str) -> KernelModule:
@@ -89,18 +70,7 @@ class CompiledExec(VectorizedExec):
         super().__init__(plan, machine, scalars, hpf_overhead,
                          tracer=tracer, workers=workers)
         opts = current_options()
-        mode = opts.jit
-        if mode == "auto":
-            if _jit.numba_available():
-                mode = "numba"
-            else:
-                _warn_no_numba()
-                mode = "off"
-        elif mode == "numba" and not _jit.numba_available():
-            raise UsageError(
-                "jit='numba' requested but numba is not importable; "
-                "use jit='auto' (slab fallback) or jit='python'")
-        self.jit_mode = mode
+        mode = self.jit_mode = "off" if opts.jit == "auto" else opts.jit
         self._kernels: dict[int, KernelEntry] = {}
         if mode == "off":
             return
@@ -126,8 +96,8 @@ class CompiledExec(VectorizedExec):
     def _exec_nest_box(self, op: LoopNestOp, box, pe: int) -> None:
         entry = self._kernels.get(id(op))
         if entry is None:
-            # slab fallback: the inherited evaluator times itself with
-            # kernel="slab" under this backend's label
+            # slab fallback: the inherited evaluator times itself
+            # under this backend's label
             return super()._exec_nest_box(op, box, pe)
         if self._nest_wall is not None:
             t0 = perf_counter()
@@ -146,7 +116,7 @@ class CompiledExec(VectorizedExec):
         if self._nest_wall is not None:
             self._nest_wall.observe(perf_counter() - t0,
                                     backend=self.backend_label,
-                                    kernel="native")
+                                    kernel="generated")
 
 
 # registers under its public name; see repro.runtime.backends

@@ -34,7 +34,7 @@ from repro.runtime.cshift import full_cshift, full_eoshift
 from repro.runtime.backends import get_backend, register_backend
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import cached_layout
-from repro.runtime.nest_tape import NestTape
+from repro.runtime.nest_tape import NestTape, plan_tapes, prepare
 from repro.runtime.overlap import overlap_shift
 
 if TYPE_CHECKING:
@@ -62,7 +62,6 @@ class _Exec:
     #: labels the wall-clock nest histogram carries; overridden by
     #: every registered backend class
     backend_label = "perpe"
-    nest_kind = "interp"
     #: the placement: how a distributed array is stored and how its data
     #: moves (``fill_overlap`` / ``assign_interior`` / ``origin``).  What
     #: every op costs is the skeleton's and the shift routines' business
@@ -95,9 +94,10 @@ class _Exec:
         self.plan = plan
         self.machine = machine
         self.darrays: dict[str, DArray] = {}
-        #: id(nest op | reduction) -> (that node, its compiled tape); the
-        #: node is held so a recycled id can never hit another's tape
-        self._tapes: dict[int, tuple[object, NestTape]] = {}
+        #: the plan's tapes (shared, immutable) and this executor's
+        #: registers for them (see :meth:`NestTape.run`)
+        self._tapes = plan_tapes(plan)
+        self._bound: dict = {}
         self.scalars: dict[str, float] = {n: 0.0 for n in plan.scalar_names}
         for k, v in (scalars or {}).items():
             self.scalars[k.upper()] = float(v)
@@ -234,7 +234,7 @@ class _Exec:
         fold = {"SUM": np.add, "MAXVAL": np.maximum,
                 "MINVAL": np.minimum}[expr.op]
         computed = set(self.compute_ranks())
-        tape = self._tape(expr, [(None, expr.arg, None)], first.rank)
+        tape = self._tapes.tape(expr, [(None, expr.arg, None)], first.rank)
         partials: dict[int, float] = {}
         npes = self.machine.npes
         network = self.machine.network
@@ -246,7 +246,8 @@ class _Exec:
         for pe in self.machine.topology.ranks():
             box = [(lo, hi) for lo, hi in first.owned_box(pe)]
             if pe in computed:
-                local = tape.run(*self._bind(tape, pe, box))[tape.result]
+                local = tape.run(*self._bind(tape, pe, box),
+                                 self._bound)[tape.result]
                 partials[pe] = float(combine(local))
             points = 1
             for lo, hi in box:
@@ -499,18 +500,9 @@ class _Exec:
             current[d] = interior[d]
         return interior, strips
 
-    def _tape(self, node, statements, rank: int) -> NestTape:
-        entry = self._tapes.get(id(node))
-        if entry is None or entry[0] is not node:
-            entry = self._tapes[id(node)] = (
-                node, NestTape(statements, rank))
-        return entry[1]
-
     def _nest_tape(self, op: LoopNestOp) -> NestTape:
-        """The nest's tape, compiled on first use."""
-        return self._tape(
-            op, [(s.lhs, s.rhs, s.mask) for s in op.statements],
-            len(op.space))
+        """The nest's tape, built on first use."""
+        return self._tapes.nest(op)
 
     def _bind(self, tape: NestTape, pe: int, box) -> tuple[list, list]:
         """The tape's array references as views of ``box`` on ``pe``
@@ -527,11 +519,11 @@ class _Exec:
         if self._nest_wall is not None:
             t0 = perf_counter()
         tape = self._nest_tape(op)
-        tape.run(*self._bind(tape, pe, box))
+        ran = tape.run(*self._bind(tape, pe, box), self._bound)
         if self._nest_wall is not None:
-            self._nest_wall.observe(perf_counter() - t0,
-                                    backend=self.backend_label,
-                                    kernel=self.nest_kind)
+            self._nest_wall.observe(
+                perf_counter() - t0, backend=self.backend_label,
+                kernel="native" if ran is None else "tape")
 
     def _local_slices(self, da: DArray, pe: int,
                       box: list[tuple[int, int]] | tuple,
@@ -602,6 +594,8 @@ def execute(plan: Plan, machine: Machine,
         with tracer.span("execute", kind="execute",
                          grid="x".join(map(str, machine.grid)),
                          iterations=iterations, backend=backend) as span:
+            # before any nest runs, and before a backend forks workers
+            prepare(plan, tracer)
             inputs_up = {k.upper(): v for k, v in (inputs or {}).items()}
             with tracer.span("materialize-inputs", kind="runtime"):
                 for name in plan.entry_arrays:

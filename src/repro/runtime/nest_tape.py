@@ -10,7 +10,11 @@ scalars, constants and temporaries — and :meth:`NestTape.run` walks the
 iteration box in strips along dim 1, executing every statement of the
 nest per strip with ``out=`` into a small pool of strip-sized registers.
 Every backend evaluates nests through it; they differ only in how they
-bind a box to views.
+bind a box to views.  A tape is immutable once built: the tapes of a
+plan are built once and kept with it (:func:`prepare`), the registers
+an executor binds to them are the executor's own, and a nest that
+:mod:`repro.runtime.native` could prove bitwise carries a compiled
+``kernel`` that :meth:`NestTape.run` calls instead of the ufuncs.
 
 Strip legality
 --------------
@@ -41,6 +45,7 @@ would make (``ndarray.__pow__`` has fast paths ``np.power`` lacks).
 from __future__ import annotations
 
 import operator
+import threading
 from functools import partial
 from math import prod
 from typing import NamedTuple, Sequence
@@ -51,6 +56,7 @@ from repro.errors import ExecutionError
 from repro.ir.nodes import (
     BinOp, Compare, Const, Expr, Intrinsic, OffsetRef, ScalarRef, UnaryOp,
 )
+from repro.plan import LoopNestOp, Plan
 from repro.runtime.reference import apply_intrinsic, real_pow
 
 #: Bytes one register may hold; a strip is as many dim-1 rows of the box
@@ -152,7 +158,7 @@ class NestTape:
                 self.scalars.append(n)
         #: constants and one ``None`` per temporary; appended to the
         #: bound views and scalars it completes a strip's slot list
-        self._tail: list = []
+        self.tail: list = []
         self.stmts: list[_Stmt] = []
         for (lhs, rhs, mask), (rhs_nodes, _) in zip(statements, walks):
             code: list[_Instr] = []
@@ -171,10 +177,10 @@ class NestTape:
                 slots[lhs, zero] if lhs is not None else None, direct))
         #: slot of the last statement's value in the list ``run`` returns
         self.result = self.stmts[-1].value
-        #: box shape -> (signature, strip rows, bound program): registers
-        #: and ``out=`` targets survive across calls, so a one-strip call
-        #: on a small box allocates nothing
-        self._bound: dict[tuple, tuple] = {}
+        #: the nest as one compiled loop (:class:`repro.runtime.native.
+        #: Kernel`), attached by :func:`prepare` when it is provably
+        #: bitwise; ``None`` runs the ufuncs
+        self.kernel = None
 
     def _emit(self, e: Expr, code: list[_Instr],
               slots: dict) -> tuple[int, bool]:
@@ -187,8 +193,8 @@ class NestTape:
         if isinstance(e, OffsetRef):
             return slots[e.name, e.offsets], True
         if isinstance(e, Const):
-            self._tail.append(e.value)
-            return len(slots) + len(self._tail) - 1, False
+            self.tail.append(e.value)
+            return len(slots) + len(self.tail) - 1, False
         if not isinstance(e, (BinOp, Compare, UnaryOp, Intrinsic)):
             raise ExecutionError(
                 f"cannot evaluate {type(e).__name__} in a nest")
@@ -208,22 +214,30 @@ class NestTape:
         else:
             fn, reuse = (_UFUNC[e.op], True) if array \
                 else (_SCALAR_OP[e.op], False)
-        dst = len(slots) + len(self._tail)
-        self._tail.append(None)
+        dst = len(slots) + len(self.tail)
+        self.tail.append(None)
         code.append(_Instr(fn, tuple(s for s, _ in operands), dst, reuse))
         return dst, array
 
     # -- execution ---------------------------------------------------------
-    def run(self, views: list, scalars: list) -> list:
+    def run(self, views: list, scalars: list, bound: dict) -> "list | None":
         """Execute the nest over the box the equally shaped ``views``
         cover; returns the slot list of the last strip (a value-only
-        tape runs one strip, so ``[self.result]`` is its value)."""
+        tape runs one strip, so ``[self.result]`` is its value), or
+        ``None`` when the compiled kernel ran the box.
+
+        ``bound`` is the caller's: ``(tape, box shape) -> (signature,
+        strip rows, bound program)``.  Registers and ``out=`` targets
+        survive across calls there, so a one-strip call on a small box
+        allocates nothing, and two executors never share a register."""
+        if self.kernel is not None and self.kernel(views, scalars):
+            return None
         shape = views[0].shape
         signature = [v.dtype for v in views] + (
             scalars if _VALUE_BASED_PROMOTION else [type(s) for s in scalars])
-        bound = self._bound.get(shape)
-        if bound is not None and bound[0] == signature:
-            _, rows, program = bound
+        found = bound.get((self, shape))
+        if found is not None and found[0] == signature:
+            _, rows, program = found
             done = 0
         else:
             rows = shape[0]
@@ -231,17 +245,17 @@ class NestTape:
                 row_bytes = prod(shape[1:]) * max(v.itemsize for v in views)
                 rows = min(rows, STRIP_BYTES // max(1, row_bytes))
             rows = done = max(1, rows)
-            vals = [v[:rows] for v in views] + scalars + self._tail
+            vals = [v[:rows] for v in views] + scalars + self.tail
             program = self._first_strip(vals)
-            self._bound[shape] = (signature, rows, program)
+            bound[self, shape] = (signature, rows, program)
         nrows = shape[0]
         if rows >= nrows:
             if not done:
-                vals = views + scalars + self._tail
+                vals = views + scalars + self.tail
                 _strip(program, vals, None)
             return vals
         for r0 in range(done, nrows, rows):
-            vals = [v[r0:r0 + rows] for v in views] + scalars + self._tail
+            vals = [v[r0:r0 + rows] for v in views] + scalars + self.tail
             _strip(program, vals, nrows - r0 if r0 + rows > nrows else None)
         return vals
 
@@ -318,3 +332,73 @@ def _store(stmt: _Stmt, vals: list) -> None:
     else:
         np.copyto(vals[stmt.dst], vals[stmt.value], casting="unsafe",
                   where=np.asarray(vals[stmt.mask], dtype=bool))
+
+
+class PlanTapes:
+    """The tapes of one plan, shared by every executor that runs it."""
+
+    def __init__(self) -> None:
+        #: id(nest op | reduction) -> (that node, its tape); the node is
+        #: held so a recycled id can never hit another's tape
+        self._tapes: dict[int, tuple[object, NestTape]] = {}
+        #: :func:`prepare` has run (kernels attached where eligible);
+        #: service threads run one cached plan concurrently
+        self.prepared = False
+        self.lock = threading.Lock()
+
+    def tape(self, node, statements: Sequence[tuple], rank: int) -> NestTape:
+        """``node``'s tape, built on first use."""
+        entry = self._tapes.get(id(node))
+        if entry is None or entry[0] is not node:
+            entry = self._tapes[id(node)] = (
+                node, NestTape(statements, rank))
+        return entry[1]
+
+    def nest(self, op: LoopNestOp) -> NestTape:
+        return self.tape(
+            op, [(s.lhs, s.rhs, s.mask) for s in op.statements],
+            len(op.space))
+
+    def __reduce__(self):
+        # a pickled or copied plan starts unprepared: kernel handles
+        # belong to the process that loaded them
+        return PlanTapes, ()
+
+
+_ATTACH_LOCK = threading.Lock()
+
+
+def plan_tapes(plan: Plan) -> PlanTapes:
+    """The tapes kept with ``plan`` for its lifetime."""
+    if plan.tapes is None:
+        with _ATTACH_LOCK:
+            if plan.tapes is None:
+                plan.tapes = PlanTapes()
+    return plan.tapes
+
+
+def prepare(plan: Plan, tracer=None, kernels: bool = True) -> PlanTapes:
+    """Build every nest's tape and — unless ``kernels`` is false, which
+    keeps the plan on the ufuncs for good — attach the compiled kernels
+    :func:`repro.runtime.native.attach` can offer.  Once per plan: the
+    first caller does the work, before any nest runs and before a
+    backend forks workers, which then inherit loaded kernels."""
+    tapes = plan_tapes(plan)
+    with tapes.lock:
+        if not tapes.prepared:
+            nests = [(op, tapes.nest(op)) for op in plan.walk_ops()
+                     if isinstance(op, LoopNestOp)]
+            if kernels:
+                # imported by the first run, not with the package: the
+                # CLI's import time does not pay for the kernel store
+                from repro.runtime import native
+                native.attach(plan, nests, tracer)
+            tapes.prepared = True
+    return tapes
+
+
+def compiler_runs() -> int:
+    """``cc`` invocations made by this process (a shard metric of the
+    parallel workers, which must never compile)."""
+    from repro.runtime import native
+    return native.compiler_runs()

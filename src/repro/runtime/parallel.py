@@ -103,6 +103,7 @@ from repro.runtime.cshift import full_cshift, full_eoshift
 from repro.runtime.darray import DArray, Halo, allocate_distributed
 from repro.runtime.distribution import Layout, cached_layout
 from repro.runtime.executor import _Exec
+from repro.runtime.nest_tape import compiler_runs
 from repro.runtime.overlap import overlap_shift
 
 #: Safety net for hung barriers (a worker died without aborting): waits
@@ -715,6 +716,7 @@ class _WorkerExec(_Exec):
                     self.bwait_seconds + self.channel.wait_seconds,
                 "allreduce_rounds": self.channel.allreduce_rounds,
                 "bcast_checks": self.channel.bcast_checks,
+                "compiler_runs": compiler_runs(),
             },
         }
 
@@ -981,6 +983,11 @@ class ParallelExec(_Exec):
         self.machine.network.install_worker_logs(
             [s["log"] for s in shards])
 
+        def bits(scalars: dict) -> tuple:
+            # replicas agree bit for bit, and NaN != NaN
+            return list(scalars), np.array(
+                list(scalars.values()), dtype=np.float64).tobytes()
+
         peaks0 = shards[0]["peaks"]
         scalars0 = shards[0]["scalars"]
         live0 = shards[0]["live"]
@@ -988,7 +995,7 @@ class ParallelExec(_Exec):
             if s["peaks"] != peaks0:
                 raise ExecutionError(
                     f"worker {w} memory peaks diverged from worker 0")
-            if s["scalars"] != scalars0:
+            if bits(s["scalars"]) != bits(scalars0):
                 raise ExecutionError(
                     f"worker {w} scalars diverged from worker 0: "
                     f"{s['scalars']} vs {scalars0}")
@@ -1030,9 +1037,14 @@ class ParallelExec(_Exec):
         checks = registry.gauge(
             "repro_parallel_bcast_checks",
             help="Cumulative broadcast-agreement checks per worker.")
+        compiles = registry.gauge(
+            "repro_parallel_compiler_runs",
+            help="C compiler invocations per worker process (kernels "
+                 "are prepared before the pool forks: always 0).")
         for wid, s in enumerate(shards):
             m = s.get("metrics") or {}
             w = str(wid)
+            compiles.set(m.get("compiler_runs", 0), worker=w)
             waits.set(m.get("barrier_waits", 0), worker=w)
             wait_s.set(m.get("barrier_wait_seconds", 0.0), worker=w)
             rounds.set(m.get("allreduce_rounds", 0), worker=w)

@@ -157,7 +157,6 @@ class VectorizedExec(_Exec):
     """
 
     backend_label = "vectorized"
-    nest_kind = "slab"
     array_type = VArray
 
     def _nest_tape(self, op: LoopNestOp):
@@ -176,7 +175,7 @@ class VectorizedExec(_Exec):
         return tape
 
     def _eval_nest(self, op: LoopNestOp, space, regions) -> None:
-        self._nest_tape(op)  # legality, also when a native kernel runs it
+        self._nest_tape(op)  # legality, whichever evaluator runs it
         if all(lo <= hi for lo, hi in space):
             self._exec_nest_box(op, list(space), 0)
 

@@ -83,13 +83,17 @@ class ServiceState:
         )
         from repro.obs import RunLedger
         from repro.obs.metrics import MetricsRegistry
+        from repro.runtime.native import kernel_store
         from repro.store import MemoryStore
 
         self.kernel_cache_dir: "Path | None" = None
         memory, disk = PlanCache(plan_cache_size), None
         #: every cache tier this server reads or fills, by what it
         #: holds; /healthz, /metrics and /cache/evict walk this one list
-        self.stores = {"plans": [memory], "kernels": [kcache.MODULES]}
+        #: (/cache/evict leaves the per-user native kernel directory to
+        #: the other processes that share it)
+        self.stores = {"plans": [memory], "kernels": [kcache.MODULES],
+                       "native": [kernel_store()]}
         if cache_dir:
             base = Path(cache_dir)
             # machine-agnostic on purpose: the service caches symbolic

@@ -43,11 +43,13 @@ from repro.obs.metrics import CacheStats
 
 class Codec(NamedTuple):
     """How a :class:`DiskStore` files a value: ``<key><suffix>`` holding
-    ``encode(value)``; ``decode`` raises on text it does not accept."""
+    ``encode(value)``; ``decode`` raises on content it does not accept.
+    A ``binary`` codec encodes to and decodes from ``bytes``."""
 
     suffix: str
-    encode: Callable[[object], str]
-    decode: Callable[[str], object]
+    encode: Callable[[object], "str | bytes"]
+    decode: Callable[["str | bytes"], object]
+    binary: bool = False
 
 
 class _Store:
@@ -154,7 +156,8 @@ class DiskStore(_Store):
             self.stats.record(event, n)
         return n
 
-    def _file(self, key: str) -> Path:
+    def file(self, key: str) -> Path:
+        """Where ``key``'s entry lives (whether or not it exists)."""
         return self.path / f"{check_key(key)}{self.codec.suffix}"
 
     def _entries(self):
@@ -208,13 +211,15 @@ class DiskStore(_Store):
         return sum(1 for _ in self._entries())
 
     def get(self, key: str):
-        path = self._file(key)
+        path = self.file(key)
         # An entry that exists but does not decode gets one re-read (a
         # racing writer's ``os.replace`` is atomic, so the second read
         # sees a complete old or new entry); junk is junk both times.
         for _ in range(2):
             try:
-                value = self.codec.decode(path.read_text())
+                value = self.codec.decode(
+                    path.read_bytes() if self.codec.binary
+                    else path.read_text())
             except FileNotFoundError:
                 break
             except Exception:
@@ -229,11 +234,11 @@ class DiskStore(_Store):
         return None
 
     def put(self, key: str, value) -> None:
-        target, text = self._file(key), self.codec.encode(value)
+        target, content = self.file(key), self.codec.encode(value)
         fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
+            with os.fdopen(fd, "wb" if self.codec.binary else "w") as f:
+                f.write(content)
             os.replace(tmp, target)
         except BaseException:
             self._unlink([Path(tmp)])
@@ -244,8 +249,25 @@ class DiskStore(_Store):
         """Remove one entry file (or every entry when ``key`` is
         ``None``); returns the number removed."""
         files = list(self._entries()) if key is None \
-            else [self._file(key)]
+            else [self.file(key)]
         return self._count("invalidation", self._unlink(files))
+
+
+_SHARED: dict[tuple, DiskStore] = {}
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_disk_store(path: "str | os.PathLike[str]", codec: Codec,
+                      label: str) -> DiskStore:
+    """The :class:`DiskStore` of one directory — one object per
+    directory and codec per process, so its counters accumulate across
+    the runs that reach it without being handed a store."""
+    key = (os.path.abspath(path), codec.suffix)
+    with _SHARED_LOCK:
+        store = _SHARED.get(key)
+        if store is None:
+            store = _SHARED[key] = DiskStore(key[0], codec, label=label)
+        return store
 
 
 class TieredStore(_Store):

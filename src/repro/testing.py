@@ -215,25 +215,15 @@ def plan_roundtrip_check(compiled, inputs: dict[str, np.ndarray],
             assert a.report.pe_times == b.report.pe_times, ctx
 
 
-def preferred_test_jit() -> str:
-    """The jit mode equivalence sweeps run the compiled backend under.
-
-    ``numba`` when it is importable (the production path), otherwise
-    ``python`` — which still executes the *generated* fused/tiled loop
-    nests, just un-jitted, so codegen correctness is exercised even in
-    environments without numba instead of silently degrading to the
-    vectorized slabs that ``jit="auto"`` would pick.
-    """
-    from repro.codegen import numba_available
-    return "numba" if numba_available() else "python"
-
-
-def _backend_run_context(backend: str):
-    """Context under which an equivalence sweep runs ``backend``."""
+def _backend_run_context(backend: str, jit: str = "python"):
+    """Context under which an equivalence sweep runs ``backend``: the
+    compiled backend executes its *generated* fused/tiled loop nests
+    (``jit="python"``) instead of the slabs ``jit="auto"`` would pick,
+    unless the sweep entry asks for them (``{"jit": "auto"}``)."""
     if backend != "compiled":
         return nullcontext()
     from repro.codegen import codegen_options
-    return codegen_options(jit=preferred_test_jit())
+    return codegen_options(jit=jit)
 
 
 @contextmanager
@@ -277,7 +267,7 @@ def equivalence_backends(
 #: each needs (the parallel backend runs 2 worker processes so the
 #: round-robin PE ownership split, the collective channel, and the
 #: barrier schedule are actually exercised; the compiled backend runs
-#: its generated kernels — see :func:`preferred_test_jit`).
+#: its generated kernels — see :func:`_backend_run_context`).
 EQUIVALENCE_BACKENDS = equivalence_backends()
 
 
@@ -336,7 +326,9 @@ def backend_equivalence_check(program: GeneratedProgram,
             for label, backend, extra, strips in runs:
                 machine = Machine(grid=grid, keep_message_log=True)
                 registry = _metrics.MetricsRegistry()
-                with _backend_run_context(backend), strips(), \
+                extra = dict(extra)
+                jit = extra.pop("jit", "python")
+                with _backend_run_context(backend, jit), strips(), \
                         _metrics.use_registry(registry):
                     results[label] = compiled.run(
                         machine, inputs=inputs, scalars=program.scalars,

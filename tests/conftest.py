@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -43,6 +44,19 @@ def no_shm_leaks(request):
     leaked = set(glob.glob("/dev/shm/repro-*")) - before
     assert not leaked, (
         f"test leaked shared-memory segments: {sorted(leaked)}")
+
+
+@pytest.fixture(autouse=True)
+def system_tmp_under_pytest(tmp_path_factory, monkeypatch):
+    """Native kernels (:mod:`repro.runtime.native`) are filed per user
+    under the system temp dir.  Point it — for this process and for any
+    child it starts — below pytest's base temp, so a test run leaves
+    nothing in ``/tmp``; one directory per session, so each distinct
+    nest is compiled once."""
+    tmp = tmp_path_factory.getbasetemp() / "system-tmp"
+    tmp.mkdir(exist_ok=True)
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
 
 
 @pytest.fixture

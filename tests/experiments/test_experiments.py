@@ -17,7 +17,14 @@ SIZES = (64, 128)
 class TestFig17Shape:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig17.run(sizes=(128, 256))
+        return fig17.run(sizes=(128, 256), measured_n=128)
+
+    def test_measured_column_present_and_positive(self, result):
+        """A report of this host's wall clock, not a gate on it."""
+        assert set(result.measured) == {lv for lv, _ in fig17.LEVELS}
+        for modelled, native, tape in result.measured.values():
+            assert modelled > 0 and native > 0 and tape > 0
+        assert "measured" in fig17.build_tables(result)[-1].title
 
     def test_every_step_improves(self, result):
         for i in range(len(result.sizes)):

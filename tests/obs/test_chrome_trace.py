@@ -106,8 +106,7 @@ class TestRealBackends:
         same PE tracks as perpe — regression for the export path the
         CLI --chrome flag drives."""
         from repro.codegen import codegen_options
-        from repro.testing import preferred_test_jit
-        with codegen_options(jit=preferred_test_jit()):
+        with codegen_options(jit="python"):
             result = run_kernel("five_point", grid=(2, 2),
                                 bindings={"N": 8}, backend="compiled",
                                 profile=True)

@@ -1,11 +1,9 @@
 """The compiled backend's contract: bitwise identity with every other
 backend on every observable, across the §3.4 transform space, plus the
-graceful-degradation ladder (missing numba) and kernel-cache reuse.
+jit modes and kernel-cache reuse.
 
-These tests run the *generated* kernels under ``jit="python"`` when
-numba is absent — that executes the identical statements numba would
-compile, so codegen is exercised either way; under numba they run
-native.
+These tests run the *generated* kernels under ``jit="python"`` — the
+fused/tiled loops statement for statement.
 """
 
 import numpy as np
@@ -17,15 +15,13 @@ from repro.compiler import compile_hpf
 from repro.errors import UsageError
 from repro.kernels import KERNELS, run_kernel
 from repro.machine import Machine
-from repro.runtime import compiled as compiled_mod
 from repro.runtime.backends import get_backend
-from repro.testing import preferred_test_jit
 
 SMALL_N = {"five_point": 12, "nine_point_cshift": 12, "nine_point": 12,
            "purdue9": 12, "twentyfive_point": 16, "seven_point_3d": 8,
            "box27_3d": 8, "jacobi": 12, "red_black": 12, "cg": 12}
 
-JIT = preferred_test_jit()
+JIT = "python"
 
 
 def _run(name, backend, level="O4", grid=(2, 2), iterations=2,
@@ -105,28 +101,18 @@ class TestDegradation:
         return compile_hpf(spec.source, bindings={"N": 12}, level="O2",
                            outputs=set(spec.outputs)).plan
 
-    def test_auto_without_numba_warns_once_and_runs_slabs(self,
-                                                          monkeypatch):
-        from repro.codegen import jit as jit_mod
-        monkeypatch.setattr(jit_mod, "numba_available", lambda: False)
-        monkeypatch.setattr(compiled_mod, "_warned_no_numba", False)
+    def test_auto_runs_slabs_without_a_warning(self):
+        """``auto`` means "slabs" (whose nests the tape may run as cc
+        kernels): no generated kernels, and nothing to warn about."""
         cls = get_backend("compiled")
-        plan = self._plan()
-        with codegen_options(jit="auto"):
-            with pytest.warns(RuntimeWarning, match="numba is not"):
-                ex = cls(plan, Machine(grid=(2, 2)), None, False)
-            assert ex.jit_mode == "off"
-            assert not ex._kernels
-            # second construction must not warn again
-            import warnings as _w
-            with _w.catch_warnings():
-                _w.simplefilter("error")
-                cls(plan, Machine(grid=(2, 2)), None, False)
+        import warnings as _w
+        with codegen_options(jit="auto"), _w.catch_warnings():
+            _w.simplefilter("error")
+            ex = cls(self._plan(), Machine(grid=(2, 2)), None, False)
+        assert ex.jit_mode == "off"
+        assert not ex._kernels
 
-    def test_auto_without_numba_results_identical(self, monkeypatch):
-        from repro.codegen import jit as jit_mod
-        monkeypatch.setattr(jit_mod, "numba_available", lambda: False)
-        monkeypatch.setattr(compiled_mod, "_warned_no_numba", True)
+    def test_auto_without_numba_results_identical(self):
         a, alog = _run("nine_point", "vectorized")
         machine = Machine(grid=(2, 2), keep_message_log=True)
         with codegen_options(jit="auto"):
@@ -137,13 +123,11 @@ class TestDegradation:
                 for m in machine.network.log]
         _assert_identical(a, alog, b, blog, "slab degradation")
 
-    def test_jit_numba_without_numba_raises(self, monkeypatch):
-        from repro.codegen import jit as jit_mod
-        monkeypatch.setattr(jit_mod, "numba_available", lambda: False)
-        cls = get_backend("compiled")
-        with codegen_options(jit="numba"):
-            with pytest.raises(UsageError, match="numba is not"):
-                cls(self._plan(), Machine(grid=(2, 2)), None, False)
+    def test_jit_numba_without_numba_raises(self):
+        """Numba is not a dependency any more: the value is not a mode."""
+        with pytest.raises(UsageError, match="auto/python/off"):
+            with codegen_options(jit="numba"):
+                pass
 
     def test_jit_off_runs_no_kernels(self):
         cls = get_backend("compiled")

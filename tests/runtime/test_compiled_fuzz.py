@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.codegen import codegen_options
 from repro.compiler import OptLevel
 from repro.testing import (
-    GeneratorConfig, backend_equivalence_check, preferred_test_jit,
+    GeneratorConfig, backend_equivalence_check,
     random_inputs, random_program,
 )
 
@@ -43,7 +43,7 @@ unroll_st = st.sampled_from((0, 2, 4))
 @given(seed=st.integers(0, 10_000), tile=tile_st, unroll=unroll_st)
 def test_random_programs_any_factors(seed, tile, unroll):
     prog = random_program(seed)
-    with codegen_options(jit=preferred_test_jit(), tile=tile,
+    with codegen_options(jit="python", tile=tile,
                          unroll=unroll):
         backend_equivalence_check(prog, random_inputs(seed, prog),
                                   levels=("O0", DEFAULT),
@@ -56,7 +56,7 @@ def test_collapsed_dim_3d(seed, tile):
     cfg = GeneratorConfig(ndim=3, n=8, n_statements=3,
                           allow_where=False)
     prog = random_program(seed, cfg)
-    with codegen_options(jit=preferred_test_jit(), tile=tile,
+    with codegen_options(jit="python", tile=tile,
                          unroll=2):
         backend_equivalence_check(prog, random_inputs(seed, prog, cfg),
                                   levels=(DEFAULT,),
@@ -69,7 +69,7 @@ def test_eoshift_boundaries(seed, unroll):
     cfg = GeneratorConfig(n=16, max_offset=3, n_statements=5,
                           eoshift_boundary=-1.25)
     prog = random_program(seed, cfg)
-    with codegen_options(jit=preferred_test_jit(), unroll=unroll):
+    with codegen_options(jit="python", unroll=unroll):
         backend_equivalence_check(prog, random_inputs(seed, prog, cfg),
                                   levels=("O1", "O3"),
                                   backends=COMPILED_SWEEP)
@@ -79,7 +79,7 @@ def test_eoshift_boundaries(seed, unroll):
 @given(seed=st.integers(0, 10_000))
 def test_multi_iteration_runs(seed):
     prog = random_program(seed)
-    with codegen_options(jit=preferred_test_jit(), tile=5, unroll=3):
+    with codegen_options(jit="python", tile=5, unroll=3):
         backend_equivalence_check(prog, random_inputs(seed, prog),
                                   levels=(DEFAULT,), iterations=3,
                                   backends=COMPILED_SWEEP)

@@ -26,6 +26,14 @@ DTYPES = {"A": np.float32, "B": np.float64, "C": np.float32,
           "D": np.float32, "E": np.float64}
 SCALARS = {"S": 1.25, "T": -0.5}
 HALO = 1
+#: the registers of this module's tapes (an executor's ``_bound``); every
+#: test starts with none
+BOUND: dict = {}
+
+
+@pytest.fixture(autouse=True)
+def fresh_registers():
+    BOUND.clear()
 
 
 # -- oracle: what _Exec._eval / _exec_nest_box did ---------------------------
@@ -90,7 +98,7 @@ def run_tape(tape, arrays, box, rows, monkeypatch):
     row_bytes = prod(views[0].shape[1:]) * max(v.itemsize for v in views)
     monkeypatch.setattr(nest_tape, "STRIP_BYTES",
                         1 << 40 if rows is None else rows * row_bytes)
-    tape.run(views, [SCALARS[ref.name] for ref in tape.scalars])
+    tape.run(views, [SCALARS[ref.name] for ref in tape.scalars], BOUND)
 
 
 def outcome(run, arrays):
@@ -101,7 +109,10 @@ def outcome(run, arrays):
     try:
         with np.errstate(all="ignore"):
             run(arrays)
-    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
+        # ValueError: NumPy refuses a negative integer power of an
+        # integer (a comparison's) array
         return type(exc)
     return {k: v.tobytes() for k, v in arrays.items()}
 
@@ -112,7 +123,7 @@ def check(statements, shape, box, rows, monkeypatch, seed=0,
     tape = tape or NestTape(statements, len(shape))
     expected = outcome(lambda a: oracle(statements, a, box), arrays)
     for height in (None, rows):
-        tape._bound.clear()     # the strip height is fixed when bound
+        BOUND.clear()     # the strip height is fixed when bound
         # twice: the second call replays the program the first one built
         # (on a one-strip box only a replay writes a destination direct)
         for call in ("build", "replay"):
@@ -227,11 +238,11 @@ def test_dim1_offset_read_of_an_assigned_array_runs_one_strip(
         statements, monkeypatch):
     tape = check(statements, (7, 5), BOX7, 1, monkeypatch)
     assert not tape.strip_ok
-    assert {bound[1] for bound in tape._bound.values()} == {7}
+    assert {bound[1] for bound in BOUND.values()} == {7}
     # the rule is what keeps it right: cut into strips it differs
     arrays = make_arrays((7, 5), 0)
     tape.strip_ok = True
-    tape._bound.clear()
+    BOUND.clear()
     assert outcome(lambda a: run_tape(tape, a, BOX7, 1, monkeypatch),
                    arrays) != \
         outcome(lambda a: oracle(statements, a, BOX7), arrays)
@@ -246,7 +257,7 @@ def test_dim2_offset_read_of_an_assigned_array_is_strip_legal(monkeypatch):
 
 
 def stored_flags(tape):
-    return [stored for _, _, program in tape._bound.values()
+    return [stored for _, _, program in BOUND.values()
             for _, _, stored in program]
 
 
@@ -292,7 +303,7 @@ def test_last_short_strip(monkeypatch):
                             BinOp("*", ScalarRef("T"), ref("A", +1, 0))),
                    None)]
     tape = check(statements, (7, 5), BOX7, 3, monkeypatch)   # 3 + 3 + 1
-    assert {bound[1] for bound in tape._bound.values()} == {3}
+    assert {bound[1] for bound in BOUND.values()} == {3}
     check(statements, (7, 5), BOX7, 6, monkeypatch)          # 6 + 1
     check(statements, (7, 5), BOX7, 7, monkeypatch)          # exactly one
 
@@ -331,7 +342,7 @@ def test_nine_point_needs_two_registers(monkeypatch):
     for term in terms[1:]:
         rhs = add(rhs, term)
     tape = check([("C", rhs, None)], (7, 5), BOX7, 2, monkeypatch)
-    for _, _, program in tape._bound.values():
+    for _, _, program in BOUND.values():
         registers = {id(out) for code, _, _ in program
                      for _, _, _, out in code
                      if isinstance(out, np.ndarray)}
@@ -361,7 +372,7 @@ def test_value_only_tape_is_one_whole_box_strip(monkeypatch):
     views = [view(arrays, name, BOX7, offsets)
              for name, offsets in tape.refs]
     for _ in range(2):
-        value = tape.run(views, [])[tape.result]
+        value = tape.run(views, [], BOUND)[tape.result]
         assert value.tobytes() == evaluate(arg, arrays, BOX7).tobytes()
 
 
@@ -376,8 +387,8 @@ def test_value_based_promotion_rebinds_on_a_new_scalar(monkeypatch):
              for name, offsets in tape.refs]
 
     def program_after(scalar):
-        tape.run(views, [scalar])
-        (_, _, program), = tape._bound.values()
+        tape.run(views, [scalar], BOUND)
+        (_, _, program), = BOUND.values()
         return program
 
     monkeypatch.setattr(nest_tape, "_VALUE_BASED_PROMOTION", False)

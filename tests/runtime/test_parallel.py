@@ -442,3 +442,32 @@ class TestScalarCommunication:
                   "B": rng_.uniform(0.1, 1.0, (12, 12))}
         backend_equivalence_check(prog, inputs,
                                   levels=("O0", "O2", DEFAULT))
+
+    def test_nan_valued_scalar_is_not_a_divergence(self):
+        """``S = SUM(A)`` over +inf and -inf is NaN on every replica,
+        bit for bit (``SUM(A)/SUM(B)`` with both zero would be, did
+        Python not raise ``ZeroDivisionError`` on every backend); the
+        coordinator's shard check must compare bit patterns (NaN != NaN)
+        and keep the NaN, as ``perpe`` does."""
+        source = ("      REAL, DIMENSION(N,N) :: A, B\n"
+                  "!HPF$ DISTRIBUTE A(BLOCK,BLOCK)\n"
+                  "!HPF$ ALIGN B WITH A\n"
+                  "      S = SUM(A)\n"
+                  "      B = A + S\n")
+        compiled = compile_hpf(source, bindings={"N": 8},
+                               outputs={"A", "B"})
+        a = np.ones((8, 8))
+        a[0, 0], a[7, 7] = np.inf, -np.inf      # on two different PEs
+        runs = {}
+        for backend in ("perpe", "parallel"):
+            with np.errstate(invalid="ignore"):
+                runs[backend] = compiled.run(
+                    Machine(grid=(2, 2)), inputs={"A": a}, backend=backend,
+                    workers=2)
+        assert np.isnan(runs["perpe"].scalars["S"])
+        for observable in ("scalars", "arrays"):
+            perpe, parallel = (
+                {k: np.asarray(v).tobytes()
+                 for k, v in getattr(runs[backend], observable).items()}
+                for backend in ("perpe", "parallel"))
+            assert perpe == parallel

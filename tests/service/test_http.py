@@ -252,7 +252,7 @@ class TestRunFidelity:
                "level": "O4", "backend": backend, "iterations": 2,
                "seed": 3}
         if backend == "compiled":
-            job["jit"] = "python"  # numba-less environments
+            job["jit"] = "python"  # the generated kernels, not slabs
         doc = harness.json("POST", "/run", job)
 
         def direct():
@@ -456,7 +456,8 @@ class TestCacheEndpoints:
         MODULES.invalidate()      # process-wide: other tests fill it
         before = harness.json("GET", "/healthz")["caches"]
         assert set(before) == {"plan-memory", "plan-disk",
-                               "kernel-memory", "kernel-disk"}
+                               "kernel-memory", "kernel-disk",
+                               "native-kernels"}
         for grid in ([2, 2], [4, 1]):     # one kernel key per machine
             self._compiled_run(harness, grid)
         MODULES.invalidate()

@@ -159,7 +159,7 @@ def test_bound_evicts_least_recently_used(tier, kind, tmp_path):
     for age, key in enumerate("abc"):
         store.put(key, pool[age])
         if tier == "disk":  # spread mtimes beyond filesystem resolution
-            backdate(store._file(key), 100 - age)
+            backdate(store.file(key), 100 - age)
     assert store.get("a") is not None        # "b" is now the oldest
     store.put("d", pool[3])
     store.put("e", pool[4])
@@ -227,8 +227,8 @@ class TestDirectoryTier:
                                           decode))
         value = values(kind)[0]
         store.put("k", value)
-        text = store._file("k").read_text()
-        store._file("k").write_text(
+        text = store.file("k").read_text()
+        store.file("k").write_text(
             {"junk": "def broken(:", "empty": "",
              "truncated": text[:len(text) // 2]}[damage])
         assert store.get("k") is None
@@ -254,9 +254,9 @@ class TestDirectoryTier:
     def test_hit_refreshes_mtime(self, kind, tmp_path):
         store = make("disk", kind, tmp_path)
         store.put("k", values(kind)[0])
-        old = backdate(store._file("k"), 500)
+        old = backdate(store.file("k"), 500)
         store.get("k")
-        assert store._file("k").stat().st_mtime > old + 400
+        assert store.file("k").stat().st_mtime > old + 400
 
     def test_prune_order_is_mtime_then_name(self, kind, tmp_path):
         """Entries sharing one (coarse) mtime are pruned in name order,
@@ -334,7 +334,7 @@ class TestDirectoryTier:
         fresh = compiled if kind == "plan" \
             else lower_plan(compiled.plan, CodegenOptions())
         assert CODECS[kind].encode(found) == CODECS[kind].encode(fresh) \
-            == store._file(key).read_text()
+            == store.file(key).read_text()
 
 
 @pytest.mark.parametrize("kind", ["plan", "source"])
