@@ -64,7 +64,7 @@ def _parse_bindings(pairs: list[str]) -> dict[str, int]:
 
 def _workers_arg(text: str) -> int:
     """``--workers`` parser: fail at the CLI boundary, not in the
-    backend's ownership math."""
+    backend's stripe cut."""
     try:
         value = int(text)
     except ValueError:
@@ -333,12 +333,14 @@ def _run_flags() -> argparse.ArgumentParser:
                    choices=available_backends(),
                    help="execution backend: per-PE interpretation "
                         "(default), whole-array vectorized slabs, "
-                        "parallel worker processes over shared memory, "
+                        "the same slabs with each loop nest cut into row "
+                        "stripes on worker threads (parallel), "
                         "or compiled native loop nests "
                         "(all identical results and cost reports)")
     p.add_argument("--workers", type=_workers_arg, default=None,
-                   help="worker-process count for --backend parallel "
-                        "(default: cpu count, capped at the PE count)")
+                   help="worker threads of --backend parallel: the row "
+                        "stripes a loop nest may be cut into (default: "
+                        "cpu count; capped by the row count)")
     p.add_argument("--tile", type=int, default=None, metavar="T",
                    help="loop-tiling factor for --backend compiled "
                         "(0 disables; default from REPRO_COMPILED_TILE)")

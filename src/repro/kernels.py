@@ -350,7 +350,7 @@ def run_kernel(name: str, grid: tuple[int, ...] = (2, 2),
     ``"vectorized"``, ``"parallel"`` or ``"compiled"``); all produce
     bitwise-identical results and cost reports.  ``profile`` attaches a
     communication profile (see :mod:`repro.obs.profile`) to the result.
-    ``workers`` caps the ``parallel`` backend's worker-process count.
+    ``workers`` caps the ``parallel`` backend's worker threads.
     The library door of :mod:`repro.job`, like the CLI and the service.
     Returns the :class:`~repro.runtime.executor.ExecutionResult`.
     """

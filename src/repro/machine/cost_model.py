@@ -112,12 +112,7 @@ class CostReport:
 
     The four float memory/arithmetic aggregates are kept as *per-PE
     rows* (``pe_mem_loads`` …) and summed in PE order by the property
-    accessors.  This makes the aggregates ownership-mergeable: each
-    parallel worker charges only the PEs it owns, and the merged report
-    — rows taken from each PE's owner — sums to bitwise the same floats
-    as a serial backend, because every backend folds the same rows in
-    the same PE order.  Integer counters are order-free and stay plain
-    scalars summed across workers.
+    accessors, so every backend folds the same rows in the same order.
     """
 
     pe_times: list[float] = field(default_factory=list)
@@ -133,14 +128,10 @@ class CostReport:
     copy_elements: int = 0
     loop_points: int = 0
 
-    #: per-PE row lists grown together by :meth:`ensure_pes`; every row
-    #: is authoritative only on the PE's owning worker
+    #: per-PE row lists grown together by :meth:`ensure_pes`
     _PE_ROWS = ("pe_times", "pe_comm_times", "pe_copy_times",
                 "pe_mem_loads", "pe_cached_loads", "pe_stores",
                 "pe_flops")
-    #: order-free integer counters, summed across worker shards
-    _INT_COUNTERS = ("messages", "message_bytes", "copies",
-                     "copy_elements", "loop_points")
 
     def ensure_pes(self, npes: int) -> None:
         while len(self.pe_times) < npes:
@@ -202,63 +193,6 @@ class CostReport:
         self.pe_cached_loads[pe] += stats.cached_loads * stats.points
         self.pe_stores[pe] += stats.stores * stats.points
         self.pe_flops[pe] += stats.flops * stats.points
-
-    # -- multi-process merge -------------------------------------------------
-    @classmethod
-    def merge_worker_reports(cls, reports: "list[CostReport]",
-                             owner_of: "list[int]") -> "CostReport":
-        """Merge *ownership-partial* reports from parallel workers.
-
-        Each worker of the process-parallel backend charges only the PEs
-        it owns, so its report has non-zero rows exactly on those PEs.
-        The merged report takes each PE's rows from the worker that owns
-        it (``owner_of[pe]`` indexes into ``reports``) and sums the
-        order-free integer counters across all shards.  A worker
-        charging a PE it does *not* own means the ownership gating broke
-        — the workers' executions desynchronized — which is reported as
-        a hard error rather than papered over.
-
-        ``CostReport`` is a plain dataclass of floats/ints/lists, so the
-        shards pickle across process boundaries unchanged.
-        """
-        if not reports:
-            raise ValueError("merge_worker_reports needs >= 1 report")
-        npes = len(owner_of)
-        if any(len(r.pe_times) < npes for r in reports):
-            raise ValueError("worker reports cover fewer PEs than "
-                             "owner_of")
-        for pe in range(npes):
-            for w, rep in enumerate(reports):
-                if w == owner_of[pe]:
-                    continue
-                bad = [row for row in cls._PE_ROWS
-                       if getattr(rep, row)[pe] != 0.0]
-                if bad:
-                    raise ValueError(
-                        f"worker {w} charged PE {pe} it does not own "
-                        f"(owner is worker {owner_of[pe]}; non-zero "
-                        f"rows: {', '.join(bad)}) — ownership gating "
-                        f"desynchronized")
-        merged = cls()
-        for row in cls._PE_ROWS:
-            setattr(merged, row,
-                    [getattr(reports[owner_of[pe]], row)[pe]
-                     for pe in range(npes)])
-        for counter in cls._INT_COUNTERS:
-            setattr(merged, counter,
-                    sum(getattr(r, counter) for r in reports))
-        return merged
-
-    def adopt(self, other: "CostReport") -> None:
-        """Overwrite this report's contents in place with ``other``'s.
-
-        Used by the parallel backend's coordinator: the machine's report
-        object is shared by reference (network, profiler frames), so the
-        merged state is installed into it rather than rebinding."""
-        for row in self._PE_ROWS:
-            setattr(self, row, list(getattr(other, row)))
-        for counter in self._INT_COUNTERS:
-            setattr(self, counter, getattr(other, counter))
 
     def snapshot(self) -> tuple[float, ...]:
         """Cheap aggregate snapshot for before/after deltas (tracing)."""

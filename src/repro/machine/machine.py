@@ -44,19 +44,6 @@ class Machine:
         self.memory = MemoryManager(self.topology.size, self.memory_per_pe)
         self.network = Network(self.cost_model, self.report,
                                keep_log=self.keep_message_log)
-        self._owned = None
-
-    def set_ownership(self, owned) -> None:
-        """Restrict cost charging to the PEs satisfying ``owned``.
-
-        Installed by parallel workers (owner-computes execution): loop
-        and copy charges on non-owned PEs become no-ops, and the network
-        skips charging/logging transfers whose source PE is not owned
-        (while still advancing the global message sequence).  Pass
-        ``None`` to restore charge-everything behaviour.
-        """
-        self._owned = owned
-        self.network.owned = owned
 
     @property
     def npes(self) -> int:
@@ -72,13 +59,9 @@ class Machine:
                 f"cost={sorted(vars(self.cost_model).items())}")
 
     def charge_loop(self, pe: int, stats, overhead_factor: float = 1.0) -> None:
-        if self._owned is not None and not self._owned(pe):
-            return
         self.report.add_loop(pe, stats, self.cost_model, overhead_factor)
 
     def charge_copy(self, pe: int, nelems: int, elem_size: int) -> None:
-        if self._owned is not None and not self._owned(pe):
-            return
         self.report.add_copy(pe, nelems, elem_size, self.cost_model)
 
     def __str__(self) -> str:

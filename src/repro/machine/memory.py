@@ -83,20 +83,5 @@ class MemoryManager:
     def peak_per_pe(self) -> int:
         return max(h.peak for h in self._heaps)
 
-    def adopt_peaks(self, peaks: list[int]) -> None:
-        """Raise per-PE peaks to at least ``peaks``.
-
-        The parallel backend's workers run the full allocation charge
-        walk in their own processes; the coordinator folds their peak
-        watermarks back into the parent's heaps so ``peak_per_pe``
-        reflects the execution regardless of which process allocated.
-        """
-        if len(peaks) != len(self._heaps):
-            raise MachineError(
-                f"adopt_peaks: {len(peaks)} peaks for "
-                f"{len(self._heaps)} PEs")
-        for heap, peak in zip(self._heaps, peaks):
-            heap.peak = max(heap.peak, peak)
-
     def live_blocks(self, pe: int) -> dict[str, int]:
         return dict(self._heaps[pe].blocks)

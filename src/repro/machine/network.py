@@ -85,21 +85,13 @@ def butterfly_partner(pe: int, rnd: int, npes: int) -> int:
 
 @dataclass(frozen=True)
 class MessageRecord:
-    """One logged point-to-point message.
-
-    ``seq`` is the record's position in the machine-global message
-    order.  Serial backends log records already in order, so the stamp
-    is redundant there; parallel workers each log only the records whose
-    *source* PE they own, and the parent splices the worker logs back
-    into the global order by sorting on ``seq``.  It is excluded from
-    equality so a merged log compares equal to a serially produced one.
-    """
+    """One logged point-to-point message; its position in the log is
+    its position in the machine-global message order."""
 
     src: int
     dst: int
     nbytes: int
     tag: str
-    seq: int = field(default=-1, compare=False)
 
     def __str__(self) -> str:
         return f"{self.src}->{self.dst} {self.nbytes}B [{self.tag}]"
@@ -107,25 +99,12 @@ class MessageRecord:
 
 @dataclass
 class Network:
-    """Records messages and charges their cost to the sending PE.
-
-    ``owned`` is the ownership predicate of the process-parallel
-    backend: when set, only transfers whose source PE satisfies it are
-    charged and logged — but the global sequence counter still advances
-    for skipped records, so every worker stamps the records it *does*
-    log with their position in the machine-global message order.
-    Serial backends leave ``owned`` as ``None`` and charge everything.
-    """
+    """Records messages and charges their cost to the sending PE."""
 
     cost_model: CostModel
     report: CostReport
     log: list[MessageRecord] = field(default_factory=list)
     keep_log: bool = True
-    owned: "object" = None  # callable pe -> bool, or None (own all)
-    _seq: int = 0
-
-    def _owns(self, pe: int) -> bool:
-        return self.owned is None or self.owned(pe)
 
     def record(self, src: int, dst: int, nelems: int, itemsize: int,
                tag: str = "") -> None:
@@ -141,17 +120,11 @@ class Network:
         if nelems == 0:
             raise MachineError("zero-size message; caller should elide it")
         if src == dst:
-            if self._owns(src):
-                self.report.add_copy(src, nelems, itemsize,
-                                     self.cost_model)
-            return
-        seq = self._seq
-        self._seq = seq + 1
-        if not self._owns(src):
+            self.report.add_copy(src, nelems, itemsize, self.cost_model)
             return
         nbytes = int(nelems) * int(itemsize)
         if self.keep_log:
-            self.log.append(MessageRecord(src, dst, nbytes, tag, seq=seq))
+            self.log.append(MessageRecord(src, dst, nbytes, tag))
         self.report.add_message(src, nbytes, self.cost_model)
 
     def record_batch(self, transfers: list[tuple[int, int, int]],
@@ -168,7 +141,6 @@ class Network:
         pe_times = report.pe_times
         pe_comm = report.pe_comm_times
         log = self.log if self.keep_log else None
-        owned = self.owned
         msg_t: dict[int, float] = {}
         nmsgs = 0
         total_bytes = 0
@@ -177,13 +149,7 @@ class Network:
                 raise MachineError("zero-size message; caller should "
                                    "elide it")
             if src == dst:
-                if owned is None or owned(src):
-                    report.add_copy(src, nelems, itemsize,
-                                    self.cost_model)
-                continue
-            seq = self._seq
-            self._seq = seq + 1
-            if owned is not None and not owned(src):
+                report.add_copy(src, nelems, itemsize, self.cost_model)
                 continue
             nbytes = nelems * itemsize
             t = msg_t.get(nbytes)
@@ -191,7 +157,7 @@ class Network:
                 t = self.cost_model.msg_time(nbytes)
                 msg_t[nbytes] = t
             if log is not None:
-                log.append(MessageRecord(src, dst, nbytes, tag, seq=seq))
+                log.append(MessageRecord(src, dst, nbytes, tag))
             pe_times[src] += t
             pe_comm[src] += t
             nmsgs += 1
@@ -214,36 +180,6 @@ class Network:
         for rnd in range(rounds):
             self.record(pe, butterfly_partner(pe, rnd, npes), elems, 8,
                         tag)
-
-    def install_worker_logs(self,
-                            logs: list[list[MessageRecord]]) -> None:
-        """Splice ownership-partial worker logs into the global order.
-
-        Each parallel worker logs only the records whose source PE it
-        owns, stamped with their position in the machine-global message
-        sequence (every worker's sequence counter advances even for the
-        records it skips, so the stamps agree across workers).  The
-        merged log is the concatenation sorted by ``seq``; the stamps
-        must tile ``0..n-1`` exactly — a gap means some record was
-        charged by no worker, a duplicate means two workers both believe
-        they own its source PE.  Either way the workers desynchronized
-        and the error says where.  ``MessageRecord`` is a frozen
-        dataclass of ints and a string, so worker logs pickle unchanged.
-        """
-        if not logs:
-            raise MachineError("install_worker_logs needs >= 1 log")
-        merged = sorted((rec for log in logs for rec in log),
-                        key=lambda rec: rec.seq)
-        for pos, rec in enumerate(merged):
-            if rec.seq != pos:
-                kind = ("duplicated by two workers" if rec.seq < pos
-                        else "logged by no worker")
-                raise MachineError(
-                    f"worker message logs desynchronized: global "
-                    f"message #{min(pos, rec.seq)} {kind} (next record "
-                    f"is {rec} with seq {rec.seq}, expected {pos})")
-        if self.keep_log:
-            self.log = merged
 
     @property
     def message_count(self) -> int:

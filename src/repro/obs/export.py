@@ -97,11 +97,12 @@ def chrome_trace(profile: CommProfile,
                        "args": {"name": "workers (measured wall time)"}})
         for track in profile.worker_tracks:
             wid = track.get("worker", 0)
+            # profiles written by the process design named owned PEs
             pes = ",".join(str(p) for p in track.get("pes", []))
             events.append({"name": "thread_name", "ph": "M",
                            "pid": WORKERS_PID, "tid": wid,
-                           "args": {"name": f"worker {wid} "
-                                            f"(PEs {pes})"}})
+                           "args": {"name": f"worker {wid}" + (
+                               f" (PEs {pes})" if pes else "")}})
             for ev in track.get("events", []):
                 events.append({
                     "name": ev.get("name", "?"), "cat": "worker-wall",

@@ -13,7 +13,7 @@ Durability model:
 * **Atomic appends.**  Each record is serialized to one line and
   written with a single ``os.write`` on an ``O_APPEND`` descriptor —
   POSIX guarantees the append offset is resolved atomically per write,
-  so concurrent writers (worker processes, parallel experiment
+  so concurrent writers (service processes, parallel experiment
   drivers) interleave whole lines, never splice partial ones.
 * **Appends and reads exclude each other.**  The write is atomic in
   *offset*, not in *visibility*: under load another process can see a

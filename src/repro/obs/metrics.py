@@ -4,7 +4,7 @@ The obs layer's third leg next to the tracer (wall-clock spans) and the
 comm profiler (modelled-time attribution): a labeled metric registry
 every subsystem publishes into — compiler phase timings, plan/kernel
 cache events, JIT materialization, per-backend kernel wall clock, and
-the parallel backend's barrier/collective series.
+the parallel backend's worker and stripe series.
 
 Design contract (mirrors :class:`~repro.obs.tracer.NullTracer`):
 

@@ -62,8 +62,7 @@ class OpSample:
     wall_incl: float = 0.0
     wall_self: float = 0.0
     #: wall-clock offset of the op's start relative to the collector's
-    #: first sample — lets multi-process backends rebase worker
-    #: timelines onto one Chrome-trace clock
+    #: first sample — the clock worker tracks share
     t_start: float = 0.0
     pe_time: list[float] = field(default_factory=list)
     pe_comm: list[float] = field(default_factory=list)
@@ -197,6 +196,11 @@ class ProfileCollector:
             parent.child_bytes += bytes_incl
 
     @property
+    def current(self) -> "OpSample | None":
+        """The innermost op being dispatched right now."""
+        return self._stack[-1].sample if self._stack else None
+
+    @property
     def wall_total(self) -> float:
         if self.wall_start is None:
             return 0.0
@@ -230,9 +234,10 @@ class CommProfile:
     kernel: str | None = None
     level: str | None = None
     #: measured per-worker wall-clock tracks, present only for the
-    #: ``parallel`` backend: ``[{"worker", "pes", "wall_s", "events":
-    #: [{"op", "name", "depth", "t0", "t1"}]}]`` with times in seconds
-    #: relative to each worker's first op
+    #: ``parallel`` backend: ``[{"worker", "wall_s", "events": [{"op",
+    #: "name", "depth", "t0", "t1"}]}]`` — one event per nest (worker 0,
+    #: the calling thread) or stripe that worker ran, seconds since the
+    #: run's first op; ``wall_s`` is their sum
     worker_tracks: list[dict] | None = None
 
     # -- construction --------------------------------------------------------

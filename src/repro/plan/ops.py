@@ -113,9 +113,9 @@ class SwapOp(PlanOp):
     ``A(full) = expr(B); B(full) = A(full)`` is recognized by the
     ping-pong elimination pass, the whole-array copy becomes this op.
     Executors swap their name→storage bindings only — the underlying
-    buffers keep their birth identity (shared-memory segment names,
-    memory-accounting keys, and message tags all stay keyed by the
-    buffer's birth name, identically in every backend).  A swap moves
+    buffers keep their birth identity (memory-accounting keys and
+    message tags stay keyed by the buffer's birth name, identically in
+    every backend).  A swap moves
     no data and is modelled as free.
 
     Both names must be declared with identical shape, dtype,

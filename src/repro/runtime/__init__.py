@@ -14,10 +14,11 @@
 * :mod:`repro.runtime.native` — its native form: a nest as one
   ``cc``-compiled fused C loop, when provably bitwise.
 * :mod:`repro.runtime.backends` — the backend registry.
-* :mod:`repro.runtime.vectorized`, :mod:`repro.runtime.parallel`,
-  :mod:`repro.runtime.compiled` — the skeleton over other placements
-  (global slab / shared-memory blocks); ``compiled`` adds generated
-  Python kernels.
+* :mod:`repro.runtime.vectorized` — the skeleton over the global-slab
+  placement, nests evaluated over the whole iteration space;
+  :mod:`repro.runtime.parallel` — that evaluator cut into row stripes
+  on one persistent thread pool (the ``parallel`` backend);
+  :mod:`repro.runtime.compiled` — generated Python kernels over slabs.
 * :mod:`repro.runtime.reference` — serial NumPy semantics of IR programs.
 """
 

@@ -28,16 +28,14 @@ Halo = tuple[tuple[int, int], ...]
 
 
 def allocate_distributed(machine: Machine, name: str, layout: Layout,
-                         dtype, halo: Halo | None, *, charge: bool = True
+                         dtype, halo: Halo | None
                          ) -> tuple[np.dtype, Halo, list[tuple[int, ...]]]:
     """What allocating a distributed array costs, for every placement:
     validate ``halo`` against the layout, compute the per-PE padded
     shapes and charge them to the memory manager (so a too-big
     allocation raises :class:`SimulatedOutOfMemoryError` exactly as a
     real node would fail).  Returns ``(dtype, halo, shapes)``; the
-    caller only adds storage.  ``charge=False`` is the parallel
-    coordinator's spelling: its memory accounting comes from the merged
-    worker peaks."""
+    caller only adds storage."""
     rank = len(layout.shape)
     halo = halo or tuple((0, 0) for _ in range(rank))
     if len(halo) != rank:
@@ -53,9 +51,8 @@ def allocate_distributed(machine: Machine, name: str, layout: Layout,
     shapes = [tuple(n + lo + hi
                     for n, (lo, hi) in zip(layout.local_shape(pe), halo))
               for pe in machine.topology.ranks()]
-    if charge:
-        machine.memory.allocate_all(
-            name, [prod(s) * dtype.itemsize for s in shapes])
+    machine.memory.allocate_all(
+        name, [prod(s) * dtype.itemsize for s in shapes])
     return dtype, halo, shapes
 
 
@@ -124,9 +121,9 @@ class DArray:
     # -- data motion: what a placement adds to the shared charge walks ------
     def fill_overlap(self, d: int, s: int, sign: int,
                      ext: tuple[tuple[int, int], ...],
-                     boundary: float | None = None, move=None) -> None:
-        """The data half of ``OVERLAP_SHIFT``: on every PE ``move``
-        admits, fill the ``sign``-side overlap slab of dim ``d`` (depth
+                     boundary: float | None = None) -> None:
+        """The data half of ``OVERLAP_SHIFT``: on every PE, fill the
+        ``sign``-side overlap slab of dim ``d`` (depth
         ``s``, widened by ``ext[k]`` overlap cells in the other dims)
         from the neighboring block — block to block, no network — or
         with ``boundary`` past the global edge.  Slab extents come from
@@ -145,8 +142,6 @@ class DArray:
                 for k in range(len(local)))
 
         for pe in layout.grid.ranks():
-            if move is not None and not move(pe):
-                continue
             n_local = layout.local_shape(pe)[d]
             dst = slab(pe, slice(halo_lo + n_local, halo_lo + n_local + s)
                        if sign > 0 else slice(halo_lo - s, halo_lo))
@@ -164,15 +159,12 @@ class DArray:
                                   halo_lo + sender_n))
             self.padded(pe)[dst] = self.padded(sender)[src]
 
-    def assign_interior(self, other: "DArray", shift: int, d: int,
-                        move=None) -> None:
+    def assign_interior(self, other: "DArray", shift: int, d: int) -> None:
         """``self(i) = other(i + shift)`` along dim ``d`` over the owned
-        subgrid of every PE ``move`` admits (a nonzero shift reads into
-        ``other``'s overlap area); PEs whose block is empty are
-        skipped."""
+        subgrid of every PE (a nonzero shift reads into ``other``'s
+        overlap area); PEs whose block is empty are skipped."""
         for pe in self.layout.grid.ranks():
-            if (move is None or move(pe)) \
-                    and prod(self.layout.local_shape(pe)):
+            if prod(self.layout.local_shape(pe)):
                 src = list(other.interior_slices(pe))
                 src[d] = slice(src[d].start + shift, src[d].stop + shift)
                 self.interior(pe)[...] = other.padded(pe)[tuple(src)]

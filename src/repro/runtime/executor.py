@@ -83,10 +83,9 @@ class _Exec:
             help="Measured wall-clock seconds per compute-nest "
                  "evaluation, by backend.",
             deterministic=False) if registry.enabled else None
-        #: Requested worker-process count; only the ``parallel`` backend
-        #: acts on it, but it is part of the shared constructor contract
-        #: so ``execute`` can pass it to any registered backend.
-        self.workers = workers
+        # ``workers``: only the ``parallel`` backend acts on it, but it is
+        # part of the shared constructor contract so ``execute`` can pass
+        # it to any registered backend.
         #: Optional :class:`repro.obs.profile.ProfileCollector`.  Lives
         #: on the shared dispatch loop so both backends attribute ops
         #: identically — part of the backend-equivalence contract.
@@ -123,12 +122,8 @@ class _Exec:
         da.free(self.machine)
 
     def close(self) -> None:
-        """Release executor-held resources (worker pools, shared memory).
-
-        No-op for in-process backends; ``execute`` calls it in a
-        ``finally`` so multi-process backends always shut down their
-        workers, error or not.
-        """
+        """End of the run, error or not (``execute`` calls it in a
+        ``finally``): a backend with per-run state reports it here."""
 
     def darray(self, name: str) -> DArray:
         try:
@@ -136,47 +131,6 @@ class _Exec:
         except KeyError:
             raise ExecutionError(
                 f"array {name} used before allocation") from None
-
-    # -- ownership ----------------------------------------------------------
-    def compute_ranks(self):
-        """The PEs whose data this executor computes, in rank order.
-
-        Serial backends compute every PE; parallel workers override this
-        to walk only the PEs they own (owner-computes execution).  Cost
-        charging is gated separately by :meth:`Machine.set_ownership`,
-        so walks that only *charge* (never touch data) stay over all
-        ranks and rely on the machine to skip non-owned PEs.
-        """
-        return self.machine.topology.ranks()
-
-    def communicate(self, value: float, what: str) -> float:
-        """Agree on a control-flow scalar across the executing parties.
-
-        Identity for single-process backends.  Parallel workers override
-        this with a broadcast-verify over the collective channel: every
-        scalar assignment, IF condition, and DO WHILE condition passes
-        through here, so the workers' control flow can never silently
-        diverge — the value each worker computed is compared bitwise and
-        a mismatch aborts the run naming the divergent worker.
-        """
-        return value
-
-    def _combine_partials(self, partials: dict[int, float], fold,
-                          what: str) -> float:
-        """Fold per-PE reduction partials into the global result.
-
-        ``partials`` maps every computed PE rank to its local partial.
-        Serial backends hold all ranks and fold in rank order; parallel
-        workers override this to exchange their owned partials through
-        the collective channel, folding in the same rank order so the
-        result is bitwise identical.
-        """
-        total: float | None = None
-        for pe in sorted(partials):
-            p = partials[pe]
-            total = p if total is None else float(fold(total, p))
-        assert total is not None
-        return total
 
     # -- scalar evaluation --------------------------------------------------
     def scalar(self, expr: Expr) -> float:
@@ -220,8 +174,8 @@ class _Exec:
         exchange and the result replicates (the HPF lowering of
         SUM/MAXVAL/MINVAL).  Charges the per-PE reduction loop and the
         butterfly allreduce messages (tagged ``allreduce:<op>`` in the
-        message log); parallel workers compute only their owned PEs'
-        partials and combine them through the collective channel."""
+        message log); the partials fold in rank order on every
+        backend, which is what keeps the result bitwise."""
         refs = [n for n in expr.arg.walk() if isinstance(n, OffsetRef)]
         if not refs:
             raise ExecutionError(
@@ -233,29 +187,25 @@ class _Exec:
                    "MINVAL": np.min}[expr.op]
         fold = {"SUM": np.add, "MAXVAL": np.maximum,
                 "MINVAL": np.minimum}[expr.op]
-        computed = set(self.compute_ranks())
         tape = self._tapes.tape(expr, [(None, expr.arg, None)], first.rank)
-        partials: dict[int, float] = {}
+        total: float | None = None
         npes = self.machine.npes
         network = self.machine.network
         tag = allreduce_tag(expr.op)
-        # one walk over ALL ranks: data movement happens only on the
-        # computed (owned) PEs, but the charge calls run for every PE —
-        # the machine/network gate them internally, and the network's
-        # global message sequence must tick for non-owned PEs too
         for pe in self.machine.topology.ranks():
             box = [(lo, hi) for lo, hi in first.owned_box(pe)]
-            if pe in computed:
-                local = tape.run(*self._bind(tape, pe, box),
-                                 self._bound)[tape.result]
-                partials[pe] = float(combine(local))
+            local = tape.run(*self._bind(tape, pe, box),
+                             self._bound)[tape.result]
+            part = float(combine(local))
+            total = part if total is None else float(fold(total, part))
             points = 1
             for lo, hi in box:
                 points *= hi - lo + 1
             self.machine.charge_loop(
                 pe, scaled_to_points(per_point, points), self.overhead)
             network.allreduce(pe, npes, 8, tag)
-        return self._combine_partials(partials, fold, str(expr))
+        assert total is not None
+        return total
 
     def bound(self, e) -> int:
         binding = dict(self.plan.params)
@@ -317,10 +267,9 @@ class _Exec:
 
         A pointer swap: no data moves, nothing is charged to the cost
         model, and the buffers keep their birth identity (memory
-        accounting, shared-memory segment names, and message tags stay
-        keyed by the name each buffer was created under — identically
-        in every backend, which is what keeps the equivalence contract
-        bitwise).
+        accounting and message tags stay keyed by the name each buffer
+        was created under — identically in every backend, which is what
+        keeps the equivalence contract bitwise).
         """
         a = self.darray(op.a)
         b = self.darray(op.b)
@@ -342,8 +291,7 @@ class _Exec:
             for name in op.names:
                 self.release(name)
         elif isinstance(op, ScalarAssignOp):
-            self.scalars[op.name] = self.communicate(
-                self.scalar(op.rhs), f"scalar {op.name}")
+            self.scalars[op.name] = self.scalar(op.rhs)
         elif isinstance(op, SeqLoopOp):
             lo, hi = self.bound(op.lo), self.bound(op.hi)
             for k in range(lo, hi + 1):
@@ -351,8 +299,7 @@ class _Exec:
                 self.run_ops(op.body)
         elif isinstance(op, WhileOp):
             guard = 0
-            while self.communicate(self.scalar(op.cond),
-                                   "DO WHILE condition"):
+            while self.scalar(op.cond):
                 self.run_ops(op.body)
                 guard += 1
                 if guard > 1_000_000:
@@ -360,9 +307,7 @@ class _Exec:
                         "DO WHILE exceeded 1e6 iterations; "
                         "non-converging loop?")
         elif isinstance(op, CondOp):
-            taken = self.communicate(self.scalar(op.cond),
-                                     "IF condition")
-            branch = op.then_ops if taken else op.else_ops
+            branch = op.then_ops if self.scalar(op.cond) else op.else_ops
             self.run_ops(branch)
         elif isinstance(op, OverlappedOp):
             self.run_overlapped(op)
@@ -376,10 +321,10 @@ class _Exec:
                      for lo, hi in op.space)
 
     def _boxes(self, op: LoopNestOp, space) -> list[tuple[int, list]]:
-        """SPMD loop-bounds reduction: ``(pe, box)`` for every computed
-        PE whose owned block meets the nest's iteration space."""
+        """SPMD loop-bounds reduction: ``(pe, box)`` for every PE whose
+        owned block meets the nest's iteration space."""
         boxes = []
-        for pe in self.compute_ranks():
+        for pe in self.machine.topology.ranks():
             box = self._nest_box(op, space, pe)
             if box is not None:
                 boxes.append((pe, box))
@@ -504,15 +449,20 @@ class _Exec:
         """The nest's tape, built on first use."""
         return self._tapes.nest(op)
 
-    def _bind(self, tape: NestTape, pe: int, box) -> tuple[list, list]:
+    def _views(self, tape: NestTape, pe: int, box) -> list:
         """The tape's array references as views of ``box`` on ``pe``
-        (bounds-checked against the overlap areas) and its scalars."""
+        (bounds-checked against the overlap areas)."""
         views = []
         for name, offsets in tape.refs:
             da = self.darray(name)
             views.append(da.padded(pe)[
                 self._local_slices(da, pe, box, offsets)])
-        return views, [self.scalar(ref) for ref in tape.scalars]
+        return views
+
+    def _bind(self, tape: NestTape, pe: int, box) -> tuple[list, list]:
+        """:meth:`_views` and the tape's scalars."""
+        return (self._views(tape, pe, box),
+                [self.scalar(ref) for ref in tape.scalars])
 
     def _exec_nest_box(self, op: LoopNestOp,
                        box: list[tuple[int, int]], pe: int) -> None:
@@ -568,8 +518,9 @@ def execute(plan: Plan, machine: Machine,
     ``profile`` attaches a :class:`repro.obs.profile.ProfileCollector`
     (requires ``keep_message_log=True`` on the machine) and returns the
     condensed :class:`~repro.obs.profile.CommProfile` on the result.
-    ``workers`` caps the worker-process count of the ``parallel``
-    backend (default: ``os.cpu_count()``); other backends ignore it.
+    ``workers`` caps the worker threads of the ``parallel`` backend —
+    how many row stripes a nest may be cut into (default:
+    ``os.cpu_count()``); other backends ignore it.
     """
     from repro.obs import metrics as _metrics
     from repro.obs.tracer import coalesce
@@ -594,7 +545,7 @@ def execute(plan: Plan, machine: Machine,
         with tracer.span("execute", kind="execute",
                          grid="x".join(map(str, machine.grid)),
                          iterations=iterations, backend=backend) as span:
-            # before any nest runs, and before a backend forks workers
+            # before any nest runs
             prepare(plan, tracer)
             inputs_up = {k.upper(): v for k, v in (inputs or {}).items()}
             with tracer.span("materialize-inputs", kind="runtime"):

@@ -79,16 +79,15 @@ _OPS = {np.add: "+", np.subtract: "-", np.multiply: "*",
         np.true_divide: "/"}
 _EXACT_INT = 1 << 53
 
-#: pid of the process behind every ``cc`` run; a forked worker inherits
-#: the list but not the count (:func:`compiler_runs`)
-_CC_RUNS: list[int] = []
+#: ``cc`` runs made so far (:func:`compiler_runs`)
+_CC_RUNS = 0
 #: compilers whose build failed or timed out in this process
 _BROKEN: set[str] = set()
 
 
 def compiler_runs() -> int:
-    """``cc`` invocations made by *this* process."""
-    return _CC_RUNS.count(os.getpid())
+    """``cc`` invocations made by this process."""
+    return _CC_RUNS
 
 
 # -- the kernel directory ---------------------------------------------------
@@ -317,8 +316,9 @@ def _compile(cc: str, text: str, key: str) -> bytes:
     """One ``cc`` run in a private directory; the stored blob."""
     import subprocess
     from repro.obs import metrics
+    global _CC_RUNS
     start = perf_counter()
-    _CC_RUNS.append(os.getpid())
+    _CC_RUNS += 1
     with tempfile.TemporaryDirectory(prefix="repro-cc-") as tmp:
         with open(os.path.join(tmp, "k.c"), "w") as f:
             f.write(text)
@@ -351,11 +351,11 @@ def _load(cc: str, text: str):
     key = hashlib.sha256(b"\0".join(
         (text.encode(), _cc_version(cc),
          " ".join(CC_FLAGS).encode()))).hexdigest()
-    store, runs = kernel_store(), len(_CC_RUNS)
+    store, runs = kernel_store(), _CC_RUNS
     store.get_or_produce(key, lambda: _compile(cc, text, key),
                          accept=lambda blob: blob.endswith(key.encode()))
     return (ctypes.CDLL(str(store.file(key))),
-            "loaded" if len(_CC_RUNS) == runs else "built")
+            "loaded" if _CC_RUNS == runs else "built")
 
 
 def build(tapes: list, dtypes, tracer=None) -> None:

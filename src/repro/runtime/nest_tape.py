@@ -381,8 +381,8 @@ def prepare(plan: Plan, tracer=None, kernels: bool = True) -> PlanTapes:
     """Build every nest's tape and — unless ``kernels`` is false, which
     keeps the plan on the ufuncs for good — attach the compiled kernels
     :func:`repro.runtime.native.attach` can offer.  Once per plan: the
-    first caller does the work, before any nest runs and before a
-    backend forks workers, which then inherit loaded kernels."""
+    first caller does the work, before any nest runs; every thread
+    that evaluates the plan's nests then calls the same kernels."""
     tapes = plan_tapes(plan)
     with tapes.lock:
         if not tapes.prepared:
@@ -395,10 +395,3 @@ def prepare(plan: Plan, tracer=None, kernels: bool = True) -> PlanTapes:
                 native.attach(plan, nests, tracer)
             tapes.prepared = True
     return tapes
-
-
-def compiler_runs() -> int:
-    """``cc`` invocations made by this process (a shard metric of the
-    parallel workers, which must never compile)."""
-    from repro.runtime import native
-    return native.compiler_runs()

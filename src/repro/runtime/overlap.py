@@ -17,13 +17,7 @@ The op is *validate once, move, charge*: the array's ``fill_overlap``
 moves the data however its placement stores it (per-PE blocks copy slab
 to slab, the global slab wraps one edge plane), and one count-only walk
 here prices it — slab extents come from the layout, never from the data,
-so every placement charges the identical rank-order sequence.  The
-process-parallel backend's workers pass a ``move`` predicate so each
-writes only the blocks it owns, while charge *gating* happens inside the
-machine (:meth:`Machine.set_ownership`): the walk still visits every PE
-in rank order, the machine skips charges for non-owned PEs, and the
-network's sequence counter keeps ticking so worker message logs splice
-back into the serial order.
+so every placement charges the identical rank-order sequence.
 
 Degenerate zero-width slabs (possible only through hand-built layouts
 today — BLOCK layouts reject empty blocks at construction — but
@@ -45,8 +39,7 @@ from repro.runtime.darray import DArray
 def overlap_shift(machine: Machine, da: DArray, shift: int, dim: int,
                   rsd: RSD | None = None,
                   base_offsets: tuple[int, ...] | None = None,
-                  boundary: float | None = None,
-                  move=None) -> None:
+                  boundary: float | None = None) -> None:
     """Fill overlap areas of ``da`` for a shift of ``shift`` along the
     1-based dimension ``dim``.
 
@@ -58,12 +51,6 @@ def overlap_shift(machine: Machine, da: DArray, shift: int, dim: int,
     the *high*-side overlap area; negative fills the low side.  One
     message per PE is charged (self-messages on 1-wide grid dimensions are
     priced as local copies by the network).
-
-    ``move`` (``pe -> bool``, default: always) gates the data movement
-    per receiving PE while the charge walk covers every PE — the hook
-    the process-parallel backend's workers use to split data movement;
-    cost charging on non-owned PEs is skipped by the machine's
-    ownership gate, not here.
     """
     if shift == 0:
         raise ExecutionError("overlap_shift with zero shift")
@@ -93,7 +80,7 @@ def overlap_shift(machine: Machine, da: DArray, shift: int, dim: int,
                 f"{da.name}: RSD extension ({ext_lo},{ext_hi}) exceeds "
                 f"halo {da.halo[k]} in dim {k + 1}")
 
-    da.fill_overlap(d, s, sign, ext, boundary, move)
+    da.fill_overlap(d, s, sign, ext, boundary)
 
     # -- the charge walk: counts only, in rank order -------------------------
     layout = da.layout

@@ -28,7 +28,10 @@ between placements by construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from time import perf_counter
 
 import numpy as np
 
@@ -110,10 +113,10 @@ class VArray:
     def rank(self) -> int:
         return len(self.layout.shape)
 
-    # -- data motion (``move`` is for placements split across workers) -------
+    # -- data motion ---------------------------------------------------------
     def fill_overlap(self, d: int, s: int, sign: int,
                      ext: tuple[tuple[int, int], ...],
-                     boundary: float | None = None, move=None) -> None:
+                     boundary: float | None = None) -> None:
         """The data half of ``OVERLAP_SHIFT`` on the global slab: fill
         the ``sign``-side global-edge halo planes of dim ``d`` — block
         boundaries inside the array need nothing."""
@@ -138,13 +141,73 @@ class VArray:
             # corner pickup
             self.data[tuple(dst)] = self.data[tuple(src)]
 
-    def assign_interior(self, other: "VArray", shift: int, d: int,
-                        move=None) -> None:
+    def assign_interior(self, other: "VArray", shift: int, d: int) -> None:
         """``self(i) = other(i + shift)`` along dim ``d`` over the whole
         interior (a nonzero shift reads into ``other``'s halo planes)."""
         src = list(other.interior_slices())
         src[d] = slice(src[d].start + shift, src[d].stop + shift)
         self.interior[...] = other.data[tuple(src)]
+
+
+class _WorkerLog:
+    """What each worker of one ``parallel`` run did; worker 0 is the
+    calling thread.  Plain numbers while the run lasts, published once
+    when it ends."""
+
+    def __init__(self, workers: int) -> None:
+        self.start = perf_counter()
+        self.blocked = 0.0              # worker 0, waiting at joins
+        self.busy = [0.0] * workers     # seconds running nests
+        #: per worker: (op index, name, depth, start, end); profiled runs
+        self.events: list[list] = [[] for _ in range(workers)]
+        self.nests: Counter = Counter()     # (mode, reason) -> nests
+
+    def file(self, outcomes: list, blocked: float, op) -> None:
+        """One nest's ``(start, end, ...)`` per worker, as
+        :func:`repro.runtime.parallel.join` returns them, under the
+        profiler's open sample ``op``."""
+        self.blocked += blocked
+        for w, (start, end, *_) in enumerate(outcomes):
+            self.busy[w] += end - start
+            if op is not None:
+                self.events[w].append(
+                    (op.index, op.name, op.depth, start, end))
+
+    def publish(self, profiler) -> None:
+        """The run's series on the installed registry and, when a
+        profiler is attached, one measured track per worker."""
+        from repro.obs.metrics import get_registry
+        wall = perf_counter() - self.start
+        registry = get_registry()
+        if registry.enabled:
+            registry.gauge(
+                "repro_parallel_workers",
+                help="Worker threads of the last parallel run (the "
+                     "calling thread is worker 0).").set(len(self.busy))
+            idle = registry.gauge(
+                "repro_parallel_barrier_wait_seconds",
+                help="Seconds worker w had no stripe to run during the "
+                     "run: worker 0's time blocked at joins; a worker "
+                     "never handed a stripe idles for the whole run.",
+                deterministic=False)
+            idle.set(self.blocked, worker="0")
+            for w, busy in enumerate(self.busy[1:], start=1):
+                idle.set(max(0.0, wall - busy), worker=str(w))
+            nests = registry.counter(
+                "repro_parallel_nests_total",
+                help="Nest evaluations of parallel runs: cut into row "
+                     "stripes, or run whole and why.")
+            for (mode, reason), n in sorted(self.nests.items(), key=str):
+                nests.inc(n, mode=mode,
+                          **({} if reason is None else {"reason": reason}))
+        if profiler is not None:
+            origin = profiler.wall_start or self.start
+            profiler.worker_tracks = [
+                {"worker": w, "wall_s": self.busy[w],
+                 "events": [{"op": op, "name": name, "depth": depth,
+                             "t0": t0 - origin, "t1": t1 - origin}
+                            for op, name, depth, t0, t1 in events]}
+                for w, events in enumerate(self.events)]
 
 
 class VectorizedExec(_Exec):
@@ -153,11 +216,36 @@ class VectorizedExec(_Exec):
     Everything is inherited — op dispatch, shifts, reductions (which
     keep the per-PE partial fold order bit-for-bit), every charge walk —
     except how a nest is evaluated: once over the whole iteration space
-    instead of once per PE box.
+    instead of once per PE box, in ``stripes`` row stripes.  That count
+    is 1 under ``vectorized``; ``striped=True`` is the ``parallel``
+    backend, where it is the run's worker count and the stripes of a
+    nest run concurrently on the thread pool of
+    :mod:`repro.runtime.parallel` (imported by the first such run).
     """
 
     backend_label = "vectorized"
     array_type = VArray
+
+    def __init__(self, plan, machine, scalars, hpf_overhead, tracer=None,
+                 workers=None, *, striped: bool = False) -> None:
+        super().__init__(plan, machine, scalars, hpf_overhead,
+                         tracer=tracer, workers=workers)
+        self.stripes = 1
+        #: ``parallel`` only: what the workers did, and a register dict
+        #: per stripe beyond the calling thread's ``_bound`` (two
+        #: stripes of equal shape must never share an ``out=`` target)
+        self._log: _WorkerLog | None = None
+        if striped:
+            from repro.runtime.parallel import worker_count
+            self.backend_label = "parallel"
+            self.stripes = worker_count(plan, workers)
+            self._log = _WorkerLog(self.stripes)
+            self._registers = [self._bound] + [
+                {} for _ in range(1, self.stripes)]
+
+    def close(self) -> None:
+        if self._log is not None:
+            self._log.publish(self.profiler)
 
     def _nest_tape(self, op: LoopNestOp):
         """Whole-space execution requires that no statement read, at a
@@ -169,15 +257,54 @@ class VectorizedExec(_Exec):
         tape = super()._nest_tape(op)
         if tape.stale_read is not None:
             raise ExecutionError(
-                f"vectorized backend: nest reads {tape.stale_read} "
-                f"after assigning {tape.stale_read.name} in the same "
-                f"nest; run with backend='perpe'")
+                f"{self.backend_label} backend: nest reads "
+                f"{tape.stale_read} after assigning "
+                f"{tape.stale_read.name} in the same nest; run with "
+                f"backend='perpe'")
         return tape
 
+    def _reduce(self, expr) -> float:
+        if self._log is not None:
+            self._log.nests["whole", "reduction"] += 1
+        return super()._reduce(expr)
+
     def _eval_nest(self, op: LoopNestOp, space, regions) -> None:
-        self._nest_tape(op)  # legality, whichever evaluator runs it
-        if all(lo <= hi for lo, hi in space):
-            self._exec_nest_box(op, list(space), 0)
+        tape = self._nest_tape(op)  # legality, whichever evaluator runs it
+        if any(lo > hi for lo, hi in space):
+            return
+        log = self._log
+        if log is None:
+            return self._exec_nest_box(op, list(space), 0)
+        from repro.runtime.parallel import cut, join
+        stripes = cut(self.stripes, tape, space)
+        if isinstance(stripes, str):    # the reason it runs whole
+            log.nests["whole", stripes] += 1
+            if self.profiler is None:
+                return self._exec_nest_box(op, list(space), 0)
+            # a profiled run files it on worker 0's measured track
+            tasks = [partial(self._exec_nest_box, op, list(space), 0)]
+        else:
+            log.nests["striped", None] += 1
+            # once, here: a stripe only binds its views and runs them
+            scalars = [self.scalar(ref) for ref in tape.scalars]
+            tasks = [partial(self._run_stripe, tape, scalars, i,
+                             [rows, *space[1:]])
+                     for i, rows in enumerate(stripes)]
+        t0 = perf_counter()
+        outcomes, blocked = join(tasks)
+        log.file(outcomes, blocked, self.profiler.current
+                 if self.profiler is not None else None)
+        for *_, error in outcomes:      # the first, in stripe order
+            if error is not None:
+                raise error
+        if self._nest_wall is not None and len(tasks) > 1:
+            self._nest_wall.observe(
+                perf_counter() - t0, backend=self.backend_label,
+                kernel="native" if outcomes[0][2] is None else "tape")
+
+    def _run_stripe(self, tape, scalars: list, i: int, box: list):
+        return tape.run(self._views(tape, 0, box), scalars,
+                        self._registers[i])
 
 
 # registers under its public name; see repro.runtime.backends

@@ -233,10 +233,6 @@ class ReproService:
 
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> None:
-        # front-door hygiene: a previous coordinator killed mid-run
-        # may have leaked segments; sweep them before serving
-        from repro.runtime.parallel import reclaim_stale_segments
-        reclaim_stale_segments()
         self._server = await asyncio.start_server(self._client, host,
                                                   port)
 

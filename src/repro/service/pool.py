@@ -1,8 +1,8 @@
 """Bounded worker pool with admission control.
 
-Compilation and execution are CPU-bound (and the parallel backend
-forks worker processes), so they must not run on the event loop: jobs
-dispatch to a thread pool.  The pool is *bounded twice*: ``workers``
+Compilation and execution are CPU-bound, so they must not run on the
+event loop: jobs dispatch to a thread pool (whose threads are the
+calling threads of ``parallel`` runs and share its one stripe pool).  The pool is *bounded twice*: ``workers``
 threads execute concurrently, and at most ``max_pending`` jobs may be
 admitted (running + queued).  Beyond that the service sheds load —
 :class:`PoolBusy` maps to HTTP 429 with a ``Retry-After`` estimated

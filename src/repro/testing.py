@@ -219,7 +219,11 @@ def _backend_run_context(backend: str, jit: str = "python"):
     """Context under which an equivalence sweep runs ``backend``: the
     compiled backend executes its *generated* fused/tiled loop nests
     (``jit="python"``) instead of the slabs ``jit="auto"`` would pick,
-    unless the sweep entry asks for them (``{"jit": "auto"}``)."""
+    unless the sweep entry asks for them (``{"jit": "auto"}``); the
+    parallel backend stripes every nest it legally can
+    (:func:`forced_stripes`)."""
+    if backend == "parallel":
+        return forced_stripes()
     if backend != "compiled":
         return nullcontext()
     from repro.codegen import codegen_options
@@ -227,21 +231,35 @@ def _backend_run_context(backend: str, jit: str = "python"):
 
 
 @contextmanager
+def _constant(module, name: str, value):
+    """Patch a module constant — a fixed number nothing selects, so a
+    test-sized program never crosses it — for the duration."""
+    saved = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, saved)
+
+
 def one_row_strips():
     """Cut every strip-legal nest into one-row strips for the duration.
 
     At the default budget a test-sized box is a single strip, so the
     sweeps would never leave :mod:`repro.runtime.nest_tape`'s one-strip
-    path.  The budget is a module constant, not an option: this patches
-    it (forked parallel workers inherit the patch).
+    path.
     """
     from repro.runtime import nest_tape
-    saved = nest_tape.STRIP_BYTES
-    nest_tape.STRIP_BYTES = 1
-    try:
-        yield
-    finally:
-        nest_tape.STRIP_BYTES = saved
+    return _constant(nest_tape, "STRIP_BYTES", 1)
+
+
+def forced_stripes():
+    """Let the ``parallel`` backend stripe every nest that has two rows
+    and passes the order rule, however few points it covers: at the
+    default :data:`repro.runtime.parallel.MIN_STRIPE_POINTS` a
+    test-sized nest runs whole, i.e. exactly as ``vectorized``."""
+    from repro.runtime import parallel
+    return _constant(parallel, "MIN_STRIPE_POINTS", 1)
 
 
 def equivalence_backends(
@@ -249,12 +267,12 @@ def equivalence_backends(
 ) -> tuple[tuple[str, dict], ...]:
     """The standard backend sweep with extra parallel worker counts.
 
-    ``workers`` entries become additional ``parallel`` runs: ``1``
-    exercises the degenerate one-worker schedule (all PEs owned by
-    worker 0), ``3`` puts uneven PE counts on workers of a 2x2 grid,
-    ``None`` lets the backend pick ``min(cpu_count, npes)``.  Used by
-    the differential fuzzer to sweep ownership splits without repeating
-    the serial backends.
+    ``workers`` entries become additional ``parallel`` runs: ``1`` is
+    the degenerate one-stripe schedule (everything on the calling
+    thread), ``3`` cuts a 12-row nest unevenly and queues two stripes
+    on a one-thread pool, ``None`` lets the backend pick
+    ``os.cpu_count()``.  Used by the differential fuzzer to sweep
+    stripe counts without repeating the serial backends.
     """
     sweep: list[tuple[str, dict]] = [("perpe", {}), ("vectorized", {})]
     for w in workers:
@@ -264,10 +282,10 @@ def equivalence_backends(
 
 
 #: Backends every equivalence sweep covers, with the extra run kwargs
-#: each needs (the parallel backend runs 2 worker processes so the
-#: round-robin PE ownership split, the collective channel, and the
-#: barrier schedule are actually exercised; the compiled backend runs
-#: its generated kernels — see :func:`_backend_run_context`).
+#: each needs (the parallel backend runs 2 workers, so every stripable
+#: nest is cut in two and one stripe crosses to the pool; the compiled
+#: backend runs its generated kernels — see
+#: :func:`_backend_run_context`).
 EQUIVALENCE_BACKENDS = equivalence_backends()
 
 

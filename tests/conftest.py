@@ -25,28 +25,6 @@ except ImportError:  # pragma: no cover - hypothesis is a test dep
 
 
 @pytest.fixture(autouse=True)
-def no_shm_leaks(request):
-    """Fail any ``parallel``-marked test that leaks shared memory.
-
-    The parallel backend names every segment ``repro-{run}-...``; a
-    test that ends with more such segments than it started with left a
-    run's shared memory behind (a missed ``close()`` on some error
-    path).  Snapshotting before/after every marked test replaces the
-    ad-hoc per-test glob checks and covers the failure-injection paths
-    where cleanup bugs actually hide.
-    """
-    if request.node.get_closest_marker("parallel") is None:
-        yield
-        return
-    import glob
-    before = set(glob.glob("/dev/shm/repro-*"))
-    yield
-    leaked = set(glob.glob("/dev/shm/repro-*")) - before
-    assert not leaked, (
-        f"test leaked shared-memory segments: {sorted(leaked)}")
-
-
-@pytest.fixture(autouse=True)
 def system_tmp_under_pytest(tmp_path_factory, monkeypatch):
     """Native kernels (:mod:`repro.runtime.native`) are filed per user
     under the system temp dir.  Point it — for this process and for any

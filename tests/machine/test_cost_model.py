@@ -76,46 +76,6 @@ class TestCostReport:
                 "mem_loads"} <= keys
 
 
-class TestMergeWorkerReports:
-    """Ownership merge: each PE's rows come from its owning worker."""
-
-    def _shard(self, owned, npes=4):
-        r = CostReport()
-        r.ensure_pes(npes)
-        stats = LoopStats(points=10, mem_loads=2.0, stores=1.0, flops=3.0)
-        for pe in owned:
-            r.add_loop(pe, stats, SP2_COST_MODEL)
-            r.add_message(pe, 64, SP2_COST_MODEL)
-        r.add_copy(owned[0], 100, 8, SP2_COST_MODEL)
-        return r
-
-    def test_rows_taken_from_owner(self):
-        a, b = self._shard([0, 2]), self._shard([1, 3])
-        merged = CostReport.merge_worker_reports([a, b], [0, 1, 0, 1])
-        assert merged.pe_times == [a.pe_times[0], b.pe_times[1],
-                                   a.pe_times[2], b.pe_times[3]]
-        assert merged.pe_flops == [a.pe_flops[0], b.pe_flops[1],
-                                   a.pe_flops[2], b.pe_flops[3]]
-        # int counters sum across shards
-        assert merged.messages == 4
-        assert merged.copies == 2
-        assert merged.loop_points == 40
-        # derived scalar totals fold the merged rows
-        assert merged.flops == pytest.approx(sum(merged.pe_flops))
-
-    def test_rejects_charge_on_non_owned_pe(self):
-        a, b = self._shard([0, 2]), self._shard([1, 3])
-        a.add_loop(1, LoopStats(points=1, flops=1.0), SP2_COST_MODEL)
-        with pytest.raises(ValueError, match="does not own"):
-            CostReport.merge_worker_reports([a, b], [0, 1, 0, 1])
-
-    def test_single_worker_roundtrip(self):
-        a = self._shard([0, 1, 2, 3])
-        merged = CostReport.merge_worker_reports([a], [0, 0, 0, 0])
-        assert merged.summary() == a.summary()
-        assert merged.pe_times == a.pe_times
-
-
 class TestPerPeRows:
     def test_scalar_counters_are_row_sums(self):
         r = CostReport()

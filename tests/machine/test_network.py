@@ -102,58 +102,6 @@ class TestRecordBatch:
         assert len(report.pe_times) >= 6
 
 
-class TestOwnershipGating:
-    def _owned_net(self, owned):
-        net = network()
-        net.owned = owned.__contains__
-        return net
-
-    def test_non_owned_record_charges_nothing(self):
-        net = self._owned_net({1})
-        net.record(0, 1, 4, 8, tag="ovl:U")
-        assert net.message_count == 0
-        assert net.log == []
-        assert net.report.pe_times == [0.0] * 4
-
-    def test_owned_send_charges_and_logs(self):
-        net = self._owned_net({0})
-        net.record(0, 1, 4, 8, tag="ovl:U")
-        assert net.message_count == 1
-        assert net.report.pe_times[0] > 0
-
-    def test_sequence_ticks_for_skipped_records(self):
-        # two "workers" each owning half the sources must stamp the
-        # records they do log with the same global positions
-        a, b = self._owned_net({0}), self._owned_net({1})
-        for net in (a, b):
-            net.record(0, 1, 4, 8, tag="x")
-            net.record(1, 0, 4, 8, tag="y")
-        assert [m.seq for m in a.log] == [0]
-        assert [m.seq for m in b.log] == [1]
-
-    def test_self_send_gated_but_untracked(self):
-        # self-sends are copies: gated by ownership, never sequenced
-        net = self._owned_net({1})
-        net.record(0, 0, 4, 8)
-        net.record(1, 1, 4, 8)
-        net.record(0, 1, 4, 8, tag="x")
-        assert net.report.copies == 1
-        assert net.log == []  # pe 0 not owned; its message skipped
-        assert net._seq == 1
-
-    def test_record_batch_matches_record_under_ownership(self):
-        transfers = [(0, 1, 4), (1, 2, 16), (2, 2, 8), (3, 0, 4)]
-        batched, looped = self._owned_net({1, 3}), self._owned_net({1, 3})
-        batched.record_batch(transfers, itemsize=8, tag="ovl:U")
-        for src, dst, nelems in transfers:
-            looped.record(src, dst, nelems, 8, tag="ovl:U")
-        assert batched.report.pe_times == looped.report.pe_times
-        assert batched.report.messages == looped.report.messages
-        assert [(m.src, m.dst, m.seq) for m in batched.log] == \
-            [(m.src, m.dst, m.seq) for m in looped.log]
-        assert batched._seq == looped._seq == 3
-
-
 class TestAllreduceCharging:
     def test_logs_butterfly_rounds(self):
         net = network()
@@ -187,45 +135,3 @@ class TestAllreduceCharging:
         net.allreduce(0, 1)
         assert net.message_count == 0
         assert net.report.pe_times == [0.0] * 4
-
-
-class TestInstallWorkerLogs:
-    def _rec(self, src, dst, seq, tag="ovl:U"):
-        from repro.machine.network import MessageRecord
-        return MessageRecord(src, dst, 32, tag, seq=seq)
-
-    def _log(self, net):
-        return [(m.src, m.dst, m.nbytes, m.tag) for m in net.log]
-
-    def test_splices_partial_logs_by_sequence(self):
-        net = network()
-        net.install_worker_logs([
-            [self._rec(0, 1, 0), self._rec(0, 2, 2)],
-            [self._rec(1, 0, 1), self._rec(1, 3, 3)],
-        ])
-        assert self._log(net) == [(0, 1, 32, "ovl:U"),
-                                  (1, 0, 32, "ovl:U"),
-                                  (0, 2, 32, "ovl:U"),
-                                  (1, 3, 32, "ovl:U")]
-
-    def test_rejects_gap_in_sequence(self):
-        net = network()
-        with pytest.raises(MachineError, match="no worker"):
-            net.install_worker_logs([
-                [self._rec(0, 1, 0)], [self._rec(1, 0, 2)]])
-
-    def test_rejects_duplicate_sequence(self):
-        net = network()
-        with pytest.raises(MachineError, match="duplicated"):
-            net.install_worker_logs([
-                [self._rec(0, 1, 0)], [self._rec(1, 0, 0)]])
-
-    def test_rejects_empty_worker_list(self):
-        net = network()
-        with pytest.raises(MachineError):
-            net.install_worker_logs([])
-
-    def test_empty_logs_merge_to_empty(self):
-        net = network()
-        net.install_worker_logs([[], []])
-        assert net.log == []

@@ -117,14 +117,24 @@ class TestRealBackends:
         assert [e for e in doc["traceEvents"] if e["ph"] == "X"]
 
     def test_parallel_backend_worker_tracks(self):
-        result = run_kernel("five_point", grid=(2, 2),
-                            bindings={"N": 8}, backend="parallel",
-                            workers=2, profile=True)
-        doc = chrome_trace(result.profile)
-        assert_valid_trace(doc)
-        worker_tids = {e["tid"] for e in doc["traceEvents"]
-                       if e["pid"] == WORKERS_PID and e["ph"] == "X"}
-        assert worker_tids == {0, 1}
+        """One measured track per worker thread: both carry a stripe of
+        the (forcibly striped) nest; left whole, the nest is worker 0's
+        and worker 1 keeps an empty, named track."""
+        from repro.testing import forced_stripes
+
+        def tids(result, phase):
+            doc = chrome_trace(result.profile)
+            assert_valid_trace(doc)
+            return {e["tid"] for e in doc["traceEvents"]
+                    if e["pid"] == WORKERS_PID and e["ph"] == phase}
+
+        job = dict(grid=(2, 2), bindings={"N": 8}, backend="parallel",
+                   workers=2, profile=True)
+        with forced_stripes():
+            assert tids(run_kernel("five_point", **job), "X") == {0, 1}
+        whole = run_kernel("five_point", **job)
+        assert tids(whole, "X") == {0}
+        assert tids(whole, "M") == {0, 1}
 
     def test_zero_iteration_run_exports(self):
         result = run_kernel("five_point", grid=(2, 2),

@@ -88,13 +88,31 @@ class TestLayerCoverage:
         assert "compiled" in backends
 
     def test_parallel_series(self):
+        from repro.testing import forced_stripes
         reg, _ = instrumented_run("parallel", workers=2)
-        waits = reg.get("repro_parallel_barrier_waits")
-        assert waits.value(worker="0") > 0
-        assert waits.value(worker="1") == waits.value(worker="0")
         assert reg.get("repro_parallel_workers").value() == 2.0
-        wall = reg.get("repro_parallel_barrier_wait_seconds")
-        assert not wall.deterministic and not wall.invariant
+        idle = reg.get("repro_parallel_barrier_wait_seconds")
+        assert not idle.deterministic and not idle.invariant
+        # a test-sized nest runs whole: worker 0 never waits at a join,
+        # worker 1 is never handed a stripe and idles for the whole run
+        assert idle.value(worker="0") == 0.0
+        assert idle.value(worker="1") > 0.0
+        nests = reg.get("repro_parallel_nests_total")
+        assert nests.deterministic and not nests.invariant
+        assert nests.value(mode="whole", reason="small") >= 1.0
+        assert nests.value(mode="striped") is None
+        assert reg.get("repro_nest_wall_seconds").value(
+            backend="parallel", kernel="tape")["count"] > 0
+        for retired in ("barrier_waits", "allreduce_rounds",
+                        "bcast_checks", "liveness_polls",
+                        "compiler_runs"):
+            assert reg.get(f"repro_parallel_{retired}") is None
+        with forced_stripes():
+            reg, _ = instrumented_run("parallel", workers=2)
+        assert reg.get("repro_parallel_nests_total").value(
+            mode="striped") >= 1.0
+        assert reg.get("repro_parallel_barrier_wait_seconds").value(
+            worker="0") > 0.0
 
 
 class TestZeroOverheadWhenDisabled:

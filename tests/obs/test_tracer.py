@@ -325,10 +325,11 @@ class TestSpanNameIsPositionalOnly:
         with NullTracer().span("scalar_assign", kind="op", name="ALPHA"):
             pass
 
-    @pytest.mark.parametrize("backend",
-                             ["perpe", "vectorized", "compiled"])
+    @pytest.mark.parametrize("backend", ["perpe", "vectorized",
+                                         "parallel", "compiled"])
     def test_traced_run_of_a_plan_with_scalar_assigns(self, backend):
-        # the parallel backend's workers run untraced: no per-op spans
+        # every backend is one op walk in this process: all have per-op
+        # spans, the parallel backend included
         from repro.kernels import run_kernel
         tr = Tracer()
         run_kernel("cg", bindings={"N": 16, "NITER": 2}, backend=backend,

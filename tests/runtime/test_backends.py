@@ -61,9 +61,22 @@ def test_registration_overrides_and_lists(monkeypatch):
 
 
 def test_parallel_is_a_builtin():
-    from repro.runtime.parallel import ParallelExec
-    assert get_backend("parallel") is ParallelExec
+    """``parallel`` is a composed pair, not a class: the slab executor
+    constructed with its evaluator striped."""
+    from repro.machine import Machine
+    from repro.kernels import compile_kernel
+    from repro.runtime.vectorized import VArray, VectorizedExec
+    factory = get_backend("parallel")
+    assert factory.func is VectorizedExec
+    assert factory.keywords == {"striped": True}
     assert "parallel" in available_backends()
+    plan = compile_kernel("five_point", bindings={"N": 8}).plan
+    ex = factory(plan, Machine(grid=(2, 2)), None, False, workers=2)
+    assert type(ex) is VectorizedExec and ex.array_type is VArray
+    assert ex.backend_label == "parallel" and ex.stripes == 2
+    plain = get_backend("vectorized")(plan, Machine(grid=(2, 2)), None,
+                                      False, workers=2)
+    assert plain.backend_label == "vectorized" and plain.stripes == 1
 
 
 def test_user_registration_shadows_builtin():

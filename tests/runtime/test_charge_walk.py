@@ -54,10 +54,10 @@ class NullArray:
     def rank(self):
         return len(self.layout.shape)
 
-    def fill_overlap(self, d, s, sign, ext, boundary=None, move=None):
+    def fill_overlap(self, d, s, sign, ext, boundary=None):
         pass
 
-    def assign_interior(self, other, shift, d, move=None):
+    def assign_interior(self, other, shift, d):
         pass
 
 

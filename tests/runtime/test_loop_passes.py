@@ -22,8 +22,6 @@ from repro.testing import (
 
 DEFAULT = OptLevel.DEFAULT.name
 
-pytestmark = pytest.mark.parallel
-
 #: Variable-coefficient full-box Jacobi: the coefficient array A is
 #: read-only inside the DO loop (its four exchanges hoist to the
 #: preheader) and the full-box copy-back of UNEW into U becomes a
@@ -67,8 +65,9 @@ def test_hoisted_and_swapped_plan_is_backend_equivalent():
 
 def test_swapped_plan_survives_repeated_runs():
     # iterations > 1 re-runs the same compiled program on the same
-    # machine: the parallel backend must re-bind swapped shared-memory
-    # segments by birth name every run
+    # machine: swapped buffers keep their birth names (memory accounting,
+    # message tags) and the stripes of later sweeps bind the swapped
+    # slabs
     prog, inputs = _loop_program(HOIST_AND_SWAP, ["U"],
                                  {"N": 16, "NITER": 3})
     backend_equivalence_check(

@@ -1,7 +1,8 @@
 """Native nest kernels (:mod:`repro.runtime.native`): a ``cc``-compiled
 loop must be the ufunc tape bit for bit, every reason to stay on the
 tape must be taken and counted, the kernel directory must survive
-damage and races, and a parallel run must never compile in a worker.
+damage and races, and a parallel run's stripes must all call the one
+kernel its plan was given before the first nest ran.
 
 The size constant keeps test-sized plans off the compiler, so the
 property test builds kernels for its tapes directly
@@ -463,23 +464,30 @@ class TestKernelDirectory:
         assert status == "loaded" and lib.k0
 
 
-# -- (d) a parallel run never compiles in a worker ---------------------------
+# -- (d) a parallel run's stripes share the plan's kernel ---------------------
 
-@pytest.mark.parallel
 def test_parallel_workers_inherit_kernels_and_never_compile(monkeypatch,
                                                             tmp_path):
+    """The plan is prepared once, on the calling thread, before any
+    nest runs; each stripe — on whichever thread — is one foreign call
+    of that kernel on its rows, and none falls back to the tape."""
+    from repro.testing import forced_stripes
     monkeypatch.setattr("tempfile.tempdir", str(tmp_path))  # a cold build
     expected, _, _ = run_registry_kernel(backend="perpe")
     runs = native.compiler_runs()
     monkeypatch.setattr("tempfile.tempdir", str(tmp_path / "elsewhere"))
     (tmp_path / "elsewhere").mkdir()
-    result, registry, _ = run_registry_kernel(backend="parallel", workers=2)
-    assert native.compiler_runs() == runs + 1   # in the coordinator
+    with forced_stripes():
+        result, registry, _ = run_registry_kernel(backend="parallel",
+                                                  workers=3)
+    assert native.compiler_runs() == runs + 1
+    # per-call fallbacks are counted from the stripes' own threads
     assert kernel_counts(registry) == {("built", None): 1.0}
-    assert registry.get("repro_parallel_compiler_runs").samples() == [
-        ((("worker", "0"),), 0), ((("worker", "1"),), 0)]
+    assert registry.get("repro_parallel_nests_total").samples() == [
+        ((("mode", "striped"),), 1.0)]
+    assert registry.get("repro_nest_wall_seconds").value(
+        backend="parallel", kernel="native")["count"] == 1
     assert digests(result) == digests(expected)
-    # /dev/shm/repro-* is audited by the autouse no_shm_leaks fixture
 
 
 # -- (e) the closed grammar ---------------------------------------------------
@@ -506,7 +514,6 @@ def test_registry_kernel_text_is_in_the_closed_grammar(name):
 
 # -- (f) the four-backend contract above the constant ------------------------
 
-@pytest.mark.parallel
 def test_backend_equivalence_above_the_size_constant(monkeypatch):
     spec = KERNELS["purdue9"]
     program = GeneratedProgram(source=spec.source, arrays=sorted(spec.outputs),

@@ -1,21 +1,21 @@
-"""Differential fuzzing of the true-SPMD parallel backend.
+"""Differential fuzzing of the ``parallel`` backend's stripe counts.
 
 Hypothesis drives random kernel programs — shift offsets, reductions
 feeding later statements, WHERE masks, DO WHILE loops with data-derived
 bounds — through :func:`repro.testing.backend_equivalence_check` across
 worker counts (1, 2, 3, and the auto default) and asymmetric processor
-grids.  Every example demands the full three-backend contract: bitwise
-arrays/scalars, identical modelled cost report, identical seq-spliced
-message log, identical communication profile.
+grids; the check patches ``MIN_STRIPE_POINTS`` down so these tiny
+programs stripe every legal nest.  Every example demands the full
+four-backend contract: bitwise arrays/scalars, identical modelled cost
+report, identical tagged message log, identical communication profile.
 
 Settings mirror the ``ci`` hypothesis profile (tests/conftest.py):
-``deadline=None`` (worker-pool spawns dwarf any deadline) and
-``derandomize=True`` so CI failures replay identically; on a red run CI
-uploads the ``.hypothesis`` example database as an artifact.
+``deadline=None`` and ``derandomize=True`` so CI failures replay
+identically; on a red run CI uploads the ``.hypothesis`` example
+database as an artifact.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,14 +27,13 @@ from repro.testing import (
 
 DEFAULT = OptLevel.DEFAULT.name
 
-pytestmark = pytest.mark.parallel
-
 FUZZ = settings(deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 
-#: Worker counts the ownership split must be invariant under: one
-#: worker owning everything, an even split, an uneven split on a 4-PE
-#: grid, and the backend's own ``min(cpu_count, npes)`` default.
+#: Worker counts the stripe cut must be invariant under: everything on
+#: the calling thread, an even cut, an uneven cut of 12 rows with two
+#: stripes queued on the pool, and the backend's ``os.cpu_count()``
+#: default.
 WORKER_COUNTS = (1, 2, 3, None)
 
 workers_st = st.sampled_from(WORKER_COUNTS)
@@ -55,7 +54,7 @@ def test_random_programs_any_worker_count(seed, workers):
        workers=workers_st)
 def test_offset_heavy_programs(seed, max_offset, workers):
     """Wider shift offsets widen halos and change the message schedule;
-    the ownership split must not perturb any of it."""
+    the stripe cut must not perturb any of it."""
     cfg = GeneratorConfig(max_offset=max_offset, allow_where=False,
                           n_statements=4)
     prog = random_program(seed, cfg)
@@ -67,9 +66,9 @@ def test_offset_heavy_programs(seed, max_offset, workers):
 @settings(max_examples=6, parent=FUZZ)
 @given(seed=st.integers(0, 10_000), workers=workers_st)
 def test_reduction_heavy_programs(seed, workers):
-    """Reductions exercise the collective channel: partials fold in PE
-    order, results broadcast-verify, every backend logs the same
-    allreduce butterfly messages."""
+    """Reductions stay on the calling thread between striped nests:
+    partials fold in PE order, the scalar feeds the next stripes, every
+    backend logs the same allreduce butterfly messages."""
     cfg = GeneratorConfig(n_statements=8, allow_eoshift=False,
                           allow_do_loop=False)
     prog = random_program(seed, cfg)
@@ -83,8 +82,8 @@ def test_reduction_heavy_programs(seed, workers):
        grid=st.sampled_from([(4, 1), (1, 4), (3, 2), (2, 3)]),
        workers=workers_st)
 def test_asymmetric_grids(seed, grid, workers):
-    """Non-square grids make the round-robin ownership split uneven
-    (6 PEs on 4 workers, 4 PEs on 3 workers, ...)."""
+    """Non-square grids: stripes cut the global rows wherever the PE
+    block boundaries fall (3 stripes over 4x1 blocks, 2 over 3x2)."""
     prog = random_program(seed)
     backend_equivalence_check(prog, random_inputs(seed, prog),
                               levels=("O2",), grids=(grid,),
@@ -93,9 +92,9 @@ def test_asymmetric_grids(seed, grid, workers):
 
 def _do_while_program(decay: float, threshold: float,
                       shift: int) -> GeneratedProgram:
-    """A DO WHILE whose trip count depends on reduced data: every
-    worker must agree on the condition each trip or control flow
-    diverges.  ``random_program`` never emits DO WHILE, so the loop
+    """A DO WHILE whose trip count depends on reduced data: the
+    condition is reduced from slabs the stripes of the previous trip
+    wrote, so a stripe still running at the join would change it.  ``random_program`` never emits DO WHILE, so the loop
     shapes are enumerated here."""
     source = (
         "      REAL, DIMENSION(N,N) :: A, B\n"

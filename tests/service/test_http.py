@@ -274,6 +274,37 @@ class TestRunFidelity:
             assert doc["scalars"][name] == float(value)
         assert doc["summary"] == result.summary()
 
+    def test_concurrent_parallel_runs_match_vectorized(self, tmp_path):
+        """Two ``/run`` jobs with ``backend: "parallel"`` at once on two
+        job threads: each thread is its run's worker 0 and both hand
+        stripes to the one process-wide pool — nothing forks from the
+        multi-threaded server — and both answer 200 with arrays
+        byte-equal to ``vectorized``."""
+        from repro.testing import forced_stripes
+        harness = ServiceHarness(tmp_path, pool=WorkerPool(workers=2))
+        jobs = [{"kernel": "purdue9", "bindings": {"N": 24},
+                 "iterations": 3, "seed": seed, "arrays": "full"}
+                for seed in (1, 2)]
+        try:
+            with forced_stripes(), ThreadPoolExecutor(2) as clients:
+                got = list(clients.map(
+                    lambda job: harness.json("POST", "/run", {
+                        **job, "backend": "parallel", "workers": 3}),
+                    jobs))
+            for job, doc in zip(jobs, got):
+                want = harness.json("POST", "/run",
+                                    {**job, "backend": "vectorized"})
+                assert doc["arrays"] == want["arrays"]
+                assert doc["summary"] == want["summary"]
+                assert doc["arrays"]["T"]["data"]
+                striped = [s for s in next(
+                    m for m in doc["metrics"]["metrics"]
+                    if m["name"] == "repro_parallel_nests_total"
+                )["samples"] if s["labels"] == {"mode": "striped"}]
+                assert striped and striped[0]["value"] >= 3
+        finally:
+            harness.close()
+
     def test_full_arrays_round_trip(self, harness):
         import base64
 

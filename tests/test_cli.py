@@ -520,3 +520,70 @@ class TestMetricsCommand:
                      "--output", "T", "--metrics", str(mpath)]) == 0
         capsys.readouterr()
         assert "repro_exec_wall_seconds" in mpath.read_text()
+
+
+IN_PROCESS_PROBE = """\
+import glob, json, os, sys, threading
+from repro.kernels import run_kernel
+from repro.runtime import parallel
+
+def run(workers):
+    return run_kernel("nine_point", bindings={"N": 768},
+                      backend="parallel", workers=workers)
+
+run(2)                      # 589,824 points: cut into two stripes
+threads = threading.active_count()
+run(2), run(2)
+children = set()
+for tid in os.listdir("/proc/self/task"):
+    children |= set(open(f"/proc/self/task/{tid}/children").read().split())
+print(json.dumps({
+    "multiprocessing": "multiprocessing" in sys.modules,
+    "pool_threads": len(parallel._pool().threads),
+    "threads_after_first_run": threading.active_count() - threads,
+    "children": sorted(children),
+    "shm": glob.glob("/dev/shm/repro-*")}))
+"""
+
+
+def test_parallel_run_is_quiet_and_in_process():
+    """``--backend parallel`` is one process: a CLI run prints nothing
+    to stderr (it used to end with a ``resource_tracker`` ``KeyError``
+    traceback now and then, and always left the tracker an orphan),
+    agrees with ``vectorized``, never imports ``multiprocessing``,
+    starts no child, creates no ``/dev/shm`` segment, and its second
+    run starts no thread."""
+    import json
+    import os
+    import pathlib
+    import re
+    import subprocess
+    import sys
+
+    import repro
+
+    src = pathlib.Path(repro.__file__).parents[1]
+
+    def child(*argv):
+        proc = subprocess.run(
+            [sys.executable, *argv], text=True, capture_output=True,
+            timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        return json.loads(proc.stdout)
+
+    runs = {backend: child("-m", "repro", "run", "nine_point", "--backend",
+                           backend, "--workers", "2", "--json")
+            for backend in ("parallel", "vectorized")}
+    assert runs["parallel"] == runs["vectorized"]
+    assert runs["parallel"]["checksums"]
+
+    assert child("-c", IN_PROCESS_PROBE) == {
+        "multiprocessing": False,
+        "pool_threads": max(1, (os.cpu_count() or 1) - 1),
+        "threads_after_first_run": 0, "children": [], "shm": []}
+
+    importing = re.compile(
+        r"^\s*(?:import|from)\s+multiprocessing\b|shared_memory", re.M)
+    assert [str(path) for path in src.rglob("*.py")
+            if importing.search(path.read_text())] == []

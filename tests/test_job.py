@@ -27,7 +27,7 @@ from tests.service.test_http import ServiceHarness
 @pytest.mark.parametrize("backend,workers", [
     ("perpe", None),
     ("vectorized", None),
-    pytest.param("parallel", 2, marks=pytest.mark.parallel),
+    ("parallel", 2),
 ])
 def test_three_doors_one_run(backend, workers, tmp_path, capsys):
     """cg: default scalars, reductions and runtime scalars all cross
