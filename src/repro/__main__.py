@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import nullcontext
 
@@ -104,8 +103,7 @@ def _job(args: argparse.Namespace, profile: bool = False):
                             preset=args.machine,
                             memory_mb=getattr(args, "memory_mb", None)),
         backend=args.backend, iterations=args.iters, seed=args.seed,
-        workers=args.workers, tile=args.tile, unroll=args.unroll,
-        jit=args.jit, profile=profile)
+        workers=args.workers, profile=profile)
 
 
 def _plan_cache(args: argparse.Namespace):
@@ -139,11 +137,8 @@ def _execute(args: argparse.Namespace, registry=None, tracer=None,
         compiled = job.compile.compile(cache=_plan_cache(args),
                                        tracer=tracer)
         machine = job.machine.build()
-        # generated kernel sources persist next to the plan cache
         result = job.execute(
-            compiled, machine, tracer=tracer if trace_run else None,
-            kernel_cache_dir=os.path.join(args.cache_dir, "kernels")
-            if args.cache_dir else None)
+            compiled, machine, tracer=tracer if trace_run else None)
     if metrics_path:
         # .prom/.txt: Prometheus text exposition; else versioned JSON
         from repro.obs import write_metrics, write_prometheus
@@ -333,25 +328,14 @@ def _run_flags() -> argparse.ArgumentParser:
                    choices=available_backends(),
                    help="execution backend: per-PE interpretation "
                         "(default), whole-array vectorized slabs, "
-                        "the same slabs with each loop nest cut into row "
-                        "stripes on worker threads (parallel), "
-                        "or compiled native loop nests "
-                        "(all identical results and cost reports)")
+                        "or the same slabs with each loop nest cut into "
+                        "row stripes on worker threads (parallel); "
+                        "all three give identical results and cost "
+                        "reports")
     p.add_argument("--workers", type=_workers_arg, default=None,
                    help="worker threads of --backend parallel: the row "
                         "stripes a loop nest may be cut into (default: "
                         "cpu count; capped by the row count)")
-    p.add_argument("--tile", type=int, default=None, metavar="T",
-                   help="loop-tiling factor for --backend compiled "
-                        "(0 disables; default from REPRO_COMPILED_TILE)")
-    p.add_argument("--unroll", type=int, default=None, metavar="U",
-                   help="unroll-and-jam factor for --backend compiled "
-                        "(0 uses each nest's modelled factor; default "
-                        "from REPRO_COMPILED_UNROLL)")
-    p.add_argument("--jit", default=None,
-                   choices=("auto", "python", "off"),
-                   help="kernel mode for --backend compiled: python "
-                        "(generated source un-jitted), auto/off (slabs)")
     p.add_argument("--grid", default="2x2",
                    help="processor grid, e.g. 2x2 (default)")
     p.add_argument("--iters", type=int, default=1,
@@ -468,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind port; 0 picks an ephemeral port "
                         "(default 8080)")
     p.add_argument("--cache-dir", default=None, metavar="PATH",
-                   help="persist compiled plans under PATH/plans and "
-                        "generated kernels under PATH/kernels")
+                   help="persist compiled plans under PATH/plans")
     p.add_argument("--ledger", default=None, metavar="PATH",
                    help="append every job to the JSONL run ledger at "
                         "PATH")

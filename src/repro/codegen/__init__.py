@@ -1,19 +1,14 @@
-"""Native code generation for Plan-IR loop nests (§3.4 transforms).
+"""A harness-pinned emitter: Plan-IR loop nests as Python source.
 
-Public surface:
-
-* :func:`~repro.codegen.lower.lower_plan` — Plan IR -> generated module
-  source (fused/tiled/unroll-and-jammed scalar loops + manifest).
-* :func:`~repro.codegen.jit.materialize` — source -> callables (plain
-  Python).
-* :class:`~repro.codegen.options.CodegenOptions` /
-  :func:`~repro.codegen.options.codegen_options` — factor and jit-mode
-  configuration.
-* :mod:`~repro.codegen.cache` — ``kernel_key`` and the two kernel
-  tiers (:mod:`repro.store` instances).
-
-The consumer is :class:`repro.runtime.compiled.CompiledExec`
-(``backend="compiled"``).
+Nothing under ``src/`` imports this package.  It stays only because the
+frozen ``benchmarks/e2e/compile_cli.py`` times exactly three of its
+names — :func:`~repro.codegen.options.current_options`,
+:func:`~repro.codegen.lower.lower_plan` (Plan IR -> fused / tiled /
+unroll-and-jammed scalar loops + manifest) and
+:func:`~repro.codegen.jit.materialize` (``(source, "python")`` ->
+callables) — and goes with the harness's next unfreeze (ROADMAP item
+4(d)).  The §3.4 tier every backend runs is the tape's native form,
+:mod:`repro.runtime.native`.
 """
 
 from repro.codegen.lower import (  # noqa: F401
@@ -24,6 +19,5 @@ from repro.codegen.jit import (  # noqa: F401
     KernelEntry, KernelModule, materialize,
 )
 from repro.codegen.options import (  # noqa: F401
-    CodegenOptions, JIT_MODES, codegen_options, current_options,
+    CodegenOptions, current_options,
 )
-from repro.codegen.cache import kernel_key  # noqa: F401

@@ -1,9 +1,10 @@
 """Materialize generated kernel source into callable functions.
 
 One execution flavor: ``python`` — the generated source runs as plain
-Python.  Slow, but it executes the fused/tiled/unroll-and-jammed loops
-statement for statement, so the equivalence suite exercises the real
-codegen.  (Native code is the tape's business:
+Python, the fused/tiled/unroll-and-jammed loops statement for
+statement.  Pinned by the frozen ``benchmarks/e2e/compile_cli.py``
+(``materialize(source, "python")`` and its two registry series); no
+backend calls it.  (Native code is the tape's business:
 :mod:`repro.runtime.native` compiles nests with the system ``cc``.)
 """
 
@@ -34,7 +35,7 @@ class KernelEntry:
 
 @dataclass(frozen=True)
 class KernelModule:
-    """All kernels of one plan, materialized under one jit mode."""
+    """All kernels of one plan, materialized."""
 
     entries: tuple[KernelEntry, ...]
     source: str
@@ -44,8 +45,7 @@ class KernelModule:
 def materialize(source: str, mode: str) -> KernelModule:
     """Exec one generated module and wrap its nest functions.
 
-    ``mode`` is ``"python"``; the caller resolves ``"auto"``/``"off"``
-    before getting here.
+    ``mode`` is ``"python"`` (the label of the wall-time series).
 
     When a live metrics registry is installed, records the
     materialization wall time (``repro_jit_materialize_seconds``, by

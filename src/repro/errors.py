@@ -105,8 +105,8 @@ class ExecutionError(MachineError):
 class UsageError(ExecutionError):
     """Invalid caller-supplied runtime configuration.
 
-    Raised when an API or CLI argument (worker count, codegen factor,
-    jit mode, ...) is out of range or inconsistent *before* any machine
+    Raised when an API or CLI argument (worker count, backend name,
+    grid, ...) is out of range or inconsistent *before* any machine
     state is touched, so misconfiguration fails fast with a named error
     instead of surfacing later as modular-arithmetic garbage or a hang.
 

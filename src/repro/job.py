@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numbers
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.errors import UsageError
@@ -172,9 +171,6 @@ class RunJob:
     seed: int = 0
     workers: "int | None" = None
     scalars: dict[str, float] = field(default_factory=dict)
-    tile: "int | None" = None
-    unroll: "int | None" = None
-    jit: "str | None" = None
     arrays: str = "digest"
     profile: bool = False
 
@@ -189,12 +185,6 @@ class RunJob:
         _int_at_least("iterations", self.iterations, 0)
         _int_at_least("seed", self.seed, 0)
         check_workers(self.workers)
-        if self.jit is not None:
-            from repro.codegen.options import JIT_MODES
-            if self.jit not in JIT_MODES:
-                raise UsageError(
-                    f"jit must be one of {'/'.join(JIT_MODES)}, got "
-                    f"{self.jit!r}")
         if self.compile.kernel is not None:
             from repro.kernels import KERNELS
             self.scalars = {
@@ -211,32 +201,16 @@ class RunJob:
                 for name, decl in compiled.plan.arrays.items()
                 if name in compiled.plan.entry_arrays}
 
-    def codegen_scope(self, kernel_cache_dir=None):
-        """Scoped :func:`repro.codegen.codegen_options` override from
-        this job's ``tile``/``unroll``/``jit``, with generated kernel
-        sources persisted under ``kernel_cache_dir`` when given."""
-        overrides = {name: getattr(self, name)
-                     for name in ("tile", "unroll", "jit")
-                     if getattr(self, name) is not None}
-        if kernel_cache_dir is not None:
-            overrides["cache_dir"] = str(kernel_cache_dir)
-        if not overrides:
-            return nullcontext()
-        from repro.codegen import codegen_options
-        return codegen_options(**overrides)
-
-    def execute(self, compiled, machine, tracer=None,
-                kernel_cache_dir=None):
+    def execute(self, compiled, machine, tracer=None):
         """Run ``compiled`` (this job's compilation) on ``machine``
         (normally ``self.machine.build()``) with the seeded inputs; a
         requested profile comes back labelled with kernel and level."""
         inputs = self.inputs(compiled)
-        with self.codegen_scope(kernel_cache_dir):
-            result = compiled.run(
-                machine, inputs=inputs, iterations=self.iterations,
-                scalars=self.scalars, tracer=tracer,
-                backend=self.backend, profile=self.profile,
-                workers=self.workers)
+        result = compiled.run(
+            machine, inputs=inputs, iterations=self.iterations,
+            scalars=self.scalars, tracer=tracer,
+            backend=self.backend, profile=self.profile,
+            workers=self.workers)
         if result.profile is not None:
             result.profile.kernel = self.compile.kernel or "source"
             result.profile.level = self.compile.level
@@ -245,16 +219,11 @@ class RunJob:
     def ledger_append(self, ledger, machine, plan_key: str,
                       metrics: "dict | None", **extra) -> dict:
         """Append this run to ``ledger`` (a
-        :class:`~repro.obs.ledger.RunLedger`); the recorded factors are
-        the codegen options the run executed under."""
-        from repro.codegen.options import current_options
-        with self.codegen_scope():
-            opts = current_options()
+        :class:`~repro.obs.ledger.RunLedger`); the level is the one
+        recorded factor."""
         return ledger.append(
             machine=machine, plan_key=plan_key, backend=self.backend,
-            factors={"level": self.compile.level, "tile": opts.tile,
-                     "unroll": opts.unroll, "jit": opts.jit,
-                     "codegen": opts.factor_fingerprint()},
+            factors={"level": self.compile.level},
             metrics=metrics,
             extra={"grid": "x".join(map(str, machine.grid)),
                    "iterations": self.iterations, **extra})

@@ -347,7 +347,7 @@ def run_kernel(name: str, grid: tuple[int, ...] = (2, 2),
     """Compile and execute a registry kernel with seeded random inputs.
 
     ``backend`` selects the execution strategy (``"perpe"``,
-    ``"vectorized"``, ``"parallel"`` or ``"compiled"``); all produce
+    ``"vectorized"`` or ``"parallel"``); all three produce
     bitwise-identical results and cost reports.  ``profile`` attaches a
     communication profile (see :mod:`repro.obs.profile`) to the result.
     ``workers`` caps the ``parallel`` backend's worker threads.

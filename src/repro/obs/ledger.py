@@ -2,8 +2,8 @@
 
 The persistence seam between measurement and tuning: every recorded run
 appends one JSON line holding the machine fingerprint, the plan key,
-the backend, the codegen factors, and a metrics snapshot (usually
-:meth:`~repro.obs.metrics.MetricsRegistry.to_dict`).  The autotuner
+the backend, the run's factors (its level), and a metrics snapshot
+(usually :meth:`~repro.obs.metrics.MetricsRegistry.to_dict`).  The autotuner
 (ROADMAP item 5) filters the ledger by the current machine's
 fingerprint to recover every measured configuration; the service
 (item 3) reads the tail for scraping.
@@ -87,7 +87,8 @@ class RunLedger:
         Pass either a ``fingerprint`` string or the :class:`Machine`
         the run executed on.  ``metrics`` is any JSON-serializable
         snapshot (typically ``registry.to_dict()``); ``factors`` the
-        tunable knobs of the run (level, tile/unroll, jit, ...).
+        tunable knobs of the run (today: its level; records written
+        by earlier commits also carry tile/unroll/jit/codegen).
         """
         if machine is not None:
             fingerprint = machine.fingerprint()

@@ -2,9 +2,9 @@
 
 The obs layer's third leg next to the tracer (wall-clock spans) and the
 comm profiler (modelled-time attribution): a labeled metric registry
-every subsystem publishes into — compiler phase timings, plan/kernel
-cache events, JIT materialization, per-backend kernel wall clock, and
-the parallel backend's worker and stripe series.
+every subsystem publishes into — compiler phase timings, plan and
+native-kernel cache events, native kernel builds, per-backend nest wall
+clock, and the parallel backend's worker and stripe series.
 
 Design contract (mirrors :class:`~repro.obs.tracer.NullTracer`):
 

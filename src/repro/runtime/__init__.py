@@ -13,12 +13,11 @@
   plan's tapes are built once and kept with it.
 * :mod:`repro.runtime.native` — its native form: a nest as one
   ``cc``-compiled fused C loop, when provably bitwise.
-* :mod:`repro.runtime.backends` — the backend registry.
+* :mod:`repro.runtime.backends` — the three-row backend table.
 * :mod:`repro.runtime.vectorized` — the skeleton over the global-slab
   placement, nests evaluated over the whole iteration space;
   :mod:`repro.runtime.parallel` — that evaluator cut into row stripes
-  on one persistent thread pool (the ``parallel`` backend);
-  :mod:`repro.runtime.compiled` — generated Python kernels over slabs.
+  on one persistent thread pool (the ``parallel`` backend).
 * :mod:`repro.runtime.reference` — serial NumPy semantics of IR programs.
 """
 

@@ -31,7 +31,7 @@ from repro.machine.machine import Machine
 from repro.machine.network import allreduce_tag
 from repro.passes.memopt import analyze_reduction, scaled_to_points
 from repro.runtime.cshift import full_cshift, full_eoshift
-from repro.runtime.backends import get_backend, register_backend
+from repro.runtime.backends import get_backend
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import cached_layout
 from repro.runtime.nest_tape import NestTape, plan_tapes, prepare
@@ -594,7 +594,7 @@ def execute(plan: Plan, machine: Machine,
             help="Completed execute() calls by backend.",
         ).inc(backend=backend)
         # Modelled/count series: pure functions of the program, carried
-        # unlabeled so all four backends must produce bitwise-identical
+        # unlabeled so all three backends must produce bitwise-identical
         # values (enforced by testing.backend_equivalence_check).
         r = machine.report
         events = registry.counter(
@@ -627,7 +627,3 @@ def execute(plan: Plan, machine: Machine,
         modelled_time=machine.report.modelled_time,
         profile=comm_profile,
     )
-
-
-# the reference backend registers itself; see repro.runtime.backends
-register_backend("perpe", _Exec)

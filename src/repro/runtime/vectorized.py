@@ -305,9 +305,3 @@ class VectorizedExec(_Exec):
     def _run_stripe(self, tape, scalars: list, i: int, box: list):
         return tape.run(self._views(tape, 0, box), scalars,
                         self._registers[i])
-
-
-# registers under its public name; see repro.runtime.backends
-from repro.runtime.backends import register_backend  # noqa: E402
-
-register_backend("vectorized", VectorizedExec)

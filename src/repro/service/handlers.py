@@ -2,10 +2,11 @@
 
 One :class:`ServiceState` per server holds the pieces every request
 shares: its :mod:`repro.store` tiers (the tiered plan cache — in-memory
-LRU over an optional machine-agnostic disk tier — the kernel tiers of
-:mod:`repro.codegen.cache`, and the plan documents ``GET /plan/<key>``
-serves), the :class:`~repro.service.coalescer.Coalescer` that folds
-identical in-flight compilations onto one future, the bounded
+LRU over an optional machine-agnostic disk tier — the per-user native
+kernel directory of :mod:`repro.runtime.native`, and the plan documents
+``GET /plan/<key>`` serves), the
+:class:`~repro.service.coalescer.Coalescer` that folds identical
+in-flight compilations onto one future, the bounded
 :class:`~repro.service.pool.WorkerPool`, the service-wide
 :class:`~repro.obs.metrics.MetricsRegistry` that ``GET /metrics``
 exposes, and the optional :class:`~repro.obs.ledger.RunLedger`.
@@ -77,7 +78,6 @@ class ServiceState:
                  ledger_path: "str | None" = None,
                  pool: "WorkerPool | None" = None,
                  plan_cache_size: int = 128) -> None:
-        from repro.codegen import cache as kcache
         from repro.compiler import (
             PersistentPlanCache, PlanCache, TieredPlanCache,
         )
@@ -86,24 +86,18 @@ class ServiceState:
         from repro.runtime.native import kernel_store
         from repro.store import MemoryStore
 
-        self.kernel_cache_dir: "Path | None" = None
         memory, disk = PlanCache(plan_cache_size), None
         #: every cache tier this server reads or fills, by what it
         #: holds; /healthz, /metrics and /cache/evict walk this one list
         #: (/cache/evict leaves the per-user native kernel directory to
         #: the other processes that share it)
-        self.stores = {"plans": [memory], "kernels": [kcache.MODULES],
-                       "native": [kernel_store()]}
+        self.stores = {"plans": [memory], "native": [kernel_store()]}
         if cache_dir:
-            base = Path(cache_dir)
             # machine-agnostic on purpose: the service caches symbolic
             # plans, and both tiers must derive identical keys
-            disk = PersistentPlanCache(base / "plans",
+            disk = PersistentPlanCache(Path(cache_dir) / "plans",
                                        machine_fingerprint="")
-            self.kernel_cache_dir = base / "kernels"
             self.stores["plans"].append(disk)
-            self.stores["kernels"].append(
-                kcache.source_store(self.kernel_cache_dir))
         self.plan_cache = TieredPlanCache(memory, disk)
         self.ledger = RunLedger(ledger_path) if ledger_path else None
         self.coalescer = Coalescer()
@@ -220,8 +214,7 @@ def _run_sync(state: ServiceState, job: RunJob, compiled,
 
     machine = job.machine.build()
     with obs_metrics.use_registry() as registry:
-        result = job.execute(compiled, machine,
-                             kernel_cache_dir=state.kernel_cache_dir)
+        result = job.execute(compiled, machine)
     if state.ledger is not None:
         job.ledger_append(state.ledger, machine, plan_key,
                           registry.to_dict(), route="/run",
@@ -331,11 +324,7 @@ async def handle_cache_evict(state: ServiceState,
         except ValueError as exc:
             raise JobError(f"field 'key': {exc}") from None
     state.plan_docs.invalidate(key)
-    dropped = {"tiers": {}}
-    # a single key names a plan; kernels are filed under their own keys
-    for family in ("plans", "kernels") if key is None else ("plans",):
-        counts = {s.stats.label: s.invalidate(key)
-                  for s in state.stores[family]}
-        dropped[family] = sum(counts.values())
-        dropped["tiers"].update(counts)
-    return Response.json({"kind": "cache-evict", "dropped": dropped})
+    counts = {s.stats.label: s.invalidate(key)
+              for s in state.stores["plans"]}
+    return Response.json({"kind": "cache-evict", "dropped": {
+        "plans": sum(counts.values()), "tiers": counts}})

@@ -83,7 +83,6 @@ _COMPILE_FIELDS: dict[str, type] = {
 _RUN_ONLY_FIELDS: dict[str, type] = {
     "scalars": dict, "machine": dict, "backend": str,
     "iterations": int, "seed": int, "workers": int,
-    "tile": int, "unroll": int, "jit": str,
     "arrays": str, "profile": bool,
 }
 
@@ -133,6 +132,5 @@ def parse_run_job(doc: object) -> RunJob:
                                 memory_mb=machine.get("memory_mb")),
             backend=doc.get("backend", "perpe"), iterations=iterations,
             seed=doc.get("seed", 0), workers=doc.get("workers"),
-            scalars=_float_map(doc, "scalars"), tile=doc.get("tile"),
-            unroll=doc.get("unroll"), jit=doc.get("jit"), arrays=arrays,
+            scalars=_float_map(doc, "scalars"), arrays=arrays,
             profile=bool(doc.get("profile", False)))

@@ -1,11 +1,11 @@
 """One content-addressed store behind every cache in the system.
 
-Everything the compile pipeline produces — the plan, the kernel source
-lowered from it — is a pure function of its inputs, so it is filed
+Everything the compile pipeline produces — the plan, the native kernels
+built from its nests — is a pure function of its inputs, so it is filed
 under a hash of them.  The mechanism lives here exactly once; each cache
-(plan memory/disk/tiered in :mod:`repro.compiler.cache`, kernel modules
-and kernel sources in :mod:`repro.codegen.cache`, the service's plan
-documents) is a configuration of these three classes:
+(plan memory/disk/tiered in :mod:`repro.compiler.cache`, the ``.so``
+directory of :mod:`repro.runtime.native`, the service's plan documents)
+is a configuration of these three classes:
 
 * :class:`MemoryStore` — a bounded LRU of live objects.  ``get``, ``put``,
   ``invalidate`` and the counters run under one lock: LRU bookkeeping and

@@ -215,19 +215,13 @@ def plan_roundtrip_check(compiled, inputs: dict[str, np.ndarray],
             assert a.report.pe_times == b.report.pe_times, ctx
 
 
-def _backend_run_context(backend: str, jit: str = "python"):
+def _backend_run_context(backend: str):
     """Context under which an equivalence sweep runs ``backend``: the
-    compiled backend executes its *generated* fused/tiled loop nests
-    (``jit="python"``) instead of the slabs ``jit="auto"`` would pick,
-    unless the sweep entry asks for them (``{"jit": "auto"}``); the
     parallel backend stripes every nest it legally can
     (:func:`forced_stripes`)."""
     if backend == "parallel":
         return forced_stripes()
-    if backend != "compiled":
-        return nullcontext()
-    from repro.codegen import codegen_options
-    return codegen_options(jit=jit)
+    return nullcontext()
 
 
 @contextmanager
@@ -277,14 +271,12 @@ def equivalence_backends(
     sweep: list[tuple[str, dict]] = [("perpe", {}), ("vectorized", {})]
     for w in workers:
         sweep.append(("parallel", {"workers": w}))
-    sweep.append(("compiled", {}))
     return tuple(sweep)
 
 
 #: Backends every equivalence sweep covers, with the extra run kwargs
 #: each needs (the parallel backend runs 2 workers, so every stripable
-#: nest is cut in two and one stripe crosses to the pool; the compiled
-#: backend runs its generated kernels — see
+#: nest is cut in two and one stripe crosses to the pool — see
 #: :func:`_backend_run_context`).
 EQUIVALENCE_BACKENDS = equivalence_backends()
 
@@ -303,10 +295,9 @@ def backend_equivalence_check(program: GeneratedProgram,
     (message/byte/copy counts, per-PE times, peak memory) AND an
     identical tagged message log / communication profile.
 
-    This is the backend contract: ``vectorized``, ``parallel``, and
-    ``compiled`` are execution strategies, not semantics or cost
-    changes, so nothing observable may differ from the per-PE
-    executor — down to the
+    This is the backend contract: ``vectorized`` and ``parallel`` are
+    execution strategies, not semantics or cost changes, so nothing
+    observable may differ from the per-PE executor — down to the
     ``(src, dst, nbytes, tag)`` tuple of every logged message, which is
     what makes the communication profiler backend-agnostic.  The
     ``perpe`` baseline is always compared first.  Every backend runs
@@ -344,9 +335,7 @@ def backend_equivalence_check(program: GeneratedProgram,
             for label, backend, extra, strips in runs:
                 machine = Machine(grid=grid, keep_message_log=True)
                 registry = _metrics.MetricsRegistry()
-                extra = dict(extra)
-                jit = extra.pop("jit", "python")
-                with _backend_run_context(backend, jit), strips(), \
+                with _backend_run_context(backend), strips(), \
                         _metrics.use_registry(registry):
                     results[label] = compiled.run(
                         machine, inputs=inputs, scalars=program.scalars,

@@ -2,7 +2,7 @@
 
 The exact text the lowerer emits for two representative configurations
 is checked in; any codegen change shows up as a reviewable diff here
-(and must bump ``CODEGEN_VERSION`` so on-disk kernel caches invalidate).
+(and must bump ``CODEGEN_VERSION``, which the ``MANIFEST`` carries).
 Regenerate with::
 
     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.machine import Machine
+
+SRC = Path(repro.__file__).parents[1]
+#: a ``--cache-dir`` as the commit before :mod:`repro.store` left it: one
+#: plan entry and ``kernels/<key>.py``, the since-retired kernel-source tier
+PARENT_CACHE = Path(__file__).parent / "fixtures" / "parent_cache"
 
 try:
     from hypothesis import settings as _hyp_settings
@@ -53,3 +63,25 @@ def rng(seed: int = 0) -> np.random.Generator:
 
 def random_grid(n: int, seed: int = 0, dtype=np.float32) -> np.ndarray:
     return rng(seed).standard_normal((n, n)).astype(dtype)
+
+
+def python_child(*argv: str):
+    """``python *argv`` with this checkout's ``src`` on the path: must
+    exit 0 with nothing on stderr; returns its stdout parsed as JSON."""
+    proc = subprocess.run(
+        [sys.executable, *argv], text=True, capture_output=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+def retired_kernel_file(cache: Path):
+    """Make the one ``kernels/<key>.py`` under ``cache`` (a copy of
+    :data:`PARENT_CACHE`) fatal to run, and return a function reading
+    the ``(bytes, mtime)`` it must keep: nothing opens that directory
+    any more."""
+    kernel, = (cache / "kernels").glob("*.py")
+    kernel.write_text(kernel.read_text()
+                      + "\nraise SystemExit('kernels/ was run')\n")
+    return lambda: (kernel.read_bytes(), kernel.stat().st_mtime_ns)

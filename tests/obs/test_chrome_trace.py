@@ -1,6 +1,7 @@
 """Chrome-trace export degradation tests: op-less profiles, truncated
-timeline rows, field-less worker events, and the compiled backend's
-export path must all yield valid trace documents, never crash."""
+timeline rows, field-less worker events, and a worker-less slab
+backend's export path must all yield valid trace documents, never
+crash."""
 
 import json
 
@@ -101,15 +102,14 @@ class TestDegradation:
 
 
 class TestRealBackends:
-    def test_compiled_backend_export(self):
-        """The compiled backend (worker_tracks=None) must export the
-        same PE tracks as perpe — regression for the export path the
-        CLI --chrome flag drives."""
-        from repro.codegen import codegen_options
-        with codegen_options(jit="python"):
-            result = run_kernel("five_point", grid=(2, 2),
-                                bindings={"N": 8}, backend="compiled",
-                                profile=True)
+    def test_slab_backend_export(self):
+        """A slab backend without workers (worker_tracks=None) must
+        export the same PE tracks as perpe — regression for the export
+        path the CLI --chrome flag drives."""
+        result = run_kernel("five_point", grid=(2, 2),
+                            bindings={"N": 8}, backend="vectorized",
+                            profile=True)
+        assert result.profile.worker_tracks is None
         doc = chrome_trace(result.profile)
         assert_valid_trace(doc)
         assert not [e for e in doc["traceEvents"]

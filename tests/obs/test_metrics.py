@@ -405,15 +405,14 @@ class TestCacheStats:
         assert c.value(cache="k", event="hit") == 2.0
 
     def test_all_cache_layers_share_schema(self):
-        from repro.codegen.cache import MODULES, source_store
         from repro.compiler.cache import PersistentPlanCache, PlanCache
+        from repro.runtime.native import kernel_store
         import tempfile
         with tempfile.TemporaryDirectory() as d:
             layers = [PlanCache().stats,
                       PersistentPlanCache(d).stats,
-                      MODULES.stats,
-                      source_store(d).stats]
+                      kernel_store().stats]
         keysets = {tuple(sorted(s.snapshot())) for s in layers}
         assert len(keysets) == 1
         assert {s.snapshot()["cache"] for s in layers} == {
-            "plan-memory", "plan-disk", "kernel-memory", "kernel-disk"}
+            "plan-memory", "plan-disk", "native-kernels"}

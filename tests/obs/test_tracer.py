@@ -326,14 +326,20 @@ class TestSpanNameIsPositionalOnly:
             pass
 
     @pytest.mark.parametrize("backend", ["perpe", "vectorized",
-                                         "parallel", "compiled"])
+                                         "parallel", "parallel-striped"])
     def test_traced_run_of_a_plan_with_scalar_assigns(self, backend):
         # every backend is one op walk in this process: all have per-op
-        # spans, the parallel backend included
+        # spans, the parallel backend included, its nests cut in
+        # stripes or (at this size, unforced) run whole
+        from contextlib import nullcontext
+
         from repro.kernels import run_kernel
+        from repro.testing import forced_stripes
+        backend, _, striped = backend.partition("-")
         tr = Tracer()
-        run_kernel("cg", bindings={"N": 16, "NITER": 2}, backend=backend,
-                   tracer=tr)
+        with forced_stripes() if striped else nullcontext():
+            run_kernel("cg", bindings={"N": 16, "NITER": 2},
+                       backend=backend, tracer=tr, workers=2)
         assigned = {s.attrs["name"] for s in tr.spans()
                     if s.name == "scalar_assign"}
         assert "ALPHA" in assigned

@@ -1,4 +1,4 @@
-"""The execution-backend registry."""
+"""The execution-backend table."""
 
 from __future__ import annotations
 
@@ -8,22 +8,18 @@ import pytest
 from repro.errors import ExecutionError
 from repro.kernels import run_kernel
 from repro.runtime import backends
-from repro.runtime.backends import (
-    available_backends, get_backend, register_backend,
-)
+from repro.runtime.backends import available_backends, get_backend
+from repro.runtime.executor import _Exec
 
 
 def test_builtins_resolve_lazily():
-    from repro.runtime.executor import _Exec
     from repro.runtime.vectorized import VectorizedExec
     assert get_backend("perpe") is _Exec
     assert get_backend("vectorized") is VectorizedExec
 
 
 def test_available_backends_lists_builtins():
-    names = available_backends()
-    assert "perpe" in names and "vectorized" in names
-    assert names == sorted(names)
+    assert available_backends() == ["parallel", "perpe", "vectorized"]
 
 
 def test_unknown_backend_is_actionable():
@@ -31,33 +27,45 @@ def test_unknown_backend_is_actionable():
         get_backend("simd")
 
 
+def test_compiled_is_not_a_backend():
+    """Retired with its kernel flavour: the name fails like any other
+    unknown one, at the table and at ``execute``."""
+    from repro.kernels import compile_kernel
+    from repro.machine import Machine
+    want = "available: parallel, perpe, vectorized"
+    with pytest.raises(ExecutionError, match=want):
+        get_backend("compiled")
+    with pytest.raises(ExecutionError, match=want):
+        compile_kernel("five_point", bindings={"N": 8}).run(
+            Machine(grid=(2, 2)), backend="compiled")
+
+
+CALLS = []
+
+
+class SpyExec(_Exec):
+    def __init__(self, *a, **kw):
+        CALLS.append("init")
+        super().__init__(*a, **kw)
+
+
 def test_registered_backend_reaches_run_kernel(monkeypatch):
-    from repro.runtime.executor import _Exec
-
-    calls = []
-
-    class SpyExec(_Exec):
-        def __init__(self, *a, **kw):
-            calls.append("init")
-            super().__init__(*a, **kw)
-
-    monkeypatch.setitem(backends._REGISTRY, "spy", SpyExec)
-    try:
-        ref = run_kernel("five_point", bindings={"N": 8})
-        spy = run_kernel("five_point", bindings={"N": 8},
-                         backend="spy")
-    finally:
-        pass  # monkeypatch restores the registry entry
-    assert calls
+    """The table is the one place a backend name is written: a row
+    added to it is a valid ``RunJob.backend`` and runs."""
+    monkeypatch.setitem(backends._BUILTIN, "spy", (__name__, "SpyExec", {}))
+    ref = run_kernel("five_point", bindings={"N": 8})
+    spy = run_kernel("five_point", bindings={"N": 8}, backend="spy")
+    assert CALLS
     np.testing.assert_array_equal(ref.arrays["DST"],
                                   spy.arrays["DST"])
 
 
 def test_registration_overrides_and_lists(monkeypatch):
-    sentinel = type("Fake", (), {})
-    monkeypatch.setitem(backends._REGISTRY, "fake", sentinel)
-    assert get_backend("fake") is sentinel
+    monkeypatch.setitem(backends._BUILTIN, "fake", (__name__, "SpyExec", {}))
+    assert get_backend("fake") is SpyExec
     assert "fake" in available_backends()
+    assert not hasattr(backends, "register_backend")
+    assert not hasattr(backends, "_REGISTRY")
 
 
 def test_parallel_is_a_builtin():
@@ -77,22 +85,3 @@ def test_parallel_is_a_builtin():
     plain = get_backend("vectorized")(plan, Machine(grid=(2, 2)), None,
                                       False, workers=2)
     assert plain.backend_label == "vectorized" and plain.stripes == 1
-
-
-def test_user_registration_shadows_builtin():
-    """register_backend over a builtin name wins — an explicit entry in
-    the registry takes precedence over lazy builtin resolution — and
-    unregistering restores the builtin, not a dead name."""
-    from repro.runtime.executor import _Exec
-
-    class Shadow(_Exec):
-        pass
-
-    assert get_backend("perpe") is _Exec  # builtin resolved (and cached)
-    register_backend("perpe", Shadow)
-    try:
-        assert get_backend("perpe") is Shadow
-        assert available_backends().count("perpe") == 1
-    finally:
-        register_backend("perpe", _Exec)
-    assert get_backend("perpe") is _Exec

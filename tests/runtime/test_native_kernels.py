@@ -31,9 +31,7 @@ from repro.obs import MetricsRegistry, Tracer, use_registry
 from repro.plan import LoopNestOp
 from repro.runtime import native
 from repro.runtime.nest_tape import NestTape, plan_tapes, prepare
-from repro.testing import (
-    EQUIVALENCE_BACKENDS, GeneratedProgram, backend_equivalence_check,
-)
+from repro.testing import GeneratedProgram, backend_equivalence_check
 
 CC = shutil.which("cc")
 pytestmark = pytest.mark.skipif(CC is None, reason="no cc on the path")
@@ -512,7 +510,7 @@ def test_registry_kernel_text_is_in_the_closed_grammar(name):
     assert emitted or name in ("red_black",)
 
 
-# -- (f) the four-backend contract above the constant ------------------------
+# -- (f) the three-backend contract above the constant ------------------------
 
 def test_backend_equivalence_above_the_size_constant(monkeypatch):
     spec = KERNELS["purdue9"]
@@ -526,7 +524,5 @@ def test_backend_equivalence_above_the_size_constant(monkeypatch):
     monkeypatch.setattr(native, "build", lambda tapes, *a: (
         build(tapes, *a), attached.extend(t.kernel for t, _ in tapes))[0])
     backend_equivalence_check(
-        program, inputs, levels=("O4", "O5"), outputs=set(spec.outputs),
-        # the compiled backend's slab mode is the fourth native runner
-        backends=EQUIVALENCE_BACKENDS + (("compiled", {"jit": "auto"}),))
+        program, inputs, levels=("O4", "O5"), outputs=set(spec.outputs))
     assert attached and None not in attached

@@ -103,7 +103,7 @@ def _check_program(source, inputs, *, n, workers=2, grid=(2, 2),
 
 
 class TestNamedKernels:
-    """Acceptance: the four-backend equivalence check passes for every
+    """Acceptance: the three-backend equivalence check passes for every
     named kernel at every optimization level."""
 
     @pytest.mark.parametrize("name", sorted(KERNELS))

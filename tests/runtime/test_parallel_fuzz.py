@@ -6,7 +6,7 @@ bounds — through :func:`repro.testing.backend_equivalence_check` across
 worker counts (1, 2, 3, and the auto default) and asymmetric processor
 grids; the check patches ``MIN_STRIPE_POINTS`` down so these tiny
 programs stripe every legal nest.  Every example demands the full
-four-backend contract: bitwise arrays/scalars, identical modelled cost
+three-backend contract: bitwise arrays/scalars, identical modelled cost
 report, identical tagged message log, identical communication profile.
 
 Settings mirror the ``ci`` hypothesis profile (tests/conftest.py):

@@ -117,7 +117,7 @@ class TestEvaluate:
 
     def test_that_power_agrees_on_every_backend(self):
         """The same case through the reference at every level and the
-        four-backend bitwise contract; a scalar assignment of it goes
+        three-backend bitwise contract; a scalar assignment of it goes
         through ``_Exec.scalar``."""
         import math
         from repro.compiler import compile_hpf

@@ -30,6 +30,7 @@ from repro.kernels import run_kernel
 from repro.obs.ledger import RunLedger
 from repro.service import ReproService, WorkerPool
 from repro.service.handlers import COMPILE_FINGERPRINT
+from tests.conftest import PARENT_CACHE, python_child, retired_kernel_file
 
 # the CI metrics-smoke grammar, verbatim
 PROM_LINE = re.compile(
@@ -172,7 +173,11 @@ class TestBadValuesAre400:
         ("iterations", {"iterations": None}),
         ("outputs", {"outputs": [1, 2]}),
         ("cse", {"cse": True}),                  # retired switches are
-        ("plan_passes", {"plan_passes": True}),  # unknown fields now
+        ("plan_passes", {"plan_passes": True}),  # unknown fields now,
+        ("jit", {"jit": "python"}),              # the compiled
+        ("tile", {"tile": 8}),                   # backend's three too
+        ("unroll", {"unroll": 2}),
+        ("parallel, perpe, vectorized", {"backend": "compiled"}),
     ], ids=repr)
     def test_run(self, harness, field, extra):
         status, _, payload = harness.request(
@@ -245,26 +250,16 @@ class TestCoalescing:
 
 class TestRunFidelity:
     @pytest.mark.parametrize("backend", ["perpe", "vectorized",
-                                         "compiled"])
+                                         "parallel"])
     def test_run_bitwise_identical_to_direct_run_kernel(
             self, harness, backend):
         job = {"kernel": "jacobi", "bindings": {"N": 16},
                "level": "O4", "backend": backend, "iterations": 2,
                "seed": 3}
-        if backend == "compiled":
-            job["jit"] = "python"  # the generated kernels, not slabs
         doc = harness.json("POST", "/run", job)
-
-        def direct():
-            return run_kernel("jacobi", bindings={"N": 16},
-                              level="O4", backend=backend,
-                              iterations=2, seed=3)
-        if backend == "compiled":
-            from repro.codegen import codegen_options
-            with codegen_options(jit="python"):
-                result = direct()
-        else:
-            result = direct()
+        result = run_kernel("jacobi", bindings={"N": 16},
+                            level="O4", backend=backend,
+                            iterations=2, seed=3)
 
         assert set(doc["arrays"]) == set(result.arrays)
         for name, arr in result.arrays.items():
@@ -449,61 +444,82 @@ class TestCacheEndpoints:
         assert not list(plans.glob("*.json"))
         harness.json("GET", f"/plan/{keys[1]}", expect=404)
 
-    def _compiled_run(self, harness, grid):
-        return harness.json("POST", "/run", {
-            **FIVE_O2, "backend": "compiled", "jit": "python",
-            "machine": {"grid": grid}})
-
     def test_evict_all_empties_every_tier(self, harness):
-        """Regression: evicting everything unlinked the kernel files
-        but left the in-process kernel-module LRU populated."""
-        from repro.codegen.cache import MODULES
-
-        self._compiled_run(harness, [2, 2])
-        kernels = harness.tmp_path / "cache" / "kernels"
-        assert len(list(kernels.glob("*.py"))) == 1 and len(MODULES) >= 1
-        held = len(MODULES)
+        """Evicting everything empties both plan tiers and reports a
+        count per tier; the per-user native kernel directory is shared
+        with other processes and is not this server's to empty."""
+        from repro.runtime.native import kernel_store
+        key = harness.json("POST", "/run", {
+            **FIVE_O2, "backend": "vectorized"})["key"]
+        native = sorted(f.name for f in kernel_store()._entries())
         dropped = harness.json("POST", "/cache/evict",
                                {"all": True})["dropped"]
-        assert dropped["tiers"] == {
-            "plan-memory": 1, "plan-disk": 1,
-            "kernel-memory": held, "kernel-disk": 1}
-        assert dropped["plans"] == 2 and dropped["kernels"] == held + 1
-        assert len(MODULES) == 0 and not list(kernels.glob("*.py"))
-        # one key names a plan: kernels are not filed under it
-        key = self._compiled_run(harness, [2, 2])["key"]
+        assert dropped == {"plans": 2, "tiers": {"plan-memory": 1,
+                                                 "plan-disk": 1}}
+        assert not list((harness.tmp_path / "cache" / "plans").iterdir())
+        assert sorted(f.name for f in kernel_store()._entries()) == native
+        # one key names a plan: the same two tiers
+        assert harness.json("POST", "/run", {
+            **FIVE_O2, "backend": "vectorized"})["key"] == key
         dropped = harness.json("POST", "/cache/evict",
                                {"key": key})["dropped"]
         assert dropped == {"plans": 2, "tiers": {"plan-memory": 1,
                                                  "plan-disk": 1}}
-        assert len(list(kernels.glob("*.py"))) == 1
 
-    def test_all_four_tiers_reported_and_accumulating(self, harness):
-        """Regression: /healthz and the cache gauges knew the two plan
-        tiers only, and each executor counted kernel-disk events into a
-        throwaway object."""
-        from repro.codegen.cache import MODULES
-
-        MODULES.invalidate()      # process-wide: other tests fill it
+    def test_every_tier_reported_and_accumulating(self, harness):
+        """/healthz and the cache gauges list exactly the tiers this
+        server reads or fills: the two plan tiers and the native kernel
+        directory (the kernel-source tiers went with the compiled
+        backend)."""
         before = harness.json("GET", "/healthz")["caches"]
         assert set(before) == {"plan-memory", "plan-disk",
-                               "kernel-memory", "kernel-disk",
                                "native-kernels"}
-        for grid in ([2, 2], [4, 1]):     # one kernel key per machine
-            self._compiled_run(harness, grid)
-        MODULES.invalidate()
-        self._compiled_run(harness, [2, 2])
+        for grid in ([2, 2], [4, 1]):       # one plan, two machines
+            harness.json("POST", "/run", {
+                **FIVE_O2, "backend": "vectorized",
+                "machine": {"grid": grid}})
         after = harness.json("GET", "/healthz")["caches"]
-        assert after["kernel-disk"]["misses"] == 2.0
-        assert after["kernel-disk"]["hits"] == 1.0
-        assert after["kernel-memory"]["misses"] == \
-            before["kernel-memory"]["misses"] + 3
+        assert set(after) == set(before)
+        assert after["plan-memory"]["misses"] == \
+            before["plan-memory"]["misses"] + 1
+        assert after["plan-memory"]["hits"] == \
+            before["plan-memory"]["hits"] + 1
+        assert after["plan-disk"]["misses"] == 1.0
         scrape = harness.request("GET", "/metrics")[2].decode()
-        for cache in before:
-            assert 'repro_service_cache_events{cache="%s",' \
-                'event="misses"}' % cache in scrape
-        assert 'repro_service_cache_events{cache="kernel-disk",' \
-            'event="misses"} 2' in scrape
+        assert set(re.findall(
+            r'repro_service_cache_events\{cache="([^"]+)"', scrape)) \
+            == set(before)
+        assert 'repro_service_cache_events{cache="plan-disk",' \
+            'event="misses"} 1' in scrape
+
+    def test_cache_dir_of_an_earlier_commit(self, tmp_path):
+        """A ``--cache-dir`` an earlier server filled — ``plans/`` plus
+        ``kernels/<key>.py``, the retired kernel-source tier: the plan
+        tier is served from disk, and ``kernels/`` is not opened, run,
+        pruned or removed, by a run or by evict-all."""
+        import shutil
+        cache = tmp_path / "cache"
+        shutil.copytree(PARENT_CACHE / "kernels", cache / "kernels")
+        kernel_state = retired_kernel_file(cache)
+        before = kernel_state()
+        job = {**FIVE_O2, "backend": "vectorized"}
+        first = ServiceHarness(tmp_path)     # an earlier server's plans/
+        try:
+            want = first.json("POST", "/run", job)
+        finally:
+            first.close()
+        harness = ServiceHarness(tmp_path)
+        try:
+            doc = harness.json("POST", "/run", job)
+            caches = harness.json("GET", "/healthz")["caches"]
+            assert caches["plan-disk"]["hits"] == 1.0
+            assert doc["arrays"] == want["arrays"]
+            harness.json("POST", "/cache/evict", {"all": True})
+        finally:
+            harness.close()
+        assert sorted(p.name for p in cache.iterdir()) == \
+            ["kernels", "plans"]
+        assert kernel_state() == before
 
     def test_single_job_warm_body(self, harness):
         warmed = harness.json("POST", "/cache/warm", dict(FIVE_O2))
@@ -556,3 +572,35 @@ class TestHttpFraming:
     def test_responses_close_the_connection(self, harness):
         status, headers, _ = harness.request("GET", "/healthz")
         assert headers["Connection"] == "close"
+
+
+SERVED_RUN_PROBE = """
+import asyncio, json, sys
+from repro.service import ReproService
+
+async def served_run():
+    service = ReproService(cache_dir=sys.argv[1])
+    await service.start(port=0)
+    reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                   service.port)
+    body = json.dumps({"kernel": "nine_point",
+                       "backend": "vectorized"}).encode()
+    writer.write(b"POST /run HTTP/1.1\\r\\nConnection: close\\r\\n"
+                 b"Content-Length: %d\\r\\n\\r\\n" % len(body) + body)
+    reply = await reader.read()
+    writer.close()
+    await service.stop()
+    return reply.split(b"\\r\\n", 1)[0].decode()
+
+print(json.dumps([asyncio.run(served_run()),
+                  sorted(m for m in sys.modules
+                         if m.startswith("repro.codegen"))]))
+"""
+
+
+def test_a_served_run_never_imports_the_pinned_emitter(tmp_path):
+    """A server given a cache directory used to enter the kernel-cache
+    option scope on every ``/run``; now ``repro.codegen`` (kept for the
+    benchmark harness alone) is never imported by one."""
+    assert python_child("-c", SERVED_RUN_PROBE, str(tmp_path / "cache")) \
+        == ["HTTP/1.1 200 OK", []]

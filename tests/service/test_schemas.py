@@ -113,8 +113,14 @@ class TestRunJob:
             parse_run_job({**FIVE, "iterations": 0})
 
     def test_bad_jit_rejected(self):
-        with pytest.raises(JobError, match="jit"):
-            parse_run_job({**FIVE, "jit": "llvm"})
+        """Every value is bad: the compiled backend's three keys are
+        unknown fields now, and its name is not a backend."""
+        for key, value in (("jit", "python"), ("tile", 8), ("unroll", 2)):
+            with pytest.raises(JobError, match=f"unknown field.*{key}"):
+                parse_run_job({**FIVE, key: value})
+        with pytest.raises(JobError,
+                           match="parallel, perpe, vectorized"):
+            parse_run_job({**FIVE, "backend": "compiled"})
 
     def test_non_numeric_scalar_rejected(self):
         with pytest.raises(JobError, match="scalars"):

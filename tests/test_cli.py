@@ -1,10 +1,15 @@
 """CLI tests: python -m repro compile/run/experiments."""
 
+import json
+
 import pytest
 
 from repro import kernels
 from repro.__main__ import main
 from repro.compiler import OptLevel
+from tests.conftest import (
+    PARENT_CACHE, SRC, python_child, retired_kernel_file,
+)
 
 DEFAULT = OptLevel.DEFAULT.name
 
@@ -434,11 +439,60 @@ class TestCacheDir:
         assert capsys.readouterr().out == first
 
 
+    def test_directory_of_an_earlier_commit(self, tmp_path, capsys,
+                                            monkeypatch):
+        """A ``--cache-dir`` the parent filled (plan entry plus
+        ``kernels/<key>.py``, the retired kernel-source tier): the plan
+        entry is a hit, and ``kernels/`` is not opened, run, pruned or
+        removed — whatever the retired variables say."""
+        import shutil
+        cache = tmp_path / "cache"
+        shutil.copytree(PARENT_CACHE, cache)
+        kernel_state = retired_kernel_file(cache)
+        before = kernel_state()
+        monkeypatch.setenv("REPRO_COMPILED_JIT", "python")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache / "kernels"))
+        metrics = tmp_path / "m.json"
+        assert main(["run", "five_point", "--bind", "N=12", "--level",
+                     "O2", "--backend", "vectorized", "--cache-dir",
+                     str(cache), "--metrics", str(metrics),
+                     "--json"]) == 0
+        capsys.readouterr()
+        events, = [m for m in json.loads(metrics.read_text())["metrics"]
+                   if m["name"] == "repro_cache_events_total"]
+        assert [(s["labels"], s["value"]) for s in events["samples"]] == \
+            [({"cache": "plan-disk", "event": "hit"}, 1.0)]
+        assert sorted(p.name for p in cache.iterdir()) == \
+            sorted(p.name for p in PARENT_CACHE.iterdir())
+        assert kernel_state() == before
+
+
 class TestBackendChoices:
     def test_backend_choices_come_from_registry(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "x.f90", "--backend", "no_such_backend"])
         assert "vectorized" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["0", "-3", "two"])
+    def test_run_rejects_bad_workers(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "five_point", "--backend", "parallel",
+                  "--workers", bad])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--backend", "compiled"], ["--jit", "python"], ["--tile", "8"],
+        ["--unroll", "2"]], ids=" ".join)
+    def test_compiled_and_its_flags_are_argparse_errors(self, argv,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "five_point", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[0] in err
+        if argv[0] == "--backend":
+            assert "'parallel', 'perpe', 'vectorized'" in err
 
 
 class TestMetricsCommand:
@@ -482,7 +536,7 @@ class TestMetricsCommand:
         path = tmp_path / "ledger.jsonl"
         for _ in range(2):
             assert main(["metrics", "five_point", "--bind", "N=8",
-                         "--tile", "16", "--ledger", str(path)]) == 0
+                         "--ledger", str(path)]) == 0
         capsys.readouterr()
         ledger = RunLedger(path)
         records = ledger.records()
@@ -491,8 +545,7 @@ class TestMetricsCommand:
         assert rec["backend"] == "perpe"
         assert len(rec["plan_key"]) == 64  # sha256 of the plan JSON
         assert rec["plan_key"] == records[1]["plan_key"]
-        assert rec["factors"]["level"] == DEFAULT
-        assert rec["factors"]["tile"] == 16
+        assert rec["factors"] == {"level": DEFAULT}
         assert rec["metrics"]["type"] == "metrics"
         assert len(ledger.fingerprints()) == 1
 
@@ -546,6 +599,37 @@ print(json.dumps({
 """
 
 
+def test_a_cached_run_never_imports_the_pinned_emitter(tmp_path):
+    """``repro.codegen`` is the benchmark harness's, not the product's:
+    a ``--cache-dir`` run (which used to enter its option scope) ends
+    with the package absent from ``sys.modules``, and nothing under
+    ``src/`` outside the package names it."""
+    import re
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from repro.__main__ import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    rc = main(['run', 'nine_point', '--backend', 'vectorized',\n"
+        "               '--cache-dir', sys.argv[1], '--json'])\n"
+        "print(json.dumps([rc, json.loads(out.getvalue())['checksums'],\n"
+        "                  sorted(m for m in sys.modules\n"
+        "                         if m.startswith('repro.codegen'))]))\n")
+    rc, checksums, imported = python_child(
+        "-c", probe, str(tmp_path / "cache"))
+    assert (rc, imported) == (0, []) and checksums
+    assert list((tmp_path / "cache").iterdir())
+
+    gate = re.compile(
+        r"codegen_options|REPRO_COMPILED_|REPRO_KERNEL_CACHE|"
+        r"kernel_cache_dir|CompiledExec|JIT_MODES|register_backend")
+    importing = re.compile(r"^\s*(?:import|from)\s+repro\.codegen\b", re.M)
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        assert not gate.search(text), path
+        if "codegen" not in path.relative_to(SRC / "repro").parts[:1]:
+            assert not importing.search(text), path
+
+
 def test_parallel_run_is_quiet_and_in_process():
     """``--backend parallel`` is one process: a CLI run prints nothing
     to stderr (it used to end with a ``resource_tracker`` ``KeyError``
@@ -553,25 +637,10 @@ def test_parallel_run_is_quiet_and_in_process():
     agrees with ``vectorized``, never imports ``multiprocessing``,
     starts no child, creates no ``/dev/shm`` segment, and its second
     run starts no thread."""
-    import json
     import os
-    import pathlib
     import re
-    import subprocess
-    import sys
 
-    import repro
-
-    src = pathlib.Path(repro.__file__).parents[1]
-
-    def child(*argv):
-        proc = subprocess.run(
-            [sys.executable, *argv], text=True, capture_output=True,
-            timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
-        return json.loads(proc.stdout)
-
+    child = python_child
     runs = {backend: child("-m", "repro", "run", "nine_point", "--backend",
                            backend, "--workers", "2", "--json")
             for backend in ("parallel", "vectorized")}
@@ -585,5 +654,5 @@ def test_parallel_run_is_quiet_and_in_process():
 
     importing = re.compile(
         r"^\s*(?:import|from)\s+multiprocessing\b|shared_memory", re.M)
-    assert [str(path) for path in src.rglob("*.py")
+    assert [str(path) for path in SRC.rglob("*.py")
             if importing.search(path.read_text())] == []

@@ -137,3 +137,80 @@ def test_library_runs_zero_iterations_but_not_negative_seeds():
     assert result.report.messages == 0
     with pytest.raises(UsageError, match="seed"):
         run_kernel("five_point", bindings={"N": 8}, seed=-1)
+
+
+def test_compiled_and_its_knobs_are_not_a_job():
+    """The retired backend and its three fields fail at job
+    construction, naming what exists; the variables earlier commits
+    read are ignored."""
+    import dataclasses
+
+    from repro.errors import UsageError
+    compile_job = CompileJob.resolve(kernel="five_point",
+                                     bindings={"N": 8})
+    with pytest.raises(UsageError,
+                       match="one of parallel, perpe, vectorized"):
+        RunJob(compile=compile_job, machine=MachineSpec(),
+               backend="compiled")
+    with pytest.raises(UsageError,
+                       match="one of parallel, perpe, vectorized"):
+        run_kernel("five_point", bindings={"N": 8}, backend="compiled")
+    for knob in ({"jit": "python"}, {"tile": 8}, {"unroll": 2}):
+        with pytest.raises(TypeError):
+            RunJob(compile=compile_job, machine=MachineSpec(), **knob)
+    assert not {"tile", "unroll", "jit"} & {
+        f.name for f in dataclasses.fields(RunJob)}
+    with pytest.raises(TypeError):
+        RunJob(compile=compile_job, machine=MachineSpec()).execute(
+            None, None, kernel_cache_dir="kernels")
+
+
+def test_retired_environment_variables_change_nothing(
+        monkeypatch, tmp_path):
+    """``REPRO_COMPILED_*`` and ``REPRO_KERNEL_CACHE`` were process-wide
+    defaults of the compiled backend; set (garbage included), a run
+    gives the same bytes and summary and the cache path is never
+    created."""
+    def run():
+        result = run_kernel("nine_point", bindings={"N": 16},
+                            backend="vectorized", seed=2)
+        return result.summary(), {
+            name: hashlib.sha256(arr.tobytes()).hexdigest()
+            for name, arr in result.arrays.items()}
+
+    want = run()
+    monkeypatch.setenv("REPRO_COMPILED_JIT", "python")
+    monkeypatch.setenv("REPRO_COMPILED_TILE", "lots")
+    monkeypatch.setenv("REPRO_COMPILED_UNROLL", "-3")
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "x"))
+    assert run() == want
+    assert not (tmp_path / "x").exists()
+
+
+def test_ledger_reads_the_parents_lines_and_appends_level_only(tmp_path):
+    """A ledger file earlier commits wrote (``factors`` with ``tile`` /
+    ``unroll`` / ``jit`` / ``codegen``) stays readable from the file
+    this commit appends to; a new line's factors are the level."""
+    from repro.obs.ledger import LEDGER_SCHEMA, RunLedger
+    from repro.plan import PLAN_SCHEMA_VERSION
+    assert LEDGER_SCHEMA == {"type": "run", "version": 1}
+    assert PLAN_SCHEMA_VERSION == 2
+    old = {**LEDGER_SCHEMA, "timestamp": 1.0,
+           "fingerprint": "grid=2x2;parent", "plan_key": "p" * 64,
+           "backend": "compiled",
+           "factors": {"level": "O5", "tile": 16, "unroll": 2,
+                       "jit": "python", "codegen": "tile=16;unroll=2"},
+           "metrics": None, "extra": {"grid": "2x2", "iterations": 1}}
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(json.dumps(old, sort_keys=True) + "\n")
+    job = RunJob(compile=CompileJob.resolve(kernel="five_point",
+                                            bindings={"N": 8}),
+                 machine=MachineSpec(), backend="vectorized")
+    machine = job.machine.build()
+    ledger = RunLedger(path)
+    new = job.ledger_append(ledger, machine, "k" * 64, None)
+    assert new["factors"] == {"level": OptLevel.DEFAULT.name}
+    records = ledger.records()
+    assert records == [old, new] and ledger.corrupt_lines == 0
+    assert ledger.latest("grid=2x2;parent") == old
+    assert ledger.latest(machine.fingerprint()) == new

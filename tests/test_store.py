@@ -1,13 +1,15 @@
 """Contract of :mod:`repro.store`, the one mechanism behind every cache.
 
 Each guarantee is checked once, for every tier that makes it and — on
-the directory tier — for both codecs in use (plan JSON, kernel source),
-so the plan caches and the kernel caches cannot drift apart again.
+the directory tier — for both codecs in use (plan JSON as text, native
+kernel blobs as bytes), so the plan caches and the kernel directory
+cannot drift apart again.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import multiprocessing
 import os
 import shutil
@@ -18,17 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.codegen import CodegenOptions, lower_plan
-from repro.codegen.cache import SOURCE_CODEC, kernel_key, source_store
 from repro.compiler import CompilerOptions, PersistentPlanCache, compile_hpf
 from repro.compiler.cache import PLAN_CODEC
 from repro.kernels import KERNELS
-from repro.machine import Machine
-from repro.store import Codec, DiskStore, MemoryStore, TieredStore
+from repro.runtime.native import SO_CODEC
+from repro.store import DiskStore, MemoryStore, TieredStore
+from tests.conftest import PARENT_CACHE, retired_kernel_file
 
 SPEC = KERNELS["five_point"]
-CODECS = {"plan": PLAN_CODEC, "source": SOURCE_CODEC}
-FIXTURE = Path(__file__).parent / "fixtures" / "parent_cache"
+CODECS = {"plan": PLAN_CODEC, "kernel": SO_CODEC}
 
 
 def _compile(n):
@@ -42,9 +42,10 @@ def values(kind: str) -> tuple:
     programs = tuple(_compile(8 + 4 * i) for i in range(6))
     if kind == "plan":
         return programs
-    # generated source takes its extents as arguments: vary the factors
-    return tuple(lower_plan(programs[0].plan, CodegenOptions(tile=4 * i))
-                 for i in range(6))
+    # what repro.runtime.native files: payload + sha256(payload) + key
+    return tuple(so + hashlib.sha256(so).hexdigest().encode()
+                 + b"%064x" % i
+                 for i, so in enumerate(b"\x7fELF-%d" % i for i in range(6)))
 
 
 def make(tier: str, kind: str, path, bound: int = 64):
@@ -60,13 +61,18 @@ def same(kind: str, a, b) -> bool:
     return CODECS[kind].encode(a) == CODECS[kind].encode(b)
 
 
+def raw(kind: str, path: Path):
+    """An entry's file content, as its codec reads it."""
+    return path.read_bytes() if CODECS[kind].binary else path.read_text()
+
+
 def backdate(path: Path, seconds: float) -> float:
     stamp = time.time() - seconds
     os.utime(path, (stamp, stamp))
     return stamp
 
 
-@pytest.mark.parametrize("kind", ["plan", "source"])
+@pytest.mark.parametrize("kind", ["plan", "kernel"])
 @pytest.mark.parametrize("tier", ["memory", "disk", "tiered"])
 class TestEveryTier:
     def test_miss_then_hit_is_counted(self, tier, kind, tmp_path):
@@ -152,7 +158,7 @@ class TestEveryTier:
         assert not list(tmp_path.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("kind", ["plan", "source"])
+@pytest.mark.parametrize("kind", ["plan", "kernel"])
 @pytest.mark.parametrize("tier", ["memory", "disk"])
 def test_bound_evicts_least_recently_used(tier, kind, tmp_path):
     store, pool = make(tier, kind, tmp_path, bound=3), values(kind)
@@ -178,6 +184,16 @@ def test_bounds_are_validated(tmp_path):
         DiskStore(tmp_path, PLAN_CODEC, max_entries=0)
 
 
+def test_binary_codec_files_bytes_verbatim(tmp_path):
+    """A binary entry is never text: bytes that are not UTF-8, NULs and
+    CRLF reach the file, and come back, unchanged."""
+    so = b"\xff\xfe\x00\r\n\x7fELF"
+    blob = so + hashlib.sha256(so).hexdigest().encode() + b"0" * 64
+    store = DiskStore(tmp_path, SO_CODEC)
+    store.put("k", blob)
+    assert store.file("k").read_bytes() == blob == store.get("k")
+
+
 def _racer(path: str, kind: str, rank: int) -> None:
     """Child of the multi-process race: overwrite two shared keys with
     alternating values and read them back.  The keys exist before the
@@ -193,7 +209,7 @@ def _racer(path: str, kind: str, rank: int) -> None:
         store.put(f"own{rank}-{i}", pool[2])    # keeps every pruner busy
 
 
-@pytest.mark.parametrize("kind", ["plan", "source"])
+@pytest.mark.parametrize("kind", ["plan", "kernel"])
 class TestDirectoryTier:
     def test_processes_racing_one_directory(self, kind, tmp_path):
         store = make("disk", kind, tmp_path, bound=16)
@@ -212,7 +228,7 @@ class TestDirectoryTier:
         survivors = list(tmp_path.glob(f"*{CODECS[kind].suffix}"))
         assert 0 < len(survivors) <= 16
         for f in survivors:
-            CODECS[kind].decode(f.read_text())    # no torn entry
+            CODECS[kind].decode(raw(kind, f))    # no torn entry
 
     @pytest.mark.parametrize("damage", ["junk", "truncated", "empty"])
     def test_unreadable_entry_is_a_miss_after_one_reread(
@@ -223,14 +239,14 @@ class TestDirectoryTier:
             reads.append(text)
             return codec.decode(text)
 
-        store = DiskStore(tmp_path, Codec(codec.suffix, codec.encode,
-                                          decode))
+        store = DiskStore(tmp_path, codec._replace(decode=decode))
         value = values(kind)[0]
         store.put("k", value)
-        text = store.file("k").read_text()
-        store.file("k").write_text(
-            {"junk": "def broken(:", "empty": "",
-             "truncated": text[:len(text) // 2]}[damage])
+        text = raw(kind, store.file("k"))
+        damaged = {"junk": "def broken(:", "empty": "",
+                   "truncated": text[:len(text) // 2]}[damage]
+        store.file("k").write_bytes(
+            damaged if isinstance(damaged, bytes) else damaged.encode())
         assert store.get("k") is None
         assert len(reads) == 2 and store.stats.misses == 1
         store.put("k", value)                    # the owner recomputes
@@ -245,8 +261,7 @@ class TestDirectoryTier:
                 raise failures.pop()
             return codec.decode(text)
 
-        store = DiskStore(tmp_path, Codec(codec.suffix, codec.encode,
-                                          decode))
+        store = DiskStore(tmp_path, codec._replace(decode=decode))
         store.put("k", value)
         assert same(kind, store.get("k"), value)
         assert (store.stats.hits, store.stats.misses) == (1, 0)
@@ -304,40 +319,40 @@ class TestDirectoryTier:
         assert sentinel.read_text() == "outside the store"
         assert set(tmp_path.rglob("*")) == {tmp_path / "store", sentinel}
 
-    def test_directory_written_by_the_parent_commit_is_warm(
-            self, kind, tmp_path):
-        """``tests/fixtures/parent_cache`` was written by the commit
-        before :mod:`repro.store` existed (``PersistentPlanCache`` and
-        ``KernelDiskCache`` of 6b6a7aa, five_point N=12 O2 on a 2x2
-        machine): key derivation, file names and file contents are the
-        compatibility surface.  (The plan entry was re-keyed, contents
-        unchanged, when the options fingerprint lost ``cse`` /
-        ``hoist_comm`` / ``plan_passes`` / ``verify_plan``.)  A
-        deliberate ``PLAN_SCHEMA_VERSION`` /
-        ``CODEGEN_VERSION`` / options-fingerprint change regenerates it
-        by running that compile and one ``backend="compiled",
-        jit="python"`` run against an empty directory."""
-        shutil.copytree(FIXTURE, tmp_path / "cache")
-        compiled = _compile(12)
-        if kind == "plan":
-            store = PersistentPlanCache(tmp_path / "cache")
-            key = store.key_for(
-                SPEC.source, "MAIN", {"N": 12},
-                CompilerOptions.make("O2", set(SPEC.outputs)))
-        else:
-            store = source_store(tmp_path / "cache" / "kernels")
-            key = kernel_key(compiled.plan, Machine(grid=(2, 2)),
-                             CodegenOptions())
-        assert [f.stem for f in store._entries()] == [key]
-        found = store.get(key)
-        assert store.stats.hits == 1
-        fresh = compiled if kind == "plan" \
-            else lower_plan(compiled.plan, CodegenOptions())
-        assert CODECS[kind].encode(found) == CODECS[kind].encode(fresh) \
-            == store.file(key).read_text()
+
+def test_directory_written_by_the_parent_commit_is_warm(tmp_path):
+    """``tests/fixtures/parent_cache`` was written by the commit
+    before :mod:`repro.store` existed (``PersistentPlanCache`` and
+    ``KernelDiskCache`` of 6b6a7aa, five_point N=12 O2 on a 2x2
+    machine): key derivation, file names and file contents are the
+    compatibility surface.  (The plan entry was re-keyed, contents
+    unchanged, when the options fingerprint lost ``cse`` /
+    ``hoist_comm`` / ``plan_passes`` / ``verify_plan``.)  A deliberate
+    ``PLAN_SCHEMA_VERSION`` / options-fingerprint change regenerates
+    the plan entry by running that compile against an empty directory.
+    Its ``kernels/`` subdirectory is the retired kernel-source tier:
+    nothing opens it any more, and the plan tier never looks below its
+    own directory — not on a hit, not when it prunes, not when it is
+    emptied."""
+    shutil.copytree(PARENT_CACHE, tmp_path / "cache")
+    kernel_state = retired_kernel_file(tmp_path / "cache")
+    before = kernel_state()
+    compiled = _compile(12)
+    store = PersistentPlanCache(tmp_path / "cache", max_entries=1)
+    key = store.key_for(
+        SPEC.source, "MAIN", {"N": 12},
+        CompilerOptions.make("O2", set(SPEC.outputs)))
+    assert [f.stem for f in store._entries()] == [key]
+    found = store.get(key)
+    assert store.stats.hits == 1
+    assert PLAN_CODEC.encode(found) == PLAN_CODEC.encode(compiled) \
+        == store.file(key).read_text()
+    store.put("other", compiled)             # prunes the fixture's entry
+    assert store.stats.pruned == 1 and store.invalidate() == 1
+    assert kernel_state() == before
 
 
-@pytest.mark.parametrize("kind", ["plan", "source"])
+@pytest.mark.parametrize("kind", ["plan", "kernel"])
 class TestTiering:
     def test_disk_hit_is_promoted(self, kind, tmp_path):
         store, value = make("tiered", kind, tmp_path), values(kind)[0]
