@@ -167,33 +167,6 @@ class CostReport:
                        key=lambda p: self.pe_times[p])
         return self.pe_comm_times[critical] / self.pe_times[critical]
 
-    def add_message(self, pe: int, nbytes: int, model: CostModel) -> None:
-        self.ensure_pes(pe + 1)
-        t = model.msg_time(nbytes)
-        self.pe_times[pe] += t
-        self.pe_comm_times[pe] += t
-        self.messages += 1
-        self.message_bytes += nbytes
-
-    def add_copy(self, pe: int, nelems: int, elem_size: int,
-                 model: CostModel) -> None:
-        self.ensure_pes(pe + 1)
-        t = model.copy_time(nelems, elem_size)
-        self.pe_times[pe] += t
-        self.pe_copy_times[pe] += t
-        self.copies += 1
-        self.copy_elements += nelems
-
-    def add_loop(self, pe: int, stats: LoopStats, model: CostModel,
-                 overhead_factor: float = 1.0) -> None:
-        self.ensure_pes(pe + 1)
-        self.pe_times[pe] += model.loop_time(stats, overhead_factor)
-        self.loop_points += stats.points
-        self.pe_mem_loads[pe] += stats.mem_loads * stats.points
-        self.pe_cached_loads[pe] += stats.cached_loads * stats.points
-        self.pe_stores[pe] += stats.stores * stats.points
-        self.pe_flops[pe] += stats.flops * stats.points
-
     def snapshot(self) -> tuple[float, ...]:
         """Cheap aggregate snapshot for before/after deltas (tracing)."""
         return (float(self.messages), float(self.message_bytes),

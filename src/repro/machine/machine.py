@@ -58,11 +58,5 @@ class Machine:
         return (f"grid={tuple(self.grid)};mem={self.memory_per_pe};"
                 f"cost={sorted(vars(self.cost_model).items())}")
 
-    def charge_loop(self, pe: int, stats, overhead_factor: float = 1.0) -> None:
-        self.report.add_loop(pe, stats, self.cost_model, overhead_factor)
-
-    def charge_copy(self, pe: int, nelems: int, elem_size: int) -> None:
-        self.report.add_copy(pe, nelems, elem_size, self.cost_model)
-
     def __str__(self) -> str:
         return f"Machine(grid={self.topology}, npes={self.npes})"

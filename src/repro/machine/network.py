@@ -1,12 +1,12 @@
 """Message-passing network of the simulated machine.
 
-Every interprocessor transfer is accounted for here: the shift runtimes
-charge a whole exchange through :meth:`Network.record_batch`, reduction
-collectives one message at a time through :meth:`Network.record`; each
-records a :class:`MessageRecord` and charges the cost model.  The
-network never sees payload bytes — arrays move their own data (the
-simulator is sequentially consistent; modelled time lives in the cost
-report, not in wall-clock ordering).
+Every charge is priced once, into a :class:`Charges` recording a charge
+walk fills, and reaches the cost report and message log only through
+:meth:`Network.replay` — which adds the same addends to the same per-PE
+rows in the same order on every run.  The network never sees payload
+bytes — arrays move their own data (the simulator is sequentially
+consistent; modelled time lives in the cost report, not in wall-clock
+ordering).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import MachineError
-from repro.machine.cost_model import CostModel, CostReport
+from repro.machine.cost_model import CostModel, CostReport, LoopStats
 
 #: Tag classes of every point-to-point message, in the order the
 #: communication profiler reports them:
@@ -97,89 +97,114 @@ class MessageRecord:
         return f"{self.src}->{self.dst} {self.nbytes}B [{self.tag}]"
 
 
+class Charges:
+    """What a charge walk costs, recorded once and replayed verbatim:
+    per report row each PE's addends in charge order (rows are
+    independent accumulators), and the integer counters as totals.
+    Built by one walk, then only read, by every run of its op."""
+
+    def __init__(self, model: CostModel) -> None:
+        self.model = model
+        #: report row name -> ([pe, ...], [addend, ...])
+        self.rows: dict[str, tuple[list[int], list[float]]] = {}
+        self.records: list[MessageRecord] = []      # in log order
+        self.npes = 0
+        self.messages = self.message_bytes = 0
+        self.copies = self.copy_elements = self.loop_points = 0
+
+    def _add(self, row: str, pe: int, value: float) -> None:
+        pes, values = self.rows.setdefault(row, ([], []))
+        pes.append(pe)
+        values.append(value)
+        self.npes = max(self.npes, pe + 1)
+
+    def charge_loop(self, pe: int, stats: LoopStats,
+                    overhead_factor: float = 1.0) -> None:
+        """A subgrid loop of ``stats.points`` points on ``pe``."""
+        self._add("pe_times", pe, self.model.loop_time(stats, overhead_factor))
+        self.loop_points += stats.points
+        for row, per_point in (("pe_mem_loads", stats.mem_loads),
+                               ("pe_cached_loads", stats.cached_loads),
+                               ("pe_stores", stats.stores),
+                               ("pe_flops", stats.flops)):
+            self._add(row, pe, per_point * stats.points)
+
+    def charge_copy(self, pe: int, nelems: int, elem_size: int) -> None:
+        """An intraprocessor move of ``nelems`` elements on ``pe``."""
+        t = self.model.copy_time(nelems, elem_size)
+        self._add("pe_times", pe, t)
+        self._add("pe_copy_times", pe, t)
+        self.copies += 1
+        self.copy_elements += nelems
+
+    def record_batch(self, transfers: "list[tuple[int, int, int]]",
+                     itemsize: int, tag: str = "") -> None:
+        """``(src, dst, nelems)`` transfers in order, each charged to its
+        sender and logged.
+
+        Self-sends are legal — on a 1-wide grid dimension a circular
+        shift wraps onto the same PE — and are priced as local copies,
+        not messages (no NIC involvement, matching what MPI
+        implementations do for self-communication via memcpy).
+        Zero-size transfers are rejected: the caller elides them.
+        """
+        for src, dst, nelems in transfers:
+            if nelems == 0:
+                raise MachineError("zero-size message; caller should "
+                                   "elide it")
+            if src == dst:
+                self.charge_copy(src, nelems, itemsize)
+                continue
+            nbytes = int(nelems) * int(itemsize)
+            t = self.model.msg_time(nbytes)
+            self._add("pe_times", src, t)
+            self._add("pe_comm_times", src, t)
+            self.records.append(MessageRecord(src, dst, nbytes, tag))
+            self.messages += 1
+            self.message_bytes += nbytes
+
+    def allreduce(self, pe: int, npes: int, nbytes: int = 8,
+                  tag: str = "allreduce:SUM") -> None:
+        """PE ``pe``'s share of one reduction collective.
+
+        Models a recursive-doubling butterfly: ``ceil(log2 npes)``
+        rounds, one ``nbytes`` exchange with a distinct partner per
+        round, each priced as an ordinary point-to-point message on the
+        sender.  Walks record it once per PE in rank order so every
+        backend charges the identical per-PE addend sequence.
+        """
+        rounds = (npes - 1).bit_length() if npes > 1 else 0
+        elems = max(1, nbytes // 8)
+        self.record_batch([(pe, butterfly_partner(pe, rnd, npes), elems)
+                           for rnd in range(rounds)], 8, tag)
+
+
 @dataclass
 class Network:
-    """Records messages and charges their cost to the sending PE."""
+    """Replays recorded charges onto the cost report and message log."""
 
     cost_model: CostModel
     report: CostReport
     log: list[MessageRecord] = field(default_factory=list)
     keep_log: bool = True
 
-    def record(self, src: int, dst: int, nelems: int, itemsize: int,
-               tag: str = "") -> None:
-        """Charge and log one transfer of ``nelems`` elements from PE
-        ``src`` to PE ``dst``.
-
-        Self-sends are legal — on a 1-wide grid dimension a circular shift
-        wraps onto the same PE — and are priced as local copies, not
-        messages (no NIC involvement, matching what MPI implementations
-        do for self-communication via memcpy).  Zero-size transfers are
-        rejected: the caller elides them.
-        """
-        if nelems == 0:
-            raise MachineError("zero-size message; caller should elide it")
-        if src == dst:
-            self.report.add_copy(src, nelems, itemsize, self.cost_model)
-            return
-        nbytes = int(nelems) * int(itemsize)
-        if self.keep_log:
-            self.log.append(MessageRecord(src, dst, nbytes, tag))
-        self.report.add_message(src, nbytes, self.cost_model)
-
-    def record_batch(self, transfers: list[tuple[int, int, int]],
-                     itemsize: int, tag: str = "") -> None:
-        """:meth:`record` over many ``(src, dst, nelems)`` transfers.
-
-        Bitwise-identical accounting to calling :meth:`record` once per
-        transfer in list order — each PE's time accumulates the same
-        addends in the same order — with the loop constants (cost-model
-        lookups, report attribute access) hoisted out of the per-PE loop.
-        """
+    def replay(self, charges: Charges) -> None:
+        """Apply a recording — the one way a charge reaches the report:
+        each row's addends in their recorded order, then the counters
+        and the log."""
         report = self.report
-        report.ensure_pes(1 + max((t[0] for t in transfers), default=-1))
-        pe_times = report.pe_times
-        pe_comm = report.pe_comm_times
-        log = self.log if self.keep_log else None
-        msg_t: dict[int, float] = {}
-        nmsgs = 0
-        total_bytes = 0
-        for src, dst, nelems in transfers:
-            if nelems == 0:
-                raise MachineError("zero-size message; caller should "
-                                   "elide it")
-            if src == dst:
-                report.add_copy(src, nelems, itemsize, self.cost_model)
-                continue
-            nbytes = nelems * itemsize
-            t = msg_t.get(nbytes)
-            if t is None:
-                t = self.cost_model.msg_time(nbytes)
-                msg_t[nbytes] = t
-            if log is not None:
-                log.append(MessageRecord(src, dst, nbytes, tag))
-            pe_times[src] += t
-            pe_comm[src] += t
-            nmsgs += 1
-            total_bytes += nbytes
-        report.messages += nmsgs
-        report.message_bytes += total_bytes
-
-    def allreduce(self, pe: int, npes: int, nbytes: int = 8,
-                  tag: str = "allreduce:SUM") -> None:
-        """Charge and log PE ``pe``'s share of one reduction collective.
-
-        Models a recursive-doubling butterfly: ``ceil(log2 npes)``
-        rounds, one ``nbytes`` exchange with a distinct partner per
-        round, each priced as an ordinary point-to-point message on the
-        sender.  Executors call this once per PE in rank order so every
-        backend charges the identical per-PE addend sequence.
-        """
-        rounds = (npes - 1).bit_length() if npes > 1 else 0
-        elems = max(1, nbytes // 8)
-        for rnd in range(rounds):
-            self.record(pe, butterfly_partner(pe, rnd, npes), elems, 8,
-                        tag)
+        report.ensure_pes(charges.npes)
+        for name, (pes, values) in charges.rows.items():
+            row = getattr(report, name)
+            for pe, value in zip(pes, values):
+                row[pe] += value
+        report.messages += charges.messages
+        report.message_bytes += charges.message_bytes
+        report.copies += charges.copies
+        report.copy_elements += charges.copy_elements
+        report.loop_points += charges.loop_points
+        if self.keep_log:
+            self.log.extend(charges.records)
 
     @property
     def message_count(self) -> int:

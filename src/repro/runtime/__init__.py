@@ -10,7 +10,7 @@
 * :mod:`repro.runtime.executor` — runs compiled plans: the one
   execution skeleton, and the ``perpe`` backend as is.
 * :mod:`repro.runtime.nest_tape` — the strip-mined nest evaluator; a
-  plan's tapes are built once and kept with it.
+  plan's tapes and op schedules are built once and kept with it.
 * :mod:`repro.runtime.native` — its native form: a nest as one
   ``cc``-compiled fused C loop, when provably bitwise.
 * :mod:`repro.runtime.backends` — the three-row backend table.

@@ -14,9 +14,9 @@ references elsewhere still read (and the naive path's source arrays
 need no overlap areas at all).  The buffer's extra copy is charged to
 the cost model — it is part of what made library CSHIFTs expensive.
 
-One ``_full_shift`` serves every placement: the scratch buffer is an
+One :class:`FullShift` serves every placement: the scratch buffer is an
 array of the source's own type, the two whole-subgrid copies go through
-the arrays' ``assign_interior``, and their charges are walked once here.
+the arrays' ``assign_interior``, and their charges are walked once.
 """
 
 from __future__ import annotations
@@ -25,40 +25,54 @@ from math import prod
 
 from repro.errors import ExecutionError
 from repro.machine.machine import Machine
+from repro.machine.network import Charges
 from repro.runtime.darray import DArray
-from repro.runtime.overlap import overlap_shift
+from repro.runtime.overlap import OverlapShift
 
 
-def _charge_subgrid_copies(machine: Machine, arr: DArray) -> None:
+def _charge_subgrid_copies(charges: Charges, arr: DArray) -> None:
     """One whole-subgrid intraprocessor copy on every PE, rank order."""
     itemsize = arr.dtype.itemsize
     for pe in arr.layout.grid.ranks():
         nelems = prod(arr.layout.local_shape(pe))
         if nelems:
-            machine.charge_copy(pe, nelems, itemsize)
+            charges.charge_copy(pe, nelems, itemsize)
 
 
-def _full_shift(machine: Machine, dst: DArray, src: DArray, shift: int,
-                dim: int, boundary: float | None) -> None:
-    if dst.layout.shape != src.layout.shape:
-        raise ExecutionError(
-            f"shift shape mismatch: {dst.name} vs {src.name}")
-    d = dim - 1
-    s = abs(shift)
-    # the runtime's communication buffer: a transient padded copy of
-    # ``src`` with just enough overlap for the shift
-    halo = tuple((0, 0) if k != d else ((0, s) if shift > 0 else (s, 0))
-                 for k in range(src.rank))
-    scratch = type(src).create(machine, f"__shiftbuf_{src.name}__",
-                               src.layout, src.dtype, halo)
-    try:
-        scratch.assign_interior(src, 0, d)
-        _charge_subgrid_copies(machine, src)
-        overlap_shift(machine, scratch, shift, dim, boundary=boundary)
-        dst.assign_interior(scratch, shift, d)
-        _charge_subgrid_copies(machine, src)
-    finally:
-        scratch.free(machine)
+class FullShift:
+    """``dst = CSHIFT/EOSHIFT(src, shift, dim[, boundary])``, walked."""
+
+    def __init__(self, dst: DArray, src: DArray, shift: int, dim: int,
+                 boundary: float | None, charges: Charges) -> None:
+        if dst.layout.shape != src.layout.shape:
+            raise ExecutionError(
+                f"shift shape mismatch: {dst.name} vs {src.name}")
+        self.shift, self.d = shift, dim - 1
+        s = abs(shift)
+        # the runtime's communication buffer: a transient padded copy of
+        # ``src`` with just enough overlap for the shift
+        self.halo = tuple(
+            (0, 0) if k != self.d else ((0, s) if shift > 0 else (s, 0))
+            for k in range(src.rank))
+        self.buffer = f"__shiftbuf_{src.name}__"
+        self.charges = charges
+        _charge_subgrid_copies(charges, src)
+        self.exchange = OverlapShift(self.buffer, src.layout, src.dtype,
+                                     self.halo, shift, dim, charges,
+                                     boundary=boundary)
+        _charge_subgrid_copies(charges, src)
+
+    def apply(self, machine: Machine, dst: DArray, src: DArray) -> None:
+        """Move the data through a fresh buffer; replay the charges."""
+        scratch = type(src).create(machine, self.buffer, src.layout,
+                                   src.dtype, self.halo)
+        try:
+            scratch.assign_interior(src, 0, self.d)
+            scratch.fill_overlap(self.exchange)
+            dst.assign_interior(scratch, self.shift, self.d)
+            machine.network.replay(self.charges)
+        finally:
+            scratch.free(machine)
 
 
 def full_cshift(machine: Machine, dst: DArray, src: DArray, shift: int,
@@ -66,10 +80,12 @@ def full_cshift(machine: Machine, dst: DArray, src: DArray, shift: int,
     """``dst = CSHIFT(src, shift, dim)`` with explicit buffering and
     intraprocessor copying — the costs the offset-array optimization
     eliminates."""
-    _full_shift(machine, dst, src, shift, dim, boundary=None)
+    FullShift(dst, src, shift, dim, None,
+              Charges(machine.cost_model)).apply(machine, dst, src)
 
 
 def full_eoshift(machine: Machine, dst: DArray, src: DArray, shift: int,
                  dim: int, boundary: float = 0.0) -> None:
     """``dst = EOSHIFT(src, shift, dim, boundary)`` (end-off shift)."""
-    _full_shift(machine, dst, src, shift, dim, boundary=boundary)
+    FullShift(dst, src, shift, dim, boundary,
+              Charges(machine.cost_model)).apply(machine, dst, src)

@@ -14,7 +14,7 @@ local array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from math import prod
 
@@ -66,6 +66,8 @@ class DArray:
     dtype: np.dtype
     halo: Halo
     locals: list[np.ndarray]
+    #: what the executor keys this buffer's schedules on
+    key: object = field(default=None, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
     @staticmethod
@@ -104,30 +106,37 @@ class DArray:
             raise MachineError(
                 f"{self.name}: scatter shape {global_array.shape} != "
                 f"declared {self.layout.shape}")
-        for pe in self.layout.grid.ranks():
-            box = self.layout.owned_box(pe)
-            src = tuple(slice(lo - 1, hi) for lo, hi in box)
+        for pe, src in enumerate(self.layout.owned_slices):
             self.interior(pe)[...] = global_array[src]
 
     def gather(self) -> np.ndarray:
         """Assemble the global array from the local interiors."""
         out = np.zeros(self.layout.shape, dtype=self.dtype)
-        for pe in self.layout.grid.ranks():
-            box = self.layout.owned_box(pe)
-            dst = tuple(slice(lo - 1, hi) for lo, hi in box)
+        for pe, dst in enumerate(self.layout.owned_slices):
             out[dst] = self.interior(pe)
         return out
 
     # -- data motion: what a placement adds to the shared charge walks ------
-    def fill_overlap(self, d: int, s: int, sign: int,
-                     ext: tuple[tuple[int, int], ...],
-                     boundary: float | None = None) -> None:
-        """The data half of ``OVERLAP_SHIFT``: on every PE, fill the
-        ``sign``-side overlap slab of dim ``d`` (depth
-        ``s``, widened by ``ext[k]`` overlap cells in the other dims)
-        from the neighboring block — block to block, no network — or
-        with ``boundary`` past the global edge.  Slab extents come from
-        the layout, never from the blocks."""
+    def fill_overlap(self, shift) -> None:
+        """The data half of an ``OverlapShift``: on every PE, fill the
+        ``sign``-side overlap slab of dim ``d`` (depth ``s``, widened by
+        ``ext[k]`` overlap cells in the other dims) from the neighboring
+        block — block to block, no network — or with ``boundary`` past
+        the global edge.  The slab pairs come from the layout, never
+        from the blocks: derived once, they are kept on the shift."""
+        moves = shift.moves.get(DArray)
+        if moves is None:
+            moves = shift.moves[DArray] = list(self._slab_pairs(shift))
+        for pe, dst, sender, src in moves:
+            if sender is None:
+                self.locals[pe][dst] = shift.boundary
+            else:
+                self.locals[pe][dst] = self.locals[sender][src]
+
+    def _slab_pairs(self, shift):
+        """``(pe, dst slices, sender | None, src slices)`` per PE; no
+        sender past the global edge of an end-off shift."""
+        d, s, sign, ext = shift.d, shift.s, shift.sign, shift.ext
         layout = self.layout
         halo_lo = self.halo[d][0]
         distributed = layout.is_distributed(d)
@@ -149,15 +158,15 @@ class DArray:
             # both global edges and wraps onto itself
             box_lo, box_hi = layout.owned_box(pe)[d]
             at_edge = (box_hi == n_global) if sign > 0 else (box_lo == 1)
-            if boundary is not None and at_edge:
-                self.padded(pe)[dst] = boundary
+            if shift.boundary is not None and at_edge:
+                yield pe, dst, None, None
                 continue
             sender = layout.neighbor(pe, d, sign) if distributed else pe
             sender_n = layout.local_shape(sender)[d]
             src = slab(sender, slice(halo_lo, halo_lo + s) if sign > 0
                        else slice(halo_lo + sender_n - s,
                                   halo_lo + sender_n))
-            self.padded(pe)[dst] = self.padded(sender)[src]
+            yield pe, dst, sender, src
 
     def assign_interior(self, other: "DArray", shift: int, d: int) -> None:
         """``self(i) = other(i + shift)`` along dim ``d`` over the owned

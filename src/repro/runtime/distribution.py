@@ -129,6 +129,12 @@ class Layout:
         return tuple(tuple(hi - lo + 1 for lo, hi in box)
                      for box in self._owned_boxes)
 
+    @cached_property
+    def owned_slices(self) -> tuple[tuple[slice, ...], ...]:
+        """Per rank, its owned block as slices of the global array."""
+        return tuple(tuple(slice(lo - 1, hi) for lo, hi in box)
+                     for box in self._owned_boxes)
+
     def owned_box(self, rank: int) -> tuple[tuple[int, int], ...]:
         """Global 1-based inclusive (lo, hi) per array dim owned by ``rank``."""
         return self._owned_boxes[rank]

@@ -4,14 +4,19 @@ The executor performs real data movement (NumPy) so results are exact,
 and charges every operation to the machine's cost model so the modelled
 execution time reflects the paper's cost structure.  SPMD loop-bounds
 reduction happens here: each PE executes only the intersection of a
-nest's global iteration box with its owned block.
+nest's global iteration box with its owned block.  As the paper's
+compiler emits each PE's bounds and messages once, an op's walk runs
+once per machine geometry and is kept with the plan's tapes as a
+*schedule* (``PlanTapes.schedule``); every run evaluates its regions
+and replays its charges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from time import perf_counter
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,14 +33,14 @@ from repro.ir.nodes import (
 from repro.runtime.reference import apply_intrinsic, real_pow
 from repro.machine.cost_model import CostReport
 from repro.machine.machine import Machine
-from repro.machine.network import allreduce_tag
+from repro.machine.network import Charges, allreduce_tag
 from repro.passes.memopt import analyze_reduction, scaled_to_points
-from repro.runtime.cshift import full_cshift, full_eoshift
+from repro.runtime.cshift import FullShift
 from repro.runtime.backends import get_backend
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import cached_layout
 from repro.runtime.nest_tape import NestTape, plan_tapes, prepare
-from repro.runtime.overlap import overlap_shift
+from repro.runtime.overlap import OverlapShift
 
 if TYPE_CHECKING:
     from repro.obs.profile import CommProfile
@@ -56,6 +61,14 @@ class ExecutionResult:
         out = self.report.summary()
         out["peak_memory_per_pe"] = float(self.peak_memory_per_pe)
         return out
+
+
+class _Schedule(NamedTuple):
+    """A nest's or reduction's walk (see :meth:`_Exec._bindings`)."""
+    regions: list           # (pe, box)
+    charges: Charges
+    credits: list           # (pe, interior loop time), overlapped nests
+    slices: dict            # placement type -> reference slices per region
 
 
 class _Exec:
@@ -102,6 +115,13 @@ class _Exec:
             self.scalars[k.upper()] = float(v)
         self.overhead = (machine.cost_model.hpf_overhead_factor
                          if hpf_overhead else 1.0)
+        #: the plan's bounds that mention no scalar, evaluated once per
+        #: plan — unless this run's scalars shadow a size parameter
+        self._static = {} if self.scalars.keys() & plan.params.keys() \
+            else self._tapes.static_bounds(plan)
+        #: a schedule is keyed on this and its arrays' keys
+        self._geometry = self._tapes.intern(
+            (machine.cost_model, self.overhead))
 
     # -- array lifecycle -----------------------------------------------------
     def materialize(self, name: str,
@@ -113,6 +133,8 @@ class _Exec:
                                     decl.dtype, decl.halo)
         if initial is not None:
             da.scatter(np.asarray(initial))
+        # its layout (which carries the grid), halo, dtype and birth name
+        da.key = self._tapes.intern((layout, da.halo, da.dtype, name))
         self.darrays[name] = da
 
     def release(self, name: str) -> None:
@@ -181,33 +203,43 @@ class _Exec:
             raise ExecutionError(
                 f"reduction {expr} references no arrays")
         first = self.darray(refs[0].name)
-        rank_of = lambda name: self.darray(name).rank
-        per_point = analyze_reduction(expr.arg, rank_of)
         combine = {"SUM": np.sum, "MAXVAL": np.max,
                    "MINVAL": np.min}[expr.op]
         fold = {"SUM": np.add, "MAXVAL": np.maximum,
                 "MINVAL": np.minimum}[expr.op]
         tape = self._tapes.tape(expr, [(None, expr.arg, None)], first.rank)
+        arrays = self._ref_arrays(tape)
+        sched = self._schedule(expr, arrays, None,
+                               lambda: self._walk_reduction(expr, first))
+        scalars = [self.scalar(ref) for ref in tape.scalars]
         total: float | None = None
-        npes = self.machine.npes
-        network = self.machine.network
-        tag = allreduce_tag(expr.op)
-        for pe in self.machine.topology.ranks():
-            box = [(lo, hi) for lo, hi in first.owned_box(pe)]
-            local = tape.run(*self._bind(tape, pe, box),
+        for pe, slices in self._bindings(sched, tape, sched.regions):
+            local = tape.run(self._views(arrays, pe, slices), scalars,
                              self._bound)[tape.result]
             part = float(combine(local))
             total = part if total is None else float(fold(total, part))
-            points = 1
-            for lo, hi in box:
-                points *= hi - lo + 1
-            self.machine.charge_loop(
-                pe, scaled_to_points(per_point, points), self.overhead)
-            network.allreduce(pe, npes, 8, tag)
+        self.machine.network.replay(sched.charges)
         assert total is not None
         return total
 
+    def _walk_reduction(self, expr: Reduction, first) -> _Schedule:
+        """Each PE's owned block, its loop and its butterfly share."""
+        per_point = analyze_reduction(expr.arg, lambda n: self.darray(n).rank)
+        charges = Charges(self.machine.cost_model)
+        npes, tag = self.machine.npes, allreduce_tag(expr.op)
+        regions = []
+        for pe in self.machine.topology.ranks():
+            box = list(first.owned_box(pe))
+            charges.charge_loop(pe, scaled_to_points(
+                per_point, prod(hi - lo + 1 for lo, hi in box)), self.overhead)
+            charges.allreduce(pe, npes, 8, tag)
+            regions.append((pe, box))
+        return _Schedule(regions, charges, [], {})
+
     def bound(self, e) -> int:
+        value = self._static.get(e)
+        if value is not None:
+            return value
         binding = dict(self.plan.params)
         for k, v in self.scalars.items():
             if float(v).is_integer():
@@ -249,18 +281,17 @@ class _Exec:
                     profiler.end(frame)
 
     def do_overlap_shift(self, op: OverlapShiftOp) -> None:
-        overlap_shift(self.machine, self.darray(op.array),
-                      op.shift, op.dim, rsd=op.rsd,
-                      base_offsets=op.base_offsets,
-                      boundary=op.boundary)
+        da = self.darray(op.array)
+        self._schedule(op, (da,), None, lambda: OverlapShift(
+            da.name, da.layout, da.dtype, da.halo, op.shift, op.dim,
+            Charges(self.machine.cost_model), op.rsd, op.base_offsets,
+            op.boundary)).apply(self.machine, da)
 
     def do_full_shift(self, op: FullShiftOp) -> None:
         dst, src = self.darray(op.dst), self.darray(op.src)
-        if op.boundary is None:
-            full_cshift(self.machine, dst, src, op.shift, op.dim)
-        else:
-            full_eoshift(self.machine, dst, src, op.shift, op.dim,
-                         op.boundary)
+        self._schedule(op, (dst, src), None, lambda: FullShift(
+            dst, src, op.shift, op.dim, op.boundary,
+            Charges(self.machine.cost_model))).apply(self.machine, dst, src)
 
     def do_swap(self, op: SwapOp) -> None:
         """Exchange the name→buffer bindings of two arrays.
@@ -315,7 +346,25 @@ class _Exec:
             raise ExecutionError(
                 f"unknown plan op {type(op).__name__}")
 
-    # -- loop nests ----------------------------------------------------------
+    # -- schedules and loop nests -------------------------------------------
+    def _schedule(self, node, arrays, space, build):
+        """``node``'s schedule on this geometry, ``arrays`` and ``space``."""
+        return self._tapes.schedule(
+            node, (self._geometry, space, *[da.key for da in arrays]),
+            build)
+
+    def _ref_arrays(self, tape: NestTape) -> list:
+        return [self.darray(name) for name, _ in tape.refs]
+
+    def _bindings(self, sched: _Schedule, tape: NestTape,
+                  regions) -> list:
+        """``sched``'s data half, per placement: ``(pe, slices)``."""
+        found = sched.slices.get(self.array_type)
+        if found is None:
+            found = sched.slices[self.array_type] = [
+                (pe, self._slices(tape, pe, box)) for pe, box in regions]
+        return found
+
     def _space(self, op: LoopNestOp) -> tuple[tuple[int, int], ...]:
         return tuple((self.bound(lo), self.bound(hi))
                      for lo, hi in op.space)
@@ -330,26 +379,20 @@ class _Exec:
                 boxes.append((pe, box))
         return boxes
 
-    def _eval_nest(self, op: LoopNestOp, space, regions) -> None:
-        """Compute the nest: box by box here; a placement that holds the
-        whole array evaluates ``space`` in one go instead."""
-        for pe, region in regions:
-            self._exec_nest_box(op, region, pe)
+    def _eval_nest(self, op: LoopNestOp, space, sched: _Schedule) -> None:
+        """Compute the nest: region by region here; a placement that
+        holds the whole array evaluates ``space`` in one go instead."""
+        tape = self._nest_tape(op)
+        bindings = self._bindings(sched, tape, sched.regions)
+        if bindings:
+            arrays = self._ref_arrays(tape)
+            scalars = [self.scalar(ref) for ref in tape.scalars]
+            for pe, slices in bindings:
+                self._run_tape(tape, self._views(arrays, pe, slices),
+                               scalars)
 
     def run_nest(self, op: LoopNestOp) -> None:
-        space = self._space(op)
-        boxes = self._boxes(op, space)
-        self._eval_nest(op, space, boxes)
-        charge_loop = self.machine.charge_loop
-        scaled: dict[int, object] = {}
-        for pe, box in boxes:
-            points = 1
-            for lo, hi in box:
-                points *= hi - lo + 1
-            stats = scaled.get(points)
-            if stats is None:
-                stats = scaled[points] = scaled_to_points(op.stats, points)
-            charge_loop(pe, stats, self.overhead)
+        self._run_nest(op, op, split=False)
 
     def run_overlapped(self, op) -> None:
         """Communication overlapped with interior computation: execute
@@ -360,34 +403,39 @@ class _Exec:
         before = list(report.pe_times)
         self.run_ops(op.comm_ops)
         comm_delta = [t1 - t0 for t0, t1 in zip(before, report.pe_times)]
+        for pe, t_interior in self._run_nest(op, op.nest, True).credits:
+            report.pe_times[pe] -= min(comm_delta[pe], t_interior)
 
-        nest = op.nest
+    def _run_nest(self, node, nest: LoopNestOp, split: bool) -> _Schedule:
+        """Evaluate ``nest`` and replay its charges: ``node``'s schedule."""
         space = self._space(nest)
-        shrink = self._nest_reach(nest)
-        splits = []
-        for pe, box in self._boxes(nest, space):
-            interior, strips = self._split_interior(box, pe, nest, shrink)
-            splits.append(
-                (pe, interior, ([interior] if interior else []) + strips))
-        self._eval_nest(nest, space, [(pe, region)
-                                      for pe, _, regions in splits
-                                      for region in regions])
+        sched = self._schedule(
+            node, self._ref_arrays(self._nest_tape(nest)), space,
+            lambda: self._walk_nest(nest, space, split))
+        self._eval_nest(nest, space, sched)
+        self.machine.network.replay(sched.charges)
+        return sched
+
+    def _walk_nest(self, nest: LoopNestOp, space, split: bool) -> _Schedule:
+        """Each PE's box (``split``: into interior and boundary strips)
+        and region loop charges; the credit is the interior's time."""
         loop_time = self.machine.cost_model.loop_time
-        scaled: dict[int, object] = {}
-        for pe, interior, regions in splits:
+        charges = Charges(self.machine.cost_model)
+        shrink = self._nest_reach(nest) if split else None
+        regions, credits = [], []
+        for pe, box in self._boxes(nest, space):
+            interior, strips = self._split_interior(box, pe, nest, shrink) \
+                if split else (None, [box])
             t_interior = 0.0
-            for region in regions:
-                points = 1
-                for lo, hi in region:
-                    points *= hi - lo + 1
-                stats = scaled.get(points)
-                if stats is None:
-                    stats = scaled[points] = scaled_to_points(
-                        nest.stats, points)
+            for region in ([interior] if interior else []) + strips:
+                stats = scaled_to_points(
+                    nest.stats, prod(hi - lo + 1 for lo, hi in region))
                 if region is interior:
                     t_interior = loop_time(stats, self.overhead)
-                self.machine.charge_loop(pe, stats, self.overhead)
-            report.pe_times[pe] -= min(comm_delta[pe], t_interior)
+                charges.charge_loop(pe, stats, self.overhead)
+                regions.append((pe, region))
+            credits.append((pe, t_interior))
+        return _Schedule(regions, charges, credits, {})
 
     def _nest_reach(self, nest: LoopNestOp) -> list[tuple[int, int]]:
         """Per-dimension (lo, hi) stencil reach of a nest's references."""
@@ -449,31 +497,25 @@ class _Exec:
         """The nest's tape, built on first use."""
         return self._tapes.nest(op)
 
-    def _views(self, tape: NestTape, pe: int, box) -> list:
-        """The tape's array references as views of ``box`` on ``pe``
-        (bounds-checked against the overlap areas)."""
-        views = []
-        for name, offsets in tape.refs:
-            da = self.darray(name)
-            views.append(da.padded(pe)[
-                self._local_slices(da, pe, box, offsets)])
-        return views
+    def _slices(self, tape: NestTape, pe: int, box) -> list:
+        """The tape's references as bounds-checked slices of ``box``."""
+        return [self._local_slices(self.darray(name), pe, box, offsets)
+                for name, offsets in tape.refs]
 
-    def _bind(self, tape: NestTape, pe: int, box) -> tuple[list, list]:
-        """:meth:`_views` and the tape's scalars."""
-        return (self._views(tape, pe, box),
-                [self.scalar(ref) for ref in tape.scalars])
+    @staticmethod
+    def _views(arrays: list, pe: int, slices: list) -> list:
+        return [da.padded(pe)[sl] for da, sl in zip(arrays, slices)]
 
-    def _exec_nest_box(self, op: LoopNestOp,
-                       box: list[tuple[int, int]], pe: int) -> None:
+    def _run_tape(self, tape: NestTape, views: list, scalars: list):
+        """One nest evaluation (timed when metrics are on)."""
         if self._nest_wall is not None:
             t0 = perf_counter()
-        tape = self._nest_tape(op)
-        ran = tape.run(*self._bind(tape, pe, box), self._bound)
+        ran = tape.run(views, scalars, self._bound)
         if self._nest_wall is not None:
             self._nest_wall.observe(
                 perf_counter() - t0, backend=self.backend_label,
                 kernel="native" if ran is None else "tape")
+        return ran
 
     def _local_slices(self, da: DArray, pe: int,
                       box: list[tuple[int, int]] | tuple,

@@ -56,7 +56,7 @@ from repro.errors import ExecutionError
 from repro.ir.nodes import (
     BinOp, Compare, Const, Expr, Intrinsic, OffsetRef, ScalarRef, UnaryOp,
 )
-from repro.plan import LoopNestOp, Plan
+from repro.plan import LoopNestOp, Plan, ScalarAssignOp, SeqLoopOp
 from repro.runtime.reference import apply_intrinsic, real_pow
 
 #: Bytes one register may hold; a strip is as many dim-1 rows of the box
@@ -334,8 +334,16 @@ def _store(stmt: _Stmt, vals: list) -> None:
                   where=np.asarray(vals[stmt.mask], dtype=bool))
 
 
+#: Schedules kept per plan op, least recently used out first: room for
+#: the grids a service cycles a plan through, and the bound on a nest
+#: whose space moves with a loop variable.  Both fixed.
+SCHEDULES_PER_OP = 16
+#: Interned key values per plan before the table starts afresh.
+INTERNED_KEYS = 1024
+
+
 class PlanTapes:
-    """The tapes of one plan, shared by every executor that runs it."""
+    """The tapes and schedules of one plan, shared by its executors."""
 
     def __init__(self) -> None:
         #: id(nest op | reduction) -> (that node, its tape); the node is
@@ -345,6 +353,13 @@ class PlanTapes:
         #: service threads run one cached plan concurrently
         self.prepared = False
         self.lock = threading.Lock()
+        #: id(op | reduction) -> (that node, key -> its schedule), least
+        #: recently used first
+        self._schedules: dict[int, tuple[object, dict]] = {}
+        self._interned: dict = {}
+        self._schedule_lock = threading.Lock()
+        self.builds = 0     # schedules walked so far
+        self._bounds: "dict | None" = None     # see static_bounds
 
     def tape(self, node, statements: Sequence[tuple], rank: int) -> NestTape:
         """``node``'s tape, built on first use."""
@@ -358,6 +373,50 @@ class PlanTapes:
         return self.tape(
             op, [(s.lhs, s.rhs, s.mask) for s in op.statements],
             len(op.space))
+
+    def intern(self, value) -> object:
+        """A token for ``value``, shared by equal values: it hashes by
+        identity, so a key of tokens never rehashes a ``Layout``."""
+        if len(self._interned) >= INTERNED_KEYS:
+            self._interned.clear()
+        return self._interned.setdefault(value, object())
+
+    def schedule(self, node, key: tuple, build):
+        """``node``'s schedule for ``key``, ``build()`` on a miss (two
+        threads may both build: a schedule is immutable data)."""
+        with self._schedule_lock:
+            entry = self._schedules.get(id(node))
+            if entry is None or entry[0] is not node:
+                entry = self._schedules[id(node)] = (node, {})
+            held = entry[1]
+            found = held.pop(key, None)
+            if found is not None:
+                held[key] = found       # now the most recently used
+                return found
+        found = build()
+        with self._schedule_lock:
+            self.builds += 1
+            held[key] = found
+            if len(held) > SCHEDULES_PER_OP:
+                del held[next(iter(held))]
+        return found
+
+    def static_bounds(self, plan: Plan) -> dict:
+        """``LinExpr -> value`` for every loop bound of ``plan`` that
+        names size parameters only — no declared scalar, ``DO`` variable
+        or assigned scalar — evaluated once per plan."""
+        if self._bounds is None:
+            ops = list(plan.walk_ops())
+            loops = [op for op in ops if isinstance(op, SeqLoopOp)]
+            params = plan.params.keys() - set(plan.scalar_names) - {
+                op.var for op in loops} - {
+                op.name for op in ops if isinstance(op, ScalarAssignOp)}
+            self._bounds = {b: b.evaluate(plan.params) for b in [
+                *(b for op in loops for b in (op.lo, op.hi)),
+                *(b for op in ops if isinstance(op, LoopNestOp)
+                  for pair in op.space for b in pair)]
+                if b.symbols() <= params}
+        return self._bounds
 
     def __reduce__(self):
         # a pickled or copied plan starts unprepared: kernel handles

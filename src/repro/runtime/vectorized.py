@@ -29,7 +29,7 @@ between placements by construction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
 
@@ -59,6 +59,8 @@ class VArray:
     dtype: np.dtype
     halo: Halo
     data: np.ndarray
+    #: what the executor keys this buffer's schedules on
+    key: object = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def create(machine: Machine, name: str, layout: Layout,
@@ -114,27 +116,26 @@ class VArray:
         return len(self.layout.shape)
 
     # -- data motion ---------------------------------------------------------
-    def fill_overlap(self, d: int, s: int, sign: int,
-                     ext: tuple[tuple[int, int], ...],
-                     boundary: float | None = None) -> None:
-        """The data half of ``OVERLAP_SHIFT`` on the global slab: fill
+    def fill_overlap(self, shift) -> None:
+        """The data half of an ``OverlapShift`` on the global slab: fill
         the ``sign``-side global-edge halo planes of dim ``d`` — block
         boundaries inside the array need nothing."""
+        d, s, ext = shift.d, shift.s, shift.ext
         halo_lo = self.halo[d][0]
         n = self.layout.shape[d]
         dst = [slice(lo - ext_lo, lo + nk + ext_hi)
                for (lo, _), nk, (ext_lo, ext_hi) in zip(
                    self.halo, self.layout.shape, ext)]
         src = list(dst)
-        if sign > 0:
+        if shift.sign > 0:
             dst[d] = slice(halo_lo + n, halo_lo + n + s)
             src[d] = slice(halo_lo, halo_lo + s)
         else:
             dst[d] = slice(halo_lo - s, halo_lo)
             src[d] = slice(halo_lo + n - s, halo_lo + n)
-        if boundary is not None:
+        if shift.boundary is not None:
             # every global-edge halo cell is past the domain end
-            self.data[tuple(dst)] = boundary
+            self.data[tuple(dst)] = shift.boundary
         else:
             # circular wrap from the opposite edge; the orthogonal
             # extension reads through already-filled halo planes — the
@@ -268,25 +269,28 @@ class VectorizedExec(_Exec):
             self._log.nests["whole", "reduction"] += 1
         return super()._reduce(expr)
 
-    def _eval_nest(self, op: LoopNestOp, space, regions) -> None:
+    def _eval_nest(self, op: LoopNestOp, space, sched) -> None:
         tape = self._nest_tape(op)  # legality, whichever evaluator runs it
         if any(lo > hi for lo, hi in space):
             return
+        # once, here: a stripe only binds its views and runs them
+        scalars = [self.scalar(ref) for ref in tape.scalars]
+        (_, slices), = self._bindings(sched, tape, [(0, list(space))])
+        whole = partial(self._run_tape, tape, self._views(
+            self._ref_arrays(tape), 0, slices), scalars)
         log = self._log
         if log is None:
-            return self._exec_nest_box(op, list(space), 0)
+            return whole()
         from repro.runtime.parallel import cut, join
         stripes = cut(self.stripes, tape, space)
         if isinstance(stripes, str):    # the reason it runs whole
             log.nests["whole", stripes] += 1
             if self.profiler is None:
-                return self._exec_nest_box(op, list(space), 0)
+                return whole()
             # a profiled run files it on worker 0's measured track
-            tasks = [partial(self._exec_nest_box, op, list(space), 0)]
+            tasks = [whole]
         else:
             log.nests["striped", None] += 1
-            # once, here: a stripe only binds its views and runs them
-            scalars = [self.scalar(ref) for ref in tape.scalars]
             tasks = [partial(self._run_stripe, tape, scalars, i,
                              [rows, *space[1:]])
                      for i, rows in enumerate(stripes)]
@@ -303,5 +307,6 @@ class VectorizedExec(_Exec):
                 kernel="native" if outcomes[0][2] is None else "tape")
 
     def _run_stripe(self, tape, scalars: list, i: int, box: list):
-        return tape.run(self._views(tape, 0, box), scalars,
-                        self._registers[i])
+        return tape.run(self._views(self._ref_arrays(tape), 0,
+                                    self._slices(tape, 0, box)),
+                        scalars, self._registers[i])

@@ -224,10 +224,11 @@ class TestGeneratedLoopsRun:
             return compiled.run(Machine(grid=(1, 1)), inputs=inputs,
                                 scalars=scalars, backend="vectorized")
 
-        def generated(self, op, box, pe):
+        def generated(self, op, space, sched):
             # the argument order the MANIFEST records: per array its
-            # slab and index bases, then scalars, then the box bounds
-            entry, args = entries[id(op)], []
+            # slab and index bases, then scalars, then the box bounds —
+            # here the whole space, on the one slab
+            entry, args, box, pe = entries[id(op)], [], space, 0
             for array in entry.arrays:
                 slab = self.darray(array)
                 args.append(slab.padded(pe))
@@ -239,7 +240,7 @@ class TestGeneratedLoopsRun:
             ran.append(op)
 
         want, ran = run(), []
-        monkeypatch.setattr(VectorizedExec, "_exec_nest_box", generated)
+        monkeypatch.setattr(VectorizedExec, "_eval_nest", generated)
         got = run()
         assert len(ran) == len(entries)
         for array, value in want.arrays.items():

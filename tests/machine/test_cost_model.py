@@ -5,6 +5,16 @@ import pytest
 from repro.machine.cost_model import (
     CostModel, CostReport, LoopStats, SP2_COST_MODEL,
 )
+from repro.machine.network import Charges, Network
+
+
+def charge(report, *calls):
+    """Record ``(method, *args)`` calls on a :class:`Charges` and replay
+    them onto ``report`` — the one way a charge reaches a report."""
+    charges = Charges(SP2_COST_MODEL)
+    for method, *args in calls:
+        getattr(charges, method)(*args)
+    Network(SP2_COST_MODEL, report).replay(charges)
 
 
 class TestPrimitives:
@@ -36,23 +46,21 @@ class TestCostReport:
     def test_modelled_time_is_max_over_pes(self):
         r = CostReport()
         r.ensure_pes(2)
-        r.add_message(0, 100, SP2_COST_MODEL)
-        r.add_message(1, 100, SP2_COST_MODEL)
-        r.add_message(1, 100, SP2_COST_MODEL)
+        charge(r, ("record_batch", [(0, 1, 100), (1, 0, 100),
+                                    (1, 0, 100)], 1))
         assert r.modelled_time == pytest.approx(r.pe_times[1])
         assert r.pe_times[1] > r.pe_times[0]
 
     def test_comm_fraction_of_critical_pe(self):
         r = CostReport()
         r.ensure_pes(1)
-        r.add_message(0, 1000, SP2_COST_MODEL)
-        r.add_loop(0, LoopStats(points=10, mem_loads=1), SP2_COST_MODEL)
+        charge(r, ("record_batch", [(0, 1, 1000)], 1),
+               ("charge_loop", 0, LoopStats(points=10, mem_loads=1)))
         assert 0 < r.comm_time_fraction < 1
 
     def test_counters_accumulate(self):
         r = CostReport()
-        r.add_copy(0, 500, 4, SP2_COST_MODEL)
-        r.add_copy(0, 500, 4, SP2_COST_MODEL)
+        charge(r, ("charge_copy", 0, 500, 4), ("charge_copy", 0, 500, 4))
         assert r.copies == 2
         assert r.copy_elements == 1000
 
@@ -60,7 +68,7 @@ class TestCostReport:
         r = CostReport()
         stats = LoopStats(points=100, mem_loads=2.0, cached_loads=3.0,
                           stores=1.0, flops=4.0)
-        r.add_loop(0, stats, SP2_COST_MODEL)
+        charge(r, ("charge_loop", 0, stats))
         assert r.mem_loads == 200.0
         assert r.flops == 400.0
 
@@ -82,8 +90,7 @@ class TestPerPeRows:
         r.ensure_pes(2)
         stats = LoopStats(points=10, mem_loads=2.0, cached_loads=1.0,
                           stores=1.0, flops=4.0)
-        r.add_loop(0, stats, SP2_COST_MODEL)
-        r.add_loop(1, stats, SP2_COST_MODEL)
+        charge(r, ("charge_loop", 0, stats), ("charge_loop", 1, stats))
         assert r.pe_mem_loads == [20.0, 20.0]
         assert r.mem_loads == 40.0
         assert r.cached_loads == 20.0

@@ -1,7 +1,8 @@
 """Zero-width-slab elision in the shift runtimes.
 
-:meth:`Network.record`/:meth:`Network.record_batch` reject zero-size
-messages by contract, so the shift runtimes must elide degenerate slabs
+:meth:`Charges.record_batch` — behind every transfer a walk records, and
+behind :meth:`Network.record`/:meth:`Network.record_batch` — rejects
+zero-size messages by contract, so the shift runtimes must elide degenerate slabs
 *at the call site*.  BLOCK layouts reject empty blocks at construction, so today a
 zero-extent local shape is only reachable through hand-built layouts —
 but future distribution kinds can produce them legitimately, and before
@@ -21,7 +22,7 @@ import pytest
 from repro.ir.types import DistKind, Distribution
 from repro.kernels import KERNELS, compile_kernel
 from repro.machine import Machine
-from repro.machine.network import Network
+from repro.machine.network import Charges
 from repro.runtime.cshift import full_cshift, full_eoshift
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import Layout
@@ -125,24 +126,19 @@ TINY = [
 
 
 class _TransferSpy:
-    """Wraps every transfer entry point, recording element counts."""
+    """Wraps the transfer entry point every walk records through,
+    collecting element counts."""
 
     def __init__(self, monkeypatch):
         self.sizes = []
         spy = self
-        real_record = Network.record
-        real_batch = Network.record_batch
+        real_batch = Charges.record_batch
 
-        def record(net, src, dst, nelems, itemsize, tag=""):
-            spy.sizes.append(int(nelems))
-            return real_record(net, src, dst, nelems, itemsize, tag=tag)
-
-        def record_batch(net, transfers, itemsize, tag=""):
+        def record_batch(charges, transfers, itemsize, tag=""):
             spy.sizes.extend(int(t[2]) for t in transfers)
-            return real_batch(net, transfers, itemsize, tag=tag)
+            return real_batch(charges, transfers, itemsize, tag=tag)
 
-        monkeypatch.setattr(Network, "record", record)
-        monkeypatch.setattr(Network, "record_batch", record_batch)
+        monkeypatch.setattr(Charges, "record_batch", record_batch)
 
 
 class TestTinyGrids:
@@ -173,4 +169,4 @@ class TestTinyGrids:
                     base.arrays[arr], other.arrays[arr],
                     err_msg=f"{name} N={n} {grid} {level} {backend}")
             assert base.report.summary() == other.report.summary()
-        assert min(spy.sizes, default=1) > 0
+        assert spy.sizes and min(spy.sizes) > 0
