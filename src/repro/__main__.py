@@ -197,11 +197,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.analysis.report import describe_trace
     from repro.obs import Tracer
 
     tracer = Tracer()
-    _execute(args, tracer=tracer, trace_run=True)
+    result = _execute(args, tracer=tracer, trace_run=True)
     if args.out:
         tracer.write_jsonl(args.out)
         print(f"wrote {sum(1 for _ in tracer.spans())} spans to "
@@ -209,7 +208,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.json:
         sys.stdout.write(tracer.to_jsonl())
     else:
-        print(describe_trace(tracer))
+        print(tracer.summary())
+        print()
+        print(describe_result(result))
     return 0
 
 

@@ -11,22 +11,6 @@ from repro.plan.printer import plan_to_text as describe_plan  # noqa: F401
 from repro.runtime.executor import ExecutionResult
 
 
-def describe_trace(tracer) -> str:
-    """Human-readable tree of a :class:`repro.obs.Tracer`'s spans, with
-    a roll-up of the counters the paper's argument turns on (messages,
-    bytes, copies, compute points)."""
-    totals = tracer.totals()
-    lines = [tracer.summary()]
-    interesting = ["messages", "bytes", "copies", "copy_elements",
-                   "compute_points", "statements_fused"]
-    rollup = ", ".join(f"{k}={totals[k]:g}" for k in interesting
-                       if totals.get(k))
-    if rollup:
-        lines.append("")
-        lines.append(f"totals: {rollup}")
-    return "\n".join(lines)
-
-
 def _render_matrix(matrix: list[list[int]], npes: int) -> list[str]:
     """Plain-text heatmap of an npes x npes matrix: counts plus a
     per-cell shade picked from the row of glyphs below."""

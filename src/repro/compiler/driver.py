@@ -75,7 +75,7 @@ class HpfCompiler:
         cached (parsed :class:`Program` objects have no stable content
         hash); a hit returns the previously compiled program — shared,
         not copied — and emits a ``plan-cache`` tracer span carrying the
-        cache counters.
+        cache's stats as attributes.
         """
         cache = _resolve_cache(cache)
         key = None
@@ -90,8 +90,8 @@ class HpfCompiler:
                 with tr.span("plan-cache", kind="compile",
                              result="hit" if hit is not None
                              else "miss") as sp:
-                    for stat, value in cache.stats.as_dict().items():
-                        sp.gauge(f"cache_{stat}", value)
+                    sp.attrs.update({f"cache_{stat}": value for stat, value
+                                     in cache.stats.as_dict().items()})
             if hit is not None:
                 return hit
         compiled = self._compile_uncached(source, bindings, name, tracer)
@@ -130,11 +130,10 @@ class HpfCompiler:
             with tracer.span("verify-coverage", kind="analysis"), \
                     _timed(phase_hist, "verify-coverage"):
                 self._verify_coverage(program)
-            with tracer.span("codegen", kind="codegen") as cg_span, \
+            with tracer.span("codegen", kind="codegen"), \
                     _timed(phase_hist, "codegen"):
                 gen = CodeGenerator(program, self.options)
                 plan = gen.generate()
-                cg_span.gauge("statements_fused", gen.fused_statements)
             # the safety net that makes a miscompiling pass fail at
             # compile time: here, and after every plan pass
             with tracer.span("verify-plan", kind="analysis"), \
@@ -148,11 +147,6 @@ class HpfCompiler:
             report = self._build_report(plan, pass_stats, gen)
             if tracer.enabled:
                 span.attrs["source"] = program.name
-                span.gauge("overlap_shifts", report.overlap_shifts)
-                span.gauge("full_shifts", report.full_shifts)
-                span.gauge("loop_nests", report.loop_nests)
-                span.gauge("temporaries", report.temporaries)
-                span.gauge("copies_inserted", report.copies_inserted)
         if registry.enabled:
             phase_hist.observe(perf_counter() - t_total, phase="total")
             registry.counter(

@@ -167,21 +167,6 @@ class CostReport:
                        key=lambda p: self.pe_times[p])
         return self.pe_comm_times[critical] / self.pe_times[critical]
 
-    def snapshot(self) -> tuple[float, ...]:
-        """Cheap aggregate snapshot for before/after deltas (tracing)."""
-        return (float(self.messages), float(self.message_bytes),
-                float(self.copies), float(self.copy_elements),
-                float(self.loop_points), self.modelled_time)
-
-    _SNAPSHOT_KEYS = ("messages", "bytes", "copies", "copy_elements",
-                      "compute_points", "modelled_time_s")
-
-    def delta(self, before: tuple[float, ...]) -> dict[str, float]:
-        """Named differences since ``before`` (a :meth:`snapshot`)."""
-        now = self.snapshot()
-        return {k: now[i] - before[i]
-                for i, k in enumerate(self._SNAPSHOT_KEYS)}
-
     def summary(self) -> dict[str, float]:
         return {
             "modelled_time_s": self.modelled_time,

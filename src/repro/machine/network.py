@@ -111,6 +111,23 @@ class Charges:
         self.npes = 0
         self.messages = self.message_bytes = 0
         self.copies = self.copy_elements = self.loop_points = 0
+        self._sums: tuple[list[float], ...] | None = None
+
+    def pe_sums(self) -> tuple[list[float], ...]:
+        """The ``pe_times``, ``pe_comm_times`` and ``pe_copy_times``
+        rows' per-PE sums of their addends, in recorded order: what a
+        profile credits the op.  Summed on first use and kept, so once
+        per schedule."""
+        if self._sums is None:
+            self._sums = tuple(self._row_sum(row) for row in (
+                "pe_times", "pe_comm_times", "pe_copy_times"))
+        return self._sums
+
+    def _row_sum(self, row: str) -> list[float]:
+        out = [0.0] * self.npes
+        for pe, value in zip(*self.rows.get(row, ((), ()))):
+            out[pe] += value
+        return out
 
     def _add(self, row: str, pe: int, value: float) -> None:
         pes, values = self.rows.setdefault(row, ([], []))
@@ -187,11 +204,14 @@ class Network:
     report: CostReport
     log: list[MessageRecord] = field(default_factory=list)
     keep_log: bool = True
+    #: a profiled run's :class:`repro.obs.profile.ProfileCollector`,
+    #: handed every recording replayed
+    observer: object | None = None
 
     def replay(self, charges: Charges) -> None:
         """Apply a recording — the one way a charge reaches the report:
         each row's addends in their recorded order, then the counters
-        and the log."""
+        and the log; then show it to the observer, if any."""
         report = self.report
         report.ensure_pes(charges.npes)
         for name, (pes, values) in charges.rows.items():
@@ -205,6 +225,8 @@ class Network:
         report.loop_points += charges.loop_points
         if self.keep_log:
             self.log.extend(charges.records)
+        if self.observer is not None:
+            self.observer.charge(charges)
 
     @property
     def message_count(self) -> int:

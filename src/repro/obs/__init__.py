@@ -1,8 +1,9 @@
 """Observability: tracing, metrics, and communication profiling.
 
-See :mod:`repro.obs.tracer` for the span/counter model and the JSONL
-schema, :mod:`repro.obs.profile` for the communication profiler
-(per-PE comm matrices, phase timelines, cost-model validation),
+See :mod:`repro.obs.tracer` for the span model (time and attributes)
+and the JSONL schema, :mod:`repro.obs.profile` for the communication
+profiler (per-PE comm matrices, phase timelines, cost-model validation;
+each op's cost read off the charges it replays),
 :mod:`repro.obs.metrics` for the labeled metrics registry (counters,
 gauges, histograms; null by default), :mod:`repro.obs.ledger` for the
 per-machine JSONL run ledger, and :mod:`repro.obs.export` for the

@@ -123,9 +123,7 @@ def chrome_trace(profile: CommProfile,
                        "args": {"name": "passes"}})
         t0 = min(span.t_start for span in tracer.spans())
         for span, sid, _parent in tracer.iter_with_ids():
-            args: dict[str, object] = {"id": sid}
-            args.update({k: v for k, v in span.attrs.items()})
-            args.update({k: v for k, v in span.counters.items()})
+            args: dict[str, object] = {"id": sid, **span.attrs}
             events.append({
                 "name": span.name, "cat": span.kind or "span", "ph": "X",
                 "pid": COMPILE_PID, "tid": 0,

@@ -15,7 +15,7 @@ message log into three artifacts:
   buffered path, and the butterfly rounds of each reduction collective;
 * a phase-attributed per-PE **timeline** (``comm`` / ``copy`` /
   ``compute`` slices in modelled time, one lane per PE) built from each
-  op's per-PE cost-report deltas;
+  op's own per-PE charges;
 * a **cost-model validation table**: modelled per-op time against the
   measured wall-clock of executing that op in the simulator, with a
   scale-normalized error statistic.
@@ -47,11 +47,12 @@ PHASES = ("comm", "copy", "compute")
 class OpSample:
     """Attribution record of one executed plan op.
 
-    ``pe_time``/``pe_comm``/``pe_copy`` are **self** per-PE modelled-time
-    deltas: the op's inclusive cost-report delta minus its children's
-    (container ops — DO loops, IFs, overlapped regions — own only the
-    cost they charge directly).  ``wall_self`` is the self wall-clock of
-    dispatching the op in the simulator.
+    ``pe_time``/``pe_comm``/``pe_copy`` are **self** per-PE modelled
+    seconds: the per-PE sums of the charges the op replayed itself (a
+    container op — DO loop, IF, overlapped region — owns only the cost
+    it charges directly, plus an overlapped region's hiding credit).
+    ``wall_self`` is the self wall-clock of dispatching the op in the
+    simulator.
     """
 
     index: int
@@ -77,37 +78,14 @@ class OpSample:
         return max(self.pe_time, default=0.0)
 
 
-class _Frame:
-    """Open-sample bookkeeping on the collector's stack."""
-
-    __slots__ = ("sample", "t0", "pe_time0", "pe_comm0", "pe_copy0",
-                 "messages0", "bytes0", "child_wall", "child_pe_time",
-                 "child_pe_comm", "child_pe_copy", "child_messages",
-                 "child_bytes")
-
-    def __init__(self, sample: OpSample, t0: float, report) -> None:
-        self.sample = sample
-        self.t0 = t0
-        self.pe_time0 = list(report.pe_times)
-        self.pe_comm0 = list(report.pe_comm_times)
-        self.pe_copy0 = list(report.pe_copy_times)
-        self.messages0 = report.messages
-        self.bytes0 = report.message_bytes
-        self.child_wall = 0.0
-        self.child_pe_time = [0.0] * len(self.pe_time0)
-        self.child_pe_comm = [0.0] * len(self.pe_time0)
-        self.child_pe_copy = [0.0] * len(self.pe_time0)
-        self.child_messages = 0
-        self.child_bytes = 0
-
-
 class ProfileCollector:
     """Collects per-op attribution samples during one execution.
 
     The executor calls :meth:`begin`/:meth:`end` around every op
-    dispatch (including recursive dispatch inside loop bodies); the
-    collector snapshots the machine's cost report and derives self
-    deltas, so nested container ops never double-count their children.
+    dispatch (including recursive dispatch inside loop bodies), and the
+    network hands over every recording it replays (:meth:`charge`),
+    credited to the innermost open op — so each sample's cost is its
+    own, and nested container ops never double-count their children.
     """
 
     def __init__(self, machine,
@@ -119,86 +97,61 @@ class ProfileCollector:
         self.machine = machine
         self._clock = clock
         self.samples: list[OpSample] = []
-        self._stack: list[_Frame] = []
+        #: open samples, innermost last, with their start times
+        self._stack: list[tuple[OpSample, float]] = []
         self._finished = 0
         self.wall_start: float | None = None
         self.wall_end: float = 0.0
+        #: measured per-worker tracks, published by the ``parallel``
+        #: backend at the end of its run (see :class:`CommProfile`)
+        self.worker_tracks: list[dict] | None = None
 
-    def begin(self, name: str, attrs: dict) -> _Frame:
+    def begin(self, name: str, attrs: dict) -> OpSample:
         now = self._clock()
         if self.wall_start is None:
             self.wall_start = now
-        detail = " ".join(f"{k}={v}" for k, v in attrs.items())
+        npes = self.machine.npes
         sample = OpSample(index=len(self.samples),
-                          parent=self._stack[-1].sample.index
+                          parent=self._stack[-1][0].index
                           if self._stack else -1,
-                          depth=len(self._stack), name=name, detail=detail)
+                          depth=len(self._stack), name=name,
+                          detail=" ".join(f"{k}={v}"
+                                          for k, v in attrs.items()),
+                          t_start=now - self.wall_start,
+                          pe_time=[0.0] * npes, pe_comm=[0.0] * npes,
+                          pe_copy=[0.0] * npes)
         self.samples.append(sample)
-        frame = _Frame(sample, now, self.machine.report)
-        self._stack.append(frame)
-        return frame
+        self._stack.append((sample, now))
+        return sample
 
-    def end(self, frame: _Frame) -> None:
+    def charge(self, charges) -> None:
+        """Credit one replayed :class:`~repro.machine.network.Charges`
+        to the innermost open op (every charge is made inside one)."""
+        sample = self._stack[-1][0]
+        for own, sums in zip((sample.pe_time, sample.pe_comm,
+                              sample.pe_copy), charges.pe_sums()):
+            for pe, value in enumerate(sums):
+                own[pe] += value
+        sample.messages += charges.messages
+        sample.msg_bytes += charges.message_bytes
+
+    def end(self, sample: OpSample) -> None:
         now = self._clock()
         self.wall_end = now
-        popped = self._stack.pop()
-        assert popped is frame, "unbalanced profiler begin/end"
-        report = self.machine.report
-        sample = frame.sample
-        npes = len(report.pe_times)
-
-        def deltas(now_vals, before, child):
-            # PEs appearing mid-run (ensure_pes growth) start at 0
-            return [now_vals[pe]
-                    - (before[pe] if pe < len(before) else 0.0)
-                    - (child[pe] if pe < len(child) else 0.0)
-                    for pe in range(npes)]
-
-        sample.wall_incl = now - frame.t0
-        sample.wall_self = sample.wall_incl - frame.child_wall
-        sample.t_start = frame.t0 - (self.wall_start
-                                     if self.wall_start is not None
-                                     else frame.t0)
-        sample.pe_time = deltas(report.pe_times, frame.pe_time0,
-                                frame.child_pe_time)
-        sample.pe_comm = deltas(report.pe_comm_times, frame.pe_comm0,
-                                frame.child_pe_comm)
-        sample.pe_copy = deltas(report.pe_copy_times, frame.pe_copy0,
-                                frame.child_pe_copy)
-        msgs_incl = report.messages - frame.messages0
-        bytes_incl = report.message_bytes - frame.bytes0
-        sample.messages = msgs_incl - frame.child_messages
-        sample.msg_bytes = bytes_incl - frame.child_bytes
+        popped, t0 = self._stack.pop()
+        assert popped is sample, "unbalanced profiler begin/end"
+        sample.wall_incl = now - t0
+        # its children subtracted their inclusive time as they ended
+        sample.wall_self += sample.wall_incl
+        if self._stack:
+            self._stack[-1][0].wall_self -= sample.wall_incl
         sample.finish_order = self._finished
         self._finished += 1
-
-        if self._stack:
-            parent = self._stack[-1]
-            parent.child_wall += sample.wall_incl
-            for pe in range(npes):
-                if pe >= len(parent.child_pe_time):
-                    parent.child_pe_time.append(0.0)
-                    parent.child_pe_comm.append(0.0)
-                    parent.child_pe_copy.append(0.0)
-                parent.child_pe_time[pe] += \
-                    report.pe_times[pe] - \
-                    (frame.pe_time0[pe] if pe < len(frame.pe_time0)
-                     else 0.0)
-                parent.child_pe_comm[pe] += \
-                    report.pe_comm_times[pe] - \
-                    (frame.pe_comm0[pe] if pe < len(frame.pe_comm0)
-                     else 0.0)
-                parent.child_pe_copy[pe] += \
-                    report.pe_copy_times[pe] - \
-                    (frame.pe_copy0[pe] if pe < len(frame.pe_copy0)
-                     else 0.0)
-            parent.child_messages += msgs_incl
-            parent.child_bytes += bytes_incl
 
     @property
     def current(self) -> "OpSample | None":
         """The innermost op being dispatched right now."""
-        return self._stack[-1].sample if self._stack else None
+        return self._stack[-1][0] if self._stack else None
 
     @property
     def wall_total(self) -> float:
@@ -257,12 +210,14 @@ class CommProfile:
         ordered = sorted(collector.samples, key=lambda s: s.finish_order)
         for sample in ordered:
             for pe in range(npes):
-                if pe >= len(sample.pe_time):
-                    continue
+                own = sample.pe_time[pe]
                 comm = sample.pe_comm[pe]
                 copy = sample.pe_copy[pe]
-                compute = max(0.0,
-                              sample.pe_time[pe] - comm - copy)
+                # a residue within rounding of the op's own time (its
+                # addends summed per row in another order) is no compute
+                compute = own - comm - copy
+                if compute <= own * 1e-12:
+                    compute = 0.0
                 for phase, dur in (("comm", comm), ("copy", copy),
                                    ("compute", compute)):
                     t0, t1 = cursor[pe], cursor[pe] + dur
@@ -321,9 +276,7 @@ class CommProfile:
         return cls(grid=tuple(machine.grid), npes=npes, backend=backend,
                    matrix=matrix, timeline=timeline,
                    validation=validation, totals=totals, kernel=kernel,
-                   level=level,
-                   worker_tracks=getattr(collector, "worker_tracks",
-                                         None))
+                   level=level, worker_tracks=collector.worker_tracks)
 
     # -- queries -------------------------------------------------------------
     def pair_matrix(self, cls_name: str | None = None,

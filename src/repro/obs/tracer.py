@@ -1,17 +1,19 @@
-"""Structured tracing and metrics for the compiler and the executor.
+"""Structured tracing for the compiler and the executor.
 
 A :class:`Tracer` produces a forest of hierarchical :class:`Span`\\ s
 (compile -> each pass -> codegen; execute -> each plan op), each carrying
-wall-clock timings, free-form attributes, and named counters/gauges.
-Traces export as JSONL (one event per line, see :data:`TRACE_SCHEMA`) and
-round-trip back via :meth:`Tracer.from_jsonl`; :meth:`Tracer.summary`
-renders a human-readable tree.
+wall-clock timings and free-form attributes.  Spans measure time; what
+an op *costs* is read off the charges it replays, by the communication
+profiler (:mod:`repro.obs.profile`).  Traces export as JSONL (one event
+per line, see :data:`TRACE_SCHEMA`) and round-trip back via
+:meth:`Tracer.from_jsonl`; :meth:`Tracer.summary` renders a
+human-readable tree.
 
 Tracing is strictly opt-in: every instrumented entry point defaults to
 :data:`NULL_TRACER`, whose ``span()`` returns a shared no-op context
 manager and whose ``enabled`` flag lets hot paths (the plan executor's op
-loop) skip even the cost-report snapshotting that feeds span counters.
-Benchmarks therefore run the exact pre-instrumentation code path.
+loop) skip per-op span bookkeeping altogether.  Benchmarks therefore run
+the exact pre-instrumentation code path.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterator
 
 #: JSONL schema, line by line:
 #:
-#: * first line: ``{"type": "trace", "version": 2}``
+#: * first line: ``{"type": "trace", "version": 3}``
 #: * every other line: ``{"type": "span", "id": str, "parent": str|null,
 #:   "name": str, "kind": str, "start": float, "end": float, "dur": float,
-#:   "attrs": {...}, "counters": {...}}``
+#:   "attrs": {...}}``
 #:
 #: Span ids are *stable*: ``parent-path + "/" + name + "#" + ordinal``,
 #: where the ordinal counts earlier same-named siblings (e.g.
@@ -35,21 +38,21 @@ from typing import Callable, Iterator
 #: profiles diff cleanly; an id changes only when the tree around it
 #: does.  Spans are emitted depth-first preorder — a parent always
 #: precedes its children, so a stream consumer can rebuild the tree in
-#: one pass.  Version-1 traces (integer preorder ids) are still read.
-TRACE_SCHEMA = {"type": "trace", "version": 2}
+#: one pass.  Version-1 (integer preorder ids) and version-2 traces are
+#: still read; their spans' ``"counters"`` are folded into the attrs.
+TRACE_SCHEMA = {"type": "trace", "version": 3}
 
 #: Trace versions :meth:`Tracer.from_jsonl` understands.
-_READABLE_VERSIONS = (1, 2)
+_READABLE_VERSIONS = (1, 2, 3)
 
 
 @dataclass
 class Span:
-    """One timed region with attributes and accumulated counters."""
+    """One timed region with free-form attributes."""
 
     name: str
     kind: str = ""
     attrs: dict[str, object] = field(default_factory=dict)
-    counters: dict[str, float] = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
     t_start: float = 0.0
     t_end: float = 0.0
@@ -58,14 +61,6 @@ class Span:
     def duration(self) -> float:
         """Wall-clock seconds spent inside the span."""
         return max(0.0, self.t_end - self.t_start)
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        """Add ``value`` to counter ``name`` (accumulating)."""
-        self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set counter ``name`` to ``value`` (last write wins)."""
-        self.counters[name] = float(value)
 
     def walk(self) -> Iterator["Span"]:
         """This span and all descendants, depth-first preorder."""
@@ -129,16 +124,6 @@ class Tracer:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
-    def count(self, name: str, value: float = 1.0) -> None:
-        """Accumulate onto the current span's counter (no-op at root)."""
-        if self._stack:
-            self._stack[-1].count(name, value)
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set a gauge on the current span (no-op at root)."""
-        if self._stack:
-            self._stack[-1].gauge(name, value)
-
     # -- queries -------------------------------------------------------------
     def spans(self) -> Iterator[Span]:
         """All recorded spans, depth-first preorder across roots."""
@@ -151,14 +136,6 @@ class Tracer:
             if span.name == name:
                 return span
         raise KeyError(f"no span named {name!r}")
-
-    def totals(self) -> dict[str, float]:
-        """Counters summed over every span in the forest."""
-        out: dict[str, float] = {}
-        for span in self.spans():
-            for k, v in span.counters.items():
-                out[k] = out.get(k, 0.0) + v
-        return out
 
     # -- JSONL export / import ----------------------------------------------
     def iter_with_ids(self) -> Iterator[tuple[Span, str, "str | None"]]:
@@ -189,7 +166,7 @@ class Tracer:
                 "name": span.name, "kind": span.kind,
                 "start": span.t_start, "end": span.t_end,
                 "dur": span.duration,
-                "attrs": span.attrs, "counters": span.counters,
+                "attrs": span.attrs,
             })
         return out
 
@@ -218,11 +195,10 @@ class Tracer:
                 continue
             if event.get("type") != "span":
                 continue
+            # a v1/v2 span's counters are attributes now
+            attrs = {**event.get("attrs", {}), **event.get("counters", {})}
             span = Span(name=event["name"], kind=event.get("kind", ""),
-                        attrs=dict(event.get("attrs", {})),
-                        counters={k: float(v) for k, v in
-                                  event.get("counters", {}).items()},
-                        t_start=float(event["start"]),
+                        attrs=attrs, t_start=float(event["start"]),
                         t_end=float(event["end"]))
             by_id[event["id"]] = span
             parent = event.get("parent")
@@ -233,21 +209,16 @@ class Tracer:
         return tracer
 
     # -- rendering -----------------------------------------------------------
-    def summary(self, max_counters: int = 6) -> str:
-        """Human-readable tree: durations, attrs, leading counters."""
+    def summary(self) -> str:
+        """Human-readable tree: durations and attrs."""
         lines: list[str] = []
 
         def fmt(span: Span, indent: int) -> None:
             pad = "  " * indent
             attrs = " ".join(f"{k}={v}" for k, v in span.attrs.items())
-            counters = ", ".join(
-                f"{k}={v:g}" for k, v in
-                list(sorted(span.counters.items()))[:max_counters])
             line = f"{pad}{span.name}  [{span.duration * 1e3:.3f} ms]"
             if attrs:
                 line += f"  {attrs}"
-            if counters:
-                line += f"  ({counters})"
             lines.append(line)
             for child in span.children:
                 fmt(child, indent + 1)
@@ -262,8 +233,9 @@ class _NullSpan:
 
     __slots__ = ()
     name = kind = ""
-    attrs: dict = {}
-    counters: dict = {}
+    #: read-only: a write not guarded by ``tracer.enabled`` raises here
+    #: instead of leaking into every other untraced span
+    attrs = MappingProxyType({})
     children: tuple = ()
     t_start = t_end = 0.0
     duration = 0.0
@@ -274,12 +246,6 @@ class _NullSpan:
     def __exit__(self, *exc) -> bool:
         return False
 
-    def count(self, name: str, value: float = 1.0) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
 
 _NULL_SPAN = _NullSpan()
 
@@ -288,7 +254,7 @@ class NullTracer(Tracer):
     """Disabled tracer: records nothing, allocates nothing per call.
 
     ``span()`` hands back one shared context manager, and ``enabled`` is
-    ``False`` so instrumented hot loops can skip counter bookkeeping
+    ``False`` so instrumented hot loops can skip span bookkeeping
     entirely — the zero-overhead-by-default contract.
     """
 
@@ -299,12 +265,6 @@ class NullTracer(Tracer):
 
     def span(self, name: str, /, kind: str = "", **attrs) -> _NullSpan:  # type: ignore[override]
         return _NULL_SPAN
-
-    def count(self, name: str, value: float = 1.0) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
 
 
 #: Module-level disabled tracer; instrumented entry points use this when

@@ -116,20 +116,21 @@ class PassTrace:
         return "\n".join(out)
 
 
-def _public_stats(stats: object) -> dict[str, float]:
+def _public_stats(stats: object) -> dict[str, int | float]:
     """Numeric entries of a pass's stats (a dataclass or a plain
-    ``{name: int}`` dict), for span counters."""
+    ``{name: int}`` dict), for span attributes; a collection counts
+    its items."""
     if stats is None:
         return {}
     if dataclasses.is_dataclass(stats):
         stats = {f.name: getattr(stats, f.name)
                  for f in dataclasses.fields(stats)}
-    out: dict[str, float] = {}
+    out: dict[str, int | float] = {}
     for name, value in stats.items():
-        if isinstance(value, (bool, int, float)):
-            out[name] = float(value)
+        if isinstance(value, (int, float)):
+            out[name] = value
         elif isinstance(value, (list, tuple, set)):
-            out[name] = float(len(value))
+            out[name] = len(value)
     return out
 
 
@@ -144,8 +145,8 @@ class PassManager:
     reported; the defaults are the AST's,
     :class:`repro.plan.PlanPassManager` configures the plan's.
     ``tracer`` (a :class:`repro.obs.Tracer`) gets one ``<kind>:<name>``
-    span per pass with wall-clock time, the pass's own stats counters
-    and that delta.  After :meth:`run`, ``stats`` maps the name of each
+    span per pass with wall-clock time and, as attributes, the pass's
+    own stats and that delta.  After :meth:`run`, ``stats`` maps the name of each
     pass that keeps stats to them.
     """
 
@@ -181,11 +182,10 @@ class PassManager:
                 if tracer.enabled:
                     after = self.shape(ir)
                     for key, value in after.items():
-                        span.gauge(f"ir.{key}", value)
-                        span.gauge(f"ir.{key}_delta", value - before[key])
+                        span.attrs[f"ir.{key}"] = value
+                        span.attrs[f"ir.{key}_delta"] = value - before[key]
                     before = after
-                    for key, value in _public_stats(stats).items():
-                        span.gauge(key, value)
+                    span.attrs.update(_public_stats(stats))
             if stats is not None:
                 self.stats[p.name] = stats
             if self.trace is not None:

@@ -254,31 +254,16 @@ class _Exec:
             for op in ops:
                 self._dispatch(op)
             return
-        report = self.machine.report
         for op in ops:
             name, attrs = op_label(op)
-            frame = profiler.begin(name, attrs) \
+            sample = profiler.begin(name, attrs) \
                 if profiler is not None else None
             try:
-                if not tracing:
+                with self.tracer.span(name, kind="op", **attrs):
                     self._dispatch(op)
-                    continue
-                with self.tracer.span(name, kind="op", **attrs) as span:
-                    before = report.snapshot()
-                    self._dispatch(op)
-                    for key, value in report.delta(before).items():
-                        if value:
-                            span.count(key, value)
-                    if isinstance(op, OverlapShiftOp):
-                        decl = self.plan.arrays.get(op.array)
-                        itemsize = int(decl.dtype.itemsize) if decl else 4
-                        cells = (span.counters.get("bytes", 0.0) / itemsize
-                                 + span.counters.get("copy_elements", 0.0))
-                        if cells:
-                            span.gauge("overlap_cells", cells)
             finally:
-                if frame is not None:
-                    profiler.end(frame)
+                if sample is not None:
+                    profiler.end(sample)
 
     def do_overlap_shift(self, op: OverlapShiftOp) -> None:
         da = self.darray(op.array)
@@ -398,13 +383,19 @@ class _Exec:
         """Communication overlapped with interior computation: execute
         comm then the nest split into interior/boundary, and credit each
         PE with min(comm, interior) — the time hidden behind the
-        messages."""
+        messages.  The credit skips :meth:`Network.replay`, so a profiled
+        run hands it to the overlapped op's sample here."""
         report = self.machine.report
         before = list(report.pe_times)
         self.run_ops(op.comm_ops)
         comm_delta = [t1 - t0 for t0, t1 in zip(before, report.pe_times)]
+        own = self.profiler.current.pe_time \
+            if self.profiler is not None else None
         for pe, t_interior in self._run_nest(op, op.nest, True).credits:
-            report.pe_times[pe] -= min(comm_delta[pe], t_interior)
+            hidden = min(comm_delta[pe], t_interior)
+            report.pe_times[pe] -= hidden
+            if own is not None:
+                own[pe] -= hidden
 
     def _run_nest(self, node, nest: LoopNestOp, split: bool) -> _Schedule:
         """Evaluate ``nest`` and replay its charges: ``node``'s schedule."""
@@ -552,13 +543,14 @@ def execute(plan: Plan, machine: Machine,
     modelling an iterative solver driving the kernel.  ``hpf_overhead``
     applies the cost model's interpretive-node-code factor to loop time
     (the xlhpf-like baseline).  ``tracer`` (a :class:`repro.obs.Tracer`)
-    records an ``execute`` span with one child span per executed plan op,
-    each charged with the cost-model deltas it caused.  ``backend``
-    selects the executor: ``perpe`` loops over PEs in Python per op
-    (reference semantics), ``vectorized`` executes each op as whole-array
-    NumPy slab operations while charging the cost model identically.
+    records an ``execute`` span with one timed child span per executed
+    plan op.  ``backend`` selects the executor: ``perpe`` loops over PEs
+    in Python per op (reference semantics), ``vectorized`` executes each
+    op as whole-array NumPy slab operations while charging the cost
+    model identically.
     ``profile`` attaches a :class:`repro.obs.profile.ProfileCollector`
-    (requires ``keep_message_log=True`` on the machine) and returns the
+    (requires ``keep_message_log=True`` on the machine), which credits
+    every replayed recording to the op that replayed it, and returns the
     condensed :class:`~repro.obs.profile.CommProfile` on the result.
     ``workers`` caps the worker threads of the ``parallel`` backend —
     how many row stripes a nest may be cut into (default:
@@ -582,11 +574,11 @@ def execute(plan: Plan, machine: Machine,
     if profile:
         from repro.obs.profile import CommProfile, ProfileCollector
         collector = ProfileCollector(machine)
-        ex.profiler = collector
+        ex.profiler = machine.network.observer = collector
     try:
         with tracer.span("execute", kind="execute",
                          grid="x".join(map(str, machine.grid)),
-                         iterations=iterations, backend=backend) as span:
+                         iterations=iterations, backend=backend):
             # before any nest runs
             prepare(plan, tracer)
             inputs_up = {k.upper(): v for k, v in (inputs or {}).items()}
@@ -604,22 +596,8 @@ def execute(plan: Plan, machine: Machine,
                           for name, da in ex.darrays.items()}
                 for name in list(ex.darrays):
                     ex.release(name)
-            if tracer.enabled:
-                # prefixed "total_" so they don't double-count against
-                # the per-op deltas when counters are summed across the
-                # tree
-                r = machine.report
-                span.gauge("total_messages", r.messages)
-                span.gauge("total_bytes", r.message_bytes)
-                span.gauge("total_copies", r.copies)
-                span.gauge("total_copy_elements", r.copy_elements)
-                span.gauge("total_compute_points", r.loop_points)
-                span.gauge("modelled_time_s", r.modelled_time)
-                span.gauge("peak_memory_per_pe",
-                           machine.memory.peak_per_pe)
-                for pe, t in enumerate(r.pe_times):
-                    span.gauge(f"pe{pe}_time_s", t)
     finally:
+        machine.network.observer = None
         ex.close()
     if registry.enabled:
         # Wall-clock series: measured, tagged non-deterministic,

@@ -178,7 +178,134 @@ class TestValidation:
         assert val["mape_pct"] >= 0.0
 
 
+@pytest.fixture
+def collectors(monkeypatch):
+    """Every :class:`ProfileCollector` a profiled run condenses, with
+    each recording it was handed as ``(open sample, charges)``."""
+    seen = []
+    real_from_run = CommProfile.from_run.__func__
+    real_charge = ProfileCollector.charge
+
+    def from_run(cls, machine, collector, **kw):
+        seen.append(collector)
+        return real_from_run(cls, machine, collector, **kw)
+
+    def charge(self, charges):
+        self.handed = getattr(self, "handed", [])
+        self.handed.append((self.current, charges))
+        real_charge(self, charges)
+
+    monkeypatch.setattr(CommProfile, "from_run", classmethod(from_run))
+    monkeypatch.setattr(ProfileCollector, "charge", charge)
+    return seen
+
+
+#: (kernel, level, compile options) of the attribution cases: the named
+#: kernels, reductions inside scalar assigns (cg), a time loop (jacobi)
+#: and an overlapped region's hiding credit
+ATTRIBUTION_CASES = [
+    pytest.param(kernel, level, options,
+                 id=f"{kernel}-{level or 'default'}"
+                    + ("-overlap" if options else ""))
+    for kernel, level, options in
+    [(k, lv, {}) for k in NAMED_KERNELS for lv in ("O0", "O4")] + [
+        ("jacobi", "O0", {}), ("jacobi", None, {}),
+        ("cg", "O0", {}), ("cg", None, {}),
+        ("nine_point", "O4", {"overlap_comm": True}),
+        ("jacobi", "O4", {"overlap_comm": True}),
+    ]]
+
+
+def run_case(kernel, level, options):
+    bindings = {"N": 16}
+    if kernel in ("jacobi", "cg"):
+        bindings["NITER"] = 3
+    return run_kernel(kernel, bindings=bindings, level=level,
+                      profile=True, **options)
+
+
 class TestSelfTimeAttribution:
+    @pytest.mark.parametrize("kernel,level,options", ATTRIBUTION_CASES)
+    def test_leaf_samples_are_their_recordings_row_sums(
+            self, kernel, level, options, collectors):
+        """An op that replays one recording and runs no other op is
+        credited exactly that recording's per-PE row sums — no
+        difference of running totals in between."""
+        result = run_case(kernel, level, options)
+        collector, = collectors
+        handed: dict[int, list] = {}
+        for sample, charges in collector.handed:
+            handed.setdefault(sample.index, []).append(charges)
+        parents = {s.parent for s in collector.samples}
+        checked = 0
+        for sample in collector.samples:
+            own = handed.get(sample.index, [])
+            if sample.index in parents or len(own) != 1:
+                continue
+            charges, = own
+            for mine, sums in zip((sample.pe_time, sample.pe_comm,
+                                   sample.pe_copy), charges.pe_sums()):
+                pad = [0.0] * (len(mine) - len(sums))
+                assert mine == list(sums) + pad, sample.name
+            assert sample.messages == charges.messages
+            assert sample.msg_bytes == charges.message_bytes
+            checked += 1
+        assert checked > 0
+        assert sum(s.messages for s in collector.samples) == \
+            result.report.messages
+
+    @pytest.mark.parametrize("kernel,level,options", ATTRIBUTION_CASES)
+    def test_samples_reconstruct_the_report(self, kernel, level, options,
+                                            collectors):
+        """Summed over every sample, the unclamped self per-PE times
+        are the report's rows: containers (DO loops, IFs, overlapped
+        regions) own only what they charge, reductions inside a scalar
+        assign belong to it, and a hiding credit to its region."""
+        result = run_case(kernel, level, options)
+        collector, = collectors
+        report = result.report
+        for mine, row in (("pe_time", report.pe_times),
+                          ("pe_comm", report.pe_comm_times),
+                          ("pe_copy", report.pe_copy_times)):
+            for pe, total in enumerate(row):
+                assert sum(getattr(s, mine)[pe]
+                           for s in collector.samples) == \
+                    pytest.approx(total, rel=1e-12, abs=1e-18)
+
+    def test_overlap_credit_lands_on_the_region(self, collectors):
+        run_case("nine_point", "O4", {"overlap_comm": True})
+        collector, = collectors
+        region, = [s for s in collector.samples if s.name == "overlapped"]
+        nest = [c for smp, c in collector.handed if smp is region]
+        assert len(nest) == 1  # the split nest's one recording
+        # the credit makes the region's own time less than its nest's
+        assert any(t < n for t, n in zip(region.pe_time,
+                                         nest[0].pe_sums()[0]))
+
+    def test_a_second_run_sums_no_row(self, monkeypatch):
+        """Row sums are kept on the schedule's recording: a second
+        profiled run of the same plan, on a new machine, sums none."""
+        from repro.compiler.cache import PlanCache
+        from repro.machine.network import Charges
+        for kernel, level in (("cg", None), ("nine_point", "O0"),
+                              ("purdue9", "O4")):
+            cache = PlanCache()     # the second run gets the same plan
+
+            def run():
+                return run_case(kernel, level, {"cache": cache})
+
+            first = run()
+            sums = []
+            real = Charges._row_sum
+            monkeypatch.setattr(Charges, "_row_sum",
+                                lambda self, row: sums.append(row)
+                                or real(self, row))
+            second = run()
+            monkeypatch.undo()
+            assert sums == [], kernel
+            assert second.profile.to_dict()["timeline"] == \
+                first.profile.to_dict()["timeline"]
+
     @pytest.mark.parametrize("kernel", NAMED_KERNELS)
     @pytest.mark.parametrize("level", ("O0", "O4"))
     def test_self_times_reconstruct_the_report(self, kernel, level):

@@ -1,5 +1,6 @@
 """Golden-trace tests: compile PURDUE_PROBLEM9 at O0-O4 and check the
-trace's per-pass counters against the paper's figures.
+trace's per-pass attributes, the compile report and the run's cost
+report and profile against the paper's figures.
 
 The numbers pinned here are exactly the ones the paper's argument turns
 on: Problem 9 has 8 CSHIFTs (Figure 3), the offset-array pass converts
@@ -15,6 +16,7 @@ import pytest
 
 from repro import kernels
 from repro.compiler import compile_hpf
+from repro.kernels import run_kernel
 from repro.machine import Machine
 from repro.obs import Tracer
 
@@ -27,6 +29,16 @@ def compile_traced(level: str) -> Tracer:
     compile_hpf(kernels.PURDUE_PROBLEM9, bindings={"N": 32}, level=level,
                 outputs={"T"}, tracer=tracer)
     return tracer
+
+
+def compile_plain(level: str):
+    return compile_hpf(kernels.PURDUE_PROBLEM9, bindings={"N": 32},
+                       level=level, outputs={"T"})
+
+
+def run_purdue9(level: str, profile: bool = False):
+    return run_kernel("purdue9", bindings={"N": 32}, level=level,
+                      profile=profile)
 
 
 def pass_names(tracer: Tracer) -> list[str]:
@@ -55,21 +67,22 @@ class TestPassOrdering:
 class TestPerPassCounters:
     def test_offset_arrays_converts_all_eight_shifts(self):
         span = compile_traced("O4").find("pass:offset-arrays")
-        assert span.counters["shifts_converted"] == 8
-        assert span.counters["ir.shift_intrinsics"] == 0
-        assert span.counters["ir.shift_intrinsics_delta"] == -8
-        assert span.counters["ir.overlap_shifts"] == 8
+        assert span.attrs["shifts_converted"] == 8
+        assert span.attrs["ir.shift_intrinsics"] == 0
+        assert span.attrs["ir.shift_intrinsics_delta"] == -8
+        assert span.attrs["ir.overlap_shifts"] == 8
         # RIP/RIN die once uses read through U's overlap area (sec. 4.2)
-        assert span.counters["dead_arrays"] == 1
+        assert span.attrs["dead_arrays"] == 1
 
     def test_comm_union_merges_eight_shifts_into_four(self):
         span = compile_traced("O4").find("pass:comm-union")
-        assert span.counters["shifts_before"] == 8
-        assert span.counters["shifts_after"] == 4
-        assert span.counters["ir.overlap_shifts"] == 4
-        assert span.counters["ir.overlap_shifts_delta"] == -4
+        assert span.attrs["shifts_before"] == 8
+        assert span.attrs["shifts_after"] == 4
+        assert span.attrs["ir.overlap_shifts"] == 4
+        assert span.attrs["ir.overlap_shifts_delta"] == -4
 
     def test_compile_root_counters_match_figure17_structure(self):
+        """The compile's counts live on its report, not on its span."""
         expect = {
             #        overlap, full, nests
             "O0": (0, 8, 7),
@@ -79,14 +92,13 @@ class TestPerPassCounters:
             "O4": (4, 0, 1),
         }
         for level, (overlap, full, nests) in expect.items():
-            root = compile_traced(level).find("compile")
-            assert root.counters["overlap_shifts"] == overlap, level
-            assert root.counters["full_shifts"] == full, level
-            assert root.counters["loop_nests"] == nests, level
+            report = compile_plain(level).report
+            assert report.overlap_shifts == overlap, level
+            assert report.full_shifts == full, level
+            assert report.loop_nests == nests, level
 
     def test_codegen_fuses_all_seven_statements_at_o2_plus(self):
-        tracer = compile_traced("O4")
-        assert tracer.find("codegen").counters["statements_fused"] == 7
+        assert compile_plain("O4").report.fused_statements == 7
 
 
 class TestExecuteTrace:
@@ -114,27 +126,36 @@ class TestExecuteTrace:
         assert ops.count("full_cshift") == 8
         assert ops.count("loop_nest") == 7
 
+    def test_op_spans_keep_time_and_attributes(self):
+        execute = self.run_traced("O4").find("execute")
+        shift = execute.find("overlap_shift")
+        assert shift.attrs["array"] == "U"
+        assert shift.t_end >= shift.t_start
+        assert not hasattr(shift, "counters")
+
     def test_unioning_halves_messages(self):
-        msgs = {level: self.run_traced(level).find("execute")
-                .counters["total_messages"] for level in ("O2", "O3")}
+        msgs = {level: run_purdue9(level).report.messages
+                for level in ("O2", "O3")}
         assert msgs == {"O2": 32, "O3": 16}
 
     def test_op_spans_charge_cost_deltas(self):
-        execute = self.run_traced("O4").find("execute")
-        shifts = [s for s in execute.children
-                  if s.name == "overlap_shift"]
-        for span in shifts:
-            assert span.counters["messages"] == 4  # one per PE on 2x2
-            assert span.counters["bytes"] > 0
-            assert span.counters["overlap_cells"] > 0
-        nest = execute.find("loop_nest")
-        assert nest.counters["compute_points"] == 32 * 32
+        """Each op's own cost, in the profile's validation rows: one
+        message per PE for every unioned shift on 2x2, and the one
+        nest's 32x32 points."""
+        result = run_purdue9("O4", profile=True)
+        rows = result.profile.validation["rows"]
+        shifts = [r for r in rows if r["name"] == "overlap_shift"]
+        assert len(shifts) == 4
+        for row in shifts:
+            assert row["messages"] == 4  # one per PE on 2x2
+            assert row["bytes"] > 0
+            assert row["modelled_s"] > 0
+        assert [r["name"] for r in rows].count("loop_nest") == 1
+        assert result.report.loop_points == 32 * 32
 
     def test_offset_arrays_eliminate_copies(self):
-        o0 = self.run_traced("O0").find("execute").counters
-        o1 = self.run_traced("O1").find("execute").counters
-        assert o0["total_copy_elements"] > 0
-        assert o1["total_copy_elements"] == 0
+        assert run_purdue9("O0").report.copy_elements > 0
+        assert run_purdue9("O1").report.copy_elements == 0
 
 
 class TestJsonlCoverage:
@@ -156,12 +177,13 @@ class TestJsonlCoverage:
         op_spans = [e for e in events
                     if e["type"] == "span" and e["kind"] == "op"]
         assert len(op_spans) == executed
+        assert all("counters" not in e for e in events)
         back = Tracer.from_jsonl(path.read_text())
-        assert back.find("pass:comm-union").counters["shifts_after"] == 4
+        assert back.find("pass:comm-union").attrs["shifts_after"] == 4
 
     def test_jsonl_ids_are_stable_paths(self):
         """Two identical compile+run sessions export identical span ids
-        (the version-2 stable-id contract), and the ids spell out the
+        (the stable-id contract since version 2), and the ids spell out the
         pass pipeline."""
         def session() -> list[str]:
             tracer = Tracer()

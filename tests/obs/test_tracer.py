@@ -1,4 +1,4 @@
-"""Unit tests for the tracer: nesting, counters, JSONL, no-op mode."""
+"""Unit tests for the tracer: nesting, attributes, JSONL, no-op mode."""
 
 import json
 
@@ -79,44 +79,15 @@ class TestSpanNesting:
 
 
 class TestCounters:
-    def test_count_accumulates(self):
-        tr = Tracer()
-        with tr.span("a") as sp:
-            sp.count("messages")
-            sp.count("messages")
-            sp.count("bytes", 256)
-        assert sp.counters == {"messages": 2.0, "bytes": 256.0}
+    """Spans carry no counters: a number a span reports is an attribute,
+    and what an op costs is the profile's business."""
 
-    def test_gauge_overwrites(self):
-        tr = Tracer()
-        with tr.span("a") as sp:
-            sp.gauge("overlap_shifts", 8)
-            sp.gauge("overlap_shifts", 4)
-        assert sp.counters["overlap_shifts"] == 4.0
-
-    def test_tracer_count_targets_current_span(self):
-        tr = Tracer()
-        with tr.span("a"):
-            with tr.span("b"):
-                tr.count("x", 3)
-        assert tr.find("b").counters == {"x": 3.0}
-        assert tr.find("a").counters == {}
-
-    def test_count_outside_any_span_is_noop(self):
-        tr = Tracer()
-        tr.count("orphan")
-        tr.gauge("orphan", 1)
-        assert tr.roots == []
-
-    def test_totals_sum_across_tree(self):
-        tr = Tracer()
-        with tr.span("a") as a:
-            a.count("msgs", 1)
-            with tr.span("b") as b:
-                b.count("msgs", 2)
-        with tr.span("c") as c:
-            c.count("msgs", 4)
-        assert tr.totals() == {"msgs": 7.0}
+    def test_spans_have_no_counter_api(self):
+        for name in ("counters", "count", "gauge"):
+            assert not hasattr(Span(name="a"), name)
+        for name in ("count", "gauge", "totals"):
+            assert not hasattr(Tracer(), name)
+            assert not hasattr(NULL_TRACER, name)
 
     def test_attrs_from_span_kwargs(self):
         tr = Tracer()
@@ -130,11 +101,11 @@ class TestJsonl:
     def make_trace(self) -> Tracer:
         tr = Tracer(clock=FakeClock())
         with tr.span("compile", kind="compile", level="O4") as sp:
-            sp.gauge("overlap_shifts", 4)
-            with tr.span("pass:normalize", kind="pass") as p:
-                p.count("statements", 17)
-        with tr.span("execute", kind="execute") as sp:
-            sp.count("messages", 16)
+            sp.attrs["overlap_shifts"] = 4
+            with tr.span("pass:normalize", kind="pass", statements=17):
+                pass
+        with tr.span("execute", kind="execute", grid="2x2"):
+            pass
         return tr
 
     def test_every_line_is_json(self):
@@ -160,7 +131,6 @@ class TestJsonl:
         for a, b in zip(back.spans(), tr.spans()):
             assert a.kind == b.kind
             assert a.attrs == b.attrs
-            assert a.counters == b.counters
             assert a.t_start == b.t_start
             assert a.t_end == b.t_end
         # and a second round trip is a fixed point
@@ -171,7 +141,7 @@ class TestJsonl:
         path = tmp_path / "trace.jsonl"
         tr.write_jsonl(str(path))
         back = Tracer.from_jsonl(path.read_text())
-        assert back.totals() == tr.totals()
+        assert back.events() == tr.events()
 
     def test_rejects_unknown_version(self):
         with pytest.raises(ValueError):
@@ -233,7 +203,10 @@ class TestStableSpanIds:
 
     def test_events_carry_stable_ids(self):
         events = self.build().events()
-        assert events[0]["version"] == 2
+        assert events[0] == {"type": "trace", "version": 3}
+        assert all(set(e) == {"type", "id", "parent", "name", "kind",
+                              "start", "end", "dur", "attrs"}
+                   for e in events[1:])
         by_id = {e["id"]: e for e in events[1:]}
         child = by_id["compile#0/pass:normalize#1"]
         assert child["parent"] == "compile#0"
@@ -257,23 +230,61 @@ class TestStableSpanIds:
         back = Tracer.from_jsonl(v1)
         assert [s.name for s in back.spans()] == ["compile", "parse"]
         assert back.find("compile").children[0].name == "parse"
-        # re-serializing upgrades to version-2 stable ids
+        # re-serializing upgrades to version-3 stable ids
         events = back.events()
-        assert events[0]["version"] == 2
+        assert events[0]["version"] == 3
         assert events[2]["id"] == "compile#0/parse#0"
+
+    def test_reads_version2_counters_as_attrs(self):
+        v2 = "\n".join([
+            '{"type": "trace", "version": 2}',
+            '{"type": "span", "id": "compile#0", "parent": null,'
+            ' "name": "compile", "kind": "compile", "start": 1.0,'
+            ' "end": 4.0, "dur": 3.0, "attrs": {"level": "O4"},'
+            ' "counters": {}}',
+            '{"type": "span", "id": "compile#0/pass:comm-union#0",'
+            ' "parent": "compile#0", "name": "pass:comm-union",'
+            ' "kind": "pass", "start": 2.0, "end": 3.0, "dur": 1.0,'
+            ' "attrs": {}, "counters": {"shifts_before": 8.0,'
+            ' "shifts_after": 4.0}}',
+        ]) + "\n"
+        back = Tracer.from_jsonl(v2)
+        span = back.find("pass:comm-union")
+        assert span.attrs["shifts_after"] == 4
+        assert span.attrs["shifts_before"] == 8
+        assert back.find("compile").attrs == {"level": "O4"}
+        assert all("counters" not in e for e in back.events())
 
 
 class TestNullTracer:
     def test_records_nothing(self):
         tr = NullTracer()
         with tr.span("a", kind="x", attr=1) as sp:
-            sp.count("messages", 5)
-            sp.gauge("bytes", 10)
-            tr.count("more")
+            assert sp.attrs == {}
         assert tr.roots == []
         assert list(tr.spans()) == []
-        assert tr.totals() == {}
         assert tr.events() == [TRACE_SCHEMA]
+
+    def test_untraced_span_attrs_are_read_only(self):
+        """One span object serves every untraced region in the process:
+        a write that forgot ``tracer.enabled`` must fail, not leak."""
+        with NULL_TRACER.span("a") as sp:
+            with pytest.raises(TypeError):
+                sp.attrs["status"] = "built"
+        assert NULL_TRACER.span("b").attrs == {}
+
+    @pytest.mark.parametrize("level", ["O0", "O1", "O2", "O3", "O4"])
+    def test_untraced_compile_and_run_write_no_attrs(self, level):
+        # every guarded attribute write, on a cache miss and a hit
+        from repro.compiler.cache import PlanCache
+        from repro.kernels import run_kernel
+        cache = PlanCache()
+        for _ in range(2):
+            run_kernel("purdue9", bindings={"N": 16}, level=level,
+                       cache=cache)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+        run_kernel("cg", bindings={"N": 16, "NITER": 2}, level=level,
+                   backend="vectorized")
 
     def test_disabled_flag(self):
         assert NULL_TRACER.enabled is False

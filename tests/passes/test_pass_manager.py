@@ -112,8 +112,8 @@ class TestTracerIntegration:
         tracer = Tracer()
         PassManager([NormalizePass()], tracer=tracer).run(parsed())
         span = tracer.find("pass:normalize")
-        assert span.counters["ir.shift_intrinsics"] == 8
-        assert span.counters["ir.statements_delta"] > 0
+        assert span.attrs["ir.shift_intrinsics"] == 8
+        assert span.attrs["ir.statements_delta"] > 0
 
     def test_no_tracer_records_nothing(self):
         # the default path must not touch any tracer state

@@ -201,10 +201,10 @@ def test_manager_spans_carry_stats_and_plan_shape_delta():
                    tracer=tracer)
     span = tracer.find("plan-pass:hoist-invariant-shifts")
     assert span.kind == "plan-pass"
-    assert span.counters["hoisted_shifts"] == 4
-    assert span.counters["ir.overlap_shifts_delta"] == 0  # moved, kept
+    assert span.attrs["hoisted_shifts"] == 4
+    assert span.attrs["ir.overlap_shifts_delta"] == 0  # moved, kept
     assert tracer.find("plan-pass:pingpong-elim") \
-        .counters["ir.ops_delta"] == 1  # the preheader seed copy
+        .attrs["ir.ops_delta"] == 1  # the preheader seed copy
 
 
 # ---------------------------------------------------------------------------

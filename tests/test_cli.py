@@ -163,7 +163,22 @@ class TestTrace:
         assert "compile" in out
         assert "pass:comm-union" in out
         assert "execute" in out
-        assert "totals:" in out
+        assert "messages:" in out
+
+    def test_prints_the_runs_own_numbers(self, capsys):
+        """The cost lines under the tree are the run's cost report: the
+        paper's unioned purdue9 sends 16 messages on 2x2."""
+        from repro.kernels import run_kernel
+        assert main(["trace", "purdue9", "--level", "O3",
+                     "--grid", "2x2", "--bind", "N=32"]) == 0
+        out = capsys.readouterr().out
+        result = run_kernel("purdue9", grid=(2, 2), level="O3",
+                            bindings={"N": 32})
+        assert result.report.messages == 16
+        line, = [ln for ln in out.splitlines()
+                 if ln.startswith("messages:")]
+        assert line == (f"messages: {result.report.messages} "
+                        f"({result.report.message_bytes} bytes)")
 
     def test_json_flag_streams_jsonl(self, capsys):
         import json
@@ -209,7 +224,7 @@ class TestTrace:
             assert main(["trace", "purdue9", "--bind", "N=32",
                          "--backend", backend]) == 0
             out = capsys.readouterr().out
-            return out[out.index("totals:"):]
+            return out[out.index("modelled time:"):]
 
         assert totals("perpe") == totals("vectorized")
 
