@@ -92,19 +92,16 @@ def describe_profile(profile) -> str:
 def describe_metrics(registry) -> str:
     """Human-readable dump of a
     :class:`repro.obs.metrics.MetricsRegistry`: every metric with its
-    kind, determinism tags, help text, and per-label samples."""
+    kind, help text, and per-label samples.  A run's costs are on its
+    reports and its times on its spans; the registry counts across
+    runs."""
     from repro.obs.metrics import Histogram, format_labels
     metrics = registry.metrics()
     if not metrics:
         return "no metrics recorded"
     lines = []
     for metric in metrics:
-        tags = [metric.kind]
-        tags.append("deterministic" if metric.deterministic
-                    else "wall-clock")
-        if metric.invariant:
-            tags.append("backend-invariant")
-        lines.append(f"{metric.name} [{', '.join(tags)}]")
+        lines.append(f"{metric.name} [{metric.kind}]")
         if metric.help:
             lines.append(f"  {metric.help}")
         for key, value in metric.samples():

@@ -68,7 +68,6 @@ def materialize(source: str, mode: str) -> KernelModule:
             "repro_jit_materialize_seconds",
             help="Wall-clock seconds materializing one generated "
                  "kernel module (exec of the generated source).",
-            deterministic=False,
         ).observe(perf_counter() - t0, mode=mode)
         counts = registry.counter(
             "repro_codegen_nests_total",

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import copy
 import math
-from contextlib import contextmanager
-from time import perf_counter
 
 from repro.compiler.codegen import CodeGenerator
 from repro.compiler.options import CompilerOptions, OptLevel
@@ -105,18 +103,9 @@ class HpfCompiler:
         from repro.obs import metrics as _metrics
         from repro.obs.tracer import coalesce
         tracer = coalesce(tracer)
-        registry = _metrics.get_registry()
-        phase_hist = None
-        if registry.enabled:
-            phase_hist = registry.histogram(
-                "repro_compile_phase_seconds",
-                help="Wall-clock seconds per compiler driver phase.",
-                deterministic=False)
-        t_total = perf_counter() if phase_hist is not None else 0.0
         with tracer.span("compile", kind="compile",
                          level=self.options.level.name) as span:
-            with tracer.span("parse", kind="frontend"), \
-                    _timed(phase_hist, "parse"):
+            with tracer.span("parse", kind="frontend"):
                 if isinstance(source, Program):
                     program = copy.deepcopy(source)
                 else:
@@ -125,40 +114,27 @@ class HpfCompiler:
             trace = PassTrace() if self.options.keep_trace else None
             ast_passes = PassManager(self.build_passes(), trace,
                                      tracer=tracer)
-            with _timed(phase_hist, "passes"):
-                ast_passes.run(program)
-            with tracer.span("verify-coverage", kind="analysis"), \
-                    _timed(phase_hist, "verify-coverage"):
+            ast_passes.run(program)
+            with tracer.span("verify-coverage", kind="analysis"):
                 self._verify_coverage(program)
-            with tracer.span("codegen", kind="codegen"), \
-                    _timed(phase_hist, "codegen"):
+            with tracer.span("codegen", kind="codegen"):
                 gen = CodeGenerator(program, self.options)
                 plan = gen.generate()
             # the safety net that makes a miscompiling pass fail at
             # compile time: here, and after every plan pass
-            with tracer.span("verify-plan", kind="analysis"), \
-                    _timed(phase_hist, "verify-plan"):
+            with tracer.span("verify-plan", kind="analysis"):
                 assert_plan_valid(plan, phase="codegen")
             pass_stats = dict(ast_passes.stats)
             if self.options.level.plan_passes:
-                with _timed(phase_hist, "plan-passes"):
-                    plan, pass_stats["plan-passes"] = \
-                        PlanPassManager(tracer=tracer).run(plan)
+                plan, pass_stats["plan-passes"] = \
+                    PlanPassManager(tracer=tracer).run(plan)
             report = self._build_report(plan, pass_stats, gen)
             if tracer.enabled:
                 span.attrs["source"] = program.name
-        if registry.enabled:
-            phase_hist.observe(perf_counter() - t_total, phase="total")
-            registry.counter(
-                "repro_compiles_total",
-                help="Completed (uncached) compilations by level.",
-            ).inc(level=self.options.level.name)
-            ops = registry.counter(
-                "repro_compile_plan_ops_total",
-                help="Plan ops emitted by completed compilations.")
-            ops.inc(report.overlap_shifts, kind="overlap_shift")
-            ops.inc(report.full_shifts, kind="full_shift")
-            ops.inc(report.loop_nests, kind="loop_nest")
+        _metrics.get_registry().counter(
+            "repro_compiles_total",
+            help="Completed (uncached) compilations by level.",
+        ).inc(level=self.options.level.name)
         return CompiledProgram(plan=plan, report=report,
                                source_name=program.name, trace=trace)
 
@@ -190,19 +166,6 @@ class HpfCompiler:
             temporaries=len(temps),
             temp_bytes_global=sum(
                 int(d.dtype.itemsize) * math.prod(d.shape) for d in temps))
-
-
-@contextmanager
-def _timed(hist, phase: str):
-    """Observe a phase's wall time on ``hist`` (no-op when ``None``)."""
-    if hist is None:
-        yield
-        return
-    t0 = perf_counter()
-    try:
-        yield
-    finally:
-        hist.observe(perf_counter() - t0, phase=phase)
 
 
 def _resolve_cache(cache):

@@ -17,8 +17,8 @@ Three machine-readable formats leave the repo from here:
   (header :data:`PROFILE_SCHEMA`).  ``from(to(p))`` is an exact
   round-trip: profiles contain only ints, floats, strings, lists, and
   dicts, and ``json`` preserves all of them losslessly.
-* **metrics** (:func:`metrics_to_json` / :func:`metrics_from_json` and
-  :func:`prometheus_text`), the versioned JSON document of a
+* **metrics** (:func:`metrics_to_json` and :func:`prometheus_text`),
+  the versioned JSON document of a
   :class:`~repro.obs.metrics.MetricsRegistry` and its Prometheus text
   exposition (``# HELP`` / ``# TYPE`` / sample lines, histogram
   ``_bucket``/``_sum``/``_count`` expansion with cumulative ``le``
@@ -31,9 +31,7 @@ import json
 import math
 
 from repro.machine.topology import ProcessorGrid
-from repro.obs.metrics import (
-    Histogram, MetricsRegistry, format_labels, registry_from_dict,
-)
+from repro.obs.metrics import Histogram, format_labels
 from repro.obs.profile import CommProfile
 from repro.obs.tracer import Tracer
 
@@ -192,20 +190,9 @@ def metrics_to_json(registry) -> str:
     return json.dumps(registry.to_dict(), sort_keys=True) + "\n"
 
 
-def metrics_from_json(text: str) -> MetricsRegistry:
-    """Rebuild a registry from a metrics JSON document (exact inverse
-    of :func:`metrics_to_json`)."""
-    return registry_from_dict(json.loads(text))
-
-
 def write_metrics(registry, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(metrics_to_json(registry))
-
-
-def read_metrics(path: str) -> MetricsRegistry:
-    with open(path) as fh:
-        return metrics_from_json(fh.read())
 
 
 def _prom_value(value: float) -> str:
@@ -235,10 +222,7 @@ def prometheus_text(registry) -> str:
 
     Counters and gauges emit one sample line per label set; histograms
     expand to cumulative ``_bucket{le=...}`` lines plus ``_sum`` and
-    ``_count``.  Non-deterministic (wall-clock) series are annotated
-    with a ``# repro-nondeterministic`` comment line so scrapers and
-    humans can tell the two series classes apart without parsing the
-    JSON export.
+    ``_count``.
     """
     lines: list[str] = []
     for metric in registry.metrics():
@@ -246,8 +230,6 @@ def prometheus_text(registry) -> str:
             lines.append(f"# HELP {metric.name} "
                          f"{_prom_escape_help(metric.help)}")
         lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if not metric.deterministic:
-            lines.append(f"# repro-nondeterministic {metric.name}")
         if isinstance(metric, Histogram):
             for key, state in metric.samples():
                 cumulative = 0

@@ -11,10 +11,11 @@ fingerprint to recover every measured configuration; the service
 Durability model:
 
 * **Atomic appends.**  Each record is serialized to one line and
-  written with a single ``os.write`` on an ``O_APPEND`` descriptor —
-  POSIX guarantees the append offset is resolved atomically per write,
-  so concurrent writers (service processes, parallel experiment
-  drivers) interleave whole lines, never splice partial ones.
+  written on an ``O_APPEND`` descriptor under the lock below, so
+  concurrent writers (service processes, parallel experiment drivers)
+  interleave whole lines, never splice partial ones.  A short
+  ``os.write`` is continued until every byte is out; one that makes no
+  progress raises.
 * **Appends and reads exclude each other.**  The write is atomic in
   *offset*, not in *visibility*: under load another process can see a
   record's bytes before its trailing newline.  So an appender holds an
@@ -111,8 +112,6 @@ class RunLedger:
         line = json.dumps(record, sort_keys=True)
         data = (line + "\n").encode()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # One O_APPEND write per record: concurrent appenders from any
-        # number of processes interleave whole lines.
         fd = os.open(self.path,
                      os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
@@ -121,7 +120,12 @@ class RunLedger:
                 # a writer died mid-write: start this record on a
                 # fresh line
                 data = b"\n" + data
-            os.write(fd, data)
+            while data:
+                written = os.write(fd, data)
+                if written <= 0:
+                    raise OSError(
+                        f"ledger {self.path}: write made no progress")
+                data = data[written:]
         finally:
             os.close(fd)
         return record

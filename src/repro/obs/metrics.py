@@ -1,30 +1,22 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 The obs layer's third leg next to the tracer (wall-clock spans) and the
-comm profiler (modelled-time attribution): a labeled metric registry
-every subsystem publishes into — compiler phase timings, plan and
-native-kernel cache events, native kernel builds, per-backend nest wall
-clock, and the parallel backend's worker and stripe series.
+comm profiler (modelled-time attribution).  A run's costs live on its
+reports and its times on its spans; the registry holds only what
+neither records — counts across runs (compilations, executions, cache
+events, native kernels, parallel nests), the service's series, and the
+host measurements no span covers (a ``cc`` build, a worker's idle time).
 
 Design contract (mirrors :class:`~repro.obs.tracer.NullTracer`):
 
 * **Zero overhead when disabled.**  The process default is
   :data:`NULL_REGISTRY`, whose ``enabled`` flag is ``False`` and whose
   metric handles are one shared no-op object.  Instrumented hot paths
-  check ``registry.enabled`` once (or cache a handle of ``None``) and
-  skip all bookkeeping; nothing allocates, nothing locks.
-* **Deterministic vs wall-clock split.**  Every metric is tagged
-  ``deterministic`` (its value is a pure function of the program, not
-  of the clock) and, stronger, ``invariant`` (deterministic *and*
-  required to be bitwise-identical across all execution backends —
-  the modelled/count series :func:`repro.testing.
-  backend_equivalence_check` compares).  Wall-clock series are
-  ``deterministic=False`` and never participate in equivalence.
+  check ``registry.enabled`` once and skip all bookkeeping; nothing
+  allocates, nothing locks.
 * **Versioned export.**  :meth:`MetricsRegistry.to_dict` emits the
-  :data:`METRICS_SCHEMA` JSON document; :func:`registry_from_dict` is
-  its exact inverse.  The Prometheus text exposition lives in
-  :mod:`repro.obs.export`.
-
+  :data:`METRICS_SCHEMA` JSON document; the Prometheus text exposition
+  lives in :mod:`repro.obs.export`.
 * **Context-scoped installs.**  :func:`use_registry` — the one way to
   install a registry — scopes it through a
   :class:`contextvars.ContextVar`, so concurrent asyncio tasks and
@@ -41,16 +33,15 @@ Design contract (mirrors :class:`~repro.obs.tracer.NullTracer`):
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-#: Header object of every metrics JSON document.
-METRICS_SCHEMA = {"type": "metrics", "version": 1}
-
-#: Versions :func:`registry_from_dict` understands.
-_READABLE_METRICS_VERSIONS = (1,)
+#: Header object of every metrics JSON document (version 2: entries
+#: carry no determinism tags).
+METRICS_SCHEMA = {"type": "metrics", "version": 2}
 
 #: Default histogram buckets for wall-clock seconds (upper bounds; a
 #: +Inf bucket is always implicit).
@@ -82,12 +73,9 @@ class Metric:
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str, deterministic: bool,
-                 invariant: bool, lock: threading.Lock) -> None:
+    def __init__(self, name: str, help: str, lock: threading.Lock) -> None:
         self.name = name
         self.help = help
-        self.deterministic = deterministic
-        self.invariant = invariant
         self._lock = lock
         self._values: dict[LabelKey, object] = {}
 
@@ -112,6 +100,7 @@ class Counter(Metric):
         if value < 0:
             raise ValueError(
                 f"counter {self.name} cannot decrease (inc {value})")
+        _check_finite(self, value)
         key = label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + value
@@ -143,10 +132,9 @@ class Histogram(Metric):
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str, deterministic: bool,
-                 invariant: bool, lock: threading.Lock,
+    def __init__(self, name: str, help: str, lock: threading.Lock,
                  buckets: tuple[float, ...]) -> None:
-        super().__init__(name, help, deterministic, invariant, lock)
+        super().__init__(name, help, lock)
         bounds = tuple(float(b) for b in buckets)
         if not bounds or any(b2 <= b1 for b1, b2
                              in zip(bounds, bounds[1:])):
@@ -156,6 +144,7 @@ class Histogram(Metric):
         self.buckets = bounds
 
     def observe(self, value: float, **labels) -> None:
+        _check_finite(self, value)
         key = label_key(labels)
         with self._lock:
             state = self._values.get(key)
@@ -173,15 +162,19 @@ class Histogram(Metric):
             state["count"] += 1
 
 
-_METRIC_CLASSES = {"counter": Counter, "gauge": Gauge,
-                   "histogram": Histogram}
+def _check_finite(metric: Metric, value: float) -> None:
+    """A NaN or infinity would poison the series' sum for good."""
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{metric.kind} {metric.name} takes finite values only "
+            f"(got {value})")
 
 
 class MetricsRegistry:
     """Thread-safe labeled metric registry.
 
     Registration is idempotent: asking for an existing name returns the
-    existing family (the first registration's help text and flags win),
+    existing family (the first registration's help text wins),
     but a kind or bucket mismatch is a caller bug and raises.
     """
 
@@ -192,32 +185,23 @@ class MetricsRegistry:
         self._metrics: dict[str, Metric] = {}
 
     # -- registration -------------------------------------------------------
-    def counter(self, name: str, help: str = "",
-                deterministic: bool = True,
-                invariant: bool = False) -> Counter:
-        return self._register(Counter, name, help, deterministic,
-                              invariant)
+    def counter(self, name: str, help: str = "") -> Counter:
+        return self._register(Counter, name, help)
 
-    def gauge(self, name: str, help: str = "",
-              deterministic: bool = True,
-              invariant: bool = False) -> Gauge:
-        return self._register(Gauge, name, help, deterministic,
-                              invariant)
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        return self._register(Gauge, name, help)
 
     def histogram(self, name: str,
                   buckets: tuple[float, ...] = TIME_BUCKETS,
-                  help: str = "", deterministic: bool = True,
-                  invariant: bool = False) -> Histogram:
-        metric = self._register(Histogram, name, help, deterministic,
-                                invariant, buckets=buckets)
+                  help: str = "") -> Histogram:
+        metric = self._register(Histogram, name, help, buckets=buckets)
         if metric.buckets != tuple(float(b) for b in buckets):
             raise ValueError(
                 f"metric {name} re-registered with different buckets: "
                 f"{metric.buckets!r} vs {tuple(buckets)!r}")
         return metric
 
-    def _register(self, cls, name, help, deterministic, invariant,
-                  **kwargs) -> Metric:
+    def _register(self, cls, name, help, **kwargs) -> Metric:
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
@@ -226,8 +210,7 @@ class MetricsRegistry:
                         f"metric {name} already registered as "
                         f"{existing.kind}, not {cls.kind}")
                 return existing
-            metric = cls(name, help, deterministic, invariant,
-                         threading.Lock(), **kwargs)
+            metric = cls(name, help, threading.Lock(), **kwargs)
             self._metrics[name] = metric
             return metric
 
@@ -252,12 +235,8 @@ class MetricsRegistry:
         doc = dict(METRICS_SCHEMA)
         out = []
         for metric in self.metrics():
-            entry: dict = {
-                "name": metric.name, "kind": metric.kind,
-                "help": metric.help,
-                "deterministic": metric.deterministic,
-                "invariant": metric.invariant,
-            }
+            entry: dict = {"name": metric.name, "kind": metric.kind,
+                           "help": metric.help}
             if isinstance(metric, Histogram):
                 entry["buckets"] = list(metric.buckets)
             samples = []
@@ -274,61 +253,6 @@ class MetricsRegistry:
             out.append(entry)
         doc["metrics"] = out
         return doc
-
-    def invariant_snapshot(self) -> dict[str, dict[str, object]]:
-        """Every backend-invariant series, keyed ``name -> rendered
-        labels -> value`` — the object the equivalence suite compares
-        bitwise across backends."""
-        snap: dict[str, dict[str, object]] = {}
-        for metric in self.metrics():
-            if not metric.invariant:
-                continue
-            series: dict[str, object] = {}
-            for key, value in metric.samples():
-                if isinstance(metric, Histogram):
-                    series[format_labels(key)] = (
-                        tuple(value["counts"]), value["sum"],
-                        value["count"])
-                else:
-                    series[format_labels(key)] = value
-            snap[metric.name] = series
-        return snap
-
-
-def registry_from_dict(doc: dict) -> MetricsRegistry:
-    """Rebuild a registry from its :meth:`MetricsRegistry.to_dict`
-    document (exact inverse: ``rebuilt.to_dict() == doc``)."""
-    if doc.get("type") != METRICS_SCHEMA["type"]:
-        raise ValueError(
-            f"not a metrics document: type={doc.get('type')!r}")
-    if doc.get("version") not in _READABLE_METRICS_VERSIONS:
-        raise ValueError(
-            f"unsupported metrics version {doc.get('version')!r}")
-    reg = MetricsRegistry()
-    for entry in doc.get("metrics", []):
-        kind = entry.get("kind")
-        if kind == "histogram":
-            metric = reg.histogram(entry["name"],
-                                   buckets=tuple(entry["buckets"]),
-                                   help=entry.get("help", ""),
-                                   deterministic=entry["deterministic"],
-                                   invariant=entry["invariant"])
-        elif kind in _METRIC_CLASSES:
-            metric = reg._register(_METRIC_CLASSES[kind], entry["name"],
-                                   entry.get("help", ""),
-                                   entry["deterministic"],
-                                   entry["invariant"])
-        else:
-            raise ValueError(f"unknown metric kind {kind!r}")
-        for sample in entry.get("samples", []):
-            key = label_key(sample.get("labels", {}))
-            if kind == "histogram":
-                metric._values[key] = {
-                    "counts": list(sample["counts"]),
-                    "sum": sample["sum"], "count": sample["count"]}
-            else:
-                metric._values[key] = sample["value"]
-    return reg
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +287,14 @@ class NullRegistry:
 
     enabled = False
 
-    def counter(self, name: str, help: str = "", **kwargs) -> _NullMetric:
+    def counter(self, name: str, help: str = "") -> _NullMetric:
         return _NULL_METRIC
 
-    def gauge(self, name: str, help: str = "", **kwargs) -> _NullMetric:
+    def gauge(self, name: str, help: str = "") -> _NullMetric:
         return _NULL_METRIC
 
     def histogram(self, name: str, buckets=TIME_BUCKETS,
-                  help: str = "", **kwargs) -> _NullMetric:
+                  help: str = "") -> _NullMetric:
         return _NULL_METRIC
 
     def metrics(self) -> list:
@@ -386,9 +310,6 @@ class NullRegistry:
         doc = dict(METRICS_SCHEMA)
         doc["metrics"] = []
         return doc
-
-    def invariant_snapshot(self) -> dict:
-        return {}
 
 
 #: What contexts without an install see: metrics are opt-in.

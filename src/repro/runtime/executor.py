@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from time import perf_counter
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
@@ -72,8 +71,8 @@ class _Schedule(NamedTuple):
 
 
 class _Exec:
-    #: labels the wall-clock nest histogram carries; overridden by
-    #: every registered backend class
+    #: the backend's name in error messages; overridden by every
+    #: registered backend class
     backend_label = "perpe"
     #: the placement: how a distributed array is stored and how its data
     #: moves (``fill_overlap`` / ``assign_interior`` / ``origin``).  What
@@ -85,17 +84,8 @@ class _Exec:
                  scalars: Mapping[str, float] | None,
                  hpf_overhead: bool, tracer=None,
                  workers: int | None = None) -> None:
-        from repro.obs import metrics as _metrics
         from repro.obs.tracer import coalesce
         self.tracer = coalesce(tracer)
-        #: wall-clock per-nest histogram handle, or ``None`` when
-        #: metrics are off — the hot path checks one attribute
-        registry = _metrics.get_registry()
-        self._nest_wall = registry.histogram(
-            "repro_nest_wall_seconds",
-            help="Measured wall-clock seconds per compute-nest "
-                 "evaluation, by backend.",
-            deterministic=False) if registry.enabled else None
         # ``workers``: only the ``parallel`` backend acts on it, but it is
         # part of the shared constructor contract so ``execute`` can pass
         # it to any registered backend.
@@ -373,8 +363,8 @@ class _Exec:
             arrays = self._ref_arrays(tape)
             scalars = [self.scalar(ref) for ref in tape.scalars]
             for pe, slices in bindings:
-                self._run_tape(tape, self._views(arrays, pe, slices),
-                               scalars)
+                tape.run(self._views(arrays, pe, slices), scalars,
+                         self._bound)
 
     def run_nest(self, op: LoopNestOp) -> None:
         self._run_nest(op, op, split=False)
@@ -497,17 +487,6 @@ class _Exec:
     def _views(arrays: list, pe: int, slices: list) -> list:
         return [da.padded(pe)[sl] for da, sl in zip(arrays, slices)]
 
-    def _run_tape(self, tape: NestTape, views: list, scalars: list):
-        """One nest evaluation (timed when metrics are on)."""
-        if self._nest_wall is not None:
-            t0 = perf_counter()
-        ran = tape.run(views, scalars, self._bound)
-        if self._nest_wall is not None:
-            self._nest_wall.observe(
-                perf_counter() - t0, backend=self.backend_label,
-                kernel="native" if ran is None else "tape")
-        return ran
-
     def _local_slices(self, da: DArray, pe: int,
                       box: list[tuple[int, int]] | tuple,
                       offsets: tuple[int, ...]) -> tuple[slice, ...]:
@@ -559,8 +538,6 @@ def execute(plan: Plan, machine: Machine,
     from repro.obs import metrics as _metrics
     from repro.obs.tracer import coalesce
     tracer = coalesce(tracer)
-    registry = _metrics.get_registry()
-    t_wall = perf_counter() if registry.enabled else 0.0
     if reset_machine:
         machine.reset()
     if plan.processors is not None and \
@@ -599,42 +576,10 @@ def execute(plan: Plan, machine: Machine,
     finally:
         machine.network.observer = None
         ex.close()
-    if registry.enabled:
-        # Wall-clock series: measured, tagged non-deterministic,
-        # excluded from backend equivalence.
-        registry.histogram(
-            "repro_exec_wall_seconds",
-            help="End-to-end wall-clock seconds of execute() "
-                 "(materialize + iterations + gather + shutdown), "
-                 "by backend.",
-            deterministic=False,
-        ).observe(perf_counter() - t_wall, backend=backend)
-        registry.counter(
-            "repro_exec_runs_total",
-            help="Completed execute() calls by backend.",
-        ).inc(backend=backend)
-        # Modelled/count series: pure functions of the program, carried
-        # unlabeled so all three backends must produce bitwise-identical
-        # values (enforced by testing.backend_equivalence_check).
-        r = machine.report
-        events = registry.counter(
-            "repro_exec_events_total",
-            help="Modelled execution events (backend-invariant).",
-            invariant=True)
-        events.inc(r.messages, event="messages")
-        events.inc(r.message_bytes, event="message_bytes")
-        events.inc(r.copies, event="copies")
-        events.inc(r.copy_elements, event="copy_elements")
-        events.inc(r.loop_points, event="loop_points")
-        registry.counter(
-            "repro_exec_modelled_seconds_total",
-            help="Modelled execution seconds (backend-invariant).",
-            invariant=True).inc(r.modelled_time)
-        registry.gauge(
-            "repro_exec_peak_memory_per_pe_bytes",
-            help="Peak per-PE memory of the last run "
-                 "(backend-invariant).",
-            invariant=True).set(machine.memory.peak_per_pe)
+    _metrics.get_registry().counter(
+        "repro_exec_runs_total",
+        help="Completed execute() calls by backend.",
+    ).inc(backend=backend)
     comm_profile = None
     if collector is not None:
         comm_profile = CommProfile.from_run(machine, collector,

@@ -308,7 +308,6 @@ def _count(n: int, **labels) -> None:
              "(built by cc, loaded from the kernel directory) or why "
              "they run the ufunc tape instead; per-call fallbacks count "
              "once per call.",
-        deterministic=False,    # the host's compiler and directory decide
     ).inc(n, **labels)
 
 
@@ -330,7 +329,7 @@ def _compile(cc: str, text: str, key: str) -> bytes:
     metrics.get_registry().histogram(
         "repro_native_build_seconds",
         help="Wall-clock seconds of one cc run (one translation unit "
-             "per plan).", deterministic=False,
+             "per plan).",
     ).observe(perf_counter() - start)
     return so + hashlib.sha256(so).hexdigest().encode() + key.encode()
 

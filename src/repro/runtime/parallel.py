@@ -61,7 +61,7 @@ class _Pool:
     def _serve(self) -> None:
         while True:
             context, task, out, i, done = self.tasks.get()
-            out[i] = context.run(_timed, task)
+            out[i] = context.run(_outcome, task)
             done.release()
 
 
@@ -86,29 +86,29 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _timed(task) -> tuple:
-    """``(start, end, value, error)`` of one call; never raises."""
+def _outcome(task) -> tuple:
+    """``(start, end, error)`` of one call; never raises."""
     start = perf_counter()
     try:
-        value = task()
-        return start, perf_counter(), value, None
+        task()
+        return start, perf_counter(), None
     except BaseException as exc:  # noqa: BLE001 — re-raised by the join
-        return start, perf_counter(), None, exc
+        return start, perf_counter(), exc
 
 
 def join(tasks: list) -> tuple[list, float]:
     """Run ``tasks[0]`` here and the others on the pool; every task's
-    ``(start, end, value, error)`` and the seconds this thread then
+    ``(start, end, error)`` and the seconds this thread then
     waited, once *all* have ended — no thread is still writing a slab
     when the caller sees an error and frees it."""
     if len(tasks) == 1:     # a whole nest: no pool, nothing to wait for
-        return [_timed(tasks[0])], 0.0
+        return [_outcome(tasks[0])], 0.0
     out: list = [None] * len(tasks)
     done = threading.Semaphore(0)
     put = _pool().tasks.put
     for i in range(1, len(tasks)):
         put((copy_context(), tasks[i], out, i, done))
-    out[0] = _timed(tasks[0])
+    out[0] = _outcome(tasks[0])
     start = perf_counter()
     for _ in range(1, len(tasks)):
         done.acquire()

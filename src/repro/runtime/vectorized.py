@@ -189,8 +189,7 @@ class _WorkerLog:
                 "repro_parallel_barrier_wait_seconds",
                 help="Seconds worker w had no stripe to run during the "
                      "run: worker 0's time blocked at joins; a worker "
-                     "never handed a stripe idles for the whole run.",
-                deterministic=False)
+                     "never handed a stripe idles for the whole run.")
             idle.set(self.blocked, worker="0")
             for w, busy in enumerate(self.busy[1:], start=1):
                 idle.set(max(0.0, wall - busy), worker=str(w))
@@ -276,8 +275,8 @@ class VectorizedExec(_Exec):
         # once, here: a stripe only binds its views and runs them
         scalars = [self.scalar(ref) for ref in tape.scalars]
         (_, slices), = self._bindings(sched, tape, [(0, list(space))])
-        whole = partial(self._run_tape, tape, self._views(
-            self._ref_arrays(tape), 0, slices), scalars)
+        whole = partial(tape.run, self._views(
+            self._ref_arrays(tape), 0, slices), scalars, self._bound)
         log = self._log
         if log is None:
             return whole()
@@ -294,17 +293,12 @@ class VectorizedExec(_Exec):
             tasks = [partial(self._run_stripe, tape, scalars, i,
                              [rows, *space[1:]])
                      for i, rows in enumerate(stripes)]
-        t0 = perf_counter()
         outcomes, blocked = join(tasks)
         log.file(outcomes, blocked, self.profiler.current
                  if self.profiler is not None else None)
         for *_, error in outcomes:      # the first, in stripe order
             if error is not None:
                 raise error
-        if self._nest_wall is not None and len(tasks) > 1:
-            self._nest_wall.observe(
-                perf_counter() - t0, backend=self.backend_label,
-                kernel="native" if outcomes[0][2] is None else "tape")
 
     def _run_stripe(self, tape, scalars: list, i: int, box: list):
         return tape.run(self._views(self._ref_arrays(tape), 0,

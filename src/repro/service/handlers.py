@@ -108,31 +108,25 @@ class ServiceState:
         self.registry = MetricsRegistry()
         self.requests_total = self.registry.counter(
             "repro_service_requests_total",
-            help="Requests served, by route, method, and status.",
-            deterministic=False)
+            help="Requests served, by route, method, and status.")
         self.coalesced_total = self.registry.counter(
             "repro_service_coalesced_total",
             help="Compilations by coalescing role: a leader ran the "
                  "compiler, a follower reused an in-flight leader's "
-                 "future.",
-            deterministic=False)
+                 "future.")
         self.rejected_total = self.registry.counter(
             "repro_service_rejected_total",
-            help="Jobs shed by admission control (HTTP 429).",
-            deterministic=False)
+            help="Jobs shed by admission control (HTTP 429).")
         self.inflight = self.registry.gauge(
             "repro_service_inflight_requests",
-            help="Requests currently being handled.",
-            deterministic=False)
+            help="Requests currently being handled.")
         self.job_seconds = self.registry.histogram(
             "repro_service_job_seconds",
-            help="Wall-clock seconds per job, by kind.",
-            deterministic=False)
+            help="Wall-clock seconds per job, by kind.")
         self.cache_events = self.registry.gauge(
             "repro_service_cache_events",
             help="Cumulative cache counters (hits, misses, ...), by "
-                 "cache label; refreshed at scrape time.",
-            deterministic=False)
+                 "cache label; refreshed at scrape time.")
 
     # -- cache stats --------------------------------------------------------
     def cache_stats(self) -> dict[str, dict[str, float]]:

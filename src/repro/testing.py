@@ -305,19 +305,10 @@ def backend_equivalence_check(program: GeneratedProgram,
     :func:`one_row_strips` — so the contract covers the strip-mined
     path of the shared nest evaluator, not only whole-box strips.
 
-    Each backend run also executes under a fresh live
-    :class:`~repro.obs.metrics.MetricsRegistry`, and the
-    backend-invariant metric series (``invariant=True``: modelled
-    seconds, event counts, peak memory — everything not derived from a
-    wall clock or a backend-specific mechanism) must be *bitwise*
-    identical across backends; wall-clock and backend-local series are
-    excluded by construction via the invariant tag.
-
     ``outputs`` overrides the default (every program array
     observable) so loop passes that require a dead scratch array can
     fire.
     """
-    from repro.obs import metrics as _metrics
     for level in levels:
         compiled = compile_hpf(program.source, bindings=program.bindings,
                                level=level,
@@ -325,7 +316,6 @@ def backend_equivalence_check(program: GeneratedProgram,
         for grid in grids:
             results = {}
             logs = {}
-            inv_snaps = {}
             # labelled by backend AND kwargs: a sweep may name one
             # backend several times (parallel at 1, 2, 3 workers)
             runs = [(f"{backend}{extra or ''}{note}", backend, extra, strips)
@@ -334,16 +324,13 @@ def backend_equivalence_check(program: GeneratedProgram,
                     for backend, extra in backends]
             for label, backend, extra, strips in runs:
                 machine = Machine(grid=grid, keep_message_log=True)
-                registry = _metrics.MetricsRegistry()
-                with _backend_run_context(backend), strips(), \
-                        _metrics.use_registry(registry):
+                with _backend_run_context(backend), strips():
                     results[label] = compiled.run(
                         machine, inputs=inputs, scalars=program.scalars,
                         iterations=iterations, backend=backend,
                         profile=True, **extra)
                 logs[label] = [(m.src, m.dst, m.nbytes, m.tag)
                                for m in machine.network.log]
-                inv_snaps[label] = registry.invariant_snapshot()
             base = runs[0][0]
             a = results[base]
             for label, _, _, _ in runs[1:]:
@@ -373,7 +360,3 @@ def backend_equivalence_check(program: GeneratedProgram,
                     f"communication matrices diverged: {ctx}")
                 assert a.profile.totals["messages_by_class"] == \
                     b.profile.totals["messages_by_class"], ctx
-                assert inv_snaps[base] == inv_snaps[label], (
-                    f"backend-invariant metric series diverged: {ctx}\n"
-                    f"{base}: {inv_snaps[base]}\n"
-                    f"{label}: {inv_snaps[label]}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,17 @@ SRC = Path(repro.__file__).parents[1]
 #: a ``--cache-dir`` as the commit before :mod:`repro.store` left it: one
 #: plan entry and ``kernels/<key>.py``, the since-retired kernel-source tier
 PARENT_CACHE = Path(__file__).parent / "fixtures" / "parent_cache"
+
+#: One line of Prometheus text exposition 0.0.4: a ``# HELP`` / ``# TYPE``
+#: comment or a sample (name, optional label set, value).
+PROM_LINE = re.compile(
+    r'^(?:'
+    r'# (?:HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* \S.*'
+    r'|[a-zA-Z_:][a-zA-Z0-9_:]*'
+    r'(?:\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
+    r'(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})?'
+    r' (?:[+-]?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|Inf)|NaN)'
+    r')$')
 
 try:
     from hypothesis import settings as _hyp_settings

@@ -54,6 +54,29 @@ class TestAppend:
         ledger.append(fingerprint="fp", extra={"grid": "2x2"})
         assert ledger.records()[0]["extra"] == {"grid": "2x2"}
 
+    def test_short_write_finishes_the_record(self, path, monkeypatch):
+        """``os.write`` may write fewer bytes than asked; a record cut
+        there would be lost to the next append's torn-tail heal."""
+        ledger = RunLedger(path)
+        ledger.append(fingerprint="fp", plan_key="first")
+        real_write = os.write
+
+        def half_write(fd, data):
+            return real_write(fd, bytes(data[:max(1, len(data) // 2)]))
+
+        monkeypatch.setattr(os, "write", half_write)
+        ledger.append(fingerprint="fp", plan_key="second")
+        monkeypatch.undo()
+        ledger.append(fingerprint="fp", plan_key="third")
+        assert [r["plan_key"] for r in ledger.records()] == [
+            "first", "second", "third"]
+        assert ledger.corrupt_lines == 0
+
+    def test_write_without_progress_raises(self, path, monkeypatch):
+        monkeypatch.setattr(os, "write", lambda fd, data: 0)
+        with pytest.raises(OSError, match="no progress"):
+            RunLedger(path).append(fingerprint="fp")
+
 
 class TestRead:
     def test_missing_file_is_empty(self, path):

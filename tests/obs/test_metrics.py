@@ -1,6 +1,6 @@
 """Metrics-registry tests: counter/gauge/histogram semantics, the
 zero-overhead null default, scoped installation, JSON and Prometheus
-exports, the invariant snapshot, and the shared CacheStats schema."""
+exports, and the shared CacheStats schema."""
 
 import json
 import threading
@@ -8,12 +8,10 @@ import threading
 import pytest
 
 from repro.obs import metrics as m
-from repro.obs.export import (
-    metrics_from_json, metrics_to_json, prometheus_text,
-)
+from repro.obs.export import metrics_to_json, prometheus_text
 from repro.obs.metrics import (
     CacheStats, MetricsRegistry, NULL_REGISTRY, format_labels,
-    label_key, registry_from_dict, use_registry,
+    label_key, use_registry,
 )
 
 
@@ -38,6 +36,15 @@ class TestCounter:
         reg = MetricsRegistry()
         with pytest.raises(ValueError, match="cannot decrease"):
             reg.counter("x_total").inc(-1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_inc_raises(self, bad):
+        reg = MetricsRegistry()
+        c = reg.counter("x_total")
+        c.inc(2)
+        with pytest.raises(ValueError, match="finite"):
+            c.inc(bad)
+        assert c.value() == 2.0
 
     def test_label_order_canonical(self):
         reg = MetricsRegistry()
@@ -80,6 +87,16 @@ class TestHistogram:
         h = reg.histogram("h", buckets=(1.0,))
         h.observe(1.0)
         assert h.value()["counts"] == [1, 0]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_observe_raises(self, bad):
+        reg = MetricsRegistry()
+        h = reg.histogram("lat", buckets=(0.1, 1.0))
+        h.observe(0.5)
+        with pytest.raises(ValueError, match="finite"):
+            h.observe(bad)
+        assert h.value() == {"counts": [0, 1, 0], "sum": 0.5, "count": 1}
 
     def test_bad_buckets_raise(self):
         reg = MetricsRegistry()
@@ -141,7 +158,6 @@ class TestNullRegistry:
         NULL_REGISTRY.gauge("z").set(2)
         assert NULL_REGISTRY.metrics() == []
         assert NULL_REGISTRY.to_dict()["metrics"] == []
-        assert NULL_REGISTRY.invariant_snapshot() == {}
 
     def test_shared_handle(self):
         # all registrations return one shared object: no allocation in
@@ -276,12 +292,10 @@ class TestContextScoping:
 class TestJsonExport:
     def build(self):
         reg = MetricsRegistry()
-        c = reg.counter("c_total", help="a counter", invariant=True)
+        c = reg.counter("c_total", help="a counter")
         c.inc(2, kind="x")
-        g = reg.gauge("g", deterministic=False)
-        g.set(1.5, pe="0")
-        h = reg.histogram("h_seconds", buckets=(0.1, 1.0),
-                          deterministic=False)
+        reg.gauge("g").set(1.5, pe="0")
+        h = reg.histogram("h_seconds", buckets=(0.1, 1.0))
         h.observe(0.05, phase="parse")
         h.observe(2.0, phase="parse")
         return reg
@@ -289,32 +303,27 @@ class TestJsonExport:
     def test_round_trip_exact(self):
         reg = self.build()
         doc = reg.to_dict()
-        assert doc["type"] == "metrics" and doc["version"] == 1
-        revived = registry_from_dict(doc)
-        assert revived.to_dict() == doc
-        # through the JSON text layer too
+        assert doc["type"] == "metrics" and doc["version"] == 2
         text = metrics_to_json(reg)
-        assert metrics_to_json(metrics_from_json(text)) == text
         assert json.loads(text) == doc
-
-    def test_flags_survive(self):
-        revived = registry_from_dict(self.build().to_dict())
-        assert revived.get("c_total").invariant
-        assert not revived.get("g").deterministic
-        assert revived.get("h_seconds").buckets == (0.1, 1.0)
-
-    def test_rejects_wrong_type_and_version(self):
-        with pytest.raises(ValueError, match="not a metrics"):
-            registry_from_dict({"type": "run", "version": 1})
-        with pytest.raises(ValueError, match="unsupported"):
-            registry_from_dict({"type": "metrics", "version": 99})
+        # version 2: an entry is its name, kind, help, buckets (for a
+        # histogram) and samples — no determinism tags
+        entries = {e["name"]: e for e in doc["metrics"]}
+        assert set(entries["c_total"]) == {"name", "kind", "help",
+                                           "samples"}
+        assert entries["c_total"]["samples"] == [
+            {"labels": {"kind": "x"}, "value": 2.0}]
+        assert entries["h_seconds"]["buckets"] == [0.1, 1.0]
+        assert entries["h_seconds"]["samples"] == [
+            {"labels": {"phase": "parse"}, "counts": [1, 0, 1],
+             "sum": 2.05, "count": 2}]
 
 
 class TestPrometheusText:
     def test_exposition_shape(self):
         reg = MetricsRegistry()
         reg.counter("c_total", help="help text").inc(3, kind="x")
-        reg.gauge("wall", deterministic=False).set(1.5)
+        reg.gauge("wall").set(1.5)
         h = reg.histogram("lat_seconds", buckets=(0.1, 1.0))
         h.observe(0.05)
         h.observe(0.5)
@@ -322,7 +331,7 @@ class TestPrometheusText:
         assert "# HELP c_total help text\n" in text
         assert "# TYPE c_total counter\n" in text
         assert 'c_total{kind="x"} 3\n' in text
-        assert "# repro-nondeterministic wall\n" in text
+        assert "# TYPE wall gauge\nwall 1.5\n" in text
         # histogram buckets are cumulative and +Inf-terminated
         assert 'lat_seconds_bucket{le="0.1"} 1\n' in text
         assert 'lat_seconds_bucket{le="1"} 2\n' in text
@@ -339,25 +348,6 @@ class TestPrometheusText:
         reg.counter("c").inc(path='a"b\\c\nd')
         text = prometheus_text(reg)
         assert 'c{path="a\\"b\\\\c\\nd"} 1\n' in text
-
-
-class TestInvariantSnapshot:
-    def test_only_invariant_series(self):
-        reg = MetricsRegistry()
-        reg.counter("inv_total", invariant=True).inc(5, event="x")
-        reg.counter("var_total").inc(1)
-        reg.gauge("wall", deterministic=False).set(0.1)
-        snap = reg.invariant_snapshot()
-        assert set(snap) == {"inv_total"}
-        assert snap["inv_total"] == {'{event="x"}': 5.0}
-
-    def test_bitwise_comparable(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for reg in (a, b):
-            reg.counter("n", invariant=True).inc(0.1 + 0.2)
-        assert a.invariant_snapshot() == b.invariant_snapshot()
-        b.counter("n").inc(1e-12)  # far below any rtol, still bitwise-visible
-        assert a.invariant_snapshot() != b.invariant_snapshot()
 
 
 class TestLabelHelpers:

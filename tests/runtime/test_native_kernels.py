@@ -285,11 +285,10 @@ class TestPlanLevelSelection:
     def test_a_plan_above_the_constant_runs_natively(self):
         tracer = Tracer()
         result, registry, plan = run_registry_kernel(tracer=tracer)
-        assert kernel_counts(registry) == {("built", None): 1.0} or \
-            kernel_counts(registry) == {("loaded", None): 1.0}
-        nest = registry.get("repro_nest_wall_seconds")
-        assert nest.value(backend="vectorized", kernel="native")["count"] > 0
-        assert nest.value(backend="vectorized", kernel="tape") is None
+        # one kernel obtained and no ``fallback`` sample: no nest, at
+        # plan level or per call, ran the tape
+        assert kernel_counts(registry) in ({("built", None): 1.0},
+                                           {("loaded", None): 1.0})
         span = tracer.find("native-build")
         assert span.attrs["status"] in ("built", "loaded")
         assert tracer.find("execute").children[0] is span
@@ -479,12 +478,11 @@ def test_parallel_workers_inherit_kernels_and_never_compile(monkeypatch,
         result, registry, _ = run_registry_kernel(backend="parallel",
                                                   workers=3)
     assert native.compiler_runs() == runs + 1
-    # per-call fallbacks are counted from the stripes' own threads
+    # per-call fallbacks are counted from the stripes' own threads, so
+    # no ``fallback`` sample means every stripe ran the kernel
     assert kernel_counts(registry) == {("built", None): 1.0}
     assert registry.get("repro_parallel_nests_total").samples() == [
         ((("mode", "striped"),), 1.0)]
-    assert registry.get("repro_nest_wall_seconds").value(
-        backend="parallel", kernel="native")["count"] == 1
     assert digests(result) == digests(expected)
 
 

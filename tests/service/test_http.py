@@ -30,19 +30,9 @@ from repro.kernels import run_kernel
 from repro.obs.ledger import RunLedger
 from repro.service import ReproService, WorkerPool
 from repro.service.handlers import COMPILE_FINGERPRINT
-from tests.conftest import PARENT_CACHE, python_child, retired_kernel_file
-
-# the CI metrics-smoke grammar, verbatim
-PROM_LINE = re.compile(
-    r'^(?:'
-    r'# (?:HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* \S.*'
-    r'|# repro-nondeterministic [a-zA-Z_:][a-zA-Z0-9_:]*'
-    r'|[a-zA-Z_:][a-zA-Z0-9_:]*'
-    r'(?:\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
-    r'(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})?'
-    r' (?:[+-]?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|Inf)|NaN)'
-    r')$')
-
+from tests.conftest import (
+    PARENT_CACHE, PROM_LINE, python_child, retired_kernel_file,
+)
 
 class ServiceHarness:
     """A live server on a daemon event-loop thread."""
@@ -315,14 +305,18 @@ class TestRunFidelity:
             np.testing.assert_array_equal(decoded, arr)
 
     def test_run_embeds_metrics_and_profile_documents(self, harness):
-        from repro.obs import metrics_from_json, profile_from_json
+        from repro.obs import profile_from_json
 
         doc = harness.json("POST", "/run",
                            {**FIVE_O2, "profile": True})
-        # both embedded documents round-trip through their own readers
-        registry = metrics_from_json(json.dumps(doc["metrics"]))
-        names = {m.name for m in registry.metrics()}
-        assert "repro_nest_wall_seconds" in names
+        # the run's own counts beside its summary (its cost)
+        metrics = doc["metrics"]
+        assert metrics["type"] == "metrics" and metrics["version"] == 2
+        runs = {m["name"]: m["samples"] for m in metrics["metrics"]}[
+            "repro_exec_runs_total"]
+        assert runs == [{"labels": {"backend": "perpe"}, "value": 1.0}]
+        assert doc["summary"]["messages"] > 0
+        # the profile round-trips through its own reader
         profile = profile_from_json(json.dumps(doc["profile"]))
         assert profile.kernel == "five_point"
 

@@ -8,7 +8,7 @@ from repro import kernels
 from repro.__main__ import main
 from repro.compiler import OptLevel
 from tests.conftest import (
-    PARENT_CACHE, SRC, python_child, retired_kernel_file,
+    PARENT_CACHE, PROM_LINE, SRC, python_child, retired_kernel_file,
 )
 
 DEFAULT = OptLevel.DEFAULT.name
@@ -515,16 +515,21 @@ class TestMetricsCommand:
         assert main(["metrics", "five_point", "--grid", "2x2",
                      "--bind", "N=8"]) == 0
         out = capsys.readouterr().out
-        assert "repro_compile_phase_seconds" in out
-        assert "repro_exec_events_total" in out
-        assert "backend-invariant" in out
+        assert "repro_compiles_total [counter]" in out
+        assert 'repro_exec_runs_total [counter]\n' in out
+        assert '{backend="perpe"}: 1' in out
 
     def test_json_round_trips(self, capsys):
-        from repro.obs import metrics_from_json, metrics_to_json
+        import json
         assert main(["metrics", "five_point", "--bind", "N=8",
                      "--json"]) == 0
         text = capsys.readouterr().out
-        assert metrics_to_json(metrics_from_json(text)) == text
+        doc = json.loads(text)
+        assert json.dumps(doc, sort_keys=True) + "\n" == text
+        assert doc["type"] == "metrics" and doc["version"] == 2
+        for entry in doc["metrics"]:
+            assert set(entry) - {"buckets"} == {"name", "kind", "help",
+                                               "samples"}
 
     def test_prom_exposition(self, capsys):
         assert main(["metrics", "five_point", "--bind", "N=8",
@@ -532,7 +537,26 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         assert "# TYPE repro_exec_runs_total counter" in out
         assert 'repro_exec_runs_total{backend="perpe"} 1\n' in out
-        assert "# repro-nondeterministic repro_exec_wall_seconds" in out
+
+    def test_prom_exposition_line_grammar(self, capsys):
+        """Every line of a live run's exposition is a ``# HELP`` /
+        ``# TYPE`` comment or a sample of a family typed above it."""
+        assert main(["metrics", "nine_point", "--grid", "4x4",
+                     "--iters", "2", "--prom"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        bad = [line for line in lines if not PROM_LINE.match(line)]
+        assert not bad, f"malformed exposition lines: {bad[:5]}"
+        typed: set[str] = set()
+        samples = 0
+        for line in lines:
+            if line.startswith("# TYPE "):
+                typed.add(line.split()[2])
+            elif not line.startswith("#"):
+                name = line.split("{")[0].split()[0]
+                assert name in typed or name.rsplit("_", 1)[0] in typed, \
+                    line
+                samples += 1
+        assert samples and "repro_exec_runs_total" in typed
 
     def test_out_suffix_dispatch(self, tmp_path, capsys):
         import json
@@ -544,7 +568,7 @@ class TestMetricsCommand:
         assert "wrote metrics to" in capsys.readouterr().err
         assert prom.read_text().startswith("# HELP")
         doc = json.loads(js.read_text())
-        assert doc["type"] == "metrics" and doc["version"] == 1
+        assert doc["type"] == "metrics" and doc["version"] == 2
 
     def test_ledger_append(self, tmp_path, capsys):
         from repro.obs.ledger import RunLedger
@@ -587,7 +611,8 @@ class TestMetricsCommand:
         assert main(["profile", p9_file, "--bind", "N=16",
                      "--output", "T", "--metrics", str(mpath)]) == 0
         capsys.readouterr()
-        assert "repro_exec_wall_seconds" in mpath.read_text()
+        assert 'repro_exec_runs_total{backend="perpe"} 1' in \
+            mpath.read_text()
 
 
 IN_PROCESS_PROBE = """\
