@@ -118,13 +118,12 @@ def _plan_cache(args: argparse.Namespace):
 # -- the one run behind run/trace/profile/metrics ---------------------------
 
 def _execute(args: argparse.Namespace, registry=None, tracer=None,
-             trace_run: bool = False, profile: bool = False):
+             profile: bool = False):
     """Compile and run the job ``args`` describes; write the
     ``--metrics`` file and the ``--ledger`` record where the command
     has those flags (either makes the run's registry live; without
     them it stays the null default, zero overhead).  ``tracer`` follows
-    the compilation, and the run too when ``trace_run``.  Returns the
-    execution result."""
+    the compilation and the run.  Returns the execution result."""
     from repro.obs import MetricsRegistry, use_registry
 
     job = _job(args, profile=profile)
@@ -137,8 +136,7 @@ def _execute(args: argparse.Namespace, registry=None, tracer=None,
         compiled = job.compile.compile(cache=_plan_cache(args),
                                        tracer=tracer)
         machine = job.machine.build()
-        result = job.execute(
-            compiled, machine, tracer=tracer if trace_run else None)
+        result = job.execute(compiled, machine, tracer=tracer)
     if metrics_path:
         # .prom/.txt: Prometheus text exposition; else versioned JSON
         from repro.obs import write_metrics, write_prometheus
@@ -200,7 +198,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Tracer
 
     tracer = Tracer()
-    result = _execute(args, tracer=tracer, trace_run=True)
+    result = _execute(args, tracer=tracer)
     if args.out:
         tracer.write_jsonl(args.out)
         print(f"wrote {sum(1 for _ in tracer.spans())} spans to "
@@ -218,7 +216,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.analysis.report import describe_profile
     from repro.obs import Tracer, write_chrome_trace, write_profile
 
-    # tracer feeds the Chrome trace's compile-passes track
+    # the Chrome trace's wall-time track: compile spans and op spans
     tracer = Tracer() if args.chrome else None
     profile = _execute(args, tracer=tracer, profile=True).profile
     if args.out:
@@ -410,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the versioned profile.json to FILE")
     p.add_argument("--chrome", default=None, metavar="FILE",
                    help="write a Chrome/Perfetto trace (one track per "
-                        "PE plus the compile-passes track) to FILE")
+                        "PE plus a wall-time track of the compile and "
+                        "op spans) to FILE")
     p.add_argument("--json", action="store_true",
                    help="print profile.json to stdout instead of the "
                         "text report")

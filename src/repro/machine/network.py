@@ -154,6 +154,11 @@ class Charges:
         self.copies += 1
         self.copy_elements += nelems
 
+    def credit(self, pe: int, seconds: float) -> None:
+        """``seconds`` of ``pe``'s time hidden behind its messages (an
+        overlapped region's credit): a negated ``pe_times`` addend."""
+        self._add("pe_times", pe, -seconds)
+
     def record_batch(self, transfers: "list[tuple[int, int, int]]",
                      itemsize: int, tag: str = "") -> None:
         """``(src, dst, nelems)`` transfers in order, each charged to its

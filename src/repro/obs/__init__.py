@@ -26,7 +26,7 @@ from repro.obs.metrics import (  # noqa: F401
     get_registry, use_registry,
 )
 from repro.obs.profile import (  # noqa: F401
-    CommProfile, MATRIX_CLASSES, OpSample, PHASES, ProfileCollector,
+    CommProfile, MATRIX_CLASSES, PHASES, ProfileCollector,
 )
 from repro.obs.tracer import (  # noqa: F401
     NULL_TRACER, NullTracer, Span, TRACE_SCHEMA, Tracer, coalesce,

@@ -5,7 +5,8 @@ Three machine-readable formats leave the repo from here:
 * **Chrome Trace Event JSON** (:func:`chrome_trace`), loadable in
   Perfetto / ``chrome://tracing``: one track (thread) per PE carrying the
   profile's modelled-time phase slices, plus a separate process track
-  with the compiler's wall-clock pass spans when a
+  with the tracer's wall-clock spans (compile passes, and the run's op
+  spans the profile was read from) when a
   :class:`~repro.obs.tracer.Tracer` is supplied.  Modelled time and wall
   time run on different clocks, so they live in different ``pid``
   tracks rather than sharing a timeline.  Export degrades gracefully:
@@ -41,10 +42,10 @@ PROFILE_SCHEMA = {"type": "comm_profile", "version": 1}
 #: Versions :func:`profile_from_json` understands.
 _READABLE_PROFILE_VERSIONS = (1,)
 
-#: Chrome-trace process ids: compile spans (wall clock) vs execution
-#: timeline (modelled clock) vs measured per-worker wall clock (present
-#: only for the ``parallel`` backend).
-COMPILE_PID = 0
+#: Chrome-trace process ids: the tracer's spans (wall clock) vs
+#: execution timeline (modelled clock) vs measured per-worker wall clock
+#: (present only for the ``parallel`` backend).
+WALL_PID = 0
 EXEC_PID = 1
 WORKERS_PID = 2
 
@@ -60,7 +61,7 @@ def chrome_trace(profile: CommProfile,
     Returns the JSON-object format (``{"traceEvents": [...]}``) with
     complete (``ph: "X"``) events.  Timestamps are microseconds;
     execution events use the profile's modelled clock starting at 0,
-    compile events (if ``tracer`` given) use wall clock rebased to the
+    span events (if ``tracer`` given) use wall clock rebased to the
     earliest span.
     """
     events: list[dict] = []
@@ -114,17 +115,17 @@ def chrome_trace(profile: CommProfile,
 
     if tracer is not None and tracer.roots:
         events.append({"name": "process_name", "ph": "M",
-                       "pid": COMPILE_PID, "tid": 0,
-                       "args": {"name": "compiler (wall time)"}})
+                       "pid": WALL_PID, "tid": 0,
+                       "args": {"name": "wall time"}})
         events.append({"name": "thread_name", "ph": "M",
-                       "pid": COMPILE_PID, "tid": 0,
-                       "args": {"name": "passes"}})
+                       "pid": WALL_PID, "tid": 0,
+                       "args": {"name": "spans"}})
         t0 = min(span.t_start for span in tracer.spans())
         for span, sid, _parent in tracer.iter_with_ids():
             args: dict[str, object] = {"id": sid, **span.attrs}
             events.append({
                 "name": span.name, "cat": span.kind or "span", "ph": "X",
-                "pid": COMPILE_PID, "tid": 0,
+                "pid": WALL_PID, "tid": 0,
                 "ts": _sec_to_us(span.t_start - t0),
                 "dur": _sec_to_us(max(0.0, span.duration)),
                 "args": args,

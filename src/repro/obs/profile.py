@@ -2,11 +2,10 @@
 
 The tracer (:mod:`repro.obs.tracer`) answers *how long* each stage took;
 this module answers the paper's structural questions — *where bytes
-move*.  A :class:`ProfileCollector` rides along with the executor's op
-dispatch (both backends share the hook, so profiles are part of the
-backend-equivalence contract), and :class:`CommProfile` condenses the
-collected samples plus the :class:`~repro.machine.network.Network`
-message log into three artifacts:
+move*.  A profiled run's ``op`` spans are its one op stack: a
+:class:`ProfileCollector` on the :class:`~repro.machine.network.Network`
+credits each replayed recording to the open op span, and
+:class:`CommProfile` condenses credits, spans and message log into:
 
 * a per-PE-pair **communication matrix** (messages and bytes), split by
   tag class (``halo`` / ``rsd`` / ``bufshift`` / ``allreduce``, see
@@ -23,15 +22,14 @@ message log into three artifacts:
 Caveats, stated once: the matrix covers logged point-to-point messages
 (self-sends are priced as local copies and carry no message record;
 reduction collectives log one record per butterfly round through
-:meth:`~repro.machine.network.Network.allreduce`, identically on every
-backend), and an :class:`~repro.plan.OverlappedOp`'s
-communication-hiding credit can shrink its compute slice to zero.
+:meth:`~repro.machine.network.Charges.allreduce`), and an
+:class:`~repro.plan.OverlappedOp`'s communication-hiding credit can
+shrink its compute slice to zero.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import MachineError
 from repro.machine.network import TAG_CLASSES, tag_class
@@ -43,126 +41,63 @@ MATRIX_CLASSES = TAG_CLASSES + ("other",)
 PHASES = ("comm", "copy", "compute")
 
 
-@dataclass
-class OpSample:
-    """Attribution record of one executed plan op.
-
-    ``pe_time``/``pe_comm``/``pe_copy`` are **self** per-PE modelled
-    seconds: the per-PE sums of the charges the op replayed itself (a
-    container op — DO loop, IF, overlapped region — owns only the cost
-    it charges directly, plus an overlapped region's hiding credit).
-    ``wall_self`` is the self wall-clock of dispatching the op in the
-    simulator.
-    """
-
-    index: int
-    parent: int          # index of the enclosing sample, -1 at top level
-    depth: int
-    name: str
-    detail: str
-    wall_incl: float = 0.0
-    wall_self: float = 0.0
-    #: wall-clock offset of the op's start relative to the collector's
-    #: first sample — the clock worker tracks share
-    t_start: float = 0.0
-    pe_time: list[float] = field(default_factory=list)
-    pe_comm: list[float] = field(default_factory=list)
-    pe_copy: list[float] = field(default_factory=list)
-    messages: int = 0    # self logged point-to-point messages
-    msg_bytes: int = 0
-    finish_order: int = -1
-
-    @property
-    def modelled_self(self) -> float:
-        """BSP-style self time: the slowest PE's share of this op."""
-        return max(self.pe_time, default=0.0)
-
-
 class ProfileCollector:
-    """Collects per-op attribution samples during one execution.
+    """The network observer of one profiled run: every recording
+    :meth:`~repro.machine.network.Network.replay` applies is credited
+    to the innermost open span of ``tracer`` — the op that replayed it —
+    so container ops never double-count their children."""
 
-    The executor calls :meth:`begin`/:meth:`end` around every op
-    dispatch (including recursive dispatch inside loop bodies), and the
-    network hands over every recording it replays (:meth:`charge`),
-    credited to the innermost open op — so each sample's cost is its
-    own, and nested container ops never double-count their children.
-    """
-
-    def __init__(self, machine,
-                 clock=time.perf_counter) -> None:
+    def __init__(self, machine, tracer) -> None:
         if not machine.network.keep_log:
             raise MachineError(
                 "profiling needs the network message log; construct the "
                 "Machine with keep_message_log=True")
-        self.machine = machine
-        self._clock = clock
-        self.samples: list[OpSample] = []
-        #: open samples, innermost last, with their start times
-        self._stack: list[tuple[OpSample, float]] = []
-        self._finished = 0
-        self.wall_start: float | None = None
-        self.wall_end: float = 0.0
-        #: measured per-worker tracks, published by the ``parallel``
-        #: backend at the end of its run (see :class:`CommProfile`)
-        self.worker_tracks: list[dict] | None = None
-
-    def begin(self, name: str, attrs: dict) -> OpSample:
-        now = self._clock()
-        if self.wall_start is None:
-            self.wall_start = now
-        npes = self.machine.npes
-        sample = OpSample(index=len(self.samples),
-                          parent=self._stack[-1][0].index
-                          if self._stack else -1,
-                          depth=len(self._stack), name=name,
-                          detail=" ".join(f"{k}={v}"
-                                          for k, v in attrs.items()),
-                          t_start=now - self.wall_start,
-                          pe_time=[0.0] * npes, pe_comm=[0.0] * npes,
-                          pe_copy=[0.0] * npes)
-        self.samples.append(sample)
-        self._stack.append((sample, now))
-        return sample
+        self.npes = machine.npes
+        self.tracer = tracer
+        #: ``id`` of an op span -> what it replayed itself: per-PE
+        #: ``pe_times`` / ``pe_comm_times`` / ``pe_copy_times`` sums,
+        #: then its logged messages and their bytes
+        self.credits: dict[int, list] = {}
 
     def charge(self, charges) -> None:
         """Credit one replayed :class:`~repro.machine.network.Charges`
-        to the innermost open op (every charge is made inside one)."""
-        sample = self._stack[-1][0]
-        for own, sums in zip((sample.pe_time, sample.pe_comm,
-                              sample.pe_copy), charges.pe_sums()):
+        to the innermost open span (every charge is made inside an op)."""
+        key = id(self.tracer.current)
+        credit = self.credits.get(key)
+        if credit is None:
+            credit = self.credits[key] = [
+                [0.0] * self.npes for _ in range(3)] + [0, 0]
+        for own, sums in zip(credit, charges.pe_sums()):
             for pe, value in enumerate(sums):
                 own[pe] += value
-        sample.messages += charges.messages
-        sample.msg_bytes += charges.message_bytes
-
-    def end(self, sample: OpSample) -> None:
-        now = self._clock()
-        self.wall_end = now
-        popped, t0 = self._stack.pop()
-        assert popped is sample, "unbalanced profiler begin/end"
-        sample.wall_incl = now - t0
-        # its children subtracted their inclusive time as they ended
-        sample.wall_self += sample.wall_incl
-        if self._stack:
-            self._stack[-1][0].wall_self -= sample.wall_incl
-        sample.finish_order = self._finished
-        self._finished += 1
-
-    @property
-    def current(self) -> "OpSample | None":
-        """The innermost op being dispatched right now."""
-        return self._stack[-1][0] if self._stack else None
-
-    @property
-    def wall_total(self) -> float:
-        if self.wall_start is None:
-            return 0.0
-        return self.wall_end - self.wall_start
+        credit[3] += charges.messages
+        credit[4] += charges.message_bytes
 
 
-def _empty_matrix(npes: int) -> dict[str, list[list[int]]]:
-    return {"messages": [[0] * npes for _ in range(npes)],
-            "bytes": [[0] * npes for _ in range(npes)]}
+def _op_tree(run) -> tuple[list[list], list[int]]:
+    """The ``op`` spans under ``run`` (an ``execute`` span), through
+    ``iteration`` spans: ``[span, depth, self wall seconds]`` in
+    preorder — an op's index is its position — and the indices in
+    postorder, the order the ops finished.  Depth counts op ancestors;
+    self wall time is the span's duration minus its nearest op
+    descendants'."""
+    ops: list[list] = []
+    finished: list[int] = []
+
+    def visit(span, depth: int, parent: "int | None") -> None:
+        for child in span.children:
+            if child.kind != "op":
+                visit(child, depth, parent)
+                continue
+            index = len(ops)
+            ops.append([child, depth, child.duration])
+            if parent is not None:
+                ops[parent][2] -= child.duration
+            visit(child, depth + 1, index)
+            finished.append(index)
+
+    visit(run, 0, None)
+    return ops, finished
 
 
 @dataclass
@@ -190,29 +125,38 @@ class CommProfile:
     #: ``parallel`` backend: ``[{"worker", "wall_s", "events": [{"op",
     #: "name", "depth", "t0", "t1"}]}]`` — one event per nest (worker 0,
     #: the calling thread) or stripe that worker ran, seconds since the
-    #: run's first op; ``wall_s`` is their sum
+    #: run started; ``wall_s`` is their sum
     worker_tracks: list[dict] | None = None
 
     # -- construction --------------------------------------------------------
     @classmethod
-    def from_run(cls, machine, collector: ProfileCollector, *,
+    def from_run(cls, machine, collector: ProfileCollector, run,
+                 worker_tracks: "list[dict] | None" = None, *,
                  backend: str, kernel: str | None = None,
                  level: str | None = None) -> "CommProfile":
+        """Condense the run whose ``execute`` span is ``run``.
+        ``worker_tracks``, from the ``parallel`` backend, carry their
+        events as ``(op span, t0, t1)``."""
         npes = machine.npes
-        matrix = {c: _empty_matrix(npes) for c in MATRIX_CLASSES}
+        matrix = {c: {key: [[0] * npes for _ in range(npes)]
+                      for key in ("messages", "bytes")}
+                  for c in MATRIX_CLASSES}
         for rec in machine.network.log:
             m = matrix[tag_class(rec.tag)]
             m["messages"][rec.src][rec.dst] += 1
             m["bytes"][rec.src][rec.dst] += rec.nbytes
 
+        ops, finished = _op_tree(run)
+        zero = [[0.0] * npes] * 3 + [0, 0]
+        credits = [collector.credits.get(id(span), zero)
+                   for span, _, _ in ops]
         timeline: list[list[dict]] = [[] for _ in range(npes)]
         cursor = [0.0] * npes
-        ordered = sorted(collector.samples, key=lambda s: s.finish_order)
-        for sample in ordered:
+        for index in finished:
+            name = ops[index][0].name
+            pe_time, pe_comm, pe_copy, _, _ = credits[index]
             for pe in range(npes):
-                own = sample.pe_time[pe]
-                comm = sample.pe_comm[pe]
-                copy = sample.pe_copy[pe]
+                own, comm, copy = pe_time[pe], pe_comm[pe], pe_copy[pe]
                 # a residue within rounding of the op's own time (its
                 # addends summed per row in another order) is no compute
                 compute = own - comm - copy
@@ -225,20 +169,21 @@ class CommProfile:
                         continue
                     timeline[pe].append({
                         "t0": t0, "t1": t1, "phase": phase,
-                        "op": sample.index, "name": sample.name})
+                        "op": index, "name": name})
                     cursor[pe] = t1
 
         rows = []
-        for sample in collector.samples:
-            modelled = sample.modelled_self
-            if modelled <= 0.0 and sample.wall_self <= 0.0:
+        for index, (span, _, wall) in enumerate(ops):
+            pe_time, _, _, messages, nbytes = credits[index]
+            # BSP-style self time: the slowest PE's share of this op
+            modelled = max(pe_time, default=0.0)
+            if modelled <= 0.0 and wall <= 0.0:
                 continue
-            rows.append({"op": sample.index, "name": sample.name,
-                         "detail": sample.detail,
-                         "modelled_s": modelled,
-                         "wall_s": max(0.0, sample.wall_self),
-                         "messages": sample.messages,
-                         "bytes": sample.msg_bytes})
+            rows.append({"op": index, "name": span.name,
+                         "detail": " ".join(f"{k}={v}"
+                                            for k, v in span.attrs.items()),
+                         "modelled_s": modelled, "wall_s": max(0.0, wall),
+                         "messages": messages, "bytes": nbytes})
         sum_modelled = sum(r["modelled_s"] for r in rows)
         sum_wall = sum(r["wall_s"] for r in rows)
         if sum_modelled > 0:
@@ -250,13 +195,9 @@ class CommProfile:
             # A comm-free plan models zero seconds: no scale exists, and
             # any scaled-error statistic would be meaningless.  Report
             # both as absent rather than a silently bogus 0.0.
-            scale = None
-            mape = None
-        validation = {
-            "rows": rows,
-            "scale_wall_per_modelled": scale,
-            "mape_pct": mape,
-        }
+            scale = mape = None
+        validation = {"rows": rows, "scale_wall_per_modelled": scale,
+                      "mape_pct": mape}
 
         report = machine.report
         totals = {
@@ -265,7 +206,9 @@ class CommProfile:
             "copies": report.copies,
             "copy_elements": report.copy_elements,
             "modelled_time_s": report.modelled_time,
-            "wall_s": collector.wall_total,
+            # the first op's start to the last op's end
+            "wall_s": ops[finished[-1]][0].t_end - ops[0][0].t_start
+            if ops else 0.0,
             "messages_by_class": {
                 c: sum(map(sum, matrix[c]["messages"]))
                 for c in MATRIX_CLASSES},
@@ -273,10 +216,19 @@ class CommProfile:
                 c: sum(map(sum, matrix[c]["bytes"]))
                 for c in MATRIX_CLASSES},
         }
+        if worker_tracks is not None:
+            at = {id(span): (index, depth)
+                  for index, (span, depth, _) in enumerate(ops)}
+            worker_tracks = [
+                {**track, "events": [
+                    {"op": at[id(span)][0], "name": span.name,
+                     "depth": at[id(span)][1], "t0": t0, "t1": t1}
+                    for span, t0, t1 in track["events"]]}
+                for track in worker_tracks]
         return cls(grid=tuple(machine.grid), npes=npes, backend=backend,
                    matrix=matrix, timeline=timeline,
                    validation=validation, totals=totals, kernel=kernel,
-                   level=level, worker_tracks=collector.worker_tracks)
+                   level=level, worker_tracks=worker_tracks)
 
     # -- queries -------------------------------------------------------------
     def pair_matrix(self, cls_name: str | None = None,

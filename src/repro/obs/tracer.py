@@ -180,10 +180,11 @@ class Tracer:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Tracer":
-        """Rebuild a (closed) trace forest from JSONL text."""
+        """Rebuild a (closed) trace forest from JSONL text; a malformed
+        line raises :class:`ValueError` naming its line number."""
         tracer = cls()
         by_id: dict[object, Span] = {}
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -191,21 +192,26 @@ class Tracer:
             if event.get("type") == "trace":
                 if event.get("version") not in _READABLE_VERSIONS:
                     raise ValueError(
-                        f"unsupported trace version {event.get('version')}")
+                        f"line {lineno}: unsupported trace version "
+                        f"{event.get('version')}")
                 continue
             if event.get("type") != "span":
                 continue
             # a v1/v2 span's counters are attributes now
             attrs = {**event.get("attrs", {}), **event.get("counters", {})}
-            span = Span(name=event["name"], kind=event.get("kind", ""),
-                        attrs=attrs, t_start=float(event["start"]),
-                        t_end=float(event["end"]))
-            by_id[event["id"]] = span
             parent = event.get("parent")
-            if parent is None:
-                tracer.roots.append(span)
-            else:
-                by_id[parent].children.append(span)
+            try:
+                span = Span(name=event["name"], kind=event.get("kind", ""),
+                            attrs=attrs, t_start=float(event["start"]),
+                            t_end=float(event["end"]))
+                (tracer.roots if parent is None
+                 else by_id[parent].children).append(span)
+                by_id[event["id"]] = span
+            except KeyError as missing:
+                raise ValueError(
+                    f"line {lineno}: no {missing} (a span needs an id, a "
+                    f"name, a start, an end, and a parent that an earlier "
+                    f"line defined)") from None
         return tracer
 
     # -- rendering -----------------------------------------------------------

@@ -89,10 +89,6 @@ class _Exec:
         # ``workers``: only the ``parallel`` backend acts on it, but it is
         # part of the shared constructor contract so ``execute`` can pass
         # it to any registered backend.
-        #: Optional :class:`repro.obs.profile.ProfileCollector`.  Lives
-        #: on the shared dispatch loop so both backends attribute ops
-        #: identically — part of the backend-equivalence contract.
-        self.profiler = None
         self.plan = plan
         self.machine = machine
         self.darrays: dict[str, DArray] = {}
@@ -133,9 +129,11 @@ class _Exec:
             raise ExecutionError(f"DEALLOCATE of unallocated {name}")
         da.free(self.machine)
 
-    def close(self) -> None:
+    def close(self) -> "list[dict] | None":
         """End of the run, error or not (``execute`` calls it in a
-        ``finally``): a backend with per-run state reports it here."""
+        ``finally``): a backend with per-run state reports it here, and
+        returns its measured worker tracks (see
+        :meth:`repro.obs.profile.CommProfile.from_run`), if it has any."""
 
     def darray(self, name: str) -> DArray:
         try:
@@ -238,22 +236,14 @@ class _Exec:
 
     # -- op dispatch -----------------------------------------------------------
     def run_ops(self, ops: list[PlanOp]) -> None:
-        tracing = self.tracer.enabled
-        profiler = self.profiler
-        if not tracing and profiler is None:
+        if not self.tracer.enabled:
             for op in ops:
                 self._dispatch(op)
             return
         for op in ops:
             name, attrs = op_label(op)
-            sample = profiler.begin(name, attrs) \
-                if profiler is not None else None
-            try:
-                with self.tracer.span(name, kind="op", **attrs):
-                    self._dispatch(op)
-            finally:
-                if sample is not None:
-                    profiler.end(sample)
+            with self.tracer.span(name, kind="op", **attrs):
+                self._dispatch(op)
 
     def do_overlap_shift(self, op: OverlapShiftOp) -> None:
         da = self.darray(op.array)
@@ -373,19 +363,16 @@ class _Exec:
         """Communication overlapped with interior computation: execute
         comm then the nest split into interior/boundary, and credit each
         PE with min(comm, interior) — the time hidden behind the
-        messages.  The credit skips :meth:`Network.replay`, so a profiled
-        run hands it to the overlapped op's sample here."""
+        messages.  The credit is replayed like every other charge, but
+        recorded per run: the comm time is read off the report."""
         report = self.machine.report
         before = list(report.pe_times)
         self.run_ops(op.comm_ops)
         comm_delta = [t1 - t0 for t0, t1 in zip(before, report.pe_times)]
-        own = self.profiler.current.pe_time \
-            if self.profiler is not None else None
+        credit = Charges(self.machine.cost_model)
         for pe, t_interior in self._run_nest(op, op.nest, True).credits:
-            hidden = min(comm_delta[pe], t_interior)
-            report.pe_times[pe] -= hidden
-            if own is not None:
-                own[pe] -= hidden
+            credit.credit(pe, min(comm_delta[pe], t_interior))
+        self.machine.network.replay(credit)
 
     def _run_nest(self, node, nest: LoopNestOp, split: bool) -> _Schedule:
         """Evaluate ``nest`` and replay its charges: ``node``'s schedule."""
@@ -527,17 +514,21 @@ def execute(plan: Plan, machine: Machine,
     in Python per op (reference semantics), ``vectorized`` executes each
     op as whole-array NumPy slab operations while charging the cost
     model identically.
-    ``profile`` attaches a :class:`repro.obs.profile.ProfileCollector`
+    ``profile`` runs under ``tracer`` (a private one when none is
+    given), whose op spans are the run's op stack, and attaches a
+    :class:`repro.obs.profile.ProfileCollector` to the network
     (requires ``keep_message_log=True`` on the machine), which credits
-    every replayed recording to the op that replayed it, and returns the
-    condensed :class:`~repro.obs.profile.CommProfile` on the result.
+    every replayed recording to the op that replayed it; the condensed
+    :class:`~repro.obs.profile.CommProfile` comes back on the result.
     ``workers`` caps the worker threads of the ``parallel`` backend —
     how many row stripes a nest may be cut into (default:
     ``os.cpu_count()``); other backends ignore it.
     """
     from repro.obs import metrics as _metrics
-    from repro.obs.tracer import coalesce
+    from repro.obs.tracer import Tracer, coalesce
     tracer = coalesce(tracer)
+    if profile and not tracer.enabled:
+        tracer = Tracer()
     if reset_machine:
         machine.reset()
     if plan.processors is not None and \
@@ -550,12 +541,12 @@ def execute(plan: Plan, machine: Machine,
     collector = None
     if profile:
         from repro.obs.profile import CommProfile, ProfileCollector
-        collector = ProfileCollector(machine)
-        ex.profiler = machine.network.observer = collector
+        collector = machine.network.observer = ProfileCollector(machine,
+                                                                tracer)
     try:
         with tracer.span("execute", kind="execute",
                          grid="x".join(map(str, machine.grid)),
-                         iterations=iterations, backend=backend):
+                         iterations=iterations, backend=backend) as run:
             # before any nest runs
             prepare(plan, tracer)
             inputs_up = {k.upper(): v for k, v in (inputs or {}).items()}
@@ -575,20 +566,17 @@ def execute(plan: Plan, machine: Machine,
                     ex.release(name)
     finally:
         machine.network.observer = None
-        ex.close()
+        worker_tracks = ex.close()
     _metrics.get_registry().counter(
         "repro_exec_runs_total",
         help="Completed execute() calls by backend.",
     ).inc(backend=backend)
-    comm_profile = None
-    if collector is not None:
-        comm_profile = CommProfile.from_run(machine, collector,
-                                            backend=backend)
     return ExecutionResult(
         arrays=arrays,
         scalars=dict(ex.scalars),
         report=machine.report,
         peak_memory_per_pe=machine.memory.peak_per_pe,
         modelled_time=machine.report.modelled_time,
-        profile=comm_profile,
+        profile=None if collector is None else CommProfile.from_run(
+            machine, collector, run, worker_tracks, backend=backend),
     )

@@ -159,24 +159,25 @@ class _WorkerLog:
         self.start = perf_counter()
         self.blocked = 0.0              # worker 0, waiting at joins
         self.busy = [0.0] * workers     # seconds running nests
-        #: per worker: (op index, name, depth, start, end); profiled runs
+        #: per worker: (op span, start, end), seconds since ``start``;
+        #: profiled runs
         self.events: list[list] = [[] for _ in range(workers)]
         self.nests: Counter = Counter()     # (mode, reason) -> nests
 
-    def file(self, outcomes: list, blocked: float, op) -> None:
+    def file(self, outcomes: list, blocked: float, span) -> None:
         """One nest's ``(start, end, ...)`` per worker, as
         :func:`repro.runtime.parallel.join` returns them, under the
-        profiler's open sample ``op``."""
+        open op span ``span`` of a profiled run."""
         self.blocked += blocked
         for w, (start, end, *_) in enumerate(outcomes):
             self.busy[w] += end - start
-            if op is not None:
+            if span is not None:
                 self.events[w].append(
-                    (op.index, op.name, op.depth, start, end))
+                    (span, start - self.start, end - self.start))
 
-    def publish(self, profiler) -> None:
-        """The run's series on the installed registry and, when a
-        profiler is attached, one measured track per worker."""
+    def publish(self) -> list[dict]:
+        """The run's series on the installed registry; returns one
+        measured track per worker."""
         from repro.obs.metrics import get_registry
         wall = perf_counter() - self.start
         registry = get_registry()
@@ -200,14 +201,9 @@ class _WorkerLog:
             for (mode, reason), n in sorted(self.nests.items(), key=str):
                 nests.inc(n, mode=mode,
                           **({} if reason is None else {"reason": reason}))
-        if profiler is not None:
-            origin = profiler.wall_start or self.start
-            profiler.worker_tracks = [
-                {"worker": w, "wall_s": self.busy[w],
-                 "events": [{"op": op, "name": name, "depth": depth,
-                             "t0": t0 - origin, "t1": t1 - origin}
-                            for op, name, depth, t0, t1 in events]}
-                for w, events in enumerate(self.events)]
+        return [{"worker": w, "wall_s": busy, "events": events}
+                for w, (busy, events) in enumerate(zip(self.busy,
+                                                       self.events))]
 
 
 class VectorizedExec(_Exec):
@@ -243,9 +239,8 @@ class VectorizedExec(_Exec):
             self._registers = [self._bound] + [
                 {} for _ in range(1, self.stripes)]
 
-    def close(self) -> None:
-        if self._log is not None:
-            self._log.publish(self.profiler)
+    def close(self) -> "list[dict] | None":
+        return None if self._log is None else self._log.publish()
 
     def _nest_tape(self, op: LoopNestOp):
         """Whole-space execution requires that no statement read, at a
@@ -281,10 +276,11 @@ class VectorizedExec(_Exec):
         if log is None:
             return whole()
         from repro.runtime.parallel import cut, join
+        profiled = self.machine.network.observer is not None
         stripes = cut(self.stripes, tape, space)
         if isinstance(stripes, str):    # the reason it runs whole
             log.nests["whole", stripes] += 1
-            if self.profiler is None:
+            if not profiled:
                 return whole()
             # a profiled run files it on worker 0's measured track
             tasks = [whole]
@@ -294,8 +290,8 @@ class VectorizedExec(_Exec):
                              [rows, *space[1:]])
                      for i, rows in enumerate(stripes)]
         outcomes, blocked = join(tasks)
-        log.file(outcomes, blocked, self.profiler.current
-                 if self.profiler is not None else None)
+        log.file(outcomes, blocked,
+                 self.tracer.current if profiled else None)
         for *_, error in outcomes:      # the first, in stripe order
             if error is not None:
                 raise error

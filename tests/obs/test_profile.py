@@ -9,7 +9,8 @@ import pytest
 from repro.errors import MachineError
 from repro.kernels import run_kernel
 from repro.machine import Machine
-from repro.machine.network import comm_tag, tag_class
+from repro.machine.cost_model import CostReport
+from repro.machine.network import Network, comm_tag, tag_class
 from repro.obs import (
     CommProfile, MATRIX_CLASSES, PHASES, ProfileCollector, Tracer,
     chrome_trace, profile_from_json, profile_to_json, read_profile,
@@ -180,24 +181,35 @@ class TestValidation:
 
 @pytest.fixture
 def collectors(monkeypatch):
-    """Every :class:`ProfileCollector` a profiled run condenses, with
-    each recording it was handed as ``(open sample, charges)``."""
+    """``(collector, execute span)`` of every profiled run condensed,
+    with each recording the collector was handed kept on it as
+    ``(open span, charges)``, in order."""
     seen = []
     real_from_run = CommProfile.from_run.__func__
     real_charge = ProfileCollector.charge
 
-    def from_run(cls, machine, collector, **kw):
-        seen.append(collector)
-        return real_from_run(cls, machine, collector, **kw)
+    def from_run(cls, machine, collector, run, *args, **kw):
+        seen.append((collector, run))
+        return real_from_run(cls, machine, collector, run, *args, **kw)
 
     def charge(self, charges):
         self.handed = getattr(self, "handed", [])
-        self.handed.append((self.current, charges))
+        self.handed.append((self.tracer.current, charges))
         real_charge(self, charges)
 
     monkeypatch.setattr(CommProfile, "from_run", classmethod(from_run))
     monkeypatch.setattr(ProfileCollector, "charge", charge)
     return seen
+
+
+def op_spans(run):
+    """The op spans under an ``execute`` span, in preorder."""
+    return [span for span in run.walk() if span.kind == "op"]
+
+
+def is_leaf(span) -> bool:
+    return not any(child.kind == "op" for child in span.walk()
+                   if child is not span)
 
 
 #: (kernel, level, compile options) of the attribution cases: the named
@@ -228,59 +240,77 @@ class TestSelfTimeAttribution:
     @pytest.mark.parametrize("kernel,level,options", ATTRIBUTION_CASES)
     def test_leaf_samples_are_their_recordings_row_sums(
             self, kernel, level, options, collectors):
-        """An op that replays one recording and runs no other op is
-        credited exactly that recording's per-PE row sums — no
+        """An op span that replays one recording and has no op below it
+        is credited exactly that recording's per-PE row sums — no
         difference of running totals in between."""
         result = run_case(kernel, level, options)
-        collector, = collectors
+        (collector, run), = collectors
+        assert all(span.kind == "op" for span, _ in collector.handed)
         handed: dict[int, list] = {}
-        for sample, charges in collector.handed:
-            handed.setdefault(sample.index, []).append(charges)
-        parents = {s.parent for s in collector.samples}
+        for span, charges in collector.handed:
+            handed.setdefault(id(span), []).append(charges)
         checked = 0
-        for sample in collector.samples:
-            own = handed.get(sample.index, [])
-            if sample.index in parents or len(own) != 1:
+        for span in op_spans(run):
+            own = handed.get(id(span), [])
+            if not is_leaf(span) or len(own) != 1:
                 continue
             charges, = own
-            for mine, sums in zip((sample.pe_time, sample.pe_comm,
-                                   sample.pe_copy), charges.pe_sums()):
+            credit = collector.credits[id(span)]
+            for mine, sums in zip(credit, charges.pe_sums()):
                 pad = [0.0] * (len(mine) - len(sums))
-                assert mine == list(sums) + pad, sample.name
-            assert sample.messages == charges.messages
-            assert sample.msg_bytes == charges.message_bytes
+                assert mine == list(sums) + pad, span.name
+            assert credit[3:] == [charges.messages, charges.message_bytes]
             checked += 1
         assert checked > 0
-        assert sum(s.messages for s in collector.samples) == \
-            result.report.messages
+        assert sum(credit[3] for credit in collector.credits.values()) \
+            == result.report.messages
 
     @pytest.mark.parametrize("kernel,level,options", ATTRIBUTION_CASES)
     def test_samples_reconstruct_the_report(self, kernel, level, options,
                                             collectors):
-        """Summed over every sample, the unclamped self per-PE times
-        are the report's rows: containers (DO loops, IFs, overlapped
-        regions) own only what they charge, reductions inside a scalar
-        assign belong to it, and a hiding credit to its region."""
+        """Summed over every op span, the unclamped credited per-PE
+        times are the report's rows: containers (DO loops, IFs,
+        overlapped regions) own only what they charge, reductions inside
+        a scalar assign belong to it, and a hiding credit to its
+        region."""
         result = run_case(kernel, level, options)
-        collector, = collectors
+        (collector, _), = collectors
         report = result.report
-        for mine, row in (("pe_time", report.pe_times),
-                          ("pe_comm", report.pe_comm_times),
-                          ("pe_copy", report.pe_copy_times)):
+        for k, row in enumerate((report.pe_times, report.pe_comm_times,
+                                 report.pe_copy_times)):
             for pe, total in enumerate(row):
-                assert sum(getattr(s, mine)[pe]
-                           for s in collector.samples) == \
+                assert sum(credit[k][pe]
+                           for credit in collector.credits.values()) == \
                     pytest.approx(total, rel=1e-12, abs=1e-18)
+
+    @pytest.mark.parametrize("kernel,level,options", ATTRIBUTION_CASES)
+    def test_the_handed_recordings_replay_to_the_report(
+            self, kernel, level, options, collectors):
+        """Replay is the one path into the report: every recording the
+        observer was handed, replayed in order onto a fresh report,
+        rebuilds the run's per-PE time rows bit for bit — an overlapped
+        region's hiding credit included."""
+        result = run_case(kernel, level, options)
+        (collector, _), = collectors
+        network = Network(collector.handed[0][1].model, CostReport())
+        for _, charges in collector.handed:
+            network.replay(charges)
+        for row in ("pe_times", "pe_comm_times", "pe_copy_times"):
+            assert getattr(network.report, row) == \
+                getattr(result.report, row), row
 
     def test_overlap_credit_lands_on_the_region(self, collectors):
         run_case("nine_point", "O4", {"overlap_comm": True})
-        collector, = collectors
-        region, = [s for s in collector.samples if s.name == "overlapped"]
-        nest = [c for smp, c in collector.handed if smp is region]
-        assert len(nest) == 1  # the split nest's one recording
+        (collector, run), = collectors
+        region, = [s for s in op_spans(run) if s.name == "overlapped"]
+        nest, credit = [c for span, c in collector.handed if span is region]
+        # the split nest's recording, then the per-run hiding credit:
+        # negated pe_times addends only
+        assert set(credit.rows) == {"pe_times"}
+        assert all(v <= 0.0 for v in credit.rows["pe_times"][1])
         # the credit makes the region's own time less than its nest's
-        assert any(t < n for t, n in zip(region.pe_time,
-                                         nest[0].pe_sums()[0]))
+        assert any(t < n for t, n in zip(collector.credits[id(region)][0],
+                                         nest.pe_sums()[0]))
 
     def test_a_second_run_sums_no_row(self, monkeypatch):
         """Row sums are kept on the schedule's recording: a second
@@ -416,14 +446,20 @@ class TestChromeTrace:
         result = run_kernel("nine_point", bindings={"N": 16},
                             level="O4", tracer=tracer, profile=True)
         doc = chrome_trace(result.profile, tracer=tracer)
-        compile_events = [e for e in doc["traceEvents"]
-                          if e["pid"] == 0 and e["ph"] == "X"]
-        names = {e["name"] for e in compile_events}
+        wall_events = [e for e in doc["traceEvents"]
+                       if e["pid"] == 0 and e["ph"] == "X"]
+        names = {e["name"] for e in wall_events}
         assert "compile" in names
         assert any(n.startswith("pass:") for n in names)
         # stable span ids ride along in args
-        ids = {e["args"]["id"] for e in compile_events}
+        ids = {e["args"]["id"] for e in wall_events}
         assert "compile#0" in ids
+        # the op spans the profile was read from, one per validation row
+        # or more (rows skip ops that cost nothing)
+        ops = [e for e in wall_events if e["cat"] == "op"]
+        assert ops
+        assert all(row["op"] < len(ops)
+                   for row in result.profile.validation["rows"])
 
     def test_golden_deterministic_output(self):
         """Modelled time is deterministic, so two runs of the same
@@ -446,7 +482,7 @@ class TestCollectorErrors:
     def test_requires_message_log(self):
         machine = Machine(grid=(2, 2), keep_message_log=False)
         with pytest.raises(MachineError, match="keep_message_log"):
-            ProfileCollector(machine)
+            ProfileCollector(machine, Tracer())
 
     def test_execute_profile_requires_message_log(self):
         machine = Machine(grid=(2, 2), keep_message_log=False)

@@ -147,6 +147,33 @@ class TestJsonl:
         with pytest.raises(ValueError):
             Tracer.from_jsonl('{"type": "trace", "version": 999}\n')
 
+    @staticmethod
+    def span_line(**fields) -> str:
+        event = {"type": "span", "id": "a#0", "parent": None, "name": "a",
+                 "kind": "", "start": 1.0, "end": 2.0, "attrs": {}}
+        event.update(fields)
+        return json.dumps({k: v for k, v in event.items()
+                           if v is not ...})
+
+    def test_rejects_undefined_parent_naming_the_line(self):
+        text = "\n".join([json.dumps(TRACE_SCHEMA), self.span_line(),
+                          self.span_line(id="b#0/c#0", parent="b#0")])
+        with pytest.raises(ValueError, match=r"line 3: no 'b#0'"):
+            Tracer.from_jsonl(text)
+
+    def test_rejects_a_child_before_its_parent(self):
+        text = "\n".join([self.span_line(id="a#0/b#0", parent="a#0"),
+                          self.span_line()])
+        with pytest.raises(ValueError, match="line 1"):
+            Tracer.from_jsonl(text)
+
+    @pytest.mark.parametrize("field", ["name", "start", "end", "id"])
+    def test_rejects_a_span_missing_a_field(self, field):
+        text = "\n".join([json.dumps(TRACE_SCHEMA), "",
+                          self.span_line(**{field: ...})])
+        with pytest.raises(ValueError, match=f"line 3: .*'{field}'"):
+            Tracer.from_jsonl(text)
+
     def test_summary_mentions_names_and_counters(self):
         text = self.make_trace().summary()
         assert "compile" in text

@@ -12,12 +12,13 @@ schedules one walk records on a :class:`DArray` machine, applied on
 
 (b) A source scan pins *where* charging lives: the recorder's entry
 points and the replay defined under ``machine/`` are called from
-``runtime/{executor,overlap,cshift,darray}.py`` only, and the
-halo-limit message is spelled once.
+``runtime/{executor,overlap,cshift,darray}.py`` only, no module outside
+``machine/`` writes a cost-report row, and the halo-limit message is
+spelled once.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ import repro
 from repro.ir.rsd import RSD, RSDim
 from repro.ir.types import DistKind, Distribution
 from repro.machine import Machine
+from repro.machine.cost_model import CostReport
 from repro.machine.network import Charges
 from repro.runtime.cshift import FullShift, full_cshift, full_eoshift
 from repro.runtime.darray import DArray, allocate_distributed
@@ -170,26 +172,36 @@ def test_a_schedule_replays_identically_on_every_placement(
 
 SRC = Path(repro.__file__).parent
 CHARGE_CALL = re.compile(
-    r"\bcharge_copy\(|\bcharge_loop\(|\brecord_batch\(|"
+    r"\bcharge_copy\(|\bcharge_loop\(|\brecord_batch\(|\bcredit\(|"
     r"\bnetwork\.record\(|\ballreduce\(|\ballocate_all\(|\breplay\(")
 CHARGING_MODULES = {f"runtime/{name}.py" for name in
                     ("executor", "overlap", "cshift", "darray")}
+#: an assignment into one of the cost report's per-PE rows
+ROW_WRITE = re.compile(r"\b(?:%s)\[[^\]]*\]\s*[-+*/]?=(?!=)" % "|".join(
+    f.name for f in fields(CostReport) if f.name.startswith("pe_")))
 
 
 def test_charges_are_made_by_the_skeleton_only():
     """One charge walk per op: a placement or a backend that charged on
     its own would be a second copy of the contract.  (``machine/``
     defines the entry points — the recorder and the one replay — and is
-    not a caller; schedules are those walks' recordings.)"""
-    callers = {
-        path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
-        if path.parent.name != "machine"
-        and CHARGE_CALL.search(path.read_text())}
+    not a caller; schedules are those walks' recordings.)  And replay is
+    the only way into the report: nothing outside ``machine/`` writes a
+    report row."""
+    sources = {path.relative_to(SRC).as_posix(): path.read_text()
+               for path in SRC.rglob("*.py")}
+    outside = {name: text for name, text in sources.items()
+               if not name.startswith("machine/")}
+    callers = {name for name, text in outside.items()
+               if CHARGE_CALL.search(text)}
     assert callers == CHARGING_MODULES
-    replays = {path.relative_to(SRC).as_posix()
-               for path in SRC.rglob("*.py")
-               if re.search(r"\bdef replay\(", path.read_text())}
+    replays = {name for name, text in sources.items()
+               if re.search(r"\bdef replay\(", text)}
     assert replays == {"machine/network.py"}
+    assert ROW_WRITE.search("report.pe_copy_times[pe] -= t")
+    writers = {name for name, text in outside.items()
+               if ROW_WRITE.search(text)}
+    assert writers == set()
 
 
 def test_halo_limit_is_checked_in_one_place():
