@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class LoopStats:
@@ -103,40 +105,50 @@ class CostModel:
 SP2_COST_MODEL = CostModel()
 
 
-@dataclass
+#: The cost report's per-PE rows, in the order of :attr:`CostReport.rows`.
+PE_ROWS = ("pe_times", "pe_comm_times", "pe_copy_times", "pe_mem_loads",
+           "pe_cached_loads", "pe_stores", "pe_flops")
+
+
+@dataclass(eq=False)
 class CostReport:
     """Accumulated modelled costs of one program execution.
 
     Times are per-PE; :attr:`modelled_time` is the max over PEs of each
     PE's accumulated time (BSP-style: PEs run the same SPMD program).
 
-    The four float memory/arithmetic aggregates are kept as *per-PE
-    rows* (``pe_mem_loads`` …) and summed in PE order by the property
-    accessors, so every backend folds the same rows in the same order.
+    The per-PE rows are one float64 array (a row per name of
+    :data:`PE_ROWS`, a column per PE) that only ``Network.replay``
+    writes.  Each name reads its row back as a list, and the float
+    aggregates sum those lists in PE order on every backend.
     """
 
-    pe_times: list[float] = field(default_factory=list)
-    pe_comm_times: list[float] = field(default_factory=list)
-    pe_copy_times: list[float] = field(default_factory=list)
-    pe_mem_loads: list[float] = field(default_factory=list)
-    pe_cached_loads: list[float] = field(default_factory=list)
-    pe_stores: list[float] = field(default_factory=list)
-    pe_flops: list[float] = field(default_factory=list)
+    rows: np.ndarray = field(
+        default_factory=lambda: np.zeros((len(PE_ROWS), 0)))
     messages: int = 0
     message_bytes: int = 0
     copies: int = 0
     copy_elements: int = 0
     loop_points: int = 0
 
-    #: per-PE row lists grown together by :meth:`ensure_pes`
-    _PE_ROWS = ("pe_times", "pe_comm_times", "pe_copy_times",
-                "pe_mem_loads", "pe_cached_loads", "pe_stores",
-                "pe_flops")
+    pe_times, pe_comm_times, pe_copy_times, pe_mem_loads, \
+        pe_cached_loads, pe_stores, pe_flops = (
+            property(lambda self, i=i: self.rows[i].tolist())
+            for i in range(len(PE_ROWS)))
 
     def ensure_pes(self, npes: int) -> None:
-        while len(self.pe_times) < npes:
-            for row in self._PE_ROWS:
-                getattr(self, row).append(0.0)
+        """Widen the rows to ``npes`` PEs (new PEs start at +0.0)."""
+        grow = npes - self.rows.shape[1]
+        if grow > 0:
+            self.rows = np.pad(self.rows, ((0, 0), (0, grow)))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CostReport) and \
+            self._state() == other._state()
+
+    def _state(self) -> tuple:
+        return (self.rows.tolist(), self.messages, self.message_bytes,
+                self.copies, self.copy_elements, self.loop_points)
 
     @property
     def mem_loads(self) -> float:
@@ -161,11 +173,11 @@ class CostReport:
     @property
     def comm_time_fraction(self) -> float:
         """Fraction of the critical PE's time spent communicating."""
-        if not self.pe_times or self.modelled_time == 0:
+        times = self.pe_times
+        if not times or max(times) == 0:
             return 0.0
-        critical = max(range(len(self.pe_times)),
-                       key=lambda p: self.pe_times[p])
-        return self.pe_comm_times[critical] / self.pe_times[critical]
+        critical = times.index(max(times))
+        return self.pe_comm_times[critical] / times[critical]
 
     def summary(self) -> dict[str, float]:
         return {

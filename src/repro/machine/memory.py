@@ -6,24 +6,18 @@ charge it; exceeding capacity raises
 Figure 11 behaviour where the single-statement 9-point CSHIFT stencil
 (12 compiler temporaries) exhausts SP-2 node memory at problem sizes the
 3-temporary Problem 9 formulation still handles.
+
+The heaps are int64 vectors indexed by rank and a block is its byte
+vector (0: not on that PE): one vector operation allocates or frees it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numpy as np
 
 from repro.errors import MachineError, SimulatedOutOfMemoryError
 
 
-@dataclass
-class _Heap:
-    capacity: int
-    in_use: int = 0
-    peak: int = 0
-    blocks: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
 class MemoryManager:
     """Tracks named allocations on every PE.
 
@@ -31,57 +25,66 @@ class MemoryManager:
     for correctness tests; Figure 11 sets a finite capacity).
     """
 
-    npes: int
-    capacity: int | None = None
+    def __init__(self, npes: int, capacity: int | None = None) -> None:
+        self.npes = npes
+        self.capacity = capacity if capacity is not None else 1 << 62
+        self._in_use = np.zeros(npes, dtype=np.int64)
+        self._peak = np.zeros(npes, dtype=np.int64)
+        #: name -> bytes per PE, never written in place (shared)
+        self._blocks: dict[str, np.ndarray] = {}
 
-    def __post_init__(self) -> None:
-        cap = self.capacity if self.capacity is not None else 1 << 62
-        self._heaps = [_Heap(cap) for _ in range(self.npes)]
+    def allocate_all(self, name: str, nbytes_per_pe) -> None:
+        """One named block on every PE with bytes, all or nothing: the
+        lowest rank that cannot take its block raises what a rank-order
+        loop would, and nothing is allocated."""
+        nbytes = np.asarray(nbytes_per_pe, dtype=np.int64)
+        held = self._blocks.get(name)
+        if held is not None:
+            clash = np.flatnonzero((held != 0) & (nbytes != 0))
+            if clash.size:
+                raise MachineError(
+                    f"PE {clash[0]}: double allocation of {name}")
+        after = self._in_use + nbytes
+        over = np.flatnonzero(after > self.capacity)
+        if over.size:
+            pe = int(over[0])
+            raise SimulatedOutOfMemoryError(
+                pe, int(nbytes[pe]), int(self._in_use[pe]), self.capacity)
+        self._in_use = after
+        np.maximum(self._peak, after, out=self._peak)
+        self._blocks[name] = nbytes if held is None else held + nbytes
 
     def allocate(self, pe: int, name: str, nbytes: int) -> None:
-        heap = self._heaps[pe]
-        if name in heap.blocks:
-            raise MachineError(f"PE {pe}: double allocation of {name}")
-        if heap.in_use + nbytes > heap.capacity:
-            raise SimulatedOutOfMemoryError(
-                pe, nbytes, heap.in_use, heap.capacity)
-        heap.blocks[name] = nbytes
-        heap.in_use += nbytes
-        heap.peak = max(heap.peak, heap.in_use)
-
-    def free(self, pe: int, name: str) -> None:
-        heap = self._heaps[pe]
-        nbytes = heap.blocks.pop(name, None)
-        if nbytes is None:
-            raise MachineError(f"PE {pe}: free of unallocated {name}")
-        heap.in_use -= nbytes
-
-    def allocate_all(self, name: str, nbytes_per_pe: list[int]) -> None:
-        """Allocate one named block on every PE (distributed array)."""
-        done = []
-        try:
-            for pe, nbytes in enumerate(nbytes_per_pe):
-                self.allocate(pe, name, nbytes)
-                done.append(pe)
-        except SimulatedOutOfMemoryError:
-            for pe in done:
-                self.free(pe, name)
-            raise
+        """One block on one PE."""
+        vector = np.zeros(self.npes, dtype=np.int64)
+        vector[pe] = nbytes
+        self.allocate_all(name, vector)
 
     def free_all(self, name: str) -> None:
-        for pe in range(self.npes):
-            if name in self._heaps[pe].blocks:
-                self.free(pe, name)
+        nbytes = self._blocks.pop(name, None)
+        if nbytes is not None:
+            self._in_use = self._in_use - nbytes
+
+    def free(self, pe: int, name: str) -> None:
+        held = self._blocks.get(name)
+        if held is None or not held[pe]:
+            raise MachineError(f"PE {pe}: free of unallocated {name}")
+        self._in_use[pe] -= held[pe]
+        rest = self._blocks[name] = held.copy()
+        rest[pe] = 0
+        if not rest.any():
+            del self._blocks[name]
 
     def in_use(self, pe: int) -> int:
-        return self._heaps[pe].in_use
+        return int(self._in_use[pe])
 
     def peak(self, pe: int) -> int:
-        return self._heaps[pe].peak
+        return int(self._peak[pe])
 
     @property
     def peak_per_pe(self) -> int:
-        return max(h.peak for h in self._heaps)
+        return int(self._peak.max())
 
     def live_blocks(self, pe: int) -> dict[str, int]:
-        return dict(self._heaps[pe].blocks)
+        return {name: int(nbytes[pe])
+                for name, nbytes in self._blocks.items() if nbytes[pe]}

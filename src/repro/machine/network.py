@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import MachineError
-from repro.machine.cost_model import CostModel, CostReport, LoopStats
+from repro.machine.cost_model import PE_ROWS, CostModel, CostReport, LoopStats
 
 #: Tag classes of every point-to-point message, in the order the
 #: communication profiler reports them:
@@ -111,7 +113,30 @@ class Charges:
         self.npes = 0
         self.messages = self.message_bytes = 0
         self.copies = self.copy_elements = self.loop_points = 0
+        self._layers: np.ndarray | None = None
         self._sums: tuple[list[float], ...] | None = None
+
+    def layers(self) -> np.ndarray:
+        """The addends as dense layers, ``(depth, len(PE_ROWS), npes)``:
+        layer ``k`` holds each PE's ``k``-th addend of every row, +0.0
+        where it has none.  Adding them in order to rows that start at
+        +0.0 is the recorded fold, bit for bit: such a row is never -0.0
+        (a sum is -0.0 only when both operands are), and +0.0 leaves any
+        other value as it is.  Compiled once per schedule."""
+        if self._layers is None:
+            at, values = [], []
+            for r, name in enumerate(PE_ROWS):
+                pes, addends = self.rows.get(name, ((), ()))
+                depth = [0] * self.npes
+                for pe in pes:
+                    at.append((depth[pe], r, pe))
+                    depth[pe] += 1
+                values += addends
+            k, r, pe = np.array(at, dtype=np.intp).reshape(-1, 3).T
+            layers = np.zeros((k.max(initial=-1) + 1, len(PE_ROWS), self.npes))
+            layers[k, r, pe] = values
+            self._layers = layers
+        return self._layers
 
     def pe_sums(self) -> tuple[list[float], ...]:
         """The ``pe_times``, ``pe_comm_times`` and ``pe_copy_times``
@@ -119,15 +144,11 @@ class Charges:
         profile credits the op.  Summed on first use and kept, so once
         per schedule."""
         if self._sums is None:
-            self._sums = tuple(self._row_sum(row) for row in (
-                "pe_times", "pe_comm_times", "pe_copy_times"))
+            sums = np.zeros((3, self.npes))
+            for layer in self.layers():
+                sums += layer[:3]
+            self._sums = tuple(sums.tolist())
         return self._sums
-
-    def _row_sum(self, row: str) -> list[float]:
-        out = [0.0] * self.npes
-        for pe, value in zip(*self.rows.get(row, ((), ()))):
-            out[pe] += value
-        return out
 
     def _add(self, row: str, pe: int, value: float) -> None:
         pes, values = self.rows.setdefault(row, ([], []))
@@ -215,14 +236,14 @@ class Network:
 
     def replay(self, charges: Charges) -> None:
         """Apply a recording — the one way a charge reaches the report:
-        each row's addends in their recorded order, then the counters
-        and the log; then show it to the observer, if any."""
+        its dense layers in order, one in-place add each (every row sees
+        its addends in recorded order), then the counters and the log;
+        then show it to the observer, if any."""
         report = self.report
         report.ensure_pes(charges.npes)
-        for name, (pes, values) in charges.rows.items():
-            row = getattr(report, name)
-            for pe, value in zip(pes, values):
-                row[pe] += value
+        rows = report.rows[:, :charges.npes]
+        for layer in charges.layers():
+            rows += layer
         report.messages += charges.messages
         report.message_bytes += charges.message_bytes
         report.copies += charges.copies

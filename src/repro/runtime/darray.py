@@ -15,7 +15,8 @@ local array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
+from functools import lru_cache
+from itertools import accumulate
 from math import prod
 
 import numpy as np
@@ -27,15 +28,27 @@ from repro.runtime.distribution import Layout
 Halo = tuple[tuple[int, int], ...]
 
 
+@lru_cache(maxsize=1024)
+def _footprint(layout: Layout, halo: Halo, dtype: np.dtype) -> tuple:
+    """Per PE, the padded block's shape, its bytes (what the memory
+    manager charges) and its element offset in one arena, the arena's
+    size last: once per (layout, halo, dtype)."""
+    shapes = [tuple(n + lo + hi for n, (lo, hi) in zip(local, halo))
+              for local in map(layout.local_shape, layout.grid.ranks())]
+    sizes = [prod(s) for s in shapes]
+    nbytes = np.array(sizes, dtype=np.int64) * dtype.itemsize
+    nbytes.flags.writeable = False      # every allocation shares it
+    return shapes, nbytes, list(accumulate(sizes, initial=0))
+
+
 def allocate_distributed(machine: Machine, name: str, layout: Layout,
-                         dtype, halo: Halo | None
-                         ) -> tuple[np.dtype, Halo, list[tuple[int, ...]]]:
+                         dtype, halo: Halo | None) -> tuple:
     """What allocating a distributed array costs, for every placement:
     validate ``halo`` against the layout, compute the per-PE padded
-    shapes and charge them to the memory manager (so a too-big
+    shapes and charge their bytes to the memory manager (so a too-big
     allocation raises :class:`SimulatedOutOfMemoryError` exactly as a
-    real node would fail).  Returns ``(dtype, halo, shapes)``; the
-    caller only adds storage."""
+    real node would fail).  Returns ``(dtype, halo, footprint)`` (see
+    :func:`_footprint`); the caller only adds storage."""
     rank = len(layout.shape)
     halo = halo or tuple((0, 0) for _ in range(rank))
     if len(halo) != rank:
@@ -48,18 +61,15 @@ def allocate_distributed(machine: Machine, name: str, layout: Layout,
                 f"exceeds the minimum local extent {limit}; "
                 f"use a smaller shift or fewer processors")
     dtype = np.dtype(dtype)
-    shapes = [tuple(n + lo + hi
-                    for n, (lo, hi) in zip(layout.local_shape(pe), halo))
-              for pe in machine.topology.ranks()]
-    machine.memory.allocate_all(
-        name, [prod(s) * dtype.itemsize for s in shapes])
-    return dtype, halo, shapes
+    footprint = _footprint(layout, halo, dtype)
+    machine.memory.allocate_all(name, footprint[1])
+    return dtype, halo, footprint
 
 
 @dataclass
 class DArray:
     """A BLOCK-distributed array materialised on a machine: one padded
-    block per PE."""
+    block per PE, the blocks laid end to end in one buffer."""
 
     name: str
     layout: Layout
@@ -68,15 +78,21 @@ class DArray:
     locals: list[np.ndarray]
     #: what the executor keys this buffer's schedules on
     key: object = field(default=None, repr=False, compare=False)
+    #: that buffer's ``(address, bytes)``, for native region tables
+    arena: tuple[int, int] = field(default=(0, 0), repr=False,
+                                   compare=False)
 
     # -- construction ------------------------------------------------------
     @staticmethod
     def create(machine: Machine, name: str, layout: Layout,
                dtype: np.dtype, halo: Halo | None = None) -> "DArray":
-        dtype, halo, shapes = allocate_distributed(
+        dtype, halo, (shapes, _, starts) = allocate_distributed(
             machine, name, layout, dtype, halo)
+        arena = np.zeros(starts[-1], dtype=dtype)
         return DArray(name, layout, dtype, halo,
-                      [np.zeros(s, dtype=dtype) for s in shapes])
+                      [arena[a:b].reshape(s) for a, b, s in
+                       zip(starts, starts[1:], shapes)],
+                      arena=(arena.ctypes.data, arena.nbytes))
 
     def free(self, machine: Machine) -> None:
         machine.memory.free_all(self.name)

@@ -8,7 +8,8 @@ nest's global iteration box with its owned block.  As the paper's
 compiler emits each PE's bounds and messages once, an op's walk runs
 once per machine geometry and is kept with the plan's tapes as a
 *schedule* (``PlanTapes.schedule``); every run evaluates its regions
-and replays its charges.
+— a native nest's in one call over the schedule's region table — and
+replays its charges.
 """
 
 from __future__ import annotations
@@ -62,12 +63,32 @@ class ExecutionResult:
         return out
 
 
+#: a reduction's ufunc: it reduces each block and folds the partials
+_REDUCE = {"SUM": np.add, "MAXVAL": np.maximum, "MINVAL": np.minimum}
+
+
 class _Schedule(NamedTuple):
     """A nest's or reduction's walk (see :meth:`_Exec._bindings`)."""
     regions: list           # (pe, box)
     charges: Charges
     credits: list           # (pe, interior loop time), overlapped nests
     slices: dict            # placement type -> reference slices per region
+    tables: dict            # placement type -> native region table | reason
+
+
+def _partials(blocks: list, ufunc) -> list[float]:
+    """Each block's partial, ``ufunc.reduce`` over a C-contiguous copy of
+    it (so not a function of the block's memory layout): every block of
+    one shape in one call on a ``(blocks, points)`` stack."""
+    partials = [0.0] * len(blocks)
+    shapes: dict = {}
+    for i, block in enumerate(blocks):
+        shapes.setdefault(block.shape, []).append(i)
+    for at in shapes.values():
+        stack = np.stack([blocks[i] for i in at]).reshape(len(at), -1)
+        for i, part in zip(at, ufunc.reduce(stack, axis=1).tolist()):
+            partials[i] = float(part)
+    return partials
 
 
 class _Exec:
@@ -184,31 +205,34 @@ class _Exec:
         exchange and the result replicates (the HPF lowering of
         SUM/MAXVAL/MINVAL).  Charges the per-PE reduction loop and the
         butterfly allreduce messages (tagged ``allreduce:<op>`` in the
-        message log); the partials fold in rank order on every
-        backend, which is what keeps the result bitwise."""
+        message log).  Every backend computes the same partials
+        (:func:`_partials`) and folds them in rank order, which is what
+        keeps the result bitwise."""
         refs = [n for n in expr.arg.walk() if isinstance(n, OffsetRef)]
         if not refs:
             raise ExecutionError(
                 f"reduction {expr} references no arrays")
         first = self.darray(refs[0].name)
-        combine = {"SUM": np.sum, "MAXVAL": np.max,
-                   "MINVAL": np.min}[expr.op]
-        fold = {"SUM": np.add, "MAXVAL": np.maximum,
-                "MINVAL": np.minimum}[expr.op]
+        ufunc = _REDUCE[expr.op]
         tape = self._tapes.tape(expr, [(None, expr.arg, None)], first.rank)
         arrays = self._ref_arrays(tape)
         sched = self._schedule(expr, arrays, None,
                                lambda: self._walk_reduction(expr, first))
         scalars = [self.scalar(ref) for ref in tape.scalars]
-        total: float | None = None
-        for pe, slices in self._bindings(sched, tape, sched.regions):
-            local = tape.run(self._views(arrays, pe, slices), scalars,
-                             self._bound)[tape.result]
-            part = float(combine(local))
-            total = part if total is None else float(fold(total, part))
+        total, *rest = _partials(
+            self._blocks(sched, tape, arrays, scalars), ufunc)
+        for part in rest:
+            total = float(ufunc(total, part))
         self.machine.network.replay(sched.charges)
-        assert total is not None
         return total
+
+    def _blocks(self, sched: _Schedule, tape: NestTape, arrays: list,
+                scalars: list) -> list:
+        """A reduction operand's value on each PE's owned block, in rank
+        order: evaluated PE by PE (copied: the next PE reuses registers)."""
+        return [np.array(tape.run(self._views(arrays, pe, slices), scalars,
+                                  self._bound)[tape.result])
+                for pe, slices in self._bindings(sched, tape, sched.regions)]
 
     def _walk_reduction(self, expr: Reduction, first) -> _Schedule:
         """Each PE's owned block, its loop and its butterfly share."""
@@ -222,7 +246,7 @@ class _Exec:
                 per_point, prod(hi - lo + 1 for lo, hi in box)), self.overhead)
             charges.allreduce(pe, npes, 8, tag)
             regions.append((pe, box))
-        return _Schedule(regions, charges, [], {})
+        return _Schedule(regions, charges, [], {}, {})
 
     def bound(self, e) -> int:
         value = self._static.get(e)
@@ -345,16 +369,27 @@ class _Exec:
         return boxes
 
     def _eval_nest(self, op: LoopNestOp, space, sched: _Schedule) -> None:
-        """Compute the nest: region by region here; a placement that
-        holds the whole array evaluates ``space`` in one go instead."""
+        """Compute the nest: region by region here (in one native call
+        over the schedule's region table, when it has one); a placement
+        that holds the whole array evaluates ``space`` in one go."""
         tape = self._nest_tape(op)
         bindings = self._bindings(sched, tape, sched.regions)
-        if bindings:
-            arrays = self._ref_arrays(tape)
-            scalars = [self.scalar(ref) for ref in tape.scalars]
-            for pe, slices in bindings:
-                tape.run(self._views(arrays, pe, slices), scalars,
-                         self._bound)
+        if not bindings:
+            return
+        arrays = self._ref_arrays(tape)
+        scalars = [self.scalar(ref) for ref in tape.scalars]
+        kernel = tape.kernel
+        if kernel is not None:
+            table = sched.tables.get(self.array_type)
+            if table is None:
+                table = sched.tables[self.array_type] = kernel.table(
+                    [self._views(arrays, pe, slices)
+                     for pe, slices in bindings], arrays)
+            if table.__class__ is not str and \
+                    kernel.run_table(table, arrays, scalars):
+                return
+        for pe, slices in bindings:
+            tape.run(self._views(arrays, pe, slices), scalars, self._bound)
 
     def run_nest(self, op: LoopNestOp) -> None:
         self._run_nest(op, op, split=False)
@@ -403,7 +438,7 @@ class _Exec:
                 charges.charge_loop(pe, stats, self.overhead)
                 regions.append((pe, region))
             credits.append((pe, t_interior))
-        return _Schedule(regions, charges, credits, {})
+        return _Schedule(regions, charges, credits, {}, {})
 
     def _nest_reach(self, nest: LoopNestOp) -> list[tuple[int, int]]:
         """Per-dimension (lo, hi) stencil reach of a nest's references."""

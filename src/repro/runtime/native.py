@@ -3,18 +3,20 @@
 Scalarization and fusion leave "a single subgrid loop nest" for a node
 compiler to optimize (paper section 3.4); this module hands it one.
 From a :class:`~repro.runtime.nest_tape.NestTape`'s instruction list it
-emits one C function per nest — loops over the box, innermost dimension
-contiguous, one ``restrict`` base pointer and row strides per *array*
-(every placement keeps one buffer per array name), one element offset
-per reference, each arithmetic instruction one statement in the array
-dtype, stores in statement order — builds one translation unit per plan
-with the system ``cc``, keeps the shared object in a content-addressed
-:mod:`repro.store` directory and calls it through ``ctypes``, one
-foreign call per box.  Scalar-only subtrees are still evaluated in
-Python and passed by value; extents, strides, offsets and scalars are
-all run-time arguments, so the text depends on nest structure only and
-is drawn from a closed grammar (positional names, a fixed operator
-table, no identifier or literal of a submitted program).
+emits per nest a C box function — loops over the box, innermost
+dimension contiguous, one ``restrict`` base pointer parameter and row
+strides per *array* (every placement keeps one buffer per array name),
+one element offset per reference, each arithmetic instruction one
+statement in the array dtype, stores in statement order — and one entry
+point, ``k<i>(nreg, addr, ints, d)``, calling the box per row of a
+region table (a ``perpe`` nest is one call over its schedule's
+:meth:`Kernel.table`, a slab nest or stripe a one-row table); builds
+one translation unit per plan with the system ``cc``, keeps it in a
+content-addressed :mod:`repro.store` directory and calls it through
+``ctypes``.  Scalar-only subtrees are still evaluated in Python and
+passed by value, so the text depends on nest structure only and is
+drawn from a closed grammar (positional names, a fixed operator table,
+no identifier or literal of a submitted program).
 
 Why ``-O3`` keeps NumPy's bits: without ``-ffast-math`` and with
 ``-ffp-contract=off`` the compiler may neither reassociate nor fuse a
@@ -27,10 +29,11 @@ plan: NumPy 2 promotion, an iteration space of at least
 :data:`MIN_POINTS`, a ``cc`` on the path, a build that succeeds.  Per
 nest, statically: stores only (no reduction operand), no mask, only
 ``+ - * /`` and unary minus on arrays, arrays all ``float32`` or all
-``float64``, no assigned array read at a nonzero offset.  Per call:
-views of that dtype with unit inner stride, and scalars that are weak
-(Python ``float``/``int``) or of the array dtype.  Anything else runs
-the ufunc tape, counted in ``repro_native_kernels_total`` by reason.
+``float64``, no assigned array read at a nonzero offset.  Per region:
+views of that dtype with unit inner stride and aligned addresses; per
+call, scalars that are weak (Python ``float``/``int``) or of the array
+dtype.  Anything else runs the ufunc tape, counted in
+``repro_native_kernels_total`` by reason.
 """
 
 from __future__ import annotations
@@ -179,14 +182,15 @@ def emit(tape, rank: int, dtypes, name: str):
                 else f"{x[0]} {_OPS[fn]} {x[1]};"))
         body.append(f"{operand(stmt.dst)} = {operand(stmt.value)};")
 
-    params = [f"{'' if array in assigned else 'const '}{real} "
-              f"*restrict a{k}" for k, array in enumerate(arrays)]
+    pointers = [f"{'' if array in assigned else 'const '}{real} *"
+                for array in arrays]
+    params = [f"{p}restrict a{k}" for k, p in enumerate(pointers)]
     params += [f"long long n{d}" for d in range(rank)]
     params += [f"long long s{k}_{d}" for k in range(len(arrays))
                for d in range(rank - 1)]
     params += [f"long long o{j}" for j in range(len(refs))]
     params += [f"double d{m}" for m in range(len(scalar_args))]
-    lines = [f"void {name}({', '.join(params)})", "{"]
+    lines = [f"static void {name}_box({', '.join(params)})", "{"]
     lines += [f"  const {real} c{m} = ({real})d{m};"
               for m in range(len(scalar_args))]
     for d in range(rank):
@@ -199,6 +203,16 @@ def emit(tape, rank: int, dtypes, name: str):
                       for k in range(len(arrays))]
     lines += ["  " * (rank + 1) + line for line in body]
     lines += ["  " * d + "}" for d in range(rank, -1, -1)]
+    # the entry point: per table row, addresses, then the box's ints
+    nints = len(params) - len(arrays) - len(scalar_args)
+    args = [f"({p})addr[{k}]" for k, p in enumerate(pointers)]
+    args += [f"ints[{i}]" for i in range(nints)]
+    args += [f"d[{m}]" for m in range(len(scalar_args))]
+    lines += [f"void {name}(long long nreg, const long long *addr, "
+              f"const long long *ints, const double *d)", "{",
+              f"  for (long long r = 0; r < nreg; r++, "
+              f"addr += {len(arrays)}, ints += {nints})",
+              f"    {name}_box({', '.join(args)});", "}"]
     groups = [[(j, refs[j][1]) for j, k in enumerate(array_of) if k == g]
               for g in range(len(arrays))]
     return "\n".join(lines) + "\n", (
@@ -208,30 +222,64 @@ def emit(tape, rank: int, dtypes, name: str):
 
 class Kernel:
     """One nest's loaded function and what a call must marshal.  Called
-    with a tape's views and scalars; true when it ran the box."""
+    with a tape's views and scalars it runs that box as a one-row table,
+    true when it did; :meth:`run_table` runs a schedule's boxes."""
 
     def __init__(self, lib, layout) -> None:
         import ctypes
         name, self.dtype, self.rank, self.groups, self.scalar_code, \
             self.scalar_slots, self.tail = layout
-        narrays, nrefs = len(self.groups), sum(map(len, self.groups))
         self._lib = lib         # the function pointer does not hold it
         self.fn = getattr(lib, name)
         self.fn.restype = None
-        # bases; extents, row strides per array, reference offsets; scalars
-        self.fn.argtypes = [ctypes.c_void_p] * narrays \
-            + [ctypes.c_longlong] * (
-                self.rank + narrays * (self.rank - 1) + nrefs) \
-            + [ctypes.c_double] * len(self.scalar_slots)
+        # regions; addresses; extents, strides and offsets; scalars
+        self.fn.argtypes = [ctypes.c_longlong] + [ctypes.c_void_p] * 3
+        self._long, self._double = ctypes.c_longlong, ctypes.c_double
         #: byte strides of each array -> (element strides, element
         #: offsets of every reference) or the reason they cannot be used
         self._steps: dict = {}
+        #: the slot list's array part, for the scalar code
+        self._refs = [None] * sum(map(len, self.groups))
 
     def __call__(self, views: list, scalars: list) -> bool:
-        reason = self._run(views, scalars)
-        if reason is not None:
-            _count(1, status="fallback", reason=reason)
-        return reason is None
+        row = self._row(views)
+        values = row if row.__class__ is str else self._values(scalars)
+        if values.__class__ is str:
+            _count(1, status="fallback", reason=values)
+            return False
+        addr, ints = row
+        self.fn(1, (self._long * len(addr))(*addr),
+                (self._long * len(ints))(*ints), values)
+        return True
+
+    def table(self, boxes: list, arrays: list) -> "tuple | str":
+        """A schedule's boxes (each box's views over ``arrays``, one per
+        reference, each with one buffer ``arena = (address, bytes)``) as
+        one table of offsets into the arenas, so it serves every run of
+        the schedule; or the first box's reason to stay on the tape."""
+        arenas = [arrays[refs[0][0]].arena for refs in self.groups]
+        offsets, ints = [], []
+        for views in boxes:
+            row = self._row(views)
+            if row.__class__ is str:
+                return row
+            at = [a - base for a, (base, _) in zip(row[0], arenas)]
+            if not all(0 <= o < n for o, (_, n) in zip(at, arenas)):
+                return "stride"
+            offsets.append(at)
+            ints.append(row[1])
+        return np.array(offsets, np.int64), np.array(ints, np.int64)
+
+    def run_table(self, table: tuple, arrays: list, scalars: list) -> bool:
+        """One call over every box of ``table`` for this run's
+        ``arrays``; false (uncounted) when a scalar is strong."""
+        values = self._values(scalars)
+        if values.__class__ is str:
+            return False
+        offsets, ints = table
+        addr = offsets + [arrays[refs[0][0]].arena[0] for refs in self.groups]
+        self.fn(len(offsets), addr.ctypes.data, ints.ctypes.data, values)
+        return True
 
     def _elements(self, key: tuple):
         """Strides and reference offsets in elements for arrays of byte
@@ -250,13 +298,13 @@ class Kernel:
                                  for a, b, s in zip(at, first, steps))
         return strides + offsets
 
-    def _run(self, views: list, scalars: list) -> "str | None":
-        """Marshal and call; the fallback reason when this call cannot
-        be proven bitwise or memory-safe.  One address is taken per
-        array (its first reference's view, bounds-checked by NumPy);
-        every other reference must be a view of the same buffer with
-        the same shape and strides, which the binder displaces by the
-        reference's static offsets."""
+    def _row(self, views: list) -> "tuple | str":
+        """One box's ``(addresses, ints)``, or the reason it cannot be
+        proven bitwise or memory-safe.  One address is taken per array
+        (its first reference's view, bounds-checked by NumPy); every
+        other reference must be a view of the same buffer with the same
+        shape and strides, which the loop displaces by the reference's
+        static offset."""
         dtype, shape = self.dtype, views[0].shape
         if len(shape) != self.rank:
             return "stride"
@@ -281,7 +329,12 @@ class Kernel:
         if elements.__class__ is str or any(
                 b % dtype.itemsize for b in bases):
             return "stride"
-        vals = views + scalars + self.tail
+        return bases, (*shape, *elements)
+
+    def _values(self, scalars: list):
+        """The scalar arguments as a C ``double`` array, or
+        ``strong-scalar``."""
+        vals = self._refs + scalars + self.tail
         for fn, args, dst in self.scalar_code:
             vals[dst] = fn(*[vals[a] for a in args])
         values = []
@@ -290,12 +343,11 @@ class Kernel:
             kind = type(s)
             # NEP 50: a Python number takes the array's dtype, which is
             # the C cast; any other scalar type would promote
-            if not (kind is float or kind is dtype.type
+            if not (kind is float or kind is self.dtype.type
                     or (kind is int and -_EXACT_INT <= s <= _EXACT_INT)):
                 return "strong-scalar"
             values.append(s)
-        self.fn(*bases, *shape, *elements, *values)
-        return None
+        return (self._double * len(values))(*values)
 
 
 # -- build and load ---------------------------------------------------------

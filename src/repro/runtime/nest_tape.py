@@ -23,8 +23,8 @@ program when no strip reads what another strip writes.  Rows are the
 strip axis, so the one-time static rule is: *no array assigned in the
 nest is read at a nonzero dim-1 offset anywhere in it* (flow or anti
 direction, in any statement, mask included).  A nest that breaks it — and
-every reduction operand, whose partial must be one ``np.sum`` over the
-whole owned box — runs as a single whole-box strip, i.e. with
+every reduction operand, whose value over the whole box is what the
+per-PE partials reduce — runs as a single whole-box strip, i.e. with
 statement-at-a-time semantics.
 
 Why bitwise

@@ -209,10 +209,10 @@ class _WorkerLog:
 class VectorizedExec(_Exec):
     """The per-PE skeleton over the global-slab placement.
 
-    Everything is inherited — op dispatch, shifts, reductions (which
-    keep the per-PE partial fold order bit-for-bit), every charge walk —
-    except how a nest is evaluated: once over the whole iteration space
-    instead of once per PE box, in ``stripes`` row stripes.  That count
+    Everything is inherited — op dispatch, shifts, the reductions'
+    partials and their fold, every charge walk — except how a nest or a
+    reduction operand is evaluated: once over the whole space instead of
+    once per PE box, a nest in ``stripes`` row stripes.  That count
     is 1 under ``vectorized``; ``striped=True`` is the ``parallel``
     backend, where it is the run's worker count and the stripes of a
     nest run concurrently on the thread pool of
@@ -262,6 +262,16 @@ class VectorizedExec(_Exec):
         if self._log is not None:
             self._log.nests["whole", "reduction"] += 1
         return super()._reduce(expr)
+
+    def _blocks(self, sched, tape, arrays, scalars) -> list:
+        """The operand evaluated once over the whole array, and each
+        PE's owned block sliced from its value."""
+        whole = [(0, [(1, n) for n in arrays[0].layout.shape])]
+        (_, slices), = self._bindings(sched, tape, whole)
+        value = tape.run(self._views(arrays, 0, slices), scalars,
+                         self._bound)[tape.result]
+        return [value[tuple(slice(lo - 1, hi) for lo, hi in box)]
+                for _, box in sched.regions]
 
     def _eval_nest(self, op: LoopNestOp, space, sched) -> None:
         tape = self._nest_tape(op)  # legality, whichever evaluator runs it

@@ -68,6 +68,16 @@ class TestFig11Shape:
         assert min(single_oom) < (min(multi_oom) if multi_oom
                                   else float("inf"))
 
+    def test_out_of_memory_outcomes_are_pinned(self, result):
+        """Which size overflows, and every peak that fits, to the byte:
+        the heaps are vectors allocated all-or-nothing per array."""
+        assert [(r.spec[:3], r.n, r.oom, r.peak_bytes_per_pe)
+                for r in result.rows] == [
+            ("9-p", 128, False, 246016), ("9-p", 256, False, 983552),
+            ("9-p", 384, True, None), ("9-p", 512, True, None),
+            ("Pro", 128, False, 98560), ("Pro", 256, False, 393728),
+            ("Pro", 384, False, 885504), ("Pro", 512, True, None)]
+
     def test_temp_counts_12_vs_3(self, result):
         assert result.for_spec("9-pt")[0].temp_storage_arrays == 12
         assert result.for_spec("Problem 9")[0].temp_storage_arrays == 3

@@ -1,6 +1,8 @@
 """Per-PE memory accounting tests (Figure 11's OOM mechanism)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MachineError, SimulatedOutOfMemoryError
 from repro.machine.memory import MemoryManager
@@ -65,3 +67,51 @@ class TestMemory:
         mm = MemoryManager(npes=1)
         mm.allocate(0, "A", 10)
         assert mm.live_blocks(0) == {"A": 10}
+
+    def test_one_name_on_some_pes(self):
+        mm = MemoryManager(npes=3)
+        mm.allocate(0, "A", 10)
+        mm.allocate(2, "A", 30)
+        mm.free(0, "A")
+        assert [mm.live_blocks(pe) for pe in range(3)] == [{}, {}, {"A": 30}]
+        with pytest.raises(MachineError, match="PE 2: double allocation"):
+            mm.allocate_all("A", [5, 5, 5])
+        mm.free_all("A")
+        assert [mm.in_use(pe) for pe in range(3)] == [0, 0, 0]
+        assert [mm.peak(pe) for pe in range(3)] == [10, 0, 30]
+
+
+def state(mm):
+    return ([mm.in_use(pe) for pe in range(mm.npes)],
+            [mm.peak(pe) for pe in range(mm.npes)],
+            [mm.live_blocks(pe) for pe in range(mm.npes)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(0, 200),
+       before=st.lists(st.integers(0, 150), min_size=4, max_size=4),
+       nbytes=st.lists(st.integers(0, 150), min_size=4, max_size=4))
+def test_a_distributed_allocation_fails_at_the_lowest_rank(capacity, before,
+                                                           nbytes):
+    """The vector allocation raises what a rank-order loop over the PEs
+    raised first, with the same fields, and allocates nothing."""
+    mm = MemoryManager(npes=4, capacity=capacity)
+    for pe, n in enumerate(before):
+        if 0 < n <= capacity:
+            mm.allocate(pe, f"B{pe}", n)
+    in_use, peaks, _ = was = state(mm)
+    first = next(((pe, n, in_use[pe], capacity)
+                  for pe, n in enumerate(nbytes)
+                  if in_use[pe] + n > capacity), None)
+    if first is None:
+        mm.allocate_all("A", nbytes)
+        assert [mm.in_use(pe) for pe in range(4)] == \
+            [u + n for u, n in zip(in_use, nbytes)]
+        assert [mm.peak(pe) for pe in range(4)] == \
+            [max(p, u + n) for p, u, n in zip(peaks, in_use, nbytes)]
+        return
+    with pytest.raises(SimulatedOutOfMemoryError) as exc:
+        mm.allocate_all("A", nbytes)
+    error = exc.value
+    assert (error.pe, error.requested, error.in_use, error.capacity) == first
+    assert state(mm) == was     # no block, no peak moved

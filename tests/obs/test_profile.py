@@ -313,10 +313,21 @@ class TestSelfTimeAttribution:
                                          nest.pe_sums()[0]))
 
     def test_a_second_run_sums_no_row(self, monkeypatch):
-        """Row sums are kept on the schedule's recording: a second
-        profiled run of the same plan, on a new machine, sums none."""
+        """Row sums and dense layers are kept on the schedule's
+        recording: a second profiled run of the same plan, on a new
+        machine, compiles neither."""
         from repro.compiler.cache import PlanCache
         from repro.machine.network import Charges
+
+        def spy(method, memo):
+            real = getattr(Charges, method)
+
+            def compiled_here(self):
+                if getattr(self, memo) is None:
+                    compiled.append(method)
+                return real(self)
+            monkeypatch.setattr(Charges, method, compiled_here)
+
         for kernel, level in (("cg", None), ("nine_point", "O0"),
                               ("purdue9", "O4")):
             cache = PlanCache()     # the second run gets the same plan
@@ -325,14 +336,12 @@ class TestSelfTimeAttribution:
                 return run_case(kernel, level, {"cache": cache})
 
             first = run()
-            sums = []
-            real = Charges._row_sum
-            monkeypatch.setattr(Charges, "_row_sum",
-                                lambda self, row: sums.append(row)
-                                or real(self, row))
+            compiled: list[str] = []
+            spy("layers", "_layers")
+            spy("pe_sums", "_sums")
             second = run()
             monkeypatch.undo()
-            assert sums == [], kernel
+            assert compiled == [], kernel
             assert second.profile.to_dict()["timeline"] == \
                 first.profile.to_dict()["timeline"]
 

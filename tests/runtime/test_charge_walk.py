@@ -18,7 +18,7 @@ spelled once.
 """
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ import repro
 from repro.ir.rsd import RSD, RSDim
 from repro.ir.types import DistKind, Distribution
 from repro.machine import Machine
-from repro.machine.cost_model import CostReport
 from repro.machine.network import Charges
 from repro.runtime.cshift import FullShift, full_cshift, full_eoshift
 from repro.runtime.darray import DArray, allocate_distributed
@@ -68,9 +67,11 @@ class NullArray:
 
 
 def observed(machine):
-    """Everything a charge walk leaves behind on a machine."""
+    """Everything a charge walk leaves behind on a machine; the per-PE
+    rows also as bytes, so a -0.0 or a NaN payload counts."""
     return (machine.report, list(machine.network.log),
-            [machine.memory.peak(pe) for pe in range(machine.npes)])
+            [machine.memory.peak(pe) for pe in range(machine.npes)],
+            machine.report.rows.tobytes())
 
 
 LAYOUTS = [
@@ -123,10 +124,10 @@ def test_null_placement_charges_identically(layout, n, dtype, ops, seed):
         if array_type is not NullArray:
             seen[array_type] += (u.gather().tobytes(),
                                  v.gather().tobytes())
-    assert seen[NullArray] == seen[DArray][:3]
-    assert seen[VArray][:3] == seen[DArray][:3]
+    assert seen[NullArray] == seen[DArray][:4]
+    assert seen[VArray][:4] == seen[DArray][:4]
     # the two real placements moved the same interiors
-    assert seen[VArray][3:] == seen[DArray][3:]
+    assert seen[VArray][4:] == seen[DArray][4:]
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,7 +167,7 @@ def test_a_schedule_replays_identically_on_every_placement(
         if array_type is not NullArray:
             seen[array_type] += (u.gather().tobytes(),
                                  v.gather().tobytes())
-    assert seen[NullArray] == seen[DArray][:3]
+    assert seen[NullArray] == seen[DArray][:4]
     assert seen[VArray] == seen[DArray]
 
 
@@ -176,9 +177,10 @@ CHARGE_CALL = re.compile(
     r"\bnetwork\.record\(|\ballreduce\(|\ballocate_all\(|\breplay\(")
 CHARGING_MODULES = {f"runtime/{name}.py" for name in
                     ("executor", "overlap", "cshift", "darray")}
-#: an assignment into one of the cost report's per-PE rows
-ROW_WRITE = re.compile(r"\b(?:%s)\[[^\]]*\]\s*[-+*/]?=(?!=)" % "|".join(
-    f.name for f in fields(CostReport) if f.name.startswith("pe_")))
+#: a write into the cost report's per-PE row array: an assignment to
+#: ``.rows`` or an element of it, or a ufunc's ``out=`` naming it
+ROW_WRITE = re.compile(
+    r"\.rows\b(?:\[[^\]]*\])*\s*[-+*/]?=(?!=)|\bout=[\w.]*\.rows\b")
 
 
 def test_charges_are_made_by_the_skeleton_only():
@@ -198,7 +200,12 @@ def test_charges_are_made_by_the_skeleton_only():
     replays = {name for name, text in sources.items()
                if re.search(r"\bdef replay\(", text)}
     assert replays == {"machine/network.py"}
-    assert ROW_WRITE.search("report.pe_copy_times[pe] -= t")
+    for write in ("report.rows[2, pe] -= t", "report.rows += layer",
+                  "machine.report.rows = rows",
+                  "np.add(a, b, out=machine.report.rows)"):
+        assert ROW_WRITE.search(write), write
+    assert not ROW_WRITE.search("result.rows.append(row)")
+    assert not ROW_WRITE.search("report.rows == other.rows")
     writers = {name for name, text in outside.items()
                if ROW_WRITE.search(text)}
     assert writers == set()

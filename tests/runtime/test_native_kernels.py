@@ -149,19 +149,30 @@ def ref(name, *offsets):
     return OffsetRef(name, offsets)
 
 
+#: a static box function (the nest body, restrict pointers as
+#: parameters), then the one entry point: the box per region-table row
 GRAMMAR = re.compile(r"""
-    void\ k\d+\((?:(?:const\ )?(?:float|double)\ \*restrict\ a\d+,\ )+
+    static\ void\ (?P<k>k\d+)_box\(
+        (?:(?:const\ )?(?:float|double)\ \*restrict\ a\d+,\ )+
         (?:long\ long\ [nso][\d_]+(?:,\ )?)+
         (?:,\ double\ d\d+)*\)\n
     \{\n
     (?:\ +const\ (?:float|double)\ c\d+\ =\ \((?:float|double)\)d\d+;\n)*
-    (?:\ +for\ \(long\ long\ (i\d)\ =\ 0;\ \1\ <\ n\d;\ \1\+\+\)\ \{\n
+    (?:\ +for\ \(long\ long\ (?P<i>i\d)\ =\ 0;\ (?P=i)\ <\ n\d;\ (?P=i)\+\+\)\ \{\n
        (?:\ +const\ long\ long\ b\d+_\d\ =\ (?:b\d+_\d\ \+\ )?i\d\ \*\ s\d+_\d;\n)*)+
     (?:\ +(?:const\ (?:float|double)\ t\d+|a\d+\[[bio\d_ +]+\])\ =
        \ (?:neg_(?:float|double)\((?:t\d+|c\d+|a\d+\[[bio\d_ +]+\])\)
           |(?:t\d+|c\d+|a\d+\[[bio\d_ +]+\])
            (?:\ [-+*/]\ (?:t\d+|c\d+|a\d+\[[bio\d_ +]+\]))?);\n)+
-    (?:\ *\}\n)+""", re.VERBOSE)
+    (?:\ *\}\n)+
+    void\ (?P=k)\(long\ long\ nreg,\ const\ long\ long\ \*addr,
+        \ const\ long\ long\ \*ints,\ const\ double\ \*d\)\n
+    \{\n
+    \ \ for\ \(long\ long\ r\ =\ 0;\ r\ <\ nreg;\ r\+\+,
+        \ addr\ \+=\ \d+,\ ints\ \+=\ \d+\)\n
+    \ {4}(?P=k)_box\((?:\((?:const\ )?(?:float|double)\ \*\)addr\[\d+\],\ )+
+        (?:ints\[\d+\](?:,\ )?)+(?:,\ d\[\d+\])*\);\n
+    \}\n""", re.VERBOSE)
 
 
 @settings(max_examples=25, deadline=None)
