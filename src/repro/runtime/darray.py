@@ -10,13 +10,17 @@ exploiting the overlap areas of Gerndt [11]).
 Convention: Fortran global index ``g`` (1-based) along dim ``d`` maps to
 NumPy axis ``d`` index ``halo[d][0] + (g - owned_lo)`` in the padded
 local array.
+
+The blocks share one buffer, the *arena*: a ``(*grid, *cell)`` array,
+each PE's block the leading sub-box of its cell, so data motion is one
+array operation over all PEs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate
+from functools import cached_property, lru_cache
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -30,15 +34,48 @@ Halo = tuple[tuple[int, int], ...]
 
 @lru_cache(maxsize=1024)
 def _footprint(layout: Layout, halo: Halo, dtype: np.dtype) -> tuple:
-    """Per PE, the padded block's shape, its bytes (what the memory
-    manager charges) and its element offset in one arena, the arena's
-    size last: once per (layout, halo, dtype)."""
+    """Per PE, the padded block's bytes (what the memory manager charges,
+    never the cell's) and its index in the arena; the cell shape last."""
     shapes = [tuple(n + lo + hi for n, (lo, hi) in zip(local, halo))
               for local in map(layout.local_shape, layout.grid.ranks())]
-    sizes = [prod(s) for s in shapes]
-    nbytes = np.array(sizes, dtype=np.int64) * dtype.itemsize
+    nbytes = np.array(list(map(prod, shapes)), np.int64) * dtype.itemsize
     nbytes.flags.writeable = False      # every allocation shares it
-    return shapes, nbytes, list(accumulate(sizes, initial=0))
+    blocks = tuple((*layout.grid.coords(pe), *(slice(0, n) for n in shape))
+                   for pe, shape in enumerate(shapes))
+    return nbytes, blocks, tuple(map(max, zip(*shapes)))
+
+
+@lru_cache(maxsize=1024)
+def _classes(layout: Layout, halo: Halo) -> tuple:
+    """The owned blocks in classes of one shape (along a BLOCK dim the
+    full blocks, then a short last one): per class, its interiors in the
+    arena, and the global window with the reshape and transpose that lay
+    it out alike."""
+    options = []    # per dim: (grid slice | None, blocks, extent, start)
+    for d, n in enumerate(layout.shape):
+        bd = layout.block_dims.get(d)
+        b, p = (bd.block, bd.nprocs) if bd else (n, 1)
+        runs = [(0, p, b)] if n == p * b else \
+            [(0, p - 1, b), (p - 1, 1, n - (p - 1) * b)]
+        options.append([(slice(j, j + c) if bd else None, c, m, j * b)
+                        for j, c, m in runs])
+    classes = []
+    for choice in product(*options):
+        split, counts, extents = [], [], []
+        for grid, count, n, _ in choice:
+            if grid:
+                counts.append(len(split))
+                split.append(count)
+            extents.append(len(split))
+            split.append(n)
+        interiors = tuple(slice(lo, lo + n)
+                          for (lo, _), (_, _, n, _) in zip(halo, choice))
+        classes.append((
+            tuple(grid for grid, *_ in choice if grid) + interiors,
+            tuple(slice(start, start + count * n)
+                  for _, count, n, start in choice),
+            tuple(split), tuple(counts + extents)))
+    return tuple(classes)
 
 
 def allocate_distributed(machine: Machine, name: str, layout: Layout,
@@ -62,20 +99,23 @@ def allocate_distributed(machine: Machine, name: str, layout: Layout,
                 f"use a smaller shift or fewer processors")
     dtype = np.dtype(dtype)
     footprint = _footprint(layout, halo, dtype)
-    machine.memory.allocate_all(name, footprint[1])
+    machine.memory.allocate_all(name, footprint[0])
     return dtype, halo, footprint
 
 
 @dataclass
 class DArray:
     """A BLOCK-distributed array materialised on a machine: one padded
-    block per PE, the blocks laid end to end in one buffer."""
+    block per PE, each the leading sub-box of its cell of one arena."""
 
     name: str
     layout: Layout
     dtype: np.dtype
     halo: Halo
-    locals: list[np.ndarray]
+    #: the arena, ``(*grid, *cell)``
+    data: np.ndarray
+    #: per PE, its padded block's index in ``data``
+    blocks: tuple
     #: what the executor keys this buffer's schedules on
     key: object = field(default=None, repr=False, compare=False)
     #: that buffer's ``(address, bytes)``, for native region tables
@@ -86,17 +126,20 @@ class DArray:
     @staticmethod
     def create(machine: Machine, name: str, layout: Layout,
                dtype: np.dtype, halo: Halo | None = None) -> "DArray":
-        dtype, halo, (shapes, _, starts) = allocate_distributed(
+        dtype, halo, (_, blocks, cell) = allocate_distributed(
             machine, name, layout, dtype, halo)
-        arena = np.zeros(starts[-1], dtype=dtype)
-        return DArray(name, layout, dtype, halo,
-                      [arena[a:b].reshape(s) for a, b, s in
-                       zip(starts, starts[1:], shapes)],
-                      arena=(arena.ctypes.data, arena.nbytes))
+        data = np.zeros((*layout.grid.shape, *cell), dtype=dtype)
+        return DArray(name, layout, dtype, halo, data, blocks,
+                      arena=(data.ctypes.data, data.nbytes))
 
     def free(self, machine: Machine) -> None:
         machine.memory.free_all(self.name)
-        self.locals = []
+        self.data, self.locals = np.zeros(0, dtype=self.dtype), []
+
+    @cached_property
+    def locals(self) -> list[np.ndarray]:
+        """Every PE's padded block as a view, made on first use."""
+        return [self.data[index] for index in self.blocks]
 
     # -- views ---------------------------------------------------------------
     def padded(self, pe: int) -> np.ndarray:
@@ -122,14 +165,15 @@ class DArray:
             raise MachineError(
                 f"{self.name}: scatter shape {global_array.shape} != "
                 f"declared {self.layout.shape}")
-        for pe, src in enumerate(self.layout.owned_slices):
-            self.interior(pe)[...] = global_array[src]
+        for cells, window, split, axes in _classes(self.layout, self.halo):
+            self.data[cells] = global_array[window].reshape(split) \
+                .transpose(axes)
 
     def gather(self) -> np.ndarray:
         """Assemble the global array from the local interiors."""
-        out = np.zeros(self.layout.shape, dtype=self.dtype)
-        for pe, dst in enumerate(self.layout.owned_slices):
-            out[dst] = self.interior(pe)
+        out = np.empty(self.layout.shape, dtype=self.dtype)
+        for cells, window, split, axes in _classes(self.layout, self.halo):
+            out[window].reshape(split).transpose(axes)[...] = self.data[cells]
         return out
 
     # -- data motion: what a placement adds to the shared charge walks ------
@@ -138,51 +182,63 @@ class DArray:
         ``sign``-side overlap slab of dim ``d`` (depth ``s``, widened by
         ``ext[k]`` overlap cells in the other dims) from the neighboring
         block — block to block, no network — or with ``boundary`` past
-        the global edge.  The slab pairs come from the layout, never
-        from the blocks: derived once, they are kept on the shift."""
+        the global edge.  The slabs come from the layout, never from the
+        blocks: derived once, they are kept on the shift as flat arena
+        indices.  No cell is both a destination (an overlap cell along
+        ``d``) and a source (an owned one), so one gather and scatter is
+        the slab-by-slab copy in rank order."""
         moves = shift.moves.get(DArray)
         if moves is None:
-            moves = shift.moves[DArray] = list(self._slab_pairs(shift))
-        for pe, dst, sender, src in moves:
-            if sender is None:
-                self.locals[pe][dst] = shift.boundary
-            else:
-                self.locals[pe][dst] = self.locals[sender][src]
+            moves = shift.moves[DArray] = self._moves(shift)
+        dst, src, edge = moves
+        flat = self.data.reshape(-1)
+        flat[dst] = flat.take(src)
+        if shift.boundary is not None:
+            flat[edge] = shift.boundary
 
-    def _slab_pairs(self, shift):
-        """``(pe, dst slices, sender | None, src slices)`` per PE; no
-        sender past the global edge of an end-off shift."""
+    def _moves(self, shift) -> tuple:
+        """Every PE's slab as ``(destinations, their sources, boundary
+        cells)``; no sender past the global edge of an end-off shift."""
         d, s, sign, ext = shift.d, shift.s, shift.sign, shift.ext
         layout = self.layout
         halo_lo = self.halo[d][0]
         distributed = layout.is_distributed(d)
         n_global = layout.shape[d]
 
-        def slab(pe: int, along_d: slice) -> tuple[slice, ...]:
-            local = layout.local_shape(pe)
-            return tuple(
-                along_d if k == d else
-                slice(self.halo[k][0] - ext[k][0],
-                      self.halo[k][0] + local[k] + ext[k][1])
-                for k in range(len(local)))
+        cell = self.data.shape[-len(self.halo):]
+        in_cell: dict = {}      # a slab's ranges -> its indices in a cell
 
+        def slab(pe: int, along_d: slice) -> np.ndarray:    # C order
+            local = layout.local_shape(pe)
+            key = tuple((along_d.start, along_d.stop) if k == d else
+                        (self.halo[k][0] - ext[k][0],
+                         self.halo[k][0] + local[k] + ext[k][1])
+                        for k in range(len(local)))
+            if key not in in_cell:
+                in_cell[key] = np.ravel_multi_index(
+                    np.ix_(*(range(*r) for r in key)), cell).ravel()
+            return pe * prod(cell) + in_cell[key]
+
+        dst, src, edge = [], [], []
         for pe in layout.grid.ranks():
             n_local = layout.local_shape(pe)[d]
-            dst = slab(pe, slice(halo_lo + n_local, halo_lo + n_local + s)
-                       if sign > 0 else slice(halo_lo - s, halo_lo))
+            to = slab(pe, slice(halo_lo + n_local, halo_lo + n_local + s)
+                      if sign > 0 else slice(halo_lo - s, halo_lo))
             # a collapsed dimension is whole on every PE: each one is at
             # both global edges and wraps onto itself
             box_lo, box_hi = layout.owned_box(pe)[d]
             at_edge = (box_hi == n_global) if sign > 0 else (box_lo == 1)
             if shift.boundary is not None and at_edge:
-                yield pe, dst, None, None
+                edge.append(to)
                 continue
             sender = layout.neighbor(pe, d, sign) if distributed else pe
             sender_n = layout.local_shape(sender)[d]
-            src = slab(sender, slice(halo_lo, halo_lo + s) if sign > 0
-                       else slice(halo_lo + sender_n - s,
-                                  halo_lo + sender_n))
-            yield pe, dst, sender, src
+            dst.append(to)
+            src.append(slab(sender, slice(halo_lo, halo_lo + s) if sign > 0
+                            else slice(halo_lo + sender_n - s,
+                                       halo_lo + sender_n)))
+        return tuple(np.concatenate(cells or [np.zeros(0, np.intp)])
+                     for cells in (dst, src, edge))
 
     def assign_interior(self, other: "DArray", shift: int, d: int) -> None:
         """``self(i) = other(i + shift)`` along dim ``d`` over the owned

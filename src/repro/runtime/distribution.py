@@ -61,7 +61,7 @@ class BlockDim:
             raise MachineError(f"index {g} not owned by processor {j}")
         return g - lo
 
-    @property
+    @cached_property
     def min_local_extent(self) -> int:
         return min(self.local_extent(j) for j in range(self.nprocs))
 
@@ -127,12 +127,6 @@ class Layout:
     @cached_property
     def _local_shapes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(hi - lo + 1 for lo, hi in box)
-                     for box in self._owned_boxes)
-
-    @cached_property
-    def owned_slices(self) -> tuple[tuple[slice, ...], ...]:
-        """Per rank, its owned block as slices of the global array."""
-        return tuple(tuple(slice(lo - 1, hi) for lo, hi in box)
                      for box in self._owned_boxes)
 
     def owned_box(self, rank: int) -> tuple[tuple[int, int], ...]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
@@ -74,20 +75,33 @@ class _Schedule(NamedTuple):
     credits: list           # (pe, interior loop time), overlapped nests
     slices: dict            # placement type -> reference slices per region
     tables: dict            # placement type -> native region table | reason
+    stack: tuple = ()       # a reduction's: see :func:`_stack_layout`
 
 
-def _partials(blocks: list, ufunc) -> list[float]:
-    """Each block's partial, ``ufunc.reduce`` over a C-contiguous copy of
-    it (so not a function of the block's memory layout): every block of
-    one shape in one call on a ``(blocks, points)`` stack."""
-    partials = [0.0] * len(blocks)
-    shapes: dict = {}
-    for i, block in enumerate(blocks):
-        shapes.setdefault(block.shape, []).append(i)
-    for at in shapes.values():
-        stack = np.stack([blocks[i] for i in at]).reshape(len(at), -1)
-        for i, part in zip(at, ufunc.reduce(stack, axis=1).tolist()):
-            partials[i] = float(part)
+def _stack_layout(shapes: list) -> tuple:
+    """Where blocks of ``shapes`` lie in a reduction's stack, one shape's
+    adjacent: ``(size, [(start, shape)], [(blocks, start, points)])``."""
+    by_shape: dict = {}
+    for i, shape in enumerate(shapes):
+        by_shape.setdefault(shape, []).append(i)
+    slots, spans, size = [None] * len(shapes), [], 0
+    for shape, at in by_shape.items():
+        points = prod(shape)
+        spans.append((at, size, points))
+        for i in at:
+            slots[i] = (size, shape)
+            size += points
+    return size, slots, spans
+
+
+def _partials(stack: np.ndarray, spans: list, ufunc) -> list[float]:
+    """Each block's partial, ``ufunc.reduce`` over its values in C order:
+    every block of one shape in one call on its rows of the stack."""
+    partials = [0.0] * sum(len(at) for at, _, _ in spans)
+    for at, start, points in spans:
+        rows = stack[start:start + len(at) * points].reshape(len(at), points)
+        for i, part in zip(at, ufunc.reduce(rows, axis=1).tolist()):
+            partials[i] = part
     return partials
 
 
@@ -219,20 +233,47 @@ class _Exec:
         sched = self._schedule(expr, arrays, None,
                                lambda: self._walk_reduction(expr, first))
         scalars = [self.scalar(ref) for ref in tape.scalars]
-        total, *rest = _partials(
-            self._blocks(sched, tape, arrays, scalars), ufunc)
+        total, *rest = _partials(self._stack(sched, tape, arrays, scalars),
+                                 sched.stack[2], ufunc)
         for part in rest:
             total = float(ufunc(total, part))
         self.machine.network.replay(sched.charges)
         return total
 
+    def _stack(self, sched: _Schedule, tape: NestTape, arrays: list,
+               scalars: list) -> np.ndarray:
+        """The operand on every PE's owned block, laid out as
+        ``sched.stack`` says: one native call, else the tape's values."""
+        size, slots, _ = sched.stack
+        kernel = tape.kernel
+        if kernel is not None:
+            data = np.empty(size, kernel.dtype)
+            out = SimpleNamespace(arena=(data.ctypes.data, data.nbytes))
+
+            def boxes() -> list:
+                return [self._views(arrays, pe, self._slices(tape, pe, box))
+                        + [data[at:at + prod(shape)].reshape(shape)]
+                        for (pe, box), (at, shape) in zip(sched.regions,
+                                                          slots)]
+
+            if self._run_table(sched, kernel, [*arrays, out], scalars, boxes,
+                               count=True):
+                return data
+        stack = None
+        for (at, shape), value in zip(
+                slots, self._blocks(sched, tape, arrays, scalars)):
+            if stack is None:
+                stack = np.empty(size, value.dtype)
+            stack[at:at + value.size].reshape(shape)[...] = value
+        return stack
+
     def _blocks(self, sched: _Schedule, tape: NestTape, arrays: list,
-                scalars: list) -> list:
-        """A reduction operand's value on each PE's owned block, in rank
-        order: evaluated PE by PE (copied: the next PE reuses registers)."""
-        return [np.array(tape.run(self._views(arrays, pe, slices), scalars,
-                                  self._bound)[tape.result])
-                for pe, slices in self._bindings(sched, tape, sched.regions)]
+                scalars: list):
+        """The tape's value of a reduction operand on each PE's owned
+        block, PE by PE (each taken before the next reuses registers)."""
+        for pe, slices in self._bindings(sched, tape, sched.regions):
+            yield tape.run(self._views(arrays, pe, slices), scalars,
+                           self._bound)[tape.result]
 
     def _walk_reduction(self, expr: Reduction, first) -> _Schedule:
         """Each PE's owned block, its loop and its butterfly share."""
@@ -246,7 +287,8 @@ class _Exec:
                 per_point, prod(hi - lo + 1 for lo, hi in box)), self.overhead)
             charges.allreduce(pe, npes, 8, tag)
             regions.append((pe, box))
-        return _Schedule(regions, charges, [], {}, {})
+        return _Schedule(regions, charges, [], {}, {}, _stack_layout(
+            [tuple(hi - lo + 1 for lo, hi in box) for _, box in regions]))
 
     def bound(self, e) -> int:
         value = self._static.get(e)
@@ -369,27 +411,35 @@ class _Exec:
         return boxes
 
     def _eval_nest(self, op: LoopNestOp, space, sched: _Schedule) -> None:
-        """Compute the nest: region by region here (in one native call
-        over the schedule's region table, when it has one); a placement
-        that holds the whole array evaluates ``space`` in one go."""
+        """Compute the nest over :meth:`_regions`: in one native call
+        over the schedule's region table, else region by region."""
         tape = self._nest_tape(op)
-        bindings = self._bindings(sched, tape, sched.regions)
+        bindings = self._bindings(sched, tape, self._regions(sched, space))
         if not bindings:
             return
         arrays = self._ref_arrays(tape)
         scalars = [self.scalar(ref) for ref in tape.scalars]
-        kernel = tape.kernel
-        if kernel is not None:
-            table = sched.tables.get(self.array_type)
-            if table is None:
-                table = sched.tables[self.array_type] = kernel.table(
-                    [self._views(arrays, pe, slices)
-                     for pe, slices in bindings], arrays)
-            if table.__class__ is not str and \
-                    kernel.run_table(table, arrays, scalars):
-                return
+        if self._run_table(sched, tape.kernel, arrays, scalars, lambda: [
+                self._views(arrays, pe, slices) for pe, slices in bindings]):
+            return
         for pe, slices in bindings:
             tape.run(self._views(arrays, pe, slices), scalars, self._bound)
+
+    def _regions(self, sched: _Schedule, space) -> list:
+        """The boxes a nest is evaluated over: here each PE's."""
+        return sched.regions
+
+    def _run_table(self, sched: _Schedule, kernel, arrays: list,
+                   scalars: list, boxes, count: bool = False) -> bool:
+        """One ``kernel`` call over this placement's table of ``sched``,
+        made from ``boxes()`` on first use; false if none or refused."""
+        if kernel is None:
+            return False
+        table = sched.tables.get(self.array_type)
+        if table is None:
+            table = sched.tables[self.array_type] = kernel.table(
+                boxes(), arrays)
+        return kernel.run_table(table, arrays, scalars, count)
 
     def run_nest(self, op: LoopNestOp) -> None:
         self._run_nest(op, op, split=False)

@@ -8,15 +8,16 @@ dimension contiguous, one ``restrict`` base pointer parameter and row
 strides per *array* (every placement keeps one buffer per array name),
 one element offset per reference, each arithmetic instruction one
 statement in the array dtype, stores in statement order — and one entry
-point, ``k<i>(nreg, addr, ints, d)``, calling the box per row of a
-region table (a ``perpe`` nest is one call over its schedule's
-:meth:`Kernel.table`, a slab nest or stripe a one-row table); builds
-one translation unit per plan with the system ``cc``, keeps it in a
-content-addressed :mod:`repro.store` directory and calls it through
-``ctypes``.  Scalar-only subtrees are still evaluated in Python and
-passed by value, so the text depends on nest structure only and is
-drawn from a closed grammar (positional names, a fixed operator table,
-no identifier or literal of a submitted program).
+point, ``k<i>(nreg, base, off, ints, d)``, calling the box per row of a
+region table of byte offsets from the buffers' bases (a ``perpe`` nest
+is one call over its schedule's :meth:`Kernel.table`, a slab nest a
+one-row table); a reduction operand's loop stores its value into the
+caller's stack.  One translation unit per plan is built with the system
+``cc``, kept in a content-addressed :mod:`repro.store` directory and
+called through ``ctypes``.  Scalar-only subtrees are still evaluated in
+Python and passed by value, so the text depends on nest structure only
+and is drawn from a closed grammar (positional names, a fixed operator
+table, no identifier or literal of a submitted program).
 
 Why ``-O3`` keeps NumPy's bits: without ``-ffast-math`` and with
 ``-ffp-contract=off`` the compiler may neither reassociate nor fuse a
@@ -27,9 +28,9 @@ vectorization reorders work *across* points, never within one.
 Selection is by what the code can observe, never by an option.  Per
 plan: NumPy 2 promotion, an iteration space of at least
 :data:`MIN_POINTS`, a ``cc`` on the path, a build that succeeds.  Per
-nest, statically: stores only (no reduction operand), no mask, only
-``+ - * /`` and unary minus on arrays, arrays all ``float32`` or all
-``float64``, no assigned array read at a nonzero offset.  Per region:
+nest or reduction operand, statically: no mask, only ``+ - * /`` and
+unary minus on arrays, arrays all ``float32`` or all ``float64``, no
+assigned array read at a nonzero offset.  Per region:
 views of that dtype with unit inner stride and aligned addresses; per
 call, scalars that are weak (Python ``float``/``int``) or of the array
 dtype.  Anything else runs the ufunc tape, counted in
@@ -45,6 +46,7 @@ import stat
 import tempfile
 import warnings
 from functools import cache
+from math import prod
 from time import perf_counter
 
 import numpy as np
@@ -139,36 +141,42 @@ class _Ineligible(Exception):
 
 def emit(tape, rank: int, dtypes, name: str):
     """``(C text, call layout)`` of ``tape``'s nest as function ``name``;
-    ``dtypes`` maps array name -> dtype.  Raises :class:`_Ineligible`."""
-    stmts, refs = tape.stmts, tape.refs
-    if any(s.dst is None for s in stmts):
-        raise _Ineligible("reduction")
+    ``dtypes`` maps array name -> dtype; a reduction operand stores into
+    one more array, the caller's stack.  Raises :class:`_Ineligible`."""
+    stmts, refs = tape.stmts, list(tape.refs)
+    nrefs = len(refs)       # slots below this are array references
+    if stmts[-1].dst is None:
+        refs.append((None, (0,) * rank))
     if any(s.mask is not None for s in stmts):
         raise _Ineligible("mask")
-    kinds = {np.dtype(dtypes[array]) for array, _ in refs}
+    kinds = {np.dtype(dtypes[array]) for array, _ in refs if array}
     if len(kinds) != 1 or not kinds <= set(_CTYPE):
         raise _Ineligible("dtype")
     dtype, = kinds
-    assigned = {refs[s.dst][0] for s in stmts}
+    stores = [nrefs if s.dst is None else s.dst for s in stmts]
+    assigned = {refs[j][0] for j in stores}
     if any(array in assigned and any(offsets) for array, offsets in refs):
         raise _Ineligible("offset-read-of-assigned")
     arrays = list(dict.fromkeys(array for array, _ in refs))
     array_of = [arrays.index(array) for array, _ in refs]
     real = _CTYPE[dtype]
     row = f"b{{0}}_{rank - 2} + " if rank > 1 else ""
-    is_array = set(range(len(refs)))
+    is_array = set(range(nrefs))
     scalar_args: dict[int, int] = {}    # slot -> its ``d``/``c`` index
     scalar_code, body = [], []
 
+    def element(j: int) -> str:
+        k = array_of[j]
+        return f"a{k}[{row.format(k)}o{j} + i{rank - 1}]"
+
     def operand(slot: int) -> str:
-        if slot < len(refs):
-            k = array_of[slot]
-            return f"a{k}[{row.format(k)}o{slot} + i{rank - 1}]"
+        if slot < nrefs:
+            return element(slot)
         if slot in is_array:
             return f"t{slot}"
         return f"c{scalar_args.setdefault(slot, len(scalar_args))}"
 
-    for stmt in stmts:
+    for stmt, store in zip(stmts, stores):
         for fn, args, dst, reuse in stmt.code:
             if is_array.isdisjoint(args):
                 scalar_code.append((fn, args, dst))
@@ -180,7 +188,7 @@ def emit(tape, rank: int, dtypes, name: str):
             body.append(f"const {real} t{dst} = " + (
                 f"neg_{real}({x[0]});" if len(x) == 1
                 else f"{x[0]} {_OPS[fn]} {x[1]};"))
-        body.append(f"{operand(stmt.dst)} = {operand(stmt.value)};")
+        body.append(f"{element(store)} = {operand(stmt.value)};")
 
     pointers = [f"{'' if array in assigned else 'const '}{real} *"
                 for array in arrays]
@@ -203,20 +211,22 @@ def emit(tape, rank: int, dtypes, name: str):
                       for k in range(len(arrays))]
     lines += ["  " * (rank + 1) + line for line in body]
     lines += ["  " * d + "}" for d in range(rank, -1, -1)]
-    # the entry point: per table row, addresses, then the box's ints
+    # the entry point: per table row, each array's byte offset from its
+    # buffer's base address, then the box's ints
     nints = len(params) - len(arrays) - len(scalar_args)
-    args = [f"({p})addr[{k}]" for k, p in enumerate(pointers)]
+    args = [f"({p})(base[{k}] + off[{k}])" for k, p in enumerate(pointers)]
     args += [f"ints[{i}]" for i in range(nints)]
     args += [f"d[{m}]" for m in range(len(scalar_args))]
-    lines += [f"void {name}(long long nreg, const long long *addr, "
-              f"const long long *ints, const double *d)", "{",
+    lines += [f"void {name}(long long nreg, const long long *base, "
+              f"const long long *off, const long long *ints, "
+              f"const double *d)", "{",
               f"  for (long long r = 0; r < nreg; r++, "
-              f"addr += {len(arrays)}, ints += {nints})",
+              f"off += {len(arrays)}, ints += {nints})",
               f"    {name}_box({', '.join(args)});", "}"]
     groups = [[(j, refs[j][1]) for j, k in enumerate(array_of) if k == g]
               for g in range(len(arrays))]
     return "\n".join(lines) + "\n", (
-        name, dtype, rank, groups, scalar_code, list(scalar_args),
+        name, dtype, rank, groups, nrefs, scalar_code, list(scalar_args),
         tape.tail)
 
 
@@ -227,19 +237,21 @@ class Kernel:
 
     def __init__(self, lib, layout) -> None:
         import ctypes
-        name, self.dtype, self.rank, self.groups, self.scalar_code, \
-            self.scalar_slots, self.tail = layout
+        name, self.dtype, self.rank, self.groups, nrefs, \
+            self.scalar_code, self.scalar_slots, self.tail = layout
         self._lib = lib         # the function pointer does not hold it
         self.fn = getattr(lib, name)
         self.fn.restype = None
-        # regions; addresses; extents, strides and offsets; scalars
-        self.fn.argtypes = [ctypes.c_longlong] + [ctypes.c_void_p] * 3
+        # regions; buffers; their offsets; extents, strides...; scalars
+        self.fn.argtypes = [ctypes.c_longlong] + [ctypes.c_void_p] * 4
         self._long, self._double = ctypes.c_longlong, ctypes.c_double
+        #: one row of zero offsets, for a box given by its addresses
+        self._here = (self._long * len(self.groups))()
         #: byte strides of each array -> (element strides, element
         #: offsets of every reference) or the reason they cannot be used
         self._steps: dict = {}
         #: the slot list's array part, for the scalar code
-        self._refs = [None] * sum(map(len, self.groups))
+        self._refs = [None] * nrefs
 
     def __call__(self, views: list, scalars: list) -> bool:
         row = self._row(views)
@@ -248,15 +260,16 @@ class Kernel:
             _count(1, status="fallback", reason=values)
             return False
         addr, ints = row
-        self.fn(1, (self._long * len(addr))(*addr),
+        self.fn(1, (self._long * len(addr))(*addr), self._here,
                 (self._long * len(ints))(*ints), values)
         return True
 
     def table(self, boxes: list, arrays: list) -> "tuple | str":
         """A schedule's boxes (each box's views over ``arrays``, one per
-        reference, each with one buffer ``arena = (address, bytes)``) as
-        one table of offsets into the arenas, so it serves every run of
-        the schedule; or the first box's reason to stay on the tape."""
+        reference — a reduction's stack last — each with one buffer
+        ``arena = (address, bytes)``) as one table of offsets into the
+        arenas, so it serves every run of the schedule; or the first
+        box's reason to stay on the tape."""
         arenas = [arrays[refs[0][0]].arena for refs in self.groups]
         offsets, ints = [], []
         for views in boxes:
@@ -268,17 +281,24 @@ class Kernel:
                 return "stride"
             offsets.append(at)
             ints.append(row[1])
-        return np.array(offsets, np.int64), np.array(ints, np.int64)
+        held = [np.array(rows, np.int64) for rows in (offsets, ints)]
+        # their addresses, taken once, beside the arrays that hold them
+        return len(boxes), *(a.ctypes.data for a in held), held
 
-    def run_table(self, table: tuple, arrays: list, scalars: list) -> bool:
-        """One call over every box of ``table`` for this run's
-        ``arrays``; false (uncounted) when a scalar is strong."""
-        values = self._values(scalars)
+    def run_table(self, table: "tuple | str", arrays: list, scalars: list,
+                  count: bool = False) -> bool:
+        """One call over every box of ``table`` for this run's ``arrays``;
+        false when the table was refused or a scalar is strong, counted
+        if ``count`` (a nest's boxes count their own)."""
+        values = table if table.__class__ is str else self._values(scalars)
         if values.__class__ is str:
+            if count:
+                _count(1, status="fallback", reason=values)
             return False
-        offsets, ints = table
-        addr = offsets + [arrays[refs[0][0]].arena[0] for refs in self.groups]
-        self.fn(len(offsets), addr.ctypes.data, ints.ctypes.data, values)
+        nreg, offsets, ints, *_ = table
+        self.fn(nreg, (self._long * len(self.groups))(
+            *[arrays[refs[0][0]].arena[0] for refs in self.groups]),
+            offsets, ints, values)
         return True
 
     def _elements(self, key: tuple):
@@ -464,16 +484,18 @@ def _points(plan, op) -> int:
     return points
 
 
-def attach(plan, nests: list, tracer=None) -> None:
+def attach(plan, nests: list, reductions: list, tracer=None) -> None:
     """:func:`build` for ``nests`` (``(LoopNestOp, NestTape)`` pairs of
-    ``plan``) when the plan as a whole qualifies."""
+    ``plan``) and ``reductions`` (``(NestTape, array shape)``: an
+    operand covers its array) when the plan as a whole qualifies."""
     from repro.runtime.nest_tape import _VALUE_BASED_PROMOTION
+    units = [(tape, len(op.space), _points(plan, op)) for op, tape in nests]
+    units += [(tape, len(shape), prod(shape)) for tape, shape in reductions]
     if _VALUE_BASED_PROMOTION:
         reason = "numpy1"
-    elif max((_points(plan, op) for op, _ in nests), default=0) < MIN_POINTS:
+    elif max((points for *_, points in units), default=0) < MIN_POINTS:
         reason = "small"
     else:
-        return build(
-            [(tape, len(op.space)) for op, tape in nests],
-            {name: decl.dtype for name, decl in plan.arrays.items()}, tracer)
-    _count(len(nests), status="fallback", reason=reason)
+        return build([unit[:2] for unit in units], {
+            name: decl.dtype for name, decl in plan.arrays.items()}, tracer)
+    _count(len(units), status="fallback", reason=reason)

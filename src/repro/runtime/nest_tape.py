@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import operator
 import threading
+from contextlib import suppress
 from functools import partial
 from math import prod
 from typing import NamedTuple, Sequence
@@ -54,7 +55,8 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.ir.nodes import (
-    BinOp, Compare, Const, Expr, Intrinsic, OffsetRef, ScalarRef, UnaryOp,
+    BinOp, Compare, Const, Expr, Intrinsic, OffsetRef, Reduction,
+    ScalarRef, UnaryOp,
 )
 from repro.plan import LoopNestOp, Plan, ScalarAssignOp, SeqLoopOp
 from repro.runtime.reference import apply_intrinsic, real_pow
@@ -125,9 +127,11 @@ class NestTape:
         nodes = [n for walk in walks for part in walk for n in part]
         offset_refs = [n for n in nodes if isinstance(n, OffsetRef)]
         assigned = {lhs for lhs, _, _ in statements}
+        #: not a reduction operand (whose kernel only tables call)
+        self.stores = None not in assigned
         #: every statement stores, and no assigned array is read at a
         #: nonzero dim-1 offset: rows of different strips are independent
-        self.strip_ok = None not in assigned and not any(
+        self.strip_ok = self.stores and not any(
             n.name in assigned and any(n.offsets[:1]) for n in offset_refs)
         #: first reference that reads, at a nonzero offset, an array an
         #: earlier statement of the nest assigned.  Per-PE storage serves
@@ -230,7 +234,8 @@ class NestTape:
         strip rows, bound program)``.  Registers and ``out=`` targets
         survive across calls there, so a one-strip call on a small box
         allocates nothing, and two executors never share a register."""
-        if self.kernel is not None and self.kernel(views, scalars):
+        if self.kernel is not None and self.stores and \
+                self.kernel(views, scalars):
             return None
         shape = views[0].shape
         signature = [v.dtype for v in views] + (
@@ -436,12 +441,30 @@ def plan_tapes(plan: Plan) -> PlanTapes:
     return plan.tapes
 
 
+def _reductions(plan: Plan, tapes: PlanTapes) -> list:
+    """``(operand tape, array shape)`` of every reduction in ``plan``'s
+    scalar expressions (one no tape takes fails where it runs)."""
+    exprs = [e for op in plan.walk_ops() for e in (
+        getattr(op, "rhs", None), getattr(op, "cond", None)) if e]
+    found = []
+    for node in (n for e in exprs for n in e.walk()
+                 if isinstance(n, Reduction)):
+        first = next((n.name for n in node.arg.walk()
+                      if isinstance(n, OffsetRef)), None)
+        with suppress(KeyError, ExecutionError):
+            shape = plan.arrays[first].shape
+            found.append((tapes.tape(node, [(None, node.arg, None)],
+                                     len(shape)), shape))
+    return found
+
+
 def prepare(plan: Plan, tracer=None, kernels: bool = True) -> PlanTapes:
-    """Build every nest's tape and — unless ``kernels`` is false, which
-    keeps the plan on the ufuncs for good — attach the compiled kernels
-    :func:`repro.runtime.native.attach` can offer.  Once per plan: the
-    first caller does the work, before any nest runs; every thread
-    that evaluates the plan's nests then calls the same kernels."""
+    """Build every nest's and reduction operand's tape and — unless
+    ``kernels`` is false, which keeps the plan on the ufuncs for good —
+    attach the compiled kernels :func:`repro.runtime.native.attach` can
+    offer.  Once per plan: the first caller does the work, before any
+    nest runs; every thread that evaluates the plan's nests then calls
+    the same kernels."""
     tapes = plan_tapes(plan)
     with tapes.lock:
         if not tapes.prepared:
@@ -451,6 +474,6 @@ def prepare(plan: Plan, tracer=None, kernels: bool = True) -> PlanTapes:
                 # imported by the first run, not with the package: the
                 # CLI's import time does not pay for the kernel store
                 from repro.runtime import native
-                native.attach(plan, nests, tracer)
+                native.attach(plan, nests, _reductions(plan, tapes), tracer)
             tapes.prepared = True
     return tapes

@@ -15,8 +15,8 @@ from the base offsets.
 
 An :class:`OverlapShift` is *validated and walked once*, then applied:
 the array's ``fill_overlap`` moves the data however its placement stores
-it (per-PE blocks copy slab to slab, the global slab wraps one edge
-plane) and the count-only walk's charges replay — slab extents come from
+it (per-PE blocks in one gather and scatter, the global slab wraps one
+edge plane) and the count-only walk's charges replay — slab extents come from
 the layout, never from the data, so every placement charges the
 identical rank-order sequence.
 

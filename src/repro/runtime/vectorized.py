@@ -61,16 +61,19 @@ class VArray:
     data: np.ndarray
     #: what the executor keys this buffer's schedules on
     key: object = field(default=None, repr=False, compare=False)
+    #: ``data``'s ``(address, bytes)``, for native region tables
+    arena: tuple[int, int] = field(default=(0, 0), repr=False,
+                                   compare=False)
 
     @staticmethod
     def create(machine: Machine, name: str, layout: Layout,
                dtype: np.dtype, halo: Halo | None = None) -> "VArray":
         dtype, halo, _ = allocate_distributed(machine, name, layout,
                                               dtype, halo)
-        shape = tuple(n + lo + hi
-                      for n, (lo, hi) in zip(layout.shape, halo))
-        return VArray(name, layout, dtype, halo,
-                      np.zeros(shape, dtype=dtype))
+        data = np.zeros(tuple(n + lo + hi for n, (lo, hi) in
+                              zip(layout.shape, halo)), dtype=dtype)
+        return VArray(name, layout, dtype, halo, data,
+                      arena=(data.ctypes.data, data.nbytes))
 
     def free(self, machine: Machine) -> None:
         machine.memory.free_all(self.name)
@@ -209,8 +212,9 @@ class _WorkerLog:
 class VectorizedExec(_Exec):
     """The per-PE skeleton over the global-slab placement.
 
-    Everything is inherited — op dispatch, shifts, the reductions'
-    partials and their fold, every charge walk — except how a nest or a
+    Everything is inherited — op dispatch, shifts, the reductions (a
+    native operand's one call over every PE's block included), their
+    partials and fold, every charge walk — except how a nest or a tape
     reduction operand is evaluated: once over the whole space instead of
     once per PE box, a nest in ``stripes`` row stripes.  That count
     is 1 under ``vectorized``; ``striped=True`` is the ``parallel``
@@ -273,15 +277,14 @@ class VectorizedExec(_Exec):
         return [value[tuple(slice(lo - 1, hi) for lo, hi in box)]
                 for _, box in sched.regions]
 
+    def _regions(self, sched, space) -> list:
+        return [(0, list(space))]
+
     def _eval_nest(self, op: LoopNestOp, space, sched) -> None:
         tape = self._nest_tape(op)  # legality, whichever evaluator runs it
         if any(lo > hi for lo, hi in space):
             return
-        # once, here: a stripe only binds its views and runs them
-        scalars = [self.scalar(ref) for ref in tape.scalars]
-        (_, slices), = self._bindings(sched, tape, [(0, list(space))])
-        whole = partial(tape.run, self._views(
-            self._ref_arrays(tape), 0, slices), scalars, self._bound)
+        whole = partial(super()._eval_nest, op, space, sched)
         log = self._log
         if log is None:
             return whole()
@@ -296,6 +299,8 @@ class VectorizedExec(_Exec):
             tasks = [whole]
         else:
             log.nests["striped", None] += 1
+            # once, here: a stripe only binds its views and runs them
+            scalars = [self.scalar(ref) for ref in tape.scalars]
             tasks = [partial(self._run_stripe, tape, scalars, i,
                              [rows, *space[1:]])
                      for i, rows in enumerate(stripes)]

@@ -1,14 +1,20 @@
-"""Distributed array tests: scatter/gather, halos, memory charging."""
+"""Distributed array tests: scatter/gather, halos, memory charging, and
+the arena's one-call data motion against slab-by-slab oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MachineError, SimulatedOutOfMemoryError
-from repro.ir.types import Distribution
+from repro.ir.rsd import RSD, RSDim
+from repro.ir.types import DistKind, Distribution
 from repro.machine import Machine
+from repro.machine.network import Charges
 from repro.machine.topology import ProcessorGrid
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import Layout
+from repro.runtime.overlap import OverlapShift
 
 from tests.conftest import random_grid
 
@@ -88,3 +94,139 @@ class TestMemoryCharging:
     def test_peak_accounts_halo(self, machine2x2):
         make_darray(machine2x2, n=8, halo=2)  # (4+4)^2*4 = 256B
         assert machine2x2.memory.peak(0) == 256
+
+
+# -- the arena: fills, scatter and gather against slab-by-slab oracles ------
+
+#: grid, distribution, shape: ragged blocks, 1-wide grid dimensions
+#: (every shift along them a self-send), a 3-D (BLOCK,BLOCK,*) array and
+#: collapsed dimensions; a halo of 2 fits every block
+ARENA_LAYOUTS = [
+    ((2, 2), "BB", (9, 7)),
+    ((3, 2), "BB", (10, 7)),
+    ((1, 2), "BB", (6, 8)),
+    ((2, 1), "BB", (7, 6)),
+    ((2, 3), "BB*", (7, 8, 3)),
+    ((4,), "B*", (14, 5)),
+    ((3,), "*B", (5, 10)),
+]
+KIND = {"B": DistKind.BLOCK, "*": DistKind.COLLAPSED}
+
+
+def arena_layout(case):
+    grid, dist, shape = case
+    machine = Machine(grid=grid)
+    return machine, Layout(shape, Distribution(tuple(KIND[k] for k in dist)),
+                           machine.topology)
+
+
+def with_nans(values, rng):
+    """``values`` with a quarter of its cells NaNs of distinct payloads
+    (and signs): a copy that goes through arithmetic loses them."""
+    bits = np.dtype(f"u{values.dtype.itemsize}").type
+    top = 8 * values.dtype.itemsize - 1
+    quiet = bits(0x7FC00000 if top == 31 else 0x7FF8000000000000)
+    nan = quiet | rng.integers(1, 1 << 20, values.shape, dtype=bits) \
+        | rng.integers(0, 2, values.shape, dtype=bits) << bits(top)
+    return np.where(rng.random(values.shape) < 0.25,
+                    nan.view(values.dtype), values)
+
+
+def oracle_fill(blocks, layout, halo, shift):
+    """An ``OverlapShift``'s data half slab by slab, in rank order, on
+    ``blocks`` (one padded block per PE)."""
+    d, s, sign, ext = shift.d, shift.s, shift.sign, shift.ext
+    lo = halo[d][0]
+
+    def slab(pe, along):
+        local = layout.local_shape(pe)
+        return tuple(along if k == d else
+                     slice(halo[k][0] - ext[k][0],
+                           halo[k][0] + local[k] + ext[k][1])
+                     for k in range(len(local)))
+
+    for pe in layout.grid.ranks():
+        n = layout.local_shape(pe)[d]
+        dst = slab(pe, slice(lo + n, lo + n + s) if sign > 0
+                   else slice(lo - s, lo))
+        first, last = layout.owned_box(pe)[d]
+        if shift.boundary is not None and (
+                last == layout.shape[d] if sign > 0 else first == 1):
+            blocks[pe][dst] = shift.boundary
+            continue
+        sender = layout.neighbor(pe, d, sign) \
+            if layout.is_distributed(d) else pe
+        m = layout.local_shape(sender)[d]
+        blocks[pe][dst] = blocks[sender][slab(
+            sender, slice(lo, lo + s) if sign > 0 else slice(lo + m - s,
+                                                             lo + m))]
+
+
+@st.composite
+def overlap_shifts(draw, rank):
+    """``(dim, shift, RSD widening of the other dims, boundary)``."""
+    d = draw(st.integers(0, rank - 1))
+    widen = RSD(tuple(None if k == d else
+                      RSDim(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+                      for k in range(rank)))
+    return (d + 1, draw(st.sampled_from([-2, -1, 1, 2])), widen,
+            draw(st.sampled_from([None, 2.5])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(ARENA_LAYOUTS),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       data=st.data(), seed=st.integers(0, 2**16))
+def test_arena_fills_equal_slab_by_slab_copies(case, dtype, data, seed):
+    """A run of shifts (later ones reading corners earlier ones filled)
+    leaves the whole arena byte for byte as the slab-by-slab oracle."""
+    machine, layout = arena_layout(case)
+    rank = len(layout.shape)
+    halo = ((2, 2),) * rank
+    da = DArray.create(machine, "U", layout, np.dtype(dtype), halo)
+    rng = np.random.default_rng(seed)
+    da.data[...] = with_nans(rng.standard_normal(da.data.shape)
+                             .astype(dtype), rng)
+    expected = da.data.copy()
+    blocks = [expected[index] for index in da.blocks]
+    for dim, shift, widen, boundary in data.draw(
+            st.lists(overlap_shifts(rank), min_size=1, max_size=4)):
+        op = OverlapShift("U", layout, da.dtype, halo, shift, dim,
+                          Charges(machine.cost_model), widen,
+                          boundary=boundary)
+        oracle_fill(blocks, layout, halo, op)
+        da.fill_overlap(op)
+    assert da.data.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(ARENA_LAYOUTS),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       halo=st.integers(0, 2), seed=st.integers(0, 2**16))
+def test_scatter_then_gather_round_trips_bytes(case, dtype, halo, seed):
+    """Each PE's interior holds its owned block of the global array, and
+    gathering returns the global array byte for byte."""
+    machine, layout = arena_layout(case)
+    da = DArray.create(machine, "U", layout, np.dtype(dtype),
+                       ((halo, halo),) * len(layout.shape))
+    rng = np.random.default_rng(seed)
+    g = with_nans(rng.standard_normal(layout.shape).astype(dtype), rng)
+    da.scatter(g)
+    for pe in layout.grid.ranks():
+        owned = tuple(slice(lo - 1, hi) for lo, hi in layout.owned_box(pe))
+        assert da.interior(pe).tobytes() == g[owned].tobytes()
+    assert da.gather().tobytes() == g.tobytes()
+
+
+def test_padded_arena_cells_are_not_charged():
+    """On a ragged layout the arena's cells are as large as the largest
+    padded block, but each PE is charged its own block's bytes."""
+    machine = Machine(grid=(3, 2))
+    layout = Layout((10, 7), Distribution.block(2), machine.topology)
+    da = DArray.create(machine, "A", layout, np.dtype(np.float64),
+                       ((1, 2), (2, 1)))
+    charged = [(a + 3) * (b + 3) * 8
+               for a, b in map(layout.local_shape, range(6))]
+    assert [machine.memory.peak(pe) for pe in range(6)] == charged
+    assert machine.memory.peak_per_pe == max(charged) == 7 * 7 * 8
+    assert da.data.nbytes == 6 * 7 * 7 * 8 > sum(charged)

@@ -165,12 +165,14 @@ GRAMMAR = re.compile(r"""
           |(?:t\d+|c\d+|a\d+\[[bio\d_ +]+\])
            (?:\ [-+*/]\ (?:t\d+|c\d+|a\d+\[[bio\d_ +]+\]))?);\n)+
     (?:\ *\}\n)+
-    void\ (?P=k)\(long\ long\ nreg,\ const\ long\ long\ \*addr,
-        \ const\ long\ long\ \*ints,\ const\ double\ \*d\)\n
+    void\ (?P=k)\(long\ long\ nreg,\ const\ long\ long\ \*base,
+        \ const\ long\ long\ \*off,\ const\ long\ long\ \*ints,
+        \ const\ double\ \*d\)\n
     \{\n
     \ \ for\ \(long\ long\ r\ =\ 0;\ r\ <\ nreg;\ r\+\+,
-        \ addr\ \+=\ \d+,\ ints\ \+=\ \d+\)\n
-    \ {4}(?P=k)_box\((?:\((?:const\ )?(?:float|double)\ \*\)addr\[\d+\],\ )+
+        \ off\ \+=\ \d+,\ ints\ \+=\ \d+\)\n
+    \ {4}(?P=k)_box\((?:\((?:const\ )?(?:float|double)\ \*\)
+        \(base\[\d+\]\ \+\ off\[\d+\]\),\ )+
         (?:ints\[\d+\](?:,\ )?)+(?:,\ d\[\d+\])*\);\n
     \}\n""", re.VERBOSE)
 
@@ -232,7 +234,6 @@ def test_unary_minus_keeps_the_sign_of_a_nan():
 # -- (b) every reason to stay on the tape ------------------------------------
 
 @pytest.mark.parametrize("reason, statements, dtypes", [
-    ("reduction", [(None, ref("A", 0, 0), None)], {}),
     ("mask", [("C", ref("A", 0, 0),
                Compare(">", ref("A", 0, 0), Const(0.0)))], {}),
     ("dtype", [("C", ref("A", 0, 0), None)], {"A": np.float64}),

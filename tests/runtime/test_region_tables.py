@@ -12,25 +12,34 @@ one ``ufunc.reduce`` per block shape on a ``(blocks, points)`` stack
 equals each block's own reduce over a C-contiguous copy, so the result
 does not depend on how a placement lays a block out — which is what
 makes a plain-reference ``SUM`` bitwise across backends.
+
+(c) A reduction operand with a native kernel is one foreign call over
+every PE's owned block on every backend, writing that stack; its
+partials and folded scalar equal the ufunc tape's by ``float.hex``, and
+a strong scalar sends it to the tape, counted.
 """
 
 from __future__ import annotations
 
 import shutil
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler import compile_hpf
+from repro.ir.nodes import ScalarRef
 from repro.kernels import KERNELS, compile_kernel
 from repro.machine import Machine
 from repro.obs import MetricsRegistry, use_registry
 from repro.plan import LoopNestOp
-from repro.runtime import native
+from repro.runtime import executor, native
 from repro.runtime.darray import DArray
-from repro.runtime.executor import _partials
+from repro.runtime.executor import _partials, _stack_layout
 from repro.runtime.nest_tape import plan_tapes, prepare
+from repro.runtime.vectorized import VectorizedExec
 from repro.testing import GeneratedProgram, backend_equivalence_check
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -94,37 +103,46 @@ def test_one_call_per_nest_equals_one_call_per_region(name, bindings,
     assert region_calls == [1] * (6 * len(calls))
 
 
-def strided(block):
-    """The block's values in a view with a non-unit inner stride."""
-    wide = np.zeros((block.shape[0], 2 * block.shape[1]), block.dtype)
-    wide[:, ::2] = block
-    return wide[:, ::2]
+def beyond(row):
+    """The row with its addresses past any buffer of the run."""
+    return [a + (1 << 40) for a in row[0]], row[1]
 
 
 @needs_cc
-@pytest.mark.parametrize("replace, fallbacks, calls", [
+@pytest.mark.parametrize("refuse, fallbacks, calls", [
     # the refused region is counted and runs on the ufunc tape
-    (strided, {"stride": 1.0}, [1, 1, 1]),
-    # a block outside the array's buffer: no table may hold an offset to
+    (lambda row, in_table: "stride", {"stride": 1.0}, [1, 1, 1]),
+    # a box outside the array's buffer: no table may hold an offset to
     # it, but as its own one-row call it is fine
-    (np.copy, {}, [1, 1, 1, 1]),
+    (lambda row, in_table: beyond(row) if in_table else row, {},
+     [1, 1, 1, 1]),
 ], ids=["strided", "foreign-buffer"])
 def test_a_table_with_one_ineligible_region_falls_back_whole(
-        replace, fallbacks, calls, monkeypatch):
-    """PE 3's block of the output is replaced after allocation: the
-    table is refused, and every run of the nest takes one call per
-    region."""
-    real = DArray.create
+        refuse, fallbacks, calls, monkeypatch):
+    """``Kernel._row`` refuses PE 3's region of the output, or places it
+    outside the buffer while a table is built: the table is refused,
+    and every run of the nest takes one call per region."""
+    real_create, real_row = DArray.create, native.Kernel._row
+    cell = []       # PE 3's cell of the output's arena: (address, bytes)
 
     def create(machine, name, *args, **kwargs):
-        da = real(machine, name, *args, **kwargs)
+        da = real_create(machine, name, *args, **kwargs)
         if name == "DST":
-            da.locals[3] = replace(da.locals[3])
+            pe3 = da.data[da.layout.grid.coords(3)]
+            cell[:] = [pe3.ctypes.data, pe3.nbytes]
         return da
+
+    def row(self, views):
+        found = real_row(self, views)
+        start, size = cell
+        if any(start <= v.ctypes.data < start + size for v in views):
+            return refuse(found, sys._getframe(1).f_code.co_name == "table")
+        return found
 
     bindings = {"N": 258}
     expected, _, _ = native_run("nine_point", bindings, (2, 2), monkeypatch)
     monkeypatch.setattr(DArray, "create", staticmethod(create))
+    monkeypatch.setattr(native.Kernel, "_row", row)
     result, counted, made = native_run("nine_point", bindings, (2, 2),
                                        monkeypatch)
     assert observed(result) == observed(expected)
@@ -158,7 +176,11 @@ def test_stacked_partials_equal_each_blocks_own_reduce(shapes, dtype, ufunc,
         blocks.append(block)
     want = [float(ufunc.reduce(np.ascontiguousarray(b).ravel()))
             for b in blocks]
-    assert [v.hex() for v in _partials(blocks, ufunc)] == \
+    size, slots, spans = _stack_layout([b.shape for b in blocks])
+    stack = np.empty(size, dtype)
+    for block, (at, shape) in zip(blocks, slots):
+        stack[at:at + block.size].reshape(shape)[...] = block
+    assert [v.hex() for v in _partials(stack, spans, ufunc)] == \
         [v.hex() for v in want]
 
 
@@ -189,3 +211,105 @@ def test_a_reduction_of_a_plain_reference_is_bitwise(rhs):
     inputs = {"A": rng.uniform(0.1, 1.0, (200, 200)).astype(np.float32),
               "B": np.zeros((200, 200), np.float32)}
     backend_equivalence_check(program, inputs, grids=((2, 2), (3, 2)))
+
+
+OPERANDS = ["A", "R * R", "P - Q", "-A", "W * A"]
+REDUCTIONS = """\
+      {kind}, DIMENSION(N,N) :: A, P, Q, R
+!HPF$ DISTRIBUTE A(BLOCK,BLOCK)
+!HPF$ ALIGN P WITH A
+!HPF$ ALIGN Q WITH A
+!HPF$ ALIGN R WITH A
+""" + "".join(f"      {op[:2]}{i} = {op}({arg})\n"
+              for op in ("SUM", "MAXVAL", "MINVAL")
+              for i, arg in enumerate(OPERANDS))
+KINDS = {np.float32: "REAL", np.float64: "DOUBLE PRECISION"}
+
+
+def reduce_run(dtype, grid, backend, kernels, monkeypatch):
+    """One run of a fresh compile of the 15 reductions (N=256: at the
+    size constant), natively or on the tape alone: ``(every reduction's
+    partials and the scalars by float.hex, counted kernel samples, nreg
+    of each native reduction call, tape evaluations of an operand)``."""
+    compiled = compile_hpf(REDUCTIONS.format(kind=KINDS[dtype]),
+                           bindings={"N": 256})
+    rng = np.random.default_rng(11)
+    inputs = {a: (rng.standard_normal((256, 256)) * 10.0 ** rng.integers(
+        -3, 4, (256, 256))).astype(dtype) for a in "APQR"}
+    partials, calls, evaluated = [], [], []
+    real_partials, real_run_table = executor._partials, \
+        native.Kernel.run_table
+    monkeypatch.setattr(executor, "_partials", lambda *args: (
+        partials.append(real_partials(*args)), partials[-1])[1])
+
+    def run_table(self, table, arrays, scalars, count=False):
+        if count:       # a reduction operand's table
+            calls.append(table if isinstance(table, str) else table[0])
+        return real_run_table(self, table, arrays, scalars, count)
+
+    monkeypatch.setattr(native.Kernel, "run_table", run_table)
+    for cls in (executor._Exec, VectorizedExec):
+        real_blocks = cls._blocks
+        monkeypatch.setattr(cls, "_blocks", lambda self, *args, f=real_blocks:
+                            (evaluated.append(1), f(self, *args))[1])
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        prepare(compiled.plan, kernels=kernels)
+        result = compiled.run(Machine(grid=grid), inputs=inputs,
+                              scalars={"W": 0.75}, backend=backend,
+                              workers=2)
+    metric = registry.get("repro_native_kernels_total")
+    counted = {} if metric is None else {
+        (dict(labels)["status"], dict(labels).get("reason")): value
+        for labels, value in metric.samples()}
+    monkeypatch.undo()
+    return ([[p.hex() for p in ps] for ps in partials],
+            {k: v.hex() for k, v in result.scalars.items()}), \
+        counted, calls, len(evaluated)
+
+
+@needs_cc
+@pytest.mark.parametrize("grid", [(3, 2), (4, 4), (16, 16)],
+                         ids=["3x2-ragged", "4x4", "16x16"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=["float32", "float64"])
+def test_native_reductions_equal_the_tape(dtype, grid, monkeypatch):
+    """SUM, MAXVAL and MINVAL of a plain reference, ``R*R``, ``P-Q``,
+    ``-A`` and a weak scalar times ``A``: on every backend each is one
+    call over every PE's block, and its partials and result equal the
+    ufunc tape's."""
+    npes = grid[0] * grid[1]
+    expected, counted, calls, evaluated = reduce_run(
+        dtype, grid, "perpe", False, monkeypatch)
+    assert len(expected[0]) == 15 and len(expected[0][0]) == npes
+    for backend in ("perpe", "vectorized", "parallel"):
+        tape, _, calls, evaluated = reduce_run(
+            dtype, grid, backend, False, monkeypatch)
+        assert tape == expected, backend
+        assert (calls, evaluated) == ([], 15), backend
+        got, counted, calls, evaluated = reduce_run(
+            dtype, grid, backend, True, monkeypatch)
+        assert got == expected, backend
+        assert (calls, evaluated) == ([npes] * 15, 0), backend
+        assert set(counted) <= {("built", None), ("loaded", None)}
+
+
+@needs_cc
+def test_a_strong_scalar_sends_a_reduction_to_the_tape_counted(monkeypatch):
+    """``np.float64(W) * A`` on float32 arrays promotes: the kernel
+    refuses the call, counted, and the tape computes the same value."""
+    real = executor._Exec.scalar
+
+    def strong(self, expr):
+        value = real(self, expr)
+        return np.float64(value) if expr == ScalarRef("W") else value
+
+    results = []
+    for kernels in (False, True):
+        monkeypatch.setattr(executor._Exec, "scalar", strong)
+        results.append(reduce_run(np.float32, (3, 2), "perpe", kernels,
+                                  monkeypatch))
+    (expected, *_), (got, counted, calls, evaluated) = results
+    assert got == expected
+    assert counted[("fallback", "strong-scalar")] == 3.0
+    assert (calls, evaluated) == ([6] * 15, 3)
