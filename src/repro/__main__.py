@@ -26,7 +26,7 @@ Examples
    python -m repro compile kernel.f90 --bind N=512 --level O4 \\
           --output T --trace --plan
    python -m repro run kernel.f90 --bind N=256 --grid 2x2 --iters 10
-   python -m repro profile nine_point --grid 4x4 --opt O4 \\
+   python -m repro profile nine_point --grid 4x4 --level O4 \\
           --chrome out.json
    python -m repro plan purdue9 --json -o purdue9.plan.json
    python -m repro experiments fig17
@@ -94,7 +94,7 @@ def _job(args: argparse.Namespace, profile: bool = False):
     compile_job = CompileJob.from_argument(
         args.kernel, bindings=_parse_bindings(args.bind),
         outputs=args.output,
-        level=getattr(args, "opt", None) or args.level)
+        level=args.level)
     if not hasattr(args, "grid"):
         return compile_job
     return RunJob(
@@ -403,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "profile", parents=[source, run],
         help="compile+run a kernel with the communication profiler")
-    p.add_argument("--opt", default=None, help="alias for --level")
     p.add_argument("-o", "--out", default=None, metavar="FILE",
                    help="write the versioned profile.json to FILE")
     p.add_argument("--chrome", default=None, metavar="FILE",
@@ -437,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the versioned JSON plan document "
                         "(repro.plan.serialize schema) instead of the "
                         "textual SPMD program")
-    p.add_argument("--text", action="store_true",
-                   help="print the textual SPMD program (the default)")
     p.add_argument("-o", "--out", default=None, metavar="FILE",
                    help="write the plan to FILE instead of stdout")
     p.set_defaults(fn=cmd_plan)

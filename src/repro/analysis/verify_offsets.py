@@ -1,20 +1,13 @@
-"""Static verification of overlap-area coverage.
+"""Static verification of overlap-area coverage on the statement IR.
 
-An independent checker for the compiled IR: every offset reference
-``U<o>`` must be preceded — on *every* control-flow path, with no
-intervening redefinition of ``U`` — by ``OVERLAP_SHIFT`` calls that make
-all the overlap cells ``o`` touches resident, with the matching fill
-kind (circular vs. EOSHIFT boundary).  Per-dimension, the region
-``(U, k, sign(o_k))`` must be filled to depth ``|o_k|`` for each ``k``
-with ``o_k != 0``.  Corner cells (more than one nonzero component) are
-resident when *some* order of the filling shifts carries them: each
-shift's RSD/base-offset extension picks up the orthogonal overlap cells
-that were already resident at its source when it executed, so the check
-looks for an ordering of the nonzero dimensions in which every later
-region's orthogonal extension covers all earlier components.  The
-canonical ascending order of communication unioning is one such
-ordering, but hand-written or descending-dimension chains are equally
-sound and must be accepted.
+Every offset reference ``U<o>`` must be preceded — on *every*
+control-flow path, with no intervening redefinition of ``U`` — by
+``OVERLAP_SHIFT`` calls that make all the overlap cells ``o`` touches
+resident, with the matching fill kind (circular vs. EOSHIFT boundary),
+corner cells included.  What a shift makes resident and whether a read
+is covered is decided by :class:`repro.plan.verify.Coverage`, the one
+model of that rule; this module is its walker over the statement IR, as
+:mod:`repro.plan.verify` is its walker over the plan.
 
 The compiler runs this after its pass pipeline as a safety net; the test
 suite also aims it at hand-mutilated programs to prove it catches real
@@ -23,16 +16,14 @@ coverage bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ir.nodes import (
     Allocate, ArrayAssign, Deallocate, DoLoop, DoWhile, Expr, If,
     OffsetRef, OverlapShift, ScalarAssign, Stmt,
 )
 from repro.ir.program import Program
-from repro.plan.verify import Fill, RegionCover  # noqa: F401 (re-export)
-
-State = dict[tuple[str, int, int], RegionCover]
+from repro.plan.verify import Coverage
 
 
 @dataclass
@@ -45,183 +36,56 @@ class CoverageProblem:
         return f"s{self.stmt.sid}: {self.ref}: {self.reason}"
 
 
-@dataclass
-class _Verifier:
-    program: Program
-    problems: list[CoverageProblem] = field(default_factory=list)
-
-    # -- state transfer ------------------------------------------------------
-    def _resident_depth(self, state: State, name: str, dim: int,
-                        sign: int) -> int:
-        cover = state.get((name, dim, sign))
-        return 0 if cover is None else cover.amount
-
-    def _apply_shift(self, state: State, stmt: OverlapShift) -> None:
-        rank = self.program.symbols.array(stmt.array).type.rank
-        d = stmt.dim - 1
-        sign = 1 if stmt.shift > 0 else -1
-        ortho = []
-        for k in range(rank):
-            if k == d:
-                ortho.append((0, 0))
-                continue
-            lo = hi = 0
-            if stmt.rsd is not None and stmt.rsd.dims[k] is not None:
-                lo = stmt.rsd.dims[k].lo
-                hi = stmt.rsd.dims[k].hi
-            if stmt.base_offsets:
-                o = stmt.base_offsets[k]
-                lo = max(lo, -o if o < 0 else 0)
-                hi = max(hi, o if o > 0 else 0)
-            # the widened slab is read from the sender's dim-k overlap
-            # area, so the pickup is only as deep as what was resident
-            # there when this shift executed
-            lo = min(lo, self._resident_depth(state, stmt.array, k, -1))
-            hi = min(hi, self._resident_depth(state, stmt.array, k, +1))
-            ortho.append((lo, hi))
-        key = (stmt.array, d, sign)
-        cover = RegionCover(abs(stmt.shift), tuple(ortho), stmt.boundary)
-        prev = state.get(key)
-        if prev is not None and prev.fill == cover.fill:
-            # refills accumulate coverage (larger subsumes smaller)
-            ortho2 = tuple((max(a[0], b[0]), max(a[1], b[1]))
-                           for a, b in zip(prev.ortho, cover.ortho))
-            cover = RegionCover(max(prev.amount, cover.amount), ortho2,
-                                cover.fill)
-        state[key] = cover
-
-    def _kill(self, state: State, name: str) -> None:
-        for key in list(state):
-            if key[0] == name:
-                del state[key]
-
-    # -- reference checking ------------------------------------------------------
-    def _check_ref(self, state: State, stmt: Stmt,
-                   ref: OffsetRef) -> None:
-        offs = ref.offsets
-        clean = True
-        for k, o in enumerate(offs):
-            if o == 0:
-                continue
-            sign = 1 if o > 0 else -1
-            cover = state.get((ref.name, k, sign))
-            if cover is None:
-                self.problems.append(CoverageProblem(
-                    stmt, ref,
-                    f"no overlap fill for dim {k + 1} "
-                    f"direction {'+' if sign > 0 else '-'}"))
-                clean = False
-                continue
-            if cover.fill != ref.boundary:
-                self.problems.append(CoverageProblem(
-                    stmt, ref,
-                    f"fill kind mismatch on dim {k + 1}: region holds "
-                    f"{cover.fill}, reference needs {ref.boundary}"))
-                clean = False
-                continue
-            if cover.amount < abs(o):
-                self.problems.append(CoverageProblem(
-                    stmt, ref,
-                    f"overlap depth {cover.amount} < |{o}| on "
-                    f"dim {k + 1}"))
-                clean = False
-        active = [k for k, o in enumerate(offs) if o != 0]
-        if clean and len(active) > 1 and not self._corner_covered(
-                state, ref, offs, active):
-            carried = ", ".join(
-                f"dim {k + 1} fill extends "
-                f"{state[(ref.name, k, 1 if offs[k] > 0 else -1)].ortho}"
-                for k in active)
-            self.problems.append(CoverageProblem(
-                stmt, ref,
-                f"corner cells not carried: no shift order covers "
-                f"offset {offs} ({carried})"))
-
-    def _corner_covered(self, state: State, ref: OffsetRef,
-                        offs: tuple[int, ...],
-                        active: list[int]) -> bool:
-        """Is the corner cell at ``offs`` resident in some overlap area?
-
-        It is when the nonzero dimensions admit an ordering in which
-        every shift's orthogonal extension covers all components shifted
-        before it — the later shift then carries the earlier corner data
-        from its sender's overlap area (Figures 9/10 pickup, in any
-        dimension order).  Ortho extents in the state are already
-        residency-clamped, so this accepts exactly the chains the
-        runtime delivers.
-        """
-        from itertools import permutations
-
-        def covers(k: int, earlier: tuple[int, ...]) -> bool:
-            cover = state[(ref.name, k, 1 if offs[k] > 0 else -1)]
-            for j in earlier:
-                oj = offs[j]
-                lo, hi = cover.ortho[j]
-                if (oj < 0 and lo < -oj) or (oj > 0 and hi < oj):
-                    return False
-            return True
-
-        return any(
-            all(covers(k, perm[:i]) for i, k in enumerate(perm) if i)
-            for perm in permutations(active))
-
-    def _check_expr(self, state: State, stmt: Stmt, expr: Expr) -> None:
-        for node in expr.walk():
-            if isinstance(node, OffsetRef):
-                self._check_ref(state, stmt, node)
-
-    # -- structured walk ----------------------------------------------------
-    def walk(self, body: list[Stmt], state: State) -> None:
-        for stmt in body:
-            if isinstance(stmt, OverlapShift):
-                self._apply_shift(state, stmt)
-            elif isinstance(stmt, ArrayAssign):
-                self._check_expr(state, stmt, stmt.rhs)
-                if stmt.mask is not None:
-                    self._check_expr(state, stmt, stmt.mask)
-                self._kill(state, stmt.lhs.name)
-            elif isinstance(stmt, ScalarAssign):
-                self._check_expr(state, stmt, stmt.rhs)
-            elif isinstance(stmt, (Allocate, Deallocate)):
-                for name in stmt.names:
-                    self._kill(state, name)
-            elif isinstance(stmt, If):
-                self._check_expr(state, stmt, stmt.cond)
-                s_then = dict(state)
-                s_else = dict(state)
-                self.walk(stmt.then_body, s_then)
-                self.walk(stmt.else_body, s_else)
-                state.clear()
-                for key in set(s_then) & set(s_else):
-                    met = s_then[key].meet(s_else[key])
-                    if met is not None:
-                        state[key] = met
-            elif isinstance(stmt, (DoLoop, DoWhile)):
-                # conservative around the back edge, mirroring the
-                # offset pass: anything the body redefines is not
-                # available on entry to any iteration
-                if isinstance(stmt, DoWhile):
-                    self._check_expr(state, stmt, stmt.cond)
-                killed = self._killed_in(stmt.body)
-                for key in list(state):
-                    if key[0] in killed:
-                        del state[key]
-                self.walk(stmt.body, state)
-
-    def _killed_in(self, body: list[Stmt]) -> set[str]:
-        killed: set[str] = set()
-        for stmt in body:
-            for s in stmt.walk():
-                if isinstance(s, ArrayAssign):
-                    killed.add(s.lhs.name)
-                elif isinstance(s, (Allocate, Deallocate)):
-                    killed.update(s.names)
-        return killed
-
-
 def verify_offset_coverage(program: Program) -> list[CoverageProblem]:
     """Check every offset reference's overlap coverage; returns the
     (empty when sound) problem list."""
-    verifier = _Verifier(program)
-    verifier.walk(program.body, {})
-    return verifier.problems
+    problems: list[CoverageProblem] = []
+
+    def check(cov: Coverage, stmt: Stmt, expr: Expr) -> None:
+        for node in expr.walk():
+            if isinstance(node, OffsetRef):
+                problems.extend(CoverageProblem(stmt, node, reason)
+                                for reason in cov.problems(node))
+
+    def walk(body: list[Stmt], cov: Coverage) -> None:
+        for stmt in body:
+            if isinstance(stmt, OverlapShift):
+                cov.shift(stmt,
+                          program.symbols.array(stmt.array).type.rank)
+            elif isinstance(stmt, ArrayAssign):
+                check(cov, stmt, stmt.rhs)
+                if stmt.mask is not None:
+                    check(cov, stmt, stmt.mask)
+                cov.kill(stmt.lhs.name)
+            elif isinstance(stmt, ScalarAssign):
+                check(cov, stmt, stmt.rhs)
+            elif isinstance(stmt, (Allocate, Deallocate)):
+                cov.kill(*stmt.names)
+            elif isinstance(stmt, If):
+                check(cov, stmt, stmt.cond)
+                other = cov.copy()
+                walk(stmt.then_body, cov)
+                walk(stmt.else_body, other)
+                cov.meet(other)
+            elif isinstance(stmt, (DoLoop, DoWhile)):
+                if isinstance(stmt, DoWhile):
+                    check(cov, stmt, stmt.cond)
+                # conservative around the back edge, mirroring the
+                # offset pass: anything the body redefines is not
+                # available on entry to any iteration
+                cov.kill(*_redefined_in(stmt.body))
+                walk(stmt.body, cov)
+
+    walk(program.body, Coverage())
+    return problems
+
+
+def _redefined_in(body: list[Stmt]) -> set[str]:
+    killed: set[str] = set()
+    for stmt in body:
+        for s in stmt.walk():
+            if isinstance(s, ArrayAssign):
+                killed.add(s.lhs.name)
+            elif isinstance(s, (Allocate, Deallocate)):
+                killed.update(s.names)
+    return killed

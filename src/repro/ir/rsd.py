@@ -16,6 +16,7 @@ subgrid edge are included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -61,6 +62,7 @@ class RSD:
     dims: tuple[RSDim | None, ...]
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def trivial(rank: int, shift_dim: int) -> "RSD":
         """The RSD carrying exactly the subgrid slab (no overlap cells).
 
@@ -81,6 +83,27 @@ class RSD:
             else:
                 dims.append(RSDim().widen(off))
         return RSD(tuple(dims))
+
+    @staticmethod
+    def slab(rsd: "RSD | None", base_offsets: Sequence[int] | None,
+             rank: int, shift_dim: int) -> "RSD":
+        """The slab an ``OVERLAP_SHIFT`` along ``shift_dim`` (0-based)
+        sends: its RSD if it has one, else the widening its base offsets
+        imply, else the plain subgrid slab.
+
+        Raises ``ValueError`` when the result does not describe a shift of
+        a rank-``rank`` array along ``shift_dim``.
+        """
+        if rsd is not None:
+            eff = rsd
+        elif base_offsets:
+            eff = RSD.from_offsets(base_offsets, shift_dim)
+        else:
+            eff = RSD.trivial(rank, shift_dim)
+        if eff.rank != rank or eff.shift_dim != shift_dim:
+            raise ValueError(
+                f"RSD {eff} incompatible with shift dim {shift_dim + 1}")
+        return eff
 
     @property
     def rank(self) -> int:

@@ -516,14 +516,6 @@ class PingPongElimPass(PlanPass):
 # coalesce shifts
 # ---------------------------------------------------------------------------
 
-def _effective_rsd(op: OverlapShiftOp, rank: int) -> RSD:
-    if op.rsd is not None:
-        return op.rsd
-    if op.base_offsets and any(op.base_offsets):
-        return RSD.from_offsets(op.base_offsets, op.dim - 1)
-    return RSD.trivial(rank, op.dim - 1)
-
-
 class CoalesceShiftsPass(PlanPass):
     """Remove overlap shifts subsumed by earlier ones.
 
@@ -550,8 +542,9 @@ class CoalesceShiftsPass(PlanPass):
             if abs(a.shift) < abs(b.shift):
                 return False
             try:
-                return _effective_rsd(a, rank).contains(
-                    _effective_rsd(b, rank))
+                return RSD.slab(a.rsd, a.base_offsets, rank, a.dim - 1) \
+                    .contains(RSD.slab(b.rsd, b.base_offsets, rank,
+                                       b.dim - 1))
             except ValueError:
                 return False
 
@@ -575,7 +568,8 @@ class CoalesceShiftsPass(PlanPass):
                         continue
                     rank = len(decl.shape)
                     prior = active.setdefault(op.array, [])
-                    trivial = _effective_rsd(op, rank).is_trivial
+                    trivial = RSD.slab(op.rsd, op.base_offsets, rank,
+                                       op.dim - 1).is_trivial
                     # a trivial transfer picks up nothing orthogonal,
                     # so any prior subsumer proves redundancy; a
                     # non-trivial one reads the array's own residency,

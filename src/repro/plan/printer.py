@@ -1,4 +1,4 @@
-"""Textual rendering of plans (the ``repro plan --text`` format).
+"""Textual rendering of plans (``repro plan``'s default output).
 
 Prints the generated SPMD program the way the paper's Figure 16
 presents its final code: communication calls first-class, fused subgrid

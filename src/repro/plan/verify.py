@@ -1,11 +1,14 @@
-"""The plan verifier: structural and paper-semantic invariants.
+"""The plan verifier and the one overlap-coverage model.
 
-Runs over a :class:`~repro.plan.ops.Plan` (the lowest-level IR) after
-codegen and after every plan pass.  It is the plan-level twin of
-:mod:`repro.analysis.verify_offsets`, which checks the same §3.1/§3.3
-overlap-coverage discipline at the statement-IR level; this one also
-checks what only exists after lowering — allocation lifetimes, declared
-halo widths, RSD extents, and op-structure well-formedness.
+:class:`Coverage` is the §3.1/§3.3 model of what earlier
+``OVERLAP_SHIFT``\\ s made resident and whether an offset read is covered
+by it (Figures 9/10 corners included).  Two walkers drive it: this
+module's, over a :class:`~repro.plan.ops.Plan` (the lowest-level IR)
+after codegen and after every plan pass, and
+:mod:`repro.analysis.verify_offsets`', over the statement IR after the
+AST passes.  The plan walker also checks what only exists after
+lowering — allocation lifetimes, declared halo widths, RSD extents, and
+op-structure well-formedness.
 
 Checks, grouped by the ``check`` code on each problem:
 
@@ -24,8 +27,8 @@ Checks, grouped by the ``check`` code on each problem:
 ``coverage``
     Every offset read is covered by prior overlap shifts of sufficient
     depth with the matching fill kind, including corner pickup through
-    residency-clamped orthogonal extensions (Figures 9/10) — mirroring
-    the AST-level verifier's region model exactly.
+    residency-clamped orthogonal extensions (Figures 9/10): whatever
+    :meth:`Coverage.problems` reports.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from repro.errors import PlanVerificationError
-from repro.ir.nodes import Expr, OffsetRef, Reduction, ScalarRef
+from repro.ir.nodes import Expr, OffsetRef, OverlapShift, ScalarRef
+from repro.ir.rsd import RSD
 from repro.plan.ops import (
     AllocOp, ArrayDecl, CondOp, FreeOp, FullShiftOp, LoopNestOp,
     OverlappedOp, OverlapShiftOp, Plan, PlanOp, ScalarAssignOp,
@@ -46,13 +50,7 @@ Fill = float | None
 
 @dataclass(frozen=True)
 class RegionCover:
-    """What one (array, dim, sign) overlap region currently holds.
-
-    Shared between this plan-level verifier and the AST-level
-    :mod:`repro.analysis.verify_offsets` checker (which re-exports it):
-    both model residency with the same clamped-pickup transfer function,
-    so accepting/rejecting is consistent across the two IR levels.
-    """
+    """What one (array, dim, sign) overlap region currently holds."""
 
     amount: int                    # filled depth along the shifted dim
     ortho: tuple[tuple[int, int], ...]  # (lo, hi) coverage per other dim
@@ -67,7 +65,121 @@ class RegionCover:
                            self.fill)
 
 
-State = dict[tuple[str, int, int], RegionCover]
+class Coverage:
+    """Which overlap cells are resident at one program point.
+
+    One :class:`RegionCover` per ``(array, 0-based dim, sign)`` region.
+    A walker applies each ``OVERLAP_SHIFT`` with :meth:`shift`, each
+    redefinition with :meth:`kill`, each buffer swap with :meth:`swap`,
+    meets the arms of a branch with :meth:`meet`, and asks
+    :meth:`problems` about every offset read.
+    """
+
+    def __init__(self, regions: dict | None = None) -> None:
+        self.regions: dict[tuple[str, int, int], RegionCover] = \
+            dict(regions or {})
+
+    def copy(self) -> "Coverage":
+        return Coverage(self.regions)
+
+    def _depth(self, name: str, dim: int, sign: int) -> int:
+        cover = self.regions.get((name, dim, sign))
+        return 0 if cover is None else cover.amount
+
+    def shift(self, op: OverlapShiftOp | OverlapShift, rank: int) -> None:
+        """Apply one ``OVERLAP_SHIFT`` of a rank-``rank`` array."""
+        d = op.dim - 1
+        try:
+            slab = RSD.slab(op.rsd, op.base_offsets, rank, d)
+        except ValueError:  # malformed: the plan's structure check says so
+            slab = RSD.trivial(rank, d)
+        # the widened slab is read from the sender's dim-k overlap area,
+        # so the pickup is only as deep as what was resident there when
+        # this shift executed (Figures 9/10)
+        ortho = tuple(
+            (0, 0) if ext is None else
+            (min(ext.lo, self._depth(op.array, k, -1)),
+             min(ext.hi, self._depth(op.array, k, +1)))
+            for k, ext in enumerate(slab.dims))
+        key = (op.array, d, 1 if op.shift > 0 else -1)
+        cover = RegionCover(abs(op.shift), ortho, op.boundary)
+        prev = self.regions.get(key)
+        if prev is not None and prev.fill == cover.fill:
+            # refills accumulate coverage (larger subsumes smaller)
+            cover = RegionCover(
+                max(prev.amount, cover.amount),
+                tuple((max(a[0], b[0]), max(a[1], b[1]))
+                      for a, b in zip(prev.ortho, cover.ortho)),
+                cover.fill)
+        self.regions[key] = cover
+
+    def kill(self, *names: str) -> None:
+        """The arrays ``names`` were redefined: nothing of theirs is
+        resident."""
+        for key in [key for key in self.regions if key[0] in names]:
+            del self.regions[key]
+
+    def swap(self, a: str, b: str) -> None:
+        """Residency travels with the buffers of a pointer swap."""
+        self.regions = {((b if n == a else a if n == b else n), d, s): c
+                        for (n, d, s), c in self.regions.items()}
+
+    def meet(self, other: "Coverage") -> None:
+        """Join point: keep only what both paths made resident."""
+        self.regions = {
+            key: met for key in self.regions.keys() & other.regions.keys()
+            if (met := self.regions[key].meet(other.regions[key]))
+            is not None}
+
+    def problems(self, ref: OffsetRef) -> list[str]:
+        """Why the overlap cells ``ref`` reads are not all resident
+        (empty when they are)."""
+        offs, reasons = ref.offsets, []
+        covers: dict[int, RegionCover] = {}
+        for k, o in enumerate(offs):
+            if o == 0:
+                continue
+            sign = 1 if o > 0 else -1
+            cover = self.regions.get((ref.name, k, sign))
+            if cover is None:
+                reasons.append(f"no prior overlap_shift fills dim {k + 1} "
+                               f"direction {'+' if sign > 0 else '-'}")
+            elif cover.fill != ref.boundary:
+                reasons.append(f"fill kind mismatch on dim {k + 1}: "
+                               f"region holds {cover.fill}, reference "
+                               f"needs {ref.boundary}")
+            elif cover.amount < abs(o):
+                reasons.append(f"overlap depth {cover.amount} < |{o}| on "
+                               f"dim {k + 1}")
+            else:
+                covers[k] = cover
+        if not reasons and len(covers) > 1 and \
+                not self._corner_carried(offs, covers):
+            carried = ", ".join(f"dim {k + 1} fill extends {c.ortho}"
+                                for k, c in covers.items())
+            reasons.append(f"corner cells not carried: no shift order "
+                           f"covers offset {offs} ({carried})")
+        return reasons
+
+    @staticmethod
+    def _corner_carried(offs: tuple[int, ...],
+                        covers: dict[int, RegionCover]) -> bool:
+        """Is the corner cell at ``offs`` resident in some overlap area?
+
+        It is when the nonzero dimensions admit an ordering in which
+        every shift's orthogonal extension covers all components shifted
+        before it — the later shift then carries the earlier corner data
+        from its sender's overlap area, in any dimension order.  Ortho
+        extents are already residency-clamped, so this accepts exactly
+        the chains the runtime delivers.
+        """
+        def carries(k: int, earlier: tuple[int, ...]) -> bool:
+            # ortho[j] is (lo, hi): index 1 serves a positive offset
+            return all(covers[k].ortho[j][offs[j] > 0] >= abs(offs[j])
+                       for j in earlier)
+
+        return any(all(carries(k, perm[:i]) for i, k in enumerate(perm))
+                   for perm in permutations(covers))
 
 
 @dataclass
@@ -158,39 +270,18 @@ class _PlanVerifier:
                       f"halo {decl.halo[d]} of {op.array} on dim "
                       f"{op.dim}; widen the overlap area or shrink "
                       f"the shift")
-        if op.rsd is not None:
-            if len(op.rsd.dims) != rank:
-                self._add("structure", op,
-                          f"RSD rank {len(op.rsd.dims)} != array rank "
-                          f"{rank}")
-                return
-            for k, rd in enumerate(op.rsd.dims):
-                if rd is None or k == d:
-                    continue
-                if rd.lo < 0 or rd.hi < 0:
-                    self._add("structure", op,
-                              f"negative RSD extension {rd} on dim "
-                              f"{k + 1}")
-                if rd.lo > decl.halo[k][0] or rd.hi > decl.halo[k][1]:
-                    self._add("halo", op,
-                              f"RSD extension ({rd.lo},{rd.hi}) on dim "
-                              f"{k + 1} exceeds declared halo "
-                              f"{decl.halo[k]} of {op.array}")
-        if op.base_offsets is not None:
-            if len(op.base_offsets) != rank:
-                self._add("structure", op,
-                          f"base_offsets rank {len(op.base_offsets)} != "
-                          f"array rank {rank}")
-                return
-            for k, o in enumerate(op.base_offsets):
-                if k == d or o == 0:
-                    continue
-                hside = 1 if o > 0 else 0
-                if abs(o) > decl.halo[k][hside]:
-                    self._add("halo", op,
-                              f"base offset {o:+d} on dim {k + 1} "
-                              f"escapes declared halo {decl.halo[k]} "
-                              f"of {op.array}")
+        try:
+            slab = RSD.slab(op.rsd, op.base_offsets, rank, d)
+        except ValueError as exc:
+            self._add("structure", op, str(exc))
+            return
+        for k, ext in enumerate(slab.dims):
+            if ext is not None and (ext.lo > decl.halo[k][0]
+                                    or ext.hi > decl.halo[k][1]):
+                self._add("halo", op,
+                          f"RSD extension ({ext.lo},{ext.hi}) on dim "
+                          f"{k + 1} exceeds declared halo "
+                          f"{decl.halo[k]} of {op.array}")
 
     def _check_offset_halo(self, op: PlanOp, ref: OffsetRef) -> None:
         decl = self._decl(op, ref.name)
@@ -212,107 +303,8 @@ class _PlanVerifier:
                           f"the declared halo {decl.halo[k]} of "
                           f"{ref.name}")
 
-    # -- coverage (mirrors analysis.verify_offsets at plan level) -----------
-    def _resident_depth(self, state: State, name: str, dim: int,
-                        sign: int) -> int:
-        cover = state.get((name, dim, sign))
-        return 0 if cover is None else cover.amount
-
-    def _apply_shift(self, state: State, op: OverlapShiftOp) -> None:
-        decl = self.plan.arrays.get(op.array)
-        if decl is None or not 1 <= op.dim <= len(decl.shape) or \
-                op.shift == 0:
-            return
-        rank = len(decl.shape)
-        d = op.dim - 1
-        sign = 1 if op.shift > 0 else -1
-        ortho = []
-        for k in range(rank):
-            if k == d:
-                ortho.append((0, 0))
-                continue
-            lo = hi = 0
-            if op.rsd is not None and len(op.rsd.dims) == rank and \
-                    op.rsd.dims[k] is not None:
-                lo = op.rsd.dims[k].lo
-                hi = op.rsd.dims[k].hi
-            if op.base_offsets and len(op.base_offsets) == rank:
-                o = op.base_offsets[k]
-                lo = max(lo, -o if o < 0 else 0)
-                hi = max(hi, o if o > 0 else 0)
-            # pickup is only as deep as the sender's dim-k residency at
-            # the moment this shift executes (Figures 9/10)
-            lo = min(lo, self._resident_depth(state, op.array, k, -1))
-            hi = min(hi, self._resident_depth(state, op.array, k, +1))
-            ortho.append((lo, hi))
-        key = (op.array, d, sign)
-        cover = RegionCover(abs(op.shift), tuple(ortho), op.boundary)
-        prev = state.get(key)
-        if prev is not None and prev.fill == cover.fill:
-            ortho2 = tuple((max(a[0], b[0]), max(a[1], b[1]))
-                           for a, b in zip(prev.ortho, cover.ortho))
-            cover = RegionCover(max(prev.amount, cover.amount), ortho2,
-                                cover.fill)
-        state[key] = cover
-
-    def _kill(self, state: State, name: str) -> None:
-        for key in list(state):
-            if key[0] == name:
-                del state[key]
-
-    def _check_ref_coverage(self, state: State, op: PlanOp,
-                            ref: OffsetRef) -> None:
-        offs = ref.offsets
-        clean = True
-        for k, o in enumerate(offs):
-            if o == 0:
-                continue
-            sign = 1 if o > 0 else -1
-            cover = state.get((ref.name, k, sign))
-            if cover is None:
-                self._add("coverage", op,
-                          f"{ref}: no prior overlap_shift fills dim "
-                          f"{k + 1} direction "
-                          f"{'+' if sign > 0 else '-'}")
-                clean = False
-                continue
-            if cover.fill != ref.boundary:
-                self._add("coverage", op,
-                          f"{ref}: fill kind mismatch on dim {k + 1}: "
-                          f"region holds {cover.fill}, reference needs "
-                          f"{ref.boundary}")
-                clean = False
-                continue
-            if cover.amount < abs(o):
-                self._add("coverage", op,
-                          f"{ref}: overlap depth {cover.amount} < "
-                          f"|{o}| on dim {k + 1}")
-                clean = False
-        active = [k for k, o in enumerate(offs) if o != 0]
-        if clean and len(active) > 1 and not self._corner_covered(
-                state, ref, offs, active):
-            self._add("coverage", op,
-                      f"{ref}: corner cells not carried — no shift "
-                      f"order covers offset {offs}")
-
-    def _corner_covered(self, state: State, ref: OffsetRef,
-                        offs: tuple[int, ...],
-                        active: list[int]) -> bool:
-        def covers(k: int, earlier: tuple[int, ...]) -> bool:
-            cover = state[(ref.name, k, 1 if offs[k] > 0 else -1)]
-            for j in earlier:
-                oj = offs[j]
-                lo, hi = cover.ortho[j]
-                if (oj < 0 and lo < -oj) or (oj > 0 and hi < oj):
-                    return False
-            return True
-
-        return any(
-            all(covers(k, perm[:i]) for i, k in enumerate(perm) if i)
-            for perm in permutations(active))
-
     # -- expression references ----------------------------------------------
-    def _check_expr(self, op: PlanOp, expr: Expr, state: State,
+    def _check_expr(self, op: PlanOp, expr: Expr, state: Coverage,
                     allocated: set[str], ever: set[str],
                     scalars: set[str]) -> None:
         for node in expr.walk():
@@ -320,14 +312,13 @@ class _PlanVerifier:
                 self._use(op, node.name, allocated, ever)
                 self._check_offset_halo(op, node)
                 if node.name in allocated:
-                    self._check_ref_coverage(state, op, node)
+                    for reason in state.problems(node):
+                        self._add("coverage", op, f"{node}: {reason}")
             elif isinstance(node, ScalarRef):
                 if node.name not in scalars and \
                         node.name not in self.plan.params:
                     self._add("structure", op,
                               f"unbound scalar {node.name}")
-            elif isinstance(node, Reduction):
-                pass  # its argument is walked by expr.walk()
 
     def _written_in(self, ops: list[PlanOp]) -> set[str]:
         written: set[str] = set()
@@ -343,7 +334,7 @@ class _PlanVerifier:
         return written
 
     # -- structured walk -----------------------------------------------------
-    def _walk(self, ops: list[PlanOp], state: State,
+    def _walk(self, ops: list[PlanOp], state: Coverage,
               allocated: set[str], ever: set[str],
               scalars: set[str]) -> None:
         for op in ops:
@@ -357,7 +348,7 @@ class _PlanVerifier:
                                   f"already live (missing free?)")
                     allocated.add(name)
                     ever.add(name)
-                    self._kill(state, name)
+                    state.kill(name)
             elif isinstance(op, FreeOp):
                 for name in op.names:
                     if name not in allocated:
@@ -366,13 +357,14 @@ class _PlanVerifier:
                                   f"(alloc/free mismatch)")
                     allocated.discard(name)
                     ever.add(name)
-                    self._kill(state, name)
+                    state.kill(name)
             elif isinstance(op, OverlapShiftOp):
                 decl = self._decl(op, op.array)
                 self._use(op, op.array, allocated, ever)
                 if decl is not None:
                     self._check_shift_bounds(op, decl)
-                self._apply_shift(state, op)
+                    if 1 <= op.dim <= len(decl.shape) and op.shift:
+                        state.shift(op, len(decl.shape))
             elif isinstance(op, FullShiftOp):
                 src = self._decl(op, op.src)
                 dst = self._decl(op, op.dst)
@@ -383,7 +375,7 @@ class _PlanVerifier:
                     self._add("structure", op,
                               f"shape mismatch: {op.src}{src.shape} -> "
                               f"{op.dst}{dst.shape}")
-                self._kill(state, op.dst)
+                state.kill(op.dst)
             elif isinstance(op, LoopNestOp):
                 if not op.statements:
                     self._add("structure", op, "empty loop nest")
@@ -402,7 +394,7 @@ class _PlanVerifier:
                     if stmt.mask is not None:
                         self._check_expr(op, stmt.mask, state,
                                          allocated, ever, scalars)
-                    self._kill(state, stmt.lhs)
+                    state.kill(stmt.lhs)
             elif isinstance(op, SwapOp):
                 da = self._decl(op, op.a)
                 db = self._decl(op, op.b)
@@ -422,17 +414,7 @@ class _PlanVerifier:
                             f"{op.a}({da.shape},{da.dtype},{da.halo}) "
                             f"vs {op.b}({db.shape},{db.dtype},"
                             f"{db.halo})")
-                    # halo residency travels with the buffers
-                    sa = {k: v for k, v in state.items()
-                          if k[0] == op.a}
-                    sb = {k: v for k, v in state.items()
-                          if k[0] == op.b}
-                    self._kill(state, op.a)
-                    self._kill(state, op.b)
-                    for (_, d, s), c in sa.items():
-                        state[(op.b, d, s)] = c
-                    for (_, d, s), c in sb.items():
-                        state[(op.a, d, s)] = c
+                    state.swap(op.a, op.b)
             elif isinstance(op, ScalarAssignOp):
                 self._check_expr(op, op.rhs, state, allocated, ever,
                                  scalars)
@@ -449,9 +431,9 @@ class _PlanVerifier:
             elif isinstance(op, CondOp):
                 self._check_expr(op, op.cond, state, allocated, ever,
                                  scalars)
-                s_then, s_else = dict(state), dict(state)
+                s_else = state.copy()
                 a_then, a_else = set(allocated), set(allocated)
-                self._walk(op.then_ops, s_then, a_then, ever, scalars)
+                self._walk(op.then_ops, state, a_then, ever, scalars)
                 self._walk(op.else_ops, s_else, a_else, ever, scalars)
                 if a_then != a_else:
                     self._add("alloc", op,
@@ -460,11 +442,7 @@ class _PlanVerifier:
                               f"else={sorted(a_else)}")
                 allocated.clear()
                 allocated.update(a_then & a_else)
-                state.clear()
-                for key in set(s_then) & set(s_else):
-                    met = s_then[key].meet(s_else[key])
-                    if met is not None:
-                        state[key] = met
+                state.meet(s_else)
             elif isinstance(op, OverlappedOp):
                 for comm in op.comm_ops:
                     if not isinstance(comm, OverlapShiftOp):
@@ -479,13 +457,13 @@ class _PlanVerifier:
                 self._add("structure", op,
                           f"unknown plan op {type(op).__name__}")
 
-    def _enter_loop(self, op: PlanOp, body: list[PlanOp], state: State,
+    def _enter_loop(self, op: PlanOp, body: list[PlanOp],
+                    state: Coverage,
                     allocated: set[str], ever: set[str],
                     scalars: set[str]) -> None:
         # conservative around the back edge: residency of anything the
         # body redefines is unavailable on entry to any iteration
-        for name in self._written_in(body):
-            self._kill(state, name)
+        state.kill(*self._written_in(body))
         entry = set(allocated)
         self._walk(body, state, allocated, ever, scalars)
         if allocated != entry:
@@ -502,7 +480,7 @@ class _PlanVerifier:
         self._check_entry()
         allocated = {n for n in self.plan.entry_arrays
                      if n in self.plan.arrays}
-        self._walk(self.plan.ops, {}, allocated, set(allocated),
+        self._walk(self.plan.ops, Coverage(), allocated, set(allocated),
                    set(self.plan.scalar_names))
         return self.problems
 

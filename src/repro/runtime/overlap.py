@@ -59,13 +59,10 @@ class OverlapShift:
             raise ExecutionError(
                 f"{name}: overlap area too small for shift {shift:+d} "
                 f"along dim {dim} (halo={halo[d]})")
-        eff = rsd
-        if eff is None:
-            eff = RSD.from_offsets(base_offsets, d) \
-                if base_offsets is not None else RSD.trivial(rank, d)
-        if eff.rank != rank or eff.shift_dim != d:
-            raise ExecutionError(
-                f"{name}: RSD {eff} incompatible with shift dim {dim}")
+        try:
+            eff = RSD.slab(rsd, base_offsets, rank, d)
+        except ValueError as exc:
+            raise ExecutionError(f"{name}: {exc}") from None
         ext = tuple((eff.dims[k].lo, eff.dims[k].hi) if k != d else (0, 0)
                     for k in range(rank))
         for k, (ext_lo, ext_hi) in enumerate(ext):

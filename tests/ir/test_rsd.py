@@ -59,6 +59,20 @@ class TestRSD:
         with pytest.raises(ValueError):
             _ = RSD((RSDim(), RSDim())).shift_dim
 
+    def test_slab_is_the_rsd_else_the_base_offsets_else_trivial(self):
+        given = RSD.trivial(2, 1)
+        assert RSD.slab(given, (1, 0), 2, 1) is given
+        assert RSD.slab(None, (1, 0), 2, 1) == \
+            RSD.from_offsets((1, 0), 1)
+        assert RSD.slab(None, None, 2, 1) == RSD.trivial(2, 1)
+        assert RSD.slab(None, (), 2, 1) == RSD.trivial(2, 1)
+
+    def test_slab_of_another_shift_rejected(self):
+        with pytest.raises(ValueError, match="incompatible"):
+            RSD.slab(RSD.trivial(2, 0), None, 2, 1)
+        with pytest.raises(ValueError, match="incompatible"):
+            RSD.slab(None, (1, 0, 0), 2, 1)
+
 
 exts = st.integers(min_value=0, max_value=4)
 

@@ -142,6 +142,27 @@ def test_assert_plan_valid_raises_with_detail():
     assert "no prior overlap_shift" in msg
 
 
+def test_corner_counts_only_the_slab_the_runtime_sends():
+    # the dim-2 shift carries an RSD *and* base offsets: the runtime
+    # sends the RSD's plain slab, so the U<+1,+1> corner the base
+    # offsets would have picked up is never delivered
+    plan = simple_plan([AllocOp(names=("V",)), shift(s=1, dim=1),
+                        shift(s=1, dim=2, rsd=RSD.trivial(2, 1),
+                              base_offsets=(1, 0)),
+                        copy_nest("V", "U", (1, 1)),
+                        FreeOp(names=("V",))])
+    msgs = problems_of(plan)
+    assert any("[coverage]" in m and "corner cells not carried" in m
+               and "dim 2 fill extends ((0, 0), (0, 0))" in m
+               for m in msgs), msgs
+    # without the RSD the base offsets are the slab, and the corner
+    # rides along
+    carried = dataclasses.replace(plan, ops=[
+        shift(s=1, dim=2, base_offsets=(1, 0)) if i == 2 else op
+        for i, op in enumerate(plan.ops)])
+    assert verify_plan(carried) == []
+
+
 def test_valid_synthetic_plan_passes():
     plan = simple_plan([AllocOp(names=("V",)), shift(s=1),
                         copy_nest("V", "U", (1, 0)),

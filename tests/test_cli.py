@@ -244,9 +244,9 @@ class TestProfile:
         assert "rsd messages" in out
         assert "cost-model validation" in out
 
-    def test_opt_alias_selects_level(self, capsys):
+    def test_level_flag_selects_level(self, capsys):
         assert main(["profile", "nine_point", "--bind", "N=16",
-                     "--opt", "O0"]) == 0
+                     "--level", "O0"]) == 0
         out = capsys.readouterr().out
         assert "@O0" in out
         assert "bufshift messages" in out
@@ -431,6 +431,16 @@ class TestPlanCommand:
             main(["compile", "jacobi", flag])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "nine_point", "--opt", "O0"],
+        ["plan", "purdue9", "--text"]], ids=" ".join)
+    def test_second_spellings_are_argparse_errors(self, argv, capsys):
+        # --level is the one level flag; text is the plan's default
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[2] in capsys.readouterr().err
 
 
 class TestCacheDir:
