@@ -12,7 +12,11 @@ point, ``k<i>(nreg, base, off, ints, d)``, calling the box per row of a
 region table of byte offsets from the buffers' bases (a ``perpe`` nest
 is one call over its schedule's :meth:`Kernel.table`, a slab nest a
 one-row table); a reduction operand's loop stores its value into the
-caller's stack.  One translation unit per plan is built with the system
+caller's stack, or a SUM's into a block-sized scratch that each row then
+sums in NumPy's pairwise order into its partial.  The :data:`PRELUDE`
+every unit starts with also holds ``run_steps``, the driver that runs a
+slab run's segment — nests, edge-plane wraps, swaps, for all trips of a
+loop — in one call.  One translation unit per plan is built with the system
 ``cc``, kept in a content-addressed :mod:`repro.store` directory and
 called through ``ctypes``.  Scalar-only subtrees are still evaluated in
 Python and passed by value, so the text depends on nest structure only
@@ -80,6 +84,66 @@ PRELUDE = "".join(
     f"{bits} u; }} v = {{ x }}; v.u ^= ({bits})1 << {n}; return v.f; }}\n"
     for real, bits, n in (("float", "unsigned", 31),
                           ("double", "unsigned long long", 63)))
+#: A SUM operand's partial, NumPy's pairwise summation in the array
+#: dtype: under 8 values in sequence; up to 128 in eight stride-8
+#: accumulators (seeded with the first eight) combined as a tree, then
+#: the tail; above, split at ``n/2`` less its remainder mod 8.  Each row
+#: of ``np.add.reduce(rows, axis=1)`` is ``+0.0 + pw(row)``.
+PRELUDE += "".join(f"""\
+static {real} pw_{real}(const {real} *a, long long n)
+{{
+  {real} r[8], res = 0;
+  long long i = 0, h = n / 2 - n / 2 % 8;
+  if (n > 128) return pw_{real}(a, h) + pw_{real}(a + h, n - h);
+  if (n >= 8) {{
+    for (; i < 8; i++) r[i] = a[i];
+    for (; i < n - n % 8; i += 8)
+      for (int j = 0; j < 8; j++) r[j] += a[i + j];
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+  }}
+  for (; i < n; i++) res += a[i];
+  return res;
+}}
+""" for real in ("float", "double"))
+#: The segment driver (``executor._Segment``): ``trips`` walks of a step
+#: table over buffer slots.  A nest step calls its entry point on its
+#: region table with its slots as bases; a wrap step copies a strided
+#: box of a slab into its edge planes (a fill: from the value stored in
+#: the step, with zero strides); a swap step exchanges two slots.
+PRELUDE += """\
+typedef void (*entry_t)(long long, const long long *, const long long *,
+                        const long long *, const double *);
+static void wrap_nd(char *to, const char *from, long long item,
+                    long long rank, const long long *n, const long long *ds,
+                    const long long *ss)
+{
+  for (long long i = 0; i < n[0]; i++, to += ds[0], from += ss[0])
+    if (rank > 1) wrap_nd(to, from, item, rank - 1, n + 1, ds + 1, ss + 1);
+    else if (item == 4) __builtin_memcpy(to, from, 4);
+    else __builtin_memcpy(to, from, 8);
+}
+void run_steps(long long trips, long long nsteps, const long long *steps,
+               long long *bufs, const double *d)
+{
+  for (long long t = 0; t < trips; t++)
+    for (const long long *s = steps, *end = s; s < steps + nsteps; s = end)
+      if (s[0] == 0) {
+        long long base[s[6]];
+        for (long long g = 0; g < s[6]; g++) base[g] = bufs[s[7 + g]];
+        ((entry_t)s[1])(s[2], base, (const long long *)s[3],
+                        (const long long *)s[4], d + s[5]);
+        end = s + 7 + s[6];
+      } else if (s[0] == 1) {
+        char *buf = (char *)bufs[s[1]];
+        wrap_nd(buf + s[4], s[5] < 0 ? (const char *)(s + 6) : buf + s[5],
+                s[3], s[2], s + 7, s + 7 + s[2], s + 7 + 2 * s[2]);
+        end = s + 7 + 3 * s[2];
+      } else {
+        long long x = bufs[s[1]];
+        bufs[s[1]] = bufs[s[2]], bufs[s[2]] = x, end = s + 3;
+      }
+}
+"""
 _OPS = {np.add: "+", np.subtract: "-", np.multiply: "*",
         np.true_divide: "/"}
 _EXACT_INT = 1 << 53
@@ -139,10 +203,13 @@ class _Ineligible(Exception):
     """The nest stays on the ufunc tape; ``args[0]`` is the reason."""
 
 
-def emit(tape, rank: int, dtypes, name: str):
+def emit(tape, rank: int, dtypes, name: str, sums: bool = False):
     """``(C text, call layout)`` of ``tape``'s nest as function ``name``;
     ``dtypes`` maps array name -> dtype; a reduction operand stores into
-    one more array, the caller's stack.  Raises :class:`_Ineligible`."""
+    one more array, the caller's stack — with ``sums``, a SUM's: a
+    block-sized scratch, whose pairwise sum each row then stores into
+    its partial (``base`` has one more entry).  Raises
+    :class:`_Ineligible`."""
     stmts, refs = tape.stmts, list(tape.refs)
     nrefs = len(refs)       # slots below this are array references
     if stmts[-1].dst is None:
@@ -217,17 +284,23 @@ def emit(tape, rank: int, dtypes, name: str):
     args = [f"({p})(base[{k}] + off[{k}])" for k, p in enumerate(pointers)]
     args += [f"ints[{i}]" for i in range(nints)]
     args += [f"d[{m}]" for m in range(len(scalar_args))]
+    last = len(arrays)
+    call = [f"    {name}_box({', '.join(args)});"]
+    if sums:
+        points = " * ".join(f"ints[{i}]" for i in range(rank))
+        call = ["    {", call[0], f"    (({real} *)base[{last}])[r] = "
+                f"({real})0 + pw_{real}((const {real} *)(base[{last - 1}] "
+                f"+ off[{last - 1}]), {points});", "    }"]
     lines += [f"void {name}(long long nreg, const long long *base, "
               f"const long long *off, const long long *ints, "
               f"const double *d)", "{",
               f"  for (long long r = 0; r < nreg; r++, "
-              f"off += {len(arrays)}, ints += {nints})",
-              f"    {name}_box({', '.join(args)});", "}"]
+              f"off += {last}, ints += {nints})", *call, "}"]
     groups = [[(j, refs[j][1]) for j, k in enumerate(array_of) if k == g]
               for g in range(len(arrays))]
     return "\n".join(lines) + "\n", (
         name, dtype, rank, groups, nrefs, scalar_code, list(scalar_args),
-        tape.tail)
+        tape.tail, sums)
 
 
 class Kernel:
@@ -238,12 +311,14 @@ class Kernel:
     def __init__(self, lib, layout) -> None:
         import ctypes
         name, self.dtype, self.rank, self.groups, nrefs, \
-            self.scalar_code, self.scalar_slots, self.tail = layout
+            self.scalar_code, self.scalar_slots, self.tail, self.sums = layout
         self._lib = lib         # the function pointer does not hold it
         self.fn = getattr(lib, name)
         self.fn.restype = None
         # regions; buffers; their offsets; extents, strides...; scalars
         self.fn.argtypes = [ctypes.c_longlong] + [ctypes.c_void_p] * 4
+        #: the entry point's address, for a segment's step table
+        self.entry = ctypes.cast(self.fn, ctypes.c_void_p).value
         self._long, self._double = ctypes.c_longlong, ctypes.c_double
         #: one row of zero offsets, for a box given by its addresses
         self._here = (self._long * len(self.groups))()
@@ -255,7 +330,7 @@ class Kernel:
 
     def __call__(self, views: list, scalars: list) -> bool:
         row = self._row(views)
-        values = row if row.__class__ is str else self._values(scalars)
+        values = row if row.__class__ is str else self.values(scalars)
         if values.__class__ is str:
             _count(1, status="fallback", reason=values)
             return False
@@ -286,19 +361,22 @@ class Kernel:
         return len(boxes), *(a.ctypes.data for a in held), held
 
     def run_table(self, table: "tuple | str", arrays: list, scalars: list,
-                  count: bool = False) -> bool:
-        """One call over every box of ``table`` for this run's ``arrays``;
-        false when the table was refused or a scalar is strong, counted
-        if ``count`` (a nest's boxes count their own)."""
-        values = table if table.__class__ is str else self._values(scalars)
+                  count: bool = False, out=None) -> bool:
+        """One call over every box of ``table`` for this run's ``arrays``
+        (a SUM operand's: each row's partial into ``out``); false when
+        the table was refused or a scalar is strong, counted if
+        ``count`` (a nest's boxes count their own)."""
+        values = table if table.__class__ is str else self.values(scalars)
         if values.__class__ is str:
             if count:
                 _count(1, status="fallback", reason=values)
             return False
         nreg, offsets, ints, *_ = table
-        self.fn(nreg, (self._long * len(self.groups))(
-            *[arrays[refs[0][0]].arena[0] for refs in self.groups]),
-            offsets, ints, values)
+        bases = [arrays[refs[0][0]].arena[0] for refs in self.groups]
+        if out is not None:
+            bases.append(out.ctypes.data)
+        self.fn(nreg, (self._long * len(bases))(*bases), offsets, ints,
+                values)
         return True
 
     def _elements(self, key: tuple):
@@ -351,7 +429,7 @@ class Kernel:
             return "stride"
         return bases, (*shape, *elements)
 
-    def _values(self, scalars: list):
+    def values(self, scalars: list):
         """The scalar arguments as a C ``double`` array, or
         ``strong-scalar``."""
         vals = self._refs + scalars + self.tail
@@ -429,21 +507,24 @@ def _load(cc: str, text: str):
             "loaded" if _CC_RUNS == runs else "built")
 
 
-def build(tapes: list, dtypes, tracer=None) -> None:
+def build(tapes: list, dtypes, tracer=None):
     """Give every eligible tape of ``tapes`` (``(NestTape, rank)``
-    pairs over arrays of ``dtypes``) its kernel: one translation unit,
-    built or loaded once.  Never raises for a missing compiler or a
-    failed build — the tapes simply keep running the ufuncs — and a
-    compiler that failed once is not run again by this process."""
+    pairs over arrays of ``dtypes``; ``(NestTape, rank, True)`` for a
+    SUM operand) its kernel: one translation unit, built or loaded
+    once; returns its segment driver, ``run_steps``.  Never raises for a
+    missing compiler or a failed build — the tapes simply keep running
+    the ufuncs — and a compiler that failed once is not run again by
+    this process."""
+    import ctypes
     from repro.obs.tracer import coalesce
     cc = shutil.which("cc")
     if cc is None or cc in _BROKEN:
         return _count(len(tapes), status="fallback",
                       reason="no-cc" if cc is None else "build-failed")
     units = []
-    for i, (tape, rank) in enumerate(tapes):
+    for i, (tape, rank, *sums) in enumerate(tapes):
         try:
-            units.append((tape, *emit(tape, rank, dtypes, f"k{i}")))
+            units.append((tape, *emit(tape, rank, dtypes, f"k{i}", *sums)))
         except _Ineligible as exc:
             _count(1, status="fallback", reason=exc.args[0])
     if not units:
@@ -468,6 +549,11 @@ def build(tapes: list, dtypes, tracer=None) -> None:
     _count(len(units), status=status)
     for tape, _, layout in units:
         tape.kernel = Kernel(lib, layout)
+    driver = lib.run_steps
+    driver.restype = None
+    # trips, steps; the step table, the buffer slots, the scalars
+    driver.argtypes = [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 3
+    return driver
 
 
 def _points(plan, op) -> int:
@@ -484,18 +570,21 @@ def _points(plan, op) -> int:
     return points
 
 
-def attach(plan, nests: list, reductions: list, tracer=None) -> None:
+def attach(plan, nests: list, reductions: list, tracer=None):
     """:func:`build` for ``nests`` (``(LoopNestOp, NestTape)`` pairs of
-    ``plan``) and ``reductions`` (``(NestTape, array shape)``: an
-    operand covers its array) when the plan as a whole qualifies."""
+    ``plan``) and ``reductions`` (``(NestTape, array shape, is a SUM)``:
+    an operand covers its array) when the plan as a whole qualifies;
+    the plan's segment driver, if one was built."""
     from repro.runtime.nest_tape import _VALUE_BASED_PROMOTION
     units = [(tape, len(op.space), _points(plan, op)) for op, tape in nests]
-    units += [(tape, len(shape), prod(shape)) for tape, shape in reductions]
+    units += [(tape, len(shape), prod(shape), sums)
+              for tape, shape, sums in reductions]
     if _VALUE_BASED_PROMOTION:
         reason = "numpy1"
-    elif max((points for *_, points in units), default=0) < MIN_POINTS:
+    elif max((unit[2] for unit in units), default=0) < MIN_POINTS:
         reason = "small"
     else:
-        return build([unit[:2] for unit in units], {
-            name: decl.dtype for name, decl in plan.arrays.items()}, tracer)
+        return build([(tape, rank, *sums) for tape, rank, _, *sums in units],
+                     {name: decl.dtype for name, decl in plan.arrays.items()},
+                     tracer)
     _count(len(units), status="fallback", reason=reason)

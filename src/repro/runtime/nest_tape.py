@@ -365,6 +365,12 @@ class PlanTapes:
         self._schedule_lock = threading.Lock()
         self.builds = 0     # schedules walked so far
         self._bounds: "dict | None" = None     # see static_bounds
+        #: the plan's segment driver (``native.build``'s), once its
+        #: kernels are built
+        self.driver = None
+        #: id(op list) -> (that list, its ops and segments); see
+        #: ``executor._Exec._items``
+        self.segments: dict = {}
 
     def tape(self, node, statements: Sequence[tuple], rank: int) -> NestTape:
         """``node``'s tape, built on first use."""
@@ -388,7 +394,8 @@ class PlanTapes:
 
     def schedule(self, node, key: tuple, build):
         """``node``'s schedule for ``key``, ``build()`` on a miss (two
-        threads may both build: a schedule is immutable data)."""
+        threads may both build: a schedule is immutable data); with
+        ``build=None``, ``None`` on a miss."""
         with self._schedule_lock:
             entry = self._schedules.get(id(node))
             if entry is None or entry[0] is not node:
@@ -398,6 +405,8 @@ class PlanTapes:
             if found is not None:
                 held[key] = found       # now the most recently used
                 return found
+        if build is None:   # a lookup only
+            return None
         found = build()
         with self._schedule_lock:
             self.builds += 1
@@ -442,8 +451,9 @@ def plan_tapes(plan: Plan) -> PlanTapes:
 
 
 def _reductions(plan: Plan, tapes: PlanTapes) -> list:
-    """``(operand tape, array shape)`` of every reduction in ``plan``'s
-    scalar expressions (one no tape takes fails where it runs)."""
+    """``(operand tape, array shape, is a SUM)`` of every reduction in
+    ``plan``'s scalar expressions (one no tape takes fails where it
+    runs)."""
     exprs = [e for op in plan.walk_ops() for e in (
         getattr(op, "rhs", None), getattr(op, "cond", None)) if e]
     found = []
@@ -454,7 +464,7 @@ def _reductions(plan: Plan, tapes: PlanTapes) -> list:
         with suppress(KeyError, ExecutionError):
             shape = plan.arrays[first].shape
             found.append((tapes.tape(node, [(None, node.arg, None)],
-                                     len(shape)), shape))
+                                     len(shape)), shape, node.op == "SUM"))
     return found
 
 
@@ -474,6 +484,7 @@ def prepare(plan: Plan, tracer=None, kernels: bool = True) -> PlanTapes:
                 # imported by the first run, not with the package: the
                 # CLI's import time does not pay for the kernel store
                 from repro.runtime import native
-                native.attach(plan, nests, _reductions(plan, tapes), tracer)
+                tapes.driver = native.attach(
+                    plan, nests, _reductions(plan, tapes), tracer)
             tapes.prepared = True
     return tapes

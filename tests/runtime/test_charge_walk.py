@@ -8,7 +8,10 @@ three shift routines must produce the identical cost report, tagged
 message log and peak memory as :class:`DArray` (and :class:`VArray`):
 proof that the walks never read array data.  Its replay leg: the
 schedules one walk records on a :class:`DArray` machine, applied on
-:class:`VArray` and null-placement machines, leave the same again.
+:class:`VArray` and null-placement machines, leave the same again; and
+its segment leg: their recordings merged into one (``Charges.merged``)
+and replayed ``trips`` times at once on a null placement leave what the
+members applied trip by trip leave.
 
 (b) A source scan pins *where* charging lives: the recorder's entry
 points and the replay defined under ``machine/`` are called from
@@ -169,6 +172,39 @@ def test_a_schedule_replays_identically_on_every_placement(
                                  v.gather().tobytes())
     assert seen[NullArray] == seen[DArray][:4]
     assert seen[VArray] == seen[DArray]
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=st.sampled_from(LAYOUTS), n=st.sampled_from([8, 12, 14]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       ops=st.lists(op.filter(lambda o: o[0] == "overlap"), min_size=1,
+                    max_size=4), trips=st.integers(1, 5))
+def test_a_merged_recording_replays_its_members_trip_by_trip(
+        layout, n, dtype, ops, trips):
+    """A native segment's charges: its shifts' recordings (a full
+    shift's scratch allocation never sits in a segment) merged into one
+    and replayed ``trips`` times in one call, on a null placement, leave
+    what the members applied one by one, trip after trip, leave on
+    :class:`DArray` — rows by bytes, counters, tagged log, peaks."""
+    grid, dist = layout
+    seen = []
+    for array_type in (DArray, NullArray):
+        m = Machine(grid=grid, keep_message_log=True)
+        u = array_type.create(m, "U", Layout((n, n), dist, m.topology),
+                              dtype, ((2, 2), (2, 2)))
+        shifts = [OverlapShift(u.name, u.layout, u.dtype, u.halo, shift, dim,
+                               Charges(m.cost_model), rsd=_rsd(dim, lo, hi),
+                               boundary=boundary)
+                  for _, shift, dim, (lo, hi), boundary in ops]
+        if array_type is DArray:
+            for _ in range(trips):
+                for shift in shifts:
+                    shift.apply(m, u)
+        else:
+            m.network.replay(Charges.merged(
+                m.cost_model, [s.charges for s in shifts]), trips)
+        seen.append(observed(m))
+    assert seen[1] == seen[0]
 
 
 SRC = Path(repro.__file__).parent

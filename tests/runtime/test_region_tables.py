@@ -14,15 +14,19 @@ does not depend on how a placement lays a block out — which is what
 makes a plain-reference ``SUM`` bitwise across backends.
 
 (c) A reduction operand with a native kernel is one foreign call over
-every PE's owned block on every backend, writing that stack; its
-partials and folded scalar equal the ufunc tape's by ``float.hex``, and
-a strong scalar sends it to the tape, counted.
+every PE's owned block on every backend — a SUM's returns each block's
+partial, summed in C in NumPy's pairwise order, a MAXVAL's or MINVAL's
+writes that stack; partials and folded scalar equal the ufunc tape's
+by ``float.hex``, and a strong scalar sends it to the tape, counted.
+The pairwise order is pinned for every block size up to 5,000, and the
+rank-order fold of Python floats is ``np.add``'s.
 """
 
 from __future__ import annotations
 
 import shutil
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import compile_hpf
-from repro.ir.nodes import ScalarRef
+from repro.ir.nodes import OffsetRef, ScalarRef
 from repro.kernels import KERNELS, compile_kernel
 from repro.machine import Machine
 from repro.obs import MetricsRegistry, use_registry
@@ -38,7 +42,7 @@ from repro.plan import LoopNestOp
 from repro.runtime import executor, native
 from repro.runtime.darray import DArray
 from repro.runtime.executor import _partials, _stack_layout
-from repro.runtime.nest_tape import plan_tapes, prepare
+from repro.runtime.nest_tape import NestTape, plan_tapes, prepare
 from repro.runtime.vectorized import VectorizedExec
 from repro.testing import GeneratedProgram, backend_equivalence_check
 
@@ -224,6 +228,7 @@ REDUCTIONS = """\
               for op in ("SUM", "MAXVAL", "MINVAL")
               for i, arg in enumerate(OPERANDS))
 KINDS = {np.float32: "REAL", np.float64: "DOUBLE PRECISION"}
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
 
 
 def reduce_run(dtype, grid, backend, kernels, monkeypatch):
@@ -236,16 +241,20 @@ def reduce_run(dtype, grid, backend, kernels, monkeypatch):
     rng = np.random.default_rng(11)
     inputs = {a: (rng.standard_normal((256, 256)) * 10.0 ** rng.integers(
         -3, 4, (256, 256))).astype(dtype) for a in "APQR"}
+    for values in inputs.values():  # a few signed zeros, infinities, NaNs
+        sown = rng.random(values.shape) < 2e-5
+        values[sown] = rng.choice(SPECIAL, int(sown.sum()))
     partials, calls, evaluated = [], [], []
-    real_partials, real_run_table = executor._partials, \
+    real_partials, real_run_table = executor._Exec._block_partials, \
         native.Kernel.run_table
-    monkeypatch.setattr(executor, "_partials", lambda *args: (
-        partials.append(real_partials(*args)), partials[-1])[1])
+    monkeypatch.setattr(executor._Exec, "_block_partials",
+                        lambda self, *args: (partials.append(
+                            real_partials(self, *args)), partials[-1])[1])
 
-    def run_table(self, table, arrays, scalars, count=False):
+    def run_table(self, table, arrays, scalars, count=False, out=None):
         if count:       # a reduction operand's table
             calls.append(table if isinstance(table, str) else table[0])
-        return real_run_table(self, table, arrays, scalars, count)
+        return real_run_table(self, table, arrays, scalars, count, out)
 
     monkeypatch.setattr(native.Kernel, "run_table", run_table)
     for cls in (executor._Exec, VectorizedExec):
@@ -313,3 +322,61 @@ def test_a_strong_scalar_sends_a_reduction_to_the_tape_counted(monkeypatch):
     assert got == expected
     assert counted[("fallback", "strong-scalar")] == 3.0
     assert (calls, evaluated) == ([6] * 15, 3)
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Bit for bit but for the sign and payload of a NaN (see
+    ``test_native_kernels.assert_same_bits``)."""
+    nan = np.isnan(got) & np.isnan(want)
+    return np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+
+
+@needs_cc
+@settings(max_examples=12, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**16),
+       sown=st.sampled_from([0.0, 0.001, 0.05, "-0.0"]))
+def test_native_sum_partials_are_numpys_pairwise_order(dtype, seed, sown):
+    """A SUM operand's C partial of a block of every size 1...5000 (every
+    8 and 128 boundary, splits above 128) equals
+    ``np.add.reduce(rows, axis=1)``, signed zeros, infinities and NaNs
+    sown in; a block of -0.0 sums to NumPy's +0.0."""
+    tape = NestTape([(None, OffsetRef("A", (0,)), None)], 1)
+    native.build([(tape, 1, True)], {"A": np.dtype(dtype)})
+    kernel = tape.kernel
+    assert kernel.sums
+    rng = np.random.default_rng(seed)
+    if sown == "-0.0":
+        data = np.full(5000, -0.0, dtype)
+    else:
+        data = (rng.standard_normal(5000) * 10.0 ** rng.integers(
+            -3, 4, 5000)).astype(dtype)
+        special = rng.random(5000) < sown
+        data[special] = rng.choice(SPECIAL, int(special.sum()))
+    sizes = range(1, 5001)
+    scratch, parts = np.empty(5000, dtype), np.empty(5000, dtype)
+    arrays = [SimpleNamespace(arena=(a.ctypes.data, a.nbytes))
+              for a in (data, scratch)]
+    table = kernel.table([[data[:n], scratch[:n]] for n in sizes], arrays)
+    assert kernel.run_table(table, arrays, [], out=parts)
+    with np.errstate(all="ignore"):
+        want = np.concatenate([np.add.reduce(data[None, :n], axis=1)
+                               for n in sizes])
+    assert same_bits(parts, want)
+
+
+@given(parts=st.lists(st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])),
+    min_size=1, max_size=20))
+def test_a_python_float_fold_is_the_ufunc_fold(parts):
+    """``total += part`` over a SUM's partials in rank order gives
+    ``float(np.add(total, part))``'s bits: both are IEEE float64
+    additions."""
+    total, *rest = parts
+    for part in rest:
+        total += part
+    folded, *rest = parts
+    with np.errstate(all="ignore"):
+        for part in rest:
+            folded = float(np.add(folded, part))
+    assert total.hex() == folded.hex()
