@@ -7,13 +7,15 @@ every row added to that row's PE entry, one by one, in recorded order.
 Bits are compared by ``float.hex`` (a -0.0 is not a +0.0).
 """
 
+import tracemalloc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine.cost_model import (
     PE_ROWS, SP2_COST_MODEL, CostReport, LoopStats,
 )
-from repro.machine.network import Charges, Network
+from repro.machine.network import REPLAY_LAYERS, Charges, Network
 
 NPES = 6
 
@@ -90,6 +92,31 @@ def test_a_zero_credit_leaves_the_row_positive_zero():
     Network(SP2_COST_MODEL, report).replay(charges)
     assert [v.hex() for v in report.pe_times] == ["0x0.0p+0"] * 2
     assert charges.layers().shape == (2, len(PE_ROWS), 2)
+
+
+def test_a_long_loop_replays_in_bounded_memory():
+    """``trips`` across several reduces of :data:`REPLAY_LAYERS` layers
+    leave the bits of trip-by-trip replays, and a loop of 10**5 trips
+    needs scratch for one reduce, not for every trip."""
+    charges = recorded([("charge_copy", pe, 10 + pe, 8)
+                        for pe in range(NPES)] + [("credit", 1, 0.25)])
+    trips = 3 * REPLAY_LAYERS + 5
+    reports = [CostReport(), CostReport()]
+    for _ in range(trips):
+        Network(SP2_COST_MODEL, reports[0]).replay(charges)
+    Network(SP2_COST_MODEL, reports[1]).replay(charges, trips)
+    assert reports[0].rows.tobytes() == reports[1].rows.tobytes()
+    assert reports[0] == reports[1]
+    network = Network(SP2_COST_MODEL, CostReport())
+    tracemalloc.start()
+    try:
+        network.replay(charges, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_reduce = (REPLAY_LAYERS + 1) * len(PE_ROWS) * NPES * 8
+    assert peak < 4 * one_reduce
+    assert network.report.copies == 10**5 * NPES
 
 
 def test_rows_read_back_as_lists_and_compare_by_value():
