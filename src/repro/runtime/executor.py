@@ -8,16 +8,16 @@ nest's global iteration box with its owned block.  As the paper's
 compiler emits each PE's bounds and messages once, an op's walk runs
 once per machine geometry and is kept with the plan's tapes as a
 *schedule* (``PlanTapes.schedule``); every run evaluates its regions
-— a native nest's in one call over the schedule's region table — and
-replays its charges.  On the slab placements a warm, untraced run hands
-each *segment* (a run of nests, ``OVERLAP_SHIFT``\\ s and swaps, a whole
-``DO`` included) to the plan's native driver as one call and replays
-one merged recording per trip.
+— a native nest's as rows of the schedule's region table — and replays
+its charges.  On the slab placements an untraced run hands each
+*segment* (a run of nests, ``OVERLAP_SHIFT``\\ s and swaps, a whole ``DO``
+included) to the plan's native driver as one call and replays one
+merged recording per trip; a segment's steps, and each op list's
+partition into ops and segments, are schedules like any op's.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import prod
 from types import SimpleNamespace
@@ -45,7 +45,7 @@ from repro.runtime.backends import get_backend
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import cached_layout
 from repro.runtime.nest_tape import (
-    SCHEDULES_PER_OP, NestTape, plan_tapes, prepare,
+    NestTape, plan_tapes, prepare,
 )
 from repro.runtime.overlap import OverlapShift
 
@@ -79,8 +79,8 @@ class _Schedule(NamedTuple):
     regions: list           # (pe, box)
     charges: Charges
     credits: list           # (pe, interior loop time), overlapped nests
-    slices: dict            # placement type -> reference slices per region
-    tables: dict            # placement type -> native region table | reason
+    slices: dict            # see _Exec._kept -> reference slices per region
+    tables: dict            # see _Exec._kept -> native region table | reason
     stack: tuple = ()       # a reduction's: see :func:`_stack_layout`
 
 
@@ -111,31 +111,25 @@ def _partials(stack: np.ndarray, spans: list, ufunc) -> list[float]:
     return partials
 
 
-def _buffer(data: np.ndarray) -> SimpleNamespace:
-    """A scratch array as one of a table's arrays: its ``arena``."""
-    return SimpleNamespace(arena=(data.ctypes.data, data.nbytes))
-
-
 #: the plan ops a native segment is made of
 _MEMBERS = (LoopNestOp, OverlapShiftOp, SwapOp)
 
 
 class _Segment(list):
-    """Ops a slab run hands to the plan's native driver as one call;
-    ``built``: key -> :class:`_Steps` or why it runs per op."""
+    """Ops a slab run hands to the plan's native driver as one call; its
+    schedules are :class:`_Steps` or why it runs per op."""
 
     def __init__(self, ops: list, tapes) -> None:
         super().__init__(ops)
-        self.built: dict = {}
         self.nests = [op for op in ops if isinstance(op, LoopNestOp)]
-        nest_tapes = [tapes.nest(op) for op in self.nests]
+        self.tapes = [tapes.nest(op) for op in self.nests]
         self.names = list(dict.fromkeys(
-            [name for tape in nest_tapes for name, _ in tape.refs]
+            [name for tape in self.tapes for name, _ in tape.refs]
             + [name for op in ops for name in (
                 (op.array,) if isinstance(op, OverlapShiftOp)
                 else (op.a, op.b) if isinstance(op, SwapOp) else ())]))
         #: scalars the nests read: a ``DO`` on one runs trip by trip
-        self.reads = {ref.name for tape in nest_tapes
+        self.reads = {ref.name for tape in self.tapes
                       for ref in tape.scalars} | {
             name for op in self.nests for pair in op.space
             for bound in pair for name in bound.symbols()}
@@ -165,14 +159,12 @@ class _Steps(NamedTuple):
     in this order) and region table (held: the step points into it, and
     its schedule may leave the LRU first); the merged recording of each
     trip until the swaps bring the bindings back, and of all those
-    trips; the slot each slot's array comes from after a trip; the
-    nests' reasons to run whole (``parallel``'s log)."""
+    trips; the slot each slot's array comes from after a trip."""
     steps: np.ndarray
     nests: list
     trips: list
     period: Charges
     perm: list
-    whole: Counter
 
 
 class _Exec:
@@ -329,16 +321,17 @@ class _Exec:
             data = np.empty(max(n for *_, n in spans) if sums else size,
                             kernel.dtype)
             parts = np.empty(len(slots), kernel.dtype) if sums else None
-
-            def boxes() -> list:
-                return [self._views(arrays, pe, self._slices(tape, pe, box))
-                        + [data[0 if sums else at:][:prod(shape)]
-                           .reshape(shape)]
-                        for (pe, box), (at, shape) in zip(sched.regions,
-                                                          slots)]
-
-            if self._run_table(sched, kernel, [*arrays, _buffer(data)],
-                               scalars, boxes, count=True, out=parts):
+            stacked = [*arrays, SimpleNamespace(
+                arena=(data.ctypes.data, data.nbytes))]
+            table = self._kept(sched.tables, sched, sched.regions, lambda: (
+                kernel.table([
+                    self._views(arrays, pe, self._slices(tape, pe, box))
+                    + [data[0 if sums else at:][:prod(shape)].reshape(shape)]
+                    for (pe, box), (at, shape) in zip(sched.regions, slots)],
+                    stacked)))
+            values = kernel.arguments(table, scalars)
+            if values is not None:
+                kernel.run_table(table, stacked, values, out=parts)
                 return parts.tolist() if sums else \
                     _partials(data, spans, ufunc)
         data = None
@@ -402,10 +395,14 @@ class _Exec:
 
     def do_overlap_shift(self, op: OverlapShiftOp) -> None:
         da = self.darray(op.array)
-        self._schedule(op, (da,), None, lambda: OverlapShift(
+        self._shift(op, da).apply(self.machine, da)
+
+    def _shift(self, op: OverlapShiftOp, da) -> OverlapShift:
+        """``op``'s schedule for the buffer ``da``."""
+        return self._schedule(op, (da,), None, lambda: OverlapShift(
             da.name, da.layout, da.dtype, da.halo, op.shift, op.dim,
             Charges(self.machine.cost_model), op.rsd, op.base_offsets,
-            op.boundary)).apply(self.machine, da)
+            op.boundary))
 
     def do_full_shift(self, op: FullShiftOp) -> None:
         dst, src = self.darray(op.dst), self.darray(op.src)
@@ -471,8 +468,8 @@ class _Exec:
 
     # -- schedules and loop nests -------------------------------------------
     def _schedule(self, node, arrays, space, build):
-        """``node``'s schedule on this geometry, ``arrays`` and ``space``
-        (``build=None``: ``None`` unless one was built)."""
+        """``node``'s schedule on this geometry, ``arrays`` and ``space``,
+        ``build()`` on a miss."""
         return self._tapes.schedule(
             node, (self._geometry, space, *[da.key for da in arrays]),
             build)
@@ -480,14 +477,23 @@ class _Exec:
     def _ref_arrays(self, tape: NestTape) -> list:
         return [self.darray(name) for name, _ in tape.refs]
 
+    def _kept(self, kept: dict, sched: _Schedule, regions, make):
+        """``make()`` kept in ``kept`` — ``sched.slices``, or
+        ``sched.tables``: native region tables or why they were refused —
+        under this placement and the region list itself: ``None`` for
+        the schedule's own, a tuple for a slab's cut of its space, so no
+        cut reuses another's."""
+        key = self.array_type, None if regions is sched.regions else regions
+        found = kept.get(key)
+        if found is None:
+            found = kept[key] = make()
+        return found
+
     def _bindings(self, sched: _Schedule, tape: NestTape,
                   regions) -> list:
-        """``sched``'s data half, per placement: ``(pe, slices)``."""
-        found = sched.slices.get(self.array_type)
-        if found is None:
-            found = sched.slices[self.array_type] = [
-                (pe, self._slices(tape, pe, box)) for pe, box in regions]
-        return found
+        """``sched``'s data half for ``regions``: ``(pe, slices)``."""
+        return self._kept(sched.slices, sched, regions, lambda: [
+            (pe, self._slices(tape, pe, box)) for pe, box in regions])
 
     def _space(self, op: LoopNestOp) -> tuple[tuple[int, int], ...]:
         return tuple((self.bound(lo), self.bound(hi))
@@ -504,41 +510,33 @@ class _Exec:
         return boxes
 
     def _eval_nest(self, op: LoopNestOp, space, sched: _Schedule) -> None:
-        """Compute the nest over :meth:`_regions`: in one native call
-        over the schedule's region table, else region by region."""
+        """Compute the nest over each PE's box: one native call over the
+        schedule's region table, else box by box on the tape."""
         tape = self._nest_tape(op)
-        bindings = self._bindings(sched, tape, self._regions(sched, space))
-        if not bindings:
-            return
-        arrays = self._ref_arrays(tape)
-        scalars = [self.scalar(ref) for ref in tape.scalars]
-        if self._run_table(sched, tape.kernel, arrays, scalars, lambda: [
-                self._views(arrays, pe, slices) for pe, slices in bindings]):
+        bindings, arrays, scalars, call = self._rows(tape, sched,
+                                                     sched.regions)
+        if call is not None:
+            tape.kernel.run_table(call[0], arrays, call[1])
             return
         for pe, slices in bindings:
             tape.run(self._views(arrays, pe, slices), scalars, self._bound)
 
-    def _regions(self, sched: _Schedule, space) -> list:
-        """The boxes a nest is evaluated over: here each PE's."""
-        return sched.regions
-
-    def _run_table(self, sched: _Schedule, kernel, arrays: list,
-                   scalars: list, boxes, count: bool = False,
-                   out=None) -> bool:
-        """One ``kernel`` call over this placement's table of ``sched``;
-        false if none or refused."""
-        return kernel is not None and kernel.run_table(
-            self._table(sched, kernel, arrays, boxes), arrays, scalars,
-            count, out)
-
-    def _table(self, sched: _Schedule, kernel, arrays: list, boxes):
-        """This placement's table of ``sched`` (or the reason it was
-        refused), made from ``boxes()`` on first use."""
-        table = sched.tables.get(self.array_type)
-        if table is None:
-            table = sched.tables[self.array_type] = kernel.table(
-                boxes(), arrays)
-        return table
+    def _rows(self, tape: NestTape, sched: _Schedule, regions) -> tuple:
+        """``regions`` of ``tape``'s nest bound for this run: their
+        ``(pe, slices)``, the arrays, the scalars and ``(table, values)``
+        of a native call over them — ``None`` without a kernel, or when
+        the table or a scalar is refused: the tape runs them."""
+        bindings = self._bindings(sched, tape, regions)
+        arrays = self._ref_arrays(tape)
+        scalars = [self.scalar(ref) for ref in tape.scalars]
+        kernel, call = tape.kernel, None
+        if kernel is not None and bindings:
+            table = self._kept(sched.tables, sched, regions, lambda: (
+                kernel.table([self._views(arrays, pe, slices)
+                              for pe, slices in bindings], arrays)))
+            values = kernel.arguments(table, scalars)
+            call = None if values is None else (table, values)
+        return bindings, arrays, scalars, call
 
     # -- native segments ----------------------------------------------------
     def _segments(self) -> bool:
@@ -549,11 +547,8 @@ class _Exec:
 
     def _items(self, ops: list) -> list:
         """``ops`` as ops and segments, partitioned once per list."""
-        found = self._tapes.segments.get(id(ops))
-        if found is None or found[0] is not ops:
-            found = self._tapes.segments[id(ops)] = (
-                ops, _partition(ops, self._tapes))
-        return found[1]
+        return self._tapes.schedule(
+            ops, (), lambda: _partition(ops, self._tapes))
 
     def _run_loop(self, op: SeqLoopOp, trips: int) -> bool:
         """Every trip of a ``DO`` whose body is one segment in one driver
@@ -572,23 +567,18 @@ class _Exec:
     def _run_segment(self, seg: _Segment, trips: int = 1) -> bool:
         """``trips`` runs of ``seg`` in one driver call, leaving the
         bindings and charges the per-op path leaves; false — run it per
-        op — while a schedule is unbuilt, or when refused (counted)."""
+        op — when refused (counted)."""
         from repro.runtime.native import _count
         arrays = [self.darrays.get(name) for name in seg.names]
         if None in arrays:
             return False        # the op that names it raises
         spaces = tuple(self._space(op) for op in seg.nests)
-        # only the slab executors get here: ``stripes`` is theirs
-        key = (self._geometry, self.stripes, spaces,
-               *[da.key for da in arrays])
-        built = seg.built.get(key)
-        if built is None:
-            built = self._build_segment(seg, spaces)
-            if built is None:
-                return False
-            if len(seg.built) >= SCHEDULES_PER_OP:
-                seg.built.clear()
-            seg.built[key] = built
+        # only the slab executors get here: ``_cut`` is theirs
+        cuts = tuple(self._cut(tape, space)
+                     for tape, space in zip(seg.tapes, spaces))
+        built = self._tapes.schedule(
+            seg, (self._geometry, spaces, cuts, *[da.key for da in arrays]),
+            lambda: self._build_segment(seg, spaces, cuts))
         values = []
         for kernel, refs, _ in () if built.__class__ is str else built.nests:
             got = kernel.values([self.scalar(ref) for ref in refs])
@@ -612,24 +602,26 @@ class _Exec:
             self.machine.network.replay(built.period, repeats)
         for charges in built.trips[:rest]:
             self.machine.network.replay(charges)
-        self._file_whole(built.whole, trips)
+        self._file([cut for cut, space in zip(cuts, spaces)
+                    if all(lo <= hi for lo, hi in space)], trips)
         _count(1, status="segment")
         return True
 
-    def _build_segment(self, seg: _Segment, spaces: tuple):
-        """``seg``'s :class:`_Steps` from its members' schedules, trip by
-        trip until the swaps restore the bindings; or why it runs per
-        op; ``None`` while a schedule is unbuilt."""
+    def _build_segment(self, seg: _Segment, spaces: tuple, cuts: tuple):
+        """``seg``'s :class:`_Steps` from its members' schedules (built
+        as the per-op path builds them), trip by trip until the swaps
+        restore the bindings; or why it runs per op.  ``cuts``: each
+        nest's row stripes, or why it runs whole."""
         names = seg.names
         slot = {name: i for i, name in enumerate(names)}
         start = [self.darrays[name] for name in names]
         bind = dict(zip(names, start))
-        steps, nests, trips, whole, perm = [], [], [], Counter(), None
+        steps, nests, trips, perm = [], [], [], None
         while perm is None or any(bind[n] is not da
                                   for n, da in zip(names, start)):
             if len(trips) == 4:
                 return "period"
-            members, space_of = [], iter(spaces)
+            members, space_of = [], iter(zip(spaces, cuts))
             for op in seg:
                 if isinstance(op, SwapOp):
                     a, b = bind[op.a], bind[op.b]
@@ -640,32 +632,28 @@ class _Exec:
                     step = [2, slot[op.a], slot[op.b]]
                 elif isinstance(op, OverlapShiftOp):
                     da = bind[op.array]
-                    shift = self._schedule(op, (da,), None, None)
-                    if shift is None:
-                        return None
+                    shift = self._shift(op, da)
                     members.append(shift.charges)
                     step = [1, slot[op.array], *da.wrap(shift)]
                 else:
-                    tape, space = self._nest_tape(op), next(space_of)
+                    tape, (space, cut) = self._nest_tape(op), next(space_of)
                     arrays = [bind[name] for name, _ in tape.refs]
-                    sched = self._schedule(op, arrays, space, None)
-                    if sched is None:
-                        return None
+                    sched = self._schedule(op, arrays, space, lambda: (
+                        self._walk_nest(op, space, False)))
                     members.append(sched.charges)
                     if any(lo > hi for lo, hi in space):
                         continue
-                    kernel, reason = tape.kernel, self._cut(tape, space)
-                    if kernel is None or reason.__class__ is not str:
+                    kernel = tape.kernel
+                    if kernel is None or cut.__class__ is not str:
                         return "tape" if kernel is None else "striped"
-                    bindings = self._bindings(
-                        sched, tape, self._regions(sched, space))
-                    table = self._table(sched, kernel, arrays, lambda: [
-                        self._views(arrays, pe, slices)
-                        for pe, slices in bindings])
+                    regions = ((0, space),)     # the slab's whole space
+                    (_, slices), = self._bindings(sched, tape, regions)
+                    table = self._kept(sched.tables, sched, regions, lambda: (
+                        kernel.table([self._views(arrays, 0, slices)],
+                                     arrays)))
                     if table.__class__ is str:
                         return table
                     if perm is None:
-                        whole[reason] += 1
                         nests.append((kernel, tape.scalars, table))
                     step = [0, kernel.entry, *table[:3],
                             sum(len(k.scalar_slots) for k, *_ in nests[:-1]),
@@ -680,8 +668,7 @@ class _Exec:
                 perm = [position[id(bind[name])] for name in names]
         return _Steps(np.array([v for step in steps for v in step],
                                np.int64), nests, trips,
-                      Charges.merged(self.machine.cost_model, trips), perm,
-                      whole)
+                      Charges.merged(self.machine.cost_model, trips), perm)
 
     def run_nest(self, op: LoopNestOp) -> None:
         self._run_nest(op, op, split=False)
@@ -824,7 +811,6 @@ def execute(plan: Plan, machine: Machine,
             scalars: Mapping[str, float] | None = None,
             iterations: int = 1,
             hpf_overhead: bool = False,
-            reset_machine: bool = True,
             tracer=None,
             backend: str = "perpe",
             profile: bool = False,
@@ -856,8 +842,7 @@ def execute(plan: Plan, machine: Machine,
     tracer = coalesce(tracer)
     if profile and not tracer.enabled:
         tracer = Tracer()
-    if reset_machine:
-        machine.reset()
+    machine.reset()
     if plan.processors is not None and \
             tuple(machine.grid) != tuple(plan.processors):
         raise ExecutionError(

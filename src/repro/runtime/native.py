@@ -9,14 +9,15 @@ strides per *array* (every placement keeps one buffer per array name),
 one element offset per reference, each arithmetic instruction one
 statement in the array dtype, stores in statement order — and one entry
 point, ``k<i>(nreg, base, off, ints, d)``, calling the box per row of a
-region table of byte offsets from the buffers' bases (a ``perpe`` nest
-is one call over its schedule's :meth:`Kernel.table`, a slab nest a
-one-row table); a reduction operand's loop stores its value into the
-caller's stack, or a SUM's into a block-sized scratch that each row then
-sums in NumPy's pairwise order into its partial.  The :data:`PRELUDE`
-every unit starts with also holds ``run_steps``, the driver that runs a
-slab run's segment — nests, edge-plane wraps, swaps, for all trips of a
-loop — in one call.  One translation unit per plan is built with the system
+region table of byte offsets from the buffers' bases — the one way a
+kernel runs: from Python as rows of a :meth:`Kernel.table` through
+:meth:`Kernel.run_table` (a ``perpe`` nest's PE boxes, a slab nest's
+row stripes), from C through ``run_steps``, the :data:`PRELUDE`'s
+driver of a slab run's segment — nests, edge-plane wraps, swaps, for
+all trips of a loop — in one call.  A reduction operand's loop stores
+its value into the caller's stack, or a SUM's into a block-sized
+scratch that each row then sums in NumPy's pairwise order into its
+partial.  One translation unit per plan is built with the system
 ``cc``, kept in a content-addressed :mod:`repro.store` directory and
 called through ``ctypes``.  Scalar-only subtrees are still evaluated in
 Python and passed by value, so the text depends on nest structure only
@@ -34,11 +35,13 @@ plan: NumPy 2 promotion, an iteration space of at least
 :data:`MIN_POINTS`, a ``cc`` on the path, a build that succeeds.  Per
 nest or reduction operand, statically: no mask, only ``+ - * /`` and
 unary minus on arrays, arrays all ``float32`` or all ``float64``, no
-assigned array read at a nonzero offset.  Per region:
-views of that dtype with unit inner stride and aligned addresses; per
-call, scalars that are weak (Python ``float``/``int``) or of the array
-dtype.  Anything else runs the ufunc tape, counted in
-``repro_native_kernels_total`` by reason.
+assigned array read at a nonzero offset.  Per table: views of that
+dtype with unit inner stride and aligned addresses (every region of a
+table is a view of the same arenas with the same strides, so one
+region's reason refuses the table); per call, scalars that are weak
+(Python ``float``/``int``) or of the array dtype.  Anything else runs
+the ufunc tape, counted in ``repro_native_kernels_total`` by reason —
+a refused table or scalar once per evaluation of its nest.
 """
 
 from __future__ import annotations
@@ -304,9 +307,8 @@ def emit(tape, rank: int, dtypes, name: str, sums: bool = False):
 
 
 class Kernel:
-    """One nest's loaded function and what a call must marshal.  Called
-    with a tape's views and scalars it runs that box as a one-row table,
-    true when it did; :meth:`run_table` runs a schedule's boxes."""
+    """One nest's loaded function and what a call must marshal; it runs
+    only as rows of a region table (:meth:`table`, :meth:`run_table`)."""
 
     def __init__(self, lib, layout) -> None:
         import ctypes
@@ -320,64 +322,59 @@ class Kernel:
         #: the entry point's address, for a segment's step table
         self.entry = ctypes.cast(self.fn, ctypes.c_void_p).value
         self._long, self._double = ctypes.c_longlong, ctypes.c_double
-        #: one row of zero offsets, for a box given by its addresses
-        self._here = (self._long * len(self.groups))()
-        #: byte strides of each array -> (element strides, element
-        #: offsets of every reference) or the reason they cannot be used
-        self._steps: dict = {}
         #: the slot list's array part, for the scalar code
         self._refs = [None] * nrefs
 
-    def __call__(self, views: list, scalars: list) -> bool:
-        row = self._row(views)
-        values = row if row.__class__ is str else self.values(scalars)
-        if values.__class__ is str:
-            _count(1, status="fallback", reason=values)
-            return False
-        addr, ints = row
-        self.fn(1, (self._long * len(addr))(*addr), self._here,
-                (self._long * len(ints))(*ints), values)
-        return True
-
     def table(self, boxes: list, arrays: list) -> "tuple | str":
-        """A schedule's boxes (each box's views over ``arrays``, one per
-        reference — a reduction's stack last — each with one buffer
-        ``arena = (address, bytes)``) as one table of offsets into the
-        arenas, so it serves every run of the schedule; or the first
-        box's reason to stay on the tape."""
+        """Boxes (each box's views over ``arrays``, one per reference — a
+        reduction's stack last — each with one buffer ``arena =
+        (address, bytes)``) as one table of offsets into the arenas, so
+        it serves every run of them; or the first box's reason to stay
+        on the tape.  Every box is a view of the same arenas with the
+        same strides, so a reason refuses them all."""
         arenas = [arrays[refs[0][0]].arena for refs in self.groups]
-        offsets, ints = [], []
+        offsets, ints, key = [], [], None
         for views in boxes:
             row = self._row(views)
             if row.__class__ is str:
                 return row
-            at = [a - base for a, (base, _) in zip(row[0], arenas)]
-            if not all(0 <= o < n for o, (_, n) in zip(at, arenas)):
+            bases, shape, steps = row
+            if steps != key:    # derived once per stride set, not per box
+                key, elements = steps, self._elements(steps)
+            at = [a - base for a, (base, _) in zip(bases, arenas)]
+            if elements.__class__ is str or not all(
+                    0 <= o < n for o, (_, n) in zip(at, arenas)):
                 return "stride"
             offsets.append(at)
-            ints.append(row[1])
+            ints.append((*shape, *elements))
         held = [np.array(rows, np.int64) for rows in (offsets, ints)]
         # their addresses, taken once, beside the arrays that hold them
         return len(boxes), *(a.ctypes.data for a in held), held
 
-    def run_table(self, table: "tuple | str", arrays: list, scalars: list,
-                  count: bool = False, out=None) -> bool:
-        """One call over every box of ``table`` for this run's ``arrays``
-        (a SUM operand's: each row's partial into ``out``); false when
-        the table was refused or a scalar is strong, counted if
-        ``count`` (a nest's boxes count their own)."""
+    def arguments(self, table: "tuple | str", scalars: list):
+        """The scalar arguments of a call over ``table``, or ``None``
+        when the table or a scalar is refused — counted once, by
+        reason: the tape runs its regions."""
         values = table if table.__class__ is str else self.values(scalars)
         if values.__class__ is str:
-            if count:
-                _count(1, status="fallback", reason=values)
-            return False
-        nreg, offsets, ints, *_ = table
+            _count(1, status="fallback", reason=values)
+            return None
+        return values
+
+    def run_table(self, table: tuple, arrays: list, values, start: int = 0,
+                  stop: "int | None" = None, out=None) -> None:
+        """One call over rows ``start:stop`` of ``table`` for this run's
+        ``arrays`` with the scalar arguments ``values``
+        (:meth:`arguments`); a SUM operand's: each row's partial into
+        ``out``."""
+        nreg, offsets, ints, (rows, extents) = table
         bases = [arrays[refs[0][0]].arena[0] for refs in self.groups]
         if out is not None:
             bases.append(out.ctypes.data)
-        self.fn(nreg, (self._long * len(bases))(*bases), offsets, ints,
-                values)
-        return True
+        self.fn((nreg if stop is None else stop) - start,
+                (self._long * len(bases))(*bases),
+                offsets + start * rows.strides[0],
+                ints + start * extents.strides[0], values)
 
     def _elements(self, key: tuple):
         """Strides and reference offsets in elements for arrays of byte
@@ -397,12 +394,12 @@ class Kernel:
         return strides + offsets
 
     def _row(self, views: list) -> "tuple | str":
-        """One box's ``(addresses, ints)``, or the reason it cannot be
-        proven bitwise or memory-safe.  One address is taken per array
-        (its first reference's view, bounds-checked by NumPy); every
-        other reference must be a view of the same buffer with the same
-        shape and strides, which the loop displaces by the reference's
-        static offset."""
+        """One box's ``(addresses, shape, byte strides)``, or the reason
+        it cannot be proven bitwise or memory-safe.  One address is taken
+        per array (its first reference's view, bounds-checked by NumPy);
+        every other reference must be a view of the same buffer with the
+        same shape and strides, which the loop displaces by the
+        reference's static offset."""
         dtype, shape = self.dtype, views[0].shape
         if len(shape) != self.rank:
             return "stride"
@@ -420,14 +417,9 @@ class Kernel:
                     return "stride"
             key.append(steps)
             bases.append(first.ctypes.data)
-        key = tuple(key)
-        elements = self._steps.get(key)
-        if elements is None:
-            elements = self._steps[key] = self._elements(key)
-        if elements.__class__ is str or any(
-                b % dtype.itemsize for b in bases):
+        if any(b % dtype.itemsize for b in bases):
             return "stride"
-        return bases, (*shape, *elements)
+        return bases, shape, key
 
     def values(self, scalars: list):
         """The scalar arguments as a C ``double`` array, or
@@ -456,8 +448,8 @@ def _count(n: int, **labels) -> None:
         "repro_native_kernels_total",
         help="Loop nests by how their plan's kernels were obtained "
              "(built by cc, loaded from the kernel directory) or why "
-             "they run the ufunc tape instead; per-call fallbacks count "
-             "once per call.",
+             "they run the ufunc tape instead; a refused table or scalar "
+             "counts once per evaluation of its nest.",
     ).inc(n, **labels)
 
 

@@ -14,7 +14,8 @@ bind a box to views.  A tape is immutable once built: the tapes of a
 plan are built once and kept with it (:func:`prepare`), the registers
 an executor binds to them are the executor's own, and a nest that
 :mod:`repro.runtime.native` could prove bitwise carries a compiled
-``kernel`` that :meth:`NestTape.run` calls instead of the ufuncs.
+``kernel``, which the executor runs over a region table instead of
+calling :meth:`NestTape.run`.
 
 Strip legality
 --------------
@@ -127,11 +128,9 @@ class NestTape:
         nodes = [n for walk in walks for part in walk for n in part]
         offset_refs = [n for n in nodes if isinstance(n, OffsetRef)]
         assigned = {lhs for lhs, _, _ in statements}
-        #: not a reduction operand (whose kernel only tables call)
-        self.stores = None not in assigned
         #: every statement stores, and no assigned array is read at a
         #: nonzero dim-1 offset: rows of different strips are independent
-        self.strip_ok = self.stores and not any(
+        self.strip_ok = None not in assigned and not any(
             n.name in assigned and any(n.offsets[:1]) for n in offset_refs)
         #: first reference that reads, at a nonzero offset, an array an
         #: earlier statement of the nest assigned.  Per-PE storage serves
@@ -183,7 +182,7 @@ class NestTape:
         self.result = self.stmts[-1].value
         #: the nest as one compiled loop (:class:`repro.runtime.native.
         #: Kernel`), attached by :func:`prepare` when it is provably
-        #: bitwise; ``None`` runs the ufuncs
+        #: bitwise; ``None``: only the ufuncs run it
         self.kernel = None
 
     def _emit(self, e: Expr, code: list[_Instr],
@@ -224,19 +223,15 @@ class NestTape:
         return dst, array
 
     # -- execution ---------------------------------------------------------
-    def run(self, views: list, scalars: list, bound: dict) -> "list | None":
+    def run(self, views: list, scalars: list, bound: dict) -> list:
         """Execute the nest over the box the equally shaped ``views``
-        cover; returns the slot list of the last strip (a value-only
-        tape runs one strip, so ``[self.result]`` is its value), or
-        ``None`` when the compiled kernel ran the box.
+        cover on the ufuncs; returns the slot list of the last strip (a
+        value-only tape runs one strip, so ``[self.result]`` is its value).
 
         ``bound`` is the caller's: ``(tape, box shape) -> (signature,
         strip rows, bound program)``.  Registers and ``out=`` targets
         survive across calls there, so a one-strip call on a small box
         allocates nothing, and two executors never share a register."""
-        if self.kernel is not None and self.stores and \
-                self.kernel(views, scalars):
-            return None
         shape = views[0].shape
         signature = [v.dtype for v in views] + (
             scalars if _VALUE_BASED_PROMOTION else [type(s) for s in scalars])
@@ -358,8 +353,8 @@ class PlanTapes:
         #: service threads run one cached plan concurrently
         self.prepared = False
         self.lock = threading.Lock()
-        #: id(op | reduction) -> (that node, key -> its schedule), least
-        #: recently used first
+        #: id(node) -> (that node, key -> its schedule), least recently
+        #: used first
         self._schedules: dict[int, tuple[object, dict]] = {}
         self._interned: dict = {}
         self._schedule_lock = threading.Lock()
@@ -368,9 +363,6 @@ class PlanTapes:
         #: the plan's segment driver (``native.build``'s), once its
         #: kernels are built
         self.driver = None
-        #: id(op list) -> (that list, its ops and segments); see
-        #: ``executor._Exec._items``
-        self.segments: dict = {}
 
     def tape(self, node, statements: Sequence[tuple], rank: int) -> NestTape:
         """``node``'s tape, built on first use."""
@@ -393,9 +385,9 @@ class PlanTapes:
         return self._interned.setdefault(value, object())
 
     def schedule(self, node, key: tuple, build):
-        """``node``'s schedule for ``key``, ``build()`` on a miss (two
-        threads may both build: a schedule is immutable data); with
-        ``build=None``, ``None`` on a miss."""
+        """``node``'s schedule for ``key`` — a plan op's or reduction's
+        walk, an op list's partition, a segment's steps — ``build()`` on
+        a miss (two threads may both build: it is immutable data)."""
         with self._schedule_lock:
             entry = self._schedules.get(id(node))
             if entry is None or entry[0] is not node:
@@ -405,8 +397,6 @@ class PlanTapes:
             if found is not None:
                 held[key] = found       # now the most recently used
                 return found
-        if build is None:   # a lookup only
-            return None
         found = build()
         with self._schedule_lock:
             self.builds += 1

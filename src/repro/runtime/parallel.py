@@ -123,7 +123,7 @@ def worker_count(plan, workers: "int | None") -> int:
     return max(1, min(workers or os.cpu_count() or 1, rows))
 
 
-def cut(workers: int, tape, space) -> "list[tuple[int, int]] | str":
+def cut(workers: int, tape, space) -> "tuple[tuple[int, int], ...] | str":
     """``space``'s dim-1 extent as at most ``workers`` contiguous row
     stripes, or why the nest runs whole: ``order`` (rows of different
     stripes are not independent), ``workers`` or ``rows`` (fewer than
@@ -139,4 +139,4 @@ def cut(workers: int, tape, space) -> "list[tuple[int, int]] | str":
             return reason
     base, extra = divmod(rows, n)
     bounds = [lo + i * base + min(i, extra) for i in range(n + 1)]
-    return [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
+    return tuple((a, b - 1) for a, b in zip(bounds, bounds[1:]))

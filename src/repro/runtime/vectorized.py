@@ -41,6 +41,7 @@ from repro.plan import LoopNestOp
 from repro.runtime.darray import Halo, allocate_distributed
 from repro.runtime.distribution import Layout
 from repro.runtime.executor import _Exec
+from repro.runtime.parallel import cut, join, worker_count
 
 
 @dataclass
@@ -244,11 +245,11 @@ class VectorizedExec(_Exec):
     native operand's one call over every PE's block included), their
     partials and fold, every charge walk — except how a nest or a tape
     reduction operand is evaluated: once over the whole space instead of
-    once per PE box, a nest in ``stripes`` row stripes.  That count
-    is 1 under ``vectorized``; ``striped=True`` is the ``parallel``
-    backend, where it is the run's worker count and the stripes of a
-    nest run concurrently on the thread pool of
-    :mod:`repro.runtime.parallel` (imported by the first such run).
+    once per PE box, a nest as the regions of its slab table — at most
+    ``stripes`` row stripes, each one task of a join on the thread pool
+    of :mod:`repro.runtime.parallel`.  That count is 1 under
+    ``vectorized``; ``striped=True`` is the ``parallel`` backend, where
+    it is the run's worker count.
     """
 
     backend_label = "vectorized"
@@ -259,17 +260,17 @@ class VectorizedExec(_Exec):
         super().__init__(plan, machine, scalars, hpf_overhead,
                          tracer=tracer, workers=workers)
         self.stripes = 1
-        #: ``parallel`` only: what the workers did, and a register dict
-        #: per stripe beyond the calling thread's ``_bound`` (two
-        #: stripes of equal shape must never share an ``out=`` target)
+        #: ``parallel`` only: what the workers did
         self._log: _WorkerLog | None = None
         if striped:
-            from repro.runtime.parallel import worker_count
             self.backend_label = "parallel"
             self.stripes = worker_count(plan, workers)
             self._log = _WorkerLog(self.stripes)
-            self._registers = [self._bound] + [
-                {} for _ in range(1, self.stripes)]
+        #: a register dict per stripe, the calling thread's ``_bound``
+        #: first (two stripes of equal shape must never share an
+        #: ``out=`` target)
+        self._registers = [self._bound] + [
+            {} for _ in range(1, self.stripes)]
 
     def close(self) -> "list[dict] | None":
         return None if self._log is None else self._log.publish()
@@ -291,68 +292,59 @@ class VectorizedExec(_Exec):
         return tape
 
     def _reduce(self, expr) -> float:
-        if self._log is not None:
-            self._log.nests["whole", "reduction"] += 1
+        self._file(["reduction"])
         return super()._reduce(expr)
 
     def _blocks(self, sched, tape, arrays, scalars) -> list:
         """The operand evaluated once over the whole array, and each
         PE's owned block sliced from its value."""
-        whole = [(0, [(1, n) for n in arrays[0].layout.shape])]
+        whole = ((0, tuple((1, n) for n in arrays[0].layout.shape)),)
         (_, slices), = self._bindings(sched, tape, whole)
         value = tape.run(self._views(arrays, 0, slices), scalars,
                          self._bound)[tape.result]
         return [value[tuple(slice(lo - 1, hi) for lo, hi in box)]
                 for _, box in sched.regions]
 
-    def _regions(self, sched, space) -> list:
-        return [(0, list(space))]
-
     def _eval_nest(self, op: LoopNestOp, space, sched) -> None:
+        """The nest's regions joined, one task each: its row of the
+        region table, else its stripe on the tape in its own
+        registers."""
         tape = self._nest_tape(op)  # legality, whichever evaluator runs it
         if any(lo > hi for lo, hi in space):
             return
-        whole = partial(super()._eval_nest, op, space, sched)
-        stripes = self._cut(tape, space)
-        log = self._log
-        profiled = self.machine.network.observer is not None
-        if isinstance(stripes, str):    # the reason it runs whole
-            self._file_whole({stripes: 1})
-            if log is None or not profiled:
-                return whole()
-            # a profiled run files it on worker 0's measured track
-            tasks = [whole]
+        cut = self._cut(tape, space)
+        self._file([cut])
+        regions = ((0, space),) if cut.__class__ is str else tuple(
+            (0, (rows, *space[1:])) for rows in cut)
+        bindings, arrays, scalars, call = self._rows(tape, sched, regions)
+        if call is not None:
+            tasks = [partial(tape.kernel.run_table, call[0], arrays,
+                             call[1], i, i + 1) for i in range(len(bindings))]
         else:
-            log.nests["striped", None] += 1
-            # once, here: a stripe only binds its views and runs them
-            scalars = [self.scalar(ref) for ref in tape.scalars]
-            tasks = [partial(self._run_stripe, tape, scalars, i,
-                             [rows, *space[1:]])
-                     for i, rows in enumerate(stripes)]
-        from repro.runtime.parallel import join
+            tasks = [partial(tape.run, self._views(arrays, 0, slices),
+                             scalars, registers)
+                     for (_, slices), registers in zip(bindings,
+                                                       self._registers)]
         outcomes, blocked = join(tasks)
-        log.file(outcomes, blocked,
-                 self.tracer.current if profiled else None)
+        if self._log is not None:
+            # a profiled run files the nest on the measured tracks
+            profiled = self.machine.network.observer is not None
+            self._log.file(outcomes, blocked,
+                           self.tracer.current if profiled else None)
         for *_, error in outcomes:      # the first, in stripe order
             if error is not None:
                 raise error
 
-    def _cut(self, tape, space) -> "list | str":
+    def _cut(self, tape, space) -> "tuple | str":
         """The row stripes ``parallel`` cuts a nest into, or why this run
         evaluates it whole (a segment's nests must be)."""
-        if self._log is None:
-            return "vectorized"
-        from repro.runtime.parallel import cut
-        return cut(self.stripes, tape, space)
+        return "vectorized" if self._log is None else \
+            cut(self.stripes, tape, space)
 
-    def _file_whole(self, whole: dict, trips: int = 1) -> None:
-        """Nests evaluated whole ``trips`` times, by reason: ``parallel``
-        counts them."""
+    def _file(self, cuts: list, trips: int = 1) -> None:
+        """Nests evaluated ``trips`` times, one :meth:`_cut` each — the
+        stripes or why it ran whole: ``parallel`` counts them."""
         if self._log is not None:
-            for reason, n in whole.items():
-                self._log.nests["whole", reason] += n * trips
-
-    def _run_stripe(self, tape, scalars: list, i: int, box: list):
-        return tape.run(self._views(self._ref_arrays(tape), 0,
-                                    self._slices(tape, 0, box)),
-                        scalars, self._registers[i])
+            for how in cuts:
+                self._log.nests[("whole", how) if how.__class__ is str
+                                else ("striped", None)] += trips

@@ -7,7 +7,6 @@ from repro import kernels
 from repro.compiler import compile_hpf
 from repro.errors import ExecutionError, SimulatedOutOfMemoryError
 from repro.machine import Machine
-from repro.runtime.executor import execute
 
 
 def compiled_p9(level="O4", n=16):
@@ -142,11 +141,3 @@ class TestReset:
         first = machine.report.messages
         cp.run(machine)
         assert machine.report.messages == first  # reset, not accumulated
-
-    def test_no_reset_accumulates(self):
-        cp = compiled_p9()
-        machine = Machine(grid=(2, 2))
-        execute(cp.plan, machine)
-        first = int(machine.report.messages)
-        execute(cp.plan, machine, reset_machine=False)
-        assert machine.report.messages == 2 * first

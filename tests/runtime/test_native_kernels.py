@@ -11,14 +11,13 @@ kernels at N=258 (an interior of 256 x 256), just above the constant.
 """
 
 import ctypes
-import gc
 import hashlib
 import multiprocessing as mp
 import re
 import shutil
 import stat
 import warnings
-import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,6 +112,22 @@ def bind(tape, arrays, box):
             for name, offsets in tape.refs]
 
 
+def run_native(tape, arrays, box, scalars, views=bind) -> bool:
+    """``tape``'s kernel over ``box`` as a one-row region table, as the
+    executor calls it; false when the table or a scalar is refused
+    (counted), and the tape must run the box."""
+    kernel = tape.kernel
+    buffers = [SimpleNamespace(arena=(arrays[name].ctypes.data,
+                                      arrays[name].nbytes))
+               for name, _ in tape.refs]
+    table = kernel.table([views(tape, arrays, box)], buffers)
+    values = kernel.arguments(table, scalars)
+    if values is None:
+        return False
+    kernel.run_table(table, buffers, values)
+    return True
+
+
 def expressions(rank):
     zero = (0,) * rank
     leaves = st.one_of(
@@ -197,10 +212,12 @@ def test_native_and_ufunc_tape_agree_bitwise(nest):
         got, expected = (make_arrays(shape, dtype, seed) for _ in range(2))
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ran = tape.run(bind(tape, got, box), scalars, {})
+            ran = run_native(tape, got, box, scalars)
+            if not ran:
+                tape.run(bind(tape, got, box), scalars, {})
             reference.run(bind(reference, expected, box), scalars, {})
         # only a strong scalar of the other dtype may send a call back
-        assert ran is None or foreign
+        assert ran or foreign
         for name in got:    # written cells equal, unwritten untouched
             assert_same_bits(got[name], expected[name], name)
 
@@ -227,7 +244,7 @@ def test_unary_minus_keeps_the_sign_of_a_nan():
                       np.float32)
     got, expected = ({"A": np.ones(7, np.float32), "C": values.copy()}
                      for _ in range(2))
-    assert tape.run(bind(tape, got, [(0, 4)]), [], {}) is None
+    assert run_native(tape, got, [(0, 4)], [])
     reference.run(bind(reference, expected, [(0, 4)]), [], {})
     assert got["C"].tobytes() == expected["C"].tobytes()
     assert np.signbit(got["C"][1]) and not np.signbit(got["C"][2])
@@ -261,8 +278,9 @@ def test_ineligible_nests_stay_on_the_tape(reason, statements, dtypes):
 
 
 def test_call_time_fallbacks_are_counted_and_run_the_tape():
-    """Views of another dtype or with a non-unit inner stride, and a
-    strong scalar of another dtype, are seen per call."""
+    """Views of another dtype or with a non-unit inner stride refuse the
+    region table (:meth:`Kernel.table`), a strong scalar of another
+    dtype the call; either is counted once and the tape runs the box."""
     statements = [("C", BinOp("*", ScalarRef("S"), ref("A", 0, 1)), None)]
     tape, reference = NestTape(statements, 2), NestTape(statements, 2)
     native.build([(tape, 2)], dict.fromkeys("AC", np.dtype(np.float32)))
@@ -272,7 +290,9 @@ def test_call_time_fallbacks_are_counted_and_run_the_tape():
         registry = MetricsRegistry()
         expected = {k: v.copy() for k, v in arrays.items()}
         with use_registry(registry):
-            ran = tape.run(views(tape, arrays, box), [scalar], {})
+            ran = run_native(tape, arrays, box, [scalar], views)
+        if not ran:
+            tape.run(views(tape, arrays, box), [scalar], {})
         reference.run(views(reference, expected, box), [scalar], {})
         for name in arrays:
             assert arrays[name].tobytes() == expected[name].tobytes()
@@ -282,17 +302,16 @@ def test_call_time_fallbacks_are_counted_and_run_the_tape():
         return [v[:, ::2] for v in bind(tape, arrays, box)]
 
     f32 = make_arrays((4, 4), np.float32, 0)
-    assert run(f32, 1.25) == (None, {})
-    assert run(f32, np.float32(1.25)) == (None, {})
-    assert run(f32, 3) == (None, {})
+    assert run(f32, 1.25) == (True, {})
+    assert run(f32, np.float32(1.25)) == (True, {})
+    assert run(f32, 3) == (True, {})
     for arrays, scalar, views, reason in [
             (f32, np.float64(1.25), bind, "strong-scalar"),
             (f32, 1 << 60, bind, "strong-scalar"),
             (make_arrays((4, 4), np.float64, 0), 1.25, bind, "dtype"),
             (f32, 1.25, every_other_column, "stride")]:
-        ran, counted = run(arrays, scalar, views)
-        assert ran is not None
-        assert counted == {("fallback", reason): 1.0}
+        assert run(arrays, scalar, views) == (
+            False, {("fallback", reason): 1.0})
 
 
 class TestPlanLevelSelection:
@@ -325,13 +344,15 @@ class TestPlanLevelSelection:
                 compiled.run(Machine(grid=(2, 2)), backend=backend)
         assert len(built) == len(nests_of(compiled.plan)) == 1
         assert native.compiler_runs() == runs + 1
-        # the third run is warm: its shifts and nest are one segment
+        # each slab run, the first included, hands its shifts and nest
+        # to the driver as one segment
         assert kernel_counts(registry) == {("built", None): 1.0,
-                                           ("segment", None): 1.0}
+                                           ("segment", None): 2.0}
         assert registry.get("repro_native_build_seconds") \
             .value()["count"] == 1
         _, registry, _ = run_registry_kernel("purdue9")
-        assert kernel_counts(registry) == {("loaded", None): 1.0}
+        assert kernel_counts(registry) == {("loaded", None): 1.0,
+                                           ("segment", None): 1.0}
         assert native.compiler_runs() == runs + 1
         assert native.kernel_store().stats.hits >= 1
 
@@ -483,7 +504,8 @@ def test_parallel_workers_inherit_kernels_and_never_compile(monkeypatch,
                                                             tmp_path):
     """The plan is prepared once, on the calling thread, before any
     nest runs; each stripe — on whichever thread — is one foreign call
-    of that kernel on its rows, and none falls back to the tape."""
+    of that kernel on its row of the nest's region table, and none
+    falls back to the tape."""
     from repro.testing import forced_stripes
     monkeypatch.setattr("tempfile.tempdir", str(tmp_path))  # a cold build
     expected, _, _ = run_registry_kernel(backend="perpe")
@@ -494,12 +516,77 @@ def test_parallel_workers_inherit_kernels_and_never_compile(monkeypatch,
         result, registry, _ = run_registry_kernel(backend="parallel",
                                                   workers=3)
     assert native.compiler_runs() == runs + 1
-    # per-call fallbacks are counted from the stripes' own threads, so
-    # no ``fallback`` sample means every stripe ran the kernel
-    assert kernel_counts(registry) == {("built", None): 1.0}
+    # no ``fallback`` sample: the striped table ran the kernel; the
+    # striped nest keeps its shifts off the driver
+    assert kernel_counts(registry) == {("built", None): 1.0,
+                                       ("per-op", "striped"): 1.0}
     assert registry.get("repro_parallel_nests_total").samples() == [
         ((("mode", "striped"),), 1.0)]
     assert digests(result) == digests(expected)
+
+
+def patch_kernels(monkeypatch, plan) -> list:
+    """``nreg`` of every call of ``plan``'s nest kernels from Python."""
+    prepare(plan)
+    calls = []
+    for op in nests_of(plan):
+        kernel = plan_tapes(plan).nest(op).kernel
+        monkeypatch.setattr(kernel, "fn", lambda n, *args, real=kernel.fn:
+                            (calls.append(n), real(n, *args))[1])
+    return calls
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_striped_nest_is_one_call_per_stripe(workers, monkeypatch):
+    """Each stripe of ``parallel`` is a region of the nest's slab table:
+    one call of its row."""
+    from repro.testing import forced_stripes
+    compiled = compile_kernel("nine_point", bindings={"N": 258})
+    calls = patch_kernels(monkeypatch, compiled.plan)
+    with forced_stripes():
+        got, _, registry = observed_run(compiled, "parallel",
+                                        workers=workers)
+    assert calls == [1] * workers
+    assert nest_counts(registry) == [((("mode", "striped"),), 1.0)]
+    assert got == observed_run(compile_kernel(
+        "nine_point", bindings={"N": 258}), "perpe")[0]
+
+
+@pytest.mark.parametrize("backend", ["perpe", "vectorized", "parallel"])
+def test_a_warm_run_builds_no_table(backend, monkeypatch):
+    """Nests, stripes and reduction operands alike: the cold run takes
+    each box's row (:meth:`Kernel._row`) once, a warm run none."""
+    from repro.testing import forced_stripes
+    compiled = compile_kernel("cg", bindings={"N": 256, "NITER": 3})
+    rows, real = [], native.Kernel._row
+    monkeypatch.setattr(native.Kernel, "_row", lambda self, views: (
+        rows.append(1), real(self, views))[1])
+    with forced_stripes():
+        observed_run(compiled, backend, workers=2)
+        assert rows
+        rows.clear()
+        observed_run(compiled, backend, workers=2)
+    assert rows == []
+
+
+def test_toggled_stripes_never_reuse_another_cut():
+    """One plan run whole, then cut in two, then in three and back:
+    each cut is its own region list, so its own table, and every run is
+    ``perpe``'s by bytes."""
+    from contextlib import nullcontext
+    from repro.testing import forced_stripes
+    bindings = {"N": 256, "NITER": 4}
+    compiled = compile_kernel("jacobi", bindings=bindings)
+    want = observed_run(compile_kernel("jacobi", bindings=bindings),
+                        "perpe")[0]
+    for forced, workers in [(False, 2), (True, 2), (True, 3), (False, 3),
+                            (True, 2)]:
+        with forced_stripes() if forced else nullcontext():
+            got, _, registry = observed_run(compiled, "parallel",
+                                            workers=workers)
+        assert got == want
+        assert (("mode", "striped"),) in dict(nest_counts(registry)) \
+            or not forced
 
 
 # -- (e) the closed grammar ---------------------------------------------------
@@ -544,12 +631,12 @@ def test_backend_equivalence_above_the_size_constant(monkeypatch):
 
 # -- (g) native segments: one driver call per loop body ----------------------
 
-def warm_run(compiled, backend="vectorized", grid=(2, 2), segments=True,
-             **kw):
-    """A cold run of ``compiled``, then a warm one under a live
-    registry on a machine that keeps its log; ``(everything the warm
-    run leaves, the trips of each driver call it made, its registry)``.
-    ``segments=False`` takes the plan's driver away: the per-op path."""
+def observed_run(compiled, backend="vectorized", grid=(2, 2),
+                 segments=True, **kw):
+    """One run of ``compiled`` under a live registry on a machine that
+    keeps its log; ``(everything the run leaves, the trips of each
+    driver call it made, its registry)``.  ``segments=False`` takes the
+    plan's driver away: the per-op path."""
     plan = compiled.plan
     prepare(plan)
     tapes = plan_tapes(plan)
@@ -563,9 +650,6 @@ def warm_run(compiled, backend="vectorized", grid=(2, 2), segments=True,
     scalars = {s: 0.5 + 0.1 * i
                for i, s in enumerate(sorted(plan.scalar_names))}
     try:
-        compiled.run(Machine(grid=grid), inputs=inputs, scalars=scalars,
-                     backend=backend, **kw)
-        trips.clear()
         machine, registry = Machine(grid=grid), MetricsRegistry()
         with use_registry(registry):
             result = compiled.run(machine, inputs=inputs, scalars=scalars,
@@ -577,6 +661,13 @@ def warm_run(compiled, backend="vectorized", grid=(2, 2), segments=True,
             result.report, result.report.rows.tobytes(),
             [(m.src, m.dst, m.nbytes, m.tag) for m in machine.network.log],
             result.peak_memory_per_pe), trips, registry
+
+
+def warm_run(compiled, backend="vectorized", grid=(2, 2), segments=True,
+             **kw):
+    """A cold run of ``compiled``, then :func:`observed_run`."""
+    observed_run(compiled, backend, grid, segments, **kw)
+    return observed_run(compiled, backend, grid, segments, **kw)
 
 
 def nest_counts(registry) -> "list | None":
@@ -622,26 +713,96 @@ def test_random_programs_in_segments_equal_the_per_op_path(seed, ndim):
 
 
 def test_a_segment_outlives_the_schedules_it_was_built_from(monkeypatch):
-    """One schedule per op: warm runs on other grids evict the first
-    grid's schedules while the segments built on it stay cached.  Run
-    there again, they must still be the per-op path's run — their steps
-    point into region tables the segments hold themselves."""
+    """Two schedules per node: ``jacobi``'s swapped nests take two keys
+    per grid, its segments one, so warm runs on a second grid evict the
+    first grid's nest schedules while its segment steps stay.  Run there
+    again, they must still be the per-op path's run — their steps point
+    into region tables the steps hold themselves."""
+    monkeypatch.setattr(native, "MIN_POINTS", 0)
+    monkeypatch.setattr(nest_tape, "SCHEDULES_PER_OP", 2)
+    compiled = compile_kernel("jacobi", bindings={"N": 26, "NITER": 3})
+    tapes = plan_tapes(compiled.plan)
+
+    def kept(kind):
+        return [sched for _, held in tapes._schedules.values()
+                for sched in held.values() if type(sched).__name__ == kind]
+
+    want, _, _ = warm_run(compiled, grid=(3, 2), segments=False)
+    warm_run(compiled, grid=(3, 2))
+    steps = kept("_Steps")
+    tables = [table for built in steps for *_, table in built.nests]
+    warm_run(compiled, grid=(2, 2))
+    after = kept("_Steps")
+    assert tables and all(any(built is k for k in after) for built in steps)
+    in_schedules = [found for sched in kept("_Schedule")
+                    for found in sched.tables.values()]
+    # the loop's nests: held by the steps alone
+    assert any(all(table is not found for found in in_schedules)
+               for table in tables)
+    got, trips, _ = observed_run(compiled, grid=(3, 2))
+    assert trips and got == want
+
+
+def test_evicted_segments_rebuild_and_equal_the_per_op_path(monkeypatch):
+    """One schedule per node: warm runs on other grids evict the first
+    grid's op schedules and segment steps alike.  Run there again, the
+    segments are rebuilt — their steps point into region tables they
+    hold themselves — and are still the per-op path's run."""
+    from repro.runtime import executor
     monkeypatch.setattr(native, "MIN_POINTS", 0)
     monkeypatch.setattr(nest_tape, "SCHEDULES_PER_OP", 1)
+    builds = []
+    real = executor._Exec._build_segment
+    monkeypatch.setattr(executor._Exec, "_build_segment",
+                        lambda self, *a: (builds.append(1), real(self, *a))[1])
     compiled = compile_kernel("nine_point", bindings={"N": 26})
     want, _, _ = warm_run(compiled, grid=(3, 2), segments=False)
     warm_run(compiled, grid=(3, 2))
-    tables = [weakref.ref(rows) for _, held in
-              plan_tapes(compiled.plan)._schedules.values()
-              for sched in held.values()
-              for table in getattr(sched, "tables", {}).values()
-              if not isinstance(table, str) for rows in table[-1]]
     for grid in ((2, 2), (2, 3), (4, 1)):
         warm_run(compiled, grid=grid)
-    gc.collect()
-    assert tables and all(ref() is not None for ref in tables)
-    got, trips, _ = warm_run(compiled, grid=(3, 2))
-    assert trips and got == want
+    builds.clear()
+    got, trips, _ = observed_run(compiled, grid=(3, 2))
+    assert builds and trips and got == want
+    builds.clear()
+    assert observed_run(compiled, grid=(3, 2))[0] == want and not builds
+
+
+def test_a_cold_jacobi_run_takes_segments():
+    """The first run builds its members' schedules and its segments as
+    it goes: the preheader is one driver call, all 20 trips one more."""
+    compiled = compile_kernel("jacobi", bindings={"N": 256, "NITER": 20})
+    got, trips, registry = observed_run(compiled, grid=(4, 4))
+    assert trips == [1, 20]
+    assert kernel_counts(registry)[("segment", None)] == 2.0
+    want, _, _ = observed_run(compile_kernel(
+        "jacobi", bindings={"N": 256, "NITER": 20}), "perpe", (4, 4))
+    assert got == want
+
+
+def test_a_shift_beyond_its_halo_in_a_loop_fails_alike_everywhere(
+        monkeypatch):
+    """A hand-built ``DO`` body whose ``OVERLAP_SHIFT`` exceeds the
+    overlap area: a segment's build raises what the per-op path
+    raises."""
+    from repro.errors import ExecutionError
+    from repro.ir.linexpr import LinExpr
+    from repro.plan import OverlapShiftOp, SeqLoopOp
+    from repro.runtime.executor import execute
+    from tests.plan.helpers import copy_nest, simple_plan
+    monkeypatch.setattr(native, "MIN_POINTS", 0)
+    errors = set()
+    for backend in ("perpe", "vectorized", "parallel"):
+        plan = simple_plan([SeqLoopOp(
+            var="K", lo=LinExpr(1), hi=LinExpr(3),
+            body=[OverlapShiftOp(array="U", shift=2, dim=1),
+                  copy_nest("U", "U")])])
+        prepare(plan)
+        assert plan_tapes(plan).driver is not None
+        with pytest.raises(ExecutionError) as raised:
+            execute(plan, Machine(grid=(2, 2)), backend=backend, workers=2)
+        errors.add((type(raised.value), str(raised.value)))
+    assert errors == {(ExecutionError, "U: overlap area too small for "
+                                       "shift +2 along dim 1 (halo=(1, 1))")}
 
 
 def test_a_warm_jacobi_loop_is_one_driver_call():

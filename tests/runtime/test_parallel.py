@@ -217,14 +217,14 @@ class TestStripeCut:
 
     def test_rows_fewer_than_workers(self, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_STRIPE_POINTS", 1)
-        assert self._cut(8, ((1, 3), (1, 100))) == [
-            (1, 1), (2, 2), (3, 3)]
+        assert self._cut(8, ((1, 3), (1, 100))) == (
+            (1, 1), (2, 2), (3, 3))
 
     def test_uneven_rows_are_contiguous_and_cover_the_space(
             self, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_STRIPE_POINTS", 1)
-        assert self._cut(3, ((2, 12), (1, 5))) == [
-            (2, 5), (6, 9), (10, 12)]
+        assert self._cut(3, ((2, 12), (1, 5))) == (
+            (2, 5), (6, 9), (10, 12))
         stripes = self._cut(5, ((1, 12),))
         assert [hi - lo + 1 for lo, hi in stripes] == [3, 3, 2, 2, 2]
         assert stripes[0][0] == 1 and stripes[-1][1] == 12
@@ -233,7 +233,7 @@ class TestStripeCut:
     def test_reasons_at_the_default_constant(self):
         big = parallel.MIN_STRIPE_POINTS
         # one constant's worth per stripe: 2x stripes, just under doesn't
-        assert self._cut(2, ((1, 2), (1, big))) == [(1, 1), (2, 2)]
+        assert self._cut(2, ((1, 2), (1, big))) == ((1, 1), (2, 2))
         assert self._cut(2, ((1, 2), (1, big - 1))) == "small"
         # the point budget, not the worker count, bounds the stripes
         assert len(self._cut(8, ((1, 64), (1, big // 16)))) == 4

@@ -2,10 +2,10 @@
 
 (a) A ``perpe`` nest with a native kernel is one foreign call over the
 schedule's region table (:meth:`repro.runtime.native.Kernel.table`):
-its results equal one call per region, under uneven blocks and across a
+its results equal the ufunc tape's, under uneven blocks and across a
 ``SwapOp`` (a table keeps offsets, and each run adds the addresses of
 the buffers the names are bound to then); a table with one ineligible
-region sends the whole nest down the per-region path, counted.
+region runs every region on the tape, counted once per run.
 
 (b) A reduction's partials (:func:`repro.runtime.executor._partials`):
 one ``ufunc.reduce`` per block shape on a ``(blocks, points)`` stack
@@ -25,7 +25,6 @@ rank-order fold of Python floats is ``np.add``'s.
 from __future__ import annotations
 
 import shutil
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,25 +49,21 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
                               reason="no cc on the path")
 
 
-def native_run(name, bindings, grid, monkeypatch, per_region=False):
-    """One ``perpe`` run of a fresh compile whose nests run natively;
-    ``(result, counted fallbacks, nreg of every foreign call)``.
-    ``per_region``: every schedule's table is refused, so each region is
-    its own call (the path a table falls back to)."""
+def native_run(name, bindings, grid, monkeypatch, kernels=True):
+    """One ``perpe`` run of a fresh compile whose nests run natively —
+    without ``kernels``, on the ufunc tape for good; ``(result, counted
+    fallbacks, nreg of every foreign call)``."""
     monkeypatch.setattr(native, "_BROKEN", set())
     compiled = compile_kernel(name, bindings=bindings)
     plan = compiled.plan
-    prepare(plan)
-    kernels = [plan_tapes(plan).nest(op).kernel for op in plan.walk_ops()
-               if isinstance(op, LoopNestOp)]
-    assert any(kernels), "no nest of the plan runs natively"
+    prepare(plan, kernels=kernels)
+    found = [plan_tapes(plan).nest(op).kernel for op in plan.walk_ops()
+             if isinstance(op, LoopNestOp)]
+    assert any(found) == kernels, "no nest of the plan runs natively"
     calls = []
-    for kernel in filter(None, kernels):
+    for kernel in filter(None, found):
         monkeypatch.setattr(kernel, "fn", lambda n, *args, real=kernel.fn:
                             (calls.append(n), real(n, *args))[1])
-    if per_region:
-        monkeypatch.setattr(native.Kernel, "table",
-                            lambda self, boxes, arrays: "refused")
     rng = np.random.default_rng(7)
     inputs = {a: rng.standard_normal(d.shape).astype(d.dtype)
               for a, d in plan.arrays.items() if a in plan.entry_arrays}
@@ -95,37 +90,33 @@ def observed(result):
     ("nine_point", {"N": 259}),                 # 87/87/85 by 130/129 rows
     ("jacobi", {"N": 259, "NITER": 3}),         # U and UNEW swap each trip
 ])
-def test_one_call_per_nest_equals_one_call_per_region(name, bindings,
-                                                      monkeypatch):
+def test_one_call_per_nest_equals_the_tape(name, bindings, monkeypatch):
     grid = (3, 2)
     table, counted, calls = native_run(name, bindings, grid, monkeypatch)
-    regions, counted_too, region_calls = native_run(
-        name, bindings, grid, monkeypatch, per_region=True)
+    tape, counted_too, none = native_run(name, bindings, grid, monkeypatch,
+                                         kernels=False)
     assert counted == counted_too == {}
-    assert observed(table) == observed(regions)
+    assert observed(table) == observed(tape)
     assert calls and set(calls) == {6}
-    assert region_calls == [1] * (6 * len(calls))
+    assert none == []
 
 
 def beyond(row):
     """The row with its addresses past any buffer of the run."""
-    return [a + (1 << 40) for a in row[0]], row[1]
+    return [a + (1 << 40) for a in row[0]], *row[1:]
 
 
 @needs_cc
-@pytest.mark.parametrize("refuse, fallbacks, calls", [
-    # the refused region is counted and runs on the ufunc tape
-    (lambda row, in_table: "stride", {"stride": 1.0}, [1, 1, 1]),
-    # a box outside the array's buffer: no table may hold an offset to
-    # it, but as its own one-row call it is fine
-    (lambda row, in_table: beyond(row) if in_table else row, {},
-     [1, 1, 1, 1]),
+@pytest.mark.parametrize("refuse", [
+    lambda row: "stride",
+    # a box outside the array's buffer: no table may hold an offset to it
+    beyond,
 ], ids=["strided", "foreign-buffer"])
 def test_a_table_with_one_ineligible_region_falls_back_whole(
-        refuse, fallbacks, calls, monkeypatch):
+        refuse, monkeypatch):
     """``Kernel._row`` refuses PE 3's region of the output, or places it
-    outside the buffer while a table is built: the table is refused,
-    and every run of the nest takes one call per region."""
+    outside the buffer: the table is refused, every region of the nest
+    runs on the tape, and the refusal counts once per run."""
     real_create, real_row = DArray.create, native.Kernel._row
     cell = []       # PE 3's cell of the output's arena: (address, bytes)
 
@@ -140,7 +131,7 @@ def test_a_table_with_one_ineligible_region_falls_back_whole(
         found = real_row(self, views)
         start, size = cell
         if any(start <= v.ctypes.data < start + size for v in views):
-            return refuse(found, sys._getframe(1).f_code.co_name == "table")
+            return refuse(found)
         return found
 
     bindings = {"N": 258}
@@ -150,7 +141,7 @@ def test_a_table_with_one_ineligible_region_falls_back_whole(
     result, counted, made = native_run("nine_point", bindings, (2, 2),
                                        monkeypatch)
     assert observed(result) == observed(expected)
-    assert (counted, made) == (fallbacks, calls)
+    assert (counted, made) == ({"stride": 1.0}, [])
 
 
 UFUNCS = [np.add, np.maximum, np.minimum]
@@ -251,10 +242,9 @@ def reduce_run(dtype, grid, backend, kernels, monkeypatch):
                         lambda self, *args: (partials.append(
                             real_partials(self, *args)), partials[-1])[1])
 
-    def run_table(self, table, arrays, scalars, count=False, out=None):
-        if count:       # a reduction operand's table
-            calls.append(table if isinstance(table, str) else table[0])
-        return real_run_table(self, table, arrays, scalars, count, out)
+    def run_table(self, table, arrays, values, *rows, out=None):
+        calls.append(table[0])      # the program has no nest
+        return real_run_table(self, table, arrays, values, *rows, out=out)
 
     monkeypatch.setattr(native.Kernel, "run_table", run_table)
     for cls in (executor._Exec, VectorizedExec):
@@ -321,7 +311,7 @@ def test_a_strong_scalar_sends_a_reduction_to_the_tape_counted(monkeypatch):
     (expected, *_), (got, counted, calls, evaluated) = results
     assert got == expected
     assert counted[("fallback", "strong-scalar")] == 3.0
-    assert (calls, evaluated) == ([6] * 15, 3)
+    assert (calls, evaluated) == ([6] * 12, 3)
 
 
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
@@ -358,7 +348,7 @@ def test_native_sum_partials_are_numpys_pairwise_order(dtype, seed, sown):
     arrays = [SimpleNamespace(arena=(a.ctypes.data, a.nbytes))
               for a in (data, scratch)]
     table = kernel.table([[data[:n], scratch[:n]] for n in sizes], arrays)
-    assert kernel.run_table(table, arrays, [], out=parts)
+    kernel.run_table(table, arrays, kernel.arguments(table, []), out=parts)
     with np.errstate(all="ignore"):
         want = np.concatenate([np.add.reduce(data[None, :n], axis=1)
                                for n in sizes])
