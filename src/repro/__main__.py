@@ -183,8 +183,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     checksums = {name: float(abs(arr).sum())
                  for name, arr in sorted(result.arrays.items())}
     if args.json:
-        print(json.dumps({**result.summary(), "checksums": checksums},
-                         indent=2))
+        scalars = {name: float(value).hex()
+                   for name, value in sorted(result.scalars.items())}
+        print(json.dumps({**result.summary(), "checksums": checksums,
+                          "scalars": scalars}, indent=2))
         return 0
     for name, arr in sorted(result.arrays.items()):
         print(f"{name}: shape={arr.shape} mean={arr.mean():.6g} "

@@ -10,15 +10,18 @@ once per machine geometry and is kept with the plan's tapes as a
 *schedule* (``PlanTapes.schedule``); every run evaluates its regions
 — a native nest's as rows of the schedule's region table — and replays
 its charges.  On the slab placements an untraced run hands each
-*segment* (a run of nests, ``OVERLAP_SHIFT``\\ s and swaps, a whole ``DO``
-included) to the plan's native driver as one call and replays one
-merged recording per trip; a segment's steps, and each op list's
-partition into ops and segments, are schedules like any op's.
+*segment* (a run of nests, ``OVERLAP_SHIFT``\\ s, swaps, SUMs and scalar
+assignments, a whole ``DO`` included) to the plan's native driver as one
+call and replays one merged recording per trip; a segment's steps, and
+each op list's partition into ops and segments, are schedules like any
+op's.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Mapping, NamedTuple
@@ -111,40 +114,187 @@ def _partials(stack: np.ndarray, spans: list, ufunc) -> list[float]:
     return partials
 
 
-#: the plan ops a native segment is made of
-_MEMBERS = (LoopNestOp, OverlapShiftOp, SwapOp)
+class _Refused(Exception):
+    """Why an op or a segment runs per op (``args[0]``)."""
+
+
+#: a program step's opcodes (0 is a copy, 5 unary minus)
+_OPCODE = {"+": 1, "-": 2, "*": 3, "/": 4, operator.add: 1,
+           operator.sub: 2, operator.mul: 3, operator.truediv: 4,
+           operator.neg: 5}
+
+
+class _Program:
+    """A segment's step table and scalar file (a ``double`` per scalar,
+    constant, temporary and kernel argument; ``init`` before a run) and
+    its next program step's code, ``(opcode, dst, a, b)`` over slots.
+    What the driver cannot compute as Python does raises
+    :class:`_Refused`: ``**``, intrinsics, comparisons, MAXVAL/MINVAL,
+    a SUM off the native kernels, integer-only arithmetic."""
+
+    def __init__(self) -> None:
+        self.init: list[float] = []
+        self.names: dict[str, int] = {}
+        #: names read before any store, and names stored, in order
+        self.inputs: dict[str, int] = {}
+        self.stored: dict[str, int] = {}
+        self.ints: set[int] = set()     # slots holding a Python int
+        self.code: list[int] = []
+        self.steps: list[int] = []
+        self.stops: dict[int, int] = {}     # program step -> its op
+
+    def emit(self, at: int, step: list) -> None:
+        """Op ``at``'s pending program step, then ``step``."""
+        if self.code:
+            self.stops[len(self.steps)] = at
+            self.steps += [3, len(self.code) // 4, *self.code]
+            self.code = []
+        self.steps += step
+
+    def slot(self, value: float = 0.0) -> int:
+        self.init.append(value)
+        return len(self.init) - 1
+
+    def name(self, name: str, store: bool = False) -> int:
+        """``name``'s slot, read or (``store``) stored."""
+        at = self.names.get(name)
+        if at is None:
+            at = self.names[name] = self.slot()
+        if store:
+            self.stored[name] = at
+        elif name not in self.stored:
+            self.inputs.setdefault(name, at)
+        return at
+
+    def const(self, value) -> int:
+        if value.__class__ is not float:    # a Python int
+            if abs(value) > 1 << 53:
+                raise _Refused("integer")
+            self.ints.add(len(self.init))
+        return self.slot(float(value))
+
+    def op(self, opcode: int, args: list) -> int:
+        """One instruction into a fresh slot; its slot."""
+        if opcode and all(a in self.ints for a in args):
+            raise _Refused("integer")
+        self.code += [opcode, self.slot(), *args, *[0] * (2 - len(args))]
+        return len(self.init) - 1
+
+    def expr(self, e: Expr, sums) -> int:
+        """Code for ``e``, Python's evaluation order; its slot.
+        ``sums(node)`` emits a SUM's step and returns its slot."""
+        if isinstance(e, Const):
+            return self.const(e.value)
+        if isinstance(e, ScalarRef):
+            return self.name(e.name)
+        if isinstance(e, Reduction):
+            if e.op != "SUM":
+                raise _Refused(e.op.lower())
+            return sums(e)
+        if isinstance(e, UnaryOp):
+            return self.op(5, [self.expr(e.operand, sums)])
+        if isinstance(e, BinOp) and e.op in _OPCODE:
+            return self.op(_OPCODE[e.op], [self.expr(e.left, sums),
+                                           self.expr(e.right, sums)])
+        raise _Refused("pow" if isinstance(e, BinOp)
+                       else type(e).__name__.lower())
+
+    def store(self, name: str, value: int) -> None:
+        """Assign ``value``'s slot to ``name``."""
+        if value in self.ints:
+            raise _Refused("integer")
+        self.code += [0, self.name(name, True), value, 0]
+
+    def args(self, tape: NestTape) -> int:
+        """Code storing the scalar arguments of ``tape``'s kernel (its
+        scalar code, as :meth:`Kernel.values` runs it) in consecutive
+        slots; the first."""
+        kernel = tape.kernel
+        vals = [None] * len(tape.refs) + [
+            self.name(ref.name) for ref in tape.scalars] + [
+            v if v is None else self.const(v) for v in kernel.tail]
+        for fn, args, dst in kernel.scalar_code:
+            if fn not in _OPCODE:
+                raise _Refused("pow" if fn is real_pow else "intrinsic"
+                               if isinstance(fn, partial) else "compare")
+            vals[dst] = self.op(_OPCODE[fn], [vals[a] for a in args])
+        first = len(self.init)
+        for slot in kernel.scalar_slots:
+            self.op(0, [vals[slot]])
+        return first
+
+    def summed(self, tapes, node: Reduction) -> int:
+        """A SUM operand's arguments; its slot, when a native SUM."""
+        tape = tapes.reduction(node)
+        if tape.kernel is None:
+            raise _Refused("tape")
+        self.args(tape)
+        return self.slot()
+
+
+def _refusal(op: PlanOp, tapes, bounds: set) -> "str | None":
+    """Why ``op`` cannot be a native segment's member (``""``: it never
+    is, and is not counted), or ``None``.  ``bounds``: the symbols of the
+    op list's nest bounds, which a segment evaluates before it runs."""
+    if isinstance(op, (OverlapShiftOp, SwapOp)):
+        return None
+    try:
+        if isinstance(op, LoopNestOp):
+            if tapes.nest(op).kernel is not None:
+                _Program().args(tapes.nest(op))
+        elif not isinstance(op, ScalarAssignOp):
+            return ""
+        elif op.name in bounds:
+            return "bounds"
+        else:
+            prog = _Program()
+            sums = partial(prog.summed, tapes)
+            prog.store(op.name, prog.expr(op.rhs, sums))
+    except _Refused as exc:
+        return exc.args[0]
+    return None
 
 
 class _Segment(list):
     """Ops a slab run hands to the plan's native driver as one call; its
     schedules are :class:`_Steps` or why it runs per op."""
 
-    def __init__(self, ops: list, tapes) -> None:
+    def __init__(self, ops: list, tapes, bounds: set) -> None:
         super().__init__(ops)
         self.nests = [op for op in ops if isinstance(op, LoopNestOp)]
         self.tapes = [tapes.nest(op) for op in self.nests]
+        rhs = [n for op in ops if isinstance(op, ScalarAssignOp)
+               for n in op.rhs.walk()]
+        sums = [tapes.reduction(n) for n in rhs if isinstance(n, Reduction)]
         self.names = list(dict.fromkeys(
-            [name for tape in self.tapes for name, _ in tape.refs]
+            [name for tape in self.tapes + sums for name, _ in tape.refs]
             + [name for op in ops for name in (
                 (op.array,) if isinstance(op, OverlapShiftOp)
                 else (op.a, op.b) if isinstance(op, SwapOp) else ())]))
-        #: scalars the nests read: a ``DO`` on one runs trip by trip
-        self.reads = {ref.name for tape in self.tapes
+        #: scalars it reads, ``bounds`` (its op list's nest bounds')
+        #: included: a ``DO`` on one runs trip by trip
+        self.reads = {ref.name for tape in self.tapes + sums
                       for ref in tape.scalars} | {
-            name for op in self.nests for pair in op.space
-            for bound in pair for name in bound.symbols()}
+            n.name for n in rhs if isinstance(n, ScalarRef)} | bounds
 
 
 def _partition(ops: list, tapes) -> list:
-    """``ops``, each maximal run of two or more nests, shifts and swaps
-    (or all of ``ops``) one :class:`_Segment`."""
+    """``ops``, each maximal run of two or more segment members (or all
+    of ``ops``) one :class:`_Segment`; the ops refused are counted."""
+    from repro.runtime.native import _count
+    bounds = {name for op in ops if isinstance(op, LoopNestOp)
+              for pair in op.space for bound in pair
+              for name in bound.symbols()}
     items, run = [], []
     for op in [*ops, None]:
-        if isinstance(op, _MEMBERS):
+        why = _refusal(op, tapes, bounds)
+        if why is None:
             run.append(op)
             continue
+        if why:
+            _count(1, status="per-op", reason=why)
         if len(run) > 1 or (run and len(run) == len(ops)):
-            items.append(_Segment(run, tapes))
+            items.append(_Segment(run, tapes, bounds))
         else:
             items += run
         run = []
@@ -154,17 +304,17 @@ def _partition(ops: list, tapes) -> list:
 
 
 class _Steps(NamedTuple):
-    """A segment built for one key: the driver's step table of a trip;
-    each nest step's kernel, scalar references (their values fill ``d``
-    in this order) and region table (held: the step points into it, and
-    its schedule may leave the LRU first); the merged recording of each
-    trip until the swaps bring the bindings back, and of all those
-    trips; the slot each slot's array comes from after a trip."""
+    """A segment built for one key: its step table and :class:`_Program`;
+    each nest and SUM step's ``(kernel, region table)`` (held: the step
+    points into it, and its schedule may leave the LRU first); per trip
+    until the swaps restore the bindings, each op's ``(index, Charges,
+    what it files)``, and all merged; the SUMs' scratch elements."""
     steps: np.ndarray
+    program: _Program
     nests: list
-    trips: list
+    members: list
     period: Charges
-    perm: list
+    scratch: int
 
 
 class _Exec:
@@ -288,12 +438,11 @@ class _Exec:
         if not refs:
             raise ExecutionError(
                 f"reduction {expr} references no arrays")
-        first = self.darray(refs[0].name)
         ufunc = _REDUCE[expr.op]
-        tape = self._tapes.tape(expr, [(None, expr.arg, None)], first.rank)
+        tape = self._tapes.tape(expr, [(None, expr.arg, None)],
+                                len(refs[0].offsets))
         arrays = self._ref_arrays(tape)
-        sched = self._schedule(expr, arrays, None,
-                               lambda: self._walk_reduction(expr, first))
+        sched = self._reduction(expr, arrays)
         scalars = [self.scalar(ref) for ref in tape.scalars]
         total, *rest = self._block_partials(sched, tape, arrays, scalars,
                                             ufunc)
@@ -305,6 +454,11 @@ class _Exec:
                 total = float(ufunc(total, part))
         self.machine.network.replay(sched.charges)
         return total
+
+    def _reduction(self, expr: Reduction, arrays: list) -> _Schedule:
+        """``expr``'s schedule over its operand's ``arrays``."""
+        return self._schedule(expr, arrays, None,
+                              lambda: self._walk_reduction(expr, arrays[0]))
 
     def _block_partials(self, sched: _Schedule, tape: NestTape,
                         arrays: list, scalars: list, ufunc) -> list:
@@ -321,14 +475,7 @@ class _Exec:
             data = np.empty(max(n for *_, n in spans) if sums else size,
                             kernel.dtype)
             parts = np.empty(len(slots), kernel.dtype) if sums else None
-            stacked = [*arrays, SimpleNamespace(
-                arena=(data.ctypes.data, data.nbytes))]
-            table = self._kept(sched.tables, sched, sched.regions, lambda: (
-                kernel.table([
-                    self._views(arrays, pe, self._slices(tape, pe, box))
-                    + [data[0 if sums else at:][:prod(shape)].reshape(shape)]
-                    for (pe, box), (at, shape) in zip(sched.regions, slots)],
-                    stacked)))
+            stacked, table = self._stack_table(sched, tape, arrays, data)
             values = kernel.arguments(table, scalars)
             if values is not None:
                 kernel.run_table(table, stacked, values, out=parts)
@@ -341,6 +488,21 @@ class _Exec:
                 data = np.empty(size, value.dtype)
             data[at:at + value.size].reshape(shape)[...] = value
         return _partials(data, spans, ufunc)
+
+    def _stack_table(self, sched: _Schedule, tape: NestTape, arrays: list,
+                     data: np.ndarray) -> tuple:
+        """The operand's arrays, its stack ``data`` (a SUM's: a block's
+        scratch) last, and their table over the PE blocks, or a reason."""
+        stacked = [*arrays, SimpleNamespace(
+            arena=(data.ctypes.data, data.nbytes))]
+        sums = tape.kernel.sums
+        return stacked, self._kept(
+            sched.tables, sched, sched.regions, lambda: tape.kernel.table([
+                self._views(arrays, pe, self._slices(tape, pe, box))
+                + [data[0 if sums else start:][:prod(shape)].reshape(shape)]
+                for (pe, box), (start, shape) in zip(sched.regions,
+                                                     sched.stack[1])],
+                stacked))
 
     def _blocks(self, sched: _Schedule, tape: NestTape, arrays: list,
                 scalars: list):
@@ -442,10 +604,10 @@ class _Exec:
             self.scalars[op.name] = self.scalar(op.rhs)
         elif isinstance(op, SeqLoopOp):
             lo, hi = self.bound(op.lo), self.bound(op.hi)
-            if hi >= lo and self._run_loop(op, hi - lo + 1):
-                self.scalars[op.var] = float(hi)
-                return
-            for k in range(lo, hi + 1):
+            done = self.run_trips(op.body, hi - lo + 1, op.var)
+            if done:
+                self.scalars[op.var] = float(lo + done - 1)
+            for k in range(lo + done, hi + 1):
                 self.scalars[op.var] = float(k)
                 self.run_ops(op.body)
         elif isinstance(op, WhileOp):
@@ -550,28 +712,31 @@ class _Exec:
         return self._tapes.schedule(
             ops, (), lambda: _partition(ops, self._tapes))
 
-    def _run_loop(self, op: SeqLoopOp, trips: int) -> bool:
-        """Every trip of a ``DO`` whose body is one segment in one driver
-        call, when no nest of it reads the loop variable."""
-        if self.tracer.enabled or not self._segments():
-            return False
-        items = self._items(op.body)
+    def run_trips(self, ops: list, trips: int, var=None) -> int:
+        """``trips`` runs of ``ops`` in one driver call when they are one
+        segment that does not read ``var`` (a ``DO``'s variable); how
+        many ran (0: none — run them per op)."""
+        if trips < 1 or self.tracer.enabled or not self._segments():
+            return 0
+        items = self._items(ops)
         if len(items) != 1 or items[0].__class__ is not _Segment:
-            return False
-        if op.var in items[0].reads:
+            return 0
+        if var in items[0].reads:
             from repro.runtime.native import _count
             _count(1, status="per-op", reason="loop-variant")
-            return False
+            return 0
         return self._run_segment(items[0], trips)
 
-    def _run_segment(self, seg: _Segment, trips: int = 1) -> bool:
+    def _run_segment(self, seg: _Segment, trips: int = 1) -> int:
         """``trips`` runs of ``seg`` in one driver call, leaving the
-        bindings and charges the per-op path leaves; false — run it per
-        op — when refused (counted)."""
+        bindings, scalars and charges the per-op path leaves; how many
+        ran — 0, run it per op, when refused (counted).  A division by
+        zero stops the driver before its op, which then runs per op, as
+        does the rest of that trip."""
         from repro.runtime.native import _count
         arrays = [self.darrays.get(name) for name in seg.names]
         if None in arrays:
-            return False        # the op that names it raises
+            return 0            # the op that names it raises
         spaces = tuple(self._space(op) for op in seg.nests)
         # only the slab executors get here: ``_cut`` is theirs
         cuts = tuple(self._cut(tape, space)
@@ -579,33 +744,48 @@ class _Exec:
         built = self._tapes.schedule(
             seg, (self._geometry, spaces, cuts, *[da.key for da in arrays]),
             lambda: self._build_segment(seg, spaces, cuts))
-        values = []
-        for kernel, refs, _ in () if built.__class__ is str else built.nests:
-            got = kernel.values([self.scalar(ref) for ref in refs])
-            if got.__class__ is str:
-                built = got
-                break
-            values += got[:]
+        if built.__class__ is not str:
+            file = np.array(built.program.init)
+            for name, at in built.program.inputs.items():
+                value = self.scalars.get(name)
+                if value is None and name in self.plan.params:
+                    value = float(self.plan.params[name])
+                if value.__class__ is not float:
+                    built = "unbound" if value is None else "strong-scalar"
+                    break
+                file[at] = value
         if built.__class__ is str:
             _count(1, status="per-op", reason=built)
-            return False
-        bufs = np.array([da.arena[0] for da in arrays], np.int64)
-        values = np.array(values or [0.0])
-        self._tapes.driver(trips, built.steps.size, built.steps.ctypes.data,
-                           bufs.ctypes.data, values.ctypes.data)
-        period = len(built.trips)
-        for _ in range(trips % period):
-            arrays = [arrays[j] for j in built.perm]
-        self.darrays.update(zip(seg.names, arrays))
-        repeats, rest = divmod(trips, period)
+            return 0
+        # per run, never on the shared steps: threads run one segment
+        scratch, parts = np.empty(built.scratch), np.empty(self.machine.npes)
+        bufs = np.array([da.arena[0] for da in arrays] + [
+            scratch.ctypes.data, parts.ctypes.data], np.int64)
+        size = built.steps.size
+        stop = self._tapes.driver(trips, size, built.steps.ctypes.data,
+                                  bufs.ctypes.data, file.ctypes.data)
+        done, at = (trips, 0) if stop < 0 else (
+            stop // size, built.program.stops[stop % size])
+        buffer = {da.arena[0]: da for da in arrays}
+        self.darrays.update(zip(seg.names, map(buffer.get, bufs.tolist())))
+        values = file.tolist()
+        for name, slot in built.program.stored.items():
+            self.scalars[name] = values[slot]
+        repeats, rest = divmod(done, len(built.members))
         if repeats:
             self.machine.network.replay(built.period, repeats)
-        for charges in built.trips[:rest]:
-            self.machine.network.replay(charges)
-        self._file([cut for cut, space in zip(cuts, spaces)
-                    if all(lo <= hi for lo, hi in space)], trips)
+        for t, trip in enumerate(built.members[:rest + 1]):
+            for op, charges, _ in trip:
+                if t < rest or op < at:
+                    self.machine.network.replay(charges)
+        self._file([how for op, _, how in built.members[0] if how
+                    for _ in range(done + (op < at))])
         _count(1, status="segment")
-        return True
+        if stop < 0:
+            return trips
+        for op in seg[at:]:
+            self._dispatch(op)
+        return done + 1
 
     def _build_segment(self, seg: _Segment, spaces: tuple, cuts: tuple):
         """``seg``'s :class:`_Steps` from its members' schedules (built
@@ -616,59 +796,94 @@ class _Exec:
         slot = {name: i for i, name in enumerate(names)}
         start = [self.darrays[name] for name in names]
         bind = dict(zip(names, start))
-        steps, nests, trips, perm = [], [], [], None
-        while perm is None or any(bind[n] is not da
-                                  for n, da in zip(names, start)):
-            if len(trips) == 4:
-                return "period"
-            members, space_of = [], iter(zip(spaces, cuts))
-            for op in seg:
-                if isinstance(op, SwapOp):
-                    a, b = bind[op.a], bind[op.b]
-                    if (a.layout, a.halo, a.dtype) != \
-                            (b.layout, b.halo, b.dtype):
-                        return "geometry"
-                    bind[op.a], bind[op.b] = b, a
-                    step = [2, slot[op.a], slot[op.b]]
-                elif isinstance(op, OverlapShiftOp):
-                    da = bind[op.array]
-                    shift = self._shift(op, da)
-                    members.append(shift.charges)
-                    step = [1, slot[op.array], *da.wrap(shift)]
-                else:
-                    tape, (space, cut) = self._nest_tape(op), next(space_of)
-                    arrays = [bind[name] for name, _ in tape.refs]
-                    sched = self._schedule(op, arrays, space, lambda: (
-                        self._walk_nest(op, space, False)))
-                    members.append(sched.charges)
-                    if any(lo > hi for lo, hi in space):
-                        continue
-                    kernel = tape.kernel
-                    if kernel is None or cut.__class__ is not str:
-                        return "tape" if kernel is None else "striped"
-                    regions = ((0, space),)     # the slab's whole space
-                    (_, slices), = self._bindings(sched, tape, regions)
-                    table = self._kept(sched.tables, sched, regions, lambda: (
-                        kernel.table([self._views(arrays, 0, slices)],
-                                     arrays)))
-                    if table.__class__ is str:
-                        return table
-                    if perm is None:
-                        nests.append((kernel, tape.scalars, table))
-                    step = [0, kernel.entry, *table[:3],
-                            sum(len(k.scalar_slots) for k, *_ in nests[:-1]),
-                            len(kernel.groups),
-                            *[slot[tape.refs[refs[0][0]][0]]
-                              for refs in kernel.groups]]
-                if perm is None:
-                    steps.append(step)
-            trips.append(Charges.merged(self.machine.cost_model, members))
-            if perm is None:
-                position = {id(da): j for j, da in enumerate(start)}
-                perm = [position[id(bind[name])] for name in names]
-        return _Steps(np.array([v for step in steps for v in step],
-                               np.int64), nests, trips,
-                      Charges.merged(self.machine.cost_model, trips), perm)
+        prog, nests, members, scratch = _Program(), [], [], [1]
+
+        def call(kind: int, tape: NestTape, table: tuple, groups: list,
+                 extra: tuple = ()) -> list:
+            """A nest (0) or SUM (4) step over ``groups``' slots."""
+            nests.append((tape.kernel, table))
+            bases = [slot[tape.refs[refs[0][0]][0]] for refs in groups]
+            return [kind, tape.kernel.entry, *table[:3], prog.args(tape),
+                    len(bases) + len(extra), *bases, *extra]
+
+        def summed(at: int, trip: list, node: Reduction):
+            tape = self._tapes.reduction(node)
+            arrays = [bind[name] for name, _ in tape.refs]
+            sched = self._reduction(node, arrays)
+            trip.append((at, sched.charges, "reduction"))
+            if members:
+                return None     # a later trip: its charges only
+            points = max(n for *_, n in sched.stack[2])
+            scratch[0] = max(scratch[0], points)
+            _, table = self._stack_table(sched, tape, arrays, np.empty(
+                points, tape.kernel.dtype))
+            if table.__class__ is str:
+                raise _Refused(table)
+            step = call(4, tape, table, tape.kernel.groups[:-1],
+                        (len(names), len(names) + 1))
+            total = prog.slot()
+            prog.emit(at, step + [total, tape.kernel.dtype.itemsize])
+            return total
+
+        try:
+            while not members or any(bind[n] is not da
+                                     for n, da in zip(names, start)):
+                if len(members) == 4:
+                    return "period"
+                trip, space_of = [], iter(zip(spaces, cuts))
+                for at, op in enumerate(seg):
+                    step = []
+                    if isinstance(op, SwapOp):
+                        a, b = bind[op.a], bind[op.b]
+                        if (a.layout, a.halo, a.dtype) != \
+                                (b.layout, b.halo, b.dtype):
+                            return "geometry"
+                        bind[op.a], bind[op.b] = b, a
+                        step = [2, slot[op.a], slot[op.b]]
+                    elif isinstance(op, OverlapShiftOp):
+                        da = bind[op.array]
+                        shift = self._shift(op, da)
+                        trip.append((at, shift.charges, None))
+                        step = [1, slot[op.array], *da.wrap(shift)]
+                    elif isinstance(op, ScalarAssignOp):
+                        sums = partial(summed, at, trip)
+                        if not members:
+                            prog.store(op.name, prog.expr(op.rhs, sums))
+                        for node in op.rhs.walk() if members else ():
+                            if isinstance(node, Reduction):
+                                sums(node)
+                    else:
+                        tape, (space, cut) = self._nest_tape(op), \
+                            next(space_of)
+                        arrays = [bind[name] for name, _ in tape.refs]
+                        sched = self._schedule(op, arrays, space, lambda: (
+                            self._walk_nest(op, space, False)))
+                        empty = any(lo > hi for lo, hi in space)
+                        trip.append((at, sched.charges, None if empty
+                                     else cut))
+                        if members or empty:
+                            continue
+                        kernel = tape.kernel
+                        if kernel is None or cut.__class__ is not str:
+                            return "tape" if kernel is None else "striped"
+                        regions = ((0, space),)     # the slab's whole space
+                        (_, slices), = self._bindings(sched, tape, regions)
+                        table = self._kept(
+                            sched.tables, sched, regions, lambda: (
+                                kernel.table([self._views(arrays, 0, slices)],
+                                             arrays)))
+                        if table.__class__ is str:
+                            return table
+                        step = call(0, tape, table, kernel.groups)
+                    if not members:
+                        prog.emit(at, step)
+                members.append(trip)
+        except _Refused as exc:
+            return exc.args[0]
+        return _Steps(np.array(prog.steps, np.int64), prog, nests, members,
+                      Charges.merged(self.machine.cost_model, [
+                          c for trip in members for _, c, _ in trip]),
+                      scratch[0])
 
     def run_nest(self, op: LoopNestOp) -> None:
         self._run_nest(op, op, split=False)
@@ -865,7 +1080,9 @@ def execute(plan: Plan, machine: Machine,
             with tracer.span("materialize-inputs", kind="runtime"):
                 for name in plan.entry_arrays:
                     ex.materialize(name, inputs_up.get(name))
-            for i in range(iterations):
+            done = ex.run_trips(plan.ops, iterations) if iterations > 1 \
+                else 0
+            for i in range(done, iterations):
                 if iterations > 1 and tracer.enabled:
                     with tracer.span("iteration", kind="runtime", i=i):
                         ex.run_ops(plan.ops)

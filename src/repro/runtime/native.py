@@ -13,16 +13,18 @@ region table of byte offsets from the buffers' bases — the one way a
 kernel runs: from Python as rows of a :meth:`Kernel.table` through
 :meth:`Kernel.run_table` (a ``perpe`` nest's PE boxes, a slab nest's
 row stripes), from C through ``run_steps``, the :data:`PRELUDE`'s
-driver of a slab run's segment — nests, edge-plane wraps, swaps, for
-all trips of a loop — in one call.  A reduction operand's loop stores
-its value into the caller's stack, or a SUM's into a block-sized
-scratch that each row then sums in NumPy's pairwise order into its
-partial.  One translation unit per plan is built with the system
-``cc``, kept in a content-addressed :mod:`repro.store` directory and
-called through ``ctypes``.  Scalar-only subtrees are still evaluated in
-Python and passed by value, so the text depends on nest structure only
-and is drawn from a closed grammar (positional names, a fixed operator
-table, no identifier or literal of a submitted program).
+driver of a slab run's segment — nests, edge-plane wraps, swaps, SUM
+reductions and scalar assignments, for all trips of a loop — in one
+call.  A reduction operand's loop stores its value into the caller's
+stack, or a SUM's into a block-sized scratch that each row then sums in
+NumPy's pairwise order into its partial.  One translation unit per plan
+is built with the system ``cc``, kept in a content-addressed
+:mod:`repro.store` directory and called through ``ctypes``.  Scalar-only
+subtrees reach a kernel by value: computed in Python on the per-op path,
+inside a segment by the driver's program steps over the run's scalar
+file.  So the text depends on nest structure only and is drawn from a
+closed grammar (positional names, a fixed operator table, no identifier
+or literal of a submitted program).
 
 Why ``-O3`` keeps NumPy's bits: without ``-ffast-math`` and with
 ``-ffp-contract=off`` the compiler may neither reassociate nor fuse a
@@ -109,10 +111,14 @@ static {real} pw_{real}(const {real} *a, long long n)
 }}
 """ for real in ("float", "double"))
 #: The segment driver (``executor._Segment``): ``trips`` walks of a step
-#: table over buffer slots.  A nest step calls its entry point on its
-#: region table with its slots as bases; a wrap step copies a strided
-#: box of a slab into its edge planes (a fill: from the value stored in
-#: the step, with zero strides); a swap step exchanges two slots.
+#: table over buffer slots and a scalar file ``d``.  A nest step calls its
+#: entry point on its region table, slots as bases, arguments at ``d +
+#: s[5]``; a SUM step's last base takes the partials, folded into ``d`` in
+#: rank order as ``executor._reduce`` folds them; a wrap step copies a
+#: strided box of a slab into its edge planes (a fill: from the value in
+#: the step, zero strides); a swap step exchanges two slots; a program
+#: step runs ``(opcode, dst, a, b)`` over ``d``, a named scalar stored
+#: last: a zero divisor returns ``trip * nsteps +`` the step's position.
 PRELUDE += """\
 typedef void (*entry_t)(long long, const long long *, const long long *,
                         const long long *, const double *);
@@ -125,26 +131,46 @@ static void wrap_nd(char *to, const char *from, long long item,
     else if (item == 4) __builtin_memcpy(to, from, 4);
     else __builtin_memcpy(to, from, 8);
 }
-void run_steps(long long trips, long long nsteps, const long long *steps,
-               long long *bufs, const double *d)
+long long run_steps(long long trips, long long nsteps, const long long *steps,
+                    long long *bufs, double *d)
 {
   for (long long t = 0; t < trips; t++)
     for (const long long *s = steps, *end = s; s < steps + nsteps; s = end)
-      if (s[0] == 0) {
+      if (s[0] == 0 || s[0] == 4) {
         long long base[s[6]];
         for (long long g = 0; g < s[6]; g++) base[g] = bufs[s[7 + g]];
         ((entry_t)s[1])(s[2], base, (const long long *)s[3],
                         (const long long *)s[4], d + s[5]);
         end = s + 7 + s[6];
+        if (s[0] == 4) {
+          const char *p = (const char *)base[s[6] - 1];
+          double sum = 0;
+          for (long long r = 0; r < s[2]; r++) {
+            double x = end[1] == 4 ? ((const float *)p)[r]
+                                   : ((const double *)p)[r];
+            sum = r ? sum + x : x;
+          }
+          d[end[0]] = sum, end += 2;
+        }
       } else if (s[0] == 1) {
         char *buf = (char *)bufs[s[1]];
         wrap_nd(buf + s[4], s[5] < 0 ? (const char *)(s + 6) : buf + s[5],
                 s[3], s[2], s + 7, s + 7 + s[2], s + 7 + 2 * s[2]);
         end = s + 7 + 3 * s[2];
-      } else {
+      } else if (s[0] == 2) {
         long long x = bufs[s[1]];
         bufs[s[1]] = bufs[s[2]], bufs[s[2]] = x, end = s + 3;
+      } else {
+        for (end = s + 2; end < s + 2 + 4 * s[1]; end += 4) {
+          double a = d[end[2]], b = d[end[3]];
+          if (end[0] == 4 && b == 0)
+            return t * nsteps + (s - steps);
+          d[end[1]] = end[0] == 0 ? a : end[0] == 1 ? a + b
+            : end[0] == 2 ? a - b : end[0] == 3 ? a * b
+            : end[0] == 4 ? a / b : neg_double(a);
+        }
       }
+  return -1;
 }
 """
 _OPS = {np.add: "+", np.subtract: "-", np.multiply: "*",
@@ -542,8 +568,8 @@ def build(tapes: list, dtypes, tracer=None):
     for tape, _, layout in units:
         tape.kernel = Kernel(lib, layout)
     driver = lib.run_steps
-    driver.restype = None
-    # trips, steps; the step table, the buffer slots, the scalars
+    driver.restype = ctypes.c_longlong
+    # trips, steps; the step table, the buffer slots, the scalar file
     driver.argtypes = [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 3
     return driver
 

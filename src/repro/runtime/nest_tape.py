@@ -377,6 +377,12 @@ class PlanTapes:
             op, [(s.lhs, s.rhs, s.mask) for s in op.statements],
             len(op.space))
 
+    def reduction(self, node: Reduction) -> NestTape:
+        """``node``'s operand tape, of its first reference's rank."""
+        rank = next((len(n.offsets) for n in node.arg.walk()
+                     if isinstance(n, OffsetRef)), 0)
+        return self.tape(node, [(None, node.arg, None)], rank)
+
     def intern(self, value) -> object:
         """A token for ``value``, shared by equal values: it hashes by
         identity, so a key of tokens never rehashes a ``Layout``."""
@@ -453,8 +459,7 @@ def _reductions(plan: Plan, tapes: PlanTapes) -> list:
                       if isinstance(n, OffsetRef)), None)
         with suppress(KeyError, ExecutionError):
             shape = plan.arrays[first].shape
-            found.append((tapes.tape(node, [(None, node.arg, None)],
-                                     len(shape)), shape, node.op == "SUM"))
+            found.append((tapes.reduction(node), shape, node.op == "SUM"))
     return found
 
 

@@ -341,10 +341,10 @@ class VectorizedExec(_Exec):
         return "vectorized" if self._log is None else \
             cut(self.stripes, tape, space)
 
-    def _file(self, cuts: list, trips: int = 1) -> None:
-        """Nests evaluated ``trips`` times, one :meth:`_cut` each — the
-        stripes or why it ran whole: ``parallel`` counts them."""
+    def _file(self, cuts: list) -> None:
+        """Nests evaluated, one :meth:`_cut` each — the stripes or why it
+        ran whole: ``parallel`` counts them."""
         if self._log is not None:
             for how in cuts:
                 self._log.nests[("whole", how) if how.__class__ is str
-                                else ("striped", None)] += trips
+                                else ("striped", None)] += 1

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ir.nodes import (
     BinOp, Compare, Const, Intrinsic, OffsetRef, ScalarRef, UnaryOp,
@@ -636,12 +636,13 @@ def observed_run(compiled, backend="vectorized", grid=(2, 2),
     """One run of ``compiled`` under a live registry on a machine that
     keeps its log; ``(everything the run leaves, the trips of each
     driver call it made, its registry)``.  ``segments=False`` takes the
-    plan's driver away: the per-op path."""
+    plan's driver away: the per-op path; ``segments=None`` leaves it
+    alone (runs on other threads share it) and records no trips."""
     plan = compiled.plan
     prepare(plan)
     tapes = plan_tapes(plan)
     driver, trips = tapes.driver, []
-    if driver is not None:      # else no nest of the plan runs natively
+    if driver is not None and segments is not None:
         tapes.driver = (lambda n, *args: (
             trips.append(n), driver(n, *args))[1]) if segments else None
     rng = np.random.default_rng(3)
@@ -675,17 +676,29 @@ def nest_counts(registry) -> "list | None":
     return None if metric is None else sorted(metric.samples())
 
 
+def compile_case(name: str, **bindings):
+    """A registry kernel; ``cg-float64`` is ``cg`` in DOUBLE PRECISION."""
+    if name != "cg-float64":
+        return compile_kernel(name, bindings=bindings)
+    from repro.compiler import compile_hpf
+    spec = KERNELS["cg"]
+    return compile_hpf(spec.source.replace("REAL", "DOUBLE PRECISION"),
+                       bindings={**spec.default_bindings, **bindings},
+                       outputs=set(spec.outputs))
+
+
 @pytest.mark.parametrize("backend", ["vectorized", "parallel"])
 @pytest.mark.parametrize("name", ["nine_point", "purdue9", "five_point",
                                   "seven_point_3d", "box27_3d", "jacobi",
-                                  "cg"])
+                                  "cg", "cg-float64"])
 def test_segments_equal_the_per_op_path(name, backend, monkeypatch):
     """Arrays, scalars, report (rows by bytes), tagged log and peak
     memory of a warm run in segments are the per-op path's, on a ragged
-    grid; ``parallel``'s whole-nest counts stay as they were."""
+    grid; ``parallel``'s whole-nest counts stay as they were.  ``cg``'s
+    SUMs fold float32 or float64 partials in the driver."""
     monkeypatch.setattr(native, "MIN_POINTS", 0)
     n = 14 if name.endswith("_3d") else 26
-    compiled = compile_kernel(name, bindings={"N": n})
+    compiled = compile_case(name, N=n)
     got, trips, registry = warm_run(compiled, backend, (3, 2), workers=2)
     want, none, per_op = warm_run(compiled, backend, (3, 2), False,
                                   workers=2)
@@ -694,9 +707,27 @@ def test_segments_equal_the_per_op_path(name, backend, monkeypatch):
     assert nest_counts(registry) == nest_counts(per_op)
 
 
+def sum_steps(plan) -> int:
+    """SUM steps of the segments built for ``plan`` so far."""
+    return sum(kernel.sums for _, held in plan_tapes(plan)._schedules.values()
+               for built in held.values() if type(built).__name__ == "_Steps"
+               for kernel, _ in built.nests)
+
+
+#: generated programs whose ``DO KK`` body holds ``S = SUM(...)`` in a
+#: segment with the nest that reads ``S``
+SUM_IN_LOOP = (69, 123)
+
+
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10**6), ndim=st.sampled_from([2, 3]))
-def test_random_programs_in_segments_equal_the_per_op_path(seed, ndim):
+@given(seed=st.integers(0, 10**6), ndim=st.sampled_from([2, 3]),
+       backend=st.sampled_from(["vectorized", "parallel"]))
+@example(seed=SUM_IN_LOOP[0], ndim=2, backend="parallel")
+@example(seed=SUM_IN_LOOP[1], ndim=2, backend="vectorized")
+def test_random_programs_in_segments_equal_the_per_op_path(seed, ndim,
+                                                           backend):
+    """A segment's SUM steps and scalar assignments leave what the per-op
+    path leaves; a MAXVAL/MINVAL assignment ends its segment, counted."""
     from repro.compiler import compile_hpf
     from repro.testing import GeneratorConfig, _constant, random_program
     program = random_program(seed, GeneratorConfig(
@@ -707,9 +738,16 @@ def test_random_programs_in_segments_equal_the_per_op_path(seed, ndim):
     with _constant(native, "MIN_POINTS", 0), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got, _, _ = warm_run(compiled)
-        want, _, _ = warm_run(compiled, segments=False)
+        _, _, cold = observed_run(compiled, backend, workers=2)
+        got, _, _ = observed_run(compiled, backend, workers=2)
+        want, _, _ = warm_run(compiled, backend, segments=False, workers=2)
     assert got == want
+    ends = {reason for status, reason in kernel_counts(cold)
+            if status == "per-op"}
+    assert {op.lower() for op in ("MAXVAL", "MINVAL")
+            if f"{op}(" in program.source} <= ends
+    if ndim == 2 and seed in SUM_IN_LOOP:
+        assert sum_steps(compiled.plan)
 
 
 def test_a_segment_outlives_the_schedules_it_was_built_from(monkeypatch):
@@ -835,3 +873,65 @@ def test_a_striped_nest_keeps_the_per_op_path_counted():
     # the preheader, the DO loop, then each of its four trips
     assert kernel_counts(registry)[("per-op", "striped")] == 6.0
     assert got == warm_run(compiled, "perpe")[0]
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "parallel"])
+def test_a_warm_cg_loop_is_one_driver_call(backend):
+    """N=256 on 4x4: the setup nest and ``RZ = SUM(R * R)`` are one
+    call, and all 20 trips of the DO loop — its nests, shifts, both
+    SUMs and all four scalar assignments — one more; everything the run
+    leaves is ``perpe``'s."""
+    compiled = compile_kernel("cg", bindings={"N": 256, "NITER": 20})
+    got, trips, registry = warm_run(compiled, backend, (4, 4), workers=2)
+    assert trips == [1, 20]
+    assert kernel_counts(registry) == {("segment", None): 2.0}
+    want, _, _ = warm_run(compiled, "perpe", (4, 4))
+    assert got == want
+
+
+def test_a_zero_divisor_raises_where_the_per_op_path_raises():
+    """``cg`` with ``B = 0``: ``ALPHA = RZ / PAP`` is 0/0 in the first
+    trip.  The driver stops before it, the trip's first ops are charged
+    and the division runs per op: every backend raises Python's error
+    with the same cost rows and tagged log."""
+    outcomes = set()
+    for backend in ("perpe", "vectorized", "parallel"):
+        compiled = compile_kernel("cg", bindings={"N": 256, "NITER": 20})
+        tapes = prepare(compiled.plan)
+        driver, trips = tapes.driver, []
+        tapes.driver = lambda n, *args: (trips.append(n), driver(n, *args))[1]
+        machine = Machine(grid=(4, 4))
+        try:
+            with pytest.raises(ZeroDivisionError) as raised:
+                compiled.run(machine, inputs={"B": np.zeros((256, 256),
+                                                            np.float32)},
+                             scalars={"SIGMA": 0.5}, backend=backend,
+                             workers=2)
+        finally:
+            tapes.driver = driver
+        assert trips == ([] if backend == "perpe" else [1, 20])
+        outcomes.add((str(raised.value), machine.report.rows.tobytes(),
+                      tuple((m.src, m.dst, m.nbytes, m.tag)
+                            for m in machine.network.log)))
+    assert len(outcomes) == 1
+
+
+def test_threads_running_one_segment_each_equal_a_serial_run():
+    """The scalar file, the SUM scratch and the partials are each run's
+    own: two threads running ``cg``'s segments of one plan on one
+    geometry at once each leave what a serial run leaves."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+    compiled = compile_kernel("cg", bindings={"N": 256, "NITER": 20})
+    want, trips, _ = warm_run(compiled, grid=(4, 4))
+    assert trips == [1, 20]
+    start = threading.Barrier(2)
+
+    def runs():
+        start.wait()
+        return [observed_run(compiled, grid=(4, 4), segments=None)[0]
+                for _ in range(3)]
+
+    with ThreadPoolExecutor(2) as pool:
+        got = [run.result() for run in [pool.submit(runs) for _ in "ab"]]
+    assert all(each == want for results in got for each in results)

@@ -222,11 +222,13 @@ KINDS = {np.float32: "REAL", np.float64: "DOUBLE PRECISION"}
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
 
 
-def reduce_run(dtype, grid, backend, kernels, monkeypatch):
+def reduce_run(dtype, grid, backend, kernels, monkeypatch, segments=False):
     """One run of a fresh compile of the 15 reductions (N=256: at the
     size constant), natively or on the tape alone: ``(every reduction's
     partials and the scalars by float.hex, counted kernel samples, nreg
-    of each native reduction call, tape evaluations of an operand)``."""
+    of each native reduction call, tape evaluations of an operand)``.
+    Without ``segments`` the plan's driver is taken away, so every
+    reduction runs per op."""
     compiled = compile_hpf(REDUCTIONS.format(kind=KINDS[dtype]),
                            bindings={"N": 256})
     rng = np.random.default_rng(11)
@@ -253,7 +255,9 @@ def reduce_run(dtype, grid, backend, kernels, monkeypatch):
                             (evaluated.append(1), f(self, *args))[1])
     registry = MetricsRegistry()
     with use_registry(registry):
-        prepare(compiled.plan, kernels=kernels)
+        tapes = prepare(compiled.plan, kernels=kernels)
+        if not segments:
+            tapes.driver = None
         result = compiled.run(Machine(grid=grid), inputs=inputs,
                               scalars={"W": 0.75}, backend=backend,
                               workers=2)
@@ -291,6 +295,13 @@ def test_native_reductions_equal_the_tape(dtype, grid, monkeypatch):
         assert got == expected, backend
         assert (calls, evaluated) == ([npes] * 15, 0), backend
         assert set(counted) <= {("built", None), ("loaded", None)}
+        # the five SUMs as one native segment on the slabs: same scalars
+        got, counted, calls, _ = reduce_run(
+            dtype, grid, backend, True, monkeypatch, segments=True)
+        slab = backend != "perpe"
+        assert got[1] == expected[1], backend
+        assert (("segment", None) in counted, len(calls)) == (
+            slab, 15 - 5 * slab), backend
 
 
 @needs_cc

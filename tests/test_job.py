@@ -46,6 +46,8 @@ def test_three_doors_one_run(backend, workers, tmp_path, capsys):
     assert main(argv) == 0
     cli = json.loads(capsys.readouterr().out)
     assert cli.pop("checksums") == checksums
+    assert cli.pop("scalars") == {k: float(v).hex()
+                                  for k, v in direct.scalars.items()}
     assert cli == direct.summary()
 
     harness = ServiceHarness(tmp_path)
@@ -81,6 +83,8 @@ def test_three_doors_run_jacobi_at_the_default_level(tmp_path, capsys):
     finally:
         harness.close()
     assert cli.pop("checksums") is not None
+    assert cli.pop("scalars") == {k: float(v).hex()
+                                  for k, v in doc["scalars"].items()}
     assert cli == doc["summary"] == direct.summary()
     assert doc["arrays"]["U"]["sha256"] == hashlib.sha256(
         direct.arrays["U"].tobytes()).hexdigest()
