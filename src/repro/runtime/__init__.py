@@ -1,8 +1,9 @@
 """Runtime for compiled stencil programs on the simulated machine.
 
 * :mod:`repro.runtime.distribution` — HPF BLOCK layouts and index math.
-* :mod:`repro.runtime.darray` — distributed arrays with overlap areas;
-  the one allocation charge.
+* :mod:`repro.runtime.darray` — the one distributed array with overlap
+  areas, its arena a cell per PE or the global slab; the one allocation
+  charge.
 * :mod:`repro.runtime.overlap` — ``OVERLAP_SHIFT`` (interprocessor
   component only, with RSD support) and its charge walk.
 * :mod:`repro.runtime.cshift` — full ``CSHIFT``/``EOSHIFT`` (both
@@ -14,8 +15,8 @@
 * :mod:`repro.runtime.native` — its native form: a nest as one
   ``cc``-compiled fused C loop, when provably bitwise.
 * :mod:`repro.runtime.backends` — the three-row backend table.
-* :mod:`repro.runtime.vectorized` — the skeleton over the global-slab
-  placement, nests evaluated over the whole iteration space;
+* :mod:`repro.runtime.vectorized` — the skeleton over the slab storage,
+  nests evaluated over the whole iteration space;
   :mod:`repro.runtime.parallel` — that evaluator cut into row stripes
   on one persistent thread pool (the ``parallel`` backend).
 * :mod:`repro.runtime.reference` — serial NumPy semantics of IR programs.

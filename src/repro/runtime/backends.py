@@ -1,14 +1,15 @@
 """Execution backends: a table of three rows.
 
-A backend is a *placement* (how a distributed array is stored and how
-its data moves) and a *nest evaluator*, composed here by name:
+A backend is a *storage* of the one distributed array (each
+``DArray``'s arena a cell per PE, or one cell, the global slab) and a
+*nest evaluator*, composed here by name:
 
 ============  ===============  ====================================
-backend       placement        nest evaluator
+backend       storage          nest evaluator
 ============  ===============  ====================================
-perpe         per-PE blocks    per PE box
-vectorized    global slab      whole iteration space
-parallel      global slab      whole space in row stripes on threads
+perpe         a cell per PE    per PE box
+vectorized    the slab         whole iteration space
+parallel      the slab         whole space in row stripes on threads
 ============  ===============  ====================================
 
 ``parallel`` is therefore not a class of its own: it is the slab

@@ -14,9 +14,9 @@ references elsewhere still read (and the naive path's source arrays
 need no overlap areas at all).  The buffer's extra copy is charged to
 the cost model — it is part of what made library CSHIFTs expensive.
 
-One :class:`FullShift` serves every placement: the scratch buffer is an
-array of the source's own type, the two whole-subgrid copies go through
-the arrays' ``assign_interior``, and their charges are walked once.
+One :class:`FullShift` serves every storage: the scratch buffer is made
+``like`` the source, the two whole-subgrid copies go through the
+arrays' ``assign_interior``, and their charges are walked once.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ class FullShift:
 
     def apply(self, machine: Machine, dst: DArray, src: DArray) -> None:
         """Move the data through a fresh buffer; replay the charges."""
-        scratch = type(src).create(machine, self.buffer, src.layout,
-                                   src.dtype, self.halo)
+        scratch = src.like(machine, self.buffer, self.halo)
         try:
             scratch.assign_interior(src, 0, self.d)
             scratch.fill_overlap(self.exchange)

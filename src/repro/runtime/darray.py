@@ -13,7 +13,8 @@ local array.
 
 The blocks share one buffer, the *arena*: a ``(*grid, *cell)`` array,
 each PE's block the leading sub-box of its cell, so data motion is one
-array operation over all PEs.
+array operation over all PEs.  The slab backends lay the same arena out
+on a one-PE grid: one cell, the global padded array.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 from repro.errors import ExecutionError, MachineError
 from repro.machine.machine import Machine
-from repro.runtime.distribution import Layout
+from repro.machine.topology import ProcessorGrid
+from repro.runtime.distribution import Layout, cached_layout
 
 Halo = tuple[tuple[int, int], ...]
 
@@ -80,7 +82,7 @@ def _classes(layout: Layout, halo: Halo) -> tuple:
 
 def allocate_distributed(machine: Machine, name: str, layout: Layout,
                          dtype, halo: Halo | None) -> tuple:
-    """What allocating a distributed array costs, for every placement:
+    """What allocating a distributed array costs, for every storage:
     validate ``halo`` against the layout, compute the per-PE padded
     shapes and charge their bytes to the memory manager (so a too-big
     allocation raises :class:`SimulatedOutOfMemoryError` exactly as a
@@ -103,19 +105,35 @@ def allocate_distributed(machine: Machine, name: str, layout: Layout,
     return dtype, halo, footprint
 
 
+def _one_pe(layout: Layout) -> Layout:
+    """``layout`` on a one-PE grid: its one block is the global array."""
+    return cached_layout(layout.shape, layout.dist,
+                         ProcessorGrid((1,) * layout.grid.ndim))
+
+
 @dataclass
 class DArray:
     """A BLOCK-distributed array materialised on a machine: one padded
-    block per PE, each the leading sub-box of its cell of one arena."""
+    block per PE, each the leading sub-box of its cell of one arena.
+
+    The arena is laid out by the array's layout (a cell per PE) or, for
+    the *slab*, by the same layout on a one-PE grid: one cell, the global
+    padded array, that every PE's :meth:`padded` and :meth:`origin` map
+    to, with overlap planes only past the global edges — exact for every
+    plan the compiler emits, where the shifts that fill an offset read
+    dominate it, so a PE's block-boundary overlap cells equal its
+    neighbour's interior.  Memory is charged from the real layout."""
 
     name: str
     layout: Layout
     dtype: np.dtype
     halo: Halo
-    #: the arena, ``(*grid, *cell)``
+    #: the arena, ``(*cells.grid.shape, *cell)``
     data: np.ndarray
-    #: per PE, its padded block's index in ``data``
+    #: per cell, its padded block's index in ``data``
     blocks: tuple
+    #: the arena is one cell, the slab
+    slab: bool = False
     #: what the executor keys this buffer's schedules on
     key: object = field(default=None, repr=False, compare=False)
     #: that buffer's ``(address, bytes)``, for native region tables
@@ -125,29 +143,44 @@ class DArray:
     # -- construction ------------------------------------------------------
     @staticmethod
     def create(machine: Machine, name: str, layout: Layout,
-               dtype: np.dtype, halo: Halo | None = None) -> "DArray":
-        dtype, halo, (_, blocks, cell) = allocate_distributed(
-            machine, name, layout, dtype, halo)
-        data = np.zeros((*layout.grid.shape, *cell), dtype=dtype)
-        return DArray(name, layout, dtype, halo, data, blocks,
+               dtype: np.dtype, halo: Halo | None = None,
+               slab: bool = False) -> "DArray":
+        dtype, halo, _ = allocate_distributed(machine, name, layout,
+                                              dtype, halo)
+        cells = _one_pe(layout) if slab else layout
+        _, blocks, cell = _footprint(cells, halo, dtype)
+        data = np.zeros((*cells.grid.shape, *cell), dtype=dtype)
+        return DArray(name, layout, dtype, halo, data, blocks, slab,
                       arena=(data.ctypes.data, data.nbytes))
+
+    def like(self, machine: Machine, name: str, halo: Halo) -> "DArray":
+        """A new array of this one's layout, dtype and storage."""
+        return DArray.create(machine, name, self.layout, self.dtype, halo,
+                             self.slab)
 
     def free(self, machine: Machine) -> None:
         machine.memory.free_all(self.name)
         self.data, self.locals = np.zeros(0, dtype=self.dtype), []
 
+    @property
+    def cells(self) -> Layout:
+        """The layout the arena is laid out by."""
+        return _one_pe(self.layout) if self.slab else self.layout
+
     @cached_property
     def locals(self) -> list[np.ndarray]:
-        """Every PE's padded block as a view, made on first use."""
+        """Every cell's padded block as a view, made on first use."""
         return [self.data[index] for index in self.blocks]
 
     # -- views ---------------------------------------------------------------
+    def _cell(self, pe: int) -> int:
+        """The cell PE ``pe``'s padded block is in."""
+        if not 0 <= pe < self.layout.grid.size:
+            raise ExecutionError(f"{self.name}: no local block for PE {pe}")
+        return 0 if self.slab else pe
+
     def padded(self, pe: int) -> np.ndarray:
-        try:
-            return self.locals[pe]
-        except IndexError:
-            raise ExecutionError(
-                f"{self.name}: no local block for PE {pe}") from None
+        return self.locals[self._cell(pe)]
 
     def interior(self, pe: int) -> np.ndarray:
         """View of the owned subgrid (no overlap area)."""
@@ -165,42 +198,49 @@ class DArray:
             raise MachineError(
                 f"{self.name}: scatter shape {global_array.shape} != "
                 f"declared {self.layout.shape}")
-        for cells, window, split, axes in _classes(self.layout, self.halo):
+        for cells, window, split, axes in _classes(self.cells, self.halo):
             self.data[cells] = global_array[window].reshape(split) \
                 .transpose(axes)
 
     def gather(self) -> np.ndarray:
-        """Assemble the global array from the local interiors."""
+        """Assemble the global array from the local interiors.  One cell
+        without overlap planes is the global array: it is handed over,
+        not copied — gathering is the executor's last read before
+        :meth:`free`, which only drops the reference."""
+        if len(self.blocks) == 1 and not any(lo or hi for lo, hi in self.halo):
+            return self.data.reshape(self.layout.shape)
         out = np.empty(self.layout.shape, dtype=self.dtype)
-        for cells, window, split, axes in _classes(self.layout, self.halo):
+        for cells, window, split, axes in _classes(self.cells, self.halo):
             out[window].reshape(split).transpose(axes)[...] = self.data[cells]
         return out
 
-    # -- data motion: what a placement adds to the shared charge walks ------
+    # -- data motion: what a storage adds to the shared charge walks --------
     def fill_overlap(self, shift) -> None:
-        """The data half of an ``OverlapShift``: on every PE, fill the
+        """The data half of an ``OverlapShift``: in every cell, fill the
         ``sign``-side overlap slab of dim ``d`` (depth ``s``, widened by
         ``ext[k]`` overlap cells in the other dims) from the neighboring
         block — block to block, no network — or with ``boundary`` past
-        the global edge.  The slabs come from the layout, never from the
-        blocks: derived once, they are kept on the shift as flat arena
-        indices.  No cell is both a destination (an overlap cell along
-        ``d``) and a source (an owned one), so one gather and scatter is
-        the slab-by-slab copy in rank order."""
-        moves = shift.moves.get(DArray)
-        if moves is None:
-            moves = shift.moves[DArray] = self._moves(shift)
-        dst, src, edge = moves
+        the global edge: :meth:`moves` applied as one gather and
+        scatter."""
+        dst, src, edge = self.moves(shift)
         flat = self.data.reshape(-1)
         flat[dst] = flat.take(src)
         if shift.boundary is not None:
             flat[edge] = shift.boundary
 
-    def _moves(self, shift) -> tuple:
-        """Every PE's slab as ``(destinations, their sources, boundary
-        cells)``; no sender past the global edge of an end-off shift."""
+    def moves(self, shift) -> tuple:
+        """Every cell's slab as flat arena indices ``(destinations, their
+        sources, boundary cells)``, int64; no sender past the global edge
+        of an end-off shift.  The slabs come from the layout, never from
+        the blocks: derived once per storage, they are kept on the shift.
+        No cell is both a destination (an overlap cell along ``d``) and a
+        source (an owned one), so any order of the copies is the
+        slab-by-slab copy in rank order."""
+        found = shift.moves.get(self.slab)
+        if found is not None:
+            return found
         d, s, sign, ext = shift.d, shift.s, shift.sign, shift.ext
-        layout = self.layout
+        layout = self.cells
         halo_lo = self.halo[d][0]
         distributed = layout.is_distributed(d)
         n_global = layout.shape[d]
@@ -237,15 +277,17 @@ class DArray:
             src.append(slab(sender, slice(halo_lo, halo_lo + s) if sign > 0
                             else slice(halo_lo + sender_n - s,
                                        halo_lo + sender_n)))
-        return tuple(np.concatenate(cells or [np.zeros(0, np.intp)])
-                     for cells in (dst, src, edge))
+        found = shift.moves[self.slab] = tuple(
+            np.concatenate([*cells, np.zeros(0, np.int64)], dtype=np.int64)
+            for cells in (dst, src, edge))
+        return found
 
     def assign_interior(self, other: "DArray", shift: int, d: int) -> None:
         """``self(i) = other(i + shift)`` along dim ``d`` over the owned
-        subgrid of every PE (a nonzero shift reads into ``other``'s
-        overlap area); PEs whose block is empty are skipped."""
-        for pe in self.layout.grid.ranks():
-            if prod(self.layout.local_shape(pe)):
+        subgrid of every cell (a nonzero shift reads into ``other``'s
+        overlap area); empty blocks are skipped."""
+        for pe in self.cells.grid.ranks():
+            if prod(self.cells.local_shape(pe)):
                 src = list(other.interior_slices(pe))
                 src[d] = slice(src[d].start + shift, src[d].stop + shift)
                 self.interior(pe)[...] = other.padded(pe)[tuple(src)]
@@ -256,17 +298,18 @@ class DArray:
 
     def origin(self, pe: int) -> tuple[int, ...]:
         """Global index of the first interior cell of ``padded(pe)``."""
-        return tuple(lo for lo, _ in self.layout.owned_box(pe))
+        return tuple(lo for lo, _ in self.cells.owned_box(self._cell(pe)))
 
     def local_index_of(self, pe: int, gidx: tuple[int, ...]) -> tuple[int, ...]:
         """Padded-array index of a *globally owned* element on this PE."""
         box = self.owned_box(pe)
         out = []
-        for d, ((lo, hi), g) in enumerate(zip(box, gidx)):
+        for d, ((lo, hi), g, first) in enumerate(
+                zip(box, gidx, self.origin(pe))):
             if not (lo <= g <= hi):
                 raise ExecutionError(
                     f"{self.name}: global index {gidx} not owned by PE {pe}")
-            out.append(self.halo[d][0] + (g - lo))
+            out.append(self.halo[d][0] + (g - first))
         return tuple(out)
 
     @property

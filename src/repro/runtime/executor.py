@@ -9,7 +9,7 @@ compiler emits each PE's bounds and messages once, an op's walk runs
 once per machine geometry and is kept with the plan's tapes as a
 *schedule* (``PlanTapes.schedule``); every run evaluates its regions
 — a native nest's as rows of the schedule's region table — and replays
-its charges.  On the slab placements an untraced run hands each
+its charges.  On the slab storage an untraced run hands each
 *segment* (a run of nests, ``OVERLAP_SHIFT``\\ s, swaps, SUMs and scalar
 assignments, a whole ``DO`` included) to the plan's native driver as one
 call and replays one merged recording per trip; a segment's steps, and
@@ -303,15 +303,29 @@ def _partition(ops: list, tapes) -> list:
     return items
 
 
+def _move_step(slot: int, da: DArray, shift: OverlapShift) -> tuple:
+    """``da.fill_overlap(shift)`` as a move step on buffer ``slot`` — ``[1,
+    slot, item size, n, dst, src, n edge, edge, the fill value's bytes]``
+    over its arena indices — and those indices, which the step points
+    into."""
+    dst, src, edge = moves = da.moves(shift)
+    fill = np.zeros(1, np.int64)
+    fill.view(da.dtype)[0] = 0.0 if shift.boundary is None else shift.boundary
+    return [1, slot, da.dtype.itemsize, dst.size, dst.ctypes.data,
+            src.ctypes.data, edge.size, edge.ctypes.data, int(fill[0])], moves
+
+
 class _Steps(NamedTuple):
     """A segment built for one key: its step table and :class:`_Program`;
-    each nest and SUM step's ``(kernel, region table)`` (held: the step
-    points into it, and its schedule may leave the LRU first); per trip
-    until the swaps restore the bindings, each op's ``(index, Charges,
-    what it files)``, and all merged; the SUMs' scratch elements."""
+    each nest and SUM step's ``(kernel, region table)`` and each move
+    step's arena indices (held: the step points into them, and their
+    schedule may leave the LRU first); per trip until the swaps restore
+    the bindings, each op's ``(index, Charges, what it files)``, and all
+    merged; the SUMs' scratch elements."""
     steps: np.ndarray
     program: _Program
     nests: list
+    moves: list
     members: list
     period: Charges
     scratch: int
@@ -321,11 +335,11 @@ class _Exec:
     #: the backend's name in error messages; overridden by every
     #: registered backend class
     backend_label = "perpe"
-    #: the placement: how a distributed array is stored and how its data
-    #: moves (``fill_overlap`` / ``assign_interior`` / ``origin``).  What
-    #: every op costs is the skeleton's and the shift routines' business
-    #: and is the same for every placement.
-    array_type = DArray
+    #: the placement: each array's arena a cell per PE, or the slab (see
+    #: :class:`DArray`).  What every op costs is the skeleton's and the
+    #: shift routines' business and is the same for both; only slab runs
+    #: take native segments.
+    slab = False
 
     def __init__(self, plan: Plan, machine: Machine,
                  scalars: Mapping[str, float] | None,
@@ -362,8 +376,8 @@ class _Exec:
         decl = self.plan.arrays[name]
         layout = cached_layout(decl.shape, decl.distribution,
                                self.machine.topology)
-        da = self.array_type.create(self.machine, name, layout,
-                                    decl.dtype, decl.halo)
+        da = DArray.create(self.machine, name, layout, decl.dtype,
+                           decl.halo, self.slab)
         if initial is not None:
             da.scatter(np.asarray(initial))
         # its layout (which carries the grid), halo, dtype and birth name
@@ -642,10 +656,10 @@ class _Exec:
     def _kept(self, kept: dict, sched: _Schedule, regions, make):
         """``make()`` kept in ``kept`` — ``sched.slices``, or
         ``sched.tables``: native region tables or why they were refused —
-        under this placement and the region list itself: ``None`` for
-        the schedule's own, a tuple for a slab's cut of its space, so no
-        cut reuses another's."""
-        key = self.array_type, None if regions is sched.regions else regions
+        under this storage and the region list itself: ``None`` for the
+        schedule's own, a tuple for a slab's cut of its space, so no cut
+        reuses another's."""
+        key = self.slab, None if regions is sched.regions else regions
         found = kept.get(key)
         if found is None:
             found = kept[key] = make()
@@ -702,10 +716,8 @@ class _Exec:
 
     # -- native segments ----------------------------------------------------
     def _segments(self) -> bool:
-        """``cc`` built the plan's driver and the placement is a slab,
-        whose shifts are edge-plane wraps."""
-        return self._tapes.driver is not None and \
-            hasattr(self.array_type, "wrap")
+        """``cc`` built the plan's driver and the arrays are slabs."""
+        return self._tapes.driver is not None and self.slab
 
     def _items(self, ops: list) -> list:
         """``ops`` as ops and segments, partitioned once per list."""
@@ -796,7 +808,7 @@ class _Exec:
         slot = {name: i for i, name in enumerate(names)}
         start = [self.darrays[name] for name in names]
         bind = dict(zip(names, start))
-        prog, nests, members, scratch = _Program(), [], [], [1]
+        prog, nests, moves, members, scratch = _Program(), [], [], [], [1]
 
         def call(kind: int, tape: NestTape, table: tuple, groups: list,
                  extra: tuple = ()) -> list:
@@ -844,7 +856,8 @@ class _Exec:
                         da = bind[op.array]
                         shift = self._shift(op, da)
                         trip.append((at, shift.charges, None))
-                        step = [1, slot[op.array], *da.wrap(shift)]
+                        step, held = _move_step(slot[op.array], da, shift)
+                        moves.append(held)
                     elif isinstance(op, ScalarAssignOp):
                         sums = partial(summed, at, trip)
                         if not members:
@@ -880,8 +893,8 @@ class _Exec:
                 members.append(trip)
         except _Refused as exc:
             return exc.args[0]
-        return _Steps(np.array(prog.steps, np.int64), prog, nests, members,
-                      Charges.merged(self.machine.cost_model, [
+        return _Steps(np.array(prog.steps, np.int64), prog, nests, moves,
+                      members, Charges.merged(self.machine.cost_model, [
                           c for trip in members for _, c, _ in trip]),
                       scratch[0])
 
@@ -1038,10 +1051,13 @@ def execute(plan: Plan, machine: Machine,
     applies the cost model's interpretive-node-code factor to loop time
     (the xlhpf-like baseline).  ``tracer`` (a :class:`repro.obs.Tracer`)
     records an ``execute`` span with one timed child span per executed
-    plan op.  ``backend`` selects the executor: ``perpe`` loops over PEs
-    in Python per op (reference semantics), ``vectorized`` executes each
-    op as whole-array NumPy slab operations while charging the cost
-    model identically.
+    plan op.  ``backend`` selects the executor: ``perpe`` keeps a cell
+    per PE and evaluates each nest per PE box (reference semantics);
+    ``vectorized`` keeps each array as one cell, the global slab, and
+    evaluates a nest once over its whole space, untraced runs handing
+    segments of ops to the native driver; ``parallel`` is ``vectorized``
+    with big nests cut into row stripes on threads.  All three charge
+    the cost model identically.
     ``profile`` runs under ``tracer`` (a private one when none is
     given), whose op spans are the run's op stack, and attaches a
     :class:`repro.obs.profile.ProfileCollector` to the network

@@ -5,7 +5,7 @@ compiler to optimize (paper section 3.4); this module hands it one.
 From a :class:`~repro.runtime.nest_tape.NestTape`'s instruction list it
 emits per nest a C box function — loops over the box, innermost
 dimension contiguous, one ``restrict`` base pointer parameter and row
-strides per *array* (every placement keeps one buffer per array name),
+strides per *array* (every storage keeps one buffer per array name),
 one element offset per reference, each arithmetic instruction one
 statement in the array dtype, stores in statement order — and one entry
 point, ``k<i>(nreg, base, off, ints, d)``, calling the box per row of a
@@ -13,7 +13,7 @@ region table of byte offsets from the buffers' bases — the one way a
 kernel runs: from Python as rows of a :meth:`Kernel.table` through
 :meth:`Kernel.run_table` (a ``perpe`` nest's PE boxes, a slab nest's
 row stripes), from C through ``run_steps``, the :data:`PRELUDE`'s
-driver of a slab run's segment — nests, edge-plane wraps, swaps, SUM
+driver of a slab run's segment — nests, overlap moves, swaps, SUM
 reductions and scalar assignments, for all trips of a loop — in one
 call.  A reduction operand's loop stores its value into the caller's
 stack, or a SUM's into a block-sized scratch that each row then sums in
@@ -114,22 +114,25 @@ static {real} pw_{real}(const {real} *a, long long n)
 #: table over buffer slots and a scalar file ``d``.  A nest step calls its
 #: entry point on its region table, slots as bases, arguments at ``d +
 #: s[5]``; a SUM step's last base takes the partials, folded into ``d`` in
-#: rank order as ``executor._reduce`` folds them; a wrap step copies a
-#: strided box of a slab into its edge planes (a fill: from the value in
-#: the step, zero strides); a swap step exchanges two slots; a program
+#: rank order as ``executor._reduce`` folds them; a move step is
+#: ``DArray.fill_overlap``: its ``(dst, src, edge)`` arena indices, each
+#: edge cell given the fill value's bytes in the step; a swap step
+#: exchanges two slots; a program
 #: step runs ``(opcode, dst, a, b)`` over ``d``, a named scalar stored
 #: last: a zero divisor returns ``trip * nsteps +`` the step's position.
 PRELUDE += """\
 typedef void (*entry_t)(long long, const long long *, const long long *,
                         const long long *, const double *);
-static void wrap_nd(char *to, const char *from, long long item,
-                    long long rank, const long long *n, const long long *ds,
-                    const long long *ss)
+static void move(char *buf, const long long *s)
 {
-  for (long long i = 0; i < n[0]; i++, to += ds[0], from += ss[0])
-    if (rank > 1) wrap_nd(to, from, item, rank - 1, n + 1, ds + 1, ss + 1);
-    else if (item == 4) __builtin_memcpy(to, from, 4);
-    else __builtin_memcpy(to, from, 8);
+  const long long *to = (const long long *)s[4], *from = (const long long *)s[5],
+                  *edge = (const long long *)s[7];
+  for (long long i = 0; i < s[3]; i++)
+    if (s[2] == 4) __builtin_memcpy(buf + 4 * to[i], buf + 4 * from[i], 4);
+    else __builtin_memcpy(buf + 8 * to[i], buf + 8 * from[i], 8);
+  for (long long i = 0; i < s[6]; i++)
+    if (s[2] == 4) __builtin_memcpy(buf + 4 * edge[i], s + 8, 4);
+    else __builtin_memcpy(buf + 8 * edge[i], s + 8, 8);
 }
 long long run_steps(long long trips, long long nsteps, const long long *steps,
                     long long *bufs, double *d)
@@ -153,10 +156,7 @@ long long run_steps(long long trips, long long nsteps, const long long *steps,
           d[end[0]] = sum, end += 2;
         }
       } else if (s[0] == 1) {
-        char *buf = (char *)bufs[s[1]];
-        wrap_nd(buf + s[4], s[5] < 0 ? (const char *)(s + 6) : buf + s[5],
-                s[3], s[2], s + 7, s + 7 + s[2], s + 7 + 2 * s[2]);
-        end = s + 7 + 3 * s[2];
+        move((char *)bufs[s[1]], s), end = s + 9;
       } else if (s[0] == 2) {
         long long x = bufs[s[1]];
         bufs[s[1]] = bufs[s[2]], bufs[s[2]] = x, end = s + 3;

@@ -14,11 +14,11 @@ SHIFT=-1, DIM=2)`` in Figure 13), the equivalent slab widening is derived
 from the base offsets.
 
 An :class:`OverlapShift` is *validated and walked once*, then applied:
-the array's ``fill_overlap`` moves the data however its placement stores
-it (per-PE blocks in one gather and scatter, the global slab wraps one
-edge plane) and the count-only walk's charges replay — slab extents come from
-the layout, never from the data, so every placement charges the
-identical rank-order sequence.
+the array's ``fill_overlap`` moves the data as one gather and scatter of
+arena indices (a cell per PE, or the global slab's edge planes) and the
+count-only walk's charges replay — slab extents come from the layout,
+never from the data, so every storage charges the identical rank-order
+sequence.
 
 Degenerate zero-width slabs (possible only through hand-built layouts
 today — BLOCK layouts reject empty blocks at construction — but
@@ -38,8 +38,8 @@ from repro.runtime.darray import DArray
 
 
 class OverlapShift:
-    """One ``OVERLAP_SHIFT``, validated and walked into ``charges``; a
-    placement keeps the moves it derives from it in ``moves``."""
+    """One ``OVERLAP_SHIFT``, validated and walked into ``charges``; each
+    storage keeps the arena indices it moves in ``moves``."""
 
     def __init__(self, name: str, layout, dtype, halo, shift: int,
                  dim: int, charges: Charges, rsd: RSD | None = None,
@@ -72,7 +72,7 @@ class OverlapShift:
                     f"halo {halo[k]} in dim {k + 1}")
         self.d, self.s, self.sign, self.ext = d, s, sign, ext
         self.boundary = boundary
-        self.moves: dict[type, object] = {}
+        self.moves: dict[bool, tuple] = {}
         self.charges = charges
 
         # -- the charge walk: counts only, in rank order ---------------------

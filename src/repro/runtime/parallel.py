@@ -1,7 +1,7 @@
 """Row stripes on a persistent thread pool: what ``parallel`` adds.
 
-``parallel`` is the global-slab placement of :mod:`repro.runtime.
-vectorized` with its whole-space nest evaluator cut into at most
+``parallel`` is the slab storage of :mod:`repro.runtime.vectorized`
+with its whole-space nest evaluator cut into at most
 ``workers`` contiguous dim-1 row stripes: stripe 0 runs on the calling
 thread, the rest on one process-wide pool that every run, every
 ``iterations=k`` and the service's job threads share.  This module

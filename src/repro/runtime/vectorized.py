@@ -1,185 +1,31 @@
-"""Vectorized execution backend: whole-array NumPy slab operations.
+"""Vectorized execution backend: the skeleton over the slab storage.
 
-The per-PE executor (:mod:`repro.runtime.executor`) keeps one padded
-block per PE and moves data between them in a Python loop over PEs.
-That is the faithful SPMD picture, but the Python-level looping
-dominates wall-clock time on large grids.  This backend executes the
-*same plans* through the *same skeleton* over a different placement: a
-single global padded array per distributed array (:class:`VArray`), so
-each op's data motion — halo exchange, offset-reference read, loop nest
-— is one batch of NumPy slab operations regardless of the PE count.
-
-Why this is exact: in every plan the compiler emits (and the coverage
-verifier admits), each offset reference is dominated by the
-``OVERLAP_SHIFT`` calls that fill the overlap cells it reads, with no
-intervening redefinition of the base array.  At the moment of the read,
-a PE's interior-block-boundary overlap cells therefore equal the
-neighboring PE's *current* interior values — which is exactly what a
-read through a single global array sees.  Only the overlap cells beyond
-the global edges carry distinct data (wrapped or boundary-filled), so
-the global representation keeps halo planes only there.
+The per-PE executor (:mod:`repro.runtime.executor`) keeps a cell per PE
+in each array's arena and evaluates a nest box by box.  This backend
+executes the *same plans* through the *same skeleton* with each arena
+laid out on a one-PE grid — one cell, the global padded array (see
+:class:`~repro.runtime.darray.DArray`) — so a nest is evaluated once over
+its whole iteration space, a shift's moves touch only the global edge
+planes, and an untraced run hands each segment of ops to the plan's
+native driver as one call.
 
 Cost accounting is not this module's business: what an op costs, and in
 which rank order it is charged, lives once per op in ``overlap.py``,
 ``cshift.py``, ``executor.py`` and ``darray.py`` and never reads array
 data — so cost reports, message logs and peak memory are identical
-between placements by construction.
+between storages by construction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
 
-import numpy as np
-
-from repro.errors import ExecutionError, MachineError
-from repro.machine.machine import Machine
+from repro.errors import ExecutionError
 from repro.plan import LoopNestOp
-from repro.runtime.darray import Halo, allocate_distributed
-from repro.runtime.distribution import Layout
 from repro.runtime.executor import _Exec
 from repro.runtime.parallel import cut, join, worker_count
-
-
-@dataclass
-class VArray:
-    """A distributed array held as one global padded ndarray.
-
-    Global index ``g`` (1-based) along dim ``d`` maps to
-    ``halo[d][0] + (g - 1)``.  Halo planes exist only past the global
-    edges; interior block boundaries need none (see module docstring).
-    Memory is charged per PE with exactly the padded-block sizes the
-    per-PE representation would allocate.
-    """
-
-    name: str
-    layout: Layout
-    dtype: np.dtype
-    halo: Halo
-    data: np.ndarray
-    #: what the executor keys this buffer's schedules on
-    key: object = field(default=None, repr=False, compare=False)
-    #: ``data``'s ``(address, bytes)``, for native region tables
-    arena: tuple[int, int] = field(default=(0, 0), repr=False,
-                                   compare=False)
-
-    @staticmethod
-    def create(machine: Machine, name: str, layout: Layout,
-               dtype: np.dtype, halo: Halo | None = None) -> "VArray":
-        dtype, halo, _ = allocate_distributed(machine, name, layout,
-                                              dtype, halo)
-        data = np.zeros(tuple(n + lo + hi for n, (lo, hi) in
-                              zip(layout.shape, halo)), dtype=dtype)
-        return VArray(name, layout, dtype, halo, data,
-                      arena=(data.ctypes.data, data.nbytes))
-
-    def free(self, machine: Machine) -> None:
-        machine.memory.free_all(self.name)
-        self.data = np.zeros(0, dtype=self.dtype)
-
-    # -- views ---------------------------------------------------------------
-    def padded(self, pe: int) -> np.ndarray:
-        """The global padded array; every "PE" sees the same storage."""
-        return self.data
-
-    def origin(self, pe: int) -> tuple[int, ...]:
-        """Global index of the first interior cell: 1 in every dim."""
-        return (1,) * len(self.halo)
-
-    def interior_slices(self) -> tuple[slice, ...]:
-        return tuple(slice(lo, lo + n)
-                     for (lo, _), n in zip(self.halo, self.layout.shape))
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.data[self.interior_slices()]
-
-    def scatter(self, global_array: np.ndarray) -> None:
-        if tuple(global_array.shape) != self.layout.shape:
-            raise MachineError(
-                f"{self.name}: scatter shape {global_array.shape} != "
-                f"declared {self.layout.shape}")
-        self.interior[...] = global_array
-
-    def gather(self) -> np.ndarray:
-        """The global array.  Without halo planes this hands over the
-        buffer itself instead of a copy: gathering is the executor's last
-        read before :meth:`free`, which only drops the reference."""
-        if not any(lo or hi for lo, hi in self.halo):
-            return self.data
-        return self.interior.copy()
-
-    def owned_box(self, pe: int) -> tuple[tuple[int, int], ...]:
-        return self.layout.owned_box(pe)
-
-    @property
-    def rank(self) -> int:
-        return len(self.layout.shape)
-
-    # -- data motion ---------------------------------------------------------
-    def fill_overlap(self, shift) -> None:
-        """The data half of an ``OverlapShift`` on the global slab: fill
-        the ``sign``-side global-edge halo planes of dim ``d`` — block
-        boundaries inside the array need nothing."""
-        dst, src = self._edges(shift)
-        if shift.boundary is not None:
-            # every global-edge halo cell is past the domain end
-            self.data[dst] = shift.boundary
-        else:
-            # circular wrap from the opposite edge; the orthogonal
-            # extension reads through already-filled halo planes — the
-            # corner pickup
-            self.data[dst] = self.data[src]
-
-    def wrap(self, shift) -> list:
-        """:meth:`fill_overlap` as a native segment's wrap step, kept on
-        the shift: rank, item size, byte offsets of the destination and
-        source boxes in ``data`` (source ``-1``: a fill, from the value's
-        bytes that follow, with zero strides), extents, destination and
-        source strides.  The boxes never overlap: a shift is at most the
-        halo, which is at most the smallest block."""
-        found = shift.moves.get(VArray)
-        if found is None:
-            dst, src = (self.data[box] for box in self._edges(shift))
-            at = self.data.ctypes.data
-            if shift.boundary is None:
-                head, steps = [src.ctypes.data - at, 0], src.strides
-            else:
-                value = np.array(shift.boundary, self.dtype).tobytes()
-                head = [-1, int(np.frombuffer(value.ljust(8, b"\0"),
-                                              np.int64)[0])]
-                steps = (0,) * dst.ndim
-            found = shift.moves[VArray] = [
-                dst.ndim, dst.itemsize, dst.ctypes.data - at, *head,
-                *dst.shape, *dst.strides, *steps]
-        return found
-
-    def _edges(self, shift) -> tuple[tuple, tuple]:
-        """The boxes :meth:`fill_overlap` writes and reads."""
-        d, s, ext = shift.d, shift.s, shift.ext
-        halo_lo = self.halo[d][0]
-        n = self.layout.shape[d]
-        dst = [slice(lo - ext_lo, lo + nk + ext_hi)
-               for (lo, _), nk, (ext_lo, ext_hi) in zip(
-                   self.halo, self.layout.shape, ext)]
-        src = list(dst)
-        if shift.sign > 0:
-            dst[d] = slice(halo_lo + n, halo_lo + n + s)
-            src[d] = slice(halo_lo, halo_lo + s)
-        else:
-            dst[d] = slice(halo_lo - s, halo_lo)
-            src[d] = slice(halo_lo + n - s, halo_lo + n)
-        return tuple(dst), tuple(src)
-
-    def assign_interior(self, other: "VArray", shift: int, d: int) -> None:
-        """``self(i) = other(i + shift)`` along dim ``d`` over the whole
-        interior (a nonzero shift reads into ``other``'s halo planes)."""
-        src = list(other.interior_slices())
-        src[d] = slice(src[d].start + shift, src[d].stop + shift)
-        self.interior[...] = other.data[tuple(src)]
 
 
 class _WorkerLog:
@@ -239,7 +85,7 @@ class _WorkerLog:
 
 
 class VectorizedExec(_Exec):
-    """The per-PE skeleton over the global-slab placement.
+    """The per-PE skeleton over the slab storage.
 
     Everything is inherited — op dispatch, shifts, the reductions (a
     native operand's one call over every PE's block included), their
@@ -253,7 +99,7 @@ class VectorizedExec(_Exec):
     """
 
     backend_label = "vectorized"
-    array_type = VArray
+    slab = True
 
     def __init__(self, plan, machine, scalars, hpf_overhead, tracer=None,
                  workers=None, *, striped: bool = False) -> None:

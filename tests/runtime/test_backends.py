@@ -73,14 +73,14 @@ def test_parallel_is_a_builtin():
     constructed with its evaluator striped."""
     from repro.machine import Machine
     from repro.kernels import compile_kernel
-    from repro.runtime.vectorized import VArray, VectorizedExec
+    from repro.runtime.vectorized import VectorizedExec
     factory = get_backend("parallel")
     assert factory.func is VectorizedExec
     assert factory.keywords == {"striped": True}
     assert "parallel" in available_backends()
     plan = compile_kernel("five_point", bindings={"N": 8}).plan
     ex = factory(plan, Machine(grid=(2, 2)), None, False, workers=2)
-    assert type(ex) is VectorizedExec and ex.array_type is VArray
+    assert type(ex) is VectorizedExec and ex.slab
     assert ex.backend_label == "parallel" and ex.stripes == 2
     plain = get_backend("vectorized")(plan, Machine(grid=(2, 2)), None,
                                       False, workers=2)

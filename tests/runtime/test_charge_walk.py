@@ -5,10 +5,10 @@ not of how an array is stored.
 (a) A *null placement* — an array type that holds no data and whose
 ``fill_overlap``/``assign_interior`` do nothing — driven through the
 three shift routines must produce the identical cost report, tagged
-message log and peak memory as :class:`DArray` (and :class:`VArray`):
-proof that the walks never read array data.  Its replay leg: the
-schedules one walk records on a :class:`DArray` machine, applied on
-:class:`VArray` and null-placement machines, leave the same again; and
+message log and peak memory as a :class:`DArray` of either storage (a
+cell per PE, or the slab): proof that the walks never read array data.
+Its replay leg: the schedules one walk records on a per-PE machine,
+applied on slab and null-placement machines, leave the same again; and
 its segment leg: their recordings merged into one (``Charges.merged``)
 and replayed ``trips`` times at once on a null placement leave what the
 members applied trip by trip leave.
@@ -22,6 +22,7 @@ spelled once.
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ from repro.runtime.cshift import FullShift, full_cshift, full_eoshift
 from repro.runtime.darray import DArray, allocate_distributed
 from repro.runtime.distribution import Layout
 from repro.runtime.overlap import OverlapShift, overlap_shift
-from repro.runtime.vectorized import VArray
 
 
 @dataclass
@@ -55,6 +55,9 @@ class NullArray:
                                               dtype, halo)
         return NullArray(name, layout, dtype, halo)
 
+    def like(self, machine, name, halo):
+        return NullArray.create(machine, name, self.layout, self.dtype, halo)
+
     def free(self, machine):
         machine.memory.free_all(self.name)
 
@@ -67,6 +70,12 @@ class NullArray:
 
     def assign_interior(self, other, shift, d):
         pass
+
+
+#: the placements: a cell per PE, the slab, no storage
+PLACEMENTS = {"perpe": DArray.create,
+              "slab": partial(DArray.create, slab=True),
+              "null": NullArray.create}
 
 
 def observed(machine):
@@ -107,12 +116,12 @@ def _rsd(dim, lo, hi):
 def test_null_placement_charges_identically(layout, n, dtype, ops, seed):
     grid, dist = layout
     seen = {}
-    for array_type in (DArray, VArray, NullArray):
+    for placement, create in PLACEMENTS.items():
         m = Machine(grid=grid, keep_message_log=True)
         lay = Layout((n, n), dist, m.topology)
-        u = array_type.create(m, "U", lay, dtype, ((2, 2), (2, 2)))
-        v = array_type.create(m, "V", lay, dtype)
-        if array_type is not NullArray:
+        u = create(m, "U", lay, dtype, ((2, 2), (2, 2)))
+        v = create(m, "V", lay, dtype)
+        if placement != "null":
             u.scatter(np.random.default_rng(seed)
                       .standard_normal((n, n)).astype(dtype))
         for kind, shift, dim, (lo, hi), boundary in ops:
@@ -123,14 +132,13 @@ def test_null_placement_charges_identically(layout, n, dtype, ops, seed):
                 full_cshift(m, v, u, shift, dim)
             else:
                 full_eoshift(m, v, u, shift, dim, boundary=1.5)
-        seen[array_type] = observed(m)
-        if array_type is not NullArray:
-            seen[array_type] += (u.gather().tobytes(),
-                                 v.gather().tobytes())
-    assert seen[NullArray] == seen[DArray][:4]
-    assert seen[VArray][:4] == seen[DArray][:4]
-    # the two real placements moved the same interiors
-    assert seen[VArray][4:] == seen[DArray][4:]
+        seen[placement] = observed(m)
+        if placement != "null":
+            seen[placement] += (u.gather().tobytes(), v.gather().tobytes())
+    assert seen["null"] == seen["perpe"][:4]
+    assert seen["slab"][:4] == seen["perpe"][:4]
+    # the two storages moved the same interiors
+    assert seen["slab"][4:] == seen["perpe"][4:]
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,16 +147,16 @@ def test_null_placement_charges_identically(layout, n, dtype, ops, seed):
        ops=st.lists(op, min_size=1, max_size=4), seed=st.integers(0, 5))
 def test_a_schedule_replays_identically_on_every_placement(
         layout, n, dtype, ops, seed):
-    """Walked once on :class:`DArray` arrays, applied on all three."""
+    """Walked once on per-PE arrays, applied on all three placements."""
     grid, dist = layout
     schedules = None
     seen = {}
-    for array_type in (DArray, VArray, NullArray):
+    for placement, create in PLACEMENTS.items():
         m = Machine(grid=grid, keep_message_log=True)
         lay = Layout((n, n), dist, m.topology)
-        u = array_type.create(m, "U", lay, dtype, ((2, 2), (2, 2)))
-        v = array_type.create(m, "V", lay, dtype)
-        if array_type is not NullArray:
+        u = create(m, "U", lay, dtype, ((2, 2), (2, 2)))
+        v = create(m, "V", lay, dtype)
+        if placement != "null":
             u.scatter(np.random.default_rng(seed)
                       .standard_normal((n, n)).astype(dtype))
         if schedules is None:
@@ -166,12 +174,11 @@ def test_a_schedule_replays_identically_on_every_placement(
                 sched.apply(m, u)
             else:
                 sched.apply(m, v, u)
-        seen[array_type] = observed(m)
-        if array_type is not NullArray:
-            seen[array_type] += (u.gather().tobytes(),
-                                 v.gather().tobytes())
-    assert seen[NullArray] == seen[DArray][:4]
-    assert seen[VArray] == seen[DArray]
+        seen[placement] = observed(m)
+        if placement != "null":
+            seen[placement] += (u.gather().tobytes(), v.gather().tobytes())
+    assert seen["null"] == seen["perpe"][:4]
+    assert seen["slab"] == seen["perpe"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,15 +195,15 @@ def test_a_merged_recording_replays_its_members_trip_by_trip(
     :class:`DArray` — rows by bytes, counters, tagged log, peaks."""
     grid, dist = layout
     seen = []
-    for array_type in (DArray, NullArray):
+    for create in (DArray.create, NullArray.create):
         m = Machine(grid=grid, keep_message_log=True)
-        u = array_type.create(m, "U", Layout((n, n), dist, m.topology),
-                              dtype, ((2, 2), (2, 2)))
+        u = create(m, "U", Layout((n, n), dist, m.topology), dtype,
+                   ((2, 2), (2, 2)))
         shifts = [OverlapShift(u.name, u.layout, u.dtype, u.halo, shift, dim,
                                Charges(m.cost_model), rsd=_rsd(dim, lo, hi),
                                boundary=boundary)
                   for _, shift, dim, (lo, hi), boundary in ops]
-        if array_type is DArray:
+        if create is DArray.create:
             for _ in range(trips):
                 for shift in shifts:
                     shift.apply(m, u)

@@ -10,7 +10,6 @@ from repro.machine import Machine
 from repro.runtime.cshift import full_cshift, full_eoshift
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import Layout
-from repro.runtime.vectorized import VArray
 
 from tests.conftest import random_grid
 
@@ -112,25 +111,24 @@ class TestFullEOShift:
 def test_cshift_property_any_grid(shift, dim, grid, boundary, seed):
     """full_cshift equals np.roll (full_eoshift the end-off shift) on
     every grid shape, including 1-wide dimensions where the transfer
-    degenerates to a self-copy — in both placements, at the same cost."""
+    degenerates to a self-copy — in both storages, at the same cost."""
     n = 8
     g = np.random.default_rng(seed).standard_normal((n, n))
     expect = np.roll(g, -shift, axis=dim - 1) if boundary is None \
         else TestFullEOShift()._numpy_eoshift(g, shift, dim, boundary)
     seen = {}
-    for array_type in (DArray, VArray):
+    for slab in (False, True):
         m = Machine(grid=grid, keep_message_log=True)
         lay = Layout((n, n), Distribution.block(2), m.topology)
-        src = array_type.create(m, "S", lay, np.dtype(np.float64),
-                                ((2, 2), (2, 2)))
-        dst = array_type.create(m, "D", lay, np.dtype(np.float64),
-                                ((0, 0), (0, 0)))
+        src = DArray.create(m, "S", lay, np.dtype(np.float64),
+                            ((2, 2), (2, 2)), slab)
+        dst = DArray.create(m, "D", lay, np.dtype(np.float64),
+                            ((0, 0), (0, 0)), slab)
         src.scatter(g)
         if boundary is None:
             full_cshift(m, dst, src, shift, dim)
         else:
             full_eoshift(m, dst, src, shift, dim, boundary=boundary)
         np.testing.assert_array_equal(dst.gather(), expect)
-        seen[array_type] = (m.report, m.network.log,
-                            m.memory.peak_per_pe)
-    assert seen[VArray] == seen[DArray]
+        seen[slab] = (m.report, m.network.log, m.memory.peak_per_pe)
+    assert seen[True] == seen[False]

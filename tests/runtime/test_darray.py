@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MachineError, SimulatedOutOfMemoryError
+from repro.errors import (
+    ExecutionError, MachineError, SimulatedOutOfMemoryError,
+)
 from repro.ir.rsd import RSD, RSDim
 from repro.ir.types import DistKind, Distribution
 from repro.machine import Machine
@@ -73,6 +75,22 @@ class TestGeometry:
     def test_halo_exceeding_block_rejected(self, machine2x2):
         with pytest.raises(MachineError):
             make_darray(machine2x2, n=8, halo=5)
+
+    @pytest.mark.parametrize("slab", [False, True])
+    def test_padded_rejects_a_rank_off_the_grid(self, machine2x2, slab):
+        """A negative rank once wrapped to the last PE's block, and the
+        slab answered any rank; both storages name the bad rank, and
+        every rank on the grid still has a block."""
+        lay = Layout((8, 8), Distribution.block(2), machine2x2.topology)
+        da = DArray.create(machine2x2, "U", lay, np.dtype(np.float32),
+                           ((1, 1), (1, 1)), slab)
+        for pe in (-1, -4, 4, 99):
+            with pytest.raises(ExecutionError, match=f"PE {pe}"):
+                da.padded(pe)
+            with pytest.raises(ExecutionError, match=f"PE {pe}"):
+                da.origin(pe)
+        shape = (10, 10) if slab else (6, 6)
+        assert all(da.padded(pe).shape == shape for pe in range(4))
 
 
 class TestMemoryCharging:

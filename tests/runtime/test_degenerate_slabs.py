@@ -27,7 +27,6 @@ from repro.runtime.cshift import full_cshift, full_eoshift
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import Layout
 from repro.runtime.overlap import overlap_shift
-from repro.runtime.vectorized import VArray
 
 
 class _ZeroOrthoLayout:
@@ -48,17 +47,18 @@ class _ZeroOrthoLayout:
         return getattr(self._inner, name)
 
 
-def _degenerate_array(machine, dim, array_type=DArray):
+def _degenerate_array(machine, dim, slab=False):
     lay = Layout((8, 8), Distribution.block(2), machine.topology)
-    da = array_type.create(machine, "U", lay, np.dtype(np.float64),
-                           ((1, 1), (1, 1)))
+    da = DArray.create(machine, "U", lay, np.dtype(np.float64),
+                       ((1, 1), (1, 1)), slab)
     da.layout = _ZeroOrthoLayout(lay, dim)
     return da
 
 
-#: the elision is the charge walk's, so it holds whatever the placement
-#: (looped, not parametrized: the test ids are pinned by the tier-1 floor)
-PLACEMENTS = (DArray, VArray)
+#: the elision is the charge walk's, so it holds whatever the storage —
+#: a cell per PE or the slab (looped, not parametrized: the test ids are
+#: pinned by the tier-1 floor)
+SLABS = (False, True)
 
 
 class TestElision:
@@ -67,45 +67,45 @@ class TestElision:
 
     @pytest.mark.parametrize("shift", [+1, -1])
     def test_overlap_shift_elides_empty_slabs(self, shift):
-        for array_type in PLACEMENTS:
+        for slab in SLABS:
             machine = Machine(grid=(2, 2), keep_message_log=True)
-            da = _degenerate_array(machine, 1, array_type)  # ortho: dim 1
+            da = _degenerate_array(machine, 1, slab)  # ortho: dim 1
             overlap_shift(machine, da, shift=shift, dim=1)
             assert machine.network.message_count == 0
             assert machine.network.log == []
 
     def test_overlap_shift_collapsed_dim_elides(self):
-        for array_type in PLACEMENTS:
+        for slab in SLABS:
             machine = Machine(grid=(4,), keep_message_log=True)
             lay = Layout((8, 8),
                          Distribution((DistKind.BLOCK, DistKind.COLLAPSED)),
                          machine.topology)
-            da = array_type.create(machine, "U", lay, np.dtype(np.float64),
-                                   ((1, 1), (1, 1)))
+            da = DArray.create(machine, "U", lay, np.dtype(np.float64),
+                               ((1, 1), (1, 1)), slab)
             da.layout = _ZeroOrthoLayout(lay, 0)
             copies_before = machine.report.copies
             overlap_shift(machine, da, shift=+1, dim=2)  # collapsed dim
             assert machine.report.copies == copies_before
 
     def test_full_cshift_elides_empty_blocks(self):
-        for array_type in PLACEMENTS:
+        for slab in SLABS:
             machine = Machine(grid=(2, 2), keep_message_log=True)
-            src = _degenerate_array(machine, 1, array_type)
+            src = _degenerate_array(machine, 1, slab)
             lay = Layout((8, 8), Distribution.block(2), machine.topology)
-            dst = array_type.create(machine, "V", lay,
-                                    np.dtype(np.float64), ((0, 0), (0, 0)))
+            dst = DArray.create(machine, "V", lay, np.dtype(np.float64),
+                                ((0, 0), (0, 0)), slab)
             dst.layout = src.layout
             full_cshift(machine, dst, src, shift=+1, dim=1)
             assert machine.network.message_count == 0
             assert machine.report.copies == 0
 
     def test_full_eoshift_elides_empty_blocks(self):
-        for array_type in PLACEMENTS:
+        for slab in SLABS:
             machine = Machine(grid=(2, 2), keep_message_log=True)
-            src = _degenerate_array(machine, 0, array_type)
+            src = _degenerate_array(machine, 0, slab)
             lay = Layout((8, 8), Distribution.block(2), machine.topology)
-            dst = array_type.create(machine, "V", lay,
-                                    np.dtype(np.float64), ((0, 0), (0, 0)))
+            dst = DArray.create(machine, "V", lay, np.dtype(np.float64),
+                                ((0, 0), (0, 0)), slab)
             dst.layout = src.layout
             full_eoshift(machine, dst, src, shift=-1, dim=2, boundary=0.5)
             assert machine.network.message_count == 0

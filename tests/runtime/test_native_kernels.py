@@ -16,7 +16,9 @@ import multiprocessing as mp
 import re
 import shutil
 import stat
+import struct
 import warnings
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,11 +28,17 @@ from hypothesis import example, given, settings, strategies as st
 from repro.ir.nodes import (
     BinOp, Compare, Const, Intrinsic, OffsetRef, ScalarRef, UnaryOp,
 )
+from repro.ir.rsd import RSD, RSDim
+from repro.ir.types import DistKind, Distribution
 from repro.kernels import KERNELS, compile_kernel
 from repro.machine import Machine
+from repro.machine.network import Charges
 from repro.obs import MetricsRegistry, Tracer, use_registry
 from repro.plan import LoopNestOp
-from repro.runtime import native, nest_tape
+from repro.runtime import executor, native, nest_tape
+from repro.runtime.darray import DArray
+from repro.runtime.distribution import Layout
+from repro.runtime.overlap import OverlapShift
 from repro.runtime.nest_tape import NestTape, plan_tapes, prepare
 from repro.testing import GeneratedProgram, backend_equivalence_check
 
@@ -786,7 +794,6 @@ def test_evicted_segments_rebuild_and_equal_the_per_op_path(monkeypatch):
     grid's op schedules and segment steps alike.  Run there again, the
     segments are rebuilt — their steps point into region tables they
     hold themselves — and are still the per-op path's run."""
-    from repro.runtime import executor
     monkeypatch.setattr(native, "MIN_POINTS", 0)
     monkeypatch.setattr(nest_tape, "SCHEDULES_PER_OP", 1)
     builds = []
@@ -935,3 +942,61 @@ def test_threads_running_one_segment_each_equal_a_serial_run():
     with ThreadPoolExecutor(2) as pool:
         got = [run.result() for run in [pool.submit(runs) for _ in "ab"]]
     assert all(each == want for results in got for each in results)
+
+
+# -- (h) a move step is fill_overlap -------------------------------------------
+
+@cache
+def segment_driver():
+    """A ``run_steps`` of a one-nest translation unit."""
+    tape = NestTape([("C", ref("A", 0), None)], 1)
+    return native.build([(tape, 1)], dict.fromkeys("AC", np.dtype(np.float64)))
+
+
+#: a NaN whose payload both dtypes keep bits of
+PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8_1234_5678_9ABC))[0]
+
+#: grid and distribution over an (11, 7) array: even and ragged blocks,
+#: a 1-wide grid dimension, a collapsed dimension; a halo of 2 fits all
+MOVE_LAYOUTS = [((2, 2), Distribution.block(2)),
+                ((3, 2), Distribution.block(2)),
+                ((1, 2), Distribution.block(2)),
+                ((4,), Distribution((DistKind.BLOCK, DistKind.COLLAPSED)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout=st.sampled_from(MOVE_LAYOUTS),
+       dtype=st.sampled_from([np.float32, np.float64]), slab=st.booleans(),
+       dim=st.sampled_from([1, 2]), shift=st.sampled_from([-2, -1, 1, 2]),
+       widen=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       boundary=st.sampled_from([None, 0.5, -0.0, PAYLOAD_NAN]),
+       seed=st.integers(0, 2**16))
+def test_a_move_step_leaves_the_arena_fill_overlap_leaves(
+        layout, dtype, slab, dim, shift, widen, boundary, seed):
+    """One ``run_steps`` call of a one-move step table leaves the arena
+    byte for byte as ``fill_overlap``: shifts up to the halo either way
+    along each dimension, widened (corner) shifts, every boundary kind,
+    on either storage — the step holds indices, no placement logic."""
+    grid, dist = layout
+    machine = Machine(grid=grid)
+    lay = Layout((11, 7), dist, machine.topology)
+    halo = ((2, 2), (2, 2))
+    got, want = (DArray.create(machine, name, lay, np.dtype(dtype), halo,
+                               slab) for name in "UV")
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(got.data.shape).astype(dtype)
+    nan = np.array(PAYLOAD_NAN, dtype)
+    values[rng.random(values.shape) < 0.2] = -nan
+    got.data[...] = want.data[...] = values
+    rsd = RSD(tuple(None if k == dim - 1 else RSDim(*widen)
+                    for k in range(2)))
+    op = OverlapShift("U", lay, got.dtype, halo, shift, dim,
+                      Charges(machine.cost_model), rsd, boundary=boundary)
+    want.fill_overlap(op)
+    step, _ = executor._move_step(0, got, op)
+    steps = np.array(step, np.int64)
+    bufs, file = np.array([got.arena[0]], np.int64), np.zeros(1)
+    assert segment_driver()(1, steps.size, steps.ctypes.data,
+                            bufs.ctypes.data, file.ctypes.data) == -1
+    assert want.data.tobytes() != values.tobytes()
+    assert got.data.tobytes() == want.data.tobytes()

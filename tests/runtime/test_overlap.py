@@ -12,7 +12,6 @@ from repro.machine import Machine
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import Layout
 from repro.runtime.overlap import overlap_shift
-from repro.runtime.vectorized import VArray
 
 from tests.conftest import random_grid
 
@@ -236,7 +235,7 @@ def global_edge_slab(padded, n, halo, dim0, sign, depth):
        seed=st.integers(0, 10))
 def test_overlap_fill_property(n, shift, dim, boundary, seed):
     """Any legal shift fills its slab with wrapped neighbor values (or
-    the boundary past the global edge) — in both placements, at the same
+    the boundary past the global edge) — in both storages, at the same
     cost."""
     g = np.random.default_rng(seed).standard_normal((n, n))
     sign = 1 if shift > 0 else -1
@@ -244,18 +243,17 @@ def test_overlap_fill_property(n, shift, dim, boundary, seed):
     wrapped = np.pad(g, 2, mode="wrap") if boundary is None else \
         np.pad(g, 2, mode="constant", constant_values=boundary)
     seen = {}
-    for array_type in (DArray, VArray):
+    for slab in (False, True):
         m = Machine(grid=(2, 2), keep_message_log=True)
         lay = Layout((n, n), Distribution.block(2), m.topology)
-        arr = array_type.create(m, "U", lay, np.dtype(np.float64),
-                                ((2, 2), (2, 2)))
+        arr = DArray.create(m, "U", lay, np.dtype(np.float64),
+                            ((2, 2), (2, 2)), slab)
         arr.scatter(g)
         overlap_shift(m, arr, shift, dim, boundary=boundary)
-        seen[array_type] = (arr.gather().tobytes(), m.report,
-                            m.network.log)
-        if array_type is VArray:
+        seen[slab] = (arr.gather().tobytes(), m.report, m.network.log)
+        if slab:
             np.testing.assert_array_equal(
-                global_edge_slab(arr.data, n, 2, dim - 1, sign, depth),
+                global_edge_slab(arr.padded(0), n, 2, dim - 1, sign, depth),
                 global_edge_slab(wrapped, n, 2, dim - 1, sign, depth))
             continue
         for pe in range(4):
@@ -266,4 +264,4 @@ def test_overlap_fill_property(n, shift, dim, boundary, seed):
                 expect = np.full_like(expect, boundary)
             np.testing.assert_array_equal(
                 halo_slab(arr, pe, dim - 1, sign, depth), expect)
-    assert seen[VArray] == seen[DArray]
+    assert seen[True] == seen[False]
