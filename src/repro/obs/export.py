@@ -162,9 +162,9 @@ def profile_from_json(text: str) -> CommProfile:
     """Parse a profile.json document (exact inverse of
     :func:`profile_to_json`)."""
     doc = json.loads(text)
-    if doc.get("type") != PROFILE_SCHEMA["type"]:
-        raise ValueError(f"not a comm_profile document: "
-                         f"type={doc.get('type')!r}")
+    kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
+    if kind != PROFILE_SCHEMA["type"]:
+        raise ValueError(f"not a comm_profile document: type={kind!r}")
     if doc.get("version") not in _READABLE_PROFILE_VERSIONS:
         raise ValueError(
             f"unsupported comm_profile version {doc.get('version')!r}")

@@ -75,8 +75,8 @@ class ProfileCollector:
 
 
 def _op_tree(run) -> tuple[list[list], list[int]]:
-    """The ``op`` spans under ``run`` (an ``execute`` span), through
-    ``iteration`` spans: ``[span, depth, self wall seconds]`` in
+    """The ``op`` spans under ``run`` (an ``execute`` span; its other
+    children hold none): ``[span, depth, self wall seconds]`` in
     preorder — an op's index is its position — and the indices in
     postorder, the order the ops finished.  Depth counts op ancestors;
     self wall time is the span's duration minus its nearest op
@@ -87,7 +87,6 @@ def _op_tree(run) -> tuple[list[list], list[int]]:
     def visit(span, depth: int, parent: "int | None") -> None:
         for child in span.children:
             if child.kind != "op":
-                visit(child, depth, parent)
                 continue
             index = len(ops)
             ops.append([child, depth, child.duration])

@@ -12,8 +12,9 @@ human-readable tree.
 Tracing is strictly opt-in: every instrumented entry point defaults to
 :data:`NULL_TRACER`, whose ``span()`` returns a shared no-op context
 manager and whose ``enabled`` flag lets hot paths (the plan executor's op
-loop) skip per-op span bookkeeping altogether.  Benchmarks therefore run
-the exact pre-instrumentation code path.
+loop) skip span bookkeeping.  A traced run executes the untraced run's
+program and differs from it only by the spans it files and the clock
+stamps a native segment's driver takes to time them.
 """
 
 from __future__ import annotations
@@ -188,30 +189,34 @@ class Tracer:
             line = line.strip()
             if not line:
                 continue
-            event = json.loads(line)
-            if event.get("type") == "trace":
-                if event.get("version") not in _READABLE_VERSIONS:
-                    raise ValueError(
-                        f"line {lineno}: unsupported trace version "
-                        f"{event.get('version')}")
-                continue
-            if event.get("type") != "span":
-                continue
-            # a v1/v2 span's counters are attributes now
-            attrs = {**event.get("attrs", {}), **event.get("counters", {})}
-            parent = event.get("parent")
             try:
+                event = json.loads(line)
+                if not isinstance(event, dict):
+                    raise TypeError(f"{type(event).__name__}, not an object")
+                if event.get("type") == "trace":
+                    if event.get("version") not in _READABLE_VERSIONS:
+                        raise ValueError(f"unsupported trace version "
+                                         f"{event.get('version')}")
+                    continue
+                if event.get("type") != "span":
+                    continue
+                # a v1/v2 span's counters are attributes now
+                attrs = {**event.get("attrs", {}), **event.get("counters", {})}
+                parent = event.get("parent")
                 span = Span(name=event["name"], kind=event.get("kind", ""),
                             attrs=attrs, t_start=float(event["start"]),
                             t_end=float(event["end"]))
                 (tracer.roots if parent is None
                  else by_id[parent].children).append(span)
                 by_id[event["id"]] = span
-            except KeyError as missing:
-                raise ValueError(
-                    f"line {lineno}: no {missing} (a span needs an id, a "
-                    f"name, a start, an end, and a parent that an earlier "
-                    f"line defined)") from None
+            except (KeyError, TypeError, ValueError) as exc:
+                why = (f"no {exc} (a span needs an id, a name, a start, an "
+                       f"end, and a parent that an earlier line defined)"
+                       if isinstance(exc, KeyError) else
+                       # a JSON error's line and column count this line
+                       f"{exc.msg} at column {exc.colno}"
+                       if isinstance(exc, json.JSONDecodeError) else exc)
+                raise ValueError(f"line {lineno}: {why}") from None
         return tracer
 
     # -- rendering -----------------------------------------------------------
@@ -265,9 +270,6 @@ class NullTracer(Tracer):
     """
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
 
     def span(self, name: str, /, kind: str = "", **attrs) -> _NullSpan:  # type: ignore[override]
         return _NULL_SPAN

@@ -9,17 +9,18 @@ compiler emits each PE's bounds and messages once, an op's walk runs
 once per machine geometry and is kept with the plan's tapes as a
 *schedule* (``PlanTapes.schedule``); every run evaluates its regions
 — a native nest's as rows of the schedule's region table — and replays
-its charges.  On the slab storage an untraced run hands each
-*segment* (a run of nests, ``OVERLAP_SHIFT``\\ s, swaps, SUMs and scalar
-assignments, a whole ``DO`` included) to the plan's native driver as one
-call and replays one merged recording per trip; a segment's steps, and
-each op list's partition into ops and segments, are schedules like any
-op's.
+its charges.  On the slab storage a run hands each *segment* (a run of
+nests, ``OVERLAP_SHIFT``\\ s, swaps, SUMs and scalar assignments, a whole
+``DO`` included) to the plan's native driver as one call and replays one
+merged recording per trip — traced, it files each op's span from the
+driver's stamps; a segment's steps, and each op list's partition into
+ops and segments, are schedules like any op's.
 """
 
 from __future__ import annotations
 
 import operator
+import time
 from dataclasses import dataclass
 from functools import partial
 from math import prod
@@ -141,7 +142,7 @@ class _Program:
         self.ints: set[int] = set()     # slots holding a Python int
         self.code: list[int] = []
         self.steps: list[int] = []
-        self.stops: dict[int, int] = {}     # program step -> its op
+        self.stops: dict[int, int] = {}     # each step's position -> op
 
     def emit(self, at: int, step: list) -> None:
         """Op ``at``'s pending program step, then ``step``."""
@@ -149,6 +150,8 @@ class _Program:
             self.stops[len(self.steps)] = at
             self.steps += [3, len(self.code) // 4, *self.code]
             self.code = []
+        if step:
+            self.stops[len(self.steps)] = at
         self.steps += step
 
     def slot(self, value: float = 0.0) -> int:
@@ -553,21 +556,21 @@ class _Exec:
 
     # -- op dispatch -----------------------------------------------------------
     def run_ops(self, ops: list[PlanOp]) -> None:
-        if self.tracer.enabled:
-            for op in ops:
+        for item in self._items(ops) if self._segments() else ops:
+            if item.__class__ is not _Segment:
+                self._each((item,))
+            elif not self._run_segment(item):
+                self._each(item)
+
+    def _each(self, ops) -> None:
+        """``ops`` one by one, each in its ``op`` span when traced."""
+        for op in ops:
+            if self.tracer.enabled:
                 name, attrs = op_label(op)
                 with self.tracer.span(name, kind="op", **attrs):
                     self._dispatch(op)
-        elif not self._segments():
-            for op in ops:
+            else:
                 self._dispatch(op)
-        else:
-            for item in self._items(ops):
-                if item.__class__ is not _Segment:
-                    self._dispatch(item)
-                elif not self._run_segment(item):
-                    for op in item:
-                        self._dispatch(op)
 
     def do_overlap_shift(self, op: OverlapShiftOp) -> None:
         da = self.darray(op.array)
@@ -678,10 +681,12 @@ class _Exec:
     def _boxes(self, op: LoopNestOp, space) -> list[tuple[int, list]]:
         """SPMD loop-bounds reduction: ``(pe, box)`` for every PE whose
         owned block meets the nest's iteration space."""
+        first = self.darray(op.statements[0].lhs)
         boxes = []
         for pe in self.machine.topology.ranks():
-            box = self._nest_box(op, space, pe)
-            if box is not None:
+            box = [(max(slo, olo), min(shi, ohi)) for (slo, shi), (olo, ohi)
+                   in zip(space, first.owned_box(pe))]
+            if all(lo <= hi for lo, hi in box):
                 boxes.append((pe, box))
         return boxes
 
@@ -728,7 +733,7 @@ class _Exec:
         """``trips`` runs of ``ops`` in one driver call when they are one
         segment that does not read ``var`` (a ``DO``'s variable); how
         many ran (0: none — run them per op)."""
-        if trips < 1 or self.tracer.enabled or not self._segments():
+        if trips < 1 or not self._segments():
             return 0
         items = self._items(ops)
         if len(items) != 1 or items[0].__class__ is not _Segment:
@@ -774,8 +779,11 @@ class _Exec:
         bufs = np.array([da.arena[0] for da in arrays] + [
             scratch.ctypes.data, parts.ctypes.data], np.int64)
         size = built.steps.size
-        stop = self._tapes.driver(trips, size, built.steps.ctypes.data,
-                                  bufs.ctypes.data, file.ctypes.data)
+        stamps = np.empty(1 + trips * len(built.program.stops)) \
+            if self.tracer.enabled else None
+        stop = self._tapes.driver(
+            trips, size, built.steps.ctypes.data, bufs.ctypes.data,
+            file.ctypes.data, None if stamps is None else stamps.ctypes.data)
         done, at = (trips, 0) if stop < 0 else (
             stop // size, built.program.stops[stop % size])
         buffer = {da.arena[0]: da for da in arrays}
@@ -783,21 +791,53 @@ class _Exec:
         values = file.tolist()
         for name, slot in built.program.stored.items():
             self.scalars[name] = values[slot]
-        repeats, rest = divmod(done, len(built.members))
-        if repeats:
-            self.machine.network.replay(built.period, repeats)
-        for t, trip in enumerate(built.members[:rest + 1]):
-            for op, charges, _ in trip:
-                if t < rest or op < at:
-                    self.machine.network.replay(charges)
+        if self.machine.network.observer is None:   # else: in op spans
+            repeats, rest = divmod(done, len(built.members))
+            if repeats:
+                self.machine.network.replay(built.period, repeats)
+            for t, trip in enumerate(built.members[:rest + 1]):
+                for op, charges, _ in trip:
+                    if t < rest or op < at:
+                        self.machine.network.replay(charges)
+        if stamps is not None:
+            self._observe(seg, built, stamps, done, at)
         self._file([how for op, _, how in built.members[0] if how
                     for _ in range(done + (op < at))])
         _count(1, status="segment")
         if stop < 0:
             return trips
-        for op in seg[at:]:
-            self._dispatch(op)
+        self._each(seg[at:])
         return done + 1
+
+    def _observe(self, seg: _Segment, built: _Steps, stamps: np.ndarray,
+                 done: int, at: int) -> None:
+        """The ``op`` spans the per-op path opens for ``done`` trips of
+        ``seg`` and the next trip's ops before ``at``, each timed by its
+        steps' ``stamps`` moved onto the tracer's clock.  A profiled run
+        replays each op's own charges in its span, and ``parallel`` files
+        its nests on worker 0's track, as the per-op path does."""
+        # the driver's clock onto the tracer's and the worker log's
+        now = time.clock_gettime(time.CLOCK_MONOTONIC)
+        times = (stamps + (self.tracer._clock() - now)).tolist()
+        pc = (stamps + (time.perf_counter() - now)).tolist()
+        owners, log = list(built.program.stops.values()), self._log
+        profiled = self.machine.network.observer is not None
+        edges = np.searchsorted(owners, np.arange(len(seg) + 1)).tolist()
+        for t in range(done + 1):
+            trip = iter(built.members[t % len(built.members)])
+            member, base = next(trip, None), t * len(owners)
+            for i in range(len(seg) if t < done else at):
+                first, last = base + edges[i], base + edges[i + 1]
+                name, attrs = op_label(seg[i])
+                with self.tracer.span(name, kind="op", **attrs) as span:
+                    while member is not None and member[0] == i:
+                        if profiled:
+                            self.machine.network.replay(member[1])
+                            if log is not None and member[2] is not None \
+                                    and isinstance(seg[i], LoopNestOp):
+                                log.file([(pc[first], pc[last])], 0.0, span)
+                        member = next(trip, None)
+                span.t_start, span.t_end = times[first], times[last]
 
     def _build_segment(self, seg: _Segment, spaces: tuple, cuts: tuple):
         """``seg``'s :class:`_Steps` from its members' schedules (built
@@ -964,17 +1004,6 @@ class _Exec:
                                 reach[d][1] = max(reach[d][1], o)
         return [tuple(r) for r in reach]
 
-    def _nest_box(self, nest: LoopNestOp, space, pe):
-        first = self.darray(nest.statements[0].lhs)
-        owned = first.owned_box(pe)
-        box = []
-        for (slo, shi), (olo, ohi) in zip(space, owned):
-            lo, hi = max(slo, olo), min(shi, ohi)
-            if lo > hi:
-                return None
-            box.append((lo, hi))
-        return box
-
     def _split_interior(self, box, pe, nest, shrink):
         """Split a compute box into the interior (no overlap-cell reads)
         and disjoint boundary strips."""
@@ -1051,13 +1080,14 @@ def execute(plan: Plan, machine: Machine,
     applies the cost model's interpretive-node-code factor to loop time
     (the xlhpf-like baseline).  ``tracer`` (a :class:`repro.obs.Tracer`)
     records an ``execute`` span with one timed child span per executed
-    plan op.  ``backend`` selects the executor: ``perpe`` keeps a cell
-    per PE and evaluates each nest per PE box (reference semantics);
-    ``vectorized`` keeps each array as one cell, the global slab, and
-    evaluates a nest once over its whole space, untraced runs handing
-    segments of ops to the native driver; ``parallel`` is ``vectorized``
-    with big nests cut into row stripes on threads.  All three charge
-    the cost model identically.
+    plan op, every iteration's side by side (a segment's are timed from
+    the driver's stamps).  ``backend`` selects the executor: ``perpe``
+    keeps a cell per PE and evaluates each nest per PE box (reference
+    semantics); ``vectorized`` keeps each array as one cell, the global
+    slab, and evaluates a nest once over its whole space, handing
+    segments of ops to the native driver; ``parallel`` is
+    ``vectorized`` with big nests cut into row stripes on threads.  All
+    three charge the cost model identically.
     ``profile`` runs under ``tracer`` (a private one when none is
     given), whose op spans are the run's op stack, and attaches a
     :class:`repro.obs.profile.ProfileCollector` to the network
@@ -1098,12 +1128,8 @@ def execute(plan: Plan, machine: Machine,
                     ex.materialize(name, inputs_up.get(name))
             done = ex.run_trips(plan.ops, iterations) if iterations > 1 \
                 else 0
-            for i in range(done, iterations):
-                if iterations > 1 and tracer.enabled:
-                    with tracer.span("iteration", kind="runtime", i=i):
-                        ex.run_ops(plan.ops)
-                else:
-                    ex.run_ops(plan.ops)
+            for _ in range(done, iterations):
+                ex.run_ops(plan.ops)
             with tracer.span("gather-results", kind="runtime"):
                 arrays = {name: da.gather()
                           for name, da in ex.darrays.items()}

@@ -117,10 +117,21 @@ static {real} pw_{real}(const {real} *a, long long n)
 #: rank order as ``executor._reduce`` folds them; a move step is
 #: ``DArray.fill_overlap``: its ``(dst, src, edge)`` arena indices, each
 #: edge cell given the fill value's bytes in the step; a swap step
-#: exchanges two slots; a program
-#: step runs ``(opcode, dst, a, b)`` over ``d``, a named scalar stored
-#: last: a zero divisor returns ``trip * nsteps +`` the step's position.
+#: exchanges two slots; a program step runs ``(opcode, dst, a, b)`` over
+#: ``d``, a named scalar stored last: a zero divisor returns ``trip *
+#: nsteps +`` the step's position.  A traced run passes ``stamps``, which
+#: take ``CLOCK_MONOTONIC`` at entry and after every step (untraced, NULL:
+#: one test per step).
 PRELUDE += """\
+#include <time.h>
+static double *tick(double *at)
+{
+  struct timespec ts;
+  if (at)
+    clock_gettime(CLOCK_MONOTONIC, &ts),
+      *at++ = ts.tv_sec + 1e-9 * ts.tv_nsec;
+  return at;
+}
 typedef void (*entry_t)(long long, const long long *, const long long *,
                         const long long *, const double *);
 static void move(char *buf, const long long *s)
@@ -135,10 +146,12 @@ static void move(char *buf, const long long *s)
     else __builtin_memcpy(buf + 8 * edge[i], s + 8, 8);
 }
 long long run_steps(long long trips, long long nsteps, const long long *steps,
-                    long long *bufs, double *d)
+                    long long *bufs, double *d, double *stamps)
 {
+  stamps = tick(stamps);
   for (long long t = 0; t < trips; t++)
-    for (const long long *s = steps, *end = s; s < steps + nsteps; s = end)
+    for (const long long *s = steps, *end = s; s < steps + nsteps;
+         s = end, stamps = tick(stamps))
       if (s[0] == 0 || s[0] == 4) {
         long long base[s[6]];
         for (long long g = 0; g < s[6]; g++) base[g] = bufs[s[7 + g]];
@@ -569,8 +582,8 @@ def build(tapes: list, dtypes, tracer=None):
         tape.kernel = Kernel(lib, layout)
     driver = lib.run_steps
     driver.restype = ctypes.c_longlong
-    # trips, steps; the step table, the buffer slots, the scalar file
-    driver.argtypes = [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 3
+    # trips, steps; step table, buffer slots, scalar file, stamps
+    driver.argtypes = [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 4
     return driver
 
 

@@ -6,8 +6,8 @@ executes the *same plans* through the *same skeleton* with each arena
 laid out on a one-PE grid — one cell, the global padded array (see
 :class:`~repro.runtime.darray.DArray`) — so a nest is evaluated once over
 its whole iteration space, a shift's moves touch only the global edge
-planes, and an untraced run hands each segment of ops to the plan's
-native driver as one call.
+planes, and a run, traced or not, hands each segment of ops to the
+plan's native driver as one call.
 
 Cost accounting is not this module's business: what an op costs, and in
 which rank order it is charged, lives once per op in ``overlap.py``,

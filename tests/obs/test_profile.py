@@ -421,6 +421,9 @@ class TestSerialization:
         with pytest.raises(ValueError):
             profile_from_json(
                 '{"type": "comm_profile", "version": 99, "profile": {}}')
+        for text in ("[1]", '"comm_profile"'):   # not an object
+            with pytest.raises(ValueError, match="not a comm_profile"):
+                profile_from_json(text)
 
     def test_file_round_trip(self, tmp_path):
         profile = profiled().profile

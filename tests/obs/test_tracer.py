@@ -174,6 +174,20 @@ class TestJsonl:
         with pytest.raises(ValueError, match=f"line 3: .*'{field}'"):
             Tracer.from_jsonl(text)
 
+    @pytest.mark.parametrize("line", [
+        "[1]", '"span"', span_line(start=None),
+        span_line(end="later"), span_line(attrs=[1]),
+        span_line(parent=["a#0"]), span_line()[:-1],
+        '{"type": "trace", "version": 999}',
+    ], ids=["array", "string", "null-start", "text-end", "list-attrs",
+            "list-parent", "truncated", "version"])
+    def test_rejects_a_malformed_line_naming_it(self, line):
+        """Every malformed line is a ``ValueError`` that names its line
+        of the file, a JSON error's included."""
+        text = "\n".join([json.dumps(TRACE_SCHEMA), "", line])
+        with pytest.raises(ValueError, match=r"^line 3: "):
+            Tracer.from_jsonl(text)
+
     def test_summary_mentions_names_and_counters(self):
         text = self.make_trace().summary()
         assert "compile" in text

@@ -18,6 +18,7 @@ import shutil
 import stat
 import struct
 import warnings
+from contextlib import contextmanager
 from functools import cache
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import testing
 from repro.ir.nodes import (
     BinOp, Compare, Const, Intrinsic, OffsetRef, ScalarRef, UnaryOp,
 )
@@ -327,9 +329,11 @@ class TestPlanLevelSelection:
         tracer = Tracer()
         result, registry, plan = run_registry_kernel(tracer=tracer)
         # one kernel obtained and no ``fallback`` sample: no nest, at
-        # plan level or per call, ran the tape
-        assert kernel_counts(registry) in ({("built", None): 1.0},
-                                           {("loaded", None): 1.0})
+        # plan level or per call, ran the tape; the traced run took its
+        # one segment
+        counts = kernel_counts(registry)
+        assert counts.pop(("segment", None)) == 1.0
+        assert counts in ({("built", None): 1.0}, {("loaded", None): 1.0})
         span = tracer.find("native-build")
         assert span.attrs["status"] in ("built", "loaded")
         assert tracer.find("execute").children[0] is span
@@ -628,13 +632,27 @@ def test_backend_equivalence_above_the_size_constant(monkeypatch):
                                bindings={"N": 256})
     rng = np.random.default_rng(5)
     inputs = {"U": rng.standard_normal((256, 256)).astype(np.float32)}
-    attached = []
+    attached, registries = [], {}
     build = native.build
     monkeypatch.setattr(native, "build", lambda tapes, *a: (
         build(tapes, *a), attached.extend(t.kernel for t, _ in tapes))[0])
+    in_context = testing._backend_run_context
+
+    @contextmanager
+    def counted(backend):
+        registry = registries.setdefault(backend, MetricsRegistry())
+        with in_context(backend), use_registry(registry):
+            yield
+
+    monkeypatch.setattr(testing, "_backend_run_context", counted)
     backend_equivalence_check(
         program, inputs, levels=("O4", "O5"), outputs=set(spec.outputs))
     assert attached and None not in attached
+    # the contract's profiled runs take the default path: ``vectorized``
+    # runs its segments; ``parallel``, made to stripe every nest, has
+    # each segment built and refused for its striped nest
+    assert kernel_counts(registries["vectorized"])[("segment", None)] > 0
+    assert kernel_counts(registries["parallel"])[("per-op", "striped")] > 0
 
 
 # -- (g) native segments: one driver call per loop body ----------------------
@@ -646,6 +664,18 @@ def observed_run(compiled, backend="vectorized", grid=(2, 2),
     driver call it made, its registry)``.  ``segments=False`` takes the
     plan's driver away: the per-op path; ``segments=None`` leaves it
     alone (runs on other threads share it) and records no trips."""
+    result, machine, trips, registry = observed_result(
+        compiled, backend, grid, segments, **kw)
+    return ({k: v.tobytes() for k, v in result.arrays.items()},
+            {k: float(v).hex() for k, v in result.scalars.items()},
+            result.report, result.report.rows.tobytes(),
+            [(m.src, m.dst, m.nbytes, m.tag) for m in machine.network.log],
+            result.peak_memory_per_pe), trips, registry
+
+
+def observed_result(compiled, backend, grid, segments, **kw):
+    """:func:`observed_run`'s run: ``(result, machine, trips,
+    registry)``."""
     plan = compiled.plan
     prepare(plan)
     tapes = plan_tapes(plan)
@@ -665,11 +695,7 @@ def observed_run(compiled, backend="vectorized", grid=(2, 2),
                                   backend=backend, **kw)
     finally:
         tapes.driver = driver
-    return ({k: v.tobytes() for k, v in result.arrays.items()},
-            {k: float(v).hex() for k, v in result.scalars.items()},
-            result.report, result.report.rows.tobytes(),
-            [(m.src, m.dst, m.nbytes, m.tag) for m in machine.network.log],
-            result.peak_memory_per_pe), trips, registry
+    return result, machine, trips, registry
 
 
 def warm_run(compiled, backend="vectorized", grid=(2, 2), segments=True,
@@ -859,16 +885,93 @@ def test_a_warm_jacobi_loop_is_one_driver_call():
     assert kernel_counts(registry) == {("segment", None): 2.0}
 
 
-@pytest.mark.parametrize("backend, kw", [
-    ("perpe", {}), ("vectorized", {"tracer": Tracer()}),
-    ("vectorized", {"profile": True}), ("parallel", {"profile": True}),
-], ids=["perpe", "traced", "profiled", "profiled-parallel"])
-def test_per_op_runs_make_no_driver_call(backend, kw):
+@pytest.mark.parametrize("backend", ["perpe"])
+def test_per_op_runs_make_no_driver_call(backend):
     compiled = compile_kernel("jacobi", bindings={"N": 256, "NITER": 4})
-    got, trips, registry = warm_run(compiled, backend, **kw)
+    _, trips, registry = warm_run(compiled, backend)
     assert trips == [] and ("segment", None) not in kernel_counts(registry)
-    want, _, _ = warm_run(compiled, "perpe")
+
+
+@pytest.mark.parametrize("name", ["jacobi", "cg"])
+@pytest.mark.parametrize("backend, observe", [
+    ("vectorized", "tracer"), ("parallel", "tracer"),
+    ("vectorized", "profile"), ("parallel", "profile"),
+], ids=["traced", "traced-parallel", "profiled", "profiled-parallel"])
+def test_observed_runs_make_driver_calls(name, backend, observe):
+    """A traced or profiled slab run is the untraced one: the preheader
+    and all 20 trips of the loop are two driver calls, and it leaves
+    what ``perpe`` leaves."""
+    compiled = compile_kernel(name, bindings={"N": 256, "NITER": 20})
+    kw = {"tracer": Tracer()} if observe == "tracer" else {"profile": True}
+    got, trips, registry = warm_run(compiled, backend, (4, 4), workers=2,
+                                    **kw)
+    assert trips == [1, 20]
+    assert kernel_counts(registry) == {("segment", None): 2.0}
+    want, _, _ = warm_run(compiled, "perpe", (4, 4))
     assert got == want
+
+
+def masked(profile) -> dict:
+    """``profile.to_dict()`` without its wall-clock fields."""
+    doc = profile.to_dict()
+    validation, totals = dict(doc["validation"]), dict(doc["totals"])
+    validation["rows"] = [{**row, "wall_s": None}
+                          for row in validation["rows"]]
+    validation["scale_wall_per_modelled"] = validation["mape_pct"] = None
+    totals["wall_s"] = None
+    doc.update(validation=validation, totals=totals)
+    if "worker_tracks" in doc:
+        doc["worker_tracks"] = [
+            {**track, "wall_s": None, "events": [
+                {**event, "t0": None, "t1": None}
+                for event in track["events"]]}
+            for track in doc["worker_tracks"]]
+    return doc
+
+
+def span_tree(tracer) -> list:
+    return [(sid, parent, span.name, span.kind, span.attrs)
+            for span, sid, parent in tracer.iter_with_ids()]
+
+
+def assert_timed(span) -> None:
+    """``span``'s children lie inside it, one after the other."""
+    assert span.t_start <= span.t_end
+    end = span.t_start
+    for child in span.children:
+        assert end <= child.t_start <= child.t_end <= span.t_end
+        end = child.t_end
+        assert_timed(child)
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "parallel"])
+@pytest.mark.parametrize("name, iterations", [
+    ("nine_point", 4), ("jacobi", 1), ("cg", 1)])
+def test_observed_segments_equal_the_per_op_path(name, iterations, backend,
+                                                 monkeypatch):
+    """A traced run in segments files the per-op path's span tree, its
+    spans nested and in order in time; a profiled run's profile is the
+    per-op path's but for wall-clock fields."""
+    monkeypatch.setattr(native, "MIN_POINTS", 0)
+    compiled = compile_kernel(name, bindings={"N": 26})
+    trees, profiles = [], []
+    for segments in (True, False):
+        observed_result(compiled, backend, (3, 2), segments,
+                        iterations=iterations, workers=2)
+        tracer = Tracer()
+        _, _, trips, registry = observed_result(
+            compiled, backend, (3, 2), segments, iterations=iterations,
+            workers=2, tracer=tracer)
+        assert bool(trips) == segments
+        trees.append(span_tree(tracer))
+        for root in tracer.roots:
+            assert_timed(root)
+        result, _, _, _ = observed_result(
+            compiled, backend, (3, 2), segments, iterations=iterations,
+            workers=2, profile=True)
+        profiles.append(masked(result.profile))
+    assert trees[0] == trees[1]
+    assert profiles[0] == profiles[1]
 
 
 def test_a_striped_nest_keeps_the_per_op_path_counted():
@@ -997,6 +1100,6 @@ def test_a_move_step_leaves_the_arena_fill_overlap_leaves(
     steps = np.array(step, np.int64)
     bufs, file = np.array([got.arena[0]], np.int64), np.zeros(1)
     assert segment_driver()(1, steps.size, steps.ctypes.data,
-                            bufs.ctypes.data, file.ctypes.data) == -1
+                            bufs.ctypes.data, file.ctypes.data, None) == -1
     assert want.data.tobytes() != values.tobytes()
     assert got.data.tobytes() == want.data.tobytes()
