@@ -30,7 +30,9 @@ Why ``-O3`` keeps NumPy's bits: without ``-ffast-math`` and with
 ``-ffp-contract=off`` the compiler may neither reassociate nor fuse a
 multiply into an add, so each point's value is computed by the same
 IEEE operations in the same order as the ufunc tape computes it;
-vectorization reorders work *across* points, never within one.
+vectorization reorders work *across* points, never within one, and the
+vector width of the clone the loader picks (``vec_clones``: AVX-512,
+AVX2 or baseline) sets only how many points one instruction covers.
 
 Selection is by what the code can observe, never by an option.  Per
 plan: NumPy 2 promotion, an iteration space of at least
@@ -64,27 +66,44 @@ from repro.errors import SemanticError
 from repro.store import Codec, DiskStore, shared_disk_store
 
 #: No ``-march``: a kernel file is shared by every process of this user
-#: on this host, whatever CPU flags a container exposes.
+#: on this host, whatever CPU flags a container exposes; each box carries
+#: its ISA clones instead, one picked per process (``vec_clones``).
 CC_FLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-shared",
             "-fPIC")
 
 #: Plans whose largest nest covers fewer points stay on the ufunc tape
-#: and never look for a compiler.  A cold build is ~0.1 s (``cc -O3`` of
-#: a 9-point nest, 90 ms here) plus ~5 ms per process to load; the tape
-#: is ~2.5 ms per sweep slower at 2**16 points, so a plan this small
-#: needs dozens of sweeps to repay a build and a test-sized one never
-#: does.
+#: and never look for a compiler.  A cold build is 0.2-0.7 s (``cc -O3``
+#: of a plan's unit, three clones per box) plus ~5 ms per process to
+#: load; the tape is ~2.5 ms per sweep slower at 2**16 points, so a plan
+#: this small needs a hundred sweeps to repay a build and a test-sized
+#: one never does.
 MIN_POINTS = 1 << 16
 
 #: Seconds one ``cc`` run may take before the plan falls back.
 BUILD_TIMEOUT_S = 60.0
 
 _CTYPE = {np.dtype(np.float32): "float", np.dtype(np.float64): "double"}
+#: ``vec_clones`` prefixes every box: on x86-64 glibc (``<time.h>``, first,
+#: defines ``__GLIBC__``) AVX-512, AVX2 and baseline clones, of which the
+#: loader's IFUNC resolver picks one per ``dlopen``; elsewhere nothing.  A
+#: ``-Dvec_clones=...`` flag wins.
+PRELUDE = """\
+#include <time.h>
+#if !defined(vec_clones) && defined(__x86_64__) && defined(__GLIBC__) \\
+    && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define vec_clones __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef vec_clones
+#define vec_clones
+#endif
+"""
 #: Unary minus flips the sign bit and nothing else, NaNs included, as
 #: ``np.negative`` does; written as the bit operation so the compiler
 #: cannot fold ``a + (-b)`` into ``a - b``, which answers a NaN ``b``
 #: with the other sign.
-PRELUDE = "".join(
+PRELUDE += "".join(
     f"static inline {real} neg_{real}({real} x) {{ union {{ {real} f; "
     f"{bits} u; }} v = {{ x }}; v.u ^= ({bits})1 << {n}; return v.f; }}\n"
     for real, bits, n in (("float", "unsigned", 31),
@@ -123,7 +142,6 @@ static {real} pw_{real}(const {real} *a, long long n)
 #: take ``CLOCK_MONOTONIC`` at entry and after every step (untraced, NULL:
 #: one test per step).
 PRELUDE += """\
-#include <time.h>
 static double *tick(double *at)
 {
   struct timespec ts;
@@ -307,7 +325,7 @@ def emit(tape, rank: int, dtypes, name: str, sums: bool = False):
                for d in range(rank - 1)]
     params += [f"long long o{j}" for j in range(len(refs))]
     params += [f"double d{m}" for m in range(len(scalar_args))]
-    lines = [f"static void {name}_box({', '.join(params)})", "{"]
+    lines = [f"vec_clones static void {name}_box({', '.join(params)})", "{"]
     lines += [f"  const {real} c{m} = ({real})d{m};"
               for m in range(len(scalar_args))]
     for d in range(rank):

@@ -176,10 +176,11 @@ def ref(name, *offsets):
     return OffsetRef(name, offsets)
 
 
-#: a static box function (the nest body, restrict pointers as
-#: parameters), then the one entry point: the box per region-table row
+#: a static box function (its ISA clones' macro, the nest body, restrict
+#: pointers as parameters), then the one entry point: the box per
+#: region-table row
 GRAMMAR = re.compile(r"""
-    static\ void\ (?P<k>k\d+)_box\(
+    vec_clones\ static\ void\ (?P<k>k\d+)_box\(
         (?:(?:const\ )?(?:float|double)\ \*restrict\ a\d+,\ )+
         (?:long\ long\ [nso][\d_]+(?:,\ )?)+
         (?:,\ double\ d\d+)*\)\n
@@ -207,6 +208,36 @@ GRAMMAR = re.compile(r"""
 @settings(max_examples=25, deadline=None)
 @given(fused_nests())
 def test_native_and_ufunc_tape_agree_bitwise(nest):
+    agree_bitwise(nest)
+
+
+def cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return {flag for line in f if line.startswith("flags")
+                    for flag in line.split(":", 1)[1].split()}
+    except OSError:
+        return set()
+
+
+@pytest.mark.parametrize("isa", ["baseline", "avx2", "avx512f"])
+def test_every_clone_agrees_with_the_tape_bitwise(isa, monkeypatch):
+    """One ISA per build, the macro every box carries defined on the
+    command line (the flags are part of the kernel key, so no two builds
+    share a file): the clones differ in vector width only, which changes
+    how many points one instruction covers, never the operations within
+    one."""
+    if isa != "baseline" and isa not in cpu_flags():
+        pytest.skip(f"this CPU has no {isa}")
+    target = "" if isa == "baseline" else \
+        f'__attribute__((target("{isa}")))'
+    monkeypatch.setattr(native, "CC_FLAGS",
+                        (*native.CC_FLAGS, f"-Dvec_clones={target}"))
+    settings(max_examples=25, deadline=None)(given(fused_nests())(
+        agree_bitwise))()
+
+
+def agree_bitwise(nest):
     rank, statements, boxes, dtype, seed = nest
     dtypes = dict.fromkeys(READ + WRITTEN, np.dtype(dtype))
     tape, reference = (NestTape(statements, rank) for _ in range(2))
@@ -222,7 +253,15 @@ def test_native_and_ufunc_tape_agree_bitwise(nest):
         got, expected = (make_arrays(shape, dtype, seed) for _ in range(2))
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ran = run_native(tape, got, box, scalars)
+            try:
+                ran = run_native(tape, got, box, scalars)
+            except ZeroDivisionError:
+                # a zero divisor among Python scalars raises as Python
+                # does, before any point is computed, on both paths
+                with pytest.raises(ZeroDivisionError):
+                    reference.run(bind(reference, expected, box), scalars,
+                                  {})
+                return
             if not ran:
                 tape.run(bind(tape, got, box), scalars, {})
             reference.run(bind(reference, expected, box), scalars, {})
