@@ -229,15 +229,20 @@ class RunJob:
                    "iterations": self.iterations, **extra})
 
 
-def plan_document(compiled) -> tuple[str, str]:
+def plan_document(compiled, encode: bool = True) -> "tuple[str, str] | None":
     """``(text, plan_key)``: the canonical JSON serialization of the
     compiled plan and its sha256 — the plan's machine-independent
-    identity in ledger records and ``/plan/<key>`` URLs."""
-    import hashlib
+    identity in ledger records and ``/plan/<key>`` URLs.  Encoded once
+    per (immutable) program and kept on it: ``None`` till then, if not
+    ``encode``."""
+    if encode and not hasattr(compiled, "_plan_document"):
+        import hashlib
 
-    from repro.plan import plan_to_json
-    text = plan_to_json(compiled.plan)
-    return text, hashlib.sha256(text.encode()).hexdigest()
+        from repro.plan import plan_to_json
+        text = plan_to_json(compiled.plan)
+        compiled._plan_document = (
+            text, hashlib.sha256(text.encode()).hexdigest())
+    return getattr(compiled, "_plan_document", None)
 
 
 def report_doc(compiled) -> dict:

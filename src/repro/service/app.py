@@ -46,11 +46,14 @@ from repro.service.schemas import JobError
 #: Request framing limits — far above any legitimate job document.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
+#: Seconds to send a whole request in; a client that stalls gets 408.
+READ_TIMEOUT_S = 30.0
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
+    405: "Method Not Allowed", 408: "Request Timeout",
+    413: "Payload Too Large", 429: "Too Many Requests",
+    500: "Internal Server Error",
 }
 
 #: (method, path) -> handler taking (state, parsed JSON body).
@@ -211,9 +214,12 @@ class ReproService:
                       writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                request = await _read_request(reader)
+                request = await asyncio.wait_for(_read_request(reader),
+                                                 READ_TIMEOUT_S)
             except _BadRequest as exc:
                 response = Response.error(exc.status, str(exc))
+            except asyncio.TimeoutError:
+                response = Response.error(408, "request not sent in time")
             except (asyncio.IncompleteReadError, ConnectionError):
                 return
             else:

@@ -33,16 +33,18 @@ class Coalescer:
 
     def __init__(self) -> None:
         self._inflight: "dict[str, asyncio.Future]" = {}
-        #: Requests that ran their factory / piggybacked on one.
+        #: Requests that did not piggyback / piggybacked on one.
         self.leaders = 0
         self.followers = 0
 
     def __len__(self) -> int:
         return len(self._inflight)
 
-    async def run(self, key: str, factory) -> "tuple[object, bool]":
+    async def run(self, key: str, factory,
+                  ready=None) -> "tuple[object, bool]":
         """Run ``factory()`` once per concurrently-requested ``key``.
 
+        A leader's ``ready()``, if not ``None``, is the answer instead.
         Returns ``(result, coalesced)`` where ``coalesced`` is True for
         followers that piggybacked on another request's work.
         """
@@ -53,9 +55,11 @@ class Coalescer:
             if status == "error":
                 raise payload
             return payload, True
+        self.leaders += 1
+        if ready is not None and (value := ready()) is not None:
+            return value, False
         future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
-        self.leaders += 1
         try:
             try:
                 value = await factory()

@@ -56,14 +56,30 @@ class Response:
     body: bytes = b""
     content_type: str = "application/json"
     headers: dict = field(default_factory=dict)
+    #: a ``bytes`` value's stand-in, and as JSON writes it (then replaced)
+    _SPLICE, _SPLICED = "\0splice\0", b"\\u0000splice\\u0000"
 
     @classmethod
     def json(cls, doc: dict, status: int = 200,
              **headers) -> "Response":
-        doc = {"schema": dict(SERVICE_SCHEMA), **doc}
-        return cls(status=status, headers=headers,
-                   body=(json.dumps(doc, sort_keys=True) + "\n")
-                   .encode())
+        """``json.dumps(doc, sort_keys=True) + "\\n"``, but a ``bytes``
+        value goes in verbatim, not escaped (exact for base64)."""
+        doc, spliced = {"schema": dict(SERVICE_SCHEMA), **doc}, []
+
+        def splice(value):
+            if not isinstance(value, bytes):
+                raise TypeError(f"{type(value).__name__} is not JSON")
+            spliced.append(value)
+            return cls._SPLICE
+
+        parts = (json.dumps(doc, sort_keys=True, default=splice)
+                 + "\n").encode().split(cls._SPLICED)
+        body = b"".join(x for pair in zip(parts, spliced + [b""])
+                        for x in pair)
+        if len(parts) != len(spliced) + 1:  # a string holds the stand-in
+            body = (json.dumps(doc, sort_keys=True, default=bytes.decode)
+                    + "\n").encode()
+        return cls(status=status, headers=headers, body=body)
 
     @classmethod
     def error(cls, status: int, message: str, **headers) -> "Response":
@@ -151,7 +167,8 @@ def _compile_sync(state: ServiceState, job: CompileJob):
 
     with obs_metrics.use_registry():
         compiled = job.compile(cache=state.plan_cache)
-    return (compiled, *plan_document(compiled))
+    plan_document(compiled)  # encoded here, off the event loop
+    return compiled
 
 
 async def _compile_shared(state: ServiceState, job: CompileJob):
@@ -159,17 +176,21 @@ async def _compile_shared(state: ServiceState, job: CompileJob):
 
     The coalesce key is the plan-cache key, so the dedup horizon is
     exactly the cache's: requests that would hit the same cache entry
-    share the same leader.  Returns
-    ``(key, compiled, plan_key, coalesced)``.
+    share the same leader.  A memory hit with its plan document encoded
+    stays on the loop.  Returns ``(key, compiled, plan_key, coalesced)``.
     """
     key = job.cache_key(state.plan_cache)
+
+    def ready():
+        return state.plan_cache.memory.get_if(
+            key, lambda c: plan_document(c, encode=False))
 
     async def factory():
         return await state.pool.submit(
             lambda: _compile_sync(state, job))
 
-    (compiled, text, plan_key), coalesced = \
-        await state.coalescer.run(key, factory)
+    compiled, coalesced = await state.coalescer.run(key, factory, ready)
+    text, plan_key = plan_document(compiled)
     state.coalesced_total.inc(
         role="follower" if coalesced else "leader")
     for alias in (key, plan_key):
@@ -199,11 +220,11 @@ async def handle_compile(state: ServiceState, doc: object) -> Response:
     return Response.json(out)
 
 
-def _run_sync(state: ServiceState, job: RunJob, compiled,
-              plan_key: str):
+def _run_sync(state: ServiceState, job: RunJob, key: str, compiled,
+              plan_key: str, coalesced: bool) -> Response:
     """Pool-thread execution: the job's own
     :meth:`~repro.job.RunJob.execute` under a private metrics registry,
-    then the ledger append."""
+    the ledger append, and the whole response, encoded."""
     from repro.obs import metrics as obs_metrics
 
     machine = job.machine.build()
@@ -213,27 +234,6 @@ def _run_sync(state: ServiceState, job: RunJob, compiled,
         job.ledger_append(state.ledger, machine, plan_key,
                           registry.to_dict(), route="/run",
                           kernel=job.compile.kernel or "")
-    return result, registry
-
-
-def _array_doc(arr, mode: str) -> dict:
-    import numpy as np
-
-    entry = {"shape": list(arr.shape), "dtype": str(arr.dtype),
-             "checksum": float(np.abs(arr).sum())}
-    if mode in ("digest", "full"):
-        entry["sha256"] = hashlib.sha256(arr.tobytes()).hexdigest()
-    if mode == "full":
-        entry["data"] = base64.b64encode(arr.tobytes()).decode()
-    return entry
-
-
-async def handle_run(state: ServiceState, doc: object) -> Response:
-    job = parse_run_job(doc)
-    key, compiled, plan_key, coalesced = \
-        await _compile_shared(state, job.compile)
-    result, registry = await state.pool.submit(
-        lambda: _run_sync(state, job, compiled, plan_key))
     out = {
         "kind": "run", "key": key, "plan_key": plan_key,
         "coalesced": coalesced, "kernel": job.compile.kernel,
@@ -251,6 +251,26 @@ async def handle_run(state: ServiceState, doc: object) -> Response:
         from repro.obs import profile_to_json
         out["profile"] = json.loads(profile_to_json(result.profile))
     return Response.json(out)
+
+
+def _array_doc(arr, mode: str) -> dict:
+    """One array's entry, off its own buffer; ``data`` is ``bytes``."""
+    import numpy as np
+
+    entry = {"shape": list(arr.shape), "dtype": str(arr.dtype),
+             "checksum": float(np.abs(arr).sum())}
+    buf = np.ascontiguousarray(arr)
+    if mode in ("digest", "full"):
+        entry["sha256"] = hashlib.sha256(buf).hexdigest()
+    if mode == "full":
+        entry["data"] = base64.b64encode(buf)
+    return entry
+
+
+async def handle_run(state: ServiceState, doc: object) -> Response:
+    job = parse_run_job(doc)
+    shared = await _compile_shared(state, job.compile)
+    return await state.pool.submit(lambda: _run_sync(state, job, *shared))
 
 
 async def handle_plan(state: ServiceState, key: str) -> Response:

@@ -30,6 +30,7 @@ installed metrics registry.
 
 from __future__ import annotations
 
+import heapq
 import os
 import tempfile
 import threading
@@ -94,6 +95,16 @@ class MemoryStore(_Store):
             self.stats.record("hit")
             return entry
 
+    def get_if(self, key, accept):
+        """A counted hit if ``accept`` takes the entry, else uncounted."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or not accept(entry):
+                return None
+            self._entries.move_to_end(key)
+            self.stats.record("hit")
+            return entry
+
     def put(self, key, value) -> None:
         with self._lock:
             self._entries[key] = value
@@ -147,8 +158,9 @@ class DiskStore(_Store):
         self.codec = codec
         self.max_entries = max_entries
         self.stats = CacheStats(label=label)
-        # threads of one process share the counters; files need no lock
+        # threads share the counters and the pruner's {name: mtime}
         self._lock = threading.Lock()
+        self._mtimes: dict[str, float] = {}
         self._sweep_tmp()
 
     def _count(self, event: str, n: int = 1) -> int:
@@ -160,19 +172,18 @@ class DiskStore(_Store):
         """Where ``key``'s entry lives (whether or not it exists)."""
         return self.path / f"{check_key(key)}{self.codec.suffix}"
 
-    def _entries(self):
-        return self.path.glob(f"*{self.codec.suffix}")
+    def _names(self) -> list[str]:
+        return [name for name in os.listdir(self.path)
+                if name.endswith(self.codec.suffix)]
 
-    @staticmethod
-    def _stat(files) -> list:
-        """``(st_mtime, name, path)`` of each file that still exists."""
-        found = []
-        for f in files:
-            try:
-                found.append((f.stat().st_mtime, f.name, f))
-            except OSError:
-                pass  # raced with its owner, a pruner or a sweeper
-        return found
+    def _entries(self) -> list[Path]:
+        return [self.path / name for name in self._names()]
+
+    def _mtime(self, name: str) -> "float | None":
+        try:
+            return os.stat(self.path / name).st_mtime
+        except OSError:
+            return None  # raced with its owner, a pruner or a sweeper
 
     def _unlink(self, files) -> int:
         """Remove ``files``; one that is already gone is a concurrent
@@ -190,25 +201,40 @@ class DiskStore(_Store):
         """Delete orphaned ``*.tmp`` files; returns the number removed."""
         cutoff = time.time() - self.TMP_SWEEP_AGE
         return self._count("tmp_swept", self._unlink(
-            f for mtime, _, f in self._stat(self.path.glob("*.tmp"))
-            if mtime <= cutoff))
+            f for f in self.path.glob("*.tmp")
+            if (mtime := self._mtime(f.name)) is not None
+            and mtime <= cutoff))
 
     def _prune(self) -> int:
         """Evict the oldest entries beyond ``max_entries``, in
         ``(st_mtime, name)`` order.  On coarse-mtime filesystems many
         entries share one timestamp; the name tie-break makes the victim
         set a pure function of the directory contents, so concurrent
-        pruners agree on it instead of following directory order."""
-        entries = self._stat(self._entries())
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return 0
-        entries.sort(key=lambda item: item[:2])
-        return self._count(
-            "pruned", self._unlink(f for _, _, f in entries[:excess]))
+        pruners agree on it instead of following directory order.  Names
+        are statted when new and when next to go: mtimes only move
+        forward, so a candidate whose mtime moved goes back on the heap."""
+        with self._lock:
+            seen = self._mtimes
+            self._mtimes = index = {name: mtime for name in self._names()
+                                    if (mtime := seen.get(name)
+                                        or self._mtime(name)) is not None}
+            excess = len(index) - self.max_entries
+            heap = [(mtime, name) for name, mtime in index.items()]
+            heapq.heapify(heap)
+            victims = []
+            while len(victims) < excess:
+                indexed, name = heapq.heappop(heap)
+                mtime = self._mtime(name)
+                if mtime is None or mtime == indexed:  # gone, or oldest
+                    victims.append(self.path / name)
+                else:
+                    index[name] = mtime
+                    heapq.heappush(heap, (mtime, name))
+            removed = self._unlink(victims)
+        return self._count("pruned", removed)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._entries())
+        return len(self._names())
 
     def get(self, key: str):
         path = self.file(key)
@@ -248,8 +274,7 @@ class DiskStore(_Store):
     def invalidate(self, key: "str | None" = None) -> int:
         """Remove one entry file (or every entry when ``key`` is
         ``None``); returns the number removed."""
-        files = list(self._entries()) if key is None \
-            else [self.file(key)]
+        files = self._entries() if key is None else [self.file(key)]
         return self._count("invalidation", self._unlink(files))
 
 

@@ -567,6 +567,27 @@ class TestHttpFraming:
         status, headers, _ = harness.request("GET", "/healthz")
         assert headers["Connection"] == "close"
 
+    def test_a_stalled_client_gets_408_and_is_closed(self, harness,
+                                                     monkeypatch):
+        """Half a request line, then nothing: past the read deadline
+        the server answers 408 and closes; a whole request inside it
+        is served as ever."""
+        import socket
+
+        from repro.service import app
+
+        monkeypatch.setattr(app, "READ_TIMEOUT_S", 0.2)
+        with socket.create_connection(
+                ("127.0.0.1", harness.port), timeout=10) as sock:
+            sock.sendall(b"POST /ru")
+            data = b""
+            while chunk := sock.recv(4096):      # b"" once it closes
+                data += chunk
+        assert data.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert json.loads(data.partition(b"\r\n\r\n")[2])["kind"] \
+            == "error"
+        assert harness.json("POST", "/run", FIVE_O2)["kind"] == "run"
+
 
 SERVED_RUN_PROBE = """
 import asyncio, json, sys

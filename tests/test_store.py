@@ -14,17 +14,20 @@ import multiprocessing
 import os
 import shutil
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiler import CompilerOptions, PersistentPlanCache, compile_hpf
 from repro.compiler.cache import PLAN_CODEC
 from repro.kernels import KERNELS
 from repro.runtime.native import SO_CODEC
-from repro.store import DiskStore, MemoryStore, TieredStore
+from repro.store import Codec, DiskStore, MemoryStore, TieredStore
 from tests.conftest import PARENT_CACHE, retired_kernel_file
 
 SPEC = KERNELS["five_point"]
@@ -374,3 +377,144 @@ class TestTiering:
         store.put("k", value)
         assert store.get("k") is value
         assert store.invalidate() == 1
+
+
+# -- pruning without a full stat ---------------------------------------------
+
+TEXT = Codec(".e", str, str)
+
+
+def full_stat_victims(path: Path, suffix: str, bound: int) -> list:
+    """The pruner's victims as the full-stat sort picks them: every
+    entry statted, sorted by ``(st_mtime, name)``, the oldest beyond
+    ``bound`` evicted."""
+    entries = sorted((f.stat().st_mtime, f.name)
+                     for f in path.glob(f"*{suffix}"))
+    return [name for _, name in entries[:max(0, len(entries) - bound)]]
+
+
+def checked_prunes(store: DiskStore) -> list:
+    """Hold every prune of ``store`` to :func:`full_stat_victims`:
+    the files it removes and the count it returns.  Returns the list
+    the checked prunes' victim counts are appended to."""
+    prune, counts = store._prune, []
+
+    def checked():
+        before = set(store._names())
+        expected = full_stat_victims(store.path, store.codec.suffix,
+                                     store.max_entries)
+        pruned = prune()
+        assert sorted(before - set(store._names())) == sorted(expected)
+        assert pruned == len(expected)
+        counts.append(pruned)
+        return pruned
+
+    store._prune = checked
+    return counts
+
+
+_KEYS = st.sampled_from("abcdefg")
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("put"), _KEYS),
+    st.tuples(st.just("get"), _KEYS),
+    st.tuples(st.just("add"), _KEYS),       # another process's put
+    st.tuples(st.just("remove"), _KEYS),    # another process's prune
+    st.tuples(st.just("tick"), st.integers(0, 2)),
+), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound=st.integers(1, 4), ops=_OPS)
+def test_prune_picks_the_full_stat_victims(bound, ops):
+    """Differential: the indexed pruner against the full-stat sort it
+    replaced.  Every mtime comes from a clock the test steps (0 or more
+    per step, so ties are common, as on a coarse-mtime filesystem) and
+    only moves forward, including the bump of a ``get``."""
+    clock = [time.time() - 10_000]
+
+    def stamp(path):
+        os.utime(path, (clock[0], clock[0]))
+
+    real_replace, real_utime = os.replace, os.utime
+
+    def replace(src, dst):                  # a put lands at the clock
+        real_replace(src, dst)
+        stamp(dst)
+
+    def utime(path, times=None, **kw):      # a get's bump is the clock
+        real_utime(path, times or (clock[0], clock[0]), **kw)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        store = DiskStore(tmp, TEXT, max_entries=bound)
+        counts = checked_prunes(store)
+        patch.setattr(os, "replace", replace)
+        patch.setattr(os, "utime", utime)
+        for op, arg in ops:
+            if op == "tick":
+                clock[0] += arg
+            elif op == "put":
+                store.put(arg, f"value of {arg}")
+            elif op == "get":
+                store.get(arg)
+            elif op == "add":
+                store.file(arg).write_text(f"foreign {arg}")
+                stamp(store.file(arg))
+            else:
+                store.file(arg).unlink(missing_ok=True)
+        store._prune()
+        assert len(store) <= bound
+        assert store.stats.pruned == sum(counts)
+
+
+def test_a_put_at_the_bound_stats_three_files_at_most(tmp_path,
+                                                      monkeypatch):
+    store = DiskStore(tmp_path, TEXT, max_entries=32)
+    for i in range(32):
+        store.put(f"k{i}", "filler")
+    store.get("k0")
+    statted, real_stat = [], os.stat
+
+    def stat(path, *args, **kwargs):
+        if Path(path).parent == tmp_path:
+            statted.append(Path(path).name)
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", stat)
+    for key in ("new", "k5"):                # a new entry, a rewrite
+        statted.clear()
+        store.put(key, "filler")
+        assert len(statted) <= 3, statted
+        assert len(store) == 32
+    assert store.stats.pruned == 1
+
+
+def test_threads_storming_puts_keep_the_bound(tmp_path):
+    """Threads (more than the host's cores) share one store and so the
+    pruner's index: nothing raises and the bound holds at the end."""
+    store, errors = DiskStore(tmp_path, TEXT, max_entries=8), []
+
+    def storm(rank):
+        try:
+            for i in range(150):
+                store.put(f"r{rank}-{i % 40}", f"{rank} {i}")
+                if i % 7 == 0:
+                    store.get(f"r{(rank + 1) % 4}-{i % 40}")
+        except Exception as exc:   # any error fails the test below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=storm, args=(rank,))
+               for rank in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(store) <= 8
+    assert not list(tmp_path.glob("*.tmp"))
