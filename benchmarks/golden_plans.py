@@ -8,10 +8,14 @@ documents live under ``benchmarks/goldens/`` as
 carries a ``DO`` loop are frozen at the default level too: that is
 where the levels can differ (hoisted preheader exchanges, ping-pong
 buffer swaps); a straight-line kernel's default plan is its O4 plan.
+Every kernel's plan at every level ``O0``..``O5`` is pinned as well, by
+the sha256 of its JSON in the manifest's ``digests`` (a digest, not a
+document: the levels below O4 and the straight-line O5 plans are
+frozen without a file each).
 
 ``--check`` (the CI mode) recompiles every kernel and fails if any
-plan's JSON differs from its golden **while the schema version is
-unchanged** — an unannounced change to codegen output or the
+plan's JSON differs from its golden or its digest **while the schema
+version is unchanged** — an unannounced change to codegen output or the
 serialization format.  Bumping ``PLAN_SCHEMA_VERSION`` is the explicit
 declare-your-intent step: the check then tells you to regenerate with
 ``--update`` instead of failing.
@@ -25,6 +29,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -56,6 +61,19 @@ def current_documents() -> dict[str, str]:
     return docs
 
 
+def current_digests() -> dict[str, str]:
+    """``{"<kernel>.<level>": sha256 of the plan JSON}`` at every
+    level."""
+    from repro.compiler import OptLevel
+    from repro.kernels import KERNELS, compile_kernel
+    from repro.plan import plan_to_json
+
+    return {f"{name}.{level.name}": hashlib.sha256(plan_to_json(
+                compile_kernel(name, bindings={"N": N},
+                               level=level.name).plan).encode()).hexdigest()
+            for name in sorted(KERNELS) for level in OptLevel}
+
+
 def update() -> int:
     from repro.plan import PLAN_SCHEMA_VERSION
 
@@ -65,7 +83,8 @@ def update() -> int:
         golden_path(name).write_text(doc)
     MANIFEST.write_text(json.dumps(
         {"schema": PLAN_SCHEMA_VERSION, "n": N,
-         "documents": sorted(docs)}, indent=2, sort_keys=True) + "\n")
+         "documents": sorted(docs), "digests": current_digests()},
+        indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(docs)} golden plans to {GOLDEN_DIR} "
           f"(schema v{PLAN_SCHEMA_VERSION})")
     return 0
@@ -95,7 +114,13 @@ def check() -> int:
         if path.read_text() != doc:
             failed.append(
                 f"{name}: compiled plan differs from {path.name}")
-    missing = set(manifest["documents"]) - set(docs)
+    digests = current_digests()
+    for name, digest in sorted(manifest.get("digests", {}).items()):
+        if digests.get(name, digest) != digest:
+            failed.append(f"{name}: compiled plan's sha256 differs from "
+                          f"the manifest's digest")
+    missing = (set(manifest["documents"]) - set(docs)) | \
+        (set(manifest.get("digests", ())) - set(digests))
     for name in sorted(missing):
         failed.append(f"{name}: no longer compiled (kernel gone from "
                       f"the registry, or its plan lost its loop)")
@@ -110,7 +135,8 @@ def check() -> int:
             f"    python benchmarks/golden_plans.py --update",
             file=sys.stderr)
         return 1
-    print(f"{len(docs)} golden plans match (schema "
+    print(f"{len(docs)} golden plans and {len(digests)} digests match "
+          f"(schema "
           f"v{PLAN_SCHEMA_VERSION})")
     return 0
 

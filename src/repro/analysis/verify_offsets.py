@@ -4,10 +4,11 @@ Every offset reference ``U<o>`` must be preceded — on *every*
 control-flow path, with no intervening redefinition of ``U`` — by
 ``OVERLAP_SHIFT`` calls that make all the overlap cells ``o`` touches
 resident, with the matching fill kind (circular vs. EOSHIFT boundary),
-corner cells included.  What a shift makes resident and whether a read
-is covered is decided by :class:`repro.plan.verify.Coverage`, the one
-model of that rule; this module is its walker over the statement IR, as
-:mod:`repro.plan.verify` is its walker over the plan.
+corner cells included.  What a shift makes resident, what a loop or a
+branch leaves resident, and whether a read is covered is decided by
+:class:`repro.plan.verify.Coverage`, the one model of that rule; this
+module is its walker over the statement IR, as :mod:`repro.plan.verify`
+is its walker over the plan.
 
 The compiler runs this after its pass pipeline as a safety net; the test
 suite also aims it at hand-mutilated programs to prove it catches real
@@ -23,6 +24,7 @@ from repro.ir.nodes import (
     OffsetRef, OverlapShift, ScalarAssign, Stmt,
 )
 from repro.ir.program import Program
+from repro.plan.ops import runs_at_least_once
 from repro.plan.verify import Coverage
 
 
@@ -63,18 +65,14 @@ def verify_offset_coverage(program: Program) -> list[CoverageProblem]:
                 cov.kill(*stmt.names)
             elif isinstance(stmt, If):
                 check(cov, stmt, stmt.cond)
-                other = cov.copy()
-                walk(stmt.then_body, cov)
-                walk(stmt.else_body, other)
-                cov.meet(other)
+                cov.branch(lambda c: walk(stmt.then_body, c),
+                           lambda c: walk(stmt.else_body, c))
             elif isinstance(stmt, (DoLoop, DoWhile)):
                 if isinstance(stmt, DoWhile):
                     check(cov, stmt, stmt.cond)
-                # conservative around the back edge, mirroring the
-                # offset pass: anything the body redefines is not
-                # available on entry to any iteration
-                cov.kill(*_redefined_in(stmt.body))
-                walk(stmt.body, cov)
+                cov.loop(_redefined_in(stmt.body),
+                         runs_at_least_once(stmt, program.symbols.params),
+                         lambda c: walk(stmt.body, c))
 
     walk(program.body, Coverage())
     return problems

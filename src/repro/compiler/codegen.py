@@ -21,7 +21,7 @@ from repro.compiler.options import CompilerOptions
 from repro.plan import (
     AllocOp, ArrayDecl, Box, CondOp, FreeOp, FullShiftOp, LoopNestOp,
     NestStmt, OverlapShiftOp, Plan, PlanOp, ScalarAssignOp, SeqLoopOp,
-    WhileOp,
+    WhileOp, effects, walk,
 )
 from repro.ir.dependence import build_ddg
 from repro.ir.linexpr import LinExpr
@@ -94,10 +94,11 @@ class CodeGenerator:
             ops = self._apply_comm_overlap(ops)
         arrays = {}
         allocated_later: set[str] = set()
-        for op in _walk(ops):
+        for op in walk(ops):
             if isinstance(op, AllocOp):
                 allocated_later.update(op.names)
-        live = self._referenced_names(ops)
+        eff = effects(*ops)
+        live = set(eff.reads | eff.writes)
         if self.options.outputs is not None:
             live |= set(self.options.outputs)
         else:
@@ -126,35 +127,6 @@ class CodeGenerator:
         return Plan(arrays=arrays, params=dict(self.program.symbols.params),
                     scalar_names=scalar_names, ops=ops, entry_arrays=entry,
                     processors=self.program.processors, outputs=outputs)
-
-    def _referenced_names(self, ops: list[PlanOp]) -> set[str]:
-        names: set[str] = set()
-        for op in _walk(ops):
-            if isinstance(op, (AllocOp, FreeOp)):
-                names.update(op.names)
-            elif isinstance(op, OverlapShiftOp):
-                names.add(op.array)
-            elif isinstance(op, FullShiftOp):
-                names.add(op.dst)
-                names.add(op.src)
-            elif isinstance(op, LoopNestOp):
-                for stmt in op.statements:
-                    names.add(stmt.lhs)
-                    exprs = [stmt.rhs] + ([stmt.mask]
-                                          if stmt.mask is not None else [])
-                    for expr in exprs:
-                        for node in expr.walk():
-                            if isinstance(node, OffsetRef):
-                                names.add(node.name)
-            elif isinstance(op, ScalarAssignOp):
-                for node in op.rhs.walk():
-                    if isinstance(node, OffsetRef):
-                        names.add(node.name)
-            elif isinstance(op, (CondOp, WhileOp)):
-                for node in op.cond.walk():
-                    if isinstance(node, OffsetRef):
-                        names.add(node.name)
-        return names
 
     # -- communication/computation overlap ------------------------------------
     def _apply_comm_overlap(self, ops: list[PlanOp]) -> list[PlanOp]:
@@ -438,17 +410,3 @@ class CodeGenerator:
                            self._scalarize_expr(expr.right, stmt))
         raise PipelineError(
             f"s{stmt.sid}: {type(expr).__name__} escaped normalization")
-
-
-def _walk(ops: list[PlanOp]):
-    from repro.plan import OverlappedOp
-    for op in ops:
-        yield op
-        if isinstance(op, (SeqLoopOp, WhileOp)):
-            yield from _walk(op.body)
-        elif isinstance(op, CondOp):
-            yield from _walk(op.then_ops)
-            yield from _walk(op.else_ops)
-        elif isinstance(op, OverlappedOp):
-            yield from _walk(op.comm_ops)
-            yield op.nest

@@ -13,19 +13,21 @@ returns the op's nested blocks (tuples of op lists) and
 Generic traversals (:func:`walk`) and bottom-up rewrites
 (:func:`map_blocks`) are built on this pair, so the verifier, the plan
 passes, the printer, the serializer, and both execution backends never
-need per-op-kind recursion of their own.
+need per-op-kind recursion of their own.  What ops read and write is
+answered once too, by :func:`effects`, and whether a loop provably runs
+by :func:`runs_at_least_once`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.errors import PipelineError
+from repro.errors import PipelineError, SemanticError
 from repro.ir.linexpr import LinExpr
-from repro.ir.nodes import Expr
+from repro.ir.nodes import Expr, OffsetRef, ScalarRef
 from repro.ir.rsd import RSD
 from repro.ir.types import Distribution
 from repro.machine.cost_model import LoopStats
@@ -289,54 +291,92 @@ def map_blocks(ops: list[PlanOp],
 
 
 @dataclass(frozen=True)
-class Region:
-    """Structural context of one nested block during a region rewrite.
+class Effects:
+    """What some ops read and write, their nested blocks included.
 
-    ``kind`` is one of ``"top"``, ``"loop-body"`` (:class:`SeqLoopOp`),
-    ``"while-body"``, ``"cond-then"``, ``"cond-else"``, ``"comm"``
-    (:class:`OverlappedOp` communication block), or ``"nest"`` (the
-    single-nest block of an :class:`OverlappedOp`).  ``parent`` is the
-    container op (``None`` at top level) as it was *before* its blocks
-    were rewritten.
+    ``writes`` holds every array an op may store into, an overlap
+    shift's halo fill and a free (so that uses order before it)
+    included; ``defines`` is the part whose *owned* cells may change,
+    which is what ends an array's halo residency.  ``sreads`` and
+    ``swrites`` are the replicated scalars read and assigned.
     """
 
-    kind: str
-    parent: PlanOp | None = None
+    reads: frozenset[str]
+    writes: frozenset[str]
+    defines: frozenset[str]
+    sreads: frozenset[str]
+    swrites: frozenset[str]
+
+    def conflicts(self, later: "Effects") -> bool:
+        """Must these ops stay ordered before ``later``'s?"""
+        return bool(self.writes & (later.reads | later.writes)
+                    or self.reads & later.writes
+                    or self.swrites & (later.sreads | later.swrites)
+                    or self.sreads & later.swrites)
 
 
-def _region_kinds(op: PlanOp) -> tuple[str, ...]:
-    """Region kind of each child block of ``op``, in children() order."""
-    if isinstance(op, SeqLoopOp):
-        return ("loop-body",)
-    if isinstance(op, WhileOp):
-        return ("while-body",)
-    if isinstance(op, CondOp):
-        return ("cond-then", "cond-else")
-    if isinstance(op, OverlappedOp):
-        return ("comm", "nest")
-    return tuple("block" for _ in op.children())
+def effects(*ops: PlanOp, nested: bool = True) -> Effects:
+    """The :class:`Effects` of ``ops``; with ``nested=False`` only the
+    ops' own (a container's condition and bounds), not their blocks'."""
+    reads, defines, shifted, sreads, swrites = (set() for _ in range(5))
+
+    def expr(e: Expr) -> None:
+        for node in e.walk():
+            if isinstance(node, OffsetRef):
+                reads.add(node.name)
+            elif isinstance(node, ScalarRef):
+                sreads.add(node.name)
+
+    for op in walk(ops) if nested else ops:
+        if isinstance(op, OverlapShiftOp):
+            reads.add(op.array)
+            shifted.add(op.array)
+        elif isinstance(op, FullShiftOp):
+            reads.add(op.src)
+            defines.add(op.dst)
+        elif isinstance(op, (AllocOp, FreeOp)):
+            if isinstance(op, FreeOp):
+                reads.update(op.names)
+            defines.update(op.names)
+        elif isinstance(op, LoopNestOp):
+            for stmt in op.statements:
+                defines.add(stmt.lhs)
+                expr(stmt.rhs)
+                if stmt.mask is not None:
+                    expr(stmt.mask)
+            for bounds in op.space:
+                for bound in bounds:
+                    sreads.update(bound.symbols())
+        elif isinstance(op, ScalarAssignOp):
+            expr(op.rhs)
+            swrites.add(op.name)
+        elif isinstance(op, SeqLoopOp):
+            swrites.add(op.var)
+            sreads.update(op.lo.symbols() | op.hi.symbols())
+        elif isinstance(op, SwapOp):
+            reads.update((op.a, op.b))
+            defines.update((op.a, op.b))
+        elif isinstance(op, (WhileOp, CondOp)):
+            expr(op.cond)
+    return Effects(frozenset(reads), frozenset(defines | shifted),
+                   frozenset(defines), frozenset(sreads),
+                   frozenset(swrites))
 
 
-def map_regions(
-        ops: list[PlanOp],
-        fn: Callable[[list[PlanOp], Region], list[PlanOp]]) -> list[PlanOp]:
-    """Bottom-up region rewrite: like :func:`map_blocks`, but ``fn``
-    also receives each block's :class:`Region` context, so passes can
-    treat loop bodies, conditional arms, and communication blocks
-    differently (the loop-aware passes are built on this)."""
+def runs_at_least_once(loop: object, params: Mapping[str, int]) -> bool:
+    """Does ``loop`` provably execute its body at least once?
 
-    def rewrite(block: list[PlanOp], region: Region) -> list[PlanOp]:
-        out: list[PlanOp] = []
-        for op in block:
-            blocks = op.children()
-            if blocks:
-                kinds = _region_kinds(op)
-                op = op.rebuild(*(rewrite(list(b), Region(k, op))
-                                  for b, k in zip(blocks, kinds)))
-            out.append(op)
-        return fn(out, region)
-
-    return rewrite(ops, Region("top"))
+    True for a counted loop (a :class:`SeqLoopOp`, or the statement
+    IR's ``DoLoop``) whose bounds, evaluated over the size ``params``,
+    give ``hi >= lo``; False when they depend on run-time scalars and
+    for any loop on a condition (``DO WHILE``).
+    """
+    if not isinstance(getattr(loop, "lo", None), LinExpr):
+        return False
+    try:
+        return loop.hi.evaluate(params) >= loop.lo.evaluate(params)
+    except SemanticError:
+        return False
 
 
 def op_label(op: PlanOp) -> tuple[str, dict[str, object]]:

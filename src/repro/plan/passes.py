@@ -8,17 +8,17 @@ earlier one in the same straight-line block after fusion regrouping),
 and only the plan knows the final alloc/free placement and the loop
 structure of iterative solvers.
 
-All passes are built on the recursive region framework
-(:func:`repro.plan.ops.map_regions`): every rewrite sees each block
-together with its structural context (top level, ``DO`` body,
-``DO WHILE`` body, conditional arm, overlapped-communication block), so
-the same pass logic fires inside loop and conditional bodies as at the
-top level, and loop-aware passes can reason across region boundaries.
+Every rewrite is a :func:`repro.plan.ops.map_blocks` over the plan's
+blocks (top level, ``DO`` and ``DO WHILE`` bodies, conditional arms,
+overlapped-communication blocks), so the same pass logic fires inside
+loop and conditional bodies as at the top level; what an op reads and
+writes is :func:`repro.plan.ops.effects`, and whether a loop provably
+runs is :func:`repro.plan.ops.runs_at_least_once`.
 
 Five passes ship, run in this order by :func:`default_plan_passes`:
 
 ``schedule``
-    Stable topological list scheduling within every region: hoists
+    Stable topological list scheduling within every block: hoists
     communication ops as early as their dependences allow (so later
     coalescing sees congruent comms adjacent) and sinks frees to their
     last legal position.  Dependences are computed from each op's
@@ -41,18 +41,16 @@ Five passes ship, run in this order by :func:`default_plan_passes`:
     two declarations get their halos max-merged so the buffers are
     structurally interchangeable.
 ``coalesce-shifts``
-    Removes an ``OverlapShiftOp`` whose effect is subsumed by an
-    earlier shift: same array/dimension/direction/fill, at least the
-    depth, an effective RSD that contains the later one, and no
-    intervening write to the array.  A non-trivial RSD is only
-    coalesced against the *immediately preceding* shift of that array —
-    orthogonal pickup depends on the array's residency at execution
-    time, which other interleaved shifts of the same array change.
-    Subsumption state threads *across* region boundaries: into
-    overlapped-communication blocks, and from a loop preheader into the
-    loop body for arrays the body never writes — so a body shift
-    subsumed by a preheader shift (e.g. one the hoist pass just moved)
-    is removed.
+    Removes an ``OverlapShiftOp`` that makes nothing resident.  The pass
+    walks the plan with the verifier's overlap-residency model,
+    :class:`repro.plan.verify.Coverage`, and drops a shift exactly when
+    applying it leaves the model unchanged: its cells are already
+    resident, same fill, corners included.  Loops and branches follow
+    the model's own rules, so a body shift already made by the
+    preheader (e.g. one the hoist pass just moved) goes, and so does a
+    shift after a branch whose every path made it redundant; what a loop
+    body makes resident counts after the loop only when the loop
+    provably runs.
 ``dead-alloc``
     Deletes alloc/free pairs (and the declarations) of arrays nothing
     reads or writes, a situation AST-level passes cannot create or see
@@ -69,116 +67,17 @@ communication and copying (see DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 
-from repro.ir.nodes import OffsetRef, ScalarRef
-from repro.ir.rsd import RSD
+from repro.ir.nodes import OffsetRef
 from repro.plan.ops import (
-    AllocOp, CondOp, FreeOp, FullShiftOp, LoopNestOp, NestStmt,
-    OverlappedOp, OverlapShiftOp, Plan, PlanOp, Region, ScalarAssignOp,
-    SeqLoopOp, SwapOp, WhileOp, map_regions, walk,
+    AllocOp, CondOp, FreeOp, LoopNestOp, NestStmt, OverlappedOp,
+    OverlapShiftOp, Plan, PlanOp, SeqLoopOp, SwapOp, WhileOp, effects,
+    map_blocks, runs_at_least_once, walk,
 )
 from repro.passes.pass_manager import Pass as PlanPass, PassManager
-from repro.plan.verify import assert_plan_valid
-
-
-# ---------------------------------------------------------------------------
-# effect sets (shared by scheduling and coalescing)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Effects:
-    reads: set[str]
-    writes: set[str]
-    sreads: set[str]
-    swrites: set[str]
-
-
-def _expr_refs(expr) -> tuple[set[str], set[str]]:
-    arrays, scalars = set(), set()
-    for node in expr.walk():
-        if isinstance(node, OffsetRef):
-            arrays.add(node.name)
-        elif isinstance(node, ScalarRef):
-            scalars.add(node.name)
-    return arrays, scalars
-
-
-def _op_effects(op: PlanOp) -> _Effects:
-    """What one op (including everything nested inside it) reads and
-    writes.  Overlap shifts both read and write their array; frees are
-    modelled as writes so uses order before them and reallocations
-    after."""
-    eff = _Effects(set(), set(), set(), set())
-
-    def leaf(o: PlanOp) -> None:
-        if isinstance(o, OverlapShiftOp):
-            eff.reads.add(o.array)
-            eff.writes.add(o.array)
-        elif isinstance(o, FullShiftOp):
-            eff.reads.add(o.src)
-            eff.writes.add(o.dst)
-        elif isinstance(o, (AllocOp, FreeOp)):
-            if isinstance(o, FreeOp):
-                eff.reads.update(o.names)
-            eff.writes.update(o.names)
-        elif isinstance(o, LoopNestOp):
-            for stmt in o.statements:
-                eff.writes.add(stmt.lhs)
-                for e in ([stmt.rhs] +
-                          ([stmt.mask] if stmt.mask is not None else [])):
-                    a, s = _expr_refs(e)
-                    eff.reads.update(a)
-                    eff.sreads.update(s)
-            for lo, hi in o.space:
-                eff.sreads.update(lo.symbols())
-                eff.sreads.update(hi.symbols())
-        elif isinstance(o, ScalarAssignOp):
-            a, s = _expr_refs(o.rhs)
-            eff.reads.update(a)
-            eff.sreads.update(s)
-            eff.swrites.add(o.name)
-        elif isinstance(o, SeqLoopOp):
-            eff.swrites.add(o.var)
-            eff.sreads.update(o.lo.symbols())
-            eff.sreads.update(o.hi.symbols())
-        elif isinstance(o, SwapOp):
-            eff.reads.update((o.a, o.b))
-            eff.writes.update((o.a, o.b))
-        elif isinstance(o, (WhileOp, CondOp)):
-            a, s = _expr_refs(o.cond)
-            eff.reads.update(a)
-            eff.sreads.update(s)
-
-    for inner in walk([op]):
-        leaf(inner)
-    return eff
-
-
-def _owned_writes(ops: list[PlanOp]) -> set[str]:
-    """Arrays whose *owned* cells some op in ``ops`` (recursively) may
-    assign.  Overlap shifts are excluded: they only write halo cells,
-    which is exactly why shifts of an otherwise-unwritten array are
-    loop-invariant."""
-    written: set[str] = set()
-    for op in walk(ops):
-        if isinstance(op, LoopNestOp):
-            written.update(s.lhs for s in op.statements)
-        elif isinstance(op, FullShiftOp):
-            written.add(op.dst)
-        elif isinstance(op, SwapOp):
-            written.update((op.a, op.b))
-        elif isinstance(op, (AllocOp, FreeOp)):
-            written.update(op.names)
-    return written
-
-
-def _conflicts(a: _Effects, b: _Effects) -> bool:
-    return bool((a.writes & (b.reads | b.writes))
-                or (a.reads & b.writes)
-                or (a.swrites & (b.sreads | b.swrites))
-                or (a.sreads & b.swrites))
+from repro.plan.verify import Coverage, assert_plan_valid
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +99,17 @@ class SchedulePass(PlanPass):
                 return 2
             return 1
 
-        def schedule(block: list[PlanOp],
-                     region: Region) -> list[PlanOp]:
+        def schedule(block: list[PlanOp]) -> list[PlanOp]:
             nonlocal moved
             n = len(block)
             if n < 2:
                 return block
-            effects = [_op_effects(op) for op in block]
+            effs = [effects(op) for op in block]
             succs: list[list[int]] = [[] for _ in range(n)]
             npreds = [0] * n
             for i in range(n):
                 for j in range(i + 1, n):
-                    if _conflicts(effects[i], effects[j]):
+                    if effs[i].conflicts(effs[j]):
                         succs[i].append(j)
                         npreds[j] += 1
             ready = sorted(i for i in range(n) if npreds[i] == 0)
@@ -227,7 +125,7 @@ class SchedulePass(PlanPass):
             moved += sum(1 for pos, i in enumerate(order) if pos != i)
             return [block[i] for i in order]
 
-        new_ops = map_regions(plan.ops, schedule)
+        new_ops = map_blocks(plan.ops, schedule)
         return replace(plan, ops=new_ops), {"moved_ops": moved}
 
 
@@ -264,14 +162,6 @@ class HoistInvariantShiftsPass(PlanPass):
     def run(self, plan: Plan) -> tuple[Plan, dict[str, int]]:
         hoisted = 0
 
-        def trip_at_least_one(op: SeqLoopOp) -> bool:
-            try:
-                lo = op.lo.evaluate(dict(plan.params))
-                hi = op.hi.evaluate(dict(plan.params))
-            except Exception:
-                return False  # bounds depend on runtime scalars
-            return hi >= lo
-
         def split_body(body: list[PlanOp], invariant: set[str]
                        ) -> tuple[list[PlanOp], list[PlanOp]]:
             """Partition a loop body into (hoisted shifts, rest)."""
@@ -302,18 +192,18 @@ class HoistInvariantShiftsPass(PlanPass):
                     rest.append(op)
             return pre, rest
 
-        def rewrite(block: list[PlanOp],
-                    region: Region) -> list[PlanOp]:
+        def rewrite(block: list[PlanOp]) -> list[PlanOp]:
             out: list[PlanOp] = []
             for op in block:
-                if isinstance(op, SeqLoopOp) and trip_at_least_one(op):
+                if isinstance(op, SeqLoopOp) and \
+                        runs_at_least_once(op, plan.params):
                     shifted = {c.array for c in op.body
                                if isinstance(c, OverlapShiftOp)}
                     shifted |= {c.array for o in op.body
                                 if isinstance(o, OverlappedOp)
                                 for c in o.comm_ops
                                 if isinstance(c, OverlapShiftOp)}
-                    invariant = shifted - _owned_writes(op.body)
+                    invariant = shifted - effects(*op.body).defines
                     if invariant:
                         pre, body = split_body(op.body, invariant)
                         out.extend(pre)
@@ -322,7 +212,7 @@ class HoistInvariantShiftsPass(PlanPass):
                 out.append(op)
             return out
 
-        new_ops = map_regions(plan.ops, rewrite)
+        new_ops = map_blocks(plan.ops, rewrite)
         return replace(plan, ops=new_ops), {"hoisted_shifts": hoisted}
 
 
@@ -401,35 +291,12 @@ class PingPongElimPass(PlanPass):
             inside ``loop``'s body, the copy rhs, or alloc/free?"""
             body_ids = {id(o) for o in walk(loop.body)}
             for op in walk(plan.ops):
-                if isinstance(op, (AllocOp, FreeOp)):
-                    continue
-                if isinstance(op, (SeqLoopOp, WhileOp, CondOp,
-                                   OverlappedOp)):
-                    # container control exprs never reference arrays'
-                    # owned cells except through _expr_refs below
-                    eff_exprs = []
-                    if isinstance(op, (WhileOp, CondOp)):
-                        eff_exprs.append(op.cond)
-                    if any(scratch in _expr_refs(e)[0]
-                           for e in eff_exprs):
-                        return True
-                    continue
-                eff = _op_effects(op)
-                if scratch not in (eff.reads | eff.writes):
-                    continue
-                if op is copy_nest:
-                    continue  # the sanctioned read
-                if isinstance(op, LoopNestOp) and id(op) in body_ids:
-                    # writes via lhs are the producer statements; any
-                    # *read* of the scratch elsewhere in the body
-                    # disqualifies
-                    if any(scratch in _expr_refs(s.rhs)[0]
-                           or (s.mask is not None and
-                               scratch in _expr_refs(s.mask)[0])
-                           for s in op.statements):
-                        return True
-                    continue
-                return True
+                if op is copy_nest or isinstance(op, (AllocOp, FreeOp)):
+                    continue  # the sanctioned read, or bookkeeping
+                eff = effects(op, nested=False)
+                if scratch in eff.reads or scratch in eff.writes and not (
+                        isinstance(op, LoopNestOp) and id(op) in body_ids):
+                    return True
             return False
 
         def alloc_in(ops: list[PlanOp], names: set[str]) -> bool:
@@ -457,7 +324,7 @@ class PingPongElimPass(PlanPass):
                     continue
                 # B's owned cells written only by the eliminated copy
                 others = [o for o in loop.body if o is not op]
-                if kept in _owned_writes(others):
+                if kept in effects(*others).defines:
                     continue
                 if alloc_in(loop.body, {scratch, kept}):
                     continue
@@ -493,8 +360,7 @@ class PingPongElimPass(PlanPass):
                 return seed, loop.rebuild(body)
             return None
 
-        def rewrite(block: list[PlanOp],
-                    region: Region) -> list[PlanOp]:
+        def rewrite(block: list[PlanOp]) -> list[PlanOp]:
             nonlocal swaps
             out: list[PlanOp] = []
             for op in block:
@@ -507,7 +373,7 @@ class PingPongElimPass(PlanPass):
                 out.append(op)
             return out
 
-        new_ops = map_regions(plan.ops, rewrite)
+        new_ops = map_blocks(plan.ops, rewrite)
         return (replace(plan, ops=new_ops, arrays=arrays),
                 {"pingpong_swaps": swaps})
 
@@ -517,15 +383,16 @@ class PingPongElimPass(PlanPass):
 # ---------------------------------------------------------------------------
 
 class CoalesceShiftsPass(PlanPass):
-    """Remove overlap shifts subsumed by earlier ones.
+    """Remove overlap shifts that make nothing resident.
 
-    Subsumption state threads across region boundaries (the loop-aware
-    refactor): into ``OverlappedOp`` communication blocks, which execute
-    inline, and from a loop preheader into ``DO``/``DO WHILE`` bodies
-    for arrays the body never writes — a shift already performed before
-    the loop proves every re-send of an unwritten array's halo
-    redundant, in every iteration.  Conditional arms inherit the entry
-    state but contribute nothing back (either arm may not execute).
+    The pass walks the plan with the verifier's
+    :class:`~repro.plan.verify.Coverage` and drops a shift exactly when
+    applying it adds nothing to what is already resident there, so every
+    later residency (and every later verdict) is unchanged.  Loops and
+    branches take Coverage's own rules: a body starts from the preheader
+    state minus what it redefines (a preheader shift proves a body
+    re-send redundant in every iteration), and a shift after a branch
+    whose arms all made its cells resident goes too.
     """
 
     name = "coalesce-shifts"
@@ -533,90 +400,34 @@ class CoalesceShiftsPass(PlanPass):
     def run(self, plan: Plan) -> tuple[Plan, dict[str, int]]:
         removed = 0
 
-        def subsumes(a: OverlapShiftOp, b: OverlapShiftOp,
-                     rank: int) -> bool:
-            if a.dim != b.dim or a.boundary != b.boundary:
-                return False
-            if (a.shift > 0) != (b.shift > 0):
-                return False
-            if abs(a.shift) < abs(b.shift):
-                return False
-            try:
-                return RSD.slab(a.rsd, a.base_offsets, rank, a.dim - 1) \
-                    .contains(RSD.slab(b.rsd, b.base_offsets, rank,
-                                       b.dim - 1))
-            except ValueError:
-                return False
-
-        Active = dict[str, list[OverlapShiftOp]]
-
-        def kill_writes(op: PlanOp, active: Active) -> None:
-            for name in _op_effects(op).writes:
-                active.pop(name, None)
-
-        def coalesce(block: list[PlanOp], active: Active) -> list[PlanOp]:
+        def coalesce(block: list[PlanOp], cov: Coverage) -> list[PlanOp]:
             nonlocal removed
             out: list[PlanOp] = []
-            # active: per-array shifts valid at this point (program
-            # order, so [-1] is the most recent); inherited from the
-            # enclosing region where sound
             for op in block:
                 if isinstance(op, OverlapShiftOp):
-                    decl = plan.arrays.get(op.array)
-                    if decl is None:
-                        out.append(op)
-                        continue
-                    rank = len(decl.shape)
-                    prior = active.setdefault(op.array, [])
-                    trivial = RSD.slab(op.rsd, op.base_offsets, rank,
-                                       op.dim - 1).is_trivial
-                    # a trivial transfer picks up nothing orthogonal,
-                    # so any prior subsumer proves redundancy; a
-                    # non-trivial one reads the array's own residency,
-                    # which only the immediately preceding shift of
-                    # this array leaves unchanged
-                    candidates = prior if trivial else prior[-1:]
-                    if any(subsumes(a, op, rank) for a in candidates):
+                    if not cov.shift(op, len(plan.arrays[op.array].shape)):
                         removed += 1
                         continue
-                    prior.append(op)
-                    out.append(op)
-                elif isinstance(op, OverlappedOp):
-                    # the comm block executes inline at this point
-                    comm = coalesce(list(op.comm_ops), active)
-                    kill_writes(op.nest, active)
-                    out.append(replace(op, comm_ops=comm))
                 elif isinstance(op, (SeqLoopOp, WhileOp)):
-                    # loop entry state = meet of preheader and back
-                    # edge: only arrays whose owned cells the body never
-                    # assigns keep their preheader shifts (body shifts
-                    # of such arrays rewrite bitwise-identical halos,
-                    # so they do not invalidate the inherited state)
-                    owned = _owned_writes(op.body)
-                    inner = {k: list(v) for k, v in active.items()
-                             if k not in owned}
-                    body = coalesce(list(op.body), inner)
-                    out.append(op.rebuild(body))
-                    # after the loop (trip count may be zero), any
-                    # array the body touched — written or re-shifted —
-                    # has unreliable residency history
-                    for name in _op_effects(op).writes:
-                        active.pop(name, None)
+                    op = op.rebuild(cov.loop(
+                        effects(*op.body).defines,
+                        runs_at_least_once(op, plan.params),
+                        lambda c: coalesce(op.body, c)))
                 elif isinstance(op, CondOp):
-                    then_ops = coalesce(
-                        list(op.then_ops),
-                        {k: list(v) for k, v in active.items()})
-                    else_ops = coalesce(
-                        list(op.else_ops),
-                        {k: list(v) for k, v in active.items()})
-                    out.append(op.rebuild(then_ops, else_ops))
-                    kill_writes(op, active)
+                    op = op.rebuild(*cov.branch(
+                        lambda c: coalesce(op.then_ops, c),
+                        lambda c: coalesce(op.else_ops, c)))
+                elif isinstance(op, OverlappedOp):
+                    op = op.rebuild(coalesce(op.comm_ops, cov),
+                                    coalesce([op.nest], cov))
+                elif isinstance(op, SwapOp):
+                    cov.swap(op.a, op.b)
                 else:
-                    kill_writes(op, active)
-                    out.append(op)
+                    cov.kill(*effects(op).defines)
+                out.append(op)
             return out
 
-        new_ops = coalesce(list(plan.ops), {})
+        new_ops = coalesce(plan.ops, Coverage())
         return replace(plan, ops=new_ops), {"coalesced_shifts": removed}
 
 
@@ -630,16 +441,13 @@ class DeadAllocElimPass(PlanPass):
     name = "dead-alloc"
 
     def run(self, plan: Plan) -> tuple[Plan, dict[str, int]]:
-        live: set[str] = set(plan.entry_arrays)
-        live |= set(plan.outputs or ())
-        for op in walk(plan.ops):
-            if isinstance(op, (AllocOp, FreeOp)):
-                continue
-            eff = _op_effects(op)
-            live |= eff.reads | eff.writes
+        eff = effects(*(op for op in plan.ops
+                        if not isinstance(op, (AllocOp, FreeOp))))
+        live = eff.reads | eff.writes | set(plan.entry_arrays) | \
+            set(plan.outputs or ())
         removed_allocs = 0
 
-        def prune(block: list[PlanOp], region: Region) -> list[PlanOp]:
+        def prune(block: list[PlanOp]) -> list[PlanOp]:
             nonlocal removed_allocs
             out = []
             for op in block:
@@ -654,7 +462,7 @@ class DeadAllocElimPass(PlanPass):
                 out.append(op)
             return out
 
-        new_ops = map_regions(plan.ops, prune)
+        new_ops = map_blocks(plan.ops, prune)
         dead_decls = sorted(n for n in plan.arrays if n not in live)
         arrays = {n: d for n, d in plan.arrays.items() if n in live}
         return (replace(plan, ops=new_ops, arrays=arrays),

@@ -1,14 +1,20 @@
-"""The plan verifier and the one overlap-coverage model.
+"""The plan verifier and the one overlap-residency model.
 
 :class:`Coverage` is the §3.1/§3.3 model of what earlier
-``OVERLAP_SHIFT``\\ s made resident and whether an offset read is covered
-by it (Figures 9/10 corners included).  Two walkers drive it: this
-module's, over a :class:`~repro.plan.ops.Plan` (the lowest-level IR)
-after codegen and after every plan pass, and
-:mod:`repro.analysis.verify_offsets`', over the statement IR after the
-AST passes.  The plan walker also checks what only exists after
-lowering — allocation lifetimes, declared halo widths, RSD extents, and
-op-structure well-formedness.
+``OVERLAP_SHIFT``\\ s made resident and whether an offset read is
+covered by it (Figures 9/10 corners included).  Its transfer rules are
+written once, here: a shift adds, a write, allocation or free kills, a
+swap moves residency with the buffer, a loop kills what its body
+redefines on entry and meets the state before it at exit unless it
+provably runs, a branch meets its arms.  Three clients walk it: this
+module's verifier over a :class:`~repro.plan.ops.Plan` (the
+lowest-level IR) after codegen and after every plan pass,
+:mod:`repro.analysis.verify_offsets` over the statement IR after the
+AST passes, and the ``coalesce-shifts`` plan pass, which drops a shift
+exactly when :meth:`Coverage.shift` says it adds nothing.  The plan
+walker also checks what only exists after lowering — allocation
+lifetimes, declared halo widths, RSD extents, and op-structure
+well-formedness.
 
 Checks, grouped by the ``check`` code on each problem:
 
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
+from typing import Callable, Iterable, TypeVar
 
 from repro.errors import PlanVerificationError
 from repro.ir.nodes import Expr, OffsetRef, OverlapShift, ScalarRef
@@ -42,52 +49,76 @@ from repro.ir.rsd import RSD
 from repro.plan.ops import (
     AllocOp, ArrayDecl, CondOp, FreeOp, FullShiftOp, LoopNestOp,
     OverlappedOp, OverlapShiftOp, Plan, PlanOp, ScalarAssignOp,
-    SeqLoopOp, SwapOp, WhileOp, walk,
+    SeqLoopOp, SwapOp, WhileOp, effects, runs_at_least_once,
 )
 
 Fill = float | None
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class RegionCover:
-    """What one (array, dim, sign) overlap region currently holds."""
+    """The cells one shift made resident in an (array, dim, sign)
+    overlap region: a box ``amount`` deep along the shifted dim and
+    ``ortho`` = (lo, hi) wide into every other dim's overlap."""
 
-    amount: int                    # filled depth along the shifted dim
-    ortho: tuple[tuple[int, int], ...]  # (lo, hi) coverage per other dim
+    amount: int
+    ortho: tuple[tuple[int, int], ...]
     fill: Fill
 
-    def meet(self, other: "RegionCover") -> "RegionCover | None":
-        if self.fill != other.fill:
-            return None
-        ortho = tuple((min(a[0], b[0]), min(a[1], b[1]))
-                      for a, b in zip(self.ortho, other.ortho))
-        return RegionCover(min(self.amount, other.amount), ortho,
-                           self.fill)
+    def within(self, other: "RegionCover") -> bool:
+        """Are all of this cover's cells ``other``'s, with its fill?"""
+        return self.fill == other.fill and self.amount <= other.amount \
+            and all(a[0] <= b[0] and a[1] <= b[1]
+                    for a, b in zip(self.ortho, other.ortho))
+
+    def meet(self, other: "RegionCover") -> "RegionCover":
+        """The cells both covers hold (same fill)."""
+        return RegionCover(
+            min(self.amount, other.amount),
+            tuple((min(a[0], b[0]), min(a[1], b[1]))
+                  for a, b in zip(self.ortho, other.ortho)), self.fill)
+
+
+Covers = tuple[RegionCover, ...]
+
+
+def _frontier(covers) -> Covers:
+    """``covers`` without the ones another of them holds."""
+    covers = tuple(dict.fromkeys(covers))
+    return tuple(c for c in covers
+                 if not any(d != c and c.within(d) for d in covers))
 
 
 class Coverage:
-    """Which overlap cells are resident at one program point.
+    """Which overlap cells are resident at one program point: the one
+    residency model, its transfer rules written once.
 
-    One :class:`RegionCover` per ``(array, 0-based dim, sign)`` region.
-    A walker applies each ``OVERLAP_SHIFT`` with :meth:`shift`, each
-    redefinition with :meth:`kill`, each buffer swap with :meth:`swap`,
-    meets the arms of a branch with :meth:`meet`, and asks
-    :meth:`problems` about every offset read.
+    Each ``(array, 0-based dim, sign)`` region keeps its non-dominated
+    :class:`RegionCover`\\ s, all of one fill: refills of different
+    depths and orthogonal widths stay separate boxes, so a corner is
+    resident only when a single shift carried it.  A walker applies each
+    ``OVERLAP_SHIFT`` with :meth:`shift` (which says whether it made
+    anything resident), each redefinition with :meth:`kill`, each buffer
+    swap with :meth:`swap`, each loop with :meth:`loop` and each branch
+    with :meth:`branch`, and asks :meth:`problems` about every offset
+    read.
     """
 
     def __init__(self, regions: dict | None = None) -> None:
-        self.regions: dict[tuple[str, int, int], RegionCover] = \
+        self.regions: dict[tuple[str, int, int], Covers] = \
             dict(regions or {})
 
     def copy(self) -> "Coverage":
         return Coverage(self.regions)
 
     def _depth(self, name: str, dim: int, sign: int) -> int:
-        cover = self.regions.get((name, dim, sign))
-        return 0 if cover is None else cover.amount
+        return max((c.amount for c in self.regions.get((name, dim, sign),
+                                                       ())), default=0)
 
-    def shift(self, op: OverlapShiftOp | OverlapShift, rank: int) -> None:
-        """Apply one ``OVERLAP_SHIFT`` of a rank-``rank`` array."""
+    def shift(self, op: OverlapShiftOp | OverlapShift, rank: int) -> bool:
+        """Apply one ``OVERLAP_SHIFT`` of a rank-``rank`` array; False
+        when it adds nothing to what is already resident."""
         d = op.dim - 1
         try:
             slab = RSD.slab(op.rsd, op.base_offsets, rank, d)
@@ -103,15 +134,13 @@ class Coverage:
             for k, ext in enumerate(slab.dims))
         key = (op.array, d, 1 if op.shift > 0 else -1)
         cover = RegionCover(abs(op.shift), ortho, op.boundary)
-        prev = self.regions.get(key)
-        if prev is not None and prev.fill == cover.fill:
-            # refills accumulate coverage (larger subsumes smaller)
-            cover = RegionCover(
-                max(prev.amount, cover.amount),
-                tuple((max(a[0], b[0]), max(a[1], b[1]))
-                      for a, b in zip(prev.ortho, cover.ortho)),
-                cover.fill)
-        self.regions[key] = cover
+        # a refill of another fill kind overwrites the region
+        prev = tuple(c for c in self.regions.get(key, ())
+                     if c.fill == cover.fill)
+        if any(cover.within(c) for c in prev):
+            return False
+        self.regions[key] = _frontier(prev + (cover,))
+        return True
 
     def kill(self, *names: str) -> None:
         """The arrays ``names`` were redefined: nothing of theirs is
@@ -126,60 +155,93 @@ class Coverage:
 
     def meet(self, other: "Coverage") -> None:
         """Join point: keep only what both paths made resident."""
-        self.regions = {
-            key: met for key in self.regions.keys() & other.regions.keys()
-            if (met := self.regions[key].meet(other.regions[key]))
-            is not None}
+        met = {}
+        for key in self.regions.keys() & other.regions.keys():
+            mine, theirs = self.regions[key], other.regions[key]
+            if mine[0].fill == theirs[0].fill:
+                met[key] = _frontier(a.meet(b) for a in mine
+                                     for b in theirs)
+        self.regions = met
+
+    def loop(self, defines: Iterable[str], once: bool,
+             body: Callable[["Coverage"], T]) -> T:
+        """A loop whose body redefines ``defines``: ``body`` walks it
+        once from the entry state and its result is returned.
+
+        Around the back edge nothing the body redefines is resident on
+        entry to any iteration; at exit the state is the body's, met
+        with the state before the loop unless the loop provably runs
+        (``once``) — a zero-trip loop made nothing resident.
+        """
+        before = self.copy()
+        self.kill(*defines)
+        result = body(self)
+        if not once:
+            self.meet(before)
+        return result
+
+    def branch(self, *arms: Callable[["Coverage"], T]) -> list[T]:
+        """A branch: each arm walks from the entry state, the state after
+        is their meet; returns the arms' results."""
+        states = [self] + [self.copy() for _ in arms[1:]]
+        results = [arm(state) for arm, state in zip(arms, states)]
+        for state in states[1:]:
+            self.meet(state)
+        return results
 
     def problems(self, ref: OffsetRef) -> list[str]:
         """Why the overlap cells ``ref`` reads are not all resident
         (empty when they are)."""
         offs, reasons = ref.offsets, []
-        covers: dict[int, RegionCover] = {}
+        deep: dict[int, Covers] = {}
         for k, o in enumerate(offs):
             if o == 0:
                 continue
             sign = 1 if o > 0 else -1
-            cover = self.regions.get((ref.name, k, sign))
-            if cover is None:
+            covers = self.regions.get((ref.name, k, sign))
+            if not covers:
                 reasons.append(f"no prior overlap_shift fills dim {k + 1} "
                                f"direction {'+' if sign > 0 else '-'}")
-            elif cover.fill != ref.boundary:
+            elif covers[0].fill != ref.boundary:
                 reasons.append(f"fill kind mismatch on dim {k + 1}: "
-                               f"region holds {cover.fill}, reference "
-                               f"needs {ref.boundary}")
-            elif cover.amount < abs(o):
-                reasons.append(f"overlap depth {cover.amount} < |{o}| on "
-                               f"dim {k + 1}")
+                               f"region holds {covers[0].fill}, "
+                               f"reference needs {ref.boundary}")
             else:
-                covers[k] = cover
-        if not reasons and len(covers) > 1 and \
-                not self._corner_carried(offs, covers):
-            carried = ", ".join(f"dim {k + 1} fill extends {c.ortho}"
-                                for k, c in covers.items())
+                deep[k] = tuple(c for c in covers if c.amount >= abs(o))
+                if not deep[k]:
+                    reasons.append(
+                        f"overlap depth {max(c.amount for c in covers)} "
+                        f"< |{o}| on dim {k + 1}")
+        if not reasons and len(deep) > 1 and \
+                not self._corner_carried(offs, deep):
+            carried = ", ".join(
+                f"dim {k + 1} fill extends "
+                + " or ".join(str(c.ortho) for c in covers)
+                for k, covers in deep.items())
             reasons.append(f"corner cells not carried: no shift order "
                            f"covers offset {offs} ({carried})")
         return reasons
 
     @staticmethod
     def _corner_carried(offs: tuple[int, ...],
-                        covers: dict[int, RegionCover]) -> bool:
+                        deep: dict[int, Covers]) -> bool:
         """Is the corner cell at ``offs`` resident in some overlap area?
 
         It is when the nonzero dimensions admit an ordering in which
-        every shift's orthogonal extension covers all components shifted
-        before it — the later shift then carries the earlier corner data
-        from its sender's overlap area, in any dimension order.  Ortho
-        extents are already residency-clamped, so this accepts exactly
-        the chains the runtime delivers.
+        each dimension has one cover, deep enough, whose orthogonal
+        extension covers all components shifted before it — that shift
+        then carried the earlier corner data from its sender's overlap
+        area, in any dimension order.  Ortho extents are already
+        residency-clamped, so this accepts exactly the chains the
+        runtime delivers.
         """
         def carries(k: int, earlier: tuple[int, ...]) -> bool:
             # ortho[j] is (lo, hi): index 1 serves a positive offset
-            return all(covers[k].ortho[j][offs[j] > 0] >= abs(offs[j])
-                       for j in earlier)
+            return any(all(c.ortho[j][offs[j] > 0] >= abs(offs[j])
+                           for j in earlier) for c in deep[k])
 
         return any(all(carries(k, perm[:i]) for i, k in enumerate(perm))
-                   for perm in permutations(covers))
+                   for perm in permutations(deep))
 
 
 @dataclass
@@ -320,19 +382,6 @@ class _PlanVerifier:
                     self._add("structure", op,
                               f"unbound scalar {node.name}")
 
-    def _written_in(self, ops: list[PlanOp]) -> set[str]:
-        written: set[str] = set()
-        for op in walk(ops):
-            if isinstance(op, LoopNestOp):
-                written.update(s.lhs for s in op.statements)
-            elif isinstance(op, FullShiftOp):
-                written.add(op.dst)
-            elif isinstance(op, SwapOp):
-                written.update((op.a, op.b))
-            elif isinstance(op, (AllocOp, FreeOp)):
-                written.update(op.names)
-        return written
-
     # -- structured walk -----------------------------------------------------
     def _walk(self, ops: list[PlanOp], state: Coverage,
               allocated: set[str], ever: set[str],
@@ -421,20 +470,20 @@ class _PlanVerifier:
                 scalars.add(op.name)
             elif isinstance(op, SeqLoopOp):
                 scalars.add(op.var)
-                self._enter_loop(op, op.body, state, allocated, ever,
-                                 scalars)
+                self._enter_loop(op, state, allocated, ever, scalars)
             elif isinstance(op, WhileOp):
                 self._check_expr(op, op.cond, state, allocated, ever,
                                  scalars)
-                self._enter_loop(op, op.body, state, allocated, ever,
-                                 scalars)
+                self._enter_loop(op, state, allocated, ever, scalars)
             elif isinstance(op, CondOp):
                 self._check_expr(op, op.cond, state, allocated, ever,
                                  scalars)
-                s_else = state.copy()
                 a_then, a_else = set(allocated), set(allocated)
-                self._walk(op.then_ops, state, a_then, ever, scalars)
-                self._walk(op.else_ops, s_else, a_else, ever, scalars)
+                state.branch(
+                    lambda cov: self._walk(op.then_ops, cov, a_then, ever,
+                                           scalars),
+                    lambda cov: self._walk(op.else_ops, cov, a_else, ever,
+                                           scalars))
                 if a_then != a_else:
                     self._add("alloc", op,
                               f"branches disagree on allocation state: "
@@ -442,7 +491,6 @@ class _PlanVerifier:
                               f"else={sorted(a_else)}")
                 allocated.clear()
                 allocated.update(a_then & a_else)
-                state.meet(s_else)
             elif isinstance(op, OverlappedOp):
                 for comm in op.comm_ops:
                     if not isinstance(comm, OverlapShiftOp):
@@ -457,15 +505,14 @@ class _PlanVerifier:
                 self._add("structure", op,
                           f"unknown plan op {type(op).__name__}")
 
-    def _enter_loop(self, op: PlanOp, body: list[PlanOp],
-                    state: Coverage,
+    def _enter_loop(self, op: SeqLoopOp | WhileOp, state: Coverage,
                     allocated: set[str], ever: set[str],
                     scalars: set[str]) -> None:
-        # conservative around the back edge: residency of anything the
-        # body redefines is unavailable on entry to any iteration
-        state.kill(*self._written_in(body))
         entry = set(allocated)
-        self._walk(body, state, allocated, ever, scalars)
+        state.loop(effects(*op.body).defines,
+                   runs_at_least_once(op, self.plan.params),
+                   lambda cov: self._walk(op.body, cov, allocated, ever,
+                                          scalars))
         if allocated != entry:
             gained = sorted(allocated - entry)
             lost = sorted(entry - allocated)

@@ -182,7 +182,7 @@ async def _compile_shared(state: ServiceState, job: CompileJob):
     key = job.cache_key(state.plan_cache)
 
     def ready():
-        return state.plan_cache.memory.get_if(
+        return state.plan_cache.get_if(
             key, lambda c: plan_document(c, encode=False))
 
     async def factory():

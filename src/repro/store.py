@@ -21,7 +21,7 @@ is a configuration of these three classes:
   *use* (``get`` refreshes mtime); opening it sweeps ``*.tmp`` files that
   writers killed mid-write left behind.
 * :class:`TieredStore` — memory over disk: disk hits are promoted, writes
-  go through to both.
+  go through to both, memory hits refresh the disk entry's mtime.
 
 Every tier counts into one :class:`~repro.obs.metrics.CacheStats` under
 its label, which also publishes ``repro_cache_events_total`` to the
@@ -86,20 +86,17 @@ class MemoryStore(_Store):
             return len(self._entries)
 
     def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.record("miss")
-                return None
-            self._entries.move_to_end(key)
-            self.stats.record("hit")
-            return entry
+        return self.get_if(key)
 
-    def get_if(self, key, accept):
-        """A counted hit if ``accept`` takes the entry, else uncounted."""
+    def get_if(self, key, accept=None):
+        """The entry, a counted hit, if ``accept`` (default: any entry)
+        takes it; else ``None``, a counted miss only when ``accept`` was
+        not given."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or not accept(entry):
+            if entry is None or accept is not None and not accept(entry):
+                if accept is None:
+                    self.stats.record("miss")
                 return None
             self._entries.move_to_end(key)
             self.stats.record("hit")
@@ -250,14 +247,20 @@ class DiskStore(_Store):
                 break
             except Exception:
                 continue
-            try:
-                os.utime(path)  # pruning follows recency of use
-            except OSError:
-                pass
+            self.touch(key)
             self._count("hit")
             return value
         self._count("miss")
         return None
+
+    def touch(self, key: str) -> None:
+        """Mark ``key``'s entry used now: pruning follows recency of
+        use.  An entry already gone is a pruner's or an eviction's
+        work, not an error."""
+        try:
+            os.utime(self.file(key))
+        except OSError:
+            pass
 
     def put(self, key: str, value) -> None:
         target, content = self.file(key), self.codec.encode(value)
@@ -307,11 +310,21 @@ class TieredStore(_Store):
         self.stats = memory.stats
 
     def get(self, key):
-        value = self.memory.get(key)
+        value = self.get_if(key)
         if value is None and self.disk is not None:
             value = self.disk.get(key)
             if value is not None:
                 self.memory.put(key, value)
+        return value
+
+    def get_if(self, key, accept=None):
+        """The memory tier's entry if ``accept`` takes it (see
+        :meth:`MemoryStore.get_if`).  A memory hit touches the disk
+        entry too, so the disk tier prunes by recency of use in either
+        tier, not only in its own."""
+        value = self.memory.get_if(key, accept)
+        if value is not None and self.disk is not None:
+            self.disk.touch(key)
         return value
 
     def put(self, key, value) -> None:

@@ -177,6 +177,24 @@ class TestControlFlowConservatism:
         # the pass itself must have produced a coverage-sound program
         assert verdicts(p) == []
 
+    def _after_loop(self, lo, hi):
+        """``DO K = lo, hi: OVERLAP_SHIFT(A, +1, 1)`` then ``B = A<1,0>``."""
+        from repro.ir.linexpr import LinExpr
+        p = parse_program("REAL A(16,16), B(16,16)\nB = A + 1")
+        read = p.body[0]
+        read.rhs = OffsetRef("A", (1, 0))
+        p.body = [DoLoop("K", LinExpr.of(lo), LinExpr.of(hi),
+                         [OverlapShift("A", 1, 1)]), read]
+        return p
+
+    def test_shift_of_a_zero_trip_loop_not_available_after_it(self):
+        problems = verdicts(self._after_loop(1, 0))
+        assert [x.reason for x in problems] == [
+            "no prior overlap_shift fills dim 1 direction +"]
+        # bounds over run-time values may give zero trips as well
+        assert verdicts(self._after_loop(1, "M"))
+        assert verdicts(self._after_loop(1, 2)) == []
+
     def test_loop_killed_base(self):
         src = """
         REAL A(16,16), B(16,16), C(16,16)

@@ -36,6 +36,8 @@ def test_manifest_covers_every_named_kernel():
         [f"{name}.O4" for name in KERNELS]
         + [f"{name}.{default}" for name in ("cg", "jacobi", "red_black")])
     assert manifest["documents"] == expected
+    assert sorted(manifest["digests"]) == sorted(
+        f"{name}.{level.name}" for name in KERNELS for level in OptLevel)
     assert manifest["schema"] == PLAN_SCHEMA_VERSION
     assert sorted(p.stem for p in golden_plans.GOLDEN_DIR.glob("*.json")
                   if p != golden_plans.MANIFEST) == expected
@@ -54,6 +56,22 @@ def test_check_fails_on_drifted_golden(tmp_path, monkeypatch):
     monkeypatch.setattr(golden_plans, "MANIFEST",
                         fake / "MANIFEST.json")
     assert golden_plans.check() == 1
+
+
+def test_check_fails_on_drifted_digest(tmp_path, monkeypatch, capsys):
+    """A level with no golden document is pinned by its digest."""
+    import shutil
+    fake = tmp_path / "goldens"
+    shutil.copytree(golden_plans.GOLDEN_DIR, fake)
+    manifest_path = fake / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["digests"]["purdue9.O1"] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest) + "\n")
+    monkeypatch.setattr(golden_plans, "GOLDEN_DIR", fake)
+    monkeypatch.setattr(golden_plans, "MANIFEST", manifest_path)
+    assert golden_plans.check() == 1
+    assert "purdue9.O1: compiled plan's sha256 differs" in \
+        capsys.readouterr().err
 
 
 def test_check_demands_regeneration_after_schema_bump(tmp_path,

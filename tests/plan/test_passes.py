@@ -346,6 +346,21 @@ def test_coalesce_across_overlapped_comm_blocks():
     assert verify_plan(new) == []
 
 
+def _same_arrays_on_both_backends(*plans):
+    """Every plan, run on ``perpe`` and ``vectorized``, leaves the same
+    arrays."""
+    from repro.runtime.executor import execute
+
+    u = np.arange(64, dtype=np.float32).reshape(8, 8) + 1
+    runs = [execute(plan, Machine(grid=(2, 2)), inputs={"U": u},
+                    backend=backend).arrays
+            for plan in plans for backend in ("perpe", "vectorized")]
+    for arrays in runs[1:]:
+        assert arrays.keys() == runs[0].keys()
+        for name in arrays:
+            np.testing.assert_array_equal(arrays[name], runs[0][name])
+
+
 def test_coalesce_cond_arms_inherit_but_do_not_leak():
     plan = simple_plan([
         AllocOp(names=("V",)), shift(s=1),
@@ -356,10 +371,51 @@ def test_coalesce_cond_arms_inherit_but_do_not_leak():
         FreeOp(names=("V",)),
     ])
     new, stats = CoalesceShiftsPass().run(plan)
-    # the arm's shift is subsumed by the preheader's; the shift after
-    # the conditional must survive (the arm may or may not have run)
-    assert stats["coalesced_shifts"] == 1
+    # the arm's shift is subsumed by the preheader's; the preheader's
+    # residency reaches the join on both paths, so the shift after the
+    # conditional is redundant too
+    assert stats["coalesced_shifts"] == 2
+    assert new.count_ops(OverlapShiftOp) == 1
+    assert verify_plan(new) == []
+    _same_arrays_on_both_backends(plan, new)
+
+
+def test_coalesce_keeps_a_shift_only_one_arm_made_redundant():
+    # U<1,0> is read first inside the arm; only the arm fills its halo,
+    # so the else path reaches the post-branch shift without it
+    plan = simple_plan([
+        AllocOp(names=("V",)),
+        CondOp(cond=scalar_true(),
+               then_ops=[shift(s=1), copy_nest("V", "U", (1, 0))],
+               else_ops=[]),
+        shift(s=1),
+        copy_nest("V", "U", (1, 0)),
+        FreeOp(names=("V",)),
+    ])
+    new, stats = CoalesceShiftsPass().run(plan)
+    assert stats["coalesced_shifts"] == 0
     assert new.count_ops(OverlapShiftOp) == 2
+    assert verify_plan(new) == []
+    _same_arrays_on_both_backends(plan, new)
+
+
+def test_coalesce_keeps_the_shift_after_a_loop_that_may_not_run():
+    plan = simple_plan([
+        AllocOp(names=("V",)),
+        _loop([shift(s=1), copy_nest("V", "U", (1, 0))], lo=1, hi=0),
+        shift(s=1),
+        copy_nest("V", "U", (1, 0)),
+        FreeOp(names=("V",)),
+    ])
+    _, stats = CoalesceShiftsPass().run(plan)
+    assert stats["coalesced_shifts"] == 0
+    runs = dataclasses.replace(plan, ops=[
+        _loop(op.body) if isinstance(op, SeqLoopOp) else op
+        for op in plan.ops])
+    new, stats = CoalesceShiftsPass().run(runs)
+    assert stats["coalesced_shifts"] == 1
+    assert verify_plan(new) == []
+    _same_arrays_on_both_backends(runs, new)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,17 @@ import dataclasses
 import pytest
 
 from repro.errors import PlanVerificationError
+from repro.ir.linexpr import LinExpr
 from repro.ir.rsd import RSD, RSDim
 from repro.kernels import KERNELS, compile_kernel
 from repro.plan import (
-    AllocOp, FreeOp, OverlapShiftOp, assert_plan_valid, verify_plan,
+    AllocOp, FreeOp, OverlapShiftOp, SeqLoopOp, WhileOp,
+    assert_plan_valid, verify_plan,
 )
 
-from tests.plan.helpers import OffsetRef, copy_nest, decl, simple_plan
+from tests.plan.helpers import (
+    Compare, Const, OffsetRef, copy_nest, decl, simple_plan,
+)
 
 
 def shift(array: str = "U", s: int = 1, dim: int = 1, **kw):
@@ -251,3 +255,66 @@ def test_swap_moves_halo_residency_with_the_buffer():
                        FreeOp(names=("V",))])
     msgs = problems_of(bad)
     assert any("[coverage]" in m for m in msgs), msgs
+
+
+# ---------------------------------------------------------------------------
+# loop exits and refills: what Coverage may claim
+# ---------------------------------------------------------------------------
+
+def _after_loop(make_loop):
+    """``make_loop([shift U +1 dim 1])`` then ``V = U<+1,0>``."""
+    return simple_plan([make_loop([shift(s=1)]),
+                        copy_nest("V", "U", (1, 0))],
+                       entry=("U", "V"), scalars=("K",))
+
+
+def test_rejects_read_after_a_loop_that_may_not_run():
+    # a DO K = 1, 0 never sends its shift: U's halo is not resident
+    # after it (perpe and vectorized used to disagree on V's row 4)
+    zero = _after_loop(lambda body: SeqLoopOp("K", LinExpr(1), LinExpr(0),
+                                             body))
+    msgs = problems_of(zero)
+    assert any("[coverage]" in m and "no prior overlap_shift" in m
+               for m in msgs), msgs
+    never = _after_loop(lambda body: WhileOp(
+        Compare(">", Const(0.0), Const(1.0)), body))
+    assert any("[coverage]" in m for m in problems_of(never))
+
+
+def test_loop_that_provably_runs_keeps_its_body_shifts():
+    runs = _after_loop(lambda body: SeqLoopOp("K", LinExpr(1), LinExpr(2),
+                                             body))
+    assert verify_plan(runs) == []
+    # what was resident before a loop that may not run stays resident
+    # when the body does not redefine it
+    before = simple_plan([shift(s=1),
+                          SeqLoopOp("K", LinExpr(1), LinExpr.of("M"),
+                                    [shift(s=1, dim=2)]),
+                          copy_nest("V", "U", (1, 0))],
+                         entry=("U", "V"), scalars=("K", "M"))
+    assert verify_plan(before) == []
+
+
+def _refills(*shifts):
+    arrays = {"U": decl("U", halo=((2, 2), (1, 1))),
+              "V": decl("V", halo=((2, 2), (1, 1)))}
+    return simple_plan([*shifts, copy_nest("V", "U", (2, 1))],
+                       arrays=arrays, entry=("U", "V"))
+
+
+def test_refills_never_claim_a_corner_no_shift_carried():
+    # the shallow refill carried the dim-2 corner, the deep one did
+    # not: the +2,+1 corner is in neither, and only the deep refill is
+    # listed (perpe and vectorized used to differ at V(4,4), V(4,8)
+    # and V(8,4))
+    plan = _refills(shift(s=1, dim=2),
+                    shift(s=1, dim=1, rsd=RSD((None, RSDim(0, 1)))),
+                    shift(s=2, dim=1))
+    msgs = problems_of(plan)
+    assert any("corner cells not carried" in m
+               and "dim 1 fill extends ((0, 0), (0, 0)), dim 2" in m
+               for m in msgs), msgs
+    # one refill both deep enough and wide enough carries it
+    assert verify_plan(_refills(
+        shift(s=1, dim=2), shift(s=1, dim=1),
+        shift(s=2, dim=1, rsd=RSD((None, RSDim(0, 1)))))) == []

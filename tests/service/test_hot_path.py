@@ -132,6 +132,19 @@ def test_a_memory_hit_takes_no_pool_hop(harness, tmp_path, monkeypatch):
     assert hashlib.sha256(text).hexdigest() == first["plan_key"]
 
 
+def test_a_memory_hit_run_refreshes_the_disk_entry(harness):
+    """The loop-side memory hit keeps the plan's disk entry recent, so
+    the disk tier does not prune the plans served most."""
+    import os
+
+    key = harness.json("POST", "/run", FIVE)["key"]
+    entry = harness.service.state.plan_cache.disk.file(key)
+    old = entry.stat().st_mtime - 500
+    os.utime(entry, (old, old))
+    assert harness.json("POST", "/run", FIVE)["key"] == key
+    assert entry.stat().st_mtime > old + 400
+
+
 #: what the sequence below left when every compile took a pool thread
 PARENT_COUNTS = {
     "plan-memory": {"hits": 2.0, "misses": 3.0, "invalidations": 1.0,

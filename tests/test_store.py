@@ -371,6 +371,29 @@ class TestTiering:
         assert store.memory.get("k") is value
         assert same(kind, store.disk.get("k"), value)
 
+    def test_memory_hits_keep_the_disk_entry_recent(self, kind, tmp_path):
+        """A key served from memory all along is the last the disk
+        prune evicts, not the first: every memory hit touches its disk
+        entry.  Each round ages the directory ten seconds, so the order
+        does not hang on the filesystem's mtime resolution."""
+        suffix = CODECS[kind].suffix
+        store = TieredStore(MemoryStore(4),
+                            DiskStore(tmp_path, CODECS[kind], max_entries=8))
+        hot, *others = values(kind)
+        store.put("hot", hot)
+        for i in range(12):
+            for f in tmp_path.glob(f"*{suffix}"):
+                aged = f.stat().st_mtime - 10
+                os.utime(f, (aged, aged))
+            assert store.get("hot") is hot
+            assert store.get_if("hot", lambda v: v is hot) is hot
+            store.put(f"k{i:02d}", others[i % len(others)])
+        assert store.memory.stats.hits == 24
+        assert store.disk.stats.hits == 0
+        assert store.disk.file("hot").exists()
+        assert sorted(f.stem for f in tmp_path.glob(f"*{suffix}")) == \
+            ["hot"] + [f"k{i:02d}" for i in range(5, 12)]
+
     def test_memory_only(self, kind):
         store, value = TieredStore(MemoryStore()), values(kind)[0]
         assert store.get("k") is None
