@@ -11,7 +11,10 @@ buffer swaps); a straight-line kernel's default plan is its O4 plan.
 Every kernel's plan at every level ``O0``..``O5`` is pinned as well, by
 the sha256 of its JSON in the manifest's ``digests`` (a digest, not a
 document: the levels below O4 and the straight-line O5 plans are
-frozen without a file each).
+frozen without a file each).  The communication/computation overlap
+rewrite is pinned the same way, by the digests of every kernel at O4
+and O5 with ``overlap_comm=True`` (``<kernel>.O4+overlap``,
+``<kernel>.O5+overlap``).
 
 ``--check`` (the CI mode) recompiles every kernel and fails if any
 plan's JSON differs from its golden or its digest **while the schema
@@ -63,15 +66,23 @@ def current_documents() -> dict[str, str]:
 
 def current_digests() -> dict[str, str]:
     """``{"<kernel>.<level>": sha256 of the plan JSON}`` at every
-    level."""
+    level, plus ``"<kernel>.<level>+overlap"`` at O4 and O5 with
+    ``overlap_comm=True``."""
     from repro.compiler import OptLevel
     from repro.kernels import KERNELS, compile_kernel
     from repro.plan import plan_to_json
 
-    return {f"{name}.{level.name}": hashlib.sha256(plan_to_json(
-                compile_kernel(name, bindings={"N": N},
-                               level=level.name).plan).encode()).hexdigest()
-            for name in sorted(KERNELS) for level in OptLevel}
+    def digest(name: str, level: str, **options) -> str:
+        plan = compile_kernel(name, bindings={"N": N}, level=level,
+                              **options).plan
+        return hashlib.sha256(plan_to_json(plan).encode()).hexdigest()
+
+    digests = {f"{name}.{level.name}": digest(name, level.name)
+               for name in sorted(KERNELS) for level in OptLevel}
+    digests.update({f"{name}.{level}+overlap":
+                    digest(name, level, overlap_comm=True)
+                    for name in sorted(KERNELS) for level in ("O4", "O5")})
+    return digests
 
 
 def update() -> int:

@@ -29,7 +29,9 @@ def test_checked_in_goldens_match_compiler():
 
 def test_manifest_covers_every_named_kernel():
     """Every kernel at the paper's O4, the loop-carrying solvers at the
-    default level too, and a file for exactly those documents."""
+    default level too, and a file for exactly those documents; a digest
+    for every kernel at every level and at O4/O5 with the
+    communication/computation overlap."""
     manifest = json.loads(golden_plans.MANIFEST.read_text())
     default = OptLevel.DEFAULT.name
     expected = sorted(
@@ -37,7 +39,9 @@ def test_manifest_covers_every_named_kernel():
         + [f"{name}.{default}" for name in ("cg", "jacobi", "red_black")])
     assert manifest["documents"] == expected
     assert sorted(manifest["digests"]) == sorted(
-        f"{name}.{level.name}" for name in KERNELS for level in OptLevel)
+        [f"{name}.{level.name}" for name in KERNELS for level in OptLevel]
+        + [f"{name}.{level}+overlap" for name in KERNELS
+           for level in ("O4", "O5")])
     assert manifest["schema"] == PLAN_SCHEMA_VERSION
     assert sorted(p.stem for p in golden_plans.GOLDEN_DIR.glob("*.json")
                   if p != golden_plans.MANIFEST) == expected
