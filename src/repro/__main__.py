@@ -107,12 +107,10 @@ def _job(args: argparse.Namespace, profile: bool = False):
 
 
 def _plan_cache(args: argparse.Namespace):
-    """``--cache-dir`` wins (persistent, cross-process); ``--cache``
-    selects the process-wide in-memory default; otherwise no cache."""
-    if args.cache_dir:
-        from repro.compiler import PersistentPlanCache
-        return PersistentPlanCache(args.cache_dir)
-    return args.cache
+    """The ``--cache-dir`` plan cache, or none: a command compiles one
+    job per process, so an in-memory cache could never hit."""
+    from repro.compiler import PersistentPlanCache
+    return PersistentPlanCache(args.cache_dir) if args.cache_dir else None
 
 
 # -- the one run behind run/trace/profile/metrics ---------------------------
@@ -309,13 +307,9 @@ def _source_flags() -> argparse.ArgumentParser:
                         "ladder; default: the rung above, the full pipeline")
     p.add_argument("--output", action="append", default=[],
                    help="array live out of the routine (repeatable)")
-    p.add_argument("--cache", action="store_true",
-                   help="memoize compilation in the process-wide plan "
-                        "cache (repeat compiles of identical "
-                        "source/options hit in microseconds)")
     p.add_argument("--cache-dir", default=None, metavar="PATH",
                    help="memoize compiled plans on disk under PATH "
-                        "(survives across processes; overrides --cache)")
+                        "(survives across processes)")
     return p
 
 

@@ -90,8 +90,6 @@ class CodeGenerator:
     # -- public -----------------------------------------------------------
     def generate(self) -> Plan:
         ops = self._lower_block(self.program.body)
-        if self.options.overlap_comm:
-            ops = self._apply_comm_overlap(ops)
         arrays = {}
         allocated_later: set[str] = set()
         for op in walk(ops):
@@ -127,58 +125,6 @@ class CodeGenerator:
         return Plan(arrays=arrays, params=dict(self.program.symbols.params),
                     scalar_names=scalar_names, ops=ops, entry_arrays=entry,
                     processors=self.program.processors, outputs=outputs)
-
-    # -- communication/computation overlap ------------------------------------
-    def _apply_comm_overlap(self, ops: list[PlanOp]) -> list[PlanOp]:
-        """Wrap [OVERLAP_SHIFT..., nest] runs into OverlappedOps when the
-        shifts feed the nest, so the executor can charge
-        max(comm, interior) + boundary (the classic follow-on
-        optimization; enabled by ``overlap_comm``)."""
-        from repro.plan import OverlappedOp
-        out: list[PlanOp] = []
-        pending: list[OverlapShiftOp] = []
-        for op in ops:
-            if isinstance(op, OverlapShiftOp):
-                pending.append(op)
-                continue
-            if isinstance(op, LoopNestOp) and pending:
-                read = set()
-                written = {stmt.lhs for stmt in op.statements}
-                splittable = True
-                for stmt in op.statements:
-                    exprs = [stmt.rhs] + ([stmt.mask]
-                                          if stmt.mask is not None else [])
-                    for expr in exprs:
-                        for node in expr.walk():
-                            if isinstance(node, OffsetRef):
-                                read.add(node.name)
-                                # Fortran evaluates the whole RHS before
-                                # storing; splitting the iteration space
-                                # would let the boundary phase read
-                                # values the interior phase already
-                                # overwrote, so a displaced read of a
-                                # nest-written array blocks the overlap
-                                if node.name in written and \
-                                        any(node.offsets):
-                                    splittable = False
-                if splittable and all(s.array in read for s in pending):
-                    out.append(OverlappedOp(list(pending), op))
-                    pending.clear()
-                    continue
-            out.extend(pending)
-            pending.clear()
-            if isinstance(op, SeqLoopOp):
-                op.body = self._apply_comm_overlap(op.body)
-            elif isinstance(op, CondOp):
-                op.then_ops = self._apply_comm_overlap(op.then_ops)
-                op.else_ops = self._apply_comm_overlap(op.else_ops)
-            else:
-                from repro.plan import WhileOp
-                if isinstance(op, WhileOp):
-                    op.body = self._apply_comm_overlap(op.body)
-            out.append(op)
-        out.extend(pending)
-        return out
 
     # -- lowering -----------------------------------------------------------
     def _lower_block(self, body: list[Stmt]) -> list[PlanOp]:

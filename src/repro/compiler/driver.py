@@ -8,7 +8,8 @@ import math
 from repro.compiler.codegen import CodeGenerator
 from repro.compiler.options import CompilerOptions, OptLevel
 from repro.plan import CompiledProgram, CompileReport, FullShiftOp, \
-    LoopNestOp, OverlapShiftOp, PlanPassManager, assert_plan_valid
+    LoopNestOp, OverlapCommPass, OverlapShiftOp, PlanPass, \
+    PlanPassManager, assert_plan_valid, default_plan_passes
 from repro.frontend.parser import parse_program
 from repro.ir.program import Program
 from repro.passes.comm_union import CommUnionPass
@@ -52,6 +53,15 @@ class HpfCompiler:
             passes.append(ContextPartitionPass())
         if opts.level.comm_union:
             passes.append(CommUnionPass())
+        return passes
+
+    def build_plan_passes(self) -> list[PlanPass]:
+        """The default level's plan passes, then ``overlap-comm``
+        (always last) when ``overlap_comm`` is set."""
+        opts = self.options
+        passes = default_plan_passes() if opts.level.plan_passes else []
+        if opts.overlap_comm:
+            passes.append(OverlapCommPass())
         return passes
 
     # -- compilation --------------------------------------------------------
@@ -125,9 +135,10 @@ class HpfCompiler:
             with tracer.span("verify-plan", kind="analysis"):
                 assert_plan_valid(plan, phase="codegen")
             pass_stats = dict(ast_passes.stats)
-            if self.options.level.plan_passes:
+            plan_passes = self.build_plan_passes()
+            if plan_passes:
                 plan, pass_stats["plan-passes"] = \
-                    PlanPassManager(tracer=tracer).run(plan)
+                    PlanPassManager(plan_passes, tracer=tracer).run(plan)
             report = self._build_report(plan, pass_stats, gen)
             if tracer.enabled:
                 span.attrs["source"] = program.name

@@ -78,9 +78,10 @@ class CompilerOptions:
     of the ladder, on no CLI or wire surface: ``fusion_limit`` caps
     statements per fused nest (0 = unlimited); ``pooled_temps`` selects
     the normalizer's temporary policy (pooled reuse across statements
-    vs. one per shift); ``overlap_comm`` lets the model charge a nest
-    and its halo exchanges their maximum instead of their sum (lower
-    modelled time, higher wall-clock — see EXPERIMENTS.md);
+    vs. one per shift); ``overlap_comm`` appends the ``overlap-comm``
+    plan pass, run after every other plan pass, which lets the model
+    charge a nest and its halo exchanges their maximum instead of their
+    sum (lower modelled time, higher wall-clock — see EXPERIMENTS.md);
     ``hpf_overhead`` multiplies subgrid-loop cost to model an early HPF
     compiler's interpretive node code (the xlhpf-like baseline).
     """

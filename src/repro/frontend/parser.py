@@ -521,6 +521,8 @@ class _Parser:
         mask_sym = self.symbols.new_temp(
             like, prefix="MASK",
             type_=ArrayType(ScalarKind.LOGICAL, like.type.shape))
+        # ``like`` may be ALIGNed, which resolves only after parsing
+        self.align_requests.append((mask_sym.name, like.name))
         mask_ref = ArrayRef(mask_sym.name, section)
         return mask_ref, ArrayAssign(ArrayRef(mask_sym.name, section),
                                      mask_expr)

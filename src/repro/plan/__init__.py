@@ -25,8 +25,8 @@ from repro.plan.ops import (
 from repro.plan.printer import format_op, plan_to_text
 from repro.plan.passes import (
     CoalesceShiftsPass, DeadAllocElimPass, HoistInvariantShiftsPass,
-    PingPongElimPass, PlanPass, PlanPassManager, SchedulePass,
-    default_plan_passes,
+    OverlapCommPass, PingPongElimPass, PlanPass, PlanPassManager,
+    SchedulePass, default_plan_passes,
 )
 from repro.plan.serialize import (
     PLAN_SCHEMA_VERSION, plan_from_dict, plan_from_json, plan_to_dict,
@@ -39,7 +39,8 @@ __all__ = [
     "AllocOp", "ArrayDecl", "Blocks", "Box", "CoalesceShiftsPass",
     "CompileReport", "CompiledProgram", "CondOp", "DeadAllocElimPass",
     "Effects", "FreeOp", "FullShiftOp", "HoistInvariantShiftsPass",
-    "LoopNestOp", "NestStmt", "OverlappedOp", "OverlapShiftOp",
+    "LoopNestOp", "NestStmt", "OverlapCommPass", "OverlappedOp",
+    "OverlapShiftOp",
     "PLAN_SCHEMA_VERSION", "PingPongElimPass", "Plan", "PlanOp",
     "PlanPass", "PlanPassManager", "PlanProblem",
     "ScalarAssignOp", "SchedulePass", "SeqLoopOp", "SwapOp", "WhileOp",

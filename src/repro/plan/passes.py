@@ -9,13 +9,14 @@ and only the plan knows the final alloc/free placement and the loop
 structure of iterative solvers.
 
 Every rewrite is a :func:`repro.plan.ops.map_blocks` over the plan's
-blocks (top level, ``DO`` and ``DO WHILE`` bodies, conditional arms,
-overlapped-communication blocks), so the same pass logic fires inside
-loop and conditional bodies as at the top level; what an op reads and
-writes is :func:`repro.plan.ops.effects`, and whether a loop provably
-runs is :func:`repro.plan.ops.runs_at_least_once`.
+blocks (top level, ``DO`` and ``DO WHILE`` bodies, conditional arms),
+so the same pass logic fires inside loop and conditional bodies as at
+the top level; what an op reads and writes is
+:func:`repro.plan.ops.effects`, and whether a loop provably runs is
+:func:`repro.plan.ops.runs_at_least_once`.
 
-Five passes ship, run in this order by :func:`default_plan_passes`:
+Five passes make the default level, run in this order by
+:func:`default_plan_passes`; ``overlap-comm`` runs last when requested:
 
 ``schedule``
     Stable topological list scheduling within every block: hoists
@@ -55,6 +56,10 @@ Five passes ship, run in this order by :func:`default_plan_passes`:
     Deletes alloc/free pairs (and the declarations) of arrays nothing
     reads or writes, a situation AST-level passes cannot create or see
     because temporaries are only named during codegen.
+``overlap-comm``
+    Wraps overlap shifts and the nest they feed into an
+    :class:`~repro.plan.ops.OverlappedOp` (charged
+    ``max(comm, interior) + boundary``); no other pass looks inside one.
 
 Every pass is verified by :mod:`repro.plan.verify` after it runs (the
 :class:`PlanPassManager` — the shared pass manager, configured for
@@ -93,7 +98,7 @@ class SchedulePass(PlanPass):
         moved = 0
 
         def rank(op: PlanOp) -> int:
-            if isinstance(op, (OverlapShiftOp, OverlappedOp)):
+            if isinstance(op, OverlapShiftOp):
                 return 0
             if isinstance(op, FreeOp):
                 return 2
@@ -150,11 +155,8 @@ class HoistInvariantShiftsPass(PlanPass):
     zero-trip loop never communicates, so hoisting would add messages.
     ``DO WHILE`` bodies are skipped for the same reason.  Shifts nested
     inside conditional arms within the body stay put (they may not
-    execute every iteration); shifts inside overlapped-communication
-    blocks at the body's top level are hoisted and the
-    ``OverlappedOp`` degrades to its bare nest when its communication
-    block empties.  Bottom-up application cascades invariant shifts out
-    of nested loop towers in one run.
+    execute every iteration).  Bottom-up application cascades invariant
+    shifts out of nested loop towers in one run.
     """
 
     name = "hoist-invariant-shifts"
@@ -162,53 +164,19 @@ class HoistInvariantShiftsPass(PlanPass):
     def run(self, plan: Plan) -> tuple[Plan, dict[str, int]]:
         hoisted = 0
 
-        def split_body(body: list[PlanOp], invariant: set[str]
-                       ) -> tuple[list[PlanOp], list[PlanOp]]:
-            """Partition a loop body into (hoisted shifts, rest)."""
-            nonlocal hoisted
-            pre: list[PlanOp] = []
-            rest: list[PlanOp] = []
-            for op in body:
-                if isinstance(op, OverlapShiftOp) and \
-                        op.array in invariant:
-                    pre.append(op)
-                    hoisted += 1
-                elif isinstance(op, OverlappedOp):
-                    keep = [c for c in op.comm_ops
-                            if not (isinstance(c, OverlapShiftOp)
-                                    and c.array in invariant)]
-                    moved = [c for c in op.comm_ops
-                             if isinstance(c, OverlapShiftOp)
-                             and c.array in invariant]
-                    pre.extend(moved)
-                    hoisted += len(moved)
-                    if not keep:
-                        rest.append(op.nest)
-                    elif len(keep) != len(op.comm_ops):
-                        rest.append(replace(op, comm_ops=keep))
-                    else:
-                        rest.append(op)
-                else:
-                    rest.append(op)
-            return pre, rest
-
         def rewrite(block: list[PlanOp]) -> list[PlanOp]:
+            nonlocal hoisted
             out: list[PlanOp] = []
             for op in block:
                 if isinstance(op, SeqLoopOp) and \
                         runs_at_least_once(op, plan.params):
-                    shifted = {c.array for c in op.body
-                               if isinstance(c, OverlapShiftOp)}
-                    shifted |= {c.array for o in op.body
-                                if isinstance(o, OverlappedOp)
-                                for c in o.comm_ops
-                                if isinstance(c, OverlapShiftOp)}
-                    invariant = shifted - effects(*op.body).defines
-                    if invariant:
-                        pre, body = split_body(op.body, invariant)
+                    defined = effects(*op.body).defines
+                    pre = [c for c in op.body if isinstance(c, OverlapShiftOp)
+                           and c.array not in defined]
+                    if pre:
+                        hoisted += len(pre)
                         out.extend(pre)
-                        out.append(op.rebuild(body))
-                        continue
+                        op = op.rebuild([c for c in op.body if c not in pre])
                 out.append(op)
             return out
 
@@ -336,8 +304,6 @@ class PingPongElimPass(PlanPass):
                 # an unconditional unmasked full-box nest assigning A
                 # must precede the copy at the body's top level
                 def produces_fully(o: PlanOp) -> bool:
-                    if isinstance(o, OverlappedOp):
-                        o = o.nest
                     return (isinstance(o, LoopNestOp)
                             and full_box(o, scratch)
                             and any(s.lhs == scratch and s.mask is None
@@ -417,9 +383,6 @@ class CoalesceShiftsPass(PlanPass):
                     op = op.rebuild(*cov.branch(
                         lambda c: coalesce(op.then_ops, c),
                         lambda c: coalesce(op.else_ops, c)))
-                elif isinstance(op, OverlappedOp):
-                    op = op.rebuild(coalesce(op.comm_ops, cov),
-                                    coalesce([op.nest], cov))
                 elif isinstance(op, SwapOp):
                     cov.swap(op.a, op.b)
                 else:
@@ -468,6 +431,53 @@ class DeadAllocElimPass(PlanPass):
         return (replace(plan, ops=new_ops, arrays=arrays),
                 {"dead_allocs": removed_allocs,
                  "dead_decls": len(dead_decls)})
+
+
+# ---------------------------------------------------------------------------
+# communication/computation overlap
+# ---------------------------------------------------------------------------
+
+class OverlapCommPass(PlanPass):
+    """Wrap each run of overlap shifts and the nest right after it into
+    an ``OverlappedOp`` when the nest reads every shifted array and
+    reads no array it writes at a nonzero offset: Fortran evaluates the
+    whole right-hand side before storing, so a boundary strip must not
+    read what the interior strip already overwrote."""
+
+    name = "overlap-comm"
+
+    def run(self, plan: Plan) -> tuple[Plan, dict[str, int]]:
+        wrapped = 0
+
+        def splittable(shifts: list[PlanOp], nest: LoopNestOp) -> bool:
+            displaced = {node.name for stmt in nest.statements
+                         for expr in (stmt.rhs, stmt.mask) if expr is not None
+                         for node in expr.walk()
+                         if isinstance(node, OffsetRef) and any(node.offsets)}
+            eff = effects(nest)
+            return not eff.defines & displaced and \
+                all(s.array in eff.reads for s in shifts)
+
+        def overlap(block: list[PlanOp]) -> list[PlanOp]:
+            nonlocal wrapped
+            out: list[PlanOp] = []
+            pending: list[PlanOp] = []
+            for op in block:
+                if isinstance(op, OverlapShiftOp):
+                    pending.append(op)
+                    continue
+                if pending and isinstance(op, LoopNestOp) and \
+                        splittable(pending, op):
+                    out.append(OverlappedOp(pending, op))
+                    wrapped += 1
+                else:
+                    out.extend(pending)
+                    out.append(op)
+                pending = []
+            return out + pending
+
+        new_ops = map_blocks(plan.ops, overlap)
+        return replace(plan, ops=new_ops), {"overlapped_nests": wrapped}
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,20 @@ class TestPlanStructure:
         cp = compiled(False)
         assert cp.plan.count_ops(OverlappedOp) == 0
 
+    def test_overlap_comm_is_the_last_plan_pass(self):
+        from repro.compiler import HpfCompiler
+        from repro.plan import default_plan_passes
+
+        def names(level, **options):
+            return [p.name for p in HpfCompiler.at_level(
+                level, **options).build_plan_passes()]
+
+        default = [p.name for p in default_plan_passes()]
+        assert names("O5", overlap_comm=True) == default + ["overlap-comm"]
+        assert names("O4", overlap_comm=True) == ["overlap-comm"]
+        assert names("O5") == default
+        assert names("O4") == []
+
     def test_describe_plan_renders(self):
         from repro.analysis.report import describe_plan
         text = describe_plan(compiled(True).plan)

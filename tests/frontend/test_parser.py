@@ -74,6 +74,15 @@ class TestDirectives:
         assert p.symbols.array("B").distribution.dims == (
             DistKind.BLOCK, DistKind.COLLAPSED)
 
+    def test_where_mask_takes_the_aligned_distribution(self):
+        # the mask is declared while parsing, before ALIGN resolves
+        p = parse("REAL A0(8,8,8), A1(8,8,8)\n"
+                  "!HPF$ DISTRIBUTE A0(BLOCK,BLOCK,*)\n"
+                  "!HPF$ ALIGN A1 WITH A0\n"
+                  "WHERE (A1 > 0.0) A1 = A0 + 1.0")
+        assert p.symbols.array("MASK1").distribution == \
+            p.symbols.array("A0").distribution
+
     def test_cyclic_rejected(self):
         with pytest.raises(UnsupportedDistributionError):
             parse("REAL A(8)\n!HPF$ DISTRIBUTE A(CYCLIC)\nA = 0")

@@ -24,7 +24,7 @@ from repro.plan import (
     AllocOp, CoalesceShiftsPass, CondOp, DeadAllocElimPass, FreeOp,
     HoistInvariantShiftsPass, OverlappedOp, OverlapShiftOp,
     PingPongElimPass, PlanPass, PlanPassManager, SchedulePass, SeqLoopOp,
-    SwapOp, WhileOp, verify_plan, walk,
+    SwapOp, WhileOp, default_plan_passes, verify_plan, walk,
 )
 
 from tests.passes.test_licm import VARCOEFF
@@ -328,24 +328,6 @@ def test_coalesce_keeps_body_shift_when_loop_writes_array():
     assert new.count_ops(OverlapShiftOp) == 3
 
 
-def test_coalesce_across_overlapped_comm_blocks():
-    arrays = {"U": decl("U"), "V": decl("V", temporary=True),
-              "W": decl("W", temporary=True)}
-    plan = simple_plan([
-        AllocOp(names=("V", "W")),
-        OverlappedOp(comm_ops=[shift(s=1)],
-                     nest=copy_nest("V", "U", (1, 0))),
-        OverlappedOp(comm_ops=[shift(s=1)],
-                     nest=copy_nest("W", "U", (1, 0))),
-        FreeOp(names=("V", "W")),
-    ], arrays=arrays)
-    new, stats = CoalesceShiftsPass().run(plan)
-    # neither nest writes U, so the second comm block's shift is proven
-    # redundant by the first block's
-    assert stats["coalesced_shifts"] == 1
-    assert verify_plan(new) == []
-
-
 def _same_arrays_on_both_backends(*plans):
     """Every plan, run on ``perpe`` and ``vectorized``, leaves the same
     arrays."""
@@ -419,6 +401,49 @@ def test_coalesce_keeps_the_shift_after_a_loop_that_may_not_run():
 
 
 # ---------------------------------------------------------------------------
+# a hand-built OverlappedOp: every default pass leaves it alone
+# ---------------------------------------------------------------------------
+
+def _overlapped_plans():
+    """Plans with ``OverlappedOp`` blocks that the passes would optimize
+    were the shifts bare: a loop re-sending an invariant halo twice
+    (hoist, coalesce) and a double-buffer loop (ping-pong)."""
+    def overlapped(dst):
+        return OverlappedOp(comm_ops=[shift(s=1)],
+                            nest=copy_nest(dst, "U", (1, 0)))
+    arrays = {"U": decl("U"), "V": decl("V", temporary=True),
+              "W": decl("W", temporary=True)}
+    invariant = simple_plan([
+        AllocOp(names=("V", "W")),
+        _loop([overlapped("V"), overlapped("W")]),
+        FreeOp(names=("V", "W")),
+    ], arrays=arrays)
+    pingpong = dataclasses.replace(simple_plan([
+        AllocOp(names=("V",)),
+        _loop([overlapped("V"), copy_nest("U", "V")]),
+        FreeOp(names=("V",)),
+    ]), outputs=("U",))
+    return invariant, pingpong
+
+
+@pytest.mark.parametrize("plan_pass", [p.name for p in
+                                       default_plan_passes()])
+def test_default_passes_leave_overlapped_ops_alone(plan_pass):
+    """The overlap pass runs last, so no default pass looks inside an
+    ``OverlappedOp``: one built by hand keeps its communication block,
+    and the plan stays valid and computes the same arrays."""
+    run = next(p for p in default_plan_passes() if p.name == plan_pass)
+    for plan in _overlapped_plans():
+        new, _ = run.run(plan)
+        assert [op.comm_ops for op in walk(new.ops)
+                if isinstance(op, OverlappedOp)] == \
+            [op.comm_ops for op in walk(plan.ops)
+             if isinstance(op, OverlappedOp)]
+        assert verify_plan(new) == []
+        _same_arrays_on_both_backends(plan, new)
+
+
+# ---------------------------------------------------------------------------
 # hoist-invariant-shifts
 # ---------------------------------------------------------------------------
 
@@ -483,20 +508,6 @@ def test_hoist_skips_while_bodies_and_conditional_arms():
     ])
     new, stats = HoistInvariantShiftsPass().run(cond)
     assert stats["hoisted_shifts"] == 0
-
-
-def test_hoist_degrades_overlapped_op_when_comm_empties():
-    plan = simple_plan([
-        AllocOp(names=("V",)),
-        _loop([OverlappedOp(comm_ops=[shift(s=1)],
-                            nest=copy_nest("V", "U", (1, 0)))]),
-        FreeOp(names=("V",)),
-    ])
-    new, stats = HoistInvariantShiftsPass().run(plan)
-    assert stats["hoisted_shifts"] == 1
-    loop = next(op for op in new.ops if isinstance(op, SeqLoopOp))
-    assert not any(isinstance(op, OverlappedOp) for op in loop.body)
-    assert verify_plan(new) == []
 
 
 def test_hoist_cascades_out_of_nested_loops_in_one_run():

@@ -425,7 +425,7 @@ class TestPlanCommand:
         assert default.index("overlap_shift A") < default.index("do K")
         assert paper.index("do K") < paper.index("overlap_shift A")
 
-    @pytest.mark.parametrize("flag", ["--plan-passes", "--cse"])
+    @pytest.mark.parametrize("flag", ["--plan-passes", "--cse", "--cache"])
     def test_retired_flags_are_argparse_errors(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compile", "jacobi", flag])

@@ -53,8 +53,7 @@ def test_differential_all_levels_multiple_grids(seed):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_differential_3d(seed):
-    cfg = GeneratorConfig(ndim=3, n=8, n_statements=3,
-                          allow_where=False)
+    cfg = GeneratorConfig(ndim=3, n=8, n_statements=3)
     prog = random_program(seed, cfg)
     differential_check(prog, random_inputs(seed, prog, cfg),
                        levels=("O0", DEFAULT))
