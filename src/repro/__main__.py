@@ -35,6 +35,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -294,7 +295,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 def _source_flags() -> argparse.ArgumentParser:
     """Parent parser: what to compile and how (every compiling
     command)."""
-    p = argparse.ArgumentParser(add_help=False)
+    p = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     p.add_argument("kernel",
                    help="kernel name (e.g. purdue9, five_point, "
                         "box27_3d) or an HPF source file")
@@ -318,7 +319,7 @@ def _run_flags() -> argparse.ArgumentParser:
     command)."""
     from repro.runtime.backends import available_backends
 
-    p = argparse.ArgumentParser(add_help=False)
+    p = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     p.add_argument("--backend", default="perpe",
                    choices=available_backends(),
                    help="execution backend: per-PE interpretation "
@@ -355,11 +356,16 @@ _LEDGER_FLAG = dict(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser takes a flag's prefix for the flag: `--cache` must not
+    # mean `--cache-dir`, nor `--iter` `--iters`
     parser = argparse.ArgumentParser(
-        prog="python -m repro",
+        prog="python -m repro", allow_abbrev=False,
         description="HPF stencil compiler reproduction (Roth et al., "
                     "SC'97)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       allow_abbrev=False))
     source, run = _source_flags(), _run_flags()
 
     p = sub.add_parser("compile", parents=[source],

@@ -14,7 +14,9 @@ BLOCK-distributed arrays.  Submodules:
 ``symbols``
     Symbol tables.
 ``program``
-    The :class:`~repro.ir.program.Program` container and CFG utilities.
+    The :class:`~repro.ir.program.Program` container and the one
+    structured walk of the statement IR (``map_runs``, ``walk_flow``,
+    ``Flow``).
 ``printer``
     A Fortran-flavoured pretty printer used for golden tests and debugging.
 ``dependence``

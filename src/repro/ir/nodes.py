@@ -343,13 +343,21 @@ _stmt_counter = itertools.count(1)
 
 
 class Stmt:
-    """Base class of IR statements.  Each instance has a unique ``sid``."""
+    """Base class of IR statements.  Each instance has a unique ``sid``.
+
+    ``BLOCKS`` names the attributes holding a compound statement's nested
+    statement lists (empty for a leaf); :mod:`repro.ir.program` walks
+    them.
+    """
+
+    BLOCKS: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.sid: int = next(_stmt_counter)
 
     def substatements(self) -> Sequence["Stmt"]:
-        return ()
+        return tuple(s for block in self.BLOCKS
+                     for s in getattr(self, block))
 
     def walk(self) -> Iterator["Stmt"]:
         yield self
@@ -455,15 +463,14 @@ class OverlapShift(Stmt):
 class If(Stmt):
     """Structured two-way branch on a scalar condition expression."""
 
+    BLOCKS = ("then_body", "else_body")
+
     def __init__(self, cond: Expr, then_body: list[Stmt],
                  else_body: list[Stmt] | None = None) -> None:
         super().__init__()
         self.cond = cond
         self.then_body = then_body
         self.else_body = else_body or []
-
-    def substatements(self) -> Sequence[Stmt]:
-        return tuple(self.then_body) + tuple(self.else_body)
 
     def __str__(self) -> str:
         return f"IF ({self.cond}) THEN ... {'ELSE ...' if self.else_body else ''}ENDIF"
@@ -472,6 +479,8 @@ class If(Stmt):
 class DoLoop(Stmt):
     """A serial host ``DO`` loop (time stepping); body is block-structured."""
 
+    BLOCKS = ("body",)
+
     def __init__(self, var: str, lo: LinExpr, hi: LinExpr,
                  body: list[Stmt]) -> None:
         super().__init__()
@@ -479,9 +488,6 @@ class DoLoop(Stmt):
         self.lo = lo
         self.hi = hi
         self.body = body
-
-    def substatements(self) -> Sequence[Stmt]:
-        return tuple(self.body)
 
     def __str__(self) -> str:
         return f"DO {self.var} = {self.lo}, {self.hi} ... ENDDO"
@@ -494,13 +500,12 @@ class DoWhile(Stmt):
     a reduction against a tolerance); shifts are not allowed inside it.
     """
 
+    BLOCKS = ("body",)
+
     def __init__(self, cond: Expr, body: list[Stmt]) -> None:
         super().__init__()
         self.cond = cond
         self.body = body
-
-    def substatements(self) -> Sequence[Stmt]:
-        return tuple(self.body)
 
     def __str__(self) -> str:
         return f"DO WHILE ({self.cond}) ... ENDDO"

@@ -1,22 +1,31 @@
-"""The :class:`Program` container plus validation and CFG flattening.
+"""The :class:`Program` container and the one structured walk of the
+statement IR.
 
-A program is a structured statement list over a symbol table.  Analyses
-that want a flat view (SSA, dependence) work on the control-flow graph
-produced by :func:`build_cfg`; straight-line kernels — the common stencil
-case — flatten to a single basic block, which is exactly the situation the
-paper's context-partitioning phase requires.
+A program is a structured statement list over a symbol table.  Every
+pass over it uses the walks here rather than its own recursion into
+``IF``/``DO`` bodies: :func:`map_runs` rewrites each maximal run of leaf
+statements (the paper's basic blocks: context partitioning applies "to a
+set of statements within a basic block"), and :func:`walk_flow` carries
+a forward must-analysis (:class:`Flow`) through branches and loops with
+the one loop-exit and branch-join rule.  :func:`reads` says which arrays
+one statement reads, conditions included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from repro.errors import PipelineError
+from repro.errors import PipelineError, SemanticError
+from repro.ir.linexpr import LinExpr
 from repro.ir.nodes import (
-    Allocate, ArrayAssign, ArrayRef, Deallocate, DoLoop, DoWhile, Expr,
-    If, OffsetRef, OverlapShift, ScalarAssign, Stmt, array_names,
+    Allocate, ArrayAssign, ArrayRef, Deallocate, Expr, If, OffsetRef,
+    OverlapShift, Stmt, array_names,
 )
 from repro.ir.symbols import SymbolTable
+
+T = TypeVar("T")
+F = TypeVar("F", bound="Flow")
 
 
 @dataclass
@@ -29,14 +38,14 @@ class Program:
     #: abstract processor arrangement from !HPF$ PROCESSORS, if declared
     processors: tuple[int, ...] | None = None
 
+    def walk(self) -> Iterator[Stmt]:
+        """Every statement, compound ones included, in textual order."""
+        for stmt in self.body:
+            yield from stmt.walk()
+
     def leaf_statements(self) -> list[Stmt]:
         """All non-compound statements, in textual order."""
-        out: list[Stmt] = []
-        for stmt in self.body:
-            for s in stmt.walk():
-                if not isinstance(s, (If, DoLoop, DoWhile)):
-                    out.append(s)
-        return out
+        return [s for s in self.walk() if not s.BLOCKS]
 
     def validate(self) -> None:
         """Check internal consistency; raises :class:`PipelineError`.
@@ -44,8 +53,10 @@ class Program:
         Run between passes to catch IR corruption early (every pass in
         :mod:`repro.passes.pass_manager` validates its output).
         """
-        for stmt in self.leaf_statements():
+        for stmt in self.walk():
             self._validate_stmt(stmt)
+            for expr in read_exprs(stmt):
+                self._validate_expr(expr, stmt)
 
     def _validate_stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, ArrayAssign):
@@ -54,9 +65,6 @@ class Program:
                     len(stmt.lhs.section) != sym.type.rank:
                 raise PipelineError(
                     f"s{stmt.sid}: section rank mismatch on {stmt.lhs.name}")
-            self._validate_expr(stmt.rhs, stmt)
-            if stmt.mask is not None:
-                self._validate_expr(stmt.mask, stmt)
         elif isinstance(stmt, OverlapShift):
             sym = self.symbols.array(stmt.array)
             if not (1 <= stmt.dim <= sym.type.rank):
@@ -73,8 +81,6 @@ class Program:
         elif isinstance(stmt, (Allocate, Deallocate)):
             for name in stmt.names:
                 self.symbols.array(name)
-        elif isinstance(stmt, ScalarAssign):
-            self._validate_expr(stmt.rhs, stmt)
 
     def _validate_expr(self, expr: Expr, stmt: Stmt) -> None:
         for node in expr.walk():
@@ -93,16 +99,10 @@ class Program:
     # -- convenience -------------------------------------------------------
     def referenced_arrays(self) -> set[str]:
         names: set[str] = set()
-        for stmt in self.leaf_statements():
+        for stmt in self.walk():
+            names |= reads(stmt)
             if isinstance(stmt, ArrayAssign):
                 names.add(stmt.lhs.name)
-                names |= array_names(stmt.rhs)
-                if stmt.mask is not None:
-                    names |= array_names(stmt.mask)
-            elif isinstance(stmt, OverlapShift):
-                names.add(stmt.array)
-            elif isinstance(stmt, ScalarAssign):
-                names |= array_names(stmt.rhs)
         return names
 
     def prune_dead_arrays(self) -> list[str]:
@@ -118,135 +118,176 @@ class Program:
         for name in dead:
             self.symbols.drop_array(name)
         if dead:
-            self._prune_alloc_stmts(self.body, set(dead))
+            gone = set(dead)
+
+            def prune(run: list[Stmt]) -> list[Stmt]:
+                kept = []
+                for stmt in run:
+                    if isinstance(stmt, (Allocate, Deallocate)):
+                        stmt.names = tuple(n for n in stmt.names
+                                           if n not in gone)
+                        if not stmt.names:
+                            continue
+                    kept.append(stmt)
+                return kept
+
+            self.body = map_runs(self.body, prune)
         return dead
 
-    def _prune_alloc_stmts(self, body: list[Stmt], dead: set[str]) -> None:
-        kept: list[Stmt] = []
-        for stmt in body:
-            if isinstance(stmt, (Allocate, Deallocate)):
-                names = tuple(n for n in stmt.names if n not in dead)
-                if not names:
-                    continue
-                stmt.names = names
-            elif isinstance(stmt, If):
-                self._prune_alloc_stmts(stmt.then_body, dead)
-                self._prune_alloc_stmts(stmt.else_body, dead)
-            elif isinstance(stmt, (DoLoop, DoWhile)):
-                self._prune_alloc_stmts(stmt.body, dead)
-            kept.append(stmt)
-        body[:] = kept
-
 
 # ---------------------------------------------------------------------------
-# Control-flow graph
+# The structured walk
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BasicBlock:
-    """A maximal straight-line sequence of leaf statements."""
-
-    index: int
-    statements: list[Stmt] = field(default_factory=list)
-    successors: list[int] = field(default_factory=list)
-    predecessors: list[int] = field(default_factory=list)
-
-    def __str__(self) -> str:
-        return f"B{self.index}({len(self.statements)} stmts)"
+def read_exprs(stmt: Stmt) -> list[Expr]:
+    """The expressions ``stmt`` itself evaluates: an assignment's
+    right-hand side and WHERE mask, an IF or DO WHILE condition."""
+    return [expr for expr in (getattr(stmt, attr, None)
+                              for attr in ("rhs", "mask", "cond"))
+            if expr is not None]
 
 
-@dataclass
-class CFG:
-    """Control-flow graph with dedicated entry/exit blocks."""
-
-    blocks: list[BasicBlock]
-    entry: int = 0
-    exit: int = 1
-
-    def block(self, i: int) -> BasicBlock:
-        return self.blocks[i]
+def reads(stmt: Stmt) -> set[str]:
+    """The arrays ``stmt`` itself reads (a compound statement: its
+    condition, not its blocks)."""
+    names = {stmt.array} if isinstance(stmt, OverlapShift) else set()
+    for expr in read_exprs(stmt):
+        names |= array_names(expr)
+    return names
 
 
-class _CFGBuilder:
-    def __init__(self) -> None:
-        self.blocks: list[BasicBlock] = [BasicBlock(0), BasicBlock(1)]
-        self.current = 0
+def redefined_in(body: list[Stmt]) -> set[str]:
+    """The arrays any statement of ``body``, at any depth, assigns,
+    allocates or frees."""
+    names: set[str] = set()
+    for stmt in body:
+        for s in stmt.walk():
+            if isinstance(s, ArrayAssign):
+                names.add(s.lhs.name)
+            elif isinstance(s, (Allocate, Deallocate)):
+                names.update(s.names)
+    return names
 
-    def new_block(self) -> int:
-        b = BasicBlock(len(self.blocks))
-        self.blocks.append(b)
-        return b.index
 
-    def link(self, src: int, dst: int) -> None:
-        if dst not in self.blocks[src].successors:
-            self.blocks[src].successors.append(dst)
-            self.blocks[dst].predecessors.append(src)
+def runs_at_least_once(loop: object, params: Mapping[str, int]) -> bool:
+    """Does ``loop`` provably execute its body at least once?
 
-    def emit(self, stmt: Stmt) -> None:
-        self.blocks[self.current].statements.append(stmt)
+    True for a counted loop (a ``DO`` statement, or the plan's
+    ``SeqLoopOp``) whose bounds, evaluated over the size ``params``,
+    give ``hi >= lo``; False when they depend on run-time scalars and
+    for any loop on a condition (``DO WHILE``).
+    """
+    if not isinstance(getattr(loop, "lo", None), LinExpr):
+        return False
+    try:
+        return loop.hi.evaluate(params) >= loop.lo.evaluate(params)
+    except SemanticError:
+        return False
 
-    def build(self, body: list[Stmt]) -> None:
-        for stmt in body:
-            if isinstance(stmt, If):
-                self._build_if(stmt)
-            elif isinstance(stmt, (DoLoop, DoWhile)):
-                self._build_loop(stmt)
-            else:
-                self.emit(stmt)
 
-    def _build_if(self, stmt: If) -> None:
-        head = self.current
-        then_b = self.new_block()
-        join = self.new_block()
-        self.link(head, then_b)
-        self.current = then_b
-        self.build(stmt.then_body)
-        self.link(self.current, join)
-        if stmt.else_body:
-            else_b = self.new_block()
-            self.link(head, else_b)
-            self.current = else_b
-            self.build(stmt.else_body)
-            self.link(self.current, join)
+def map_runs(body: list[Stmt],
+             fn: Callable[[list[Stmt]], Iterable[Stmt]]) -> list[Stmt]:
+    """``body`` with each maximal run of leaf statements, at every depth
+    and in textual order, replaced by ``fn(run)``.
+
+    Nested blocks are rewritten in place; the returned list replaces
+    ``body``.  ``fn`` is never called on an empty run.
+    """
+    out: list[Stmt] = []
+    run: list[Stmt] = []
+    for stmt in body:
+        if not stmt.BLOCKS:
+            run.append(stmt)
+            continue
+        if run:
+            out.extend(fn(run))
+            run = []
+        for block in stmt.BLOCKS:
+            setattr(stmt, block, map_runs(getattr(stmt, block), fn))
+        out.append(stmt)
+    if run:
+        out.extend(fn(run))
+    return out
+
+
+class Flow:
+    """The state of a forward must-analysis at one program point.
+
+    A subclass says how to :meth:`copy` itself, :meth:`meet` another
+    state in place (a join point keeps what both paths hold) and
+    :meth:`kill` what a redefinition invalidates.  The loop-exit and
+    branch-join rules are written here, once, for every walker: the
+    statement IR's (:func:`walk_flow`) and the plan's.
+    """
+
+    def copy(self: F) -> F:
+        raise NotImplementedError
+
+    def meet(self: F, other: F) -> None:
+        raise NotImplementedError
+
+    def kill(self, *names: str) -> None:
+        raise NotImplementedError
+
+    def loop(self: F, defines: Iterable[str], once: bool,
+             body: Callable[[F], T]) -> T:
+        """A loop whose body redefines ``defines``: ``body`` walks it
+        once from the entry state and its result is returned.
+
+        Around the back edge nothing the body redefines holds on entry
+        to any iteration; at exit the state is the body's, met with the
+        state before the loop unless the loop provably runs (``once``) —
+        a zero-trip loop established nothing.
+        """
+        before = self.copy()
+        self.kill(*defines)
+        result = body(self)
+        if not once:
+            self.meet(before)
+        return result
+
+    def branch(self: F, *arms: Callable[[F], T]) -> list[T]:
+        """A branch: each arm walks from the entry state, the state after
+        is their meet; returns the arms' results."""
+        states = [self] + [self.copy() for _ in arms[1:]]
+        results = [arm(state) for arm, state in zip(arms, states)]
+        for state in states[1:]:
+            self.meet(state)
+        return results
+
+
+def walk_flow(body: list[Stmt], state: F,
+              leaf: Callable[[F, Stmt], "Iterable[Stmt] | None"],
+              params: Mapping[str, int],
+              cond: "Callable[[F, Stmt], object] | None" = None
+              ) -> list[Stmt]:
+    """Carry ``state`` forward through ``body``.
+
+    ``leaf(state, stmt)`` transfers the state over one leaf statement
+    and returns the statements replacing it (None keeps it).  An IF
+    walks its arms through :meth:`Flow.branch`, a DO its body through
+    :meth:`Flow.loop` (``params`` decide whether it provably runs);
+    ``cond(state, stmt)``, if given, first sees each compound statement
+    in its entry state, where its condition is evaluated.  Nested blocks
+    are rewritten in place; the returned list replaces ``body``.
+    """
+    def arm(stmt: Stmt, block: str) -> Callable[[F], None]:
+        return lambda s: setattr(stmt, block, walk_flow(
+            getattr(stmt, block), s, leaf, params, cond))
+
+    out: list[Stmt] = []
+    for stmt in body:
+        if not stmt.BLOCKS:
+            new = leaf(state, stmt)
+            out.extend([stmt] if new is None else new)
+            continue
+        if cond is not None:
+            cond(state, stmt)
+        if isinstance(stmt, If):
+            state.branch(*(arm(stmt, b) for b in stmt.BLOCKS))
         else:
-            self.link(head, join)
-        self.current = join
-
-    def _build_loop(self, stmt: "DoLoop | DoWhile") -> None:
-        head = self.new_block()
-        body_b = self.new_block()
-        after = self.new_block()
-        self.link(self.current, head)
-        self.link(head, body_b)
-        self.link(head, after)
-        self.current = body_b
-        self.build(stmt.body)
-        self.link(self.current, head)
-        self.current = after
-
-
-def build_cfg(program: Program) -> CFG:
-    """Flatten the structured body into a CFG.
-
-    Straight-line programs produce ``entry -> B2 -> exit`` with all
-    statements in B2.
-    """
-    builder = _CFGBuilder()
-    first = builder.new_block()
-    builder.link(0, first)
-    builder.current = first
-    builder.build(program.body)
-    builder.link(builder.current, 1)
-    return CFG(builder.blocks)
-
-
-def single_block(program: Program) -> list[Stmt] | None:
-    """Return the statement list if the program is straight-line, else None.
-
-    Context partitioning (paper 3.2) applies "to a set of statements within
-    a basic block"; callers use this to find that block.
-    """
-    if any(isinstance(s, (If, DoLoop, DoWhile)) for s in program.body):
-        return None
-    return list(program.body)
+            state.loop(redefined_in(stmt.body),
+                       runs_at_least_once(stmt, params), arm(stmt, "body"))
+        out.append(stmt)
+    return out

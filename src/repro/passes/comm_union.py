@@ -26,9 +26,10 @@ then emits the canonical minimal call set that covers them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
-from repro.ir.nodes import DoLoop, DoWhile, If, OverlapShift, Stmt
-from repro.ir.program import Program
+from repro.ir.nodes import OverlapShift, Stmt
+from repro.ir.program import Program, map_runs
 from repro.ir.rsd import RSD
 from repro.passes.pass_manager import Pass
 
@@ -107,33 +108,15 @@ class CommUnionPass(Pass):
 
     def run(self, program: Program) -> None:
         self.stats = CommUnionStats()
-        program.body = self._process(program.body, program)
+        program.body = map_runs(program.body,
+                                lambda run: self._union_run(run, program))
 
-    def _process(self, body: list[Stmt], program: Program) -> list[Stmt]:
+    def _union_run(self, run: list[Stmt], program: Program) -> list[Stmt]:
         out: list[Stmt] = []
-        group: list[OverlapShift] = []
-
-        def flush() -> None:
-            if group:
-                out.extend(self._union_group(list(group), program))
-                group.clear()
-
-        for stmt in body:
-            if isinstance(stmt, OverlapShift):
-                group.append(stmt)
-            elif isinstance(stmt, If):
-                flush()
-                stmt.then_body = self._process(stmt.then_body, program)
-                stmt.else_body = self._process(stmt.else_body, program)
-                out.append(stmt)
-            elif isinstance(stmt, (DoLoop, DoWhile)):
-                flush()
-                stmt.body = self._process(stmt.body, program)
-                out.append(stmt)
-            else:
-                flush()
-                out.append(stmt)
-        flush()
+        for is_shift, stmts in groupby(
+                run, lambda s: isinstance(s, OverlapShift)):
+            out.extend(self._union_group(list(stmts), program)
+                       if is_shift else stmts)
         return out
 
     def _union_group(self, group: list[OverlapShift],

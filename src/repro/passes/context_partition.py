@@ -22,10 +22,10 @@ from typing import Hashable
 
 from repro.ir.dependence import DepEdge, build_ddg, predecessors
 from repro.ir.nodes import (
-    Allocate, ArrayAssign, ArrayRef, Deallocate, DoLoop, DoWhile, If,
-    OffsetRef, OverlapShift, ScalarAssign, Stmt,
+    Allocate, ArrayAssign, ArrayRef, Deallocate, OffsetRef, OverlapShift,
+    ScalarAssign, Stmt,
 )
-from repro.ir.program import Program
+from repro.ir.program import Program, map_runs
 from repro.passes.pass_manager import Pass
 
 
@@ -123,34 +123,8 @@ class ContextPartitionPass(Pass):
         self.last_result: TypedFusionResult | None = None
 
     def run(self, program: Program) -> None:
-        program.body = self._partition_block(program.body, program)
-
-    def _partition_block(self, body: list[Stmt],
-                         program: Program) -> list[Stmt]:
-        out: list[Stmt] = []
-        run: list[Stmt] = []
-
-        def flush() -> None:
-            if run:
-                out.extend(self._reorder(run, program))
-                run.clear()
-
-        for stmt in body:
-            if isinstance(stmt, If):
-                flush()
-                stmt.then_body = self._partition_block(stmt.then_body,
-                                                       program)
-                stmt.else_body = self._partition_block(stmt.else_body,
-                                                       program)
-                out.append(stmt)
-            elif isinstance(stmt, (DoLoop, DoWhile)):
-                flush()
-                stmt.body = self._partition_block(stmt.body, program)
-                out.append(stmt)
-            else:
-                run.append(stmt)
-        flush()
-        return out
+        program.body = map_runs(program.body,
+                                lambda run: self._reorder(run, program))
 
     def _reorder(self, statements: list[Stmt],
                  program: Program) -> list[Stmt]:

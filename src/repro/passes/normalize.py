@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 from repro.errors import UnsupportedFeatureError
 from repro.ir.nodes import (
     Allocate, ArrayAssign, ArrayRef, BinOp, Compare, Const, CShift,
-    Deallocate, DoLoop, DoWhile, EOShift, Expr, If, Intrinsic, OffsetRef,
-    Reduction, ScalarAssign, ScalarRef, Stmt, UnaryOp, section_offsets,
+    Deallocate, EOShift, Expr, Intrinsic, OffsetRef, Reduction,
+    ScalarAssign, ScalarRef, Stmt, UnaryOp, section_offsets,
 )
-from repro.ir.program import Program
+from repro.ir.program import Program, map_runs
 from repro.ir.symbols import ArraySymbol, SymbolTable
 from repro.passes.pass_manager import Pass
 
@@ -78,33 +78,21 @@ class NormalizePass(Pass):
 
     def run(self, program: Program) -> None:
         pool = _TempPool(program.symbols, pooled=self.pooled_temps)
-        program.body = self._normalize_block(program, program.body, pool)
+        program.body = map_runs(program.body, lambda run: [
+            new for stmt in run
+            for new in self._normalize_stmt(program, stmt, pool)])
         if pool.all_names:
             program.body.insert(0, Allocate(pool.all_names))
             program.body.append(Deallocate(pool.all_names))
 
-    # -- block / statement walk ---------------------------------------------
-    def _normalize_block(self, program: Program, body: list[Stmt],
-                         pool: _TempPool) -> list[Stmt]:
-        out: list[Stmt] = []
-        for stmt in body:
-            if isinstance(stmt, ArrayAssign):
-                out.extend(self._normalize_assign(program, stmt, pool))
-            elif isinstance(stmt, ScalarAssign):
-                out.extend(self._normalize_scalar_assign(program, stmt,
-                                                         pool))
-            elif isinstance(stmt, If):
-                stmt.then_body = self._normalize_block(
-                    program, stmt.then_body, pool)
-                stmt.else_body = self._normalize_block(
-                    program, stmt.else_body, pool)
-                out.append(stmt)
-            elif isinstance(stmt, (DoLoop, DoWhile)):
-                stmt.body = self._normalize_block(program, stmt.body, pool)
-                out.append(stmt)
-            else:
-                out.append(stmt)
-        return out
+    # -- statement walk --------------------------------------------------------
+    def _normalize_stmt(self, program: Program, stmt: Stmt,
+                        pool: _TempPool) -> list[Stmt]:
+        if isinstance(stmt, ArrayAssign):
+            return self._normalize_assign(program, stmt, pool)
+        if isinstance(stmt, ScalarAssign):
+            return self._normalize_scalar_assign(program, stmt, pool)
+        return [stmt]
 
     @staticmethod
     def _is_singleton_shift(stmt: ArrayAssign) -> bool:

@@ -20,9 +20,12 @@ Shifts of offset arrays compose: ``TMP = CSHIFT(RIP, -1, 2)`` with
 
 The propagation is optimistic in the paper's sense: the relationship
 ``DST = base<offsets>`` is tracked through control flow with a forward
-must-analysis (intersection at joins, conservative invalidation around
-loop back edges) and every use where the relationship still holds is
-rewritten; everything else falls back to the compensating copy.
+must-analysis (:class:`repro.ir.program.Flow`: intersection at joins,
+invalidation around loop back edges, and at a loop's exit unless it
+provably runs) and every use where the relationship still holds is
+rewritten; everything else falls back to the compensating copy, which
+stays wherever its destination is read afterwards — in a condition
+too.
 
 Fill-kind discipline
 --------------------
@@ -43,10 +46,10 @@ from dataclasses import dataclass, field
 
 from repro.ir.nodes import (
     Allocate, ArrayAssign, ArrayRef, BinOp, Compare, CShift, Deallocate,
-    DoLoop, DoWhile, EOShift, Expr, If, Intrinsic, OffsetRef, OverlapShift,
-    Reduction, ScalarAssign, Stmt, UnaryOp, array_names, section_offsets,
+    EOShift, Expr, Intrinsic, OffsetRef, OverlapShift, Reduction,
+    ScalarAssign, Stmt, UnaryOp, section_offsets,
 )
-from repro.ir.program import Program
+from repro.ir.program import Flow, Program, map_runs, reads, walk_flow
 from repro.passes.pass_manager import Pass
 
 # fill kind: None = circular (CSHIFT), float = end-off boundary (EOSHIFT)
@@ -57,7 +60,7 @@ Entry = tuple[str, tuple[int, ...], Fill]
 
 
 @dataclass
-class _State:
+class _State(Flow):
     """Flow state: tracked offset relationships plus per-region fills."""
 
     off: dict[str, Entry] = field(default_factory=dict)
@@ -66,22 +69,17 @@ class _State:
     def copy(self) -> "_State":
         return _State(dict(self.off), dict(self.fills))
 
-    def meet(self, other: "_State") -> "_State":
-        return _State(
-            {k: v for k, v in self.off.items()
-             if other.off.get(k) == v},
-            {k: v for k, v in self.fills.items()
-             if k in other.fills and other.fills[k] == v},
-        )
+    def meet(self, other: "_State") -> None:
+        self.off = {k: v for k, v in self.off.items()
+                    if other.off.get(k) == v}
+        self.fills = {k: v for k, v in self.fills.items()
+                      if k in other.fills and other.fills[k] == v}
 
-    def kill(self, name: str) -> None:
-        for key in list(self.off):
-            base, _, _ = self.off[key]
-            if key == name or base == name:
-                del self.off[key]
-        for key in list(self.fills):
-            if key[0] == name:
-                del self.fills[key]
+    def kill(self, *names: str) -> None:
+        self.off = {k: v for k, v in self.off.items()
+                    if k not in names and v[0] not in names}
+        self.fills = {k: v for k, v in self.fills.items()
+                      if k[0] not in names}
 
 
 @dataclass
@@ -121,53 +119,21 @@ class OffsetArrayPass(Pass):
         self.stats = OffsetArrayStats()
         self._program = program
         self._tentative: list[tuple[ArrayAssign, str]] = []
-        program.body = self._walk(program.body, _State())
+        program.body = walk_flow(program.body, _State(), self._visit,
+                                 program.symbols.params)
         self._resolve_copies(program)
         self._remove_dead_defs(program)
         self.stats.dead_arrays = program.prune_dead_arrays()
 
-    # -- structured walk -----------------------------------------------------
-    def _walk(self, body: list[Stmt], state: _State) -> list[Stmt]:
-        out: list[Stmt] = []
-        for stmt in body:
-            if isinstance(stmt, ArrayAssign):
-                out.extend(self._visit_assign(stmt, state))
-            elif isinstance(stmt, If):
-                s_then = state.copy()
-                s_else = state.copy()
-                stmt.then_body = self._walk(stmt.then_body, s_then)
-                stmt.else_body = self._walk(stmt.else_body, s_else)
-                merged = s_then.meet(s_else)
-                state.off = merged.off
-                state.fills = merged.fills
-                out.append(stmt)
-            elif isinstance(stmt, (DoLoop, DoWhile)):
-                # conservative around the back edge: anything the body
-                # kills is unavailable on entry to any iteration
-                for name in self._killed_in(stmt.body):
-                    state.kill(name)
-                stmt.body = self._walk(stmt.body, state)
-                out.append(stmt)
-            elif isinstance(stmt, (Allocate, Deallocate)):
-                for name in stmt.names:
-                    state.kill(name)
-                out.append(stmt)
-            elif isinstance(stmt, ScalarAssign):
-                stmt.rhs = self._rewrite_expr(stmt.rhs, None, state)
-                out.append(stmt)
-            else:
-                out.append(stmt)
-        return out
-
-    def _killed_in(self, body: list[Stmt]) -> set[str]:
-        killed: set[str] = set()
-        for stmt in body:
-            for s in stmt.walk():
-                if isinstance(s, ArrayAssign):
-                    killed.add(s.lhs.name)
-                elif isinstance(s, (Allocate, Deallocate)):
-                    killed.update(s.names)
-        return killed
+    # -- leaf transfer -------------------------------------------------------
+    def _visit(self, state: _State, stmt: Stmt) -> list[Stmt] | None:
+        if isinstance(stmt, ArrayAssign):
+            return self._visit_assign(stmt, state)
+        if isinstance(stmt, (Allocate, Deallocate)):
+            state.kill(*stmt.names)
+        elif isinstance(stmt, ScalarAssign):
+            stmt.rhs = self._rewrite_expr(stmt.rhs, None, state)
+        return None
 
     # -- per-statement transformation ---------------------------------------------
     def _visit_assign(self, stmt: ArrayAssign,
@@ -275,9 +241,8 @@ class OffsetArrayPass(Pass):
             return Compare(expr.op,
                            self._rewrite_expr(expr.left, stmt, state),
                            self._rewrite_expr(expr.right, stmt, state))
-        if isinstance(expr, (CShift, EOShift)):
-            # non-normal-form residue: left untouched (kept full shifts)
-            return expr
+        # shifts are non-normal-form residue: left untouched (kept full
+        # shifts), like constants and scalars
         return expr
 
     def _ref_delta(self, ref: ArrayRef,
@@ -289,79 +254,42 @@ class OffsetArrayPass(Pass):
             return None
         return section_offsets(ref.section, stmt.lhs.section)
 
+    def _live_out(self, program: Program) -> set[str]:
+        if self.outputs is None:
+            return {name for name, sym in program.symbols.arrays.items()
+                    if not sym.is_temporary}
+        return {n.upper() for n in self.outputs}
+
     # -- copy repair ------------------------------------------------------------
     def _resolve_copies(self, program: Program) -> None:
         """Drop tentative compensating copies whose destination is never
         read afterwards and is not live out of the routine."""
-        outputs = self.outputs
-        if outputs is None:
-            outputs = {name for name, sym in
-                       program.symbols.arrays.items()
-                       if not sym.is_temporary}
-        else:
-            outputs = {n.upper() for n in outputs}
-        copy_sids = {copy.sid for copy, _ in self._tentative}
-        reads = self._collect_reads(program, exclude_sids=copy_sids)
-        for copy, dst in self._tentative:
-            if dst in reads or dst in outputs:
-                self.stats.copies_inserted += 1
-            else:
-                self._remove_stmt(program.body, copy)
-                self.stats.copies_elided += 1
-
-    def _collect_reads(self, program: Program,
-                       exclude_sids: set[int]) -> set[str]:
-        reads: set[str] = set()
-        for stmt in program.leaf_statements():
-            if stmt.sid in exclude_sids:
-                # a compensating copy reads only its base, which stays
-                # live through the OVERLAP_SHIFT that precedes it
-                assert isinstance(stmt, ArrayAssign)
-                reads |= array_names(stmt.rhs)
-                continue
-            if isinstance(stmt, (ArrayAssign, ScalarAssign)):
-                reads |= array_names(stmt.rhs)
-                if isinstance(stmt, ArrayAssign) and stmt.mask is not None:
-                    reads |= array_names(stmt.mask)
-            elif isinstance(stmt, OverlapShift):
-                reads.add(stmt.array)
-            elif isinstance(stmt, If):
-                reads |= array_names(stmt.cond)
-        return reads
-
-    def _remove_stmt(self, body: list[Stmt], target: Stmt) -> bool:
-        for i, stmt in enumerate(body):
-            if stmt is target:
-                del body[i]
-                return True
-            if isinstance(stmt, If):
-                if self._remove_stmt(stmt.then_body, target) or \
-                        self._remove_stmt(stmt.else_body, target):
-                    return True
-            elif isinstance(stmt, (DoLoop, DoWhile)):
-                if self._remove_stmt(stmt.body, target):
-                    return True
-        return False
+        live = _collect_reads(program) | self._live_out(program)
+        elided = {copy.sid for copy, dst in self._tentative
+                  if dst not in live}
+        self.stats.copies_inserted += len(self._tentative) - len(elided)
+        self.stats.copies_elided += len(elided)
+        program.body = map_runs(program.body, lambda run: [
+            s for s in run if s.sid not in elided])
 
     # -- dead definition cleanup --------------------------------------------------
     def _remove_dead_defs(self, program: Program) -> None:
         """Remove assignments to temporaries that are never read and not
         live-out (Figure 13: the TMP/RIP/RIN defs disappear)."""
-        outputs = self.outputs
-        if outputs is None:
-            outputs = {name for name, sym in
-                       program.symbols.arrays.items()
-                       if not sym.is_temporary}
-        else:
-            outputs = {n.upper() for n in outputs}
+        outputs = self._live_out(program)
         changed = True
         while changed:
             changed = False
-            reads = self._collect_reads(program, exclude_sids=set())
+            read = _collect_reads(program)
             for stmt in list(program.body):
                 if isinstance(stmt, ArrayAssign) and \
-                        stmt.lhs.name not in reads and \
+                        stmt.lhs.name not in read and \
                         stmt.lhs.name not in outputs:
                     program.body.remove(stmt)
                     self.stats.dead_defs_removed += 1
                     changed = True
+
+
+def _collect_reads(program: Program) -> set[str]:
+    """Every array some statement reads, conditions included."""
+    return {name for stmt in program.walk() for name in reads(stmt)}

@@ -249,3 +249,74 @@ class TestArraySyntax:
         offs = {n.offsets for n in compute.rhs.walk()
                 if isinstance(n, OffsetRef)}
         assert offs == {(-1, 0), (0, -1), (1, 0), (0, 1)}
+
+
+_CF_HEAD = """\
+      REAL, DIMENSION(N,N) :: A, T, U, V
+!HPF$ DISTRIBUTE U(BLOCK,BLOCK)
+!HPF$ ALIGN A WITH U
+!HPF$ ALIGN T WITH U
+!HPF$ ALIGN V WITH U
+"""
+
+# Each program once miscompiled at O1 and up: a relation made in a loop
+# that may not run leaked past it, or a condition's read of a shifted
+# array did not keep its compensating copy.
+_CONTROL_FLOW_PROGRAMS = {
+    "zero_trip_do_while": """\
+      V = CSHIFT(U,1,1)
+      T = 5.0
+      S = 0.0
+      DO WHILE (S < 0.0)
+        T = CSHIFT(U,1,1)
+        S = S + 1.0
+      ENDDO
+      A = T + V
+""",
+    "zero_trip_do": """\
+      T = 5.0
+      DO K = 1, M
+        T = CSHIFT(U,1,1)
+      ENDDO
+      A = T + U
+""",
+    "if_condition_read": """\
+      T = CSHIFT(U,1,1)
+      IF (SUM(T) > 0.0) THEN
+        A = U + 1.0
+      ELSE
+        A = U - 1.0
+      ENDIF
+""",
+    "do_while_condition_read": """\
+      A = U
+      T = CSHIFT(U,1,1)
+      DO WHILE (SUM(T) > SUM(A) + 0.5)
+        A = A + 1.0
+      ENDDO
+""",
+}
+
+
+@pytest.mark.parametrize("backend", ["perpe", "vectorized"])
+@pytest.mark.parametrize("level", ["O0", "O1", "O2", "O3", "O4", "O5"])
+@pytest.mark.parametrize("name", sorted(_CONTROL_FLOW_PROGRAMS))
+def test_control_flow_matches_reference(name, level, backend):
+    from repro.compiler import compile_hpf
+    from repro.machine import Machine
+
+    src = _CF_HEAD + _CONTROL_FLOW_PROGRAMS[name]
+    bindings = {"N": 8, "M": 0}
+    rng = np.random.default_rng(0)
+    # positive U; a stale T (never written) flips the condition
+    inputs = {"U": np.abs(rng.standard_normal((8, 8))) + 0.1,
+              "V": rng.standard_normal((8, 8)),
+              "A": rng.standard_normal((8, 8)),
+              "T": np.full((8, 8), 10.0 if "do_while" in name else -1.0)}
+    ref = evaluate(parse_program(src, bindings=bindings), inputs=inputs)
+    compiled = compile_hpf(src, bindings=bindings, level=level,
+                           outputs={"A"})
+    got = compiled.run(Machine(grid=(2, 2)), inputs=inputs,
+                       backend=backend)
+    np.testing.assert_allclose(got.arrays["A"], ref["A"], rtol=1e-6,
+                               atol=1e-12)

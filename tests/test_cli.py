@@ -430,7 +430,23 @@ class TestPlanCommand:
         with pytest.raises(SystemExit) as exc:
             main(["compile", "jacobi", flag])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+
+    @pytest.mark.parametrize("flag, value", [("--cache", "DIR"),
+                                             ("--iter", "2")])
+    def test_flag_prefixes_are_argparse_errors(self, flag, value,
+                                               tmp_path, monkeypatch,
+                                               capsys):
+        # no flag is taken for the longer one it abbreviates
+        # (--cache-dir, --iters)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "jacobi", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["profile", "nine_point", "--opt", "O0"],
