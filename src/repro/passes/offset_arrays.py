@@ -180,7 +180,10 @@ class OffsetArrayPass(Pass):
         if d >= len(new_offs):
             return None
         new_offs[d] += rhs.shift
-        sign = 1 if rhs.shift > 0 else -1
+        # along ``d`` the call fills to the composed offset's depth: an
+        # OVERLAP_SHIFT reads its base offsets in the other dims only
+        amount = new_offs[d]
+        sign = 1 if amount > 0 else -1
         region = (base, d, sign)
         established = state.fills.get(region, fill)
         criteria_ok = (
@@ -197,15 +200,18 @@ class OffsetArrayPass(Pass):
             state.kill(dst)
             return None
         offsets = tuple(new_offs)
-        ovl = OverlapShift(base, rhs.shift, rhs.dim,
-                           base_offsets=boffs if any(boffs) else None,
-                           boundary=fill)
+        ortho = tuple(0 if k == d else o for k, o in enumerate(boffs))
         copy = ArrayAssign(ArrayRef(dst), OffsetRef(base, offsets, fill))
         self._tentative.append((copy, dst))
         state.kill(dst)
         state.off[dst] = (base, offsets, fill)
-        state.fills[region] = fill
         self.stats.shifts_converted += 1
+        if not amount:      # shifted back onto the base: nothing to fill
+            return [copy]
+        state.fills[region] = fill
+        ovl = OverlapShift(base, amount, rhs.dim,
+                           base_offsets=ortho if any(ortho) else None,
+                           boundary=fill)
         return [ovl, copy]
 
     # -- use rewriting -----------------------------------------------------------

@@ -47,37 +47,88 @@ def _footprint(layout: Layout, halo: Halo, dtype: np.dtype) -> tuple:
     return nbytes, blocks, tuple(map(max, zip(*shapes)))
 
 
+def _runs(layout: Layout, d: int, window: tuple[int, int]) -> list:
+    """The blocks along dim ``d`` that meet the global ``window`` (0-based
+    ``(start, stop)``), as runs of one extent: each a grid slice (``None``
+    on a collapsed dim), its block count, the extent of each block's part,
+    where the run starts in the global array and in each block's
+    interior.  Whole blocks run together; a block cut by the window, or
+    the short last one, runs alone."""
+    n = layout.shape[d]
+    bd = layout.block_dims.get(d)
+    b, p = (bd.block, bd.nprocs) if bd else (n, 1)
+    runs = []
+    for j in range(p):
+        lo, hi = max(j * b, window[0]), min((j + 1) * b, n, window[1])
+        if lo >= hi:
+            continue
+        if runs and hi - lo == b == runs[-1][2]:
+            runs[-1][1] += 1
+        else:
+            runs.append([j, 1, hi - lo, lo, lo - j * b])
+    return [(slice(j, j + c) if bd else None, c, m, g, at)
+            for j, c, m, g, at in runs]
+
+
 @lru_cache(maxsize=1024)
-def _classes(layout: Layout, halo: Halo) -> tuple:
-    """The owned blocks in classes of one shape (along a BLOCK dim the
-    full blocks, then a short last one): per class, its interiors in the
-    arena, and the global window with the reshape and transpose that lay
-    it out alike."""
-    options = []    # per dim: (grid slice | None, blocks, extent, start)
-    for d, n in enumerate(layout.shape):
-        bd = layout.block_dims.get(d)
-        b, p = (bd.block, bd.nprocs) if bd else (n, 1)
-        runs = [(0, p, b)] if n == p * b else \
-            [(0, p - 1, b), (p - 1, 1, n - (p - 1) * b)]
-        options.append([(slice(j, j + c) if bd else None, c, m, j * b)
-                        for j, c, m in runs])
+def _classes(layout: Layout, halo: Halo, window: tuple | None = None
+             ) -> tuple:
+    """The owned blocks' parts in ``window`` (per dim a global 0-based
+    ``(start, stop)``; the whole array by default) in classes of one
+    shape: per class, its interiors' cells in the arena, and the global
+    window with the reshape and transpose that lay it out alike."""
+    window = window or tuple((0, n) for n in layout.shape)
     classes = []
-    for choice in product(*options):
+    for choice in product(*(_runs(layout, d, w)
+                            for d, w in enumerate(window))):
         split, counts, extents = [], [], []
-        for grid, count, n, _ in choice:
+        for grid, count, n, _, _ in choice:
             if grid:
                 counts.append(len(split))
                 split.append(count)
             extents.append(len(split))
             split.append(n)
-        interiors = tuple(slice(lo, lo + n)
-                          for (lo, _), (_, _, n, _) in zip(halo, choice))
+        interiors = tuple(slice(lo + at, lo + at + n)
+                          for (lo, _), (_, _, n, _, at) in zip(halo, choice))
         classes.append((
             tuple(grid for grid, *_ in choice if grid) + interiors,
             tuple(slice(start, start + count * n)
-                  for _, count, n, start in choice),
+                  for _, count, n, start, _ in choice),
             tuple(split), tuple(counts + extents)))
     return tuple(classes)
+
+
+@lru_cache(maxsize=1024)
+def _margins(layout: Layout, halo: Halo, cell: tuple) -> tuple:
+    """Arena indices that together cover every cell outside the blocks'
+    interiors: per dim, its low overlap planes and, per run of one block
+    extent, all past the interior (high planes and a short cell's
+    padding)."""
+    ndim = layout.grid.ndim
+    margins = []
+    for d, n in enumerate(layout.shape):
+        lo, axis = halo[d][0], ndim + d
+        if lo:
+            margins.append((slice(None),) * axis + (slice(0, lo),))
+        for grid, _, m, _, _ in _runs(layout, d, (0, n)):
+            if lo + m < cell[d]:
+                index = [slice(None)] * axis + [slice(lo + m, None)]
+                if grid:
+                    index[layout.grid_dim_of[d]] = grid
+                margins.append(tuple(index))
+    return tuple(margins)
+
+
+def _live(shape: tuple, dead: tuple) -> list:
+    """The cells of ``shape`` outside the box ``dead`` (0-based ``(start,
+    stop)`` per dim) as at most 2·rank disjoint windows."""
+    windows, inner = [], []
+    for d, ((lo, hi), n) in enumerate(zip(dead, shape)):
+        rest = tuple((0, m) for m in shape[d + 1:])
+        windows += [(*inner, part, *rest)
+                    for part in ((0, lo), (hi, n)) if part[0] < part[1]]
+        inner.append((lo, hi))
+    return windows
 
 
 def allocate_distributed(machine: Machine, name: str, layout: Layout,
@@ -144,14 +195,26 @@ class DArray:
     @staticmethod
     def create(machine: Machine, name: str, layout: Layout,
                dtype: np.dtype, halo: Halo | None = None,
-               slab: bool = False) -> "DArray":
+               slab: bool = False, initial: np.ndarray | None = None,
+               dead: tuple | None = None) -> "DArray":
+        """A zeroed array, or one whose interiors hold ``initial`` but for
+        the global box ``dead`` (0-based ``(start, stop)`` per dim): cells
+        the program writes before it reads them, left as the allocator
+        gave them.  Every other cell is written once."""
         dtype, halo, _ = allocate_distributed(machine, name, layout,
                                               dtype, halo)
         cells = _one_pe(layout) if slab else layout
         _, blocks, cell = _footprint(cells, halo, dtype)
-        data = np.zeros((*cells.grid.shape, *cell), dtype=dtype)
-        return DArray(name, layout, dtype, halo, data, blocks, slab,
-                      arena=(data.ctypes.data, data.nbytes))
+        shape = (*cells.grid.shape, *cell)
+        data = np.zeros(shape, dtype) if initial is None else \
+            np.empty(shape, dtype)
+        da = DArray(name, layout, dtype, halo, data, blocks, slab,
+                    arena=(data.ctypes.data, data.nbytes))
+        if initial is not None:
+            for index in _margins(cells, halo, cell):
+                data[index] = 0
+            da.scatter(initial, dead)
+        return da
 
     def like(self, machine: Machine, name: str, halo: Halo) -> "DArray":
         """A new array of this one's layout, dtype and storage."""
@@ -192,23 +255,28 @@ class DArray:
                      for d, (lo, hi) in enumerate(self.halo))
 
     # -- global <-> local ------------------------------------------------------
-    def scatter(self, global_array: np.ndarray) -> None:
-        """Distribute a global array's values into the local interiors."""
+    def scatter(self, global_array: np.ndarray,
+                dead: tuple | None = None) -> None:
+        """Distribute a global array's values into the local interiors,
+        but for the box ``dead`` (see :meth:`create`)."""
         if tuple(global_array.shape) != self.layout.shape:
             raise MachineError(
                 f"{self.name}: scatter shape {global_array.shape} != "
                 f"declared {self.layout.shape}")
-        for cells, window, split, axes in _classes(self.cells, self.halo):
-            self.data[cells] = global_array[window].reshape(split) \
-                .transpose(axes)
+        for window in [None] if dead is None else \
+                _live(self.layout.shape, dead):
+            for cells, part, split, axes in _classes(self.cells, self.halo,
+                                                     window):
+                self.data[cells] = global_array[part].reshape(split) \
+                    .transpose(axes)
 
     def gather(self) -> np.ndarray:
         """Assemble the global array from the local interiors.  One cell
-        without overlap planes is the global array: it is handed over,
-        not copied — gathering is the executor's last read before
+        (the slab) holds the global array: its interior is handed over as
+        a view, not copied — gathering is the executor's last read before
         :meth:`free`, which only drops the reference."""
-        if len(self.blocks) == 1 and not any(lo or hi for lo, hi in self.halo):
-            return self.data.reshape(self.layout.shape)
+        if len(self.blocks) == 1:
+            return self.interior(0)
         out = np.empty(self.layout.shape, dtype=self.dtype)
         for cells, window, split, axes in _classes(self.cells, self.halo):
             out[window].reshape(split).transpose(axes)[...] = self.data[cells]

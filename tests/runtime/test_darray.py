@@ -248,3 +248,70 @@ def test_padded_arena_cells_are_not_charged():
     assert [machine.memory.peak(pe) for pe in range(6)] == charged
     assert machine.memory.peak_per_pe == max(charged) == 7 * 7 * 8
     assert da.data.nbytes == 6 * 7 * 7 * 8 > sum(charged)
+
+
+@st.composite
+def boxes(draw, shape):
+    """A global box, 0-based ``(start, stop)`` per dim, possibly empty
+    along a dim or the whole extent."""
+    out = []
+    for n in shape:
+        lo = draw(st.integers(0, n))
+        out.append((lo, draw(st.integers(lo, n))))
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(ARENA_LAYOUTS), slab=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       halo=st.integers(0, 2), data=st.data(), seed=st.integers(0, 2**16))
+def test_a_seeded_arena_leaves_only_the_dead_box_unwritten(
+        case, slab, dtype, halo, data, seed):
+    """``create(initial=, dead=)`` writes every cell a zeroed arena plus
+    ``scatter`` holds, byte for byte, but the dead box's interior cells,
+    which keep what the allocator gave (here: a garbage pattern)."""
+    machine, layout = arena_layout(case)
+    halos = ((halo, halo),) * len(layout.shape)
+    dead = data.draw(boxes(layout.shape))
+    rng = np.random.default_rng(seed)
+    g = with_nans(rng.standard_normal(layout.shape).astype(dtype), rng)
+    expected = DArray.create(machine, "E", layout, dtype, halos, slab)
+    expected.scatter(g)
+    marks = DArray.create(machine, "M", layout, np.dtype(bool), halos, slab)
+    inside = np.zeros(layout.shape, bool)
+    inside[tuple(slice(*r) for r in dead)] = True
+    marks.scatter(inside)
+    garbage = np.full(expected.data.nbytes, 0x5A, np.uint8)
+
+    real_empty = np.empty
+
+    def empty(shape, dtype):
+        return garbage.view(dtype).reshape(shape)
+
+    np.empty = empty
+    try:
+        da = DArray.create(machine, "U", layout, dtype, halos, slab,
+                           initial=g, dead=dead)
+    finally:
+        np.empty = real_empty
+    assert np.shares_memory(da.data, garbage)
+    live = ~marks.data
+    assert da.data[live].tobytes() == expected.data[live].tobytes()
+    assert (da.data.view(np.uint8).reshape(*da.data.shape, -1)
+            [marks.data] == 0x5A).all()
+
+
+@pytest.mark.parametrize("slab", [False, True], ids=["cells", "slab"])
+def test_one_cell_hands_its_interior_over(slab):
+    """The slab (or a 1x1 grid's one cell) gathers to a view of its
+    arena, halo or not; a cell per PE gathers to a fresh array."""
+    machine = Machine(grid=(2, 2))
+    layout = Layout((9, 7), Distribution.block(2), machine.topology)
+    da = DArray.create(machine, "U", layout, np.dtype(np.float32),
+                       ((1, 2), (2, 1)), slab)
+    g = np.arange(63, dtype=np.float32).reshape(9, 7)
+    da.scatter(g)
+    out = da.gather()
+    assert out.tobytes() == g.tobytes()
+    assert np.shares_memory(out, da.data) == slab
+    assert out.flags.c_contiguous != slab

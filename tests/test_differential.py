@@ -1,7 +1,8 @@
 """Differential fuzzing: random subset programs, all levels, all grids.
 
 The ultimate semantics-preservation test — any divergence between an
-optimization level and the serial reference fails with the offending
+optimization level and the serial reference, or between the ``perpe``
+and ``vectorized`` backends in any bit, fails with the offending
 program attached.
 """
 
@@ -66,6 +67,18 @@ def test_differential_wide_offsets(seed):
     prog = random_program(seed, cfg)
     differential_check(prog, random_inputs(seed, prog, cfg),
                        levels=("O0", "O3"))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_differential_poisoned(seed):
+    """Input cells a program overwrites before it reads them, set to
+    NaN, change no bit of any run: skipped on entry, or copied in and
+    never read (``differential_check(poison=True)``)."""
+    prog = random_program(seed)
+    differential_check(prog, random_inputs(seed, prog),
+                       levels=("O0", "O2", DEFAULT), grids=((2, 2), (4, 2)),
+                       poison=True)
 
 
 def test_known_hard_seeds():
