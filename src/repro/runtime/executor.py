@@ -9,7 +9,7 @@ compiler emits each PE's bounds and messages once, an op's walk runs
 once per machine geometry and is kept with the plan's tapes as a
 *schedule* (``PlanTapes.schedule``); every run evaluates its regions
 — a native nest's as rows of the schedule's region table — and replays
-its charges.  On the slab storage a run hands each *segment* (a run of
+its charges.  On either storage a run hands each *segment* (a run of
 nests, ``OVERLAP_SHIFT``\\ s, swaps, SUMs and scalar assignments, a whole
 ``DO`` included) to the plan's native driver as one call and replays one
 merged recording per trip — traced, it files each op's span from the
@@ -259,7 +259,7 @@ def _refusal(op: PlanOp, tapes, bounds: set) -> "str | None":
 
 
 class _Segment(list):
-    """Ops a slab run hands to the plan's native driver as one call; its
+    """Ops a run hands to the plan's native driver as one call; its
     schedules are :class:`_Steps` or why it runs per op."""
 
     def __init__(self, ops: list, tapes, bounds: set) -> None:
@@ -340,9 +340,11 @@ class _Exec:
     backend_label = "perpe"
     #: the placement: each array's arena a cell per PE, or the slab (see
     #: :class:`DArray`).  What every op costs is the skeleton's and the
-    #: shift routines' business and is the same for both; only slab runs
-    #: take native segments.
+    #: shift routines' business and is the same for both, and both take
+    #: native segments.
     slab = False
+    #: ``parallel`` only: what its workers did (``vectorized._WorkerLog``)
+    _log = None
 
     def __init__(self, plan: Plan, machine: Machine,
                  scalars: Mapping[str, float] | None,
@@ -714,17 +716,25 @@ class _Exec:
         scalars = [self.scalar(ref) for ref in tape.scalars]
         kernel, call = tape.kernel, None
         if kernel is not None and bindings:
-            table = self._kept(sched.tables, sched, regions, lambda: (
-                kernel.table([self._views(arrays, pe, slices)
-                              for pe, slices in bindings], arrays)))
+            table = self._table(tape, sched, regions, arrays)
             values = kernel.arguments(table, scalars)
             call = None if values is None else (table, values)
         return bindings, arrays, scalars, call
 
+    def _table(self, tape: NestTape, sched: _Schedule, regions,
+               arrays: list) -> "tuple | str":
+        """The native region table of ``tape``'s kernel over ``regions``
+        of ``sched`` for buffers of ``arrays``' geometry, or why it was
+        refused; one per region list, the per-op path's and segments'."""
+        return self._kept(sched.tables, sched, regions, lambda: (
+            tape.kernel.table([self._views(arrays, pe, slices) for pe, slices
+                               in self._bindings(sched, tape, regions)],
+                              arrays)))
+
     # -- native segments ----------------------------------------------------
     def _segments(self) -> bool:
-        """``cc`` built the plan's driver and the arrays are slabs."""
-        return self._tapes.driver is not None and self.slab
+        """``cc`` built the plan's driver."""
+        return self._tapes.driver is not None
 
     def _items(self, ops: list) -> list:
         """``ops`` as ops and segments, partitioned once per list."""
@@ -757,7 +767,6 @@ class _Exec:
         if None in arrays:
             return 0            # the op that names it raises
         spaces = tuple(self._space(op) for op in seg.nests)
-        # only the slab executors get here: ``_cut`` is theirs
         cuts = tuple(self._cut(tape, space)
                      for tape, space in zip(seg.tapes, spaces))
         built = self._tapes.schedule(
@@ -921,12 +930,10 @@ class _Exec:
                         kernel = tape.kernel
                         if kernel is None or cut.__class__ is not str:
                             return "tape" if kernel is None else "striped"
-                        regions = ((0, space),)     # the slab's whole space
-                        (_, slices), = self._bindings(sched, tape, regions)
-                        table = self._kept(
-                            sched.tables, sched, regions, lambda: (
-                                kernel.table([self._views(arrays, 0, slices)],
-                                             arrays)))
+                        # the slab's whole space, else each PE's box
+                        table = self._table(tape, sched, ((0, space),)
+                                            if self.slab else sched.regions,
+                                            arrays)
                         if table.__class__ is str:
                             return table
                         step = call(0, tape, table, kernel.groups)
@@ -939,6 +946,13 @@ class _Exec:
                       members, Charges.merged(self.machine.cost_model, [
                           c for trip in members for _, c, _ in trip]),
                       scratch[0])
+
+    def _cut(self, tape: NestTape, space) -> "tuple | str":
+        """The row stripes a nest is cut into, or why it runs whole."""
+        return self.backend_label
+
+    def _file(self, cuts: list) -> None:
+        """Nests evaluated, one :meth:`_cut` each (``parallel`` counts)."""
 
     def run_nest(self, op: LoopNestOp) -> None:
         self._run_nest(op, op, split=False)
@@ -1091,10 +1105,10 @@ def execute(plan: Plan, machine: Machine,
     the driver's stamps).  ``backend`` selects the executor: ``perpe``
     keeps a cell per PE and evaluates each nest per PE box (reference
     semantics); ``vectorized`` keeps each array as one cell, the global
-    slab, and evaluates a nest once over its whole space, handing
-    segments of ops to the native driver; ``parallel`` is
-    ``vectorized`` with big nests cut into row stripes on threads.  All
-    three charge the cost model identically.
+    slab, and evaluates a nest once over its whole space; ``parallel``
+    is ``vectorized`` with big nests cut into row stripes on threads.
+    All three hand segments of ops to the native driver and charge the
+    cost model identically.
     ``profile`` runs under ``tracer`` (a private one when none is
     given), whose op spans are the run's op stack, and attaches a
     :class:`repro.obs.profile.ProfileCollector` to the network

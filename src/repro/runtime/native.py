@@ -13,7 +13,7 @@ region table of byte offsets from the buffers' bases — the one way a
 kernel runs: from Python as rows of a :meth:`Kernel.table` through
 :meth:`Kernel.run_table` (a ``perpe`` nest's PE boxes, a slab nest's
 row stripes), from C through ``run_steps``, the :data:`PRELUDE`'s
-driver of a slab run's segment — nests, overlap moves, swaps, SUM
+driver of a run's segment — nests, overlap moves, swaps, SUM
 reductions and scalar assignments, for all trips of a loop — in one
 call.  A reduction operand's loop stores its value into the caller's
 stack, or a SUM's into a block-sized scratch that each row then sums in

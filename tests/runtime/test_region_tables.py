@@ -50,13 +50,14 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
 
 
 def native_run(name, bindings, grid, monkeypatch, kernels=True):
-    """One ``perpe`` run of a fresh compile whose nests run natively —
-    without ``kernels``, on the ufunc tape for good; ``(result, counted
-    fallbacks, nreg of every foreign call)``."""
+    """One per-op ``perpe`` run (the plan's driver taken away) of a fresh
+    compile whose nests run natively — without ``kernels``, on the ufunc
+    tape for good; ``(result, counted fallbacks, nreg of every foreign
+    call)``."""
     monkeypatch.setattr(native, "_BROKEN", set())
     compiled = compile_kernel(name, bindings=bindings)
     plan = compiled.plan
-    prepare(plan, kernels=kernels)
+    prepare(plan, kernels=kernels).driver = None
     found = [plan_tapes(plan).nest(op).kernel for op in plan.walk_ops()
              if isinstance(op, LoopNestOp)]
     assert any(found) == kernels, "no nest of the plan runs natively"
@@ -295,13 +296,13 @@ def test_native_reductions_equal_the_tape(dtype, grid, monkeypatch):
         assert got == expected, backend
         assert (calls, evaluated) == ([npes] * 15, 0), backend
         assert set(counted) <= {("built", None), ("loaded", None)}
-        # the five SUMs as one native segment on the slabs: same scalars
+        # the five SUMs as one native segment on either storage: same
+        # scalars
         got, counted, calls, _ = reduce_run(
             dtype, grid, backend, True, monkeypatch, segments=True)
-        slab = backend != "perpe"
         assert got[1] == expected[1], backend
-        assert (("segment", None) in counted, len(calls)) == (
-            slab, 15 - 5 * slab), backend
+        assert (("segment", None) in counted, len(calls)) == (True, 10), \
+            backend
 
 
 @needs_cc
