@@ -317,11 +317,11 @@ def _source_flags() -> argparse.ArgumentParser:
 def _run_flags() -> argparse.ArgumentParser:
     """Parent parser: the machine and the run (every executing
     command)."""
-    from repro.runtime.backends import available_backends
+    from repro.runtime import backends
 
     p = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    p.add_argument("--backend", default="perpe",
-                   choices=available_backends(),
+    p.add_argument("--backend", default=backends.DEFAULT,
+                   choices=backends.available_backends(),
                    help="execution backend: per-PE interpretation "
                         "(default), whole-array vectorized slabs, "
                         "or the same slabs with each loop nest cut into "

@@ -8,11 +8,12 @@ them, emitting one Python function per compute nest
 :mod:`repro.runtime.native`'s, under the shared tape).
 
 The generated loops run over the same globally padded slab layout as
-:class:`~repro.runtime.vectorized.VectorizedExec` — one padded ndarray
-per distributed array, global 1-based index ``g`` at padded position
-``g + base`` where ``base = halo_lo - 1`` — so a kernel is a drop-in
-replacement for one ``_exec_nest_box`` call and everything else
-(charging, communication, reductions) stays inherited.
+the ``vectorized`` backend (:class:`~repro.runtime.executor._Exec` with
+``slab=True``) — one padded ndarray per distributed array, global
+1-based index ``g`` at padded position ``g + base`` where
+``base = halo_lo - 1`` — so a kernel is a drop-in replacement for the
+executor's ``_eval_nest`` and everything else (charging,
+communication, reductions) stays the executor's.
 
 Transforms applied
 ------------------

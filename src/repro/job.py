@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.errors import UsageError
+from repro.runtime import backends
 
 
 def _int_at_least(name: str, value: object, floor: int) -> None:
@@ -166,7 +167,7 @@ class RunJob:
 
     compile: CompileJob
     machine: MachineSpec
-    backend: str = "perpe"
+    backend: str = backends.DEFAULT
     iterations: int = 1
     seed: int = 0
     workers: "int | None" = None
@@ -175,16 +176,14 @@ class RunJob:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        from repro.runtime.backends import available_backends, \
-            check_workers
-        if self.backend not in available_backends():
+        if self.backend not in backends.available_backends():
             raise UsageError(
                 f"backend must be one of "
-                f"{', '.join(available_backends())}, got "
+                f"{', '.join(backends.available_backends())}, got "
                 f"{self.backend!r}")
         _int_at_least("iterations", self.iterations, 0)
         _int_at_least("seed", self.seed, 0)
-        check_workers(self.workers)
+        backends.check_workers(self.workers)
         if self.compile.kernel is not None:
             from repro.kernels import KERNELS
             self.scalars = {

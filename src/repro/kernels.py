@@ -258,6 +258,8 @@ CG_SOLVER = """
 from dataclasses import dataclass as _dataclass
 from dataclasses import field as _field
 
+from repro.runtime import backends as _backends
+
 
 @_dataclass(frozen=True)
 class KernelSpec:
@@ -339,7 +341,8 @@ def compile_kernel(name: str, bindings: dict[str, int] | None = None,
 
 def run_kernel(name: str, grid: tuple[int, ...] = (2, 2),
                bindings: dict[str, int] | None = None,
-               level: "str | None" = None, backend: str = "perpe",
+               level: "str | None" = None,
+               backend: str = _backends.DEFAULT,
                iterations: int = 1, seed: int = 0, machine=None,
                cache=None, tracer=None, profile: bool = False,
                workers: int | None = None,

@@ -33,6 +33,7 @@ from repro.ir.program import runs_at_least_once
 from repro.ir.rsd import RSD
 from repro.ir.types import Distribution
 from repro.machine.cost_model import LoopStats
+from repro.runtime import backends
 
 #: Symbolic iteration box: per-dimension 1-based inclusive bounds.
 Box = tuple[tuple[LinExpr, LinExpr], ...]
@@ -452,8 +453,8 @@ class CompiledProgram:
     trace: object | None = None  # PassTrace when requested
 
     def run(self, machine, inputs=None, scalars=None, iterations: int = 1,
-            tracer=None, backend: str = "perpe", profile: bool = False,
-            workers: int | None = None):
+            tracer=None, backend: str = backends.DEFAULT,
+            profile: bool = False, workers: int | None = None):
         """Execute on a machine; see :func:`repro.runtime.executor.execute`."""
         from repro.runtime.executor import execute
         return execute(self.plan, machine, inputs=inputs, scalars=scalars,

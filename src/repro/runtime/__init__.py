@@ -9,16 +9,17 @@
 * :mod:`repro.runtime.cshift` — full ``CSHIFT``/``EOSHIFT`` (both
   components), as a naive backend would call.
 * :mod:`repro.runtime.executor` — runs compiled plans: the one
-  execution skeleton, and the ``perpe`` backend as is.
+  execution skeleton, every backend's executor (a cell per PE, or the
+  slab with nests evaluated over the whole iteration space).
 * :mod:`repro.runtime.nest_tape` — the strip-mined nest evaluator; a
   plan's tapes and op schedules are built once and kept with it.
 * :mod:`repro.runtime.native` — its native form: a nest as one
   ``cc``-compiled fused C loop, when provably bitwise.
-* :mod:`repro.runtime.backends` — the three-row backend table.
-* :mod:`repro.runtime.vectorized` — the skeleton over the slab storage,
-  nests evaluated over the whole iteration space;
-  :mod:`repro.runtime.parallel` — that evaluator cut into row stripes
-  on one persistent thread pool (the ``parallel`` backend).
+* :mod:`repro.runtime.backends` — the three-row backend table: the
+  executor's keywords per name, and the default.
+* :mod:`repro.runtime.parallel` — the slab evaluator's row stripes on
+  one persistent thread pool and what its workers did (the
+  ``parallel`` backend).
 * :mod:`repro.runtime.reference` — serial NumPy semantics of IR programs.
 """
 

@@ -45,13 +45,14 @@ from repro.machine.machine import Machine
 from repro.machine.network import Charges, allreduce_tag
 from repro.passes.memopt import analyze_reduction, scaled_to_points
 from repro.runtime.cshift import FullShift
-from repro.runtime.backends import get_backend
+from repro.runtime.backends import DEFAULT, check_workers, get_backend
 from repro.runtime.darray import DArray
 from repro.runtime.distribution import cached_layout
 from repro.runtime.nest_tape import (
     NestTape, plan_tapes, prepare,
 )
 from repro.runtime.overlap import OverlapShift
+from repro.runtime import parallel
 
 if TYPE_CHECKING:
     from repro.obs.profile import CommProfile
@@ -335,33 +336,39 @@ class _Steps(NamedTuple):
 
 
 class _Exec:
-    #: the backend's name in error messages; overridden by every
-    #: registered backend class
-    backend_label = "perpe"
-    #: the placement: each array's arena a cell per PE, or the slab (see
-    #: :class:`DArray`).  What every op costs is the skeleton's and the
-    #: shift routines' business and is the same for both, and both take
-    #: native segments.
-    slab = False
-    #: ``parallel`` only: what its workers did (``vectorized._WorkerLog``)
-    _log = None
+    """The one execution skeleton; a backend is a row of its keywords
+    (:mod:`repro.runtime.backends`).  ``slab``: each array's arena is the
+    slab, not a cell per PE (see :class:`DArray`), and a nest or a
+    reduction operand is evaluated once over the whole space, not per PE
+    box.  ``striped``: the slab with each big nest cut into row stripes
+    on the thread pool of :mod:`repro.runtime.parallel`.  What an op
+    costs is the same on all three."""
 
     def __init__(self, plan: Plan, machine: Machine,
                  scalars: Mapping[str, float] | None,
                  hpf_overhead: bool, tracer=None,
-                 workers: int | None = None) -> None:
+                 workers: int | None = None, *, slab: bool = False,
+                 striped: bool = False) -> None:
         from repro.obs.tracer import coalesce
+        check_workers(workers)
         self.tracer = coalesce(tracer)
-        # ``workers``: only the ``parallel`` backend acts on it, but it is
-        # part of the shared constructor contract so ``execute`` can pass
-        # it to any registered backend.
         self.plan = plan
         self.machine = machine
+        self.slab = slab or striped
+        #: the backend's name in error messages
+        self.backend_label = "parallel" if striped else \
+            "vectorized" if slab else "perpe"
+        #: the most stripes a nest is cut into; what the workers did
+        self.stripes = parallel.worker_count(plan, workers) if striped else 1
+        self._log = parallel._WorkerLog(self.stripes) if striped else None
         self.darrays: dict[str, DArray] = {}
         #: the plan's tapes (shared, immutable) and this executor's
-        #: registers for them (see :meth:`NestTape.run`)
+        #: registers for them (see :meth:`NestTape.run`), one dict per
+        #: stripe: two stripes of equal shape never share an ``out=``
         self._tapes = plan_tapes(plan)
         self._bound: dict = {}
+        self._registers = [self._bound] + [
+            {} for _ in range(1, self.stripes)]
         self.scalars: dict[str, float] = {n: 0.0 for n in plan.scalar_names}
         for k, v in (scalars or {}).items():
             self.scalars[k.upper()] = float(v)
@@ -399,9 +406,10 @@ class _Exec:
 
     def close(self) -> "list[dict] | None":
         """End of the run, error or not (``execute`` calls it in a
-        ``finally``): a backend with per-run state reports it here, and
-        returns its measured worker tracks (see
-        :meth:`repro.obs.profile.CommProfile.from_run`), if it has any."""
+        ``finally``): ``parallel`` publishes what its workers did and
+        returns one measured track per worker (see
+        :meth:`repro.obs.profile.CommProfile.from_run`)."""
+        return None if self._log is None else self._log.publish()
 
     def darray(self, name: str) -> DArray:
         try:
@@ -455,6 +463,7 @@ class _Exec:
         message log).  Every backend computes the same partials
         (:meth:`_block_partials`) and folds them in rank order, which is
         what keeps the result bitwise."""
+        self._file(["reduction"])
         refs = [n for n in expr.arg.walk() if isinstance(n, OffsetRef)]
         if not refs:
             raise ExecutionError(
@@ -528,7 +537,17 @@ class _Exec:
     def _blocks(self, sched: _Schedule, tape: NestTape, arrays: list,
                 scalars: list):
         """The tape's value of a reduction operand on each PE's owned
-        block, PE by PE (each taken before the next reuses registers)."""
+        block: PE by PE (each taken before the next reuses registers),
+        or on the slab once over the whole array, each block sliced from
+        its value."""
+        if self.slab:
+            whole = ((0, tuple((1, n) for n in arrays[0].layout.shape)),)
+            (_, slices), = self._bindings(sched, tape, whole)
+            value = tape.run(self._views(arrays, 0, slices), scalars,
+                             self._bound)[tape.result]
+            for _, box in sched.regions:
+                yield value[tuple(slice(lo - 1, hi) for lo, hi in box)]
+            return
         for pe, slices in self._bindings(sched, tape, sched.regions):
             yield tape.run(self._views(arrays, pe, slices), scalars,
                            self._bound)[tape.result]
@@ -694,17 +713,53 @@ class _Exec:
                 boxes.append((pe, box))
         return boxes
 
+    def _regions(self, sched: _Schedule, space, cut) -> "list | tuple":
+        """What a nest over ``space`` is evaluated on: each PE box of
+        ``sched``, else the slab's whole space, or ``cut``'s row
+        stripes of it (see :meth:`_cut`)."""
+        if not self.slab:
+            return sched.regions
+        if cut.__class__ is str:
+            return ((0, space),)
+        return tuple((0, (rows, *space[1:])) for rows in cut)
+
     def _eval_nest(self, op: LoopNestOp, space, sched: _Schedule) -> None:
-        """Compute the nest over each PE's box: one native call over the
-        schedule's region table, else box by box on the tape."""
-        tape = self._nest_tape(op)
-        bindings, arrays, scalars, call = self._rows(tape, sched,
-                                                     sched.regions)
-        if call is not None:
-            tape.kernel.run_table(call[0], arrays, call[1])
+        """Compute the nest over its :meth:`_regions`, joined as one task
+        per stripe, else one task for them all: their rows of the region
+        table in one native call, else region by region on the tape in
+        the task's own registers."""
+        tape = self._nest_tape(op)  # legality, whichever evaluator runs it
+        if any(lo > hi for lo, hi in space):
             return
+        cut = self._cut(tape, space)
+        self._file([cut])
+        bindings, arrays, scalars, call = self._rows(
+            tape, sched, self._regions(sched, space, cut))
+        ranges = [(0, None)] if cut.__class__ is str else [
+            (i, i + 1) for i in range(len(bindings))]
+        if call is not None:
+            tasks = [partial(tape.kernel.run_table, call[0], arrays, call[1],
+                             start, stop) for start, stop in ranges]
+        else:
+            tasks = [partial(self._on_tape, tape, arrays, bindings[start:stop],
+                             scalars, registers)
+                     for (start, stop), registers in zip(ranges,
+                                                         self._registers)]
+        outcomes, blocked = parallel.join(tasks)
+        if self._log is not None:
+            # a profiled run files the nest on the measured tracks
+            profiled = self.machine.network.observer is not None
+            self._log.file(outcomes, blocked,
+                           self.tracer.current if profiled else None)
+        for *_, error in outcomes:      # the first, in stripe order
+            if error is not None:
+                raise error
+
+    def _on_tape(self, tape: NestTape, arrays: list, bindings: list,
+                 scalars: list, registers: dict) -> None:
+        """``bindings`` evaluated on the tape in ``registers``."""
         for pe, slices in bindings:
-            tape.run(self._views(arrays, pe, slices), scalars, self._bound)
+            tape.run(self._views(arrays, pe, slices), scalars, registers)
 
     def _rows(self, tape: NestTape, sched: _Schedule, regions) -> tuple:
         """``regions`` of ``tape``'s nest bound for this run: their
@@ -930,10 +985,9 @@ class _Exec:
                         kernel = tape.kernel
                         if kernel is None or cut.__class__ is not str:
                             return "tape" if kernel is None else "striped"
-                        # the slab's whole space, else each PE's box
-                        table = self._table(tape, sched, ((0, space),)
-                                            if self.slab else sched.regions,
-                                            arrays)
+                        table = self._table(
+                            tape, sched, self._regions(sched, space, cut),
+                            arrays)
                         if table.__class__ is str:
                             return table
                         step = call(0, tape, table, kernel.groups)
@@ -948,11 +1002,18 @@ class _Exec:
                       scratch[0])
 
     def _cut(self, tape: NestTape, space) -> "tuple | str":
-        """The row stripes a nest is cut into, or why it runs whole."""
-        return self.backend_label
+        """The row stripes ``parallel`` cuts a nest into, or why this run
+        evaluates it whole (a segment's nests must be)."""
+        return self.backend_label if self._log is None else \
+            parallel.cut(self.stripes, tape, space)
 
     def _file(self, cuts: list) -> None:
-        """Nests evaluated, one :meth:`_cut` each (``parallel`` counts)."""
+        """Nests evaluated, one :meth:`_cut` each — the stripes or why it
+        ran whole: ``parallel`` counts them."""
+        if self._log is not None:
+            for how in cuts:
+                self._log.nests[("whole", how) if how.__class__ is str
+                                else ("striped", None)] += 1
 
     def run_nest(self, op: LoopNestOp) -> None:
         self._run_nest(op, op, split=False)
@@ -1049,8 +1110,19 @@ class _Exec:
         return interior, strips
 
     def _nest_tape(self, op: LoopNestOp) -> NestTape:
-        """The nest's tape, built on first use."""
-        return self._tapes.nest(op)
+        """The nest's tape, built on first use.  On the slab no statement
+        may read, at a nonzero offset, an array assigned earlier in the
+        nest (a PE box would read stale overlap data there, the slab
+        fresh values): pipeline output never does, and a hand-built plan
+        that does is rejected."""
+        tape = self._tapes.nest(op)
+        if self.slab and tape.stale_read is not None:
+            raise ExecutionError(
+                f"{self.backend_label} backend: nest reads "
+                f"{tape.stale_read} after assigning "
+                f"{tape.stale_read.name} in the same nest; run with "
+                f"backend='perpe'")
+        return tape
 
     def _slices(self, tape: NestTape, pe: int, box) -> list:
         """The tape's references as bounds-checked slices of ``box``."""
@@ -1085,7 +1157,7 @@ def execute(plan: Plan, machine: Machine,
             iterations: int = 1,
             hpf_overhead: bool = False,
             tracer=None,
-            backend: str = "perpe",
+            backend: str = DEFAULT,
             profile: bool = False,
             workers: int | None = None) -> ExecutionResult:
     """Run a compiled plan.
@@ -1102,13 +1174,16 @@ def execute(plan: Plan, machine: Machine,
     baseline).  ``tracer`` (a :class:`repro.obs.Tracer`)
     records an ``execute`` span with one timed child span per executed
     plan op, every iteration's side by side (a segment's are timed from
-    the driver's stamps).  ``backend`` selects the executor: ``perpe``
-    keeps a cell per PE and evaluates each nest per PE box (reference
-    semantics); ``vectorized`` keeps each array as one cell, the global
-    slab, and evaluates a nest once over its whole space; ``parallel``
-    is ``vectorized`` with big nests cut into row stripes on threads.
-    All three hand segments of ops to the native driver and charge the
-    cost model identically.
+    the driver's stamps).  ``backend`` names a row of
+    :mod:`repro.runtime.backends`, each the one executor with its
+    keywords (default :data:`~repro.runtime.backends.DEFAULT`):
+    ``perpe`` keeps a cell per PE and evaluates each nest per PE box
+    (reference semantics); ``vectorized`` (``slab=True``) keeps each
+    array as one cell, the global slab, and evaluates a nest once over
+    its whole space; ``parallel`` (``striped=True``) is ``vectorized``
+    with big nests cut into row stripes on threads.  All three hand
+    segments of ops to the native driver and charge the cost model
+    identically.
     ``profile`` runs under ``tracer`` (a private one when none is
     given), whose op spans are the run's op stack, and attaches a
     :class:`repro.obs.profile.ProfileCollector` to the network
@@ -1117,7 +1192,7 @@ def execute(plan: Plan, machine: Machine,
     :class:`~repro.obs.profile.CommProfile` comes back on the result.
     ``workers`` caps the worker threads of the ``parallel`` backend —
     how many row stripes a nest may be cut into (default:
-    ``os.cpu_count()``); other backends ignore it.
+    ``os.cpu_count()``); other backends check it and ignore it.
     """
     from repro.obs import metrics as _metrics
     from repro.obs.tracer import Tracer, coalesce

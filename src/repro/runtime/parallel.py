@@ -1,15 +1,14 @@
 """Row stripes on a persistent thread pool: what ``parallel`` adds.
 
-``parallel`` is the slab storage of :mod:`repro.runtime.vectorized`
-with its whole-space nest evaluator cut into at most
-``workers`` contiguous dim-1 row stripes: stripe 0 runs on the calling
-thread, the rest on one process-wide pool that every run, every
-``iterations=k`` and the service's job threads share.  This module
-holds only the pool, the stripe cut and the join (the evaluator and
-what a run reports are ``VectorizedExec``'s); op dispatch, shifts,
-reductions, control flow and every charge are the inherited skeleton
-running once, in one process, so the backend contract holds by
-construction.
+``parallel`` is the slab storage with its whole-space nest evaluator
+cut into at most ``workers`` contiguous dim-1 row stripes: stripe 0
+runs on the calling thread, the rest on one process-wide pool that
+every run, every ``iterations=k`` and the service's job threads share.
+This module holds the pool, the stripe cut, the join and what the
+workers did (:class:`_WorkerLog`); the evaluator is the executor's one
+``_eval_nest`` (:mod:`repro.runtime.executor`).  Op dispatch, shifts,
+reductions, control flow and every charge are the one skeleton running
+once, in one process, so the backend contract holds by construction.
 
 Why threads suffice: a nest is one ``ctypes`` foreign call
 (:mod:`repro.runtime.native`) or a few ufunc inner loops, and both drop
@@ -25,12 +24,11 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from contextvars import copy_context
 from math import prod
 from queue import SimpleQueue
 from time import perf_counter
-
-from repro.runtime.backends import check_workers
 
 #: Points a stripe must cover before a nest is handed off.  Measured
 #: here: a join of two no-op stripes is 16 us (p90 25 us), but a real
@@ -117,8 +115,8 @@ def join(tasks: list) -> tuple[list, float]:
 
 def worker_count(plan, workers: "int | None") -> int:
     """The run's workers (worker 0 is the calling thread): ``workers``
-    or the core count, silently capped by the tallest array's rows."""
-    check_workers(workers)
+    (checked by the executor) or the core count, silently capped by the
+    tallest array's rows."""
     rows = max((decl.shape[0] for decl in plan.arrays.values()), default=1)
     return max(1, min(workers or os.cpu_count() or 1, rows))
 
@@ -140,3 +138,59 @@ def cut(workers: int, tape, space) -> "tuple[tuple[int, int], ...] | str":
     base, extra = divmod(rows, n)
     bounds = [lo + i * base + min(i, extra) for i in range(n + 1)]
     return tuple((a, b - 1) for a, b in zip(bounds, bounds[1:]))
+
+
+class _WorkerLog:
+    """What each worker of one ``parallel`` run did; worker 0 is the
+    calling thread.  Plain numbers while the run lasts, published once
+    when it ends."""
+
+    def __init__(self, workers: int) -> None:
+        self.start = perf_counter()
+        self.blocked = 0.0              # worker 0, waiting at joins
+        self.busy = [0.0] * workers     # seconds running nests
+        #: per worker: (op span, start, end), seconds since ``start``;
+        #: profiled runs
+        self.events: list[list] = [[] for _ in range(workers)]
+        self.nests: Counter = Counter()     # (mode, reason) -> nests
+
+    def file(self, outcomes: list, blocked: float, span) -> None:
+        """One nest's ``(start, end, ...)`` per worker, as :func:`join`
+        returns them, under the open op span ``span`` of a profiled
+        run."""
+        self.blocked += blocked
+        for w, (start, end, *_) in enumerate(outcomes):
+            self.busy[w] += end - start
+            if span is not None:
+                self.events[w].append(
+                    (span, start - self.start, end - self.start))
+
+    def publish(self) -> list[dict]:
+        """The run's series on the installed registry; returns one
+        measured track per worker."""
+        from repro.obs.metrics import get_registry
+        wall = perf_counter() - self.start
+        registry = get_registry()
+        if registry.enabled:
+            registry.gauge(
+                "repro_parallel_workers",
+                help="Worker threads of the last parallel run (the "
+                     "calling thread is worker 0).").set(len(self.busy))
+            idle = registry.gauge(
+                "repro_parallel_barrier_wait_seconds",
+                help="Seconds worker w had no stripe to run during the "
+                     "run: worker 0's time blocked at joins; a worker "
+                     "never handed a stripe idles for the whole run.")
+            idle.set(self.blocked, worker="0")
+            for w, busy in enumerate(self.busy[1:], start=1):
+                idle.set(max(0.0, wall - busy), worker=str(w))
+            nests = registry.counter(
+                "repro_parallel_nests_total",
+                help="Nest evaluations of parallel runs: cut into row "
+                     "stripes, or run whole and why.")
+            for (mode, reason), n in sorted(self.nests.items(), key=str):
+                nests.inc(n, mode=mode,
+                          **({} if reason is None else {"reason": reason}))
+        return [{"worker": w, "wall_s": busy, "events": events}
+                for w, (busy, events) in enumerate(zip(self.busy,
+                                                       self.events))]

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 
 from repro.errors import UsageError
 from repro.job import CompileJob, MachineSpec, RunJob
+from repro.runtime import backends
 
 #: Version stamp of the service's response envelope.  The embedded
 #: plan/metrics/profile documents carry their own schema versions.
@@ -130,7 +131,8 @@ def parse_run_job(doc: object) -> RunJob:
             machine=MachineSpec(grid=machine.get("grid") or (2, 2),
                                 preset=machine.get("preset", "sp2"),
                                 memory_mb=machine.get("memory_mb")),
-            backend=doc.get("backend", "perpe"), iterations=iterations,
+            backend=doc.get("backend", backends.DEFAULT),
+            iterations=iterations,
             seed=doc.get("seed", 0), workers=doc.get("workers"),
             scalars=_float_map(doc, "scalars"), arrays=arrays,
             profile=bool(doc.get("profile", False)))

@@ -206,7 +206,7 @@ class TestGeneratedLoopsRun:
     def test_bitwise_equal_to_vectorized_on_one_pe(
             self, name, tile, unroll, monkeypatch):
         from repro.machine import Machine
-        from repro.runtime.vectorized import VectorizedExec
+        from repro.runtime.executor import _Exec
         spec = KERNELS[name]
         compiled = compile_hpf(spec.source, bindings={"N": 16},
                                level="O4", outputs=set(spec.outputs))
@@ -240,7 +240,7 @@ class TestGeneratedLoopsRun:
             ran.append(op)
 
         want, ran = run(), []
-        monkeypatch.setattr(VectorizedExec, "_eval_nest", generated)
+        monkeypatch.setattr(_Exec, "_eval_nest", generated)
         got = run()
         assert len(ran) == len(entries)
         for array, value in want.arrays.items():

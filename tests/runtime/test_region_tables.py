@@ -42,7 +42,6 @@ from repro.runtime import executor, native
 from repro.runtime.darray import DArray
 from repro.runtime.executor import _partials, _stack_layout
 from repro.runtime.nest_tape import NestTape, plan_tapes, prepare
-from repro.runtime.vectorized import VectorizedExec
 from repro.testing import GeneratedProgram, backend_equivalence_check
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -250,10 +249,9 @@ def reduce_run(dtype, grid, backend, kernels, monkeypatch, segments=False):
         return real_run_table(self, table, arrays, values, *rows, out=out)
 
     monkeypatch.setattr(native.Kernel, "run_table", run_table)
-    for cls in (executor._Exec, VectorizedExec):
-        real_blocks = cls._blocks
-        monkeypatch.setattr(cls, "_blocks", lambda self, *args, f=real_blocks:
-                            (evaluated.append(1), f(self, *args))[1])
+    real_blocks = executor._Exec._blocks
+    monkeypatch.setattr(executor._Exec, "_blocks", lambda self, *args:
+                        (evaluated.append(1), real_blocks(self, *args))[1])
     registry = MetricsRegistry()
     with use_registry(registry):
         tapes = prepare(compiled.plan, kernels=kernels)
